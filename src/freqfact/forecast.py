@@ -188,7 +188,8 @@ def atom_removal_scan(
 ) -> list[ScanEntry]:
     """Score removing each single atom.
 
-    For every atom: drop that column from both dictionaries, re-encode the
+    For every atom: drop that column from both dictionaries (and that row
+    from a fixed frequency mask in ``penalty`` or ``config``), re-encode the
     full-period auxiliary data with the reduced dictionary (the dropped
     atom's explanatory burden must be redistributed, so re-encoding rather
     than just deleting a code row), predict the test period, score NSE
@@ -204,17 +205,22 @@ def atom_removal_scan(
     if x_full.shape[1] <= T + 1:
         raise ValueError("truth must extend at least two columns past the training period")
 
-    def score(w, wp):
-        h_new_full, _ = encode_new(y_full, wp, penalty, lam_over_xi, config)
+    def score(w, wp, pen, cfg):
+        h_new_full, _ = encode_new(y_full, wp, pen, lam_over_xi, cfg)
         pred = w @ h_new_full[:, T:]
         return nse(x_full[:, T:], pred)
 
-    baseline = score(model.W, model.Wp)
+    baseline = score(model.W, model.Wp, penalty, config)
     entries = []
     for s in range(model.hyper.r):
         w_red = np.delete(model.W, s, axis=1)
         wp_red = np.delete(model.Wp, s, axis=1)
-        val = score(w_red, wp_red)
+        pen_red, cfg_red = penalty, config
+        if penalty.mask is not None:
+            pen_red = replace(penalty, mask=penalty.mask.without_row(s))
+        if config is not None and config.mask is not None:
+            cfg_red = replace(config, mask=config.mask.without_row(s))
+        val = score(w_red, wp_red, pen_red, cfg_red)
         entries.append(ScanEntry(s, val, val - baseline))
     entries.sort(key=lambda e: -e.nse_after)
     return [ScanEntry(None, baseline, 0.0)] + entries

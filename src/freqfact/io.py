@@ -79,9 +79,17 @@ def write_tensor(path, t: SpatioTemporalTensor, binary: bool = False) -> None:
 def read_tensor(path) -> SpatioTemporalTensor:
     path = Path(path)
     raw = path.read_bytes()
-    if raw[: len(TENSOR_MAGIC)] == TENSOR_MAGIC.encode():
+    if not raw or raw[: len(TENSOR_MAGIC)] == TENSOR_MAGIC.encode():
         return _read_tensor_text(path, raw.decode())
     return _read_tensor_binary(path, raw)
+
+
+def _text_lines(path: Path, text: str) -> list[str]:
+    """Split a text file into lines; a file without any raises, naming it."""
+    lines = text.splitlines()
+    if not lines:
+        raise TensorFormatError(f"{path}: line 1: empty file")
+    return lines
 
 
 def _read_tensor_binary(path: Path, raw: bytes) -> SpatioTemporalTensor:
@@ -98,7 +106,7 @@ def _read_tensor_binary(path: Path, raw: bytes) -> SpatioTemporalTensor:
 
 
 def _read_tensor_text(path: Path, text: str) -> SpatioTemporalTensor:
-    lines = text.splitlines()
+    lines = _text_lines(path, text)
     head = lines[0].split(",")
     if head[0] != TENSOR_MAGIC or len(head) != 4:
         raise TensorFormatError(f"{path}: line 1: bad header {lines[0]!r}")
@@ -148,7 +156,7 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _text_lines(path, path.read_text())
     head = lines[0].split(",")
     if head[0] != MATRIX_MAGIC or len(head) != 3:
         raise TensorFormatError(f"{path}: line 1: bad header {lines[0]!r}")

@@ -25,6 +25,8 @@ __all__ = [
     "FrequencyMask",
     "project_frequency_mask",
     "top_r_indices",
+    "top_r_keep",
+    "half_offmask_ratio",
     "inverse_usage_ratio",
     "mask_distance",
     "offmask_ratio",
@@ -33,6 +35,11 @@ __all__ = [
 # Imaginary residue below this (relative) is truncated by idft_rows; above it
 # the spectrum is treated as non-symmetric and rejected.
 _IMAG_REL_TOL = 1e-8
+
+# Top-R selection rounds amplitudes to this fraction of the row's largest, so
+# bins that are equal up to FFT rounding tie and the lower index wins.  A
+# power of two keeps simple amplitude ratios away from rounding boundaries.
+_TIE_RTOL = 2.0**-30
 
 
 def dft_rows(a: np.ndarray) -> np.ndarray:
@@ -134,7 +141,11 @@ class FrequencyMask:
     @classmethod
     def from_top_r(cls, h: np.ndarray, R: int) -> "FrequencyMask":
         h = np.atleast_2d(np.asarray(h, dtype=float))
-        return cls(h.shape[1], tuple(top_r_indices(row, R) for row in h))
+        return cls(h.shape[1], _kept_from_half(top_r_keep(h, R)[1], h.shape[1]))
+
+    def without_row(self, s: int) -> "FrequencyMask":
+        """The mask with row ``s`` dropped, for a code that lost atom ``s``."""
+        return FrequencyMask(self.T, self.kept[:s] + self.kept[s + 1 :])
 
     def to_bool(self) -> np.ndarray:
         out = np.zeros((self.rows, self.T), dtype=bool)
@@ -159,25 +170,62 @@ def project_frequency_mask(h: np.ndarray, mask: FrequencyMask) -> np.ndarray:
     return np.fft.ifft(spec, axis=1).real.copy()
 
 
-def top_r_indices(h_row: np.ndarray, R: int) -> tuple[int, ...]:
-    """Conjugate-closed index set of the R largest-amplitude frequencies.
+def top_r_keep(h: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum of each row and its top-R keep-array, all rows at once.
 
-    Candidates are k in {0, ..., floor(T/2)}; ties break toward the lower
-    index; mirrors (T - k) % T are added and the set deduplicated (k = 0 and
-    k = T/2 are their own mirrors).
+    Returns ``(S, keep)``: ``S = np.fft.rfft(h, axis=1)`` (unscaled, bins
+    k = 0..floor(T/2)) and a boolean array of the same shape marking each
+    row's R largest-amplitude bins.  Ties break toward the lower index.
+    Amplitudes are compared after rounding to multiples of 2**-30 times the
+    row's largest, so bins that are equal up to FFT rounding tie.  Keeping
+    bin k of the half-spectrum keeps its mirror (T - k) % T of the full one.
     """
-    h_row = np.asarray(h_row, dtype=float).ravel()
-    T = h_row.shape[0]
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    T = h.shape[1]
     half = T // 2
     if not 1 <= R <= half + 1:
         raise ValueError(f"R must be in [1, {half + 1}] for T={T}, got {R}")
-    amps = np.abs(np.fft.fft(h_row)[: half + 1])
-    order = np.argsort(-amps, kind="stable")[:R]
-    kept = set()
-    for k in order:
-        kept.add(int(k))
-        kept.add((T - int(k)) % T)
-    return tuple(sorted(kept))
+    spec = np.fft.rfft(h, axis=1)
+    amps = np.abs(spec)
+    # an all-zero row divides by the floor and ties everywhere
+    ranks = np.rint(amps / np.maximum(amps.max(axis=1, keepdims=True) * _TIE_RTOL, 1e-300))
+    order = np.argsort(-ranks, axis=1, kind="stable")[:, :R]
+    keep = np.zeros(spec.shape, dtype=bool)
+    keep[np.arange(h.shape[0])[:, None], order] = True
+    return spec, keep
+
+
+def half_offmask_ratio(spec: np.ndarray, keep: np.ndarray, T: int) -> np.ndarray:
+    """:func:`offmask_ratio` from an ``rfft`` half-spectrum and keep-array.
+
+    Interior bins stand for themselves and their mirrors, so their power
+    counts twice; DC and (for even T) Nyquist count once.  The result equals
+    the full-spectrum ratio of the conjugate-closed mask ``keep`` describes.
+    """
+    power = np.abs(spec) ** 2
+    power[:, 1 : (T + 1) // 2] *= 2.0
+    total = power.sum(axis=1)
+    off = np.where(keep, 0.0, power).sum(axis=1)
+    return np.sqrt(np.divide(off, total, out=np.zeros_like(off), where=total > 0.0))
+
+
+def _kept_from_half(keep: np.ndarray, T: int) -> tuple[tuple[int, ...], ...]:
+    """Full-spectrum index tuples (mirrors added) from a half keep-array."""
+    return tuple(
+        tuple(sorted({int(k) for k in row} | {(T - int(k)) % T for k in row}))
+        for row in (np.flatnonzero(r) for r in keep)
+    )
+
+
+def top_r_indices(h_row: np.ndarray, R: int) -> tuple[int, ...]:
+    """Conjugate-closed index set of the R largest-amplitude frequencies.
+
+    The selection rule is :func:`top_r_keep` on the single row: candidates
+    are k in {0, ..., floor(T/2)}, ties break toward the lower index, and
+    mirrors (T - k) % T are added (k = 0 and k = T/2 are their own mirrors).
+    """
+    h_row = np.asarray(h_row, dtype=float).ravel()
+    return _kept_from_half(top_r_keep(h_row, R)[1], h_row.shape[0])[0]
 
 
 def inverse_usage_ratio(h: np.ndarray) -> np.ndarray:

@@ -285,6 +285,57 @@ class TestForecastCli:
         assert top[0] == "2"
         assert float(top[2]) > 0.0
 
+    def test_atom_scan_with_fixed_mask(self, tmp_path):
+        # each removal re-encodes with the removed atom's mask row dropped too
+        from test_forecast import noise_atom_fixture
+        from freqfact import FrequencyMask
+        from freqfact.io import write_matrix
+
+        model_obj, x_full, y_full, T = noise_atom_fixture(50)
+        Ttot = y_full.shape[1]
+        data = tmp_path / "d"
+        data.mkdir()
+        write_tensor(data / "X.csv", SpatioTemporalTensor(x_full[:, None, :]))
+        write_tensor(data / "Y.csv", SpatioTemporalTensor(y_full[:, None, :]))
+        model = tmp_path / "m"
+        model.mkdir()
+        write_matrix(model / "W.csv", model_obj.W)
+        write_matrix(model / "Wp.csv", model_obj.Wp)
+        write_matrix(model / "H.csv", model_obj.H)
+        mask = FrequencyMask.same(3, Ttot, [0, 4, 7])
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps({
+            "model": str(model),
+            "y": str(data / "Y.csv"),
+            "x_true": str(data / "X.csv"),
+            "penalty": {"kind": "hard_freq", "mask": {"T": Ttot, "kept": [list(r) for r in mask.kept]}},
+            "variant": "tos", "sweeps": 4, "sub_iters": 25, "seed": 0,
+        }))
+        out = tmp_path / "scan"
+        assert run_cli("atom-scan", "--config", cfg, "--out", out) == 0
+        lines = (out / "scan.csv").read_text().splitlines()
+        assert lines[0] == "stf-scan-v1,4"
+        assert len(lines) == 2 + 4  # header, columns, baseline + 3 atoms
+        assert sorted(ln.split(",")[0] for ln in lines[3:]) == ["0", "1", "2"]
+
+    def test_empty_model_matrix_exits_2(self, tmp_path, capsys):
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        (model / "H.csv").write_text("")
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_full.csv")}))
+        assert run_cli("forecast", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'H.csv'}: line 1: empty file" in err
+
+    def test_empty_text_tensor_exits_2(self, tmp_path, capsys):
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        (data / "Y_full.csv").write_text("")
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_full.csv")}))
+        assert run_cli("forecast", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{data / 'Y_full.csv'}: line 1: empty file" in err
+
     def test_atom_scan_single_atom_exits_2(self, tmp_path):
         from freqfact.io import write_matrix
 

@@ -287,6 +287,35 @@ class TestAlternatingPgd:
         h, _ = alternating_pgd(h0, wbar, xbar, R, n_iters=5)
         assert np.max(np.abs(h - h0)) <= 1e-10
 
+    @pytest.mark.parametrize("priority", ["nonneg", "frequency"])
+    def test_trace_matches_exact_residual_at_every_iterate(self, priority):
+        rng = np.random.default_rng(47)
+        wbar = rng.standard_normal((9, 3))
+        xbar = np.abs(rng.standard_normal((9, 20)))  # noisy: no exact fit exists
+        h0 = np.abs(rng.standard_normal((3, 20)))
+        n = 12
+        _, report = alternating_pgd(h0, wbar, xbar, 3, n, priority)
+        for k in range(1, n + 1):
+            # the first k iterates of any run are the same, so this is iterate k
+            hk, _ = alternating_pgd(h0, wbar, xbar, 3, k, priority)
+            exact = float(np.sum((xbar - wbar @ hk) ** 2))
+            assert abs(report.objective_trace[k - 1] - exact) <= 1e-9 * exact
+
+    def test_exact_fit_trace_takes_exact_fallback(self):
+        # the instance of test_fixed_point_when_feasible_and_optimal
+        rng = np.random.default_rng(44)
+        T, R = 16, 2
+        t = np.arange(T)
+        h0 = np.vstack([1.5 + np.cos(2 * np.pi * 2 * t / T), 1.2 + np.cos(2 * np.pi * 5 * t / T)])
+        wbar = rng.standard_normal((7, 2))
+        xbar = wbar @ h0
+        _, report = alternating_pgd(h0, wbar, xbar, R, n_iters=5)
+        for k in range(1, 6):
+            hk, _ = alternating_pgd(h0, wbar, xbar, R, n_iters=k)
+            exact = float(np.sum((xbar - wbar @ hk) ** 2))
+            assert exact <= 1e-6 * float(np.sum(xbar**2))
+            assert report.objective_trace[k - 1] == exact
+
     def test_pure_tone_concentrates_after_projection(self):
         T = 32
         t = np.arange(T)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freqfact.spectral import half_offmask_ratio, top_r_keep
 from freqfact import (
     FrequencyMask,
     SpectrumSymmetryError,
@@ -228,6 +229,84 @@ class TestTopR:
             top_r_indices(np.ones(8), 0)
         with pytest.raises(ValueError):
             top_r_indices(np.ones(8), 6)
+
+
+def _tie_cases(T):
+    """Rows whose top amplitudes tie: constant rows and equal-amplitude tone
+    pairs (one with a dominant DC, one across the Nyquist bin for even T)."""
+    t = np.arange(T)
+    rows = [
+        np.full(T, 2.5),
+        np.zeros(T),
+        np.cos(2 * np.pi * 3 * t / T) + np.cos(2 * np.pi * 5 * t / T),
+        1.0 + np.cos(2 * np.pi * 2 * t / T) + np.cos(2 * np.pi * 7 * t / T),
+        np.sin(2 * np.pi * t / T) + np.cos(2 * np.pi * 4 * t / T),
+    ]
+    if T % 2 == 0:
+        rows.append(0.5 * np.cos(np.pi * t) + np.cos(2 * np.pi * 3 * t / T))
+    return np.vstack(rows)
+
+
+def _oracle_top_r_order(row):
+    """Definitional amplitudes of bins 0..T//2, rounded to multiples of
+    2**-30 times the row's largest and ranked by a stable argsort."""
+    T = row.shape[0]
+    amps = np.abs(dft_definitional(row)[0, : T // 2 + 1])
+    peak = amps.max()
+    ranks = np.rint(amps / (peak * 2.0**-30)) if peak > 0 else np.zeros_like(amps)
+    return np.argsort(-ranks, kind="stable")
+
+
+class TestTopRProperties:
+    @pytest.mark.parametrize("T", [16, 17, 256])
+    def test_selector_matches_definitional_stable_argsort(self, T):
+        rng = np.random.default_rng(T)
+        h = np.vstack([rng.standard_normal((3, T)), np.abs(rng.standard_normal((2, T))),
+                       _tie_cases(T)])
+        orders = [_oracle_top_r_order(row) for row in h]
+        for R in range(1, T // 2 + 2):
+            _, keep = top_r_keep(h, R)
+            assert keep.shape == (h.shape[0], T // 2 + 1)
+            mask = FrequencyMask.from_top_r(h, R)
+            for s, row in enumerate(h):
+                want = sorted(int(k) for k in orders[s][:R])
+                assert np.flatnonzero(keep[s]).tolist() == want, (T, R, s)
+                full = sorted(set(want) | {(T - k) % T for k in want})
+                assert list(top_r_indices(row, R)) == full
+                assert list(mask.kept[s]) == full
+
+    @pytest.mark.parametrize("T", [16, 17, 256])
+    def test_ties_break_toward_lower_index(self, T):
+        _, keep = top_r_keep(_tie_cases(T), 1)
+        assert np.flatnonzero(keep[0]).tolist() == [0]   # constant row: DC
+        assert np.flatnonzero(keep[1]).tolist() == [0]   # zero row: all tie
+        assert np.flatnonzero(keep[2]).tolist() == [3]   # 3 and 5 tie
+        assert np.flatnonzero(keep[4]).tolist() == [1]   # 1 and 4 tie
+        _, keep = top_r_keep(_tie_cases(T), 2)
+        assert np.flatnonzero(keep[3]).tolist() == [0, 2]  # DC, then 2 over 7
+        if T % 2 == 0:
+            assert np.flatnonzero(keep[5]).tolist() == [3, T // 2]
+            _, keep = top_r_keep(_tie_cases(T), 1)
+            assert np.flatnonzero(keep[5]).tolist() == [3]  # 3 ties Nyquist
+
+
+class TestHalfOffmaskRatio:
+    @pytest.mark.parametrize("T", [1, 2, 3, 16, 17, 256])
+    def test_equals_full_spectrum_ratio(self, T):
+        rng = np.random.default_rng(100 + T)
+        h = np.vstack([rng.standard_normal((4, T)), np.zeros((1, T)), np.ones((1, T))])
+        half = T // 2 + 1
+        keeps = [rng.random((h.shape[0], half)) < p for p in (0.0, 0.2, 0.5, 0.9, 1.0)]
+        keeps += [top_r_keep(h, R)[1] for R in range(1, half + 1, max(1, half // 5))]
+        spec = np.fft.rfft(h, axis=1)
+        for keep in keeps:
+            kept = tuple(
+                tuple(sorted({int(k) for k in row} | {(T - int(k)) % T for k in row}))
+                for row in (np.flatnonzero(r) for r in keep)
+            )
+            want = offmask_ratio(h, FrequencyMask(T, kept))
+            got = half_offmask_ratio(spec, keep, T)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestInverseUsageRatio:
