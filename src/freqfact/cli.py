@@ -153,13 +153,32 @@ def load_config(path, cls, overrides: dict | None = None):
 # shared helpers
 
 
-def _load_aux_matrix(y_paths) -> np.ndarray:
+def _matrix_loader():
+    """Return ``load(path)``: the matricized tensor at ``path``, parsed on the
+    first call for that path and shared, read-only, by later calls."""
+    cache: dict[str, np.ndarray] = {}
+
+    def load(path) -> np.ndarray:
+        key = str(path)
+        if key not in cache:
+            m = matricize(fio.read_tensor(path))
+            m.flags.writeable = False
+            cache[key] = m
+        return cache[key]
+
+    return load
+
+
+def _aux_paths(y_paths) -> list[str]:
     if isinstance(y_paths, str):
         y_paths = [y_paths]
     if not y_paths:
         raise ValueError("config needs at least one auxiliary tensor path under 'y'")
-    mats = [matricize(fio.read_tensor(p)) for p in y_paths]
-    return stack_auxiliary(mats)
+    return list(y_paths)
+
+
+def _load_aux_matrix(y_paths, load) -> np.ndarray:
+    return stack_auxiliary([load(p) for p in _aux_paths(y_paths)])
 
 
 def _load_model(model_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,9 +223,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_factorize_point(cfg: FactorizeConfig, out: Path) -> float:
-    x = matricize(fio.read_tensor(cfg.x))
-    y = _load_aux_matrix(cfg.y)
+def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
+    x = load(cfg.x)
+    y = _load_aux_matrix(cfg.y, load)
     if cfg.train_t is not None:
         # the main tensor may span the full period; train on its head
         if not 1 <= cfg.train_t <= x.shape[1]:
@@ -254,8 +273,9 @@ def cmd_factorize(args) -> int:
     if cfg.grid is not None and not cfg.grid:
         raise ValueError("grid must be a nonempty list of override objects")
     out = Path(args.out)
+    load = _matrix_loader()
     if cfg.grid is None:
-        _run_factorize_point(cfg, out)
+        _run_factorize_point(cfg, out, load)
         return EXIT_OK
 
     base = {k: v for k, v in cfg.to_dict().items() if k != "grid"}
@@ -265,10 +285,14 @@ def cmd_factorize(args) -> int:
         if "seed" not in over:
             merged["seed"] = _point_seed(cfg.seed, i)
         points.append(FactorizeConfig.from_dict(merged))
+    # parse every input here, once, so grid workers never parse concurrently
+    for pcfg in points:
+        for path in (pcfg.x, *_aux_paths(pcfg.y)):
+            load(path)
 
     def run(pair):
         i, pcfg = pair
-        return i, _run_factorize_point(pcfg, out / f"point_{i:03d}")
+        return i, _run_factorize_point(pcfg, out / f"point_{i:03d}", load)
 
     results = {}
     if args.jobs > 1:
@@ -292,14 +316,17 @@ def cmd_factorize(args) -> int:
     return EXIT_OK
 
 
-def _mu_summary(h: np.ndarray) -> tuple[float | None, int]:
-    live = h[np.abs(h).sum(axis=1) > 0]
-    if live.size == 0:
-        return None, 0
-    mu = inverse_usage_ratio(live)
+def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
+    """Inverse usage ratios of H's nonzero rows: the whole matrix when every
+    row is nonzero (else None), the median of its finite entries and the
+    number of infinite ones."""
+    live = np.abs(h).sum(axis=1) > 0
+    if not live.any():
+        return None, None, 0
+    mu = inverse_usage_ratio(h[live])
     finite = mu[np.isfinite(mu)]
     med = float(np.median(finite)) if finite.size else None
-    return med, int(np.sum(~np.isfinite(mu)))
+    return (mu if live.all() else None), med, int(np.sum(~np.isfinite(mu)))
 
 
 def cmd_forecast(args) -> int:
@@ -308,7 +335,8 @@ def cmd_forecast(args) -> int:
         overrides["seed"] = args.seed
     cfg = load_config(args.config, ForecastConfig, overrides)
     w, wp, h_train = _load_model(cfg.model)
-    y_full = _load_aux_matrix(cfg.y)
+    load = _matrix_loader()
+    y_full = _load_aux_matrix(cfg.y, load)
     T = h_train.shape[1]
     penalty = penalty_from_dict(cfg.penalty)
     enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R,
@@ -325,7 +353,7 @@ def cmd_forecast(args) -> int:
 
     score = None
     if cfg.x_true:
-        x_true = matricize(fio.read_tensor(cfg.x_true))
+        x_true = load(cfg.x_true)
         if x_true.shape[1] < y_full.shape[1]:
             raise ValueError("truth tensor shorter than auxiliary period")
         score = nse(x_true[:, T : y_full.shape[1]], w @ h_new)
@@ -339,11 +367,8 @@ def cmd_forecast(args) -> int:
     slice_dir = out / "pred"
     slice_dir.mkdir(exist_ok=True)
     for k in range(pred.dims[2]):
-        lines = [f"stf-slice-v1,{A},{B},{k}"]
-        lines.extend(",".join(repr(float(v)) for v in pred.values[a, :, k]) for a in range(A))
-        fio.atomic_write_bytes(slice_dir / f"slice_{k:04d}.csv", ("\n".join(lines) + "\n").encode())
-    mu_median, mu_inf = _mu_summary(h_new_full)
-    mu = inverse_usage_ratio(h_new_full) if np.all(np.abs(h_new_full).sum(axis=1) > 0) else None
+        fio.write_slice(slice_dir / f"slice_{k:04d}.csv", pred.values[:, :, k], k)
+    mu, mu_median, mu_inf = _mu_summary(h_new_full)
     if mu is not None:
         fio.write_matrix(out / "mu.csv", mu)
     fio.write_json(out / "metrics.json", {
@@ -359,8 +384,9 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    truth = matricize(fio.read_tensor(args.truth))
-    pred = matricize(fio.read_tensor(args.pred))
+    load = _matrix_loader()
+    truth = load(args.truth)
+    pred = load(args.pred)
     offset = args.offset if args.offset is not None else truth.shape[1] - pred.shape[1]
     if offset < 0 or offset + pred.shape[1] > truth.shape[1]:
         raise ValueError(
@@ -390,8 +416,9 @@ def cmd_atom_scan(args) -> int:
     w, wp, h_train = _load_model(cfg.model)
     if w.shape[1] < 2:
         raise ValueError("model has a single atom; nothing to remove")
-    y_full = _load_aux_matrix(cfg.y)
-    x_true = matricize(fio.read_tensor(cfg.x_true))
+    load = _matrix_loader()
+    y_full = _load_aux_matrix(cfg.y, load)
+    x_true = load(cfg.x_true)
     penalty = penalty_from_dict(cfg.penalty)
     hyper = Hyper(w.shape[1], 1.0, penalty)
     model = FactorModel(w, wp, h_train, hyper)

@@ -44,7 +44,8 @@ class EncodeConfig:
     restores large steps and gives fast convergence on the smooth part while
     every individual round still satisfies the diminishing-step conditions.
     ``variant`` selects the code solver: "pgd" (default for subdifferentiable
-    penalties), "heuristic" or "tos" (hard constraint; "tos" needs ``mask``).
+    penalties), "heuristic" or "tos" (hard constraint; "tos" needs a fixed
+    mask, here or in the penalty, and is the hard default when one is set).
     """
 
     sweeps: int = 60
@@ -60,7 +61,9 @@ class EncodeConfig:
     def resolved_variant(self, penalty: Penalty) -> str:
         if self.variant is not None:
             return self.variant
-        return "heuristic" if penalty.kind == "hard_freq" else "pgd"
+        if penalty.kind != "hard_freq":
+            return "pgd"
+        return "tos" if self.mask is not None or penalty.mask is not None else "heuristic"
 
 
 def encode_new(

@@ -325,8 +325,8 @@ def ssnmf_bcd(
     model = FactorModel(w, wp, h, hyper)
     report.extras["initial_objective"] = objective(x, y_t, model)
     prev = report.extras["initial_objective"]
+    xbar = supervised_stack(x, y_t, hyper.xi)
     for it in range(n_iters):
-        xbar = supervised_stack(x, y_t, hyper.xi)
         wbar = supervised_stack(w, wp, hyper.xi)
         h, sub = solve_H_pgd(xbar, wbar, h, hyper.penalty, sched, sub_iters, nonneg)
         model = FactorModel(w, wp, h, hyper)
@@ -508,8 +508,8 @@ def ssnmf_hard(
         extras={"offmask_after_projection": [], "h_min_trace": [], "variant": variant}
     )
     prev = None
+    xbar = supervised_stack(x, y_t, hyper.xi)
     for it in range(n_iters):
-        xbar = supervised_stack(x, y_t, hyper.xi)
         wbar = supervised_stack(w, wp, hyper.xi)
         if variant == "heuristic":
             h, sub = alternating_pgd(h, wbar, xbar, R, sub_iters, priority)

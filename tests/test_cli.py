@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from freqfact import SpatioTemporalTensor
+from freqfact import FrequencyMask, SpatioTemporalTensor
 from freqfact.cli import (
     FactorizeConfig,
     ForecastConfig,
@@ -317,6 +317,26 @@ class TestForecastCli:
         assert lines[0] == "stf-scan-v1,4"
         assert len(lines) == 2 + 4  # header, columns, baseline + 3 atoms
         assert sorted(ln.split(",")[0] for ln in lines[3:]) == ["0", "1", "2"]
+
+    def test_fixed_mask_hard_pipeline_needs_no_variant(self, tmp_path):
+        # a hard_freq penalty with a fixed mask encodes with the splitting
+        # solver by default, as factorize does
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5), sigma=0.1, x_sigma=0.1)
+
+        def hard_mask(T):
+            kept = [list(r) for r in FrequencyMask.same(2, T, [0, 2, 5]).kept]
+            return {"kind": "hard_freq", "mask": {"T": T, "kept": kept}}
+
+        model = factorize(tmp_path, data, "hard_mask", variant="hard", penalty=hard_mask(30),
+                          train_t=30, n_iters=4, sub_iters=10)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "x_true": str(data / "X.csv"), "penalty": hard_mask(40), "sweeps": 3, "sub_iters": 10,
+        }))
+        assert run_cli("forecast", "--config", cfg, "--out", tmp_path / "fc") == 0
+        assert np.isfinite(read_json(tmp_path / "fc" / "metrics.json")["nse"])
+        assert run_cli("atom-scan", "--config", cfg, "--out", tmp_path / "scan") == 0
 
     def test_empty_model_matrix_exits_2(self, tmp_path, capsys):
         data, model, w, h, T = self.make_pipeline(tmp_path)
