@@ -153,20 +153,30 @@ def load_config(path, cls, overrides: dict | None = None):
 # shared helpers
 
 
-def _matrix_loader():
-    """Return ``load(path)``: the matricized tensor at ``path``, parsed on the
-    first call for that path and shared, read-only, by later calls."""
-    cache: dict[str, np.ndarray] = {}
+class _MatrixLoader:
+    """Matricized tensors by path, and stacked auxiliaries by path list, each
+    built on first use and shared, read-only, by later uses.
 
-    def load(path) -> np.ndarray:
-        key = str(path)
-        if key not in cache:
-            m = matricize(fio.read_tensor(path))
+    ``load(path)`` returns one tensor's matrix; ``load.aux(paths)`` the
+    vertical stack of the auxiliaries at ``paths`` (one path or a list).
+    """
+
+    def __init__(self):
+        self._cache: dict = {}
+
+    def _memo(self, key, build) -> np.ndarray:
+        if key not in self._cache:
+            m = build()
             m.flags.writeable = False
-            cache[key] = m
-        return cache[key]
+            self._cache[key] = m
+        return self._cache[key]
 
-    return load
+    def __call__(self, path) -> np.ndarray:
+        return self._memo(str(path), lambda: matricize(fio.read_tensor(path)))
+
+    def aux(self, y_paths) -> np.ndarray:
+        paths = tuple(str(p) for p in _aux_paths(y_paths))
+        return self._memo(paths, lambda: stack_auxiliary([self(p) for p in paths]))
 
 
 def _aux_paths(y_paths) -> list[str]:
@@ -175,10 +185,6 @@ def _aux_paths(y_paths) -> list[str]:
     if not y_paths:
         raise ValueError("config needs at least one auxiliary tensor path under 'y'")
     return list(y_paths)
-
-
-def _load_aux_matrix(y_paths, load) -> np.ndarray:
-    return stack_auxiliary([load(p) for p in _aux_paths(y_paths)])
 
 
 def _load_model(model_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,7 +231,7 @@ def cmd_synth(args) -> int:
 
 def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
     x = load(cfg.x)
-    y = _load_aux_matrix(cfg.y, load)
+    y = load.aux(cfg.y)
     if cfg.train_t is not None:
         # the main tensor may span the full period; train on its head
         if not 1 <= cfg.train_t <= x.shape[1]:
@@ -273,7 +279,7 @@ def cmd_factorize(args) -> int:
     if cfg.grid is not None and not cfg.grid:
         raise ValueError("grid must be a nonempty list of override objects")
     out = Path(args.out)
-    load = _matrix_loader()
+    load = _MatrixLoader()
     if cfg.grid is None:
         _run_factorize_point(cfg, out, load)
         return EXIT_OK
@@ -285,10 +291,11 @@ def cmd_factorize(args) -> int:
         if "seed" not in over:
             merged["seed"] = _point_seed(cfg.seed, i)
         points.append(FactorizeConfig.from_dict(merged))
-    # parse every input here, once, so grid workers never parse concurrently
+    # parse and stack every input here, once, so grid workers never parse
+    # concurrently and share one copy of each matrix
     for pcfg in points:
-        for path in (pcfg.x, *_aux_paths(pcfg.y)):
-            load(path)
+        load(pcfg.x)
+        load.aux(pcfg.y)
 
     def run(pair):
         i, pcfg = pair
@@ -335,8 +342,8 @@ def cmd_forecast(args) -> int:
         overrides["seed"] = args.seed
     cfg = load_config(args.config, ForecastConfig, overrides)
     w, wp, h_train = _load_model(cfg.model)
-    load = _matrix_loader()
-    y_full = _load_aux_matrix(cfg.y, load)
+    load = _MatrixLoader()
+    y_full = load.aux(cfg.y)
     T = h_train.shape[1]
     penalty = penalty_from_dict(cfg.penalty)
     enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R,
@@ -384,7 +391,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    load = _matrix_loader()
+    load = _MatrixLoader()
     truth = load(args.truth)
     pred = load(args.pred)
     offset = args.offset if args.offset is not None else truth.shape[1] - pred.shape[1]
@@ -416,8 +423,8 @@ def cmd_atom_scan(args) -> int:
     w, wp, h_train = _load_model(cfg.model)
     if w.shape[1] < 2:
         raise ValueError("model has a single atom; nothing to remove")
-    load = _matrix_loader()
-    y_full = _load_aux_matrix(cfg.y, load)
+    load = _MatrixLoader()
+    y_full = load.aux(cfg.y)
     x_true = load(cfg.x_true)
     penalty = penalty_from_dict(cfg.penalty)
     hyper = Hyper(w.shape[1], 1.0, penalty)

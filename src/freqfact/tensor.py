@@ -105,4 +105,7 @@ def supervised_stack(x: np.ndarray, y: np.ndarray, xi: float) -> np.ndarray:
         raise ValueError(f"supervision weight must be nonnegative, got {xi}")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column mismatch: X has {x.shape[1]}, Y has {y.shape[1]}")
-    return np.vstack([x, np.sqrt(xi) * y])
+    out = np.empty((x.shape[0] + y.shape[0], x.shape[1]))
+    out[: x.shape[0]] = x
+    np.multiply(y, np.sqrt(xi), out=out[x.shape[0] :])
+    return out

@@ -205,3 +205,27 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
     assert len(files) == 1 + 2 * 4  # index.json, then W, Wp, H and report per point
     for rel in files:
         assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes()
+
+
+def test_grid_points_share_one_read_only_aux_stack(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"d": 6, "T": 30, "freqs": [3, 5], "seed": 2}))
+    assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+        "r": 2, "n_iters": 2, "sub_iters": 5, "grid": [{"xi": 0.5}, {"xi": 2.0}],
+    }))
+    stacks = []
+    real_point = cli._run_factorize_point
+
+    def point(pcfg, out, load):
+        stacks.append(load.aux(pcfg.y))
+        return real_point(pcfg, out, load)
+
+    monkeypatch.setattr(cli, "_run_factorize_point", point)
+    assert cli.main(["factorize", "--config", str(cfg), "--out", str(tmp_path / "m"),
+                     "--jobs", "2"]) == 0
+    assert len(stacks) == 2 and stacks[0] is stacks[1]
+    assert not stacks[0].flags.writeable

@@ -68,6 +68,18 @@ class TestObjective:
         )
         assert np.isclose(objective(x, y, model), want, rtol=1e-12)
 
+    def test_residual_norm_is_bitwise_the_plain_expression(self):
+        from freqfact.solvers import _sq_residual
+
+        rng = np.random.default_rng(33)
+        for d, r, T in ((1, 1, 1), (7, 3, 40), (300, 8, 257)):
+            full = rng.standard_normal((d, T + 5))
+            w = rng.standard_normal((d, r))
+            h = np.abs(rng.standard_normal((r, T)))
+            # a contiguous matrix and a leading-column view, as the drivers pass
+            for x in (np.ascontiguousarray(full[:, :T]), full[:, :T]):
+                assert _sq_residual(x, w, h) == float(np.sum((x - w @ h) ** 2))
+
     def test_hard_infeasible_is_infinite(self):
         rng = np.random.default_rng(33)
         h = rng.standard_normal((2, 8))

@@ -105,3 +105,12 @@ def test_supervised_stack_energy_identity():
         lhs = np.linalg.norm(supervised_stack(x, y, xi) @ h) ** 2
         rhs = np.linalg.norm(x @ h) ** 2 + xi * np.linalg.norm(y @ h) ** 2
         assert np.isclose(lhs, rhs, rtol=1e-12)
+
+
+def test_supervised_stack_is_bitwise_the_plain_stack():
+    rng = np.random.default_rng(3)
+    full = rng.standard_normal((5, 9))
+    x = rng.standard_normal((3, 7))
+    for xi in (0.0, 0.5, 2.0, 7.3):
+        got = supervised_stack(x, full[:, :7], xi)
+        assert got.tobytes() == np.vstack([x, np.sqrt(xi) * full[:, :7]]).tobytes()
