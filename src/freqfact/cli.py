@@ -159,6 +159,8 @@ class _MatrixLoader:
 
     ``load(path)`` returns one tensor's matrix; ``load.aux(paths)`` the
     vertical stack of the auxiliaries at ``paths`` (one path or a list).
+    Only the stack is kept: an auxiliary's own matrix is cached only if
+    ``load(path)`` asked for it.
     """
 
     def __init__(self):
@@ -176,7 +178,9 @@ class _MatrixLoader:
 
     def aux(self, y_paths) -> np.ndarray:
         paths = tuple(str(p) for p in _aux_paths(y_paths))
-        return self._memo(paths, lambda: stack_auxiliary([self(p) for p in paths]))
+        return self._memo(paths, lambda: stack_auxiliary([
+            self._cache[p] if p in self._cache else matricize(fio.read_tensor(p)) for p in paths
+        ]))
 
 
 def _aux_paths(y_paths) -> list[str]:

@@ -16,7 +16,8 @@ class SpectrumSymmetryError(np.linalg.LinAlgError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative procedure exhausted its step budget before its target."""
+    """An iterative procedure exhausted its step budget before its target, or
+    left the finite range."""
 
 
 class TensorFormatError(ValueError):

@@ -17,6 +17,7 @@ from .solvers import (
     FactorModel,
     SolveReport,
     StepSchedule,
+    _sq_residual,
     alternating_pgd,
     solve_H_pgd,
     three_operator_splitting,
@@ -133,7 +134,7 @@ def encode_new(
             h,
             config.sweeps * config.sub_iters,
             config.gamma0,
-            f=lambda m: float(np.sum((y_full - wp @ m) ** 2)),
+            f=lambda m: _sq_residual(y_full, wp, m),
         )
         return h, report
 

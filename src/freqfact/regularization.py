@@ -13,9 +13,8 @@ import numpy as np
 
 from .spectral import (
     FrequencyMask,
-    dft_rows,
-    minkowski1,
-    minkowski_subgradient,
+    half_minkowski1,
+    half_minkowski_subgradient,
     offmask_ratio,
     project_frequency_mask,
 )
@@ -85,26 +84,34 @@ class Penalty:
         return FrequencyMask.from_top_r(h, self.R)
 
 
-def penalty_value(h: np.ndarray, p: Penalty) -> float:
-    """Evaluate the penalty; hard_freq returns 0.0 or math.inf."""
+def _row_spectrum(h: np.ndarray, spec: np.ndarray | None) -> np.ndarray:
+    return np.fft.rfft(h, axis=1) if spec is None else spec
+
+
+def penalty_value(h: np.ndarray, p: Penalty, spec: np.ndarray | None = None) -> float:
+    """Evaluate the penalty; hard_freq returns 0.0 or math.inf.
+
+    ``spec`` may pass ``np.fft.rfft(h, axis=1)`` when the caller already
+    holds it; only soft_freq reads it.
+    """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if p.kind == "ridge":
         return p.lam * float(np.sum(h * h))
     if p.kind == "lasso":
         return p.lam * float(np.sum(np.abs(h)))
     if p.kind == "soft_freq":
-        return p.lam * minkowski1(dft_rows(h))
+        return p.lam * half_minkowski1(_row_spectrum(h, spec), h.shape[1])
     mask = p.mask_for(h)
     if np.all(offmask_ratio(h, mask) <= HARD_FEASIBILITY_RTOL):
         return 0.0
     return math.inf
 
 
-def penalty_subgradient(h: np.ndarray, p: Penalty) -> np.ndarray:
+def penalty_subgradient(h: np.ndarray, p: Penalty, spec: np.ndarray | None = None) -> np.ndarray:
     """Subgradient of the penalty at ``h`` (sign(0) := 0 at kinks).
 
-    hard_freq has no subgradient; project with :func:`prox_hard_mask`
-    instead.
+    ``spec`` is as for :func:`penalty_value`.  hard_freq has no subgradient;
+    project with :func:`prox_hard_mask` instead.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if p.kind == "ridge":
@@ -112,7 +119,7 @@ def penalty_subgradient(h: np.ndarray, p: Penalty) -> np.ndarray:
     if p.kind == "lasso":
         return p.lam * np.sign(h)
     if p.kind == "soft_freq":
-        return p.lam * minkowski_subgradient(h)
+        return p.lam * half_minkowski_subgradient(_row_spectrum(h, spec), h.shape[1])
     raise ValueError("hard_freq is an indicator; use prox_hard_mask, not a subgradient")
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SingularGramError
+from .exceptions import ConvergenceError, SingularGramError
 from .regularization import Penalty, penalty_subgradient, penalty_value
 from .spectral import FrequencyMask, half_offmask_ratio, project_frequency_mask, top_r_keep
 from .tensor import supervised_stack
@@ -176,6 +176,19 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     return float(np.sum(r))
 
 
+def _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) -> float:
+    """||Xbar - Wbar H||_F^2 as ||Xbar||^2 - 2<C, H> + <H, G H>, from
+    x_sq = ||Xbar||^2, C = Wbar^T Xbar and gh = G H with G = Wbar^T Wbar.
+
+    The form's rounding error is a fixed fraction of ||Xbar||^2, so at or
+    below ``_GRAM_FALLBACK_RTOL`` of it the exact residual is returned.
+    """
+    val = x_sq - 2.0 * float(np.vdot(cross, h)) + float(np.vdot(h, gh))
+    if val <= _GRAM_FALLBACK_RTOL * x_sq:
+        val = _sq_residual(xbar, wbar, h)
+    return val
+
+
 def _objective_smooth(x: np.ndarray, y_t: np.ndarray, model: FactorModel) -> float:
     """Objective without the code penalty (finite even off the hard set)."""
     h = model.hyper
@@ -233,6 +246,13 @@ def solve_H_pgd(
     and returns the best-objective iterate (the start point included, so a
     warm start is never worsened).  ``nonneg=False`` disables the projection,
     for diagnostics.
+
+    Each iterate costs one product G H (G = Wbar^T Wbar) and, for
+    soft_freq, one ``rfft`` of H.  G H serves both the objective, in the
+    Gram form with its exact fallback near zero residual, and the next
+    gradient; the row spectrum serves both the penalty value and the next
+    subgradient.  ``extras["grad_sq_sum"]`` is the sum of the squared
+    gradient norms, which the adagrad-like schedule steps by.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -245,33 +265,39 @@ def solve_H_pgd(
     cross = wbar.T @ xbar
     lip = float(np.linalg.norm(gram, 2))
     step_of = sched.stepper(lip)
+    x_sq = float(np.vdot(xbar, xbar))
+    soft = p.kind == "soft_freq"
 
-    def fsub(h):
-        return _sq_residual(xbar, wbar, h) + penalty_value(h, p)
+    def fsub(h, gh, spec):
+        return _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) + penalty_value(h, p, spec)
 
     h = np.asarray(h0, dtype=float).copy()
-    best_val = fsub(h)
+    gh = gram @ h
+    spec = np.fft.rfft(h, axis=1) if soft else None
+    best_val = fsub(h, gh, spec)
     best_h = h.copy()
     trace = [best_val]
     steps = []
     accum = 0.0
     for j in range(L):
-        g = 2.0 * (gram @ h - cross)
+        g = 2.0 * (gh - cross)
         if p.lam:
-            g = g + penalty_subgradient(h, p)
+            g += penalty_subgradient(h, p, spec)
         step = step_of(j, accum)
-        accum += float(np.sum(g * g))
+        accum += float(np.vdot(g, g))
         h = h - step * g
         if nonneg:
             h = np.maximum(h, 0.0)
-        val = fsub(h)
+        gh = gram @ h
+        spec = np.fft.rfft(h, axis=1) if soft else None
+        val = fsub(h, gh, spec)
         if val < best_val:
             best_val = val
             best_h = h.copy()
         trace.append(val)
         steps.append(step)
-    report = SolveReport(trace, steps, "max_iters", L, {"best_objective": best_val})
-    return best_h, report
+    extras = {"best_objective": best_val, "grad_sq_sum": accum}
+    return best_h, SolveReport(trace, steps, "max_iters", L, extras)
 
 
 def _init_factors(x, y_t, hyper, seed):
@@ -293,6 +319,14 @@ def _init_factors(x, y_t, hyper, seed):
     w = solve_W(x, h, hyper.lambda1)
     wp = solve_W(y_t, h, hyper.lambda2)
     return w, wp, h
+
+
+def _require_finite(solver: str, it: int, **values) -> None:
+    """Raise :class:`ConvergenceError` naming the solver, the (1-based) outer
+    iteration and each named value that is not finite."""
+    bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
+    if bad:
+        raise ConvergenceError(f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}")
 
 
 def _check_bcd_inputs(x, y, hyper, n_iters):
@@ -341,14 +375,17 @@ def ssnmf_bcd(
     for it in range(n_iters):
         wbar = supervised_stack(w, wp, hyper.xi)
         h, sub = solve_H_pgd(xbar, wbar, h, hyper.penalty, sched, sub_iters, nonneg)
-        model = FactorModel(w, wp, h, hyper)
-        after_h = objective(x, y_t, model)
-        w = solve_W(x, h, hyper.lambda1)
-        model = FactorModel(w, wp, h, hyper)
-        after_w = objective(x, y_t, model)
-        wp = solve_W(y_t, h, hyper.lambda2)
+        w_next = solve_W(x, h, hyper.lambda1)
+        wp_next = solve_W(y_t, h, hyper.lambda2)
+        _require_finite("ssnmf_bcd", it, H=h, W=w_next, Wp=wp_next,
+                        grad_sq_sum=sub.extras["grad_sq_sum"])
+        after_h = objective(x, y_t, FactorModel(w, wp, h, hyper))
+        w = w_next
+        after_w = objective(x, y_t, FactorModel(w, wp, h, hyper))
+        wp = wp_next
         model = FactorModel(w, wp, h, hyper)
         after_wp = objective(x, y_t, model)
+        _require_finite("ssnmf_bcd", it, objective=[after_h, after_w, after_wp])
         report.extras["phase_objectives"].append([after_h, after_w, after_wp])
         report.extras["h_min_trace"].append(float(h.min()))
         report.objective_trace.append(after_wp)
@@ -380,7 +417,8 @@ def three_operator_splitting(
     using it while all past gradients are zero).  Runs j = 0..n_iters and
     returns the ergodic average of the H iterates, which carries the
     convergence guarantee; the last H iterate is in
-    ``extras["last_iterate"]``.  Pass ``f`` to record an objective trace.
+    ``extras["last_iterate"]`` and the final sum of squared gradient norms in
+    ``extras["grad_sq_sum"]``.  Pass ``f`` to record an objective trace.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -404,6 +442,7 @@ def three_operator_splitting(
             report.objective_trace.append(float(f(h)))
     report.wall_iters = n_iters + 1
     report.extras["last_iterate"] = h
+    report.extras["grad_sq_sum"] = accum
     return h_sum / (n_iters + 1), report
 
 
@@ -469,10 +508,7 @@ def alternating_pgd(
             h = np.maximum(h, 0.0)
             h = h - gamma * 2.0 * (gram @ h - cross)
             h = freq_project(h)
-        val = x_sq - 2.0 * float(np.vdot(cross, h)) + float(np.vdot(h, gram @ h))
-        if val <= _GRAM_FALLBACK_RTOL * x_sq:
-            val = _sq_residual(xbar, wbar, h)
-        report.objective_trace.append(val)
+        report.objective_trace.append(_gram_sq_residual(xbar, wbar, x_sq, cross, h, gram @ h))
         report.step_trace.append(gamma)
     report.wall_iters = n_iters
     report.extras["offmask_final"] = float(half_offmask_ratio(*top_r_keep(h, R), T).max())
@@ -541,8 +577,11 @@ def ssnmf_hard(
             )
         w = solve_W(x, h, hyper.lambda1)
         wp = solve_W(y_t, h, hyper.lambda2)
+        _require_finite("ssnmf_hard", it, H=h, W=w, Wp=wp,
+                        grad_sq_sum=sub.extras.get("grad_sq_sum", 0.0))
         model = FactorModel(w, wp, h, hyper)
         val = _objective_smooth(x, y_t, model)
+        _require_finite("ssnmf_hard", it, objective=val)
         report.objective_trace.append(val)
         report.step_trace.append(sub.step_trace[0])
         report.extras["h_min_trace"].append(float(h.min()))

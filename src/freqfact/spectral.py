@@ -22,6 +22,8 @@ __all__ = [
     "idft_rows",
     "minkowski1",
     "minkowski_subgradient",
+    "half_minkowski1",
+    "half_minkowski_subgradient",
     "FrequencyMask",
     "project_frequency_mask",
     "top_r_indices",
@@ -84,12 +86,35 @@ def minkowski_subgradient(h: np.ndarray) -> np.ndarray:
     with sign(0) := 0, which places the zero element of the subdifferential
     at every kink.  Note the imaginary-sign term: dropping it (and doubling
     the real term) fails the subgradient inequality whenever Im S != 0, so
-    both terms are kept.  Since Finv == T * ifft, the 1/T cancels.
+    both terms are kept.  Computed by :func:`half_minkowski_subgradient`.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    s = dft_rows(h)
-    signs = np.sign(s.real) + 1j * np.sign(s.imag)
-    return np.fft.ifft(signs, axis=1).real.copy()
+    return half_minkowski_subgradient(np.fft.rfft(h, axis=1), h.shape[1])
+
+
+def half_minkowski1(spec: np.ndarray, T: int) -> float:
+    """:func:`minkowski1` of ``dft_rows(H)`` from ``S = np.fft.rfft(H, axis=1)``.
+
+    The one soft-spectral rule, with :func:`half_minkowski_subgradient`.
+    Interior bins stand for themselves and their conjugate mirrors, so their
+    |Re| + |Im| counts twice; DC and (for even T) Nyquist count once.  The
+    sum is scaled by 1/T, the forward transform's factor.
+    """
+    a = np.abs(spec.real) + np.abs(spec.imag)
+    a[:, 1 : (T + 1) // 2] *= 2.0
+    return float(a.sum() / T)
+
+
+def half_minkowski_subgradient(spec: np.ndarray, T: int) -> np.ndarray:
+    """:func:`minkowski_subgradient` from ``S = np.fft.rfft(H, axis=1)``.
+
+    ``irfft(sign(Re S) + i sign(Im S), n=T)``: the inverse of the
+    conjugate-symmetric sign spectrum, whose 1/T cancels the chain rule's
+    T.  The signs are those of the computed S, so a bin that is zero only up
+    to FFT rounding (a constant row at T = 17, say) takes the sign of its
+    residue, another element of the subdifferential.
+    """
+    return np.fft.irfft(np.sign(spec.real) + 1j * np.sign(spec.imag), n=T, axis=1)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,23 @@ class TestFactorize:
         err = capsys.readouterr().err
         assert "line 3" in err and "column 1" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_xi_exits_3(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path)
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({
+            "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "r": 2, "xi": 1e300, "penalty": {"kind": "soft_freq", "lambda": 1.0},
+            "n_iters": 4, "sub_iters": 10,
+        }))
+        out = tmp_path / "o"
+        assert run_cli("factorize", "--config", cfg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: ssnmf_bcd: non-finite" in err
+        assert "at outer iteration 1" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = tmp_path / "f.json"
         cfg.write_text(json.dumps({"x": "x.csv", "bogus": 1}))

@@ -229,3 +229,34 @@ def test_grid_points_share_one_read_only_aux_stack(tmp_path, monkeypatch):
                      "--jobs", "2"]) == 0
     assert len(stacks) == 2 and stacks[0] is stacks[1]
     assert not stacks[0].flags.writeable
+
+
+def test_forecast_loader_keeps_only_the_aux_stack(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"d": 6, "T": 30, "freqs": [3, 5], "seed": 2}))
+    assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+    model = tmp_path / "m"
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({
+        "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+        "r": 2, "n_iters": 2, "sub_iters": 5, "train_t": 24,
+    }))
+    assert cli.main(["factorize", "--config", str(fit), "--out", str(model)]) == 0
+    loaders = []
+
+    class Loader(cli._MatrixLoader):
+        def __init__(self):
+            super().__init__()
+            loaders.append(self)
+
+    monkeypatch.setattr(cli, "_MatrixLoader", Loader)
+    y_paths = (str(data / "Y0.csv"), str(data / "Y1.csv"))
+    fc = tmp_path / "fc.json"
+    fc.write_text(json.dumps({"model": str(model), "y": list(y_paths), "sweeps": 2,
+                              "sub_iters": 5}))
+    assert cli.main(["forecast", "--config", str(fc), "--out", str(tmp_path / "fc")]) == 0
+    (load,) = loaders
+    # the stack alone: neither auxiliary's own matrix outlives it
+    assert list(load._cache) == [y_paths]
+    assert load._cache[y_paths].shape == (12, 30)

@@ -88,6 +88,18 @@ def test_soft_freq_subgradient_finite_difference():
         assert np.isclose(fd, np.vdot(d, penalty_subgradient(h, p)), rtol=1e-6, atol=1e-9)
 
 
+def test_precomputed_spectrum_gives_the_same_terms():
+    rng = np.random.default_rng(24)
+    h = np.abs(rng.standard_normal((3, 11)))
+    spec = np.fft.rfft(h, axis=1)
+    for p in (Penalty.ridge(0.3), Penalty.lasso(0.3), Penalty.soft_freq(0.3)):
+        assert penalty_value(h, p, spec) == penalty_value(h, p)
+        assert np.array_equal(penalty_subgradient(h, p, spec), penalty_subgradient(h, p))
+    # soft_freq reads the spectrum it is given
+    p = Penalty.soft_freq(1.0)
+    assert np.isclose(penalty_value(h, p, 2.0 * spec), 2.0 * penalty_value(h, p), rtol=1e-14)
+
+
 def test_hard_freq_has_no_subgradient():
     with pytest.raises(ValueError):
         penalty_subgradient(np.zeros((1, 4)), Penalty.hard_freq(R=1))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import freqfact.solvers as solvers
 from freqfact import (
+    ConvergenceError,
     FactorModel,
     FrequencyMask,
     Hyper,
@@ -22,6 +24,8 @@ from freqfact import (
     ssnmf_hard,
     three_operator_splitting,
 )
+
+from helpers import dft_definitional, minkowski_definitional
 
 
 def make_example_data(d=16, T=163, freqs=(14, 6), seed=42):
@@ -186,6 +190,57 @@ class TestSolveHPgd:
         ls = np.linalg.lstsq(wbar, xbar, rcond=None)[0]
         assert np.sum((xbar - wbar @ h_free) ** 2) <= np.sum((xbar - wbar @ ls) ** 2) * 1.05 + 1e-9
 
+    @staticmethod
+    def iterates(monkeypatch, *args, **kwargs):
+        """Run solve_H_pgd and return its report with every iterate, taken
+        from the one penalty evaluation each iterate gets."""
+        seen = []
+        real = solvers.penalty_value
+
+        def spy(h, p, spec=None):
+            seen.append(np.array(h))
+            return real(h, p, spec)
+
+        monkeypatch.setattr(solvers, "penalty_value", spy)
+        _, report = solve_H_pgd(*args, **kwargs)
+        monkeypatch.undo()
+        return report, seen
+
+    @pytest.mark.parametrize(
+        "p", [Penalty.ridge(0.7), Penalty.lasso(0.4), Penalty.soft_freq(1.3)], ids=lambda p: p.kind
+    )
+    def test_trace_matches_exact_objective_at_every_iterate(self, monkeypatch, p):
+        rng = np.random.default_rng(49)
+        wbar = rng.standard_normal((9, 3))
+        xbar = rng.standard_normal((9, 17))  # noisy: no exact fit exists
+        h0 = np.abs(rng.standard_normal((3, 17)))
+        report, seen = self.iterates(monkeypatch, xbar, wbar, h0, p, L=30)
+        assert len(seen) == len(report.objective_trace) == 31
+        assert np.array_equal(seen[0], h0)
+        for hk, val in zip(seen, report.objective_trace):
+            if p.kind == "ridge":
+                pen = p.lam * np.sum(hk**2)
+            elif p.kind == "lasso":
+                pen = p.lam * np.sum(np.abs(hk))
+            else:
+                pen = p.lam * minkowski_definitional(dft_definitional(hk))
+            exact = float(np.sum((xbar - wbar @ hk) ** 2)) + pen
+            assert abs(val - exact) <= 1e-9 * exact
+        assert report.extras["best_objective"] == min(report.objective_trace)
+
+    def test_exact_fit_trace_takes_exact_fallback(self, monkeypatch):
+        # noise-free and started at the solution: every iterate fits Xbar
+        # to rounding, far below the Gram form's resolution
+        rng = np.random.default_rng(50)
+        wbar = rng.standard_normal((7, 2))
+        h0 = np.abs(rng.standard_normal((2, 12)))
+        xbar = wbar @ h0
+        report, seen = self.iterates(monkeypatch, xbar, wbar, h0, Penalty.ridge(0.0), L=6)
+        for hk, val in zip(seen, report.objective_trace):
+            exact = float(np.sum((xbar - wbar @ hk) ** 2))
+            assert exact <= 1e-6 * float(np.sum(xbar**2))
+            assert val == exact
+
     def test_rejects_hard_penalty_and_bad_l(self):
         with pytest.raises(ValueError):
             solve_H_pgd(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), Penalty.hard_freq(R=1))
@@ -251,6 +306,16 @@ class TestSsnmfBcd:
         _, report = ssnmf_bcd(x, y, hyper, n_iters=300, sub_iters=30, seed=5, tol=1e-8)
         assert report.terminated == "tol_reached"
         assert report.wall_iters < 300
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_naming_solver_and_iteration(self):
+        # sqrt(xi) = 1e150 scales the auxiliary rows; the code step's
+        # squared gradient norms overflow on the first outer iteration
+        x, y = make_example_data(d=6, T=30, freqs=(2, 5), seed=3)
+        hyper = Hyper(2, 1e300, Penalty.soft_freq(1.0))
+        with pytest.raises(ConvergenceError, match=r"ssnmf_bcd: non-finite .*grad_sq_sum"
+                                                   r".* at outer iteration 1$"):
+            ssnmf_bcd(x, y, hyper, n_iters=3, sub_iters=5, seed=0)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -414,6 +479,21 @@ class TestSsnmfHard:
         )
         assert np.all(model.H >= 0.0)
         assert len(report.objective_trace) == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_naming_solver_and_iteration(self):
+        x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
+        mask = FrequencyMask.same(2, 20, [0, 2, 5])
+        with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp, "
+                                                   r"grad_sq_sum at outer iteration 1$"):
+            ssnmf_hard(x, y, Hyper(2, 1e300, Penalty.hard_freq(mask=mask)), 2, n_iters=3,
+                       variant="tos", seed=0, sub_iters=5, mask=mask)
+        # the heuristic keeps no gradient sum; data near the top of the
+        # float range overflows its Gram matrix instead
+        with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
+                                                   r"at outer iteration 1$"):
+            ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(R=2)), 2, n_iters=3,
+                       seed=0, sub_iters=5)
 
     def test_deterministic(self):
         x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)

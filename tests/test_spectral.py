@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from freqfact.spectral import half_offmask_ratio, top_r_keep
+from freqfact.spectral import (
+    half_minkowski1,
+    half_minkowski_subgradient,
+    half_offmask_ratio,
+    top_r_keep,
+)
 from freqfact import (
     FrequencyMask,
     SpectrumSymmetryError,
@@ -20,6 +25,7 @@ from helpers import (
     central_diff,
     dft_definitional,
     dft_loops,
+    idft_definitional,
     minkowski_definitional,
     sample_differentiable_h,
 )
@@ -151,6 +157,108 @@ class TestMinkowskiSubgradient:
             lhs = minkowski1(dft_rows(h + d))
             rhs = minkowski1(dft_rows(h)) + np.vdot(d, g)
             assert lhs >= rhs - 1e-8
+
+
+def _full_fft_subgradient(h):
+    """The full-spectrum formula the half-spectrum rule replaced."""
+    s = np.fft.fft(h, axis=1) / h.shape[1]
+    return np.fft.ifft(np.sign(s.real) + 1j * np.sign(s.imag), axis=1).real
+
+
+def _definitional_subgradient(h):
+    s = dft_definitional(h)
+    signs = np.sign(s.real) + 1j * np.sign(s.imag)
+    return idft_definitional(signs).real / h.shape[1]
+
+
+def _kink_rows(T):
+    """Rows whose exact spectra have zero parts that the FFT also returns as
+    exact zeros: impulses at t = 0 (all-real spectra) and, for even T, an
+    alternating row (Nyquist only)."""
+    rows = [3.0 * np.eye(1, T, 0).ravel(), -0.5 * np.eye(1, T, 0).ravel()]
+    if T % 2 == 0:
+        rows.append((-1.0) ** np.arange(T))
+    return np.array(rows)
+
+
+class TestHalfMinkowski:
+    LENGTHS = [1, 2, 3, 16, 17, 256]
+
+    def rows(self, T):
+        rng = np.random.default_rng(500 + T)
+        return np.vstack([rng.standard_normal((3, T)), np.abs(rng.standard_normal((2, T))),
+                          np.zeros((1, T)), np.full((1, T), 2.5), np.full((1, T), -1.0),
+                          _kink_rows(T)])
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_value_matches_definitional_and_full_spectrum(self, T):
+        for row in self.rows(T):
+            h = row[None, :]
+            got = half_minkowski1(np.fft.rfft(h, axis=1), T)
+            want = minkowski_definitional(dft_definitional(h))
+            assert abs(got - want) <= 1e-10 * max(1.0, want)
+            assert abs(got - minkowski1(dft_rows(h))) <= 1e-10 * max(1.0, want)
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_subgradient_matches_definitional_and_full_spectrum(self, T):
+        rng = np.random.default_rng(600 + T)
+        plain = np.vstack([rng.standard_normal((3, T)), np.abs(rng.standard_normal((2, T))),
+                           np.zeros((1, T)), _kink_rows(T)[:2]])
+        h = np.vstack([plain, _kink_rows(T)[2:]])
+        g = half_minkowski_subgradient(np.fft.rfft(h, axis=1), T)
+        assert g.shape == h.shape
+        assert np.allclose(g, _full_fft_subgradient(h), rtol=0.0, atol=1e-10)
+        # the definitional product leaves rounding residues where the
+        # alternating row's spectrum is zero, so that row is left out of it
+        assert np.allclose(g[: len(plain)], _definitional_subgradient(plain),
+                           rtol=0.0, atol=1e-10)
+        assert np.allclose(g, minkowski_subgradient(h), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_kinks_take_sign_zero(self, T):
+        # closed forms from the exact spectra, with sign(0) = 0: an impulse
+        # c e_0 has the all-real spectrum c/T, so g = sign(c) e_0; the
+        # alternating row has only its Nyquist bin, so g = (-1)^t / T
+        h = _kink_rows(T)
+        g = half_minkowski_subgradient(np.fft.rfft(h, axis=1), T)
+        assert np.allclose(g[0], np.eye(1, T, 0).ravel(), rtol=0.0, atol=1e-15)
+        assert np.allclose(g[1], -np.eye(1, T, 0).ravel(), rtol=0.0, atol=1e-15)
+        if T % 2 == 0:
+            assert np.allclose(g[2], (-1.0) ** np.arange(T) / T, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_constant_rows(self, T):
+        h = np.vstack([np.full((1, T), 2.5), np.full((1, T), -1.0)])
+        spec = np.fft.rfft(h, axis=1)
+        g = half_minkowski_subgradient(spec, T)
+        if np.all(spec[:, 1:] == 0.0):
+            # DC only: g = sign(c) / T, as the full-spectrum formula gives
+            assert np.allclose(g, np.sign(h) / T, rtol=0.0, atol=1e-15)
+            assert np.allclose(g, _full_fft_subgradient(h), rtol=0.0, atol=1e-10)
+        else:
+            # at T = 17 the FFT leaves residues of about 1e-16 in the
+            # bins that are zero; each takes its residue's sign, which is
+            # another element of the subdifferential (checked below)
+            assert T == 17
+        rng = np.random.default_rng(700 + T)
+        for _ in range(20):
+            d = rng.standard_normal(h.shape)
+            lhs = minkowski_definitional(dft_definitional(h + d))
+            rhs = minkowski_definitional(dft_definitional(h)) + np.vdot(d, g)
+            assert lhs >= rhs - 1e-9
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    def test_subgradient_inequality_on_random_directions(self, T):
+        rng = np.random.default_rng(800 + T)
+        h = self.rows(T)
+        g = half_minkowski_subgradient(np.fft.rfft(h, axis=1), T)
+        base = [minkowski_definitional(dft_definitional(row[None, :])) for row in h]
+        for scale in (1e-3, 0.5, 10.0):
+            for _ in range(10):
+                d = scale * rng.standard_normal(h.shape)
+                for s, row in enumerate(h):
+                    lhs = minkowski_definitional(dft_definitional((row + d[s])[None, :]))
+                    assert lhs >= base[s] + np.dot(d[s], g[s]) - 1e-9 * max(1.0, lhs)
 
 
 class TestFrequencyMask:
