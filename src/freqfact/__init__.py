@@ -10,26 +10,20 @@ from .exceptions import (
 )
 from .forecast import (
     EncodeConfig,
-    ForecastResult,
     ScanEntry,
     atom_removal_scan,
     encode_new,
     nse,
     predict,
 )
-from .regularization import (
-    Penalty,
-    penalty_subgradient,
-    penalty_value,
-    prox_hard_mask,
-    prox_nonnegative,
-)
+from .regularization import Penalty, penalty_subgradient, penalty_value
 from .solvers import (
     FactorModel,
     Hyper,
     SolveReport,
     StepSchedule,
     alternating_pgd,
+    code_step,
     objective,
     solve_H_pgd,
     solve_W,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io as fio
 from .exceptions import ConvergenceError, SingularGramError, SpectrumSymmetryError, TensorFormatError
-from .forecast import EncodeConfig, ForecastResult, atom_removal_scan, encode_new, nse, predict
+from .forecast import EncodeConfig, atom_removal_scan, encode_new, nse, predict
 from .regularization import Penalty
 from .solvers import FactorModel, Hyper, ssnmf_bcd, ssnmf_hard
 from .spectral import FrequencyMask, inverse_usage_ratio
@@ -161,10 +161,16 @@ class _MatrixLoader:
     vertical stack of the auxiliaries at ``paths`` (one path or a list).
     Only the stack is kept: an auxiliary's own matrix is cached only if
     ``load(path)`` asked for it.
+
+    Matrix column k is the k-th time a tensor's mask keeps, so each tensor
+    read is checked against those before it: two whose masks differ over the
+    span they share raise ValueError naming both.  Only masks are kept, so
+    unmasked inputs allocate nothing for the check between large parses.
     """
 
     def __init__(self):
         self._cache: dict = {}
+        self._masks: dict = {}
 
     def _memo(self, key, build) -> np.ndarray:
         if key not in self._cache:
@@ -173,14 +179,33 @@ class _MatrixLoader:
             self._cache[key] = m
         return self._cache[key]
 
+    def _read(self, path) -> np.ndarray:
+        t = fio.read_tensor(path)
+        T, mask = t.dims[2], t.time_mask
+        for other, (other_T, other_mask) in self._masks.items():
+            if mask is None and other_mask is None:
+                continue
+            span = min(T, other_T)
+            diff = np.flatnonzero(_keeps(mask, span) != _keeps(other_mask, span))
+            if diff.size:
+                raise ValueError(f"{other} and {path} keep different time columns: original "
+                                 f"time {diff[0]} is masked in one and kept in the other")
+        self._masks[str(path)] = (T, mask)
+        return matricize(t)
+
     def __call__(self, path) -> np.ndarray:
-        return self._memo(str(path), lambda: matricize(fio.read_tensor(path)))
+        return self._memo(str(path), lambda: self._read(path))
 
     def aux(self, y_paths) -> np.ndarray:
         paths = tuple(str(p) for p in _aux_paths(y_paths))
         return self._memo(paths, lambda: stack_auxiliary([
-            self._cache[p] if p in self._cache else matricize(fio.read_tensor(p)) for p in paths
+            self._cache[p] if p in self._cache else self._read(p) for p in paths
         ]))
+
+
+def _keeps(mask, span: int) -> np.ndarray:
+    """Which of the original times 0..span-1 a tensor's time mask keeps."""
+    return np.ones(span, dtype=bool) if mask is None else mask[:span]
 
 
 def _aux_paths(y_paths) -> list[str]:
@@ -241,24 +266,12 @@ def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
         if not 1 <= cfg.train_t <= x.shape[1]:
             raise ValueError(f"train_t={cfg.train_t} outside [1, {x.shape[1]}]")
         x = x[:, : cfg.train_t]
-    penalty = penalty_from_dict(cfg.penalty)
-    hyper = Hyper(cfg.r, cfg.xi, penalty, cfg.lambda1, cfg.lambda2)
+    hyper = Hyper(cfg.r, cfg.xi, penalty_from_dict(cfg.penalty), cfg.lambda1, cfg.lambda2)
     if cfg.variant == "bcd":
         model, report = ssnmf_bcd(x, y, hyper, cfg.n_iters, cfg.sub_iters, cfg.seed, tol=cfg.tol)
     elif cfg.variant == "hard":
-        if cfg.R is None and penalty.R is None and penalty.mask is None:
-            raise ValueError("hard variant needs 'R' or a penalty mask")
-        model, report = ssnmf_hard(
-            x, y, hyper,
-            cfg.R if cfg.R is not None else (penalty.R or 0),
-            cfg.n_iters,
-            variant="tos" if penalty.mask is not None else "heuristic",
-            seed=cfg.seed,
-            sub_iters=cfg.sub_iters,
-            mask=penalty.mask,
-            priority=cfg.priority,
-            tol=cfg.tol,
-        )
+        model, report = ssnmf_hard(x, y, hyper, cfg.R, cfg.n_iters, variant=None, seed=cfg.seed,
+                                   sub_iters=cfg.sub_iters, priority=cfg.priority, tol=cfg.tol)
     else:
         raise ValueError(f"unknown variant {cfg.variant!r}, expected 'bcd' or 'hard'")
     out.mkdir(parents=True, exist_ok=True)
@@ -350,8 +363,7 @@ def cmd_forecast(args) -> int:
     y_full = load.aux(cfg.y)
     T = h_train.shape[1]
     penalty = penalty_from_dict(cfg.penalty)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R,
-                       penalty.mask, gamma0=1.0)
+    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R)
     h_new_full, report = encode_new(y_full, wp, penalty, cfg.lam_over_xi, enc)
     h_new = h_new_full[:, T:]
     if h_new.shape[1] == 0:
@@ -368,13 +380,12 @@ def cmd_forecast(args) -> int:
         if x_true.shape[1] < y_full.shape[1]:
             raise ValueError("truth tensor shorter than auxiliary period")
         score = nse(x_true[:, T : y_full.shape[1]], w @ h_new)
-    result = ForecastResult(h_new_full, h_new, predict(w, h_new, A, B), score, report)
-    pred = result.x_pred
+    pred = predict(w, h_new, A, B)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fio.write_matrix(out / "H_new_full.csv", result.h_new_full)
-    fio.write_matrix(out / "H_new.csv", result.h_new)
+    fio.write_matrix(out / "H_new_full.csv", h_new_full)
+    fio.write_matrix(out / "H_new.csv", h_new)
     slice_dir = out / "pred"
     slice_dir.mkdir(exist_ok=True)
     for k in range(pred.dims[2]):
@@ -395,15 +406,21 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    load = _MatrixLoader()
-    truth = load(args.truth)
-    pred = load(args.pred)
+    truth_t = fio.read_tensor(args.truth)
+    pred_t = truth_t if args.pred == args.truth else fio.read_tensor(args.pred)
+    truth, pred = matricize(truth_t), matricize(pred_t)
     offset = args.offset if args.offset is not None else truth.shape[1] - pred.shape[1]
     if offset < 0 or offset + pred.shape[1] > truth.shape[1]:
         raise ValueError(
             f"prediction ({pred.shape[1]} cols at offset {offset}) does not fit "
             f"inside truth ({truth.shape[1]} cols)"
         )
+    # the prediction is a window at truth column ``offset``: its kept times
+    # must step like the truth's there, or column k is scored at another time
+    times = truth_t.kept_times()[offset : offset + pred.shape[1]]
+    if not np.array_equal(np.diff(times), np.diff(pred_t.kept_times())):
+        raise ValueError(f"{args.truth} and {args.pred} keep different time columns: the "
+                         f"prediction's kept times do not match truth columns from {offset}")
     score = nse(truth[:, offset : offset + pred.shape[1]], pred)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -433,7 +450,7 @@ def cmd_atom_scan(args) -> int:
     penalty = penalty_from_dict(cfg.penalty)
     hyper = Hyper(w.shape[1], 1.0, penalty)
     model = FactorModel(w, wp, h_train, hyper)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R, penalty.mask)
+    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R)
     entries = atom_removal_scan(model, x_true, y_full, penalty, cfg.lam_over_xi, enc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -504,7 +521,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # LinAlgError subclasses ValueError, so the numerical branch goes first
     except (SingularGramError, SpectrumSymmetryError, ConvergenceError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+            np.linalg.LinAlgError) as exc:
         print(f"freqfact: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TensorFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,

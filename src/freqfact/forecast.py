@@ -8,21 +8,12 @@ entire auxiliary period: a code fit only on the short test window cannot
 carry frequencies longer than that window.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .regularization import Penalty
-from .solvers import (
-    FactorModel,
-    SolveReport,
-    StepSchedule,
-    _sq_residual,
-    alternating_pgd,
-    solve_H_pgd,
-    three_operator_splitting,
-)
-from .spectral import FrequencyMask
+from .solvers import FactorModel, SolveReport, _require_finite, code_step
 from .tensor import SpatioTemporalTensor, fold
 
 __all__ = [
@@ -32,7 +23,6 @@ __all__ = [
     "nse",
     "ScanEntry",
     "atom_removal_scan",
-    "ForecastResult",
 ]
 
 
@@ -40,13 +30,14 @@ __all__ = [
 class EncodeConfig:
     """Encoding solver configuration.
 
-    The subgradient path runs ``sweeps`` warm-started rounds of ``sub_iters``
-    diminishing-step iterations; restarting the step schedule each round
-    restores large steps and gives fast convergence on the smooth part while
-    every individual round still satisfies the diminishing-step conditions.
-    ``variant`` selects the code solver: "pgd" (default for subdifferentiable
-    penalties), "heuristic" or "tos" (hard constraint; "tos" needs a fixed
-    mask, here or in the penalty, and is the hard default when one is set).
+    Encoding runs ``sweeps`` warm-started rounds of ``sub_iters`` code-step
+    iterations; restarting the subgradient step schedule each round restores
+    large steps and gives fast convergence on the smooth part while every
+    individual round still satisfies the diminishing-step conditions.  The
+    splitting solver ("tos") instead runs one round of ``sweeps * sub_iters``
+    iterations, so its ergodic average spans the whole run.  ``variant`` and
+    ``R`` override the penalty's code solver and top-R count (see
+    :func:`~freqfact.solvers.code_step`).
     """
 
     sweeps: int = 60
@@ -54,17 +45,6 @@ class EncodeConfig:
     seed: int = 0
     variant: str | None = None
     R: int | None = None
-    mask: FrequencyMask | None = None
-    priority: str = "nonneg"
-    gamma0: float = 1.0
-    sched: StepSchedule | None = None
-
-    def resolved_variant(self, penalty: Penalty) -> str:
-        if self.variant is not None:
-            return self.variant
-        if penalty.kind != "hard_freq":
-            return "pgd"
-        return "tos" if self.mask is not None or penalty.mask is not None else "heuristic"
 
 
 def encode_new(
@@ -79,7 +59,10 @@ def encode_new(
         argmin_{H >= 0}  ||Y_full - Wp H||_F^2 + (lam/xi) * psi(H)
 
     The penalty weight is ``lam_over_xi`` regardless of the weight stored in
-    ``penalty``.  Output is elementwise nonnegative.
+    ``penalty``.  Output is elementwise nonnegative.  The report holds the
+    objective of the last iterate of each round; a non-finite code or
+    objective raises :class:`~freqfact.exceptions.ConvergenceError` naming
+    the round.
     """
     y_full = np.asarray(y_full, dtype=float)
     wp = np.asarray(wp, dtype=float)
@@ -89,56 +72,18 @@ def encode_new(
     r = wp.shape[1]
     rng = np.random.default_rng(config.seed)
     h = np.abs(rng.standard_normal((r, y_full.shape[1])))
-    variant = config.resolved_variant(penalty)
-
-    if variant == "pgd":
-        p = replace(penalty, lam=lam_over_xi) if penalty.kind != "hard_freq" else penalty
-        if p.kind == "hard_freq":
-            raise ValueError("pgd variant cannot solve a hard-frequency penalty")
-        report = SolveReport()
-        for _ in range(config.sweeps):
-            h, sub = solve_H_pgd(y_full, wp, h, p, config.sched, config.sub_iters)
+    variant, step = code_step(replace(penalty, lam=lam_over_xi), config.variant, config.R)
+    rounds, iters = config.sweeps, config.sub_iters
+    if variant == "tos":
+        rounds, iters = 1, rounds * iters
+    report = SolveReport(wall_iters=rounds * iters)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(rounds):
+            h, sub = step(y_full, wp, h, iters)
+            _require_finite("encode_new", it, H=h, objective=sub.objective_trace[-1])
             report.objective_trace.append(sub.objective_trace[-1])
             report.step_trace.append(sub.step_trace[0])
-        report.wall_iters = config.sweeps * config.sub_iters
-        return h, report
-
-    if variant == "heuristic":
-        R = config.R if config.R is not None else penalty.R
-        if R is None:
-            raise ValueError("heuristic encoding needs R")
-        report = SolveReport()
-        for _ in range(config.sweeps):
-            h, sub = alternating_pgd(h, wp, y_full, R, config.sub_iters, config.priority)
-            report.objective_trace.append(sub.objective_trace[-1])
-        # the returned code must be nonnegative whatever the projection order
-        h = np.maximum(h, 0.0)
-        report.wall_iters = config.sweeps * config.sub_iters
-        return h, report
-
-    if variant == "tos":
-        mask = config.mask if config.mask is not None else penalty.mask
-        if mask is None:
-            raise ValueError("tos encoding needs a fixed FrequencyMask")
-        if mask.T != y_full.shape[1]:
-            raise ValueError(
-                f"mask is for series length {mask.T}, auxiliary period is "
-                f"{y_full.shape[1]}; band-limited index sets do not transfer "
-                "across lengths, supply a mask per length"
-            )
-        gram = wp.T @ wp
-        cross = wp.T @ y_full
-        h, report = three_operator_splitting(
-            lambda m: 2.0 * (gram @ m - cross),
-            mask,
-            h,
-            config.sweeps * config.sub_iters,
-            config.gamma0,
-            f=lambda m: _sq_residual(y_full, wp, m),
-        )
-        return h, report
-
-    raise ValueError(f"unknown encode variant {variant!r}")
+    return h, report
 
 
 def predict(w: np.ndarray, h_new: np.ndarray, A: int, B: int) -> SpatioTemporalTensor:
@@ -193,7 +138,7 @@ def atom_removal_scan(
     """Score removing each single atom.
 
     For every atom: drop that column from both dictionaries (and that row
-    from a fixed frequency mask in ``penalty`` or ``config``), re-encode the
+    from a fixed frequency mask in ``penalty``), re-encode the
     full-period auxiliary data with the reduced dictionary (the dropped
     atom's explanatory burden must be redistributed, so re-encoding rather
     than just deleting a code row), predict the test period, score NSE
@@ -209,45 +154,20 @@ def atom_removal_scan(
     if x_full.shape[1] <= T + 1:
         raise ValueError("truth must extend at least two columns past the training period")
 
-    def score(w, wp, pen, cfg):
-        h_new_full, _ = encode_new(y_full, wp, pen, lam_over_xi, cfg)
+    def score(w, wp, pen):
+        h_new_full, _ = encode_new(y_full, wp, pen, lam_over_xi, config)
         pred = w @ h_new_full[:, T:]
         return nse(x_full[:, T:], pred)
 
-    baseline = score(model.W, model.Wp, penalty, config)
+    baseline = score(model.W, model.Wp, penalty)
     entries = []
     for s in range(model.hyper.r):
         w_red = np.delete(model.W, s, axis=1)
         wp_red = np.delete(model.Wp, s, axis=1)
-        pen_red, cfg_red = penalty, config
+        pen_red = penalty
         if penalty.mask is not None:
             pen_red = replace(penalty, mask=penalty.mask.without_row(s))
-        if config is not None and config.mask is not None:
-            cfg_red = replace(config, mask=config.mask.without_row(s))
-        val = score(w_red, wp_red, pen_red, cfg_red)
+        val = score(w_red, wp_red, pen_red)
         entries.append(ScanEntry(s, val, val - baseline))
     entries.sort(key=lambda e: -e.nse_after)
     return [ScanEntry(None, baseline, 0.0)] + entries
-
-
-@dataclass
-class ForecastResult:
-    """Full forecast bundle: complete encoded code, its test-period block,
-    the predicted tensor, and the score (when truth was available)."""
-
-    h_new_full: np.ndarray
-    h_new: np.ndarray
-    x_pred: SpatioTemporalTensor
-    nse: float | None = None
-    report: SolveReport | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.h_new_full = np.asarray(self.h_new_full, dtype=float)
-        self.h_new = np.asarray(self.h_new, dtype=float)
-        if np.any(self.h_new_full < 0):
-            raise ValueError("encoded code must be nonnegative")
-        k = self.h_new.shape[1]
-        if k > self.h_new_full.shape[1] or not np.array_equal(
-            self.h_new, self.h_new_full[:, self.h_new_full.shape[1] - k :]
-        ):
-            raise ValueError("h_new must be the trailing column block of h_new_full")

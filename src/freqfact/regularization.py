@@ -1,4 +1,4 @@
-"""Penalty abstraction and proximal operators for the code matrix H.
+"""Penalty abstraction for the code matrix H.
 
 Four penalty kinds: ridge and lasso act in the time domain, soft_freq
 penalizes the Minkowski 1-norm of the row spectra, and hard_freq is the
@@ -7,24 +7,16 @@ top-R mask of the argument itself).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    FrequencyMask,
-    half_minkowski1,
-    half_minkowski_subgradient,
-    offmask_ratio,
-    project_frequency_mask,
-)
+from .spectral import FrequencyMask, half_minkowski1, half_minkowski_subgradient, offmask_ratio
 
 __all__ = [
     "Penalty",
     "penalty_value",
     "penalty_subgradient",
-    "prox_nonnegative",
-    "prox_hard_mask",
 ]
 
 KINDS = ("ridge", "lasso", "soft_freq", "hard_freq")
@@ -72,9 +64,6 @@ class Penalty:
     def hard_freq(cls, R: int | None = None, mask: FrequencyMask | None = None) -> "Penalty":
         return cls("hard_freq", 0.0, R, mask)
 
-    def with_lam(self, lam: float) -> "Penalty":
-        return replace(self, lam=lam)
-
     def mask_for(self, h: np.ndarray) -> FrequencyMask:
         """Resolve the hard-freq mask: fixed if given, else top-R of ``h``."""
         if self.kind != "hard_freq":
@@ -111,7 +100,7 @@ def penalty_subgradient(h: np.ndarray, p: Penalty, spec: np.ndarray | None = Non
     """Subgradient of the penalty at ``h`` (sign(0) := 0 at kinks).
 
     ``spec`` is as for :func:`penalty_value`.  hard_freq has no subgradient;
-    project with :func:`prox_hard_mask` instead.
+    project with :func:`~freqfact.spectral.project_frequency_mask` instead.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if p.kind == "ridge":
@@ -120,14 +109,4 @@ def penalty_subgradient(h: np.ndarray, p: Penalty, spec: np.ndarray | None = Non
         return p.lam * np.sign(h)
     if p.kind == "soft_freq":
         return p.lam * half_minkowski_subgradient(_row_spectrum(h, spec), h.shape[1])
-    raise ValueError("hard_freq is an indicator; use prox_hard_mask, not a subgradient")
-
-
-def prox_nonnegative(v: np.ndarray) -> np.ndarray:
-    """Projection onto the nonnegative orthant, elementwise max{0, v}."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def prox_hard_mask(v: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    """Projection onto the mask's band-limited subspace."""
-    return project_frequency_mask(v, mask)
+    raise ValueError("hard_freq is an indicator; project onto its mask, not a subgradient")

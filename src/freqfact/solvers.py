@@ -13,10 +13,14 @@ Four solvers:
 * :func:`alternating_pgd` - heuristic alternation of adaptive top-R
   frequency projection, a gradient step, and the nonnegativity projection.
 
-:func:`ssnmf_bcd` and :func:`ssnmf_hard` drive these in a block-coordinate
-cycle (code step, then exact dictionary steps).  All solvers are
-deterministic given a seed: identical seeds and configs yield bit-identical
-reports.
+:func:`code_step` is the one place a penalty picks its code solver (the
+subgradient method for ridge, lasso and soft_freq; the splitting solver for a
+hard_freq penalty with a fixed mask, else the top-R heuristic).
+:func:`ssnmf_bcd` and :func:`ssnmf_hard` share one block-coordinate loop
+(code step, then exact dictionary steps) and differ only in the objectives
+they record; encoding runs the same code step with the dictionary held
+fixed.  All solvers are deterministic given a seed: identical seeds and
+configs yield bit-identical reports.
 """
 
 import math
@@ -40,6 +44,7 @@ __all__ = [
     "ssnmf_bcd",
     "three_operator_splitting",
     "alternating_pgd",
+    "code_step",
     "ssnmf_hard",
 ]
 
@@ -329,14 +334,54 @@ def _require_finite(solver: str, it: int, **values) -> None:
         raise ConvergenceError(f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}")
 
 
-def _check_bcd_inputs(x, y, hyper, n_iters):
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    d, T = x.shape
-    if y.shape[1] < T:
-        raise ValueError(f"auxiliary data spans {y.shape[1]} < T={T} columns")
-    if hyper.r > min(d, T):
-        raise ValueError(f"rank {hyper.r} exceeds min(d, T) = {min(d, T)}")
+def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step, extras, first, after):
+    """The block-coordinate cycle both drivers run.
+
+    Each outer iteration runs ``step`` (see :func:`code_step`) on the stack
+    [X; sqrt(xi) Y[:, :T]], then exact normal-equation steps for W on X and
+    for Wp on Y[:, :T], checks every value is finite and records the step
+    size and min H.  The driver's hooks add its own records:
+    ``first(x, y_t, model, extras)`` returns what the first ``tol`` test
+    compares against (None: no test) and ``after(x, y_t, old, model, sub,
+    extras)`` the iteration's objectives, the last one traced and tested.
+    Overflow is reported once, by the finite checks, not by numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if n_iters < 1:
+            raise ValueError("n_iters must be >= 1")
+        d, T = x.shape
+        if y.shape[1] < T:
+            raise ValueError(f"auxiliary data spans {y.shape[1]} < T={T} columns")
+        if hyper.r > min(d, T):
+            raise ValueError(f"rank {hyper.r} exceeds min(d, T) = {min(d, T)}")
+        y_t = y[:, :T]
+        w, wp, h = _init_factors(x, y_t, hyper, seed)
+        report = SolveReport(extras={**extras, "h_min_trace": []})
+        model = FactorModel(w, wp, h, hyper)
+        prev = first(x, y_t, model, report.extras)
+        xbar = supervised_stack(x, y_t, hyper.xi)
+        for it in range(n_iters):
+            wbar = supervised_stack(model.W, model.Wp, hyper.xi)
+            h, sub = step(xbar, wbar, model.H, sub_iters)
+            w = solve_W(x, h, hyper.lambda1)
+            wp = solve_W(y_t, h, hyper.lambda2)
+            _require_finite(solver, it, H=h, W=w, Wp=wp,
+                            grad_sq_sum=sub.extras.get("grad_sq_sum", 0.0))
+            old, model = model, FactorModel(w, wp, h, hyper)
+            vals = after(x, y_t, old, model, sub, report.extras)
+            _require_finite(solver, it, objective=vals)
+            val = vals[-1]
+            report.objective_trace.append(val)
+            report.step_trace.append(sub.step_trace[0])
+            report.extras["h_min_trace"].append(float(h.min()))
+            report.wall_iters = it + 1
+            if tol is not None and prev is not None and abs(val - prev) / max(1.0, abs(prev)) < tol:
+                report.terminated = "tol_reached"
+                break
+            prev = val
+    return model, report
 
 
 def ssnmf_bcd(
@@ -360,42 +405,23 @@ def ssnmf_bcd(
     ``extras["phase_objectives"]`` holds [after_H, after_W, after_Wp]
     triplets.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_bcd_inputs(x, y, hyper, n_iters)
-    T = x.shape[1]
-    y_t = y[:, :T]
-    w, wp, h = _init_factors(x, y_t, hyper, seed)
+    _, step = code_step(hyper.penalty, "pgd", sched=sched, nonneg=nonneg)
 
-    report = SolveReport(extras={"phase_objectives": [], "h_min_trace": []})
-    model = FactorModel(w, wp, h, hyper)
-    report.extras["initial_objective"] = objective(x, y_t, model)
-    prev = report.extras["initial_objective"]
-    xbar = supervised_stack(x, y_t, hyper.xi)
-    for it in range(n_iters):
-        wbar = supervised_stack(w, wp, hyper.xi)
-        h, sub = solve_H_pgd(xbar, wbar, h, hyper.penalty, sched, sub_iters, nonneg)
-        w_next = solve_W(x, h, hyper.lambda1)
-        wp_next = solve_W(y_t, h, hyper.lambda2)
-        _require_finite("ssnmf_bcd", it, H=h, W=w_next, Wp=wp_next,
-                        grad_sq_sum=sub.extras["grad_sq_sum"])
-        after_h = objective(x, y_t, FactorModel(w, wp, h, hyper))
-        w = w_next
-        after_w = objective(x, y_t, FactorModel(w, wp, h, hyper))
-        wp = wp_next
-        model = FactorModel(w, wp, h, hyper)
-        after_wp = objective(x, y_t, model)
-        _require_finite("ssnmf_bcd", it, objective=[after_h, after_w, after_wp])
-        report.extras["phase_objectives"].append([after_h, after_w, after_wp])
-        report.extras["h_min_trace"].append(float(h.min()))
-        report.objective_trace.append(after_wp)
-        report.step_trace.append(sub.step_trace[0])
-        report.wall_iters = it + 1
-        if tol is not None and abs(after_wp - prev) / max(1.0, abs(prev)) < tol:
-            report.terminated = "tol_reached"
-            break
-        prev = after_wp
-    return model, report
+    def first(x, y_t, model, extras):
+        extras["initial_objective"] = objective(x, y_t, model)
+        return extras["initial_objective"]
+
+    def after(x, y_t, old, model, sub, extras):
+        phases = [
+            objective(x, y_t, FactorModel(old.W, old.Wp, model.H, hyper)),
+            objective(x, y_t, FactorModel(model.W, old.Wp, model.H, hyper)),
+            objective(x, y_t, model),
+        ]
+        extras["phase_objectives"].append(phases)
+        return phases
+
+    return _bcd_loop("ssnmf_bcd", x, y, hyper, n_iters, sub_iters, seed, tol, step,
+                     {"phase_objectives": []}, first, after)
 
 
 def three_operator_splitting(
@@ -404,7 +430,6 @@ def three_operator_splitting(
     y0: np.ndarray,
     n_iters: int,
     gamma0: float = 1.0,
-    f=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Splitting iteration for min f over {H >= 0} intersect {mask set}.
 
@@ -418,7 +443,7 @@ def three_operator_splitting(
     returns the ergodic average of the H iterates, which carries the
     convergence guarantee; the last H iterate is in
     ``extras["last_iterate"]`` and the final sum of squared gradient norms in
-    ``extras["grad_sq_sum"]``.  Pass ``f`` to record an objective trace.
+    ``extras["grad_sq_sum"]``.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -438,8 +463,6 @@ def three_operator_splitting(
         accum += float(np.sum(g * g))
         h_sum += h
         report.step_trace.append(gamma)
-        if f is not None:
-            report.objective_trace.append(float(f(h)))
     report.wall_iters = n_iters + 1
     report.extras["last_iterate"] = h
     report.extras["grad_sq_sum"] = accum
@@ -515,79 +538,96 @@ def alternating_pgd(
     return h, report
 
 
+def code_step(
+    p: Penalty,
+    variant: str | None = None,
+    R: int | None = None,
+    *,
+    priority: str = "nonneg",
+    sched: StepSchedule | None = None,
+    nonneg: bool = True,
+):
+    """Pick the code solver for penalty ``p``; returns ``(variant, step)``.
+
+    ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs ``iters``
+    iterations of the chosen solver on min ||Xbar - Wbar H||_F^2 + p(H),
+    warm-started at ``h0``.  Its report's last objective is that of the last
+    iterate.  ``variant`` overrides the default, which is "pgd"
+    (:func:`solve_H_pgd`) for ridge, lasso and soft_freq, "tos"
+    (:func:`three_operator_splitting`) for a hard_freq penalty with a fixed
+    mask, and "heuristic" (:func:`alternating_pgd`) for one without.  ``R``
+    overrides ``p.R`` for the heuristic.  ``sched`` and ``nonneg`` go to the
+    subgradient method, ``priority`` to the heuristic.
+    """
+    if variant is None:
+        if p.kind != "hard_freq":
+            variant = "pgd"
+        else:
+            variant = "tos" if p.mask is not None else "heuristic"
+    if variant == "pgd":
+        if p.kind == "hard_freq":
+            raise ValueError("the pgd code step cannot solve a hard-frequency penalty")
+        return variant, lambda xbar, wbar, h, iters: solve_H_pgd(
+            xbar, wbar, h, p, sched, iters, nonneg)
+    if variant == "heuristic":
+        R = R if R is not None else p.R
+        if R is None:
+            raise ValueError("the heuristic code step needs R")
+        return variant, lambda xbar, wbar, h, iters: alternating_pgd(
+            h, wbar, xbar, R, iters, priority)
+    if variant != "tos":
+        raise ValueError(f"unknown code-step variant {variant!r}, expected pgd, heuristic or tos")
+    mask = p.mask
+    if mask is None:
+        raise ValueError("the tos code step needs a fixed FrequencyMask")
+
+    def tos(xbar, wbar, h, iters):
+        gram = wbar.T @ wbar
+        cross = wbar.T @ xbar
+        h, sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), mask, h, iters)
+        sub.objective_trace.append(_sq_residual(xbar, wbar, sub.extras["last_iterate"]))
+        return h, sub
+
+    return variant, tos
+
+
 def ssnmf_hard(
     x: np.ndarray,
     y: np.ndarray,
     hyper: Hyper,
-    R: int,
+    R: int | None,
     n_iters: int,
-    variant: str = "heuristic",
+    variant: str | None = "heuristic",
     seed: int = 0,
     sub_iters: int = 50,
     mask: FrequencyMask | None = None,
     priority: str = "nonneg",
-    gamma0: float = 1.0,
     tol: float | None = None,
 ) -> tuple[FactorModel, SolveReport]:
     """Block-coordinate descent with the hard frequency constraint on H.
 
-    The code step runs either the splitting solver (variant="tos", which
-    needs a fixed conjugate-closed ``mask`` - a band-limited set cannot be
-    carried across different series lengths, so the caller must supply one
-    per length) or the adaptive heuristic (variant="heuristic", masks
-    recomputed per row from the top-R power spectrum).  Dictionary steps are
-    the exact normal equations.
+    The band limit is R (adaptive top-R masks) or ``mask`` (a fixed
+    conjugate-closed set), each falling back to ``hyper.penalty``'s.  The
+    code step runs either the splitting solver (variant="tos", which needs
+    the fixed mask - a band-limited set cannot be carried across different
+    series lengths, so the caller must supply one per length) or the
+    adaptive heuristic (variant="heuristic", masks recomputed per row from
+    the top-R power spectrum); variant=None picks "tos" exactly when a fixed
+    mask is given.  Dictionary steps are the exact normal equations.
 
     The objective trace records the smooth part (fit + ridge terms); the
     indicator is tracked separately through the offmask extras.
     """
-    if variant not in ("tos", "heuristic"):
-        raise ValueError(f"variant must be 'tos' or 'heuristic', got {variant!r}")
-    if variant == "tos" and mask is None:
-        raise ValueError("variant='tos' requires a fixed FrequencyMask")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_bcd_inputs(x, y, hyper, n_iters)
-    T = x.shape[1]
-    y_t = y[:, :T]
-    w, wp, h = _init_factors(x, y_t, hyper, seed)
+    band = Penalty.hard_freq(R if R is not None else hyper.penalty.R,
+                             mask if mask is not None else hyper.penalty.mask)
+    variant, step = code_step(band, variant, priority=priority)
 
-    report = SolveReport(
-        extras={"offmask_after_projection": [], "h_min_trace": [], "variant": variant}
-    )
-    prev = None
-    xbar = supervised_stack(x, y_t, hyper.xi)
-    for it in range(n_iters):
-        wbar = supervised_stack(w, wp, hyper.xi)
-        if variant == "heuristic":
-            h, sub = alternating_pgd(h, wbar, xbar, R, sub_iters, priority)
-            report.extras["offmask_after_projection"].extend(
-                sub.extras["offmask_after_projection"]
-            )
-            report.extras["offmask_final"] = sub.extras["offmask_final"]
-        else:
-            gram = wbar.T @ wbar
-            cross = wbar.T @ xbar
-            h, sub = three_operator_splitting(
-                lambda m: 2.0 * (gram @ m - cross),
-                mask,
-                h,
-                sub_iters,
-                gamma0,
-            )
-        w = solve_W(x, h, hyper.lambda1)
-        wp = solve_W(y_t, h, hyper.lambda2)
-        _require_finite("ssnmf_hard", it, H=h, W=w, Wp=wp,
-                        grad_sq_sum=sub.extras.get("grad_sq_sum", 0.0))
-        model = FactorModel(w, wp, h, hyper)
-        val = _objective_smooth(x, y_t, model)
-        _require_finite("ssnmf_hard", it, objective=val)
-        report.objective_trace.append(val)
-        report.step_trace.append(sub.step_trace[0])
-        report.extras["h_min_trace"].append(float(h.min()))
-        report.wall_iters = it + 1
-        if tol is not None and prev is not None and abs(val - prev) / max(1.0, abs(prev)) < tol:
-            report.terminated = "tol_reached"
-            break
-        prev = val
-    return FactorModel(w, wp, h, hyper), report
+    def after(x, y_t, old, model, sub, extras):
+        extras["offmask_after_projection"].extend(sub.extras.get("offmask_after_projection", []))
+        if "offmask_final" in sub.extras:
+            extras["offmask_final"] = sub.extras["offmask_final"]
+        return [_objective_smooth(x, y_t, model)]
+
+    return _bcd_loop("ssnmf_hard", x, y, hyper, n_iters, sub_iters, seed, tol, step,
+                     {"offmask_after_projection": [], "variant": variant},
+                     lambda *_: None, after)

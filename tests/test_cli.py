@@ -123,7 +123,6 @@ class TestFactorize:
         err = capsys.readouterr().err
         assert "line 3" in err and "column 1" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_xi_exits_3(self, tmp_path, capsys):
         data = synth_dataset(tmp_path)
         cfg = tmp_path / "f.json"
@@ -391,6 +390,115 @@ class TestForecastCli:
             "model": str(model), "y": str(data / "Y.csv"), "x_true": str(data / "X.csv"),
         }))
         assert run_cli("atom-scan", "--config", cfg, "--out", tmp_path / "o") == 2
+
+
+class TestTimeMasks:
+    """Inputs that keep different original times over the span they share
+    would pair column k of one with a different time in the other."""
+
+    def masked_world(self, tmp_path, masked=("Y0.csv", "Y1.csv")):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5), sigma=0.1, x_sigma=0.1)
+        for name in masked:
+            t = read_tensor(data / name)
+            keep = np.ones(t.dims[2], dtype=bool)
+            keep[5] = False
+            write_tensor(data / name, SpatioTemporalTensor(t.values, keep))
+        return data
+
+    def forecast_cfg(self, tmp_path, data, model):
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "x_true": str(data / "X.csv"), "penalty": {"kind": "ridge", "lambda": 0.0},
+            "sweeps": 2, "sub_iters": 5,
+        }))
+        return cfg
+
+    def test_factorize_rejects_mixed_masks(self, tmp_path, capsys):
+        data = self.masked_world(tmp_path)
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({
+            "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "train_t": 30, "n_iters": 2, "sub_iters": 5,
+        }))
+        out = tmp_path / "o"
+        assert run_cli("factorize", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(data / "X.csv") in err and str(data / "Y0.csv") in err
+        assert "original time 5" in err
+        assert not out.exists()
+
+    def test_grid_rejects_mixed_masks_before_any_point(self, tmp_path, capsys):
+        data = self.masked_world(tmp_path)
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({
+            "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "train_t": 30, "n_iters": 2, "sub_iters": 5, "grid": [{"xi": 0.5}, {"xi": 1.0}],
+        }))
+        out = tmp_path / "o"
+        assert run_cli("factorize", "--config", cfg, "--out", out, "--jobs", 2) == 2
+        assert "original time 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forecast_and_atom_scan_reject_mixed_masks(self, tmp_path, capsys):
+        data = self.masked_world(tmp_path)
+        model = factorize(tmp_path, data, x=str(data / "Y0.csv"), train_t=30, n_iters=2,
+                          sub_iters=5)
+        cfg = self.forecast_cfg(tmp_path, data, model)
+        for cmd in ("forecast", "atom-scan"):
+            out = tmp_path / cmd
+            assert run_cli(cmd, "--config", cfg, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert str(data / "X.csv") in err and str(data / "Y0.csv") in err
+            assert not out.exists()
+
+    def test_evaluate_rejects_mixed_masks(self, tmp_path, capsys):
+        data = self.masked_world(tmp_path)
+        out = tmp_path / "ev"
+        assert run_cli("evaluate", "--truth", data / "X.csv", "--pred", data / "Y0.csv",
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(data / "X.csv") in err and str(data / "Y0.csv") in err
+        assert not out.exists()
+
+    def test_same_masks_and_shorter_unmasked_span_pass(self, tmp_path):
+        data = self.masked_world(tmp_path, masked=("X.csv", "Y0.csv", "Y1.csv"))
+        model = factorize(tmp_path, data, train_t=30, n_iters=2, sub_iters=5)
+        cfg = self.forecast_cfg(tmp_path, data, model)
+        assert run_cli("forecast", "--config", cfg, "--out", tmp_path / "fc") == 0
+        # an unmasked prediction window placed on unmasked truth times
+        values = read_tensor(data / "X.csv").values
+        write_tensor(tmp_path / "head.csv", SpatioTemporalTensor(values[:, :, :5]))
+        write_tensor(tmp_path / "tail.csv", SpatioTemporalTensor(values[:, :, 30:]))
+        assert run_cli("evaluate", "--truth", data / "X.csv", "--pred", tmp_path / "head.csv",
+                       "--offset", 0, "--out", tmp_path / "ev") == 0
+        assert run_cli("evaluate", "--truth", data / "X.csv", "--pred", tmp_path / "tail.csv",
+                       "--out", tmp_path / "ev_tail") == 0
+        assert read_json(tmp_path / "ev_tail" / "metrics.json")["nse"] == 1.0
+        # the same window placed across the masked time
+        assert run_cli("evaluate", "--truth", data / "X.csv", "--pred", tmp_path / "head.csv",
+                       "--offset", 3, "--out", tmp_path / "ev_gap") == 2
+
+
+class TestOverflowingForecast:
+    def test_exits_3_without_metrics(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5), sigma=0.1, x_sigma=0.1)
+        model = factorize(tmp_path, data, train_t=30, n_iters=2, sub_iters=5)
+        for name in ("Y0.csv", "Y1.csv"):
+            t = read_tensor(data / name)
+            write_tensor(data / f"big_{name}", SpatioTemporalTensor(1e160 * t.values))
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": [str(data / "big_Y0.csv"), str(data / "big_Y1.csv")],
+            "x_true": str(data / "X.csv"), "penalty": {"kind": "soft_freq", "lambda": 1.0},
+            "lam_over_xi": 0.1, "sweeps": 3, "sub_iters": 10,
+        }))
+        out = tmp_path / "fc"
+        assert run_cli("forecast", "--config", cfg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "numerical failure: encode_new: non-finite objective at outer iteration 1" in err
+        assert not (out / "metrics.json").exists()
 
 
 class TestConfigRoundTrip:

@@ -75,9 +75,8 @@ class TestEncode:
             (Penalty.soft_freq(0.5), EncodeConfig(sweeps=5, seed=4)),
             (Penalty.hard_freq(R=2), EncodeConfig(sweeps=5, seed=4)),
             (
-                Penalty.hard_freq(R=2),
-                EncodeConfig(sweeps=5, seed=4, variant="tos",
-                             mask=FrequencyMask.same(2, 16, [0, 2])),
+                Penalty.hard_freq(R=2, mask=FrequencyMask.same(2, 16, [0, 2])),
+                EncodeConfig(sweeps=5, seed=4, variant="tos"),
             ),
         ]:
             h, _ = encode_new(y, wp, penalty, 0.3, cfg)
@@ -163,19 +162,6 @@ class TestNse:
             nse(np.ones((3, 5)), np.zeros((3, 5)))
         with pytest.raises(ValueError):
             nse(np.ones((3, 1)), np.ones((3, 1)))
-
-
-class TestForecastResult:
-    def test_validates_trailing_block_and_sign(self):
-        from freqfact import ForecastResult, SpatioTemporalTensor
-
-        full = np.abs(np.random.default_rng(0).standard_normal((2, 6)))
-        tensor = SpatioTemporalTensor(np.zeros((1, 1, 2)))
-        ForecastResult(full, full[:, 4:], tensor)  # ok
-        with pytest.raises(ValueError):
-            ForecastResult(full, full[:, :2], tensor)  # not the trailing block
-        with pytest.raises(ValueError):
-            ForecastResult(full - 10.0, (full - 10.0)[:, 4:], tensor)
 
 
 class TestAtomRemovalScan:

@@ -11,8 +11,6 @@ from freqfact import (
     penalty_subgradient,
     penalty_value,
     project_frequency_mask,
-    prox_hard_mask,
-    prox_nonnegative,
 )
 
 from helpers import central_diff, dft_definitional, minkowski_definitional, sample_differentiable_h
@@ -103,40 +101,6 @@ def test_precomputed_spectrum_gives_the_same_terms():
 def test_hard_freq_has_no_subgradient():
     with pytest.raises(ValueError):
         penalty_subgradient(np.zeros((1, 4)), Penalty.hard_freq(R=1))
-
-
-def test_prox_nonnegative():
-    assert prox_nonnegative(np.array([[-1.0, 2.0]])).tolist() == [[0.0, 2.0]]
-    rng = np.random.default_rng(24)
-    v = np.abs(rng.standard_normal((2, 4)))
-    assert np.array_equal(prox_nonnegative(v), v)
-    w = rng.standard_normal((3, 5))
-    assert np.array_equal(prox_nonnegative(w), np.where(w > 0, w, 0.0))
-
-
-def test_prox_hard_mask():
-    rng = np.random.default_rng(25)
-    T = 10
-    full = FrequencyMask.full(2, T)
-    v = rng.standard_normal((2, T))
-    assert np.allclose(prox_hard_mask(v, full), v, atol=1e-12)
-    mask = FrequencyMask.same(2, T, [0, 3])
-    band = project_frequency_mask(v, mask)
-    assert np.allclose(prox_hard_mask(band, mask), band, atol=1e-12)
-    projected = prox_hard_mask(v, mask)
-    spec = np.abs(dft_rows(projected))
-    out = spec[~mask.to_bool()]
-    assert np.all(out <= 1e-8 * np.linalg.norm(spec))
-
-
-def test_prox_operators_nonexpansive():
-    rng = np.random.default_rng(26)
-    mask = FrequencyMask.same(2, 8, [0, 1])
-    for _ in range(25):
-        u = rng.standard_normal((2, 8))
-        v = rng.standard_normal((2, 8))
-        assert np.linalg.norm(prox_nonnegative(u) - prox_nonnegative(v)) <= np.linalg.norm(u - v) + 1e-12
-        assert np.linalg.norm(prox_hard_mask(u, mask) - prox_hard_mask(v, mask)) <= np.linalg.norm(u - v) + 1e-12
 
 
 def test_hard_feasibility_iff_projection_fixed_point():

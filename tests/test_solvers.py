@@ -13,6 +13,7 @@ from freqfact import (
     SingularGramError,
     StepSchedule,
     alternating_pgd,
+    code_step,
     dft_rows,
     inverse_usage_ratio,
     objective,
@@ -307,7 +308,6 @@ class TestSsnmfBcd:
         assert report.terminated == "tol_reached"
         assert report.wall_iters < 300
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_naming_solver_and_iteration(self):
         # sqrt(xi) = 1e150 scales the auxiliary rows; the code step's
         # squared gradient norms overflow on the first outer iteration
@@ -480,7 +480,6 @@ class TestSsnmfHard:
         assert np.all(model.H >= 0.0)
         assert len(report.objective_trace) == 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_naming_solver_and_iteration(self):
         x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
         mask = FrequencyMask.same(2, 20, [0, 2, 5])
@@ -502,3 +501,91 @@ class TestSsnmfHard:
         _, r2 = ssnmf_hard(x, y, hyper, 2, n_iters=4, seed=3, sub_iters=15)
         assert r1.objective_trace == r2.objective_trace
         assert r1.extras["offmask_after_projection"] == r2.extras["offmask_after_projection"]
+
+
+MASK16 = FrequencyMask.same(2, 16, [0, 2])
+
+
+class TestCodeStep:
+    @pytest.mark.parametrize("penalty, variant, R, want", [
+        (Penalty.ridge(0.1), None, None, "pgd"),
+        (Penalty.lasso(0.1), None, None, "pgd"),
+        (Penalty.soft_freq(0.1), None, None, "pgd"),
+        (Penalty.hard_freq(R=2), None, None, "heuristic"),
+        (Penalty.hard_freq(mask=MASK16), None, None, "tos"),
+        (Penalty.hard_freq(R=2, mask=MASK16), None, None, "tos"),
+        (Penalty.hard_freq(R=2, mask=MASK16), "heuristic", None, "heuristic"),
+        (Penalty.hard_freq(mask=MASK16), "heuristic", 3, "heuristic"),
+        (Penalty.hard_freq(R=2), "heuristic", 3, "heuristic"),
+        (Penalty.ridge(0.1), "heuristic", 2, "heuristic"),
+        (Penalty("ridge", 0.1, mask=MASK16), "tos", None, "tos"),
+        (Penalty.soft_freq(0.1), "pgd", None, "pgd"),
+    ])
+    def test_choice_and_solver(self, penalty, variant, R, want):
+        rng = np.random.default_rng(48)
+        wbar = rng.standard_normal((7, 2))
+        xbar = np.abs(rng.standard_normal((7, 16)))
+        h0 = np.abs(rng.standard_normal((2, 16)))
+        got, step = code_step(penalty, variant, R)
+        assert got == want
+        h, sub = step(xbar, wbar, h0, 6)
+        if want == "pgd":
+            ref, ref_sub = solve_H_pgd(xbar, wbar, h0, penalty, None, 6)
+        elif want == "heuristic":
+            ref, ref_sub = alternating_pgd(h0, wbar, xbar, R if R is not None else penalty.R, 6)
+        else:
+            gram, cross = wbar.T @ wbar, wbar.T @ xbar
+            ref, ref_sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), MASK16,
+                                                    h0, 6)
+            last = ref_sub.extras["last_iterate"]
+            ref_sub.objective_trace.append(float(np.sum((xbar - wbar @ last) ** 2)))
+        assert np.array_equal(h, ref)
+        assert sub.step_trace == ref_sub.step_trace
+        assert sub.objective_trace[-1] == pytest.approx(ref_sub.objective_trace[-1], rel=1e-12)
+
+    def test_pgd_options_reach_the_solver(self):
+        rng = np.random.default_rng(49)
+        wbar = rng.standard_normal((5, 2))
+        xbar = rng.standard_normal((5, 8))
+        h0 = rng.standard_normal((2, 8))
+        sched = StepSchedule("diminishing_c_over_j", c=0.01)
+        _, step = code_step(Penalty.lasso(0.2), sched=sched, nonneg=False)
+        h, sub = step(xbar, wbar, h0, 4)
+        ref, ref_sub = solve_H_pgd(xbar, wbar, h0, Penalty.lasso(0.2), sched, 4, nonneg=False)
+        assert np.array_equal(h, ref) and sub.step_trace == ref_sub.step_trace
+
+    def test_heuristic_priority_reaches_the_solver(self):
+        rng = np.random.default_rng(50)
+        wbar = rng.standard_normal((6, 2))
+        xbar = rng.standard_normal((6, 16))
+        h0 = np.abs(rng.standard_normal((2, 16)))
+        _, step = code_step(Penalty.hard_freq(R=3), priority="frequency")
+        h, _ = step(xbar, wbar, h0, 5)
+        assert np.array_equal(h, alternating_pgd(h0, wbar, xbar, 3, 5, "frequency")[0])
+
+    @pytest.mark.parametrize("penalty, variant, R, match", [
+        (Penalty.hard_freq(R=2), "pgd", None, "cannot solve a hard-frequency penalty"),
+        (Penalty.hard_freq(mask=MASK16), "pgd", None, "cannot solve a hard-frequency penalty"),
+        (Penalty.ridge(0.1), "heuristic", None, "needs R"),
+        (Penalty.hard_freq(mask=MASK16), "heuristic", None, "needs R"),
+        (Penalty.hard_freq(R=2), "tos", None, "needs a fixed FrequencyMask"),
+        (Penalty.soft_freq(0.1), "tos", 2, "needs a fixed FrequencyMask"),
+        (Penalty.ridge(0.1), "hals", None, "unknown code-step variant"),
+    ])
+    def test_errors(self, penalty, variant, R, match):
+        with pytest.raises(ValueError, match=match):
+            code_step(penalty, variant, R)
+
+    def test_tos_mask_length_must_match_the_code(self):
+        _, step = code_step(Penalty.hard_freq(mask=MASK16))
+        with pytest.raises(ValueError, match="mask is for T=16, H has 12 columns"):
+            step(np.ones((3, 12)), np.ones((3, 2)), np.ones((2, 12)), 3)
+
+    def test_ssnmf_hard_without_variant_follows_the_band(self):
+        x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=6)
+        hyper = Hyper(2, 1.0, Penalty.hard_freq(mask=MASK16))
+        _, rep = ssnmf_hard(x, y, hyper, None, n_iters=2, variant=None, sub_iters=5)
+        assert rep.extras["variant"] == "tos"
+        _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, variant=None,
+                            sub_iters=5)
+        assert rep.extras["variant"] == "heuristic"

@@ -303,6 +303,21 @@ class TestFrequencyMask:
         assert np.allclose(project_frequency_mask(p, m), p, atol=1e-10)
         assert abs(np.vdot(h - p, p)) <= 1e-8
 
+    def test_projection_zeroes_offmask_spectrum(self):
+        rng = np.random.default_rng(25)
+        mask = FrequencyMask.same(2, 10, [0, 3])
+        spec = np.abs(dft_rows(project_frequency_mask(rng.standard_normal((2, 10)), mask)))
+        assert np.all(spec[~mask.to_bool()] <= 1e-8 * np.linalg.norm(spec))
+
+    def test_projection_is_nonexpansive(self):
+        rng = np.random.default_rng(26)
+        mask = FrequencyMask.same(2, 8, [0, 1])
+        for _ in range(25):
+            u = rng.standard_normal((2, 8))
+            v = rng.standard_normal((2, 8))
+            moved = project_frequency_mask(u, mask) - project_frequency_mask(v, mask)
+            assert np.linalg.norm(moved) <= np.linalg.norm(u - v) + 1e-12
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             project_frequency_mask(np.zeros((1, 5)), FrequencyMask.full(1, 4))
