@@ -17,6 +17,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -67,11 +69,37 @@ def penalty_from_dict(d: dict) -> Penalty:
     return Penalty(d["kind"], float(d.get("lambda", 0.0)), d.get("R"), mask)
 
 
+_SCALAR_NAMES = {int: "an int", float: "a number", str: "a string"}
+
+
+def _check_scalar(name: str, annotation, value) -> None:
+    """Raise ValueError naming the field when ``value`` does not fit a
+    scalar annotation (int, float or str, optionally ``| None``).  bool is
+    no number here, and an int stands for a float; other annotations pass."""
+    union = isinstance(annotation, types.UnionType)
+    args = typing.get_args(annotation) if union else (annotation,)
+    kinds = [a for a in args if a is not type(None)]
+    if len(kinds) != 1 or kinds[0] not in _SCALAR_NAMES:
+        return
+    kind, optional = kinds[0], len(args) > len(kinds)
+    if value is None and optional:
+        return
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+    if not ok:
+        want = _SCALAR_NAMES[kind] + (" or null" if optional else "")
+        raise ValueError(f"config field {name!r} must be {want}, got {type(value).__name__} {value!r}")
+
+
 def _from_dict(cls, d: dict):
-    names = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(d) - names
+    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+    unknown = set(d) - set(fields)
     if unknown:
         raise ValueError(f"unknown config fields for {cls.__name__}: {sorted(unknown)}")
+    for name, value in d.items():
+        _check_scalar(name, fields[name].type, value)
     return cls(**d)
 
 
@@ -217,15 +245,29 @@ def _aux_paths(y_paths) -> list[str]:
 
 
 def _load_model(model_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, Wp and H from a model directory, checked against each other and,
+    when the directory's ``report.json`` records a ``train_t``, H's length
+    against it."""
     model_dir = Path(model_dir)
     for name in ("W.csv", "Wp.csv", "H.csv"):
         if not (model_dir / name).exists():
             raise FileNotFoundError(f"model file missing: {model_dir / name}")
-    return (
-        fio.read_matrix(model_dir / "W.csv"),
-        fio.read_matrix(model_dir / "Wp.csv"),
-        fio.read_matrix(model_dir / "H.csv"),
-    )
+    w = fio.read_matrix(model_dir / "W.csv")
+    wp = fio.read_matrix(model_dir / "Wp.csv")
+    h = fio.read_matrix(model_dir / "H.csv")
+    r = w.shape[1]
+    if wp.shape[1] != r:
+        raise ValueError(f"{model_dir / 'Wp.csv'} has {wp.shape[1]} columns, but W.csv has {r}")
+    if h.shape[0] != r:
+        raise ValueError(f"{model_dir / 'H.csv'} has {h.shape[0]} rows, but W.csv has {r} columns")
+    if (model_dir / "report.json").exists():
+        config = fio.read_json(model_dir / "report.json")
+        config = config.get("config") if isinstance(config, dict) else None
+        train_t = config.get("train_t") if isinstance(config, dict) else None
+        if train_t is not None and h.shape[1] != train_t:
+            raise ValueError(f"{model_dir / 'H.csv'} has {h.shape[1]} columns, but "
+                             f"{model_dir / 'report.json'} records train_t = {train_t}")
+    return w, wp, h
 
 
 def _point_seed(master: int, index: int) -> int:

@@ -6,6 +6,12 @@ the learned auxiliary dictionary; the trailing columns of that code drive the
 prediction of the main data over the test period.  Encoding always uses the
 entire auxiliary period: a code fit only on the short test window cannot
 carry frequencies longer than that window.
+
+The atom-removal scan makes two encodes: the baseline, exactly as a
+forecast encodes, and all r single-atom removals as one stack of r
+dictionaries of r - 1 atoms each.  The heuristic code step solves that
+stack in one pass; the subgradient and splitting steps solve it block by
+block.
 """
 
 from dataclasses import dataclass, replace
@@ -14,6 +20,7 @@ import numpy as np
 
 from .regularization import Penalty
 from .solvers import FactorModel, SolveReport, _require_finite, code_step
+from .spectral import FrequencyMask
 from .tensor import SpatioTemporalTensor, fold
 
 __all__ = [
@@ -46,6 +53,12 @@ class EncodeConfig:
     variant: str | None = None
     R: int | None = None
 
+    def __post_init__(self):
+        # zero rounds would forecast from the random initial code
+        for name in ("sweeps", "sub_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def encode_new(
     y_full: np.ndarray,
@@ -53,7 +66,7 @@ def encode_new(
     penalty: Penalty,
     lam_over_xi: float,
     config: EncodeConfig | None = None,
-) -> tuple[np.ndarray, SolveReport]:
+) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
     """Nonnegative penalized code for the full-period auxiliary data:
 
         argmin_{H >= 0}  ||Y_full - Wp H||_F^2 + (lam/xi) * psi(H)
@@ -62,28 +75,42 @@ def encode_new(
     ``penalty``.  Output is elementwise nonnegative.  The report holds the
     objective of the last iterate of each round; a non-finite code or
     objective raises :class:`~freqfact.exceptions.ConvergenceError` naming
-    the round.
+    the round.  The code step records no per-iteration diagnostics here
+    (see :func:`~freqfact.solvers.code_step`), since only each round's last
+    objective is kept.
+
+    A stacked ``wp`` (B, m, k) encodes against B dictionaries with one
+    stacked code step per round and returns the (B, k, T) codes and a list
+    of B reports, each equal bit for bit to a separate 2-D call's; every
+    block starts from the same seeded code, a fixed mask in ``penalty``
+    holds the blocks' rows in order, and a non-finite block is named.
     """
     y_full = np.asarray(y_full, dtype=float)
     wp = np.asarray(wp, dtype=float)
     if lam_over_xi < 0:
         raise ValueError("lam_over_xi must be nonnegative")
     config = config or EncodeConfig()
-    r = wp.shape[1]
+    flat = wp.ndim == 2
+    blocks = 1 if flat else wp.shape[0]
     rng = np.random.default_rng(config.seed)
-    h = np.abs(rng.standard_normal((r, y_full.shape[1])))
-    variant, step = code_step(replace(penalty, lam=lam_over_xi), config.variant, config.R)
+    h = np.abs(rng.standard_normal((wp.shape[-1], y_full.shape[1])))
+    if not flat:
+        h = np.repeat(h[None], blocks, axis=0)
+    variant, step = code_step(replace(penalty, lam=lam_over_xi), config.variant, config.R,
+                              _diagnostics=False)
     rounds, iters = config.sweeps, config.sub_iters
     if variant == "tos":
         rounds, iters = 1, rounds * iters
-    report = SolveReport(wall_iters=rounds * iters)
+    reports = [SolveReport(wall_iters=rounds * iters) for _ in range(blocks)]
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(rounds):
-            h, sub = step(y_full, wp, h, iters)
-            _require_finite("encode_new", it, H=h, objective=sub.objective_trace[-1])
-            report.objective_trace.append(sub.objective_trace[-1])
-            report.step_trace.append(sub.step_trace[0])
-    return h, report
+            h, subs = step(y_full, wp, h, iters)
+            per_block = [(None, h, subs)] if flat else zip(range(blocks), h, subs)
+            for report, (b, hb, sub) in zip(reports, per_block):
+                _require_finite("encode_new", it, b, H=hb, objective=sub.objective_trace[-1])
+                report.objective_trace.append(sub.objective_trace[-1])
+                report.step_trace.append(sub.step_trace[0])
+    return (h, reports[0]) if flat else (h, reports)
 
 
 def predict(w: np.ndarray, h_new: np.ndarray, A: int, B: int) -> SpatioTemporalTensor:
@@ -154,20 +181,21 @@ def atom_removal_scan(
     if x_full.shape[1] <= T + 1:
         raise ValueError("truth must extend at least two columns past the training period")
 
-    def score(w, wp, pen):
-        h_new_full, _ = encode_new(y_full, wp, pen, lam_over_xi, config)
-        pred = w @ h_new_full[:, T:]
-        return nse(x_full[:, T:], pred)
+    def score(w, h_new_full):
+        return nse(x_full[:, T:], w @ h_new_full[:, T:])
 
-    baseline = score(model.W, model.Wp, penalty)
+    baseline = score(model.W, encode_new(y_full, model.Wp, penalty, lam_over_xi, config)[0])
+    # every removal leaves r - 1 atoms, so all r encode as one stack
+    r = model.hyper.r
+    pen_red = penalty
+    if penalty.mask is not None:
+        rows = sum((penalty.mask.without_row(s).kept for s in range(r)), ())
+        pen_red = replace(penalty, mask=FrequencyMask(penalty.mask.T, rows))
+    wp_red = np.stack([np.delete(model.Wp, s, axis=1) for s in range(r)])
+    h_red, _ = encode_new(y_full, wp_red, pen_red, lam_over_xi, config)
     entries = []
-    for s in range(model.hyper.r):
-        w_red = np.delete(model.W, s, axis=1)
-        wp_red = np.delete(model.Wp, s, axis=1)
-        pen_red = penalty
-        if penalty.mask is not None:
-            pen_red = replace(penalty, mask=penalty.mask.without_row(s))
-        val = score(w_red, wp_red, pen_red)
+    for s in range(r):
+        val = score(np.delete(model.W, s, axis=1), h_red[s])
         entries.append(ScanEntry(s, val, val - baseline))
     entries.sort(key=lambda e: -e.nse_after)
     return [ScanEntry(None, baseline, 0.0)] + entries

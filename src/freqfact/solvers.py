@@ -21,6 +21,22 @@ hard_freq penalty with a fixed mask, else the top-R heuristic).
 they record; encoding runs the same code step with the dictionary held
 fixed.  All solvers are deterministic given a seed: identical seeds and
 configs yield bit-identical reports.
+
+The code steps take a leading block axis: a code ``(B, k, T)`` with
+dictionaries ``(B, m, k)`` solves B independent problems against one
+``Xbar`` and returns the stacked codes with a list of B reports, each equal
+bit for bit to a separate 2-D call's.  :func:`alternating_pgd` solves the
+stack in one pass (one batched G H and one top-R projection over all B k
+rows per iteration), keeping each block's step sizes and objectives;
+:func:`solve_H_pgd` and :func:`three_operator_splitting` stay 2-D, and
+:func:`code_step` runs them once per block.
+
+Diagnostics: :func:`solve_H_pgd` scores every iterate, since it returns the
+best one; :func:`three_operator_splitting` records its step sizes, and
+:func:`code_step` adds the last iterate's exact residual; by default
+:func:`alternating_pgd` records every iterate's objective and off-mask
+ratio, which :func:`ssnmf_hard` keeps, while encoding asks it for the last
+objective only.
 """
 
 import math
@@ -194,6 +210,29 @@ def _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) -> float:
     return val
 
 
+def _stacked(h0, wbar) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Float copy of the code ``h0`` and view of ``wbar`` with a leading
+    block axis, ``(B, k, T)`` and ``(B, m, k)``, and whether the call was
+    2-D (one block)."""
+    h = np.array(h0, dtype=float, order="C")
+    wbar = np.asarray(wbar, dtype=float)
+    flat = h.ndim == 2
+    if flat:
+        h, wbar = h[None], wbar[None]
+    if h.ndim != 3 or wbar.ndim != 3 or wbar.shape[0] != h.shape[0]:
+        raise ValueError(f"code {h.shape} and dictionary {wbar.shape} are not matching "
+                         "2-D matrices or (blocks, ., .) stacks")
+    return h, wbar, flat
+
+
+def _per_block(solve, xbar, wbar, h, iters):
+    """A stacked code step as one 2-D ``solve(b, xbar, wbar[b], h[b], iters)``
+    per block b: the (B, k, T) codes and the list of B reports."""
+    h, wbar, _ = _stacked(h, wbar)
+    out = [solve(b, xbar, w, hb, iters) for b, (w, hb) in enumerate(zip(wbar, h))]
+    return np.stack([hb for hb, _ in out]), [sub for _, sub in out]
+
+
 def _objective_smooth(x: np.ndarray, y_t: np.ndarray, model: FactorModel) -> float:
     """Objective without the code penalty (finite even off the hard set)."""
     h = model.hyper
@@ -326,12 +365,15 @@ def _init_factors(x, y_t, hyper, seed):
     return w, wp, h
 
 
-def _require_finite(solver: str, it: int, **values) -> None:
+def _require_finite(solver: str, it: int, block: int | None = None, **values) -> None:
     """Raise :class:`ConvergenceError` naming the solver, the (1-based) outer
-    iteration and each named value that is not finite."""
+    iteration, the block of a stacked solve if given, and each named value
+    that is not finite."""
     bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
     if bad:
-        raise ConvergenceError(f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}")
+        where = "" if block is None else f" in block {block}"
+        raise ConvergenceError(
+            f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}{where}")
 
 
 def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step, extras, first, after):
@@ -476,7 +518,9 @@ def alternating_pgd(
     R: int,
     n_iters: int,
     priority: str = "nonneg",
-) -> tuple[np.ndarray, SolveReport]:
+    *,
+    _diagnostics: bool = True,
+) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
     """Heuristic code solver with adaptive per-row top-R frequency masks.
 
     Per iteration (priority="nonneg", the default): project each row onto its
@@ -496,46 +540,65 @@ def alternating_pgd(
     ``extras["offmask_after_projection"]`` records, per iteration, the
     largest per-row relative out-of-mask spectral mass measured immediately
     after the frequency projection; ``extras["offmask_final"]`` measures the
-    returned code against its own top-R mask.
+    returned code against its own top-R mask.  With ``_diagnostics=False``
+    neither off-mask extra is recorded and the objective trace holds only
+    the last iterate's objective, which saves one ``rfft`` and one Gram-form
+    objective per iteration.
+
+    ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
+    against the one ``xbar`` in one pass: one top-R projection over all
+    B k rows and one batched G H per iteration.  It returns the (B, k, T)
+    codes and a list of B reports, each equal bit for bit to a separate 2-D
+    call's.
     """
     if priority not in ("nonneg", "frequency"):
         raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
-    wbar = np.asarray(wbar, dtype=float)
-    gram = wbar.T @ wbar
-    cross = wbar.T @ xbar
-    lip = float(np.linalg.norm(gram, 2))
-    base = 1.0 / (2.0 * lip + 1.0)
+    h, wbar, flat = _stacked(h0, wbar)
+    B, k, T = h.shape
+    # each block's G and C formed as a 2-D call forms them, so stacked and
+    # separate solves agree bit for bit
+    gram = np.stack([w.T @ w for w in wbar])
+    cross = np.stack([w.T @ xbar for w in wbar])
+    base = np.array([1.0 / (2.0 * float(np.linalg.norm(g, 2)) + 1.0) for g in gram])
+    gammas = base[:, None] / np.arange(1, n_iters + 1)  # (B, n_iters)
+    rates = (gammas.T * 2.0)[:, :, None, None]
+    blocks = list(zip(wbar, cross))
     x_sq = float(np.sum(xbar * xbar))
-
-    h = np.asarray(h0, dtype=float).copy()
-    T = h.shape[1]
-    offmask = []
-    report = SolveReport(extras={"offmask_after_projection": offmask})
+    objectives = [[] for _ in range(B)]
+    offmask = []  # per iteration, each block's largest row ratio
 
     def freq_project(m):
-        spec, keep = top_r_keep(m, R)
+        spec, keep = top_r_keep(m.reshape(B * k, T), R)
         out = np.fft.irfft(np.where(keep, spec, 0.0), n=T, axis=1)
-        offmask.append(float(half_offmask_ratio(np.fft.rfft(out, axis=1), keep, T).max()))
-        return out
+        if _diagnostics:
+            ratio = half_offmask_ratio(np.fft.rfft(out, axis=1), keep, T)
+            offmask.append(ratio.reshape(B, k).max(axis=1))
+        return out.reshape(B, k, T)
 
     for j in range(n_iters):
-        gamma = base / (j + 1)
+        rate = rates[j]
         if priority == "nonneg":
             h = freq_project(h)
-            h = h - gamma * 2.0 * (gram @ h - cross)
+            h = h - rate * (np.matmul(gram, h) - cross)
             h = np.maximum(h, 0.0)
         else:
             h = np.maximum(h, 0.0)
-            h = h - gamma * 2.0 * (gram @ h - cross)
+            h = h - rate * (np.matmul(gram, h) - cross)
             h = freq_project(h)
-        report.objective_trace.append(_gram_sq_residual(xbar, wbar, x_sq, cross, h, gram @ h))
-        report.step_trace.append(gamma)
-    report.wall_iters = n_iters
-    report.extras["offmask_final"] = float(half_offmask_ratio(*top_r_keep(h, R), T).max())
-    return h, report
+        if _diagnostics or j == n_iters - 1:
+            for trace, (w, c), hb, ghb in zip(objectives, blocks, h, np.matmul(gram, h)):
+                trace.append(_gram_sq_residual(xbar, w, x_sq, c, hb, ghb))
+    reports = [SolveReport(trace, steps, wall_iters=n_iters)
+               for trace, steps in zip(objectives, gammas.tolist())]
+    if _diagnostics:
+        final = half_offmask_ratio(*top_r_keep(h.reshape(B * k, T), R), T).reshape(B, k)
+        for report, trace, last in zip(reports, np.array(offmask).T.tolist(), final.max(axis=1)):
+            report.extras["offmask_after_projection"] = trace
+            report.extras["offmask_final"] = float(last)
+    return (h[0], reports[0]) if flat else (h, reports)
 
 
 def code_step(
@@ -546,6 +609,7 @@ def code_step(
     priority: str = "nonneg",
     sched: StepSchedule | None = None,
     nonneg: bool = True,
+    _diagnostics: bool = True,
 ):
     """Pick the code solver for penalty ``p``; returns ``(variant, step)``.
 
@@ -557,7 +621,13 @@ def code_step(
     (:func:`three_operator_splitting`) for a hard_freq penalty with a fixed
     mask, and "heuristic" (:func:`alternating_pgd`) for one without.  ``R``
     overrides ``p.R`` for the heuristic.  ``sched`` and ``nonneg`` go to the
-    subgradient method, ``priority`` to the heuristic.
+    subgradient method, ``priority`` and ``_diagnostics`` to the heuristic.
+
+    ``step`` also takes stacked ``h0`` (B, k, T) and ``wbar`` (B, m, k) and
+    then returns (B, k, T) codes and a list of B reports, each equal bit for
+    bit to a separate 2-D call's.  The heuristic solves the stack in one
+    pass; "pgd" and "tos" run their 2-D solver once per block, "tos" with
+    block b's rows of the fixed mask, which holds the blocks' rows in order.
     """
     if variant is None:
         if p.kind != "hard_freq":
@@ -567,24 +637,35 @@ def code_step(
     if variant == "pgd":
         if p.kind == "hard_freq":
             raise ValueError("the pgd code step cannot solve a hard-frequency penalty")
-        return variant, lambda xbar, wbar, h, iters: solve_H_pgd(
-            xbar, wbar, h, p, sched, iters, nonneg)
+
+        def pgd(xbar, wbar, h, iters):
+            if np.ndim(h) == 2:
+                return solve_H_pgd(xbar, wbar, h, p, sched, iters, nonneg)
+            return _per_block(lambda _, *args: pgd(*args), xbar, wbar, h, iters)
+
+        return variant, pgd
     if variant == "heuristic":
         R = R if R is not None else p.R
         if R is None:
             raise ValueError("the heuristic code step needs R")
         return variant, lambda xbar, wbar, h, iters: alternating_pgd(
-            h, wbar, xbar, R, iters, priority)
+            h, wbar, xbar, R, iters, priority, _diagnostics=_diagnostics)
     if variant != "tos":
         raise ValueError(f"unknown code-step variant {variant!r}, expected pgd, heuristic or tos")
     mask = p.mask
     if mask is None:
         raise ValueError("the tos code step needs a fixed FrequencyMask")
 
-    def tos(xbar, wbar, h, iters):
+    def tos(xbar, wbar, h, iters, rows=mask):
+        if np.ndim(h) == 3:
+            B, k, _ = np.shape(h)
+            if mask.rows != B * k:
+                raise ValueError(f"mask has {mask.rows} rows, H has {B * k}")
+            return _per_block(lambda b, *args: tos(
+                *args, FrequencyMask(mask.T, mask.kept[b * k:(b + 1) * k])), xbar, wbar, h, iters)
         gram = wbar.T @ wbar
         cross = wbar.T @ xbar
-        h, sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), mask, h, iters)
+        h, sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), rows, h, iters)
         sub.objective_trace.append(_sq_residual(xbar, wbar, sub.extras["last_iterate"]))
         return h, sub
 

@@ -501,6 +501,104 @@ class TestOverflowingForecast:
         assert not (out / "metrics.json").exists()
 
 
+class TestValidatedInputs:
+    """Configs and models that would otherwise run on nonsense exit 2, name
+    the field or file, and write nothing."""
+
+    @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+    @pytest.mark.parametrize("field_name", ["sweeps", "sub_iters"])
+    def test_zero_encode_iterations_exit_2(self, tmp_path, capsys, command, field_name):
+        data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": str(data / "Y_full.csv"),
+            "x_true": str(data / "X_full.csv"), field_name: 0,
+        }))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert f"{field_name} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+    @pytest.mark.parametrize("name, axis, want", [
+        ("Wp.csv", 1, "Wp.csv has 4 columns, but W.csv has 2"),
+        ("H.csv", 0, "H.csv has 4 rows, but W.csv has 2 columns"),
+    ])
+    def test_model_with_disagreeing_atoms_exits_2(self, tmp_path, capsys, command, name, axis,
+                                                  want):
+        from freqfact.io import write_matrix
+
+        data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
+        write_matrix(model / name, np.concatenate([read_matrix(model / name)] * 2, axis=axis))
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": str(data / "Y_full.csv"), "x_true": str(data / "X_full.csv"),
+        }))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert f"{model}/{want}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+    def test_code_cut_short_of_train_t_exits_2(self, tmp_path, capsys, command):
+        from freqfact.io import write_matrix
+
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5), sigma=0.1, x_sigma=0.1)
+        model = factorize(tmp_path, data, train_t=30, n_iters=2, sub_iters=5)
+        write_matrix(model / "H.csv", read_matrix(model / "H.csv")[:, :10])
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "x_true": str(data / "X.csv"), "sweeps": 2, "sub_iters": 5,
+        }))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'H.csv'} has 10 columns" in err and "train_t = 30" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cls, name, value, want", [
+        (FactorizeConfig, "r", "2", "an int"),
+        (FactorizeConfig, "r", 2.0, "an int"),
+        (FactorizeConfig, "r", True, "an int"),
+        (FactorizeConfig, "R", "3", "an int or null"),
+        (FactorizeConfig, "seed", 1.5, "an int"),
+        (FactorizeConfig, "n_iters", None, "an int"),
+        (FactorizeConfig, "xi", "1", "a number"),
+        (FactorizeConfig, "xi", False, "a number"),
+        (FactorizeConfig, "tol", "1e-6", "a number or null"),
+        (FactorizeConfig, "variant", 1, "a string"),
+        (FactorizeConfig, "x", None, "a string"),
+        (FactorizeConfig, "train_t", 30.0, "an int or null"),
+        (ForecastConfig, "sweeps", "3", "an int"),
+        (ForecastConfig, "seed", 1.5, "an int"),
+        (ForecastConfig, "lam_over_xi", "0.1", "a number"),
+        (ForecastConfig, "variant", 2, "a string or null"),
+        (ForecastConfig, "x_true", 1, "a string or null"),
+        (ForecastConfig, "a", 2.5, "an int or null"),
+    ])
+    def test_mistyped_scalar_names_the_field(self, cls, name, value, want):
+        with pytest.raises(ValueError, match=f"config field '{name}' must be {want}, got"):
+            cls.from_dict({name: value})
+
+    @pytest.mark.parametrize("cls, fields", [
+        (FactorizeConfig, {"xi": 1, "tol": 0, "lambda1": 2, "R": None, "train_t": None}),
+        (ForecastConfig, {"lam_over_xi": 0, "x_true": None, "variant": None, "a": 3}),
+    ])
+    def test_ints_stand_for_floats_and_null_for_optionals(self, cls, fields):
+        cfg = cls.from_dict(fields)
+        assert all(getattr(cfg, k) == v for k, v in fields.items())
+
+    def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"x": str(data / "X.csv"), "y": str(data / "Y0.csv"),
+                                   "seed": 1.5}))
+        assert run_cli("factorize", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "config field 'seed' must be an int, got float 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestConfigRoundTrip:
     def test_factorize_config(self):
         cfg = FactorizeConfig(x="a.csv", y=["b.csv"], r=3, xi=2.0,

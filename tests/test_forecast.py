@@ -1,7 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import freqfact.forecast as forecast
+import freqfact.solvers as solvers
 from freqfact import (
+    ConvergenceError,
     EncodeConfig,
     FactorModel,
     FrequencyMask,
@@ -93,6 +100,11 @@ class TestEncode:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             encode_new(np.ones((2, 2)), np.ones((2, 1)), Penalty.ridge(0.0), -0.1)
+
+    @pytest.mark.parametrize("field_name", ["sweeps", "sub_iters"])
+    def test_zero_iterations_rejected(self, field_name):
+        with pytest.raises(ValueError, match=f"{field_name} must be >= 1, got 0"):
+            EncodeConfig(**{field_name: 0})
 
 
 class TestPredict:
@@ -202,9 +214,105 @@ class TestAtomRemovalScan:
         want = nse(x_full[:, T:], (model.W @ h_new)[:, T:])
         assert entries[0].nse_after == want
 
+    @pytest.mark.parametrize("penalty, variant", [
+        (Penalty.hard_freq(R=2), "heuristic"),
+        (Penalty.hard_freq(mask=FrequencyMask.same(3, 60, [0, 4, 7])), "tos"),
+    ])
+    def test_baseline_equals_unmodified_pipeline_hard(self, penalty, variant):
+        model, x_full, y_full, T = noise_atom_fixture(52)
+        cfg = EncodeConfig(sweeps=4, sub_iters=20, seed=3, variant=variant)
+        entries = atom_removal_scan(model, x_full, y_full, penalty, 0.0, cfg)
+        h_new, _ = encode_new(y_full, model.Wp, penalty, 0.0, cfg)
+        want = nse(x_full[:, T:], (model.W @ h_new)[:, T:])
+        assert entries[0].nse_after == want
+
     def test_single_atom_rejected(self):
         rng = np.random.default_rng(71)
         model = FactorModel(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)),
                             np.abs(rng.standard_normal((1, 6))), Hyper(1, 1.0, Penalty.ridge(0.0)))
         with pytest.raises(ValueError):
             atom_removal_scan(model, np.ones((4, 10)), np.ones((4, 10)), Penalty.ridge(0.0))
+
+
+def separate_scan(model, x_full, y_full, penalty, lam, cfg):
+    """The scan as r + 1 separate 2-D encodes: baseline NSE and the NSE
+    after removing each atom."""
+    T = model.H.shape[1]
+
+    def score(w, wp, pen):
+        h, _ = encode_new(y_full, wp, pen, lam, cfg)
+        return nse(x_full[:, T:], w @ h[:, T:])
+
+    removed = []
+    for s in range(model.hyper.r):
+        pen = penalty if penalty.mask is None else replace(penalty, mask=penalty.mask.without_row(s))
+        removed.append(score(np.delete(model.W, s, axis=1), np.delete(model.Wp, s, axis=1), pen))
+    return score(model.W, model.Wp, penalty), removed
+
+
+@st.composite
+def scan_problems(draw):
+    """A model of r in 2..4 atoms trained on T in 8..40 columns, full-period
+    data 2..8 columns longer, and an encode penalty with its config."""
+    r, T = draw(st.integers(2, 4)), draw(st.integers(8, 40))
+    Ttot = T + draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = r + 3
+    w, wp = rng.standard_normal((d, r)), rng.standard_normal((d, r))
+    h_true = np.abs(rng.standard_normal((r, Ttot)))
+    x_full = w @ h_true + 0.1 * rng.standard_normal((d, Ttot))
+    y_full = wp @ h_true + 0.1 * rng.standard_normal((d, Ttot))
+    model = FactorModel(w, wp, np.abs(rng.standard_normal((r, T))), Hyper(r, 1.0, Penalty.ridge(0.0)))
+    kind = draw(st.sampled_from(["ridge", "lasso", "soft_freq", "heuristic", "tos"]))
+    penalty, variant = {
+        "ridge": (Penalty.ridge(0.1), None),
+        "lasso": (Penalty.lasso(0.1), None),
+        "soft_freq": (Penalty.soft_freq(0.1), None),
+        "heuristic": (Penalty.hard_freq(R=2), None),
+        "tos": (Penalty.hard_freq(mask=FrequencyMask.same(r, Ttot, [0, 2])), None),
+    }[kind]
+    cfg = EncodeConfig(sweeps=draw(st.integers(1, 3)), sub_iters=draw(st.integers(1, 8)),
+                       seed=draw(st.integers(0, 9)), variant=variant)
+    return model, x_full, y_full, penalty, cfg
+
+
+class TestStackedScan:
+    """The scan encodes the baseline and then all r removals as one stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=scan_problems())
+    def test_two_encodes_and_separate_results(self, problem):
+        model, x_full, y_full, penalty, cfg = problem
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecast, "encode_new",
+                       lambda *a, **kw: calls.append(np.ndim(a[1])) or encode_new(*a, **kw))
+            entries = atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
+        assert calls == [2, 3]
+        baseline, removed = separate_scan(model, x_full, y_full, penalty, 0.2, cfg)
+        assert entries[0].nse_after == baseline
+        assert {e.atom: e.nse_after for e in entries[1:]} == dict(enumerate(removed))
+        assert [e.nse_after for e in entries[1:]] == sorted(removed, reverse=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(problem=scan_problems())
+    def test_encoding_measures_no_offmask_ratio(self, problem):
+        model, x_full, y_full, penalty, cfg = problem
+
+        def forbidden(*_):
+            raise AssertionError("encode_new computed an off-mask ratio")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "half_offmask_ratio", forbidden)
+            encode_new(y_full, model.Wp, penalty, 0.2, cfg)
+            atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
+
+    def test_stacked_encode_names_the_failing_block(self):
+        rng = np.random.default_rng(72)
+        wp = rng.standard_normal((3, 6, 2))
+        wp[1] *= 1e160
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConvergenceError, match="encode_new: non-finite .* at outer "
+                                                       "iteration 1 in block 1$"):
+                encode_new(rng.standard_normal((6, 12)), wp, Penalty.ridge(0.0), 0.0,
+                           EncodeConfig(sweeps=2, sub_iters=3))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqfact.solvers as solvers
 from freqfact import (
@@ -589,3 +591,82 @@ class TestCodeStep:
         _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, variant=None,
                             sub_iters=5)
         assert rep.extras["variant"] == "heuristic"
+
+
+@st.composite
+def stacked_problems(draw):
+    """B independent code problems against one Xbar: (xbar, wbar stack,
+    h0 stack, per-block masks) with B in 1..4, k in 1..3 and T in 8..40."""
+    B, k, T = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(8, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = k + draw(st.integers(1, 4))
+    xbar = np.abs(rng.standard_normal((m, T)))
+    wbar = rng.standard_normal((B, m, k))
+    h0 = np.abs(rng.standard_normal((B, k, T)))
+    masks = [FrequencyMask(T, tuple(FrequencyMask.same(1, T, rng.choice(T // 2 + 1, 2)).kept * k))
+             for _ in range(B)]
+    return xbar, wbar, h0, masks
+
+
+STACKED_STEPS = [
+    (Penalty.hard_freq(R=2), {}),
+    (Penalty.hard_freq(R=3), {"priority": "frequency"}),
+    (Penalty.ridge(0.3), {}),
+    (Penalty.lasso(0.2), {}),
+    (Penalty.soft_freq(0.5), {}),
+    ("tos", {}),
+]
+
+
+class TestStackedCodeStep:
+    """A stacked call is B separate 2-D calls in one pass, bit for bit."""
+
+    @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
+                             ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
+                                  "tos"])
+    @settings(max_examples=25, deadline=None)
+    @given(problem=stacked_problems(), iters=st.integers(1, 12))
+    def test_stack_equals_separate_calls(self, penalty, options, problem, iters):
+        xbar, wbar, h0, masks = problem
+        if penalty == "tos":
+            stacked_mask = FrequencyMask(masks[0].T, sum((mk.kept for mk in masks), ()))
+            _, step = code_step(Penalty.hard_freq(mask=stacked_mask))
+            steps = [code_step(Penalty.hard_freq(mask=mk))[1] for mk in masks]
+        else:
+            _, step = code_step(penalty, **options)
+            steps = [step] * len(masks)
+        h, subs = step(xbar, wbar, h0, iters)
+        assert h.shape == h0.shape and len(subs) == len(h0)
+        for b, one_step in enumerate(steps):
+            ref, ref_sub = one_step(xbar, wbar[b], h0[b], iters)
+            assert np.array_equal(h[b], ref)
+            assert subs[b].objective_trace == ref_sub.objective_trace
+            assert subs[b].step_trace == ref_sub.step_trace
+            assert subs[b].extras.keys() == ref_sub.extras.keys()
+
+    @pytest.mark.parametrize("priority", ["nonneg", "frequency"])
+    @settings(max_examples=25, deadline=None)
+    @given(problem=stacked_problems(), iters=st.integers(1, 12))
+    def test_heuristic_without_diagnostics_keeps_code_and_last_objective(self, priority,
+                                                                         problem, iters):
+        xbar, wbar, h0, _ = problem
+        h, subs = alternating_pgd(h0, wbar, xbar, 2, iters, priority, _diagnostics=False)
+        ref, ref_subs = alternating_pgd(h0, wbar, xbar, 2, iters, priority)
+        assert np.array_equal(h, ref)
+        for sub, ref_sub in zip(subs, ref_subs):
+            assert sub.objective_trace == ref_sub.objective_trace[-1:]
+            assert sub.step_trace == ref_sub.step_trace
+            assert "offmask_after_projection" not in sub.extras
+            assert len(ref_sub.extras["offmask_after_projection"]) == iters
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(ValueError, match="not matching"):
+            alternating_pgd(np.ones((2, 1, 8)), np.ones((3, 4, 1)), np.ones((4, 8)), 1, 2)
+        with pytest.raises(ValueError, match="not matching"):
+            code_step(Penalty.ridge(0.0))[1](np.ones((4, 8)), np.ones((3, 4, 1)),
+                                             np.ones((2, 1, 8)), 2)
+
+    def test_stacked_tos_mask_needs_every_block_row(self):
+        _, step = code_step(Penalty.hard_freq(mask=MASK16))
+        with pytest.raises(ValueError, match="mask has 2 rows, H has 4"):
+            step(np.ones((3, 16)), np.ones((2, 3, 2)), np.ones((2, 2, 16)), 3)

@@ -1,0 +1,122 @@
+"""Alternating A/B runs of the benchmark on two git revisions.
+
+Run from anywhere inside the repository:
+
+    python3 tools/ab_bench.py PARENT CHANGE --workload hard_scan --pairs 10
+
+Both revisions are exported with ``git archive`` into new temporary
+directories, so neither side runs in a tree that an earlier run left
+byte-compiled caches or work files in.  Pair i runs ``bench/run.py`` with
+seed 11 + i on both trees, the parent first in even pairs and the change
+first in odd ones, so drift of the host's speed falls on both sides alike.  The script prints, per metric, each side's median and
+quartiles and how many pairs the change read lower, higher or equal, and
+ends with one JSON object holding every run's metrics.  It leaves the
+repository's files, index and refs as they are and removes the exports.
+"""
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+# metrics to compare, read from the run's record.json; higher is better
+# only for forecast_nse
+METRICS = ("setup_s", "pipeline_s", "factorize_s", "forecast_s", "atom_scan_s",
+           "forecast_nse", "peak_rss_mb")
+FIRST_SEED = 11
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write revision ``rev``'s tree into ``dest``; returns its commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", "--format=tar", commit],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        if hasattr(tarfile, "data_filter"):
+            t.extractall(dest, filter="data")
+        else:
+            t.extractall(dest)
+    return commit
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run in ``tree``: its metrics and correctness."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=tree, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        record = json.loads((tree / ".bench_work" / workload / "record.json").read_text())
+    except (IndexError, ValueError, OSError):
+        return {"correct": False, "metrics": {}, "error": proc.stderr[-2000:]}
+    return {"correct": bool(result.get("correct")),
+            "failed_ops_frac": record.get("failed_ops_frac"),
+            "metrics": {k: v for k, v in record["metrics"].items() if k in METRICS}}
+
+
+def spread(values: list) -> str:
+    if len(values) < 2:
+        return f"{values[0]:.4g}" if values else "-"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def summary(runs: list) -> None:
+    print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
+          "change lower/higher/equal")
+    for name in METRICS:
+        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in runs
+                 if name in p["metrics"] and name in c["metrics"]]
+        if not pairs:
+            continue
+        lower = sum(c < p for p, c in pairs)
+        higher = sum(c > p for p, c in pairs)
+        print(f"{name:<14} {spread([p for p, _ in pairs]):<34} {spread([c for _, c in pairs]):<34} "
+              f"{lower}/{higher}/{len(pairs) - lower - higher}")
+    wrong = sum(not side["correct"] for pair in runs for side in pair)
+    print(f"runs not reading correct: {wrong} of {2 * len(runs)}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=20.0)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+
+    work = Path(tempfile.mkdtemp(prefix="ab_bench_"))
+    try:
+        trees = {"parent": work / "parent", "change": work / "change"}
+        commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
+        print(f"parent {commits['parent']} and change {commits['change']} exported to {work}")
+        runs = []
+        for i in range(args.pairs):
+            seed = FIRST_SEED + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            got = {side: bench(trees[side], args.workload, seed, args.seconds) for side in order}
+            runs.append((got["parent"], got["change"]))
+            line = ", ".join(f"{side} {got[side]['metrics'].get('pipeline_s', float('nan')):.4g} s"
+                             for side in order)
+            print(f"pair {i + 1} (seed {seed}) pipeline_s: {line}", flush=True)
+        summary(runs)
+        print(json.dumps({"workload": args.workload, "commits": commits, "seconds": args.seconds,
+                          "pairs": [{"seed": FIRST_SEED + i, "parent": p, "change": c}
+                                    for i, (p, c) in enumerate(runs)]}))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
