@@ -26,6 +26,7 @@ from .solvers import (
     code_step,
     objective,
     solve_H_pgd,
+    solve_H_prox,
     solve_W,
     ssnmf_bcd,
     ssnmf_hard,
@@ -38,6 +39,7 @@ from .spectral import (
     inverse_usage_ratio,
     mask_distance,
     minkowski1,
+    minkowski_prox,
     minkowski_subgradient,
     offmask_ratio,
     project_frequency_mask,

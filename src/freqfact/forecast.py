@@ -9,9 +9,9 @@ carry frequencies longer than that window.
 
 The atom-removal scan makes two encodes: the baseline, exactly as a
 forecast encodes, and all r single-atom removals as one stack of r
-dictionaries of r - 1 atoms each.  The heuristic code step solves that
-stack in one pass; the subgradient and splitting steps solve it block by
-block.
+dictionaries of r - 1 atoms each.  The soft-spectral prox and the heuristic
+code steps solve that stack in one pass; the subgradient and fixed-mask
+splitting steps solve it block by block.
 """
 
 from dataclasses import dataclass, replace
@@ -41,9 +41,11 @@ class EncodeConfig:
     iterations; restarting the subgradient step schedule each round restores
     large steps and gives fast convergence on the smooth part while every
     individual round still satisfies the diminishing-step conditions.  The
-    splitting solver ("tos") instead runs one round of ``sweeps * sub_iters``
-    iterations, so its ergodic average spans the whole run.  ``variant`` and
-    ``R`` override the penalty's code solver and top-R count (see
+    splitting solvers instead run one round of ``sweeps * sub_iters``
+    iterations: the fixed-mask one ("tos") so that its ergodic average spans
+    the whole run, and the soft-spectral one ("prox", the default for
+    soft_freq), whose fixed step needs no restart.  ``variant`` and ``R``
+    override the penalty's code solver and top-R count (see
     :func:`~freqfact.solvers.code_step`).
     """
 
@@ -99,7 +101,7 @@ def encode_new(
     variant, step = code_step(replace(penalty, lam=lam_over_xi), config.variant, config.R,
                               _diagnostics=False)
     rounds, iters = config.sweeps, config.sub_iters
-    if variant == "tos":
+    if variant in ("tos", "prox"):
         rounds, iters = 1, rounds * iters
     reports = [SolveReport(wall_iters=rounds * iters) for _ in range(blocks)]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,12 +1,15 @@
 """Optimization procedures for the supervised factorization.
 
-Four solvers:
+Five solvers:
 
 * :func:`solve_W` - exact (optionally ridge-damped) normal-equation step for
   a dictionary given the code.
 * :func:`solve_H_pgd` - projected subgradient descent on the code
   subproblem; returns the best iterate seen, since subgradient steps are not
   monotone.
+* :func:`solve_H_prox` - Davis-Yin splitting on the soft-spectral code
+  subproblem (fit, nonnegative orthant, and the exact prox of the Minkowski
+  penalty) at the fixed step 1/L, returning the last iterate.
 * :func:`three_operator_splitting` - splitting scheme for the doubly
   constrained code subproblem (nonnegative orthant + fixed frequency mask),
   returning the ergodic average.
@@ -14,29 +17,32 @@ Four solvers:
   frequency projection, a gradient step, and the nonnegativity projection.
 
 :func:`code_step` is the one place a penalty picks its code solver (the
-subgradient method for ridge, lasso and soft_freq; the splitting solver for a
-hard_freq penalty with a fixed mask, else the top-R heuristic).
-:func:`ssnmf_bcd` and :func:`ssnmf_hard` share one block-coordinate loop
-(code step, then exact dictionary steps) and differ only in the objectives
-they record; encoding runs the same code step with the dictionary held
-fixed.  All solvers are deterministic given a seed: identical seeds and
-configs yield bit-identical reports.
+prox splitting for soft_freq; the subgradient method for ridge and lasso;
+the splitting solver for a hard_freq penalty with a fixed mask, else the
+top-R heuristic).  :func:`ssnmf_bcd` and :func:`ssnmf_hard` share one
+block-coordinate loop (code step, then exact dictionary steps) and differ
+only in the objectives they record; :func:`ssnmf_bcd` asks for the
+subgradient step for every penalty.  Encoding runs the same code step with
+the dictionary held fixed.  All solvers are deterministic given a seed:
+identical seeds and configs yield bit-identical reports.
 
 The code steps take a leading block axis: a code ``(B, k, T)`` with
 dictionaries ``(B, m, k)`` solves B independent problems against one
 ``Xbar`` and returns the stacked codes with a list of B reports, each equal
-bit for bit to a separate 2-D call's.  :func:`alternating_pgd` solves the
-stack in one pass (one batched G H and one top-R projection over all B k
-rows per iteration), keeping each block's step sizes and objectives;
-:func:`solve_H_pgd` and :func:`three_operator_splitting` stay 2-D, and
-:func:`code_step` runs them once per block.
+bit for bit to a separate 2-D call's.  :func:`alternating_pgd` and
+:func:`solve_H_prox` solve the stack in one pass (one batched G H and one
+set of FFTs over all B k rows per iteration), keeping each block's step
+sizes and objectives; :func:`solve_H_pgd` and
+:func:`three_operator_splitting` stay 2-D, and :func:`code_step` runs them
+once per block.
 
 Diagnostics: :func:`solve_H_pgd` scores every iterate, since it returns the
-best one; :func:`three_operator_splitting` records its step sizes, and
-:func:`code_step` adds the last iterate's exact residual; by default
-:func:`alternating_pgd` records every iterate's objective and off-mask
-ratio, which :func:`ssnmf_hard` keeps, while encoding asks it for the last
-objective only.
+best one; :func:`solve_H_prox` scores only the code it returns and records
+its last fixed-point residual; :func:`three_operator_splitting` records its
+step sizes, and :func:`code_step` adds the last iterate's exact residual; by
+default :func:`alternating_pgd` records every iterate's objective and
+off-mask ratio, which :func:`ssnmf_hard` keeps, while encoding asks it for
+the last objective only.
 """
 
 import math
@@ -46,7 +52,13 @@ import numpy as np
 
 from .exceptions import ConvergenceError, SingularGramError
 from .regularization import Penalty, penalty_subgradient, penalty_value
-from .spectral import FrequencyMask, half_offmask_ratio, project_frequency_mask, top_r_keep
+from .spectral import (
+    FrequencyMask,
+    half_offmask_ratio,
+    minkowski_prox,
+    project_frequency_mask,
+    top_r_keep,
+)
 from .tensor import supervised_stack
 
 __all__ = [
@@ -57,6 +69,7 @@ __all__ = [
     "objective",
     "solve_W",
     "solve_H_pgd",
+    "solve_H_prox",
     "ssnmf_bcd",
     "three_operator_splitting",
     "alternating_pgd",
@@ -511,6 +524,67 @@ def three_operator_splitting(
     return h_sum / (n_iters + 1), report
 
 
+def solve_H_prox(
+    xbar: np.ndarray,
+    wbar: np.ndarray,
+    h0: np.ndarray,
+    p: Penalty,
+    n_iters: int,
+) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
+    """Davis-Yin splitting on the soft-spectral code subproblem
+
+        min_{H >= 0}  ||Xbar - Wbar H||_F^2 + lam psi(H),   psi = minkowski1(dft_rows(.))
+
+    with f the fit, the indicator of H >= 0, and lam psi, whose prox is exact
+    (:func:`~freqfact.spectral.minkowski_prox`).  From z = ``h0`` it runs
+    ``n_iters`` iterations
+
+        H = max(z, 0);  U = prox_{gamma lam psi}(2 H - z - gamma grad f(H));  z += U - H
+
+    at the fixed step gamma = 1/L, L = 2 ||G||_2 the Lipschitz constant of
+    grad f (G = Wbar^T Wbar), and returns max(z, 0).  The report holds that
+    iterate's exact objective, the step per iteration and, in
+    ``extras["fixed_point_residual"]``, the last ||z_{k+1} - z_k||_F.
+
+    ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
+    against the one ``xbar`` in one pass: one batched G H and one
+    ``rfft``/``irfft`` over all B k rows per iteration.  It returns the
+    (B, k, T) codes and a list of B reports, each equal bit for bit to a
+    separate 2-D call's.
+    """
+    if p.kind != "soft_freq":
+        raise ValueError(f"the prox code step solves soft_freq penalties, not {p.kind}")
+    if n_iters < 1:
+        raise ValueError("n_iters must be >= 1")
+    xbar = np.asarray(xbar, dtype=float)
+    z, wbar, flat = _stacked(h0, wbar)
+    # each block's G, C and step formed as a 2-D call forms them, so stacked
+    # and separate solves agree bit for bit
+    gram = np.stack([w.T @ w for w in wbar])
+    cross = np.stack([w.T @ xbar for w in wbar])
+    lips = [2.0 * float(np.linalg.norm(g, 2)) for g in gram]
+    steps = [1.0 / lip if lip > 0.0 else 1.0 for lip in lips]
+    gamma = np.array(steps)[:, None, None]
+    # 2 H - z - gamma grad f(H) = A H - z + c, with grad f(H) = 2 (G H - C)
+    a = 2.0 * np.eye(z.shape[1]) - 2.0 * gamma * gram
+    c = 2.0 * gamma * cross
+    thresh = gamma * p.lam
+    h = np.maximum(z, 0.0)
+    for _ in range(n_iters):
+        v = np.matmul(a, h)
+        v -= z
+        v += c
+        dz = minkowski_prox(v, thresh)
+        dz -= h
+        z += dz
+        np.maximum(z, 0.0, out=h)
+    residuals = np.sqrt(np.sum(dz * dz, axis=(1, 2)))
+    reports = [SolveReport([_sq_residual(xbar, w, hb) + penalty_value(hb, p)], [step] * n_iters,
+                           wall_iters=n_iters, extras={"fixed_point_residual": float(res)})
+               for w, hb, step, res in zip(wbar, h, steps, residuals)]
+    return (h[0], reports[0]) if flat else (h, reports)
+
+
 def alternating_pgd(
     h0: np.ndarray,
     wbar: np.ndarray,
@@ -616,24 +690,33 @@ def code_step(
     ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs ``iters``
     iterations of the chosen solver on min ||Xbar - Wbar H||_F^2 + p(H),
     warm-started at ``h0``.  Its report's last objective is that of the last
-    iterate.  ``variant`` overrides the default, which is "pgd"
-    (:func:`solve_H_pgd`) for ridge, lasso and soft_freq, "tos"
-    (:func:`three_operator_splitting`) for a hard_freq penalty with a fixed
-    mask, and "heuristic" (:func:`alternating_pgd`) for one without.  ``R``
-    overrides ``p.R`` for the heuristic.  ``sched`` and ``nonneg`` go to the
-    subgradient method, ``priority`` and ``_diagnostics`` to the heuristic.
+    iterate.  ``variant`` overrides the default, which is "prox"
+    (:func:`solve_H_prox`) for soft_freq, "pgd" (:func:`solve_H_pgd`) for
+    ridge and lasso, "tos" (:func:`three_operator_splitting`) for a hard_freq
+    penalty with a fixed mask, and "heuristic" (:func:`alternating_pgd`) for
+    one without.  "pgd" also solves soft_freq; "prox" solves nothing else.
+    ``R`` overrides ``p.R`` for the heuristic.  ``sched`` and ``nonneg`` go to
+    the subgradient method, ``priority`` and ``_diagnostics`` to the
+    heuristic.
 
     ``step`` also takes stacked ``h0`` (B, k, T) and ``wbar`` (B, m, k) and
     then returns (B, k, T) codes and a list of B reports, each equal bit for
-    bit to a separate 2-D call's.  The heuristic solves the stack in one
-    pass; "pgd" and "tos" run their 2-D solver once per block, "tos" with
-    block b's rows of the fixed mask, which holds the blocks' rows in order.
+    bit to a separate 2-D call's.  "prox" and the heuristic solve the stack
+    in one pass; "pgd" and "tos" run their 2-D solver once per block, "tos"
+    with block b's rows of the fixed mask, which holds the blocks' rows in
+    order.
     """
     if variant is None:
-        if p.kind != "hard_freq":
+        if p.kind == "soft_freq":
+            variant = "prox"
+        elif p.kind != "hard_freq":
             variant = "pgd"
         else:
             variant = "tos" if p.mask is not None else "heuristic"
+    if variant == "prox":
+        if p.kind != "soft_freq":
+            raise ValueError(f"the prox code step solves soft_freq penalties, not {p.kind}")
+        return variant, lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters)
     if variant == "pgd":
         if p.kind == "hard_freq":
             raise ValueError("the pgd code step cannot solve a hard-frequency penalty")
@@ -651,7 +734,8 @@ def code_step(
         return variant, lambda xbar, wbar, h, iters: alternating_pgd(
             h, wbar, xbar, R, iters, priority, _diagnostics=_diagnostics)
     if variant != "tos":
-        raise ValueError(f"unknown code-step variant {variant!r}, expected pgd, heuristic or tos")
+        raise ValueError(f"unknown code-step variant {variant!r}, expected pgd, prox, heuristic "
+                         "or tos")
     mask = p.mask
     if mask is None:
         raise ValueError("the tos code step needs a fixed FrequencyMask")

@@ -22,6 +22,7 @@ __all__ = [
     "idft_rows",
     "minkowski1",
     "minkowski_subgradient",
+    "minkowski_prox",
     "half_minkowski1",
     "half_minkowski_subgradient",
     "FrequencyMask",
@@ -95,7 +96,8 @@ def minkowski_subgradient(h: np.ndarray) -> np.ndarray:
 def half_minkowski1(spec: np.ndarray, T: int) -> float:
     """:func:`minkowski1` of ``dft_rows(H)`` from ``S = np.fft.rfft(H, axis=1)``.
 
-    The one soft-spectral rule, with :func:`half_minkowski_subgradient`.
+    The one soft-spectral rule, with :func:`half_minkowski_subgradient` and
+    :func:`minkowski_prox`.
     Interior bins stand for themselves and their conjugate mirrors, so their
     |Re| + |Im| counts twice; DC and (for even T) Nyquist count once.  The
     sum is scaled by 1/T, the forward transform's factor.
@@ -103,6 +105,30 @@ def half_minkowski1(spec: np.ndarray, T: int) -> float:
     a = np.abs(spec.real) + np.abs(spec.imag)
     a[:, 1 : (T + 1) // 2] *= 2.0
     return float(a.sum() / T)
+
+
+def minkowski_prox(v: np.ndarray, t) -> np.ndarray:
+    """Proximal map of ``t * minkowski1(dft_rows(.))`` at real ``V``, row by
+    row along the last axis:
+
+        argmin_P  1/2 ||P - V||_F^2 + t * minkowski1(dft_rows(P)).
+
+    For a real row the penalty is an l1 norm in the orthonormal cos/sin
+    basis, weighted sqrt(2/T) on interior bins and 1/sqrt(T) on DC and
+    Nyquist.  In ``rfft`` units the 1/T scale and the interior doubling
+    cancel, so the prox soft-thresholds Re S and Im S of ``S = rfft(V)`` by
+    ``t`` at every bin (in place, through S's float64 view) and inverts.
+    ``t >= 0`` is a scalar or an array that broadcasts against V with a
+    trailing axis of 1, one threshold per row or per stacked block.
+    """
+    v = np.asarray(v, dtype=float)
+    spec = np.fft.rfft(v, axis=-1)
+    parts = spec.view(np.float64)
+    mag = np.abs(parts)
+    mag -= t
+    np.maximum(mag, 0.0, out=mag)
+    np.copysign(mag, parts, out=parts)
+    return np.fft.irfft(spec, n=v.shape[-1], axis=-1)
 
 
 def half_minkowski_subgradient(spec: np.ndarray, T: int) -> np.ndarray:

@@ -1,0 +1,43 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
+_spec = importlib.util.spec_from_file_location("ab_bench", _PATH)
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+
+def test_workload_list_runs_pairs_per_workload_and_nests_the_json(monkeypatch, capsys):
+    calls = []
+
+    def fake_bench(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed))
+        side = 1.0 if tree.name == "parent" else 0.5
+        return {"correct": True, "failed_ops_frac": 0.0,
+                "metrics": {"pipeline_s": side + seed / 100, "forecast_nse": 0.9}}
+
+    monkeypatch.setattr(ab_bench, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(ab_bench, "bench", fake_bench)
+    assert ab_bench.main(["P", "C", "--workload", "soft_forecast, hard_scan", "--pairs", "3"]) == 0
+    assert [c[1] for c in calls] == ["soft_forecast"] * 6 + ["hard_scan"] * 6
+    # the parent runs first in even pairs, the change in odd ones
+    assert [c[0] for c in calls[:4]] == ["parent", "change", "change", "parent"]
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.endswith(": 3 pairs") for line in out) == 2
+    assert any(line.startswith("pipeline_s") and line.endswith("3/0/0") for line in out)
+    tail = json.loads(out[-1])
+    assert tail["commits"] == {"parent": "P", "change": "C"}
+    assert list(tail["workloads"]) == ["soft_forecast", "hard_scan"]
+    pairs = tail["workloads"]["hard_scan"]["pairs"]
+    assert [p["seed"] for p in pairs] == [11, 12, 13]
+    assert pairs[0]["change"]["metrics"]["pipeline_s"] == 0.61
+
+
+@pytest.mark.parametrize("workload", ["soft_forecast,", ",", "a,,b"])
+def test_empty_workload_name_is_a_usage_error(workload):
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main(["P", "C", "--workload", workload])
+    assert exc.value.code == 2

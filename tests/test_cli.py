@@ -250,6 +250,23 @@ class TestForecastCli:
         slices = sorted((out / "pred").glob("slice_*.csv"))
         assert len(slices) == 12
 
+    def test_soft_forecast_reruns_are_byte_identical(self, tmp_path):
+        data = synth_dataset(tmp_path, d=8, T=48, freqs=(3, 7), sigma=0.2, x_sigma=0.2)
+        model = factorize(tmp_path, data, train_t=36, n_iters=3, sub_iters=10)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "x_true": str(data / "X.csv"), "penalty": {"kind": "soft_freq", "lambda": 1.0},
+            "lam_over_xi": 0.2, "sweeps": 4, "sub_iters": 25, "seed": 1,
+        }))
+        outs = [tmp_path / "fc1", tmp_path / "fc2"]
+        for out in outs:
+            assert run_cli("forecast", "--config", cfg, "--out", out) == 0
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert len(files) > 4
+        assert all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+        assert sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file()) == files
+
     def test_missing_model_exits_2(self, tmp_path):
         data, model, w, h, T = self.make_pipeline(tmp_path)
         cfg = tmp_path / "fc.json"
@@ -588,6 +605,32 @@ class TestValidatedInputs:
     def test_ints_stand_for_floats_and_null_for_optionals(self, cls, fields):
         cfg = cls.from_dict(fields)
         assert all(getattr(cfg, k) == v for k, v in fields.items())
+
+    @pytest.mark.parametrize("overrides, want", [
+        ({"n_iters": 0}, "config field 'n_iters' must be >= 1, got 0"),
+        ({"sub_iters": 0}, "config field 'sub_iters' must be >= 1, got 0"),
+        ({"penalty": "soft"}, "config field 'penalty' must be an object, got str 'soft'"),
+        ({"penalty": {"kind": "soft_freq", "lambda": "1.0"}},
+         "config field 'penalty.lambda' must be a number, got str '1.0'"),
+        ({"penalty": {"kind": "hard_freq", "R": 2.5}, "variant": "hard"},
+         "config field 'penalty.R' must be an int or null, got float 2.5"),
+        ({"penalty": {"kind": "ridge", "lambda": -1}},
+         "config field 'penalty.lambda' must be >= 0, got -1"),
+        ({"grid": [{"xi": 1.0}, {"sub_iters": 0}]}, "config field 'sub_iters' must be >= 1, got 0"),
+        ({"grid": [{"xi": 1.0}, {"penalty": {"kind": "soft"}}]},
+         "config field 'penalty.kind' must be one of ('ridge', 'lasso', 'soft_freq', 'hard_freq'), "
+         "got 'soft'"),
+    ], ids=["n_iters", "sub_iters", "penalty", "penalty.lambda", "penalty.R", "negative-lambda",
+            "grid-point", "grid-point-kind"])
+    def test_factorize_config_field_exits_2(self, tmp_path, capsys, overrides, want):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"x": str(data / "X.csv"), "y": str(data / "Y0.csv"),
+                                   **overrides}))
+        out = tmp_path / "o"
+        assert run_cli("factorize", "--config", cfg, "--out", out) == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):
         data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))

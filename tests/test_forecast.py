@@ -89,6 +89,21 @@ class TestEncode:
             h, _ = encode_new(y, wp, penalty, 0.3, cfg)
             assert np.all(h >= 0.0)
 
+    def test_prox_encode_ends_no_higher_than_subgradient_encode(self):
+        rng = np.random.default_rng(66)
+        wp = rng.standard_normal((12, 3))
+        t = np.arange(64)
+        h_true = 1.0 + np.vstack([np.cos(2 * np.pi * f * t / 64) for f in (3, 7, 11)])
+        y = wp @ h_true + 0.3 * rng.standard_normal((12, 64))
+        cfg = EncodeConfig(sweeps=20, sub_iters=50, seed=6)
+        variant, _ = solvers.code_step(Penalty.soft_freq(1.0))
+        assert variant == "prox"
+        _, prox = encode_new(y, wp, Penalty.soft_freq(1.0), 2.0, cfg)
+        _, pgd = encode_new(y, wp, Penalty.soft_freq(1.0), 2.0, replace(cfg, variant="pgd"))
+        assert len(prox.objective_trace) == 1 and prox.wall_iters == 1000
+        assert len(pgd.objective_trace) == 20
+        assert prox.objective_trace[-1] <= pgd.objective_trace[-1]
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(64)
         wp = rng.standard_normal((5, 2))

@@ -22,6 +22,7 @@ from freqfact import (
     penalty_value,
     project_frequency_mask,
     solve_H_pgd,
+    solve_H_prox,
     solve_W,
     ssnmf_bcd,
     ssnmf_hard,
@@ -249,6 +250,66 @@ class TestSolveHPgd:
             solve_H_pgd(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), Penalty.hard_freq(R=1))
         with pytest.raises(ValueError):
             solve_H_pgd(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), Penalty.ridge(0.0), L=0)
+
+
+class TestSolveHProx:
+    @staticmethod
+    def instance(seed=51, m=9, k=3, T=17):
+        rng = np.random.default_rng(seed)
+        wbar = rng.standard_normal((m, k))
+        xbar = rng.standard_normal((m, T))  # noisy: no exact fit exists
+        return xbar, wbar, np.abs(rng.standard_normal((k, T)))
+
+    @staticmethod
+    def fsub(xbar, wbar, h, p):
+        return float(np.sum((xbar - wbar @ h) ** 2)) + p.lam * minkowski_definitional(
+            dft_definitional(h))
+
+    def test_report_scores_the_returned_code(self):
+        xbar, wbar, h0 = self.instance()
+        p = Penalty.soft_freq(1.3)
+        h, report = solve_H_prox(xbar, wbar, h0, p, 40)
+        assert np.all(h >= 0.0)
+        exact = self.fsub(xbar, wbar, h, p)
+        assert len(report.objective_trace) == 1
+        assert abs(report.objective_trace[0] - exact) <= 1e-9 * exact
+        gamma = 1.0 / (2.0 * np.linalg.norm(wbar.T @ wbar, 2))
+        assert report.step_trace == [gamma] * 40 and report.wall_iters == 40
+
+    def test_no_feasible_perturbation_does_better(self):
+        xbar, wbar, h0 = self.instance(52, m=6, k=2, T=16)
+        p = Penalty.soft_freq(0.8)
+        h, report = solve_H_prox(xbar, wbar, h0, p, 4000)
+        best = report.objective_trace[0]
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            eps = 10.0 ** rng.uniform(-4.0, -1.0)
+            moved = np.maximum(h + eps * rng.standard_normal(h.shape), 0.0)
+            assert best <= self.fsub(xbar, wbar, moved, p) + 1e-9 * best
+
+    def test_beats_the_subgradient_method_on_equal_budget(self):
+        xbar, wbar, h0 = self.instance(54)
+        p = Penalty.soft_freq(0.5)
+        _, prox = solve_H_prox(xbar, wbar, h0, p, 500)
+        h = h0
+        for _ in range(10):  # restarted rounds, as encoding runs them
+            h, pgd = solve_H_pgd(xbar, wbar, h, p, L=50)
+        assert prox.objective_trace[0] <= pgd.extras["best_objective"]
+
+    def test_fixed_point_residual_falls_with_iterations(self):
+        xbar, wbar, h0 = self.instance(55)
+        p = Penalty.soft_freq(0.5)
+        residuals = [solve_H_prox(xbar, wbar, h0, p, n)[1].extras["fixed_point_residual"]
+                     for n in (1, 10, 100, 1000)]
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
+        assert residuals[-1] <= 1e-6 * residuals[0]
+
+    def test_validation(self):
+        args = np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 4))
+        with pytest.raises(ValueError, match="solves soft_freq penalties, not ridge"):
+            solve_H_prox(*args, Penalty.ridge(0.1), 3)
+        with pytest.raises(ValueError, match="n_iters must be >= 1"):
+            solve_H_prox(*args, Penalty.soft_freq(0.1), 0)
 
 
 def test_step_schedule_kinds_and_validation():
@@ -512,7 +573,7 @@ class TestCodeStep:
     @pytest.mark.parametrize("penalty, variant, R, want", [
         (Penalty.ridge(0.1), None, None, "pgd"),
         (Penalty.lasso(0.1), None, None, "pgd"),
-        (Penalty.soft_freq(0.1), None, None, "pgd"),
+        (Penalty.soft_freq(0.1), None, None, "prox"),
         (Penalty.hard_freq(R=2), None, None, "heuristic"),
         (Penalty.hard_freq(mask=MASK16), None, None, "tos"),
         (Penalty.hard_freq(R=2, mask=MASK16), None, None, "tos"),
@@ -533,6 +594,8 @@ class TestCodeStep:
         h, sub = step(xbar, wbar, h0, 6)
         if want == "pgd":
             ref, ref_sub = solve_H_pgd(xbar, wbar, h0, penalty, None, 6)
+        elif want == "prox":
+            ref, ref_sub = solve_H_prox(xbar, wbar, h0, penalty, 6)
         elif want == "heuristic":
             ref, ref_sub = alternating_pgd(h0, wbar, xbar, R if R is not None else penalty.R, 6)
         else:
@@ -573,6 +636,7 @@ class TestCodeStep:
         (Penalty.hard_freq(R=2), "tos", None, "needs a fixed FrequencyMask"),
         (Penalty.soft_freq(0.1), "tos", 2, "needs a fixed FrequencyMask"),
         (Penalty.ridge(0.1), "hals", None, "unknown code-step variant"),
+        (Penalty.lasso(0.1), "prox", None, "solves soft_freq penalties, not lasso"),
     ])
     def test_errors(self, penalty, variant, R, match):
         with pytest.raises(ValueError, match=match):
@@ -614,6 +678,7 @@ STACKED_STEPS = [
     (Penalty.ridge(0.3), {}),
     (Penalty.lasso(0.2), {}),
     (Penalty.soft_freq(0.5), {}),
+    (Penalty.soft_freq(0.5), {"variant": "pgd"}),
     ("tos", {}),
 ]
 
@@ -623,7 +688,7 @@ class TestStackedCodeStep:
 
     @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
                              ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
-                                  "tos"])
+                                  "soft-pgd", "tos"])
     @settings(max_examples=25, deadline=None)
     @given(problem=stacked_problems(), iters=st.integers(1, 12))
     def test_stack_equals_separate_calls(self, penalty, options, problem, iters):
@@ -643,6 +708,8 @@ class TestStackedCodeStep:
             assert subs[b].objective_trace == ref_sub.objective_trace
             assert subs[b].step_trace == ref_sub.step_trace
             assert subs[b].extras.keys() == ref_sub.extras.keys()
+            assert (subs[b].extras.get("fixed_point_residual")
+                    == ref_sub.extras.get("fixed_point_residual"))
 
     @pytest.mark.parametrize("priority", ["nonneg", "frequency"])
     @settings(max_examples=25, deadline=None)

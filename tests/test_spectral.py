@@ -5,6 +5,7 @@ from freqfact.spectral import (
     half_minkowski1,
     half_minkowski_subgradient,
     half_offmask_ratio,
+    minkowski_prox,
     top_r_keep,
 )
 from freqfact import (
@@ -259,6 +260,45 @@ class TestHalfMinkowski:
                 for s, row in enumerate(h):
                     lhs = minkowski_definitional(dft_definitional((row + d[s])[None, :]))
                     assert lhs >= base[s] + np.dot(d[s], g[s]) - 1e-9 * max(1.0, lhs)
+
+
+class TestMinkowskiProx:
+    """minkowski_prox(V, t) minimizes 1/2 ||P - V||^2 + t minkowski1(dft_rows(P))."""
+
+    @staticmethod
+    def prox_objective(p, v, t):
+        return 0.5 * float(np.sum((p - v) ** 2)) + t * minkowski1(dft_rows(p))
+
+    @pytest.mark.parametrize("T", [1, 2, 16, 17, 64])
+    def test_no_perturbation_does_better(self, T):
+        rng = np.random.default_rng(900 + T)
+        v = 3.0 * rng.standard_normal((3, T))
+        t = float(np.exp(rng.uniform(np.log(1e-2), np.log(5.0))))
+        p = minkowski_prox(v, t)
+        base = self.prox_objective(p, v, t)
+        worst = np.inf
+        for _ in range(1000):
+            eps = 10.0 ** rng.uniform(-6.0, 0.0)
+            moved = self.prox_objective(p + eps * rng.standard_normal(v.shape), v, t)
+            worst = min(worst, moved - base)
+        assert worst >= -1e-12 * max(1.0, base)
+
+    @pytest.mark.parametrize("T", [1, 2, 16, 17, 64])
+    def test_zero_threshold_is_identity(self, T):
+        v = np.random.default_rng(950 + T).standard_normal((4, T))
+        assert np.allclose(minkowski_prox(v, 0.0), v, rtol=0.0, atol=1e-12)
+
+    def test_large_threshold_gives_zero(self):
+        v = np.random.default_rng(960).standard_normal((2, 16))
+        assert np.array_equal(minkowski_prox(v, 1e3), np.zeros_like(v))
+
+    def test_block_thresholds_equal_separate_calls(self):
+        rng = np.random.default_rng(970)
+        v = rng.standard_normal((3, 2, 17))
+        t = np.array([0.1, 0.5, 2.0])
+        got = minkowski_prox(v, t[:, None, None])
+        for b in range(3):
+            assert np.array_equal(got[b], minkowski_prox(v[b], t[b]))
 
 
 class TestFrequencyMask:

@@ -3,15 +3,19 @@
 Run from anywhere inside the repository:
 
     python3 tools/ab_bench.py PARENT CHANGE --workload hard_scan --pairs 10
+    python3 tools/ab_bench.py PARENT CHANGE --workload soft_forecast,hard_scan,large_sweep
 
 Both revisions are exported with ``git archive`` into new temporary
 directories, so neither side runs in a tree that an earlier run left
 byte-compiled caches or work files in.  Pair i runs ``bench/run.py`` with
 seed 11 + i on both trees, the parent first in even pairs and the change
-first in odd ones, so drift of the host's speed falls on both sides alike.  The script prints, per metric, each side's median and
-quartiles and how many pairs the change read lower, higher or equal, and
-ends with one JSON object holding every run's metrics.  It leaves the
-repository's files, index and refs as they are and removes the exports.
+first in odd ones, so drift of the host's speed falls on both sides alike.
+``--workload`` takes one workload or a comma-separated list; each runs its
+pairs in turn.  Per workload the script prints, per metric, each side's
+median and quartiles and how many pairs the change read lower, higher or
+equal.  It ends with one JSON object holding every run's metrics, nested by
+workload.  It leaves the repository's files, index and refs as they are and
+removes the exports.
 """
 
 import argparse
@@ -68,7 +72,8 @@ def spread(values: list) -> str:
     return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def summary(runs: list) -> None:
+def summary(workload: str, runs: list) -> None:
+    print(f"{workload}: {len(runs)} pairs")
     print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
           "change lower/higher/equal")
     for name in METRICS:
@@ -88,31 +93,39 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
     p.add_argument("change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   help="a workload name or a comma-separated list of them")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    workloads = [w.strip() for w in args.workload.split(",")]
+    if not all(workloads):
+        p.error(f"--workload has an empty name: {args.workload!r}")
 
     work = Path(tempfile.mkdtemp(prefix="ab_bench_"))
     try:
         trees = {"parent": work / "parent", "change": work / "change"}
         commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
         print(f"parent {commits['parent']} and change {commits['change']} exported to {work}")
-        runs = []
-        for i in range(args.pairs):
-            seed = FIRST_SEED + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            got = {side: bench(trees[side], args.workload, seed, args.seconds) for side in order}
-            runs.append((got["parent"], got["change"]))
-            line = ", ".join(f"{side} {got[side]['metrics'].get('pipeline_s', float('nan')):.4g} s"
-                             for side in order)
-            print(f"pair {i + 1} (seed {seed}) pipeline_s: {line}", flush=True)
-        summary(runs)
-        print(json.dumps({"workload": args.workload, "commits": commits, "seconds": args.seconds,
-                          "pairs": [{"seed": FIRST_SEED + i, "parent": p, "change": c}
-                                    for i, (p, c) in enumerate(runs)]}))
+        runs = {}
+        for workload in workloads:
+            runs[workload] = []
+            for i in range(args.pairs):
+                seed = FIRST_SEED + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                got = {side: bench(trees[side], workload, seed, args.seconds) for side in order}
+                runs[workload].append((got["parent"], got["change"]))
+                line = ", ".join(
+                    f"{side} {got[side]['metrics'].get('pipeline_s', float('nan')):.4g} s"
+                    for side in order)
+                print(f"{workload} pair {i + 1} (seed {seed}) pipeline_s: {line}", flush=True)
+            summary(workload, runs[workload])
+        print(json.dumps({"commits": commits, "seconds": args.seconds, "workloads": {
+            workload: {"pairs": [{"seed": FIRST_SEED + i, "parent": p, "change": c}
+                                 for i, (p, c) in enumerate(pairs)]}
+            for workload, pairs in runs.items()}}))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
