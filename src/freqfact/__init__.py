@@ -16,16 +16,14 @@ from .forecast import (
     nse,
     predict,
 )
-from .regularization import Penalty, penalty_subgradient, penalty_value
+from .regularization import Penalty, penalty_prox, penalty_value
 from .solvers import (
     FactorModel,
     Hyper,
     SolveReport,
-    StepSchedule,
     alternating_pgd,
     code_step,
     objective,
-    solve_H_pgd,
     solve_H_prox,
     solve_W,
     ssnmf_bcd,

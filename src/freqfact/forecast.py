@@ -9,9 +9,9 @@ carry frequencies longer than that window.
 
 The atom-removal scan makes two encodes: the baseline, exactly as a
 forecast encodes, and all r single-atom removals as one stack of r
-dictionaries of r - 1 atoms each.  The soft-spectral prox and the heuristic
-code steps solve that stack in one pass; the subgradient and fixed-mask
-splitting steps solve it block by block.
+dictionaries of r - 1 atoms each.  The prox and the heuristic code steps
+solve that stack in one pass; the fixed-mask splitting step solves it block
+by block.
 """
 
 from dataclasses import dataclass, replace
@@ -37,16 +37,14 @@ __all__ = [
 class EncodeConfig:
     """Encoding solver configuration.
 
-    Encoding runs ``sweeps`` warm-started rounds of ``sub_iters`` code-step
-    iterations; restarting the subgradient step schedule each round restores
-    large steps and gives fast convergence on the smooth part while every
-    individual round still satisfies the diminishing-step conditions.  The
-    splitting solvers instead run one round of ``sweeps * sub_iters``
-    iterations: the fixed-mask one ("tos") so that its ergodic average spans
-    the whole run, and the soft-spectral one ("prox", the default for
-    soft_freq), whose fixed step needs no restart.  ``variant`` and ``R``
-    override the penalty's code solver and top-R count (see
-    :func:`~freqfact.solvers.code_step`).
+    The splitting solvers run one round of ``sweeps * sub_iters`` code-step
+    iterations: the prox step ("prox", the default for ridge, lasso and
+    soft_freq), whose fixed step needs no restart, and the fixed-mask one
+    ("tos"), so that its ergodic average spans the whole run.  The top-R
+    heuristic runs ``sweeps`` warm-started rounds of ``sub_iters``
+    iterations; each round restarts its diminishing step schedule, which
+    restores large steps.  ``variant`` and ``R`` override the penalty's code
+    solver and top-R count (see :func:`~freqfact.solvers.code_step`).
     """
 
     sweeps: int = 60

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyMask, half_minkowski1, half_minkowski_subgradient, offmask_ratio
+from .spectral import FrequencyMask, half_minkowski1, minkowski_prox, offmask_ratio
 
 __all__ = [
     "Penalty",
     "penalty_value",
-    "penalty_subgradient",
+    "penalty_prox",
 ]
 
 KINDS = ("ridge", "lasso", "soft_freq", "hard_freq")
@@ -73,40 +73,40 @@ class Penalty:
         return FrequencyMask.from_top_r(h, self.R)
 
 
-def _row_spectrum(h: np.ndarray, spec: np.ndarray | None) -> np.ndarray:
-    return np.fft.rfft(h, axis=1) if spec is None else spec
-
-
-def penalty_value(h: np.ndarray, p: Penalty, spec: np.ndarray | None = None) -> float:
-    """Evaluate the penalty; hard_freq returns 0.0 or math.inf.
-
-    ``spec`` may pass ``np.fft.rfft(h, axis=1)`` when the caller already
-    holds it; only soft_freq reads it.
-    """
+def penalty_value(h: np.ndarray, p: Penalty) -> float:
+    """Evaluate the penalty; hard_freq returns 0.0 or math.inf."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if p.kind == "ridge":
         return p.lam * float(np.sum(h * h))
     if p.kind == "lasso":
         return p.lam * float(np.sum(np.abs(h)))
     if p.kind == "soft_freq":
-        return p.lam * half_minkowski1(_row_spectrum(h, spec), h.shape[1])
+        return p.lam * half_minkowski1(np.fft.rfft(h, axis=1), h.shape[1])
     mask = p.mask_for(h)
     if np.all(offmask_ratio(h, mask) <= HARD_FEASIBILITY_RTOL):
         return 0.0
     return math.inf
 
 
-def penalty_subgradient(h: np.ndarray, p: Penalty, spec: np.ndarray | None = None) -> np.ndarray:
-    """Subgradient of the penalty at ``h`` (sign(0) := 0 at kinks).
+def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
+    """Proximal map of ``t * penalty`` at ``V``:
 
-    ``spec`` is as for :func:`penalty_value`.  hard_freq has no subgradient;
-    project with :func:`~freqfact.spectral.project_frequency_mask` instead.
+        argmin_P  1/2 ||P - V||_F^2 + t * penalty(P)
+
+    which is ``V / (1 + 2 t lam)`` for ridge, soft-thresholding by ``t lam``
+    for lasso and :func:`~freqfact.spectral.minkowski_prox` by ``t lam`` for
+    soft_freq.  ``t >= 0`` is a scalar or an array broadcasting against V,
+    as for :func:`~freqfact.spectral.minkowski_prox`.  hard_freq has no
+    weighted prox; project onto its mask instead.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
+    v = np.asarray(v, dtype=float)
     if p.kind == "ridge":
-        return 2.0 * p.lam * h
+        return v / (1.0 + 2.0 * t * p.lam)
     if p.kind == "lasso":
-        return p.lam * np.sign(h)
+        mag = np.abs(v)
+        mag -= t * p.lam
+        np.maximum(mag, 0.0, out=mag)
+        return np.copysign(mag, v, out=mag)
     if p.kind == "soft_freq":
-        return p.lam * half_minkowski_subgradient(_row_spectrum(h, spec), h.shape[1])
-    raise ValueError("hard_freq is an indicator; project onto its mask, not a subgradient")
+        return minkowski_prox(v, t * p.lam)
+    raise ValueError("hard_freq is an indicator; project onto its mask, not a prox")

@@ -1,15 +1,13 @@
 """Optimization procedures for the supervised factorization.
 
-Five solvers:
+Four solvers:
 
 * :func:`solve_W` - exact (optionally ridge-damped) normal-equation step for
   a dictionary given the code.
-* :func:`solve_H_pgd` - projected subgradient descent on the code
-  subproblem; returns the best iterate seen, since subgradient steps are not
-  monotone.
-* :func:`solve_H_prox` - Davis-Yin splitting on the soft-spectral code
-  subproblem (fit, nonnegative orthant, and the exact prox of the Minkowski
-  penalty) at the fixed step 1/L, returning the last iterate.
+* :func:`solve_H_prox` - Davis-Yin splitting on the code subproblem of a
+  convex weighted penalty (fit, nonnegative orthant, and the penalty's exact
+  prox) at the fixed step 1/L, returning the last iterate; without the
+  orthant it is plain proximal gradient.
 * :func:`three_operator_splitting` - splitting scheme for the doubly
   constrained code subproblem (nonnegative orthant + fixed frequency mask),
   returning the ergodic average.
@@ -17,32 +15,30 @@ Five solvers:
   frequency projection, a gradient step, and the nonnegativity projection.
 
 :func:`code_step` is the one place a penalty picks its code solver (the
-prox splitting for soft_freq; the subgradient method for ridge and lasso;
-the splitting solver for a hard_freq penalty with a fixed mask, else the
-top-R heuristic).  :func:`ssnmf_bcd` and :func:`ssnmf_hard` share one
-block-coordinate loop (code step, then exact dictionary steps) and differ
-only in the objectives they record; :func:`ssnmf_bcd` asks for the
-subgradient step for every penalty.  Encoding runs the same code step with
-the dictionary held fixed.  All solvers are deterministic given a seed:
-identical seeds and configs yield bit-identical reports.
+prox splitting for ridge, lasso and soft_freq; the splitting solver for a
+hard_freq penalty with a fixed mask, else the top-R heuristic).
+:func:`ssnmf_bcd` and :func:`ssnmf_hard` share one block-coordinate loop
+(code step, then exact dictionary steps) and differ only in the objectives
+they record.  Encoding runs the same code step with the dictionary held
+fixed.  All solvers are deterministic given a seed: identical seeds and
+configs yield bit-identical reports.
 
 The code steps take a leading block axis: a code ``(B, k, T)`` with
 dictionaries ``(B, m, k)`` solves B independent problems against one
 ``Xbar`` and returns the stacked codes with a list of B reports, each equal
 bit for bit to a separate 2-D call's.  :func:`alternating_pgd` and
-:func:`solve_H_prox` solve the stack in one pass (one batched G H and one
-set of FFTs over all B k rows per iteration), keeping each block's step
-sizes and objectives; :func:`solve_H_pgd` and
-:func:`three_operator_splitting` stay 2-D, and :func:`code_step` runs them
+:func:`solve_H_prox` solve the stack in one pass (one batched G H and, where
+the penalty or mask needs them, one set of FFTs over all B k rows per
+iteration), keeping each block's step sizes and objectives;
+:func:`three_operator_splitting` stays 2-D, and :func:`code_step` runs it
 once per block.
 
-Diagnostics: :func:`solve_H_pgd` scores every iterate, since it returns the
-best one; :func:`solve_H_prox` scores only the code it returns and records
-its last fixed-point residual; :func:`three_operator_splitting` records its
-step sizes, and :func:`code_step` adds the last iterate's exact residual; by
-default :func:`alternating_pgd` records every iterate's objective and
-off-mask ratio, which :func:`ssnmf_hard` keeps, while encoding asks it for
-the last objective only.
+Diagnostics: :func:`solve_H_prox` scores only the code it returns and
+records its last fixed-point residual; :func:`three_operator_splitting`
+records its step sizes, and :func:`code_step` adds the last iterate's exact
+residual; by default :func:`alternating_pgd` records every iterate's
+objective and off-mask ratio, which :func:`ssnmf_hard` keeps, while encoding
+asks it for the last objective only.
 """
 
 import math
@@ -51,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError, SingularGramError
-from .regularization import Penalty, penalty_subgradient, penalty_value
+from .regularization import Penalty, penalty_prox, penalty_value
 from .spectral import (
     FrequencyMask,
     half_offmask_ratio,
@@ -62,13 +58,11 @@ from .spectral import (
 from .tensor import supervised_stack
 
 __all__ = [
-    "StepSchedule",
     "SolveReport",
     "Hyper",
     "FactorModel",
     "objective",
     "solve_W",
-    "solve_H_pgd",
     "solve_H_prox",
     "ssnmf_bcd",
     "three_operator_splitting",
@@ -80,43 +74,11 @@ __all__ = [
 # Relative eigenvalue floor below which a Gram matrix counts as singular.
 _GRAM_RTOL = 1e-13
 
+CODE_STEPS = ("prox", "heuristic", "tos")
+
 # Gram-form residuals at or below this fraction of ||Xbar||^2 are recomputed
 # exactly: the form's rounding error is a fixed fraction of ||Xbar||^2.
 _GRAM_FALLBACK_RTOL = 1e-6
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step-size rule for the first-order code solvers.
-
-    kinds:
-      * ``diminishing_c_over_j``: c / (j + 1)
-      * ``lipschitz_scaled``:     (c / (2 L + 1)) / (j + 1), with L the
-        spectral norm of the quadratic term's Gram matrix
-      * ``adagrad_like``:         gamma0 while no gradients have been seen,
-        then 1 / sqrt(sum of squared gradient norms)
-    """
-
-    kind: str = "lipschitz_scaled"
-    c: float = 1.0
-    gamma0: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("diminishing_c_over_j", "adagrad_like", "lipschitz_scaled"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.c <= 0 or self.gamma0 <= 0:
-            raise ValueError("c and gamma0 must be positive")
-
-    def stepper(self, lipschitz: float):
-        """Return step(j, accum_sq_grad) -> float for this schedule."""
-        if self.kind == "diminishing_c_over_j":
-            c = self.c
-            return lambda j, accum: c / (j + 1)
-        if self.kind == "lipschitz_scaled":
-            base = self.c / (2.0 * lipschitz + 1.0)
-            return lambda j, accum: base / (j + 1)
-        gamma0 = self.gamma0
-        return lambda j, accum: gamma0 if accum == 0.0 else 1.0 / math.sqrt(accum)
 
 
 @dataclass
@@ -238,14 +200,6 @@ def _stacked(h0, wbar) -> tuple[np.ndarray, np.ndarray, bool]:
     return h, wbar, flat
 
 
-def _per_block(solve, xbar, wbar, h, iters):
-    """A stacked code step as one 2-D ``solve(b, xbar, wbar[b], h[b], iters)``
-    per block b: the (B, k, T) codes and the list of B reports."""
-    h, wbar, _ = _stacked(h, wbar)
-    out = [solve(b, xbar, w, hb, iters) for b, (w, hb) in enumerate(zip(wbar, h))]
-    return np.stack([hb for hb, _ in out]), [sub for _, sub in out]
-
-
 def _objective_smooth(x: np.ndarray, y_t: np.ndarray, model: FactorModel) -> float:
     """Objective without the code penalty (finite even off the hard set)."""
     h = model.hyper
@@ -283,80 +237,6 @@ def solve_W(x: np.ndarray, h: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return np.linalg.solve(gram, h @ x.T).T
 
 
-def solve_H_pgd(
-    xbar: np.ndarray,
-    wbar: np.ndarray,
-    h0: np.ndarray,
-    p: Penalty,
-    sched: StepSchedule | None = None,
-    L: int = 50,
-    nonneg: bool = True,
-) -> tuple[np.ndarray, SolveReport]:
-    """Projected subgradient descent on the stacked code subproblem
-
-        min_{H >= 0}  ||Xbar - Wbar H||_F^2 + penalty(H)
-
-    for subdifferentiable penalties (ridge, lasso, soft_freq).  Runs L steps
-
-        H <- max{0, H - a_j (2 (Wbar^T Wbar H - Wbar^T Xbar) + dpenalty(H))}
-
-    and returns the best-objective iterate (the start point included, so a
-    warm start is never worsened).  ``nonneg=False`` disables the projection,
-    for diagnostics.
-
-    Each iterate costs one product G H (G = Wbar^T Wbar) and, for
-    soft_freq, one ``rfft`` of H.  G H serves both the objective, in the
-    Gram form with its exact fallback near zero residual, and the next
-    gradient; the row spectrum serves both the penalty value and the next
-    subgradient.  ``extras["grad_sq_sum"]`` is the sum of the squared
-    gradient norms, which the adagrad-like schedule steps by.
-    """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if p.kind == "hard_freq":
-        raise ValueError("hard_freq has no subgradient; use the splitting or heuristic solver")
-    xbar = np.asarray(xbar, dtype=float)
-    wbar = np.asarray(wbar, dtype=float)
-    sched = sched or StepSchedule()
-    gram = wbar.T @ wbar
-    cross = wbar.T @ xbar
-    lip = float(np.linalg.norm(gram, 2))
-    step_of = sched.stepper(lip)
-    x_sq = float(np.vdot(xbar, xbar))
-    soft = p.kind == "soft_freq"
-
-    def fsub(h, gh, spec):
-        return _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) + penalty_value(h, p, spec)
-
-    h = np.asarray(h0, dtype=float).copy()
-    gh = gram @ h
-    spec = np.fft.rfft(h, axis=1) if soft else None
-    best_val = fsub(h, gh, spec)
-    best_h = h.copy()
-    trace = [best_val]
-    steps = []
-    accum = 0.0
-    for j in range(L):
-        g = 2.0 * (gh - cross)
-        if p.lam:
-            g += penalty_subgradient(h, p, spec)
-        step = step_of(j, accum)
-        accum += float(np.vdot(g, g))
-        h = h - step * g
-        if nonneg:
-            h = np.maximum(h, 0.0)
-        gh = gram @ h
-        spec = np.fft.rfft(h, axis=1) if soft else None
-        val = fsub(h, gh, spec)
-        if val < best_val:
-            best_val = val
-            best_h = h.copy()
-        trace.append(val)
-        steps.append(step)
-    extras = {"best_objective": best_val, "grad_sq_sum": accum}
-    return best_h, SolveReport(trace, steps, "max_iters", L, extras)
-
-
 def _init_factors(x, y_t, hyper, seed):
     """Seeded initialization: W, Wp ~ N(0,1)/sqrt(r), H0 = |N(0,1)|, then one
     exact dictionary pass against H0.
@@ -378,6 +258,24 @@ def _init_factors(x, y_t, hyper, seed):
     return w, wp, h
 
 
+def _dictionary_step(x, h, w, ridge):
+    """Exact dictionary step that keeps the column of a dead atom, one whose
+    code row is all zero.
+
+    A prox code step zeroes a whole row where the penalty outweighs the
+    atom's fit.  With ridge = 0 that column does not enter the fit, so every
+    value of it minimizes and :func:`solve_W` would find the Gram singular;
+    keeping it lets a later code step revive the atom.
+    """
+    live = np.any(h != 0.0, axis=1)
+    if ridge or live.all():
+        return solve_W(x, h, ridge)
+    w = w.copy()
+    if live.any():
+        w[:, live] = solve_W(x, h[live])
+    return w
+
+
 def _require_finite(solver: str, it: int, block: int | None = None, **values) -> None:
     """Raise :class:`ConvergenceError` naming the solver, the (1-based) outer
     iteration, the block of a stacked solve if given, and each named value
@@ -393,9 +291,9 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step, extras, 
     """The block-coordinate cycle both drivers run.
 
     Each outer iteration runs ``step`` (see :func:`code_step`) on the stack
-    [X; sqrt(xi) Y[:, :T]], then exact normal-equation steps for W on X and
-    for Wp on Y[:, :T], checks every value is finite and records the step
-    size and min H.  The driver's hooks add its own records:
+    [X; sqrt(xi) Y[:, :T]], then exact dictionary steps for W on X and for
+    Wp on Y[:, :T] (:func:`_dictionary_step`), checks every value is finite
+    and records the step size and min H.  Hooks add each caller's records:
     ``first(x, y_t, model, extras)`` returns what the first ``tol`` test
     compares against (None: no test) and ``after(x, y_t, old, model, sub,
     extras)`` the iteration's objectives, the last one traced and tested.
@@ -420,10 +318,9 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step, extras, 
         for it in range(n_iters):
             wbar = supervised_stack(model.W, model.Wp, hyper.xi)
             h, sub = step(xbar, wbar, model.H, sub_iters)
-            w = solve_W(x, h, hyper.lambda1)
-            wp = solve_W(y_t, h, hyper.lambda2)
-            _require_finite(solver, it, H=h, W=w, Wp=wp,
-                            grad_sq_sum=sub.extras.get("grad_sq_sum", 0.0))
+            w = _dictionary_step(x, h, model.W, hyper.lambda1)
+            wp = _dictionary_step(y_t, h, model.Wp, hyper.lambda2)
+            _require_finite(solver, it, H=h, W=w, Wp=wp)
             old, model = model, FactorModel(w, wp, h, hyper)
             vals = after(x, y_t, old, model, sub, report.extras)
             _require_finite(solver, it, objective=vals)
@@ -447,20 +344,20 @@ def ssnmf_bcd(
     sub_iters: int = 50,
     seed: int = 0,
     nonneg: bool = True,
-    sched: StepSchedule | None = None,
     tol: float | None = None,
 ) -> tuple[FactorModel, SolveReport]:
     """Block-coordinate descent for the supervised factorization with a
-    subdifferentiable penalty (ridge / lasso / soft_freq, or any with lam=0).
+    convex weighted penalty (ridge / lasso / soft_freq).
 
     Each outer iteration solves the code step on the stacked system
-    [X; sqrt(xi) Y[:, :T]] via :func:`solve_H_pgd` (warm-started), then takes
-    exact normal-equation steps for W on X and for Wp on Y[:, :T].  The
-    report's objective trace holds the full objective after each cycle;
-    ``extras["phase_objectives"]`` holds [after_H, after_W, after_Wp]
-    triplets.
+    [X; sqrt(xi) Y[:, :T]] via :func:`solve_H_prox` (``sub_iters``
+    iterations warm-started at the last code; ``nonneg=False`` drops the
+    H >= 0 constraint), then takes exact dictionary steps for W on X and
+    for Wp on Y[:, :T].  The report's objective trace holds the full
+    objective after each cycle; ``extras["phase_objectives"]`` holds
+    [after_H, after_W, after_Wp] triplets.
     """
-    _, step = code_step(hyper.penalty, "pgd", sched=sched, nonneg=nonneg)
+    _, step = code_step(hyper.penalty, "prox", nonneg=nonneg)
 
     def first(x, y_t, model, extras):
         extras["initial_objective"] = objective(x, y_t, model)
@@ -530,30 +427,33 @@ def solve_H_prox(
     h0: np.ndarray,
     p: Penalty,
     n_iters: int,
+    nonneg: bool = True,
 ) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
-    """Davis-Yin splitting on the soft-spectral code subproblem
+    """Davis-Yin splitting on the code subproblem of a convex weighted penalty
 
-        min_{H >= 0}  ||Xbar - Wbar H||_F^2 + lam psi(H),   psi = minkowski1(dft_rows(.))
+        min_{H >= 0}  ||Xbar - Wbar H||_F^2 + penalty(H)     (ridge, lasso, soft_freq)
 
-    with f the fit, the indicator of H >= 0, and lam psi, whose prox is exact
-    (:func:`~freqfact.spectral.minkowski_prox`).  From z = ``h0`` it runs
-    ``n_iters`` iterations
+    with f the fit, the indicator of H >= 0, and the penalty, whose prox is
+    exact (:func:`~freqfact.regularization.penalty_prox`, which rejects
+    hard_freq).  From z = ``h0`` it runs ``n_iters`` iterations
 
-        H = max(z, 0);  U = prox_{gamma lam psi}(2 H - z - gamma grad f(H));  z += U - H
+        H = max(z, 0);  U = prox_{gamma penalty}(2 H - z - gamma grad f(H));  z += U - H
 
     at the fixed step gamma = 1/L, L = 2 ||G||_2 the Lipschitz constant of
-    grad f (G = Wbar^T Wbar), and returns max(z, 0).  The report holds that
-    iterate's exact objective, the step per iteration and, in
-    ``extras["fixed_point_residual"]``, the last ||z_{k+1} - z_k||_F.
+    grad f (G = Wbar^T Wbar), and returns max(z, 0).  ``nonneg=False`` drops
+    the orthant: then H = z and the iteration is plain proximal gradient,
+    z = prox_{gamma penalty}(z - gamma grad f(z)), returning z.  The report
+    holds the returned code's objective (the fit in the Gram form, exact
+    near zero residual, as :func:`alternating_pgd` scores it), the step per
+    iteration and, in ``extras["fixed_point_residual"]``, the last
+    ||z_{k+1} - z_k||_F.
 
     ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
-    against the one ``xbar`` in one pass: one batched G H and one
-    ``rfft``/``irfft`` over all B k rows per iteration.  It returns the
-    (B, k, T) codes and a list of B reports, each equal bit for bit to a
-    separate 2-D call's.
+    against the one ``xbar`` in one pass: one batched G H and one penalty
+    prox over all B k rows per iteration.  It returns the (B, k, T) codes
+    and a list of B reports, each equal bit for bit to a separate 2-D
+    call's.
     """
-    if p.kind != "soft_freq":
-        raise ValueError(f"the prox code step solves soft_freq penalties, not {p.kind}")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
@@ -565,23 +465,26 @@ def solve_H_prox(
     lips = [2.0 * float(np.linalg.norm(g, 2)) for g in gram]
     steps = [1.0 / lip if lip > 0.0 else 1.0 for lip in lips]
     gamma = np.array(steps)[:, None, None]
-    # 2 H - z - gamma grad f(H) = A H - z + c, with grad f(H) = 2 (G H - C)
+    # 2 H - z - gamma grad f(H) = A H - z + c, with grad f(H) = 2 (G H - C);
+    # without the orthant H is z itself
     a = 2.0 * np.eye(z.shape[1]) - 2.0 * gamma * gram
     c = 2.0 * gamma * cross
-    thresh = gamma * p.lam
-    h = np.maximum(z, 0.0)
+    h = np.maximum(z, 0.0) if nonneg else z
     for _ in range(n_iters):
         v = np.matmul(a, h)
         v -= z
         v += c
-        dz = minkowski_prox(v, thresh)
+        dz = penalty_prox(v, p, gamma)
         dz -= h
         z += dz
-        np.maximum(z, 0.0, out=h)
+        if nonneg:
+            np.maximum(z, 0.0, out=h)
     residuals = np.sqrt(np.sum(dz * dz, axis=(1, 2)))
-    reports = [SolveReport([_sq_residual(xbar, w, hb) + penalty_value(hb, p)], [step] * n_iters,
-                           wall_iters=n_iters, extras={"fixed_point_residual": float(res)})
-               for w, hb, step, res in zip(wbar, h, steps, residuals)]
+    x_sq = float(np.vdot(xbar, xbar))
+    reports = [SolveReport([_gram_sq_residual(xbar, w, x_sq, cb, hb, ghb) + penalty_value(hb, p)],
+                           [step] * n_iters, wall_iters=n_iters,
+                           extras={"fixed_point_residual": float(res)})
+               for w, cb, hb, ghb, step, res in zip(wbar, cross, h, gram @ h, steps, residuals)]
     return (h[0], reports[0]) if flat else (h, reports)
 
 
@@ -681,7 +584,6 @@ def code_step(
     R: int | None = None,
     *,
     priority: str = "nonneg",
-    sched: StepSchedule | None = None,
     nonneg: bool = True,
     _diagnostics: bool = True,
 ):
@@ -690,43 +592,28 @@ def code_step(
     ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs ``iters``
     iterations of the chosen solver on min ||Xbar - Wbar H||_F^2 + p(H),
     warm-started at ``h0``.  Its report's last objective is that of the last
-    iterate.  ``variant`` overrides the default, which is "prox"
-    (:func:`solve_H_prox`) for soft_freq, "pgd" (:func:`solve_H_pgd`) for
-    ridge and lasso, "tos" (:func:`three_operator_splitting`) for a hard_freq
-    penalty with a fixed mask, and "heuristic" (:func:`alternating_pgd`) for
-    one without.  "pgd" also solves soft_freq; "prox" solves nothing else.
-    ``R`` overrides ``p.R`` for the heuristic.  ``sched`` and ``nonneg`` go to
-    the subgradient method, ``priority`` and ``_diagnostics`` to the
-    heuristic.
+    iterate.  ``variant`` (one of :data:`CODE_STEPS`) overrides the default,
+    which is "prox" (:func:`solve_H_prox`) for ridge, lasso and soft_freq,
+    "tos" (:func:`three_operator_splitting`) for a hard_freq penalty with a
+    fixed mask, and "heuristic" (:func:`alternating_pgd`) for one without.
+    ``R`` overrides ``p.R`` for the heuristic.  ``nonneg`` goes to the prox
+    step, ``priority`` and ``_diagnostics`` to the heuristic.
 
     ``step`` also takes stacked ``h0`` (B, k, T) and ``wbar`` (B, m, k) and
     then returns (B, k, T) codes and a list of B reports, each equal bit for
     bit to a separate 2-D call's.  "prox" and the heuristic solve the stack
-    in one pass; "pgd" and "tos" run their 2-D solver once per block, "tos"
-    with block b's rows of the fixed mask, which holds the blocks' rows in
-    order.
+    in one pass; "tos" runs its 2-D solver once per block, with block b's
+    rows of the fixed mask, which holds the blocks' rows in order.
     """
     if variant is None:
-        if p.kind == "soft_freq":
+        if p.kind != "hard_freq":
             variant = "prox"
-        elif p.kind != "hard_freq":
-            variant = "pgd"
         else:
             variant = "tos" if p.mask is not None else "heuristic"
     if variant == "prox":
-        if p.kind != "soft_freq":
-            raise ValueError(f"the prox code step solves soft_freq penalties, not {p.kind}")
-        return variant, lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters)
-    if variant == "pgd":
         if p.kind == "hard_freq":
-            raise ValueError("the pgd code step cannot solve a hard-frequency penalty")
-
-        def pgd(xbar, wbar, h, iters):
-            if np.ndim(h) == 2:
-                return solve_H_pgd(xbar, wbar, h, p, sched, iters, nonneg)
-            return _per_block(lambda _, *args: pgd(*args), xbar, wbar, h, iters)
-
-        return variant, pgd
+            raise ValueError("the prox code step cannot solve a hard-frequency penalty")
+        return variant, lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters, nonneg)
     if variant == "heuristic":
         R = R if R is not None else p.R
         if R is None:
@@ -734,8 +621,8 @@ def code_step(
         return variant, lambda xbar, wbar, h, iters: alternating_pgd(
             h, wbar, xbar, R, iters, priority, _diagnostics=_diagnostics)
     if variant != "tos":
-        raise ValueError(f"unknown code-step variant {variant!r}, expected pgd, prox, heuristic "
-                         "or tos")
+        raise ValueError(f"unknown code-step variant {variant!r}, expected "
+                         f"{' | '.join(CODE_STEPS)}")
     mask = p.mask
     if mask is None:
         raise ValueError("the tos code step needs a fixed FrequencyMask")
@@ -745,8 +632,10 @@ def code_step(
             B, k, _ = np.shape(h)
             if mask.rows != B * k:
                 raise ValueError(f"mask has {mask.rows} rows, H has {B * k}")
-            return _per_block(lambda b, *args: tos(
-                *args, FrequencyMask(mask.T, mask.kept[b * k:(b + 1) * k])), xbar, wbar, h, iters)
+            h, wbar, _ = _stacked(h, wbar)
+            out = [tos(xbar, w, hb, iters, FrequencyMask(mask.T, mask.kept[b * k:(b + 1) * k]))
+                   for b, (w, hb) in enumerate(zip(wbar, h))]
+            return np.stack([hb for hb, _ in out]), [sub for _, sub in out]
         gram = wbar.T @ wbar
         cross = wbar.T @ xbar
         h, sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), rows, h, iters)

@@ -24,7 +24,6 @@ __all__ = [
     "minkowski_subgradient",
     "minkowski_prox",
     "half_minkowski1",
-    "half_minkowski_subgradient",
     "FrequencyMask",
     "project_frequency_mask",
     "top_r_indices",
@@ -87,16 +86,23 @@ def minkowski_subgradient(h: np.ndarray) -> np.ndarray:
     with sign(0) := 0, which places the zero element of the subdifferential
     at every kink.  Note the imaginary-sign term: dropping it (and doubling
     the real term) fails the subgradient inequality whenever Im S != 0, so
-    both terms are kept.  Computed by :func:`half_minkowski_subgradient`.
+    both terms are kept.
+
+    Computed as ``irfft(sign(Re S) + i sign(Im S), n=T)`` of ``S = rfft(H)``,
+    the conjugate-symmetric sign spectrum, whose 1/T cancels the chain
+    rule's T.  The signs are those of the computed S: a bin that is zero only
+    up to FFT rounding (a constant row at T = 17, say) takes its residue's
+    sign, another element of the subdifferential.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    return half_minkowski_subgradient(np.fft.rfft(h, axis=1), h.shape[1])
+    spec = np.fft.rfft(h, axis=1)
+    return np.fft.irfft(np.sign(spec.real) + 1j * np.sign(spec.imag), n=h.shape[1], axis=1)
 
 
 def half_minkowski1(spec: np.ndarray, T: int) -> float:
     """:func:`minkowski1` of ``dft_rows(H)`` from ``S = np.fft.rfft(H, axis=1)``.
 
-    The one soft-spectral rule, with :func:`half_minkowski_subgradient` and
+    The one soft-spectral rule, with :func:`minkowski_subgradient` and
     :func:`minkowski_prox`.
     Interior bins stand for themselves and their conjugate mirrors, so their
     |Re| + |Im| counts twice; DC and (for even T) Nyquist count once.  The
@@ -129,18 +135,6 @@ def minkowski_prox(v: np.ndarray, t) -> np.ndarray:
     np.maximum(mag, 0.0, out=mag)
     np.copysign(mag, parts, out=parts)
     return np.fft.irfft(spec, n=v.shape[-1], axis=-1)
-
-
-def half_minkowski_subgradient(spec: np.ndarray, T: int) -> np.ndarray:
-    """:func:`minkowski_subgradient` from ``S = np.fft.rfft(H, axis=1)``.
-
-    ``irfft(sign(Re S) + i sign(Im S), n=T)``: the inverse of the
-    conjugate-symmetric sign spectrum, whose 1/T cancels the chain rule's
-    T.  The signs are those of the computed S, so a bin that is zero only up
-    to FFT rounding (a constant row at T = 17, say) takes the sign of its
-    residue, another element of the subdifferential.
-    """
-    return np.fft.irfft(np.sign(spec.real) + 1j * np.sign(spec.imag), n=T, axis=1)
 
 
 @dataclass(frozen=True)

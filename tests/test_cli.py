@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ class TestFactorize:
         cfg = tmp_path / "f.json"
         cfg.write_text(json.dumps({
             "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
-            "r": 2, "xi": 1e300, "penalty": {"kind": "soft_freq", "lambda": 1.0},
+            "r": 2, "xi": 1e308, "penalty": {"kind": "soft_freq", "lambda": 1.0},
             "n_iters": 4, "sub_iters": 10,
         }))
         out = tmp_path / "o"
@@ -266,6 +268,29 @@ class TestForecastCli:
         assert len(files) > 4
         assert all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
         assert sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file()) == files
+
+    def test_forecast_does_not_import_numpy_ma(self, tmp_path):
+        # numpy's median imports numpy.ma, tens of milliseconds per process
+        import subprocess
+        import sys
+
+        import freqfact
+
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": str(data / "Y_full.csv"), "x_true": str(data / "X_full.csv"),
+            "sweeps": 2, "sub_iters": 10,
+        }))
+        out = tmp_path / "fc"
+        code = ("import sys; import freqfact.cli as cli; rc = cli.main(sys.argv[1:]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        src = str(Path(freqfact.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, "forecast", "--config", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert read_json(out / "metrics.json")["mu_median"] is not None
 
     def test_missing_model_exits_2(self, tmp_path):
         data, model, w, h, T = self.make_pipeline(tmp_path)
@@ -630,6 +655,47 @@ class TestValidatedInputs:
         out = tmp_path / "o"
         assert run_cli("factorize", "--config", cfg, "--out", out) == 2
         assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, want", [
+        ("synth", {"freqs": [3.5, 7]}, "config field 'freqs[0]' must be an int, got float 3.5"),
+        ("synth", {"freqs": [7, True]}, "config field 'freqs[1]' must be an int, got bool True"),
+        ("synth", {"freqs": 5}, "config field 'freqs' must be a list, got int 5"),
+        ("forecast", {"model": "m", "y": [5]}, "config field 'y[0]' must be a string, got int 5"),
+        ("forecast", {"model": "m", "y": 5},
+         "config field 'y' must be a list or a string, got int 5"),
+        ("factorize", {"x": "x.csv", "grid": [5]},
+         "config field 'grid[0]' must be an object, got int 5"),
+        ("factorize", {"x": "x.csv", "penalty": {"kind": "hard_freq", "mask": {"T": 8.0}}},
+         "config field 'penalty.mask.T' must be an int, got float 8.0"),
+        ("atom-scan", {"model": "m", "penalty": {"kind": "hard_freq",
+                                                 "mask": {"T": 8, "kept": [[0], [0, 1.5]]}}},
+         "config field 'penalty.mask.kept[1][1]' must be an int, got float 1.5"),
+        ("forecast", {"model": "m", "penalty": {"kind": "hard_freq", "mask": [0]}},
+         "config field 'penalty.mask' must be an object or null, got list [0]"),
+    ], ids=["freqs-float", "freqs-bool", "freqs-scalar", "y-item", "y-scalar", "grid-item",
+            "mask-T", "mask-kept", "mask-list"])
+    def test_mistyped_list_field_exits_2_naming_the_index(self, tmp_path, capsys, command,
+                                                         config, want):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+    def test_removed_code_step_variant_exits_2(self, tmp_path, capsys, command):
+        data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": str(data / "Y_full.csv"),
+            "x_true": str(data / "X_full.csv"), "variant": "pgd",
+        }))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert ("config field 'variant' must be one of prox | heuristic | tos or null, "
+                "got 'pgd'") in capsys.readouterr().err
         assert not out.exists()
 
     def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):

@@ -89,20 +89,22 @@ class TestEncode:
             h, _ = encode_new(y, wp, penalty, 0.3, cfg)
             assert np.all(h >= 0.0)
 
-    def test_prox_encode_ends_no_higher_than_subgradient_encode(self):
+    @pytest.mark.parametrize("penalty", [Penalty.ridge(1.0), Penalty.lasso(1.0),
+                                         Penalty.soft_freq(1.0)], ids=lambda p: p.kind)
+    def test_convex_penalties_encode_in_one_prox_round(self, penalty):
         rng = np.random.default_rng(66)
         wp = rng.standard_normal((12, 3))
         t = np.arange(64)
         h_true = 1.0 + np.vstack([np.cos(2 * np.pi * f * t / 64) for f in (3, 7, 11)])
         y = wp @ h_true + 0.3 * rng.standard_normal((12, 64))
         cfg = EncodeConfig(sweeps=20, sub_iters=50, seed=6)
-        variant, _ = solvers.code_step(Penalty.soft_freq(1.0))
+        variant, _ = solvers.code_step(penalty)
         assert variant == "prox"
-        _, prox = encode_new(y, wp, Penalty.soft_freq(1.0), 2.0, cfg)
-        _, pgd = encode_new(y, wp, Penalty.soft_freq(1.0), 2.0, replace(cfg, variant="pgd"))
-        assert len(prox.objective_trace) == 1 and prox.wall_iters == 1000
-        assert len(pgd.objective_trace) == 20
-        assert prox.objective_trace[-1] <= pgd.objective_trace[-1]
+        _, long = encode_new(y, wp, penalty, 2.0, cfg)
+        _, short = encode_new(y, wp, penalty, 2.0, replace(cfg, sweeps=1))
+        assert len(long.objective_trace) == 1 and long.wall_iters == 1000
+        # both may have converged, to the Gram form's rounding
+        assert long.objective_trace[-1] <= short.objective_trace[-1] * (1.0 + 1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(64)

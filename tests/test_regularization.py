@@ -6,14 +6,13 @@ import pytest
 from freqfact import (
     FrequencyMask,
     Penalty,
-    dft_rows,
-    minkowski1,
-    penalty_subgradient,
+    minkowski_prox,
+    penalty_prox,
     penalty_value,
     project_frequency_mask,
 )
 
-from helpers import central_diff, dft_definitional, minkowski_definitional, sample_differentiable_h
+from helpers import dft_definitional, minkowski_definitional
 
 
 def test_zero_matrix_has_zero_penalty_every_kind():
@@ -64,43 +63,38 @@ def test_penalty_values_nonnegative_and_convex():
             assert mid <= alpha * v1 + (1 - alpha) * v2 + 1e-10
 
 
-def test_ridge_subgradient():
-    g = penalty_subgradient(np.array([[1.0]]), Penalty.ridge(3.0))
-    assert g.tolist() == [[6.0]]
-
-
-def test_lasso_subgradient_zero_at_kink():
-    g = penalty_subgradient(np.zeros((1, 3)), Penalty.lasso(2.0))
-    assert np.array_equal(g, np.zeros((1, 3)))
-
-
-def test_soft_freq_subgradient_finite_difference():
+@pytest.mark.parametrize("p", [Penalty.ridge(0.7), Penalty.lasso(1.3), Penalty.soft_freq(0.9)],
+                         ids=lambda p: p.kind)
+def test_prox_no_perturbation_does_better(p):
     rng = np.random.default_rng(23)
-    lam = 2.5
-    p = Penalty.soft_freq(lam)
-    func = lambda m: lam * minkowski1(dft_rows(m))
+    func = lambda m, v, t: 0.5 * float(np.sum((m - v) ** 2)) + t * penalty_value(m, p)
     for _ in range(10):
-        h = sample_differentiable_h(rng, 2, 8)
-        d = rng.standard_normal(h.shape)
-        fd = central_diff(func, h, d)
-        assert np.isclose(fd, np.vdot(d, penalty_subgradient(h, p)), rtol=1e-6, atol=1e-9)
+        v = 2.0 * rng.standard_normal((2, 9))
+        t = float(rng.uniform(0.05, 2.0))
+        prox = penalty_prox(v, p, t)
+        base = func(prox, v, t)
+        for _ in range(100):
+            eps = 10.0 ** rng.uniform(-6.0, 0.0)
+            assert func(prox + eps * rng.standard_normal(v.shape), v, t) >= base - 1e-12
 
 
-def test_precomputed_spectrum_gives_the_same_terms():
-    rng = np.random.default_rng(24)
-    h = np.abs(rng.standard_normal((3, 11)))
-    spec = np.fft.rfft(h, axis=1)
-    for p in (Penalty.ridge(0.3), Penalty.lasso(0.3), Penalty.soft_freq(0.3)):
-        assert penalty_value(h, p, spec) == penalty_value(h, p)
-        assert np.array_equal(penalty_subgradient(h, p, spec), penalty_subgradient(h, p))
-    # soft_freq reads the spectrum it is given
-    p = Penalty.soft_freq(1.0)
-    assert np.isclose(penalty_value(h, p, 2.0 * spec), 2.0 * penalty_value(h, p), rtol=1e-14)
+def test_prox_closed_forms():
+    v = np.array([[3.0, -0.5, 0.2, -2.0]])
+    assert np.array_equal(penalty_prox(v, Penalty.ridge(0.5), 2.0), v / 3.0)
+    assert penalty_prox(v, Penalty.lasso(0.5), 2.0).tolist() == [[2.0, -0.0, 0.0, -1.0]]
+    assert np.array_equal(penalty_prox(v, Penalty.soft_freq(0.5), 2.0), minkowski_prox(v, 1.0))
+    # per-block steps broadcast as minkowski_prox's thresholds do
+    stack = np.stack([v, 2.0 * v])
+    t = np.array([0.5, 2.0])[:, None, None]
+    for p in (Penalty.ridge(0.5), Penalty.lasso(0.5), Penalty.soft_freq(0.5)):
+        got = penalty_prox(stack, p, t)
+        for b in range(2):
+            assert np.array_equal(got[b], penalty_prox(stack[b], p, t[b]))
 
 
-def test_hard_freq_has_no_subgradient():
-    with pytest.raises(ValueError):
-        penalty_subgradient(np.zeros((1, 4)), Penalty.hard_freq(R=1))
+def test_hard_freq_has_no_prox():
+    with pytest.raises(ValueError, match="project onto its mask"):
+        penalty_prox(np.zeros((1, 4)), Penalty.hard_freq(R=1), 1.0)
 
 
 def test_hard_feasibility_iff_projection_fixed_point():

@@ -13,7 +13,6 @@ from freqfact import (
     Hyper,
     Penalty,
     SingularGramError,
-    StepSchedule,
     alternating_pgd,
     code_step,
     dft_rows,
@@ -21,7 +20,6 @@ from freqfact import (
     objective,
     penalty_value,
     project_frequency_mask,
-    solve_H_pgd,
     solve_H_prox,
     solve_W,
     ssnmf_bcd,
@@ -29,7 +27,7 @@ from freqfact import (
     three_operator_splitting,
 )
 
-from helpers import dft_definitional, minkowski_definitional
+from helpers import dft_definitional, minkowski_definitional, nnls_columns
 
 
 def make_example_data(d=16, T=163, freqs=(14, 6), seed=42):
@@ -134,124 +132,6 @@ class TestSolveW:
                 assert perturbed >= base - 1e-12
 
 
-class TestSolveHPgd:
-    def test_kkt_on_smooth_instance(self):
-        # lam = 0, orthonormal dictionary: at the solution, entries with
-        # H > 0 must have (near) zero gradient
-        rng = np.random.default_rng(37)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        x = rng.standard_normal((8, 6))
-        h0 = np.abs(rng.standard_normal((3, 6)))
-        p = Penalty.ridge(0.0)
-        h = h0
-        for _ in range(40):  # restarted sweeps sharpen the solution
-            h, _ = solve_H_pgd(x, q, h, p, L=50)
-        grad = 2 * (q.T @ q @ h - q.T @ x)
-        active = h > 1e-12
-        assert np.max(np.abs(grad[active])) <= 1e-4
-        assert np.all(grad[~active] >= -1e-4)
-
-    def test_warm_start_never_worsened(self):
-        rng = np.random.default_rng(38)
-        wbar = rng.standard_normal((6, 2))
-        xbar = rng.standard_normal((6, 5))
-        h0 = np.abs(rng.standard_normal((2, 5)))
-        p = Penalty.soft_freq(0.5)
-        h, report = solve_H_pgd(xbar, wbar, h0, p, L=30)
-        fsub = lambda m: np.sum((xbar - wbar @ m) ** 2) + penalty_value(m, p)
-        assert fsub(h) <= fsub(h0) + 1e-12
-        assert report.objective_trace[0] >= min(report.objective_trace)
-
-    def test_scalar_soft_instance_descends_to_zero(self):
-        # 1x1 data and dictionary both zero: iterates H <- max{0, H - step*sign(H)}
-        x = np.zeros((1, 1))
-        w = np.zeros((1, 1))
-        h0 = np.array([[1.0]])
-        h, _ = solve_H_pgd(x, w, h0, Penalty.soft_freq(1.0), L=20)
-        assert h[0, 0] == 0.0
-
-    def test_optimal_start_is_returned_unchanged(self):
-        # separable diagonal instance: H0 already solves it, so the best
-        # iterate is the start point and the best-value trace is flat
-        rng = np.random.default_rng(48)
-        wbar = np.diag([1.0, 2.0])
-        h0 = np.abs(rng.standard_normal((2, 5)))
-        xbar = wbar @ h0
-        h, report = solve_H_pgd(xbar, wbar, h0, Penalty.ridge(0.0), L=25)
-        assert np.array_equal(h, h0)
-        assert min(report.objective_trace) >= 0.0
-        assert report.extras["best_objective"] <= report.objective_trace[0]
-
-    def test_nonneg_output_and_projection_disable(self):
-        rng = np.random.default_rng(39)
-        wbar = rng.standard_normal((5, 2))
-        xbar = rng.standard_normal((5, 4))
-        h0 = np.abs(rng.standard_normal((2, 4)))
-        h, _ = solve_H_pgd(xbar, wbar, h0, Penalty.ridge(0.0), L=40)
-        assert np.all(h >= 0.0)
-        h_free, _ = solve_H_pgd(xbar, wbar, h0, Penalty.ridge(0.0), L=200, nonneg=False)
-        # unconstrained best iterate approaches the plain least-squares fit
-        ls = np.linalg.lstsq(wbar, xbar, rcond=None)[0]
-        assert np.sum((xbar - wbar @ h_free) ** 2) <= np.sum((xbar - wbar @ ls) ** 2) * 1.05 + 1e-9
-
-    @staticmethod
-    def iterates(monkeypatch, *args, **kwargs):
-        """Run solve_H_pgd and return its report with every iterate, taken
-        from the one penalty evaluation each iterate gets."""
-        seen = []
-        real = solvers.penalty_value
-
-        def spy(h, p, spec=None):
-            seen.append(np.array(h))
-            return real(h, p, spec)
-
-        monkeypatch.setattr(solvers, "penalty_value", spy)
-        _, report = solve_H_pgd(*args, **kwargs)
-        monkeypatch.undo()
-        return report, seen
-
-    @pytest.mark.parametrize(
-        "p", [Penalty.ridge(0.7), Penalty.lasso(0.4), Penalty.soft_freq(1.3)], ids=lambda p: p.kind
-    )
-    def test_trace_matches_exact_objective_at_every_iterate(self, monkeypatch, p):
-        rng = np.random.default_rng(49)
-        wbar = rng.standard_normal((9, 3))
-        xbar = rng.standard_normal((9, 17))  # noisy: no exact fit exists
-        h0 = np.abs(rng.standard_normal((3, 17)))
-        report, seen = self.iterates(monkeypatch, xbar, wbar, h0, p, L=30)
-        assert len(seen) == len(report.objective_trace) == 31
-        assert np.array_equal(seen[0], h0)
-        for hk, val in zip(seen, report.objective_trace):
-            if p.kind == "ridge":
-                pen = p.lam * np.sum(hk**2)
-            elif p.kind == "lasso":
-                pen = p.lam * np.sum(np.abs(hk))
-            else:
-                pen = p.lam * minkowski_definitional(dft_definitional(hk))
-            exact = float(np.sum((xbar - wbar @ hk) ** 2)) + pen
-            assert abs(val - exact) <= 1e-9 * exact
-        assert report.extras["best_objective"] == min(report.objective_trace)
-
-    def test_exact_fit_trace_takes_exact_fallback(self, monkeypatch):
-        # noise-free and started at the solution: every iterate fits Xbar
-        # to rounding, far below the Gram form's resolution
-        rng = np.random.default_rng(50)
-        wbar = rng.standard_normal((7, 2))
-        h0 = np.abs(rng.standard_normal((2, 12)))
-        xbar = wbar @ h0
-        report, seen = self.iterates(monkeypatch, xbar, wbar, h0, Penalty.ridge(0.0), L=6)
-        for hk, val in zip(seen, report.objective_trace):
-            exact = float(np.sum((xbar - wbar @ hk) ** 2))
-            assert exact <= 1e-6 * float(np.sum(xbar**2))
-            assert val == exact
-
-    def test_rejects_hard_penalty_and_bad_l(self):
-        with pytest.raises(ValueError):
-            solve_H_pgd(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), Penalty.hard_freq(R=1))
-        with pytest.raises(ValueError):
-            solve_H_pgd(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), Penalty.ridge(0.0), L=0)
-
-
 class TestSolveHProx:
     @staticmethod
     def instance(seed=51, m=9, k=3, T=17):
@@ -287,14 +167,92 @@ class TestSolveHProx:
             moved = np.maximum(h + eps * rng.standard_normal(h.shape), 0.0)
             assert best <= self.fsub(xbar, wbar, moved, p) + 1e-9 * best
 
-    def test_beats_the_subgradient_method_on_equal_budget(self):
-        xbar, wbar, h0 = self.instance(54)
-        p = Penalty.soft_freq(0.5)
-        _, prox = solve_H_prox(xbar, wbar, h0, p, 500)
-        h = h0
-        for _ in range(10):  # restarted rounds, as encoding runs them
-            h, pgd = solve_H_pgd(xbar, wbar, h, p, L=50)
-        assert prox.objective_trace[0] <= pgd.extras["best_objective"]
+    @pytest.mark.parametrize("p, nonneg", [
+        (Penalty.ridge(0.7), True), (Penalty.lasso(0.4), True), (Penalty.soft_freq(1.3), True),
+        (Penalty.ridge(0.7), False), (Penalty.lasso(0.4), False), (Penalty.soft_freq(1.3), False),
+    ], ids=["ridge", "lasso", "soft_freq", "ridge-free", "lasso-free", "soft-free"])
+    def test_report_scores_every_penalty_kind(self, p, nonneg):
+        xbar, wbar, h0 = self.instance(56)
+        h, report = solve_H_prox(xbar, wbar, h0, p, 30, nonneg)
+        if p.kind == "ridge":
+            pen = p.lam * np.sum(h**2)
+        elif p.kind == "lasso":
+            pen = p.lam * np.sum(np.abs(h))
+        else:
+            pen = p.lam * minkowski_definitional(dft_definitional(h))
+        exact = float(np.sum((xbar - wbar @ h) ** 2)) + pen
+        assert len(report.objective_trace) == 1
+        assert abs(report.objective_trace[0] - exact) <= 1e-9 * exact
+        assert np.all(h >= 0.0) or not nonneg
+
+    def test_nonneg_ridge_matches_augmented_nnls(self):
+        # lam ||H||^2 is the fit of sqrt(lam) I H against zero rows
+        xbar, wbar, h0 = self.instance(57)
+        lam = 0.7
+        h, _ = solve_H_prox(xbar, wbar, h0, Penalty.ridge(lam), 3000)
+        k, T = h0.shape
+        ref = nnls_columns(np.vstack([wbar, np.sqrt(lam) * np.eye(k)]),
+                           np.vstack([xbar, np.zeros((k, T))]))
+        assert np.max(np.abs(h - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+
+    def test_nonneg_lasso_matches_bounded_reference(self):
+        # on H >= 0 the l1 norm is sum(H), so the problem is smooth under bounds
+        from scipy.optimize import minimize
+
+        xbar, wbar, h0 = self.instance(58)
+        lam = 2.0
+        gram, cross = wbar.T @ wbar, wbar.T @ xbar
+
+        def fun(flat):
+            m = flat.reshape(h0.shape)
+            return (float(np.sum((xbar - wbar @ m) ** 2)) + lam * float(np.sum(m)),
+                    (2.0 * (gram @ m - cross) + lam).ravel())
+
+        res = minimize(fun, h0.ravel(), jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, None)] * h0.size,
+                       options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12})
+        assert res.success
+        h, report = solve_H_prox(xbar, wbar, h0, Penalty.lasso(lam), 3000)
+        assert report.objective_trace[0] <= res.fun + 1e-9 * res.fun
+        assert np.max(np.abs(h - res.x.reshape(h0.shape))) <= 1e-5
+
+    def test_unconstrained_ridge_reaches_closed_form(self):
+        xbar, wbar, h0 = self.instance(59)
+        lam = 0.7
+        gram, cross = wbar.T @ wbar, wbar.T @ xbar
+        h, _ = solve_H_prox(xbar, wbar, h0, Penalty.ridge(lam), 3000, nonneg=False)
+        ref = np.linalg.solve(gram + lam * np.eye(len(gram)), cross)
+        assert np.min(ref) < 0.0  # the orthant would bind
+        assert np.max(np.abs(h - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_kkt_on_smooth_instance(self):
+        # lam = 0, orthonormal dictionary: at the solution, entries with
+        # H > 0 must have (near) zero gradient and the others a nonnegative one
+        rng = np.random.default_rng(37)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        x = rng.standard_normal((8, 6))
+        h0 = np.abs(rng.standard_normal((3, 6)))
+        h, _ = solve_H_prox(x, q, h0, Penalty.ridge(0.0), 200)
+        grad = 2 * (q.T @ q @ h - q.T @ x)
+        active = h > 1e-12
+        assert np.max(np.abs(grad[active])) <= 1e-10
+        assert np.all(grad[~active] >= -1e-10)
+
+    def test_optimal_start_stays_put(self):
+        # separable diagonal instance that H0 already solves
+        rng = np.random.default_rng(48)
+        wbar = np.diag([1.0, 2.0])
+        h0 = np.abs(rng.standard_normal((2, 5)))
+        h, report = solve_H_prox(wbar @ h0, wbar, h0, Penalty.ridge(0.0), 25)
+        assert np.allclose(h, h0, rtol=0.0, atol=1e-14)
+        assert report.extras["fixed_point_residual"] <= 1e-14
+
+    def test_scalar_soft_instance_descends_to_zero(self):
+        # 1x1 data and dictionary both zero: the fit is flat, so one prox
+        # step of weight 1 takes H = 1 to 0
+        h, _ = solve_H_prox(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[1.0]]),
+                            Penalty.soft_freq(1.0), 20)
+        assert h[0, 0] == 0.0
 
     def test_fixed_point_residual_falls_with_iterations(self):
         xbar, wbar, h0 = self.instance(55)
@@ -306,24 +264,19 @@ class TestSolveHProx:
 
     def test_validation(self):
         args = np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 4))
-        with pytest.raises(ValueError, match="solves soft_freq penalties, not ridge"):
-            solve_H_prox(*args, Penalty.ridge(0.1), 3)
+        with pytest.raises(ValueError, match="hard_freq is an indicator; project onto its mask"):
+            solve_H_prox(*args, Penalty.hard_freq(R=1), 3)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
             solve_H_prox(*args, Penalty.soft_freq(0.1), 0)
 
-
-def test_step_schedule_kinds_and_validation():
-    lip = 2.0
-    assert StepSchedule("diminishing_c_over_j", c=3.0).stepper(lip)(0, 0.0) == 3.0
-    assert StepSchedule("diminishing_c_over_j", c=3.0).stepper(lip)(2, 0.0) == 1.0
-    assert np.isclose(StepSchedule("lipschitz_scaled").stepper(lip)(0, 0.0), 1 / 5.0)
-    ada = StepSchedule("adagrad_like", gamma0=0.5).stepper(lip)
-    assert ada(0, 0.0) == 0.5
-    assert np.isclose(ada(3, 16.0), 0.25)
-    with pytest.raises(ValueError):
-        StepSchedule("constant")
-    with pytest.raises(ValueError):
-        StepSchedule(c=-1.0)
+    def test_rejects_hard_penalty_and_bad_n_iters_on_a_stack(self):
+        # an all-zero stacked dictionary has Lipschitz constant 0 (step 1);
+        # the rejections still hold for every block
+        args = np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+        with pytest.raises(ValueError, match="hard_freq is an indicator"):
+            solve_H_prox(*args, Penalty.hard_freq(R=1), 1, nonneg=False)
+        with pytest.raises(ValueError, match="n_iters must be >= 1"):
+            solve_H_prox(*args, Penalty.ridge(0.0), -1)
 
 
 class TestSsnmfBcd:
@@ -372,13 +325,28 @@ class TestSsnmfBcd:
         assert report.wall_iters < 300
 
     def test_overflow_raises_naming_solver_and_iteration(self):
-        # sqrt(xi) = 1e150 scales the auxiliary rows; the code step's
-        # squared gradient norms overflow on the first outer iteration
+        # xi = 1e308 weights the auxiliary fit past the float range, so the
+        # objective overflows on the first outer iteration
         x, y = make_example_data(d=6, T=30, freqs=(2, 5), seed=3)
-        hyper = Hyper(2, 1e300, Penalty.soft_freq(1.0))
-        with pytest.raises(ConvergenceError, match=r"ssnmf_bcd: non-finite .*grad_sq_sum"
-                                                   r".* at outer iteration 1$"):
+        hyper = Hyper(2, 1e308, Penalty.soft_freq(1.0))
+        with pytest.raises(ConvergenceError, match=r"ssnmf_bcd: non-finite .*objective"
+                                                   r" at outer iteration 1$"):
             ssnmf_bcd(x, y, hyper, n_iters=3, sub_iters=5, seed=0)
+
+    def test_dead_atom_keeps_its_dictionary_column(self):
+        # the first lasso prox step zeroes atom 0's whole code row; with no
+        # ridge on W its column is free, so the dictionary step keeps it
+        # rather than failing on the singular Gram
+        x, y = make_example_data(d=8, seed=1)
+        hyper = Hyper(2, 1.0, Penalty.lasso(0.5))
+        model, report = ssnmf_bcd(x, y, hyper, n_iters=4, sub_iters=20, seed=4)
+        assert (~model.H.any(axis=1)).tolist() == [True, False]
+        w0, wp0, _ = solvers._init_factors(x, y[:, : x.shape[1]], hyper, 4)
+        assert np.array_equal(model.W[:, 0], w0[:, 0])
+        assert np.array_equal(model.Wp[:, 0], wp0[:, 0])
+        for after_h, after_w, after_wp in report.extras["phase_objectives"]:
+            assert after_wp <= after_w + 1e-10 and after_w <= after_h + 1e-10
+        assert all(b <= a for a, b in zip(report.objective_trace, report.objective_trace[1:]))
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -520,7 +488,18 @@ class TestSsnmfHard:
         assert max(report.extras["offmask_after_projection"]) <= 1e-8
         assert all(v >= 0.0 for v in report.extras["h_min_trace"])
 
-    def test_full_mask_matches_unregularized_bcd(self):
+    def test_full_mask_matches_unregularized_bcd(self, monkeypatch):
+        # every bin kept: the top-R projection is the identity, so the hard
+        # cycle is the unregularized one with the heuristic's code iteration
+        def projected_gradient(xbar, wbar, h, p, iters, nonneg):
+            gram, cross = wbar.T @ wbar, wbar.T @ xbar
+            base = 1.0 / (2.0 * np.linalg.norm(gram, 2) + 1.0)
+            steps = [base / (j + 1) for j in range(iters)]
+            for step in steps:
+                h = np.maximum(h - 2.0 * step * (gram @ h - cross), 0.0)
+            return h, solvers.SolveReport([], steps)
+
+        monkeypatch.setattr(solvers, "solve_H_prox", projected_gradient)
         x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=5)
         T = x.shape[1]
         r_full = T // 2 + 1
@@ -546,12 +525,12 @@ class TestSsnmfHard:
     def test_overflow_raises_naming_solver_and_iteration(self):
         x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
         mask = FrequencyMask.same(2, 20, [0, 2, 5])
-        with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp, "
-                                                   r"grad_sq_sum at outer iteration 1$"):
+        with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
+                                                   r"at outer iteration 1$"):
             ssnmf_hard(x, y, Hyper(2, 1e300, Penalty.hard_freq(mask=mask)), 2, n_iters=3,
                        variant="tos", seed=0, sub_iters=5, mask=mask)
-        # the heuristic keeps no gradient sum; data near the top of the
-        # float range overflows its Gram matrix instead
+        # data near the top of the float range overflows the heuristic's
+        # Gram matrix
         with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
                                                    r"at outer iteration 1$"):
             ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(R=2)), 2, n_iters=3,
@@ -571,8 +550,8 @@ MASK16 = FrequencyMask.same(2, 16, [0, 2])
 
 class TestCodeStep:
     @pytest.mark.parametrize("penalty, variant, R, want", [
-        (Penalty.ridge(0.1), None, None, "pgd"),
-        (Penalty.lasso(0.1), None, None, "pgd"),
+        (Penalty.ridge(0.1), None, None, "prox"),
+        (Penalty.lasso(0.1), None, None, "prox"),
         (Penalty.soft_freq(0.1), None, None, "prox"),
         (Penalty.hard_freq(R=2), None, None, "heuristic"),
         (Penalty.hard_freq(mask=MASK16), None, None, "tos"),
@@ -582,7 +561,6 @@ class TestCodeStep:
         (Penalty.hard_freq(R=2), "heuristic", 3, "heuristic"),
         (Penalty.ridge(0.1), "heuristic", 2, "heuristic"),
         (Penalty("ridge", 0.1, mask=MASK16), "tos", None, "tos"),
-        (Penalty.soft_freq(0.1), "pgd", None, "pgd"),
     ])
     def test_choice_and_solver(self, penalty, variant, R, want):
         rng = np.random.default_rng(48)
@@ -592,9 +570,7 @@ class TestCodeStep:
         got, step = code_step(penalty, variant, R)
         assert got == want
         h, sub = step(xbar, wbar, h0, 6)
-        if want == "pgd":
-            ref, ref_sub = solve_H_pgd(xbar, wbar, h0, penalty, None, 6)
-        elif want == "prox":
+        if want == "prox":
             ref, ref_sub = solve_H_prox(xbar, wbar, h0, penalty, 6)
         elif want == "heuristic":
             ref, ref_sub = alternating_pgd(h0, wbar, xbar, R if R is not None else penalty.R, 6)
@@ -608,16 +584,16 @@ class TestCodeStep:
         assert sub.step_trace == ref_sub.step_trace
         assert sub.objective_trace[-1] == pytest.approx(ref_sub.objective_trace[-1], rel=1e-12)
 
-    def test_pgd_options_reach_the_solver(self):
+    def test_prox_nonneg_reaches_the_solver(self):
         rng = np.random.default_rng(49)
         wbar = rng.standard_normal((5, 2))
         xbar = rng.standard_normal((5, 8))
         h0 = rng.standard_normal((2, 8))
-        sched = StepSchedule("diminishing_c_over_j", c=0.01)
-        _, step = code_step(Penalty.lasso(0.2), sched=sched, nonneg=False)
+        _, step = code_step(Penalty.lasso(0.2), nonneg=False)
         h, sub = step(xbar, wbar, h0, 4)
-        ref, ref_sub = solve_H_pgd(xbar, wbar, h0, Penalty.lasso(0.2), sched, 4, nonneg=False)
+        ref, ref_sub = solve_H_prox(xbar, wbar, h0, Penalty.lasso(0.2), 4, nonneg=False)
         assert np.array_equal(h, ref) and sub.step_trace == ref_sub.step_trace
+        assert np.min(h) < 0.0
 
     def test_heuristic_priority_reaches_the_solver(self):
         rng = np.random.default_rng(50)
@@ -629,14 +605,14 @@ class TestCodeStep:
         assert np.array_equal(h, alternating_pgd(h0, wbar, xbar, 3, 5, "frequency")[0])
 
     @pytest.mark.parametrize("penalty, variant, R, match", [
-        (Penalty.hard_freq(R=2), "pgd", None, "cannot solve a hard-frequency penalty"),
-        (Penalty.hard_freq(mask=MASK16), "pgd", None, "cannot solve a hard-frequency penalty"),
+        (Penalty.hard_freq(R=2), "prox", None, "cannot solve a hard-frequency penalty"),
+        (Penalty.hard_freq(mask=MASK16), "prox", None, "cannot solve a hard-frequency penalty"),
         (Penalty.ridge(0.1), "heuristic", None, "needs R"),
         (Penalty.hard_freq(mask=MASK16), "heuristic", None, "needs R"),
         (Penalty.hard_freq(R=2), "tos", None, "needs a fixed FrequencyMask"),
         (Penalty.soft_freq(0.1), "tos", 2, "needs a fixed FrequencyMask"),
         (Penalty.ridge(0.1), "hals", None, "unknown code-step variant"),
-        (Penalty.lasso(0.1), "prox", None, "solves soft_freq penalties, not lasso"),
+        (Penalty.soft_freq(0.1), "pgd", None, "unknown code-step variant 'pgd', expected prox"),
     ])
     def test_errors(self, penalty, variant, R, match):
         with pytest.raises(ValueError, match=match):
@@ -678,7 +654,7 @@ STACKED_STEPS = [
     (Penalty.ridge(0.3), {}),
     (Penalty.lasso(0.2), {}),
     (Penalty.soft_freq(0.5), {}),
-    (Penalty.soft_freq(0.5), {"variant": "pgd"}),
+    (Penalty.lasso(0.2), {"nonneg": False}),
     ("tos", {}),
 ]
 
@@ -688,7 +664,7 @@ class TestStackedCodeStep:
 
     @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
                              ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
-                                  "soft-pgd", "tos"])
+                                  "lasso-free", "tos"])
     @settings(max_examples=25, deadline=None)
     @given(problem=stacked_problems(), iters=st.integers(1, 12))
     def test_stack_equals_separate_calls(self, penalty, options, problem, iters):
