@@ -41,7 +41,6 @@ from .spectral import (
     minkowski_subgradient,
     offmask_ratio,
     project_frequency_mask,
-    top_r_indices,
 )
 from .synthetic import (
     CodeDecomposition,

@@ -6,6 +6,13 @@ failures that the CLI maps to its "numerical failure" exit code.
 
 import numpy as np
 
+__all__ = [
+    "SingularGramError",
+    "SpectrumSymmetryError",
+    "ConvergenceError",
+    "TensorFormatError",
+]
+
 
 class SingularGramError(np.linalg.LinAlgError):
     """Gram matrix H H^T is singular and no ridge was requested."""

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyMask, half_minkowski1, minkowski_prox, offmask_ratio
+from .spectral import (FrequencyMask, half_minkowski1, half_offmask_ratio, minkowski_prox,
+                       offmask_ratio, top_r_keep)
 
 __all__ = [
     "Penalty",
@@ -32,7 +33,9 @@ class Penalty:
 
     ``lam`` is the regularization weight (ignored by hard_freq, whose value
     is 0 or +inf).  hard_freq needs a mask source: a fixed
-    :class:`FrequencyMask`, or ``R`` for the adaptive top-R mask.
+    :class:`FrequencyMask`, or ``R`` for the adaptive top-R mask.  Either
+    band is a half-spectrum keep array: the fixed mask's ``keep``, or
+    :func:`~freqfact.spectral.top_r_keep` of the code being scored.
     """
 
     kind: str
@@ -64,14 +67,6 @@ class Penalty:
     def hard_freq(cls, R: int | None = None, mask: FrequencyMask | None = None) -> "Penalty":
         return cls("hard_freq", 0.0, R, mask)
 
-    def mask_for(self, h: np.ndarray) -> FrequencyMask:
-        """Resolve the hard-freq mask: fixed if given, else top-R of ``h``."""
-        if self.kind != "hard_freq":
-            raise ValueError("mask_for applies to hard_freq penalties only")
-        if self.mask is not None:
-            return self.mask
-        return FrequencyMask.from_top_r(h, self.R)
-
 
 def penalty_value(h: np.ndarray, p: Penalty) -> float:
     """Evaluate the penalty; hard_freq returns 0.0 or math.inf."""
@@ -82,10 +77,11 @@ def penalty_value(h: np.ndarray, p: Penalty) -> float:
         return p.lam * float(np.sum(np.abs(h)))
     if p.kind == "soft_freq":
         return p.lam * half_minkowski1(np.fft.rfft(h, axis=1), h.shape[1])
-    mask = p.mask_for(h)
-    if np.all(offmask_ratio(h, mask) <= HARD_FEASIBILITY_RTOL):
-        return 0.0
-    return math.inf
+    if p.mask is not None:
+        ratio = offmask_ratio(h, p.mask)
+    else:
+        ratio = half_offmask_ratio(*top_r_keep(h, p.R), h.shape[1])
+    return 0.0 if np.all(ratio <= HARD_FEASIBILITY_RTOL) else math.inf
 
 
 def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:

@@ -9,8 +9,9 @@ Four solvers:
   prox) at the fixed step 1/L, returning the last iterate; without the
   orthant it is plain proximal gradient.
 * :func:`three_operator_splitting` - splitting scheme for the doubly
-  constrained code subproblem (nonnegative orthant + fixed frequency mask),
-  returning the ergodic average.
+  constrained code subproblem (nonnegative orthant + fixed frequency mask,
+  projected onto through the mask's half-spectrum keep array), returning
+  the ergodic average.
 * :func:`alternating_pgd` - heuristic alternation of adaptive top-R
   frequency projection, a gradient step, and the nonnegativity projection.
 

@@ -9,9 +9,14 @@ Conventions, fixed across the package:
 so the inverse carries no 1/T factor and ``||dft(A)||_F^2 == ||A||_F^2 / T``
 (scaled Parseval).  Internally ``numpy.fft`` does the work, but every result
 is contractually equal to the definitional matrix product within 1e-10.
+
+Only the definitional :func:`dft_rows` / :func:`idft_rows` transform the full
+spectrum; the rest works on the ``rfft`` half-spectrum (bins 0..T//2), which
+a real row's conjugate symmetry determines.  A :class:`FrequencyMask` carries
+its half-spectrum keep array, which projection and off-mask ratio read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +31,6 @@ __all__ = [
     "half_minkowski1",
     "FrequencyMask",
     "project_frequency_mask",
-    "top_r_indices",
     "top_r_keep",
     "half_offmask_ratio",
     "inverse_usage_ratio",
@@ -142,27 +146,35 @@ class FrequencyMask:
     """Per-row set of retained frequency indices, closed under k -> (T-k) % T.
 
     Conjugate closure keeps the masked signal real.  ``kept`` holds one
-    sorted tuple of indices per row.
+    sorted tuple of indices per row; it is the config and file form.
+    ``keep`` is derived from it: the read-only ``(rows, T//2 + 1)`` boolean
+    array of kept ``rfft`` bins, which the mask consumers read.
     """
 
     T: int
     kept: tuple[tuple[int, ...], ...]
+    keep: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T < 1:
+        T = self.T
+        if T < 1:
             raise ValueError("T must be positive")
-        norm_rows = []
-        for row in self.kept:
-            idx = tuple(sorted(set(int(k) for k in row)))
-            for k in idx:
-                if not 0 <= k < self.T:
-                    raise ValueError(f"frequency index {k} outside [0, {self.T})")
-                if (self.T - k) % self.T not in idx:
-                    raise ValueError(
-                        f"mask not conjugate-closed: {k} kept but {(self.T - k) % self.T} dropped"
-                    )
-            norm_rows.append(idx)
-        object.__setattr__(self, "kept", tuple(norm_rows))
+        kept = tuple(tuple(sorted({int(k) for k in row})) for row in self.kept)
+        for row in kept:
+            if row and (row[0] < 0 or row[-1] >= T):
+                raise ValueError(f"frequency index {row[0] if row[0] < 0 else row[-1]} "
+                                 f"outside [0, {T})")
+        full = np.zeros((len(kept), T), dtype=bool)
+        for s, row in enumerate(kept):
+            full[s, list(row)] = True
+        unpaired = np.argwhere(full & ~full[:, -np.arange(T) % T])
+        if unpaired.size:
+            k = int(unpaired[0, 1])
+            raise ValueError(f"mask not conjugate-closed: {k} kept but {(T - k) % T} dropped")
+        keep = full[:, : T // 2 + 1].copy()
+        keep.flags.writeable = False
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "keep", keep)
 
     @property
     def rows(self) -> int:
@@ -170,49 +182,36 @@ class FrequencyMask:
 
     @classmethod
     def full(cls, rows: int, T: int) -> "FrequencyMask":
-        all_k = tuple(range(T))
-        return cls(T, tuple(all_k for _ in range(rows)))
+        return cls(T, (tuple(range(T)),) * rows)
 
     @classmethod
     def same(cls, rows: int, T: int, indices) -> "FrequencyMask":
         """One index set applied to every row (mirrors added automatically)."""
-        closed = set()
-        for k in indices:
-            closed.add(int(k) % T)
-            closed.add((T - int(k)) % T)
-        row = tuple(sorted(closed))
-        return cls(T, tuple(row for _ in range(rows)))
-
-    @classmethod
-    def from_top_r(cls, h: np.ndarray, R: int) -> "FrequencyMask":
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        return cls(h.shape[1], _kept_from_half(top_r_keep(h, R)[1], h.shape[1]))
+        return cls(T, (tuple({sign * int(k) % T for k in indices for sign in (1, -1)}),) * rows)
 
     def without_row(self, s: int) -> "FrequencyMask":
         """The mask with row ``s`` dropped, for a code that lost atom ``s``."""
         return FrequencyMask(self.T, self.kept[:s] + self.kept[s + 1 :])
 
-    def to_bool(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.T), dtype=bool)
-        for s, row in enumerate(self.kept):
-            out[s, list(row)] = True
-        return out
 
-
-def project_frequency_mask(h: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    """Orthogonal projection onto {H : dft_rows(H) vanishes outside mask}.
-
-    Per row: zero the disallowed coefficients, invert.  Idempotent, and real
-    because the mask is conjugate-closed.
-    """
+def _masked_rows(h: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """H as a float matrix, after checking it has the mask's shape."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if h.shape[1] != mask.T:
         raise ValueError(f"mask is for T={mask.T}, H has {h.shape[1]} columns")
     if h.shape[0] != mask.rows:
         raise ValueError(f"mask has {mask.rows} rows, H has {h.shape[0]}")
-    spec = np.fft.fft(h, axis=1)
-    spec[~mask.to_bool()] = 0.0
-    return np.fft.ifft(spec, axis=1).real.copy()
+    return h
+
+
+def project_frequency_mask(h: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """Orthogonal projection onto {H : dft_rows(H) vanishes outside mask}.
+
+    Per row: zero the half-spectrum bins outside ``mask.keep``, invert.
+    Idempotent, and real because the mask is conjugate-closed.
+    """
+    h = _masked_rows(h, mask)
+    return np.fft.irfft(np.where(mask.keep, np.fft.rfft(h, axis=1), 0.0), n=mask.T, axis=1)
 
 
 def top_r_keep(h: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +240,8 @@ def top_r_keep(h: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def half_offmask_ratio(spec: np.ndarray, keep: np.ndarray, T: int) -> np.ndarray:
-    """:func:`offmask_ratio` from an ``rfft`` half-spectrum and keep-array.
+    """Per-row relative spectral mass outside a mask, from an ``rfft``
+    half-spectrum and its keep-array (0 for zero rows).
 
     Interior bins stand for themselves and their mirrors, so their power
     counts twice; DC and (for even T) Nyquist count once.  The result equals
@@ -252,25 +252,6 @@ def half_offmask_ratio(spec: np.ndarray, keep: np.ndarray, T: int) -> np.ndarray
     total = power.sum(axis=1)
     off = np.where(keep, 0.0, power).sum(axis=1)
     return np.sqrt(np.divide(off, total, out=np.zeros_like(off), where=total > 0.0))
-
-
-def _kept_from_half(keep: np.ndarray, T: int) -> tuple[tuple[int, ...], ...]:
-    """Full-spectrum index tuples (mirrors added) from a half keep-array."""
-    return tuple(
-        tuple(sorted({int(k) for k in row} | {(T - int(k)) % T for k in row}))
-        for row in (np.flatnonzero(r) for r in keep)
-    )
-
-
-def top_r_indices(h_row: np.ndarray, R: int) -> tuple[int, ...]:
-    """Conjugate-closed index set of the R largest-amplitude frequencies.
-
-    The selection rule is :func:`top_r_keep` on the single row: candidates
-    are k in {0, ..., floor(T/2)}, ties break toward the lower index, and
-    mirrors (T - k) % T are added (k = 0 and k = T/2 are their own mirrors).
-    """
-    h_row = np.asarray(h_row, dtype=float).ravel()
-    return _kept_from_half(top_r_keep(h_row, R)[1], h_row.shape[0])[0]
 
 
 def inverse_usage_ratio(h: np.ndarray) -> np.ndarray:
@@ -297,8 +278,5 @@ def mask_distance(h: np.ndarray, mask: FrequencyMask) -> float:
 
 def offmask_ratio(h: np.ndarray, mask: FrequencyMask) -> np.ndarray:
     """Per-row relative spectral mass outside the mask (0 for zero rows)."""
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    spec = np.abs(dft_rows(h))
-    total = np.linalg.norm(spec, axis=1)
-    off = np.linalg.norm(np.where(mask.to_bool(), 0.0, spec), axis=1)
-    return np.divide(off, total, out=np.zeros_like(off), where=total > 0.0)
+    h = _masked_rows(h, mask)
+    return half_offmask_ratio(np.fft.rfft(h, axis=1), mask.keep, mask.T)

@@ -86,6 +86,26 @@ class TestObjective:
             for x in (np.ascontiguousarray(full[:, :T]), full[:, :T]):
                 assert _sq_residual(x, w, h) == float(np.sum((x - w @ h) ** 2))
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 12), k=st.integers(1, 6), T=st.integers(1, 40),
+           noise=st.sampled_from([0.0, 1e-9, 1e-4, 1.0, 10.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gram_residual_agrees_with_the_exact_one(self, m, k, T, noise, seed):
+        # noise 0 leaves a residual of rounding size, which takes the fallback
+        from freqfact.solvers import _gram_sq_residual, _sq_residual
+
+        rng = np.random.default_rng(seed)
+        wbar = rng.standard_normal((m, k))
+        h = np.abs(rng.standard_normal((k, T)))
+        xbar = wbar @ h + noise * rng.standard_normal((m, T))
+        x_sq = float(np.sum(xbar * xbar))
+        exact = _sq_residual(xbar, wbar, h)
+        got = _gram_sq_residual(xbar, wbar, x_sq, wbar.T @ xbar, h, wbar.T @ wbar @ h)
+        if exact <= 1e-7 * x_sq:
+            assert got == exact
+        else:
+            assert abs(got - exact) <= 1e-10 * x_sq
+
     def test_hard_infeasible_is_infinite(self):
         rng = np.random.default_rng(33)
         h = rng.standard_normal((2, 8))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqfact.spectral import (
     half_minkowski1,
@@ -9,6 +11,7 @@ from freqfact.spectral import (
 )
 from freqfact import (
     FrequencyMask,
+    Penalty,
     SpectrumSymmetryError,
     dft_rows,
     idft_rows,
@@ -17,8 +20,8 @@ from freqfact import (
     minkowski1,
     minkowski_subgradient,
     offmask_ratio,
+    penalty_value,
     project_frequency_mask,
-    top_r_indices,
 )
 
 from helpers import (
@@ -299,6 +302,21 @@ class TestMinkowskiProx:
             assert np.array_equal(got[b], minkowski_prox(v[b], t[b]))
 
 
+def _full_keep(kept, T):
+    """The full-spectrum boolean array of the index tuples ``kept``."""
+    out = np.zeros((len(kept), T), dtype=bool)
+    for s, row in enumerate(kept):
+        out[s, list(row)] = True
+    return out
+
+
+def _mask_then_invert(h, full):
+    """Definitional projection: zero the spectrum outside ``full``, invert."""
+    spec = dft_definitional(h)
+    spec[~full] = 0.0
+    return idft_definitional(spec).real
+
+
 class TestFrequencyMask:
     def test_requires_conjugate_closure(self):
         with pytest.raises(ValueError):
@@ -326,11 +344,7 @@ class TestFrequencyMask:
         rng = np.random.default_rng(15)
         h = rng.standard_normal((2, 10))
         m = FrequencyMask.same(2, 10, [1, 4])
-        spec = dft_definitional(h)
-        spec[~m.to_bool()] = 0.0
-        k = np.arange(10).reshape(-1, 1)
-        t = np.arange(10).reshape(1, -1)
-        oracle = (spec @ np.exp(2j * np.pi * k * t / 10)).real
+        oracle = _mask_then_invert(h, _full_keep(m.kept, 10))
         assert np.allclose(project_frequency_mask(h, m), oracle, atol=1e-10)
 
     def test_projection_is_orthogonal(self):
@@ -345,7 +359,7 @@ class TestFrequencyMask:
         rng = np.random.default_rng(25)
         mask = FrequencyMask.same(2, 10, [0, 3])
         spec = np.abs(dft_rows(project_frequency_mask(rng.standard_normal((2, 10)), mask)))
-        assert np.all(spec[~mask.to_bool()] <= 1e-8 * np.linalg.norm(spec))
+        assert np.all(spec[~_full_keep(mask.kept, 10)] <= 1e-8 * np.linalg.norm(spec))
 
     def test_projection_is_nonexpansive(self):
         rng = np.random.default_rng(26)
@@ -362,15 +376,60 @@ class TestFrequencyMask:
         with pytest.raises(ValueError):
             project_frequency_mask(np.zeros((2, 4)), FrequencyMask.full(1, 4))
 
+    def test_keep_is_derived_and_read_only(self):
+        m = FrequencyMask.same(2, 8, [1])
+        with pytest.raises(TypeError):
+            FrequencyMask(8, m.kept, keep=m.keep)
+        with pytest.raises(ValueError):
+            m.keep[0, 0] = True
+        # the mask compares and hashes by T and kept alone
+        assert m == FrequencyMask(8, ((7, 1, 1), (1, 7)))
+        assert hash(m) == hash(FrequencyMask(8, ((1, 7), (1, 7))))
+        assert "keep" not in repr(m)
+
+    def test_errors_name_the_index_and_its_mirror(self):
+        with pytest.raises(ValueError, match=r"^mask not conjugate-closed: 2 kept but 6 dropped$"):
+            FrequencyMask(8, ((0, 1, 7), (0, 2)))
+        with pytest.raises(ValueError, match=r"^frequency index 8 outside \[0, 8\)$"):
+            FrequencyMask(8, ((0,), (0, 8)))
+        with pytest.raises(ValueError, match=r"^frequency index -1 outside \[0, 8\)$"):
+            FrequencyMask(8, ((-1, 0, 9),))
+
+
+class TestMaskShapeChecks:
+    """Projection and off-mask ratio reject an H the mask does not fit."""
+
+    H = np.vstack([np.cos(2 * np.pi * np.arange(8) / 8), np.cos(6 * np.pi * np.arange(8) / 8)])
+
+    @pytest.mark.parametrize("func", [project_frequency_mask, offmask_ratio])
+    def test_one_row_mask_does_not_broadcast(self, func):
+        with pytest.raises(ValueError, match=r"^mask has 1 rows, H has 2$"):
+            func(self.H, FrequencyMask.same(1, 8, [1]))
+
+    @pytest.mark.parametrize("func", [project_frequency_mask, offmask_ratio])
+    def test_wrong_length_names_both(self, func):
+        with pytest.raises(ValueError, match=r"^mask is for T=16, H has 8 columns$"):
+            func(self.H, FrequencyMask.same(2, 16, [1]))
+
+    def test_hard_penalty_value_checks_the_fixed_mask(self):
+        with pytest.raises(ValueError, match=r"^mask has 1 rows, H has 2$"):
+            penalty_value(self.H, Penalty.hard_freq(mask=FrequencyMask.same(1, 8, [1])))
+        band = Penalty.hard_freq(mask=FrequencyMask.same(2, 8, [1, 3]))
+        assert penalty_value(self.H, band) == 0.0
+
 
 class TestTopR:
+    @staticmethod
+    def kept_bins(row, R):
+        return np.flatnonzero(top_r_keep(row, R)[1][0]).tolist()
+
     def test_single_tone(self):
         T = 16
         row = np.cos(2 * np.pi * 3 * np.arange(T) / T)
-        assert top_r_indices(row, 1) == (3, 13)
+        assert self.kept_bins(row, 1) == [3]
 
     def test_constant_row_keeps_dc(self):
-        assert top_r_indices(np.ones(8), 1) == (0,)
+        assert self.kept_bins(np.ones(8), 1) == [0]
 
     def test_matches_brute_force_psd_sort(self):
         rng = np.random.default_rng(17)
@@ -381,15 +440,13 @@ class TestTopR:
         for R in (1, 2, 4):
             amps = np.abs(dft_definitional(row)[0, : T // 2 + 1])
             want = sorted(np.argsort(-amps, kind="stable")[:R])
-            got = top_r_indices(row, R)
-            base = sorted(k for k in got if k <= T // 2)
-            assert base == [int(w) for w in want]
+            assert self.kept_bins(row, R) == [int(w) for w in want]
 
     def test_r_range_validated(self):
         with pytest.raises(ValueError):
-            top_r_indices(np.ones(8), 0)
+            top_r_keep(np.ones(8), 0)
         with pytest.raises(ValueError):
-            top_r_indices(np.ones(8), 6)
+            top_r_keep(np.ones(8), 6)
 
 
 def _tie_cases(T):
@@ -428,13 +485,9 @@ class TestTopRProperties:
         for R in range(1, T // 2 + 2):
             _, keep = top_r_keep(h, R)
             assert keep.shape == (h.shape[0], T // 2 + 1)
-            mask = FrequencyMask.from_top_r(h, R)
-            for s, row in enumerate(h):
+            for s in range(h.shape[0]):
                 want = sorted(int(k) for k in orders[s][:R])
                 assert np.flatnonzero(keep[s]).tolist() == want, (T, R, s)
-                full = sorted(set(want) | {(T - k) % T for k in want})
-                assert list(top_r_indices(row, R)) == full
-                assert list(mask.kept[s]) == full
 
     @pytest.mark.parametrize("T", [16, 17, 256])
     def test_ties_break_toward_lower_index(self, T):
@@ -460,12 +513,15 @@ class TestHalfOffmaskRatio:
         keeps = [rng.random((h.shape[0], half)) < p for p in (0.0, 0.2, 0.5, 0.9, 1.0)]
         keeps += [top_r_keep(h, R)[1] for R in range(1, half + 1, max(1, half // 5))]
         spec = np.fft.rfft(h, axis=1)
+        full_spec = np.abs(dft_definitional(h))
+        total = np.linalg.norm(full_spec, axis=1)
         for keep in keeps:
             kept = tuple(
                 tuple(sorted({int(k) for k in row} | {(T - int(k)) % T for k in row}))
                 for row in (np.flatnonzero(r) for r in keep)
             )
-            want = offmask_ratio(h, FrequencyMask(T, kept))
+            off = np.linalg.norm(np.where(_full_keep(kept, T), 0.0, full_spec), axis=1)
+            want = np.divide(off, total, out=np.zeros_like(off), where=total > 0.0)
             got = half_offmask_ratio(spec, keep, T)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -506,3 +562,72 @@ def test_mask_distance_and_offmask_ratio():
     assert np.all(offmask_ratio(p, m) <= 1e-12)
     assert mask_distance(h, m) > 0
     assert np.array_equal(offmask_ratio(np.zeros((2, 8)), m), np.zeros(2))
+
+
+@st.composite
+def masked_codes(draw):
+    """A conjugate-closed mask over T in 1..64 columns and 1..4 rows, its
+    kept bins drawn per row, and a random H of its shape."""
+    T = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 64)))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    kept = []
+    for _ in range(rows):
+        base = np.flatnonzero(rng.random(T // 2 + 1) < density)
+        row = list(base) + [(T - k) % T for k in base]
+        kept.append(tuple(int(k) for k in rng.permutation(row + row[: len(row) // 2])))
+    return FrequencyMask(T, tuple(kept)), rng.standard_normal((rows, T))
+
+
+class TestMaskProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=masked_codes())
+    def test_keep_is_kept_restricted_to_the_half_spectrum(self, case):
+        mask, _ = case
+        T = mask.T
+        assert mask.keep.shape == (mask.rows, T // 2 + 1)
+        for row, keep in zip(mask.kept, mask.keep):
+            assert list(row) == sorted(set(row))
+            assert np.flatnonzero(keep).tolist() == [k for k in row if k <= T // 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=masked_codes())
+    def test_projection_is_the_orthogonal_mask_then_invert(self, case):
+        mask, h = case
+        p = project_frequency_mask(h, mask)
+        oracle = _mask_then_invert(h, _full_keep(mask.kept, mask.T))
+        assert np.allclose(p, oracle, rtol=0.0, atol=1e-10)
+        assert np.allclose(project_frequency_mask(p, mask), p, rtol=0.0, atol=1e-10)
+        other = project_frequency_mask(np.random.default_rng(mask.T).standard_normal(h.shape), mask)
+        scale = np.linalg.norm(h) * max(np.linalg.norm(other), 1.0)
+        assert abs(np.vdot(h - p, other)) <= 1e-10 * scale
+        assert abs(np.vdot(h - p, p)) <= 1e-10 * np.linalg.norm(h) ** 2
+        assert np.all(offmask_ratio(p, mask) <= 1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=masked_codes(), data=st.data())
+    def test_errors_name_the_offending_index_and_its_mirror(self, case, data):
+        mask, _ = case
+        T = mask.T
+        s = data.draw(st.integers(0, mask.rows - 1))
+        rows = list(mask.kept)
+        bad = data.draw(st.one_of(st.integers(T, 3 * T), st.integers(-3 * T, -1)))
+        rows[s] = rows[s] + (bad,)
+        with pytest.raises(ValueError, match=rf"^frequency index {bad} outside \[0, {T}\)$"):
+            FrequencyMask(T, tuple(rows))
+        unpaired = [k for k in range(T) if (T - k) % T != k]
+        if unpaired:
+            k = data.draw(st.sampled_from(unpaired))
+            rows = list(mask.kept)
+            rows[s] = tuple(sorted(({k} | set(rows[s])) - {(T - k) % T}))
+            with pytest.raises(ValueError, match=rf"^mask not conjugate-closed: {k} kept but "
+                                                 rf"{(T - k) % T} dropped$"):
+                FrequencyMask(T, tuple(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=masked_codes())
+    def test_scaled_parseval(self, case):
+        _, h = case
+        assert np.isclose(np.linalg.norm(dft_rows(h)) ** 2, np.linalg.norm(h) ** 2 / h.shape[1],
+                          rtol=1e-10, atol=0.0)
