@@ -57,6 +57,9 @@ def penalty_to_dict(p: Penalty) -> dict:
     return out
 
 
+PENALTY_FIELDS = ("kind", "lambda", "R", "mask")
+
+
 def _check_penalty_fields(d) -> None:
     """Raise ValueError naming the field when a config's ``penalty`` is no
     object, has unknown fields, an unknown ``kind``, a mistyped or negative
@@ -66,7 +69,7 @@ def _check_penalty_fields(d) -> None:
     inputs, and one built at config time, before the parse, raised
     ``factorize``'s peak RSS on a 10 MB text input by 0.13 MB."""
     _check_field("penalty", dict, d)
-    unknown = set(d) - {"kind", "lambda", "R", "mask"}
+    unknown = set(d) - set(PENALTY_FIELDS)
     if unknown:
         raise ValueError(f"unknown penalty fields: {sorted(unknown)}")
     if d.get("kind") not in KINDS:

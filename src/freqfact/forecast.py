@@ -9,9 +9,7 @@ carry frequencies longer than that window.
 
 The atom-removal scan makes two encodes: the baseline, exactly as a
 forecast encodes, and all r single-atom removals as one stack of r
-dictionaries of r - 1 atoms each.  The prox and the heuristic code steps
-solve that stack in one pass; the fixed-mask splitting step solves it block
-by block.
+dictionaries of r - 1 atoms each, which the code step solves in one pass.
 """
 
 from dataclasses import dataclass, replace
@@ -37,14 +35,13 @@ __all__ = [
 class EncodeConfig:
     """Encoding solver configuration.
 
-    The splitting solvers run one round of ``sweeps * sub_iters`` code-step
-    iterations: the prox step ("prox", the default for ridge, lasso and
-    soft_freq), whose fixed step needs no restart, and the fixed-mask one
-    ("tos"), so that its ergodic average spans the whole run.  The top-R
-    heuristic runs ``sweeps`` warm-started rounds of ``sub_iters``
-    iterations; each round restarts its diminishing step schedule, which
-    restores large steps.  ``variant`` and ``R`` override the penalty's code
-    solver and top-R count (see :func:`~freqfact.solvers.code_step`).
+    The prox step ("prox", the default for ridge, lasso, soft_freq and a
+    fixed-mask hard_freq) runs one round of ``sweeps * sub_iters``
+    iterations, since its fixed step needs no restart.  The top-R heuristic
+    runs ``sweeps`` warm-started rounds of ``sub_iters`` iterations; each
+    round restarts its diminishing step schedule, which restores large
+    steps.  ``variant`` and ``R`` override the penalty's code solver and
+    top-R count (see :func:`~freqfact.solvers.code_step`).
     """
 
     sweeps: int = 60
@@ -99,7 +96,7 @@ def encode_new(
     variant, step = code_step(replace(penalty, lam=lam_over_xi), config.variant, config.R,
                               _diagnostics=False)
     rounds, iters = config.sweeps, config.sub_iters
-    if variant in ("tos", "prox"):
+    if variant == "prox":
         rounds, iters = 1, rounds * iters
     reports = [SolveReport(wall_iters=rounds * iters) for _ in range(blocks)]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (FrequencyMask, half_minkowski1, half_offmask_ratio, minkowski_prox,
-                       offmask_ratio, top_r_keep)
+                       offmask_ratio, project_frequency_mask, top_r_keep)
 
 __all__ = [
     "Penalty",
@@ -90,10 +90,12 @@ def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
         argmin_P  1/2 ||P - V||_F^2 + t * penalty(P)
 
     which is ``V / (1 + 2 t lam)`` for ridge, soft-thresholding by ``t lam``
-    for lasso and :func:`~freqfact.spectral.minkowski_prox` by ``t lam`` for
-    soft_freq.  ``t >= 0`` is a scalar or an array broadcasting against V,
-    as for :func:`~freqfact.spectral.minkowski_prox`.  hard_freq has no
-    weighted prox; project onto its mask instead.
+    for lasso, :func:`~freqfact.spectral.minkowski_prox` by ``t lam`` for
+    soft_freq, and for hard_freq with a fixed mask, the indicator of a
+    subspace, :func:`~freqfact.spectral.project_frequency_mask` for any
+    ``t``; a stack ``(B, k, T)`` is projected as ``B k`` rows.  ``t >= 0``
+    is a scalar or an array broadcasting against V.  An adaptive top-R band
+    (hard_freq without a mask) is not convex and has no prox.
     """
     v = np.asarray(v, dtype=float)
     if p.kind == "ridge":
@@ -105,4 +107,7 @@ def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
         return np.copysign(mag, v, out=mag)
     if p.kind == "soft_freq":
         return minkowski_prox(v, t * p.lam)
-    raise ValueError("hard_freq is an indicator; project onto its mask, not a prox")
+    if p.mask is None:
+        raise ValueError("hard_freq without a fixed mask is an adaptive top-R band, which is not "
+                         "convex and has no prox")
+    return project_frequency_mask(v.reshape(-1, v.shape[-1]), p.mask).reshape(v.shape)

@@ -1,23 +1,23 @@
 """Optimization procedures for the supervised factorization.
 
-Four solvers:
+Solvers:
 
 * :func:`solve_W` - exact (optionally ridge-damped) normal-equation step for
   a dictionary given the code.
 * :func:`solve_H_prox` - Davis-Yin splitting on the code subproblem of a
-  convex weighted penalty (fit, nonnegative orthant, and the penalty's exact
-  prox) at the fixed step 1/L, returning the last iterate; without the
-  orthant it is plain proximal gradient.
-* :func:`three_operator_splitting` - splitting scheme for the doubly
-  constrained code subproblem (nonnegative orthant + fixed frequency mask,
-  projected onto through the mask's half-spectrum keep array), returning
-  the ergodic average.
+  convex penalty (fit, nonnegative orthant, and the penalty's exact prox:
+  ridge, lasso, soft_freq, or the projection onto a fixed frequency mask)
+  at the fixed step 1/L, returning the last iterate; without the orthant it
+  is plain proximal gradient.
 * :func:`alternating_pgd` - heuristic alternation of adaptive top-R
   frequency projection, a gradient step, and the nonnegativity projection.
+* :func:`three_operator_splitting` - the paper's reference form of the
+  fixed-mask splitting, with diminishing steps and an ergodic average; no
+  code step runs it.
 
 :func:`code_step` is the one place a penalty picks its code solver (the
-prox splitting for ridge, lasso and soft_freq; the splitting solver for a
-hard_freq penalty with a fixed mask, else the top-R heuristic).
+top-R heuristic for a hard_freq penalty without a fixed mask, else the prox
+splitting).
 :func:`ssnmf_bcd` and :func:`ssnmf_hard` share one block-coordinate loop
 (code step, then exact dictionary steps) and differ only in the objectives
 they record.  Encoding runs the same code step with the dictionary held
@@ -30,16 +30,12 @@ dictionaries ``(B, m, k)`` solves B independent problems against one
 bit for bit to a separate 2-D call's.  :func:`alternating_pgd` and
 :func:`solve_H_prox` solve the stack in one pass (one batched G H and, where
 the penalty or mask needs them, one set of FFTs over all B k rows per
-iteration), keeping each block's step sizes and objectives;
-:func:`three_operator_splitting` stays 2-D, and :func:`code_step` runs it
-once per block.
+iteration), keeping each block's step sizes and objectives.
 
 Diagnostics: :func:`solve_H_prox` scores only the code it returns and
-records its last fixed-point residual; :func:`three_operator_splitting`
-records its step sizes, and :func:`code_step` adds the last iterate's exact
-residual; by default :func:`alternating_pgd` records every iterate's
-objective and off-mask ratio, which :func:`ssnmf_hard` keeps, while encoding
-asks it for the last objective only.
+records its last fixed-point residual; by default :func:`alternating_pgd`
+records every iterate's objective and off-mask ratio, which
+:func:`ssnmf_hard` keeps, while encoding asks it for the last objective only.
 """
 
 import math
@@ -52,7 +48,6 @@ from .regularization import Penalty, penalty_prox, penalty_value
 from .spectral import (
     FrequencyMask,
     half_offmask_ratio,
-    minkowski_prox,
     project_frequency_mask,
     top_r_keep,
 )
@@ -75,7 +70,7 @@ __all__ = [
 # Relative eigenvalue floor below which a Gram matrix counts as singular.
 _GRAM_RTOL = 1e-13
 
-CODE_STEPS = ("prox", "heuristic", "tos")
+CODE_STEPS = ("prox", "heuristic")
 
 # Gram-form residuals at or below this fraction of ||Xbar||^2 are recomputed
 # exactly: the form's rounding error is a fixed fraction of ||Xbar||^2.
@@ -384,7 +379,9 @@ def three_operator_splitting(
     n_iters: int,
     gamma0: float = 1.0,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Splitting iteration for min f over {H >= 0} intersect {mask set}.
+    """Splitting iteration for min f over {H >= 0} intersect {mask set}, in
+    the paper's reference form; the code steps solve this problem with
+    :func:`solve_H_prox` instead.
 
         H_j = max{0, y_j}
         G_j = P_mask(2 H_j - y_j - gamma_j grad_f(H_j))
@@ -397,6 +394,10 @@ def three_operator_splitting(
     convergence guarantee; the last H iterate is in
     ``extras["last_iterate"]`` and the final sum of squared gradient norms in
     ``extras["grad_sq_sum"]``.
+
+    ``gamma0`` must be on the scale of 1/L, L the Lipschitz constant of
+    ``grad_f``: the default 1.0 overshoots when L >> 1, and the later steps,
+    which only shrink, do not recover.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -430,13 +431,14 @@ def solve_H_prox(
     n_iters: int,
     nonneg: bool = True,
 ) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
-    """Davis-Yin splitting on the code subproblem of a convex weighted penalty
+    """Davis-Yin splitting on the code subproblem of a convex penalty
 
-        min_{H >= 0}  ||Xbar - Wbar H||_F^2 + penalty(H)     (ridge, lasso, soft_freq)
+        min_{H >= 0}  ||Xbar - Wbar H||_F^2 + penalty(H)
 
     with f the fit, the indicator of H >= 0, and the penalty, whose prox is
-    exact (:func:`~freqfact.regularization.penalty_prox`, which rejects
-    hard_freq).  From z = ``h0`` it runs ``n_iters`` iterations
+    exact (:func:`~freqfact.regularization.penalty_prox`: ridge, lasso,
+    soft_freq, or hard_freq with a fixed mask).  From z = ``h0`` it runs
+    ``n_iters`` iterations
 
         H = max(z, 0);  U = prox_{gamma penalty}(2 H - z - gamma grad f(H));  z += U - H
 
@@ -445,9 +447,10 @@ def solve_H_prox(
     the orthant: then H = z and the iteration is plain proximal gradient,
     z = prox_{gamma penalty}(z - gamma grad f(z)), returning z.  The report
     holds the returned code's objective (the fit in the Gram form, exact
-    near zero residual, as :func:`alternating_pgd` scores it), the step per
-    iteration and, in ``extras["fixed_point_residual"]``, the last
-    ||z_{k+1} - z_k||_F.
+    near zero residual, as :func:`alternating_pgd` scores it, plus the
+    penalty, or none for a hard band, which max(z, 0) meets only up to
+    rounding), the step per iteration and, in
+    ``extras["fixed_point_residual"]``, the last ||z_{k+1} - z_k||_F.
 
     ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
     against the one ``xbar`` in one pass: one batched G H and one penalty
@@ -482,7 +485,9 @@ def solve_H_prox(
             np.maximum(z, 0.0, out=h)
     residuals = np.sqrt(np.sum(dz * dz, axis=(1, 2)))
     x_sq = float(np.vdot(xbar, xbar))
-    reports = [SolveReport([_gram_sq_residual(xbar, w, x_sq, cb, hb, ghb) + penalty_value(hb, p)],
+    hard = p.kind == "hard_freq"
+    reports = [SolveReport([_gram_sq_residual(xbar, w, x_sq, cb, hb, ghb)
+                            + (0.0 if hard else penalty_value(hb, p))],
                            [step] * n_iters, wall_iters=n_iters,
                            extras={"fixed_point_residual": float(res)})
                for w, cb, hb, ghb, step, res in zip(wbar, cross, h, gram @ h, steps, residuals)]
@@ -594,56 +599,32 @@ def code_step(
     iterations of the chosen solver on min ||Xbar - Wbar H||_F^2 + p(H),
     warm-started at ``h0``.  Its report's last objective is that of the last
     iterate.  ``variant`` (one of :data:`CODE_STEPS`) overrides the default,
-    which is "prox" (:func:`solve_H_prox`) for ridge, lasso and soft_freq,
-    "tos" (:func:`three_operator_splitting`) for a hard_freq penalty with a
-    fixed mask, and "heuristic" (:func:`alternating_pgd`) for one without.
-    ``R`` overrides ``p.R`` for the heuristic.  ``nonneg`` goes to the prox
-    step, ``priority`` and ``_diagnostics`` to the heuristic.
+    which is "heuristic" (:func:`alternating_pgd`) for a hard_freq penalty
+    without a fixed mask and "prox" (:func:`solve_H_prox`) for every other,
+    convex, penalty.  ``R`` overrides ``p.R`` for the heuristic.  ``nonneg``
+    goes to the prox step, ``priority`` and ``_diagnostics`` to the
+    heuristic.
 
     ``step`` also takes stacked ``h0`` (B, k, T) and ``wbar`` (B, m, k) and
     then returns (B, k, T) codes and a list of B reports, each equal bit for
-    bit to a separate 2-D call's.  "prox" and the heuristic solve the stack
-    in one pass; "tos" runs its 2-D solver once per block, with block b's
-    rows of the fixed mask, which holds the blocks' rows in order.
+    bit to a separate 2-D call's, solving the stack in one pass.  A fixed
+    mask then holds the blocks' rows in order.
     """
     if variant is None:
-        if p.kind != "hard_freq":
-            variant = "prox"
-        else:
-            variant = "tos" if p.mask is not None else "heuristic"
+        variant = "heuristic" if p.kind == "hard_freq" and p.mask is None else "prox"
     if variant == "prox":
-        if p.kind == "hard_freq":
-            raise ValueError("the prox code step cannot solve a hard-frequency penalty")
+        if p.kind == "hard_freq" and p.mask is None:
+            raise ValueError("the prox code step cannot solve a hard-frequency penalty without a "
+                             "fixed mask: an adaptive top-R band is not convex")
         return variant, lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters, nonneg)
-    if variant == "heuristic":
-        R = R if R is not None else p.R
-        if R is None:
-            raise ValueError("the heuristic code step needs R")
-        return variant, lambda xbar, wbar, h, iters: alternating_pgd(
-            h, wbar, xbar, R, iters, priority, _diagnostics=_diagnostics)
-    if variant != "tos":
+    if variant != "heuristic":
         raise ValueError(f"unknown code-step variant {variant!r}, expected "
                          f"{' | '.join(CODE_STEPS)}")
-    mask = p.mask
-    if mask is None:
-        raise ValueError("the tos code step needs a fixed FrequencyMask")
-
-    def tos(xbar, wbar, h, iters, rows=mask):
-        if np.ndim(h) == 3:
-            B, k, _ = np.shape(h)
-            if mask.rows != B * k:
-                raise ValueError(f"mask has {mask.rows} rows, H has {B * k}")
-            h, wbar, _ = _stacked(h, wbar)
-            out = [tos(xbar, w, hb, iters, FrequencyMask(mask.T, mask.kept[b * k:(b + 1) * k]))
-                   for b, (w, hb) in enumerate(zip(wbar, h))]
-            return np.stack([hb for hb, _ in out]), [sub for _, sub in out]
-        gram = wbar.T @ wbar
-        cross = wbar.T @ xbar
-        h, sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), rows, h, iters)
-        sub.objective_trace.append(_sq_residual(xbar, wbar, sub.extras["last_iterate"]))
-        return h, sub
-
-    return variant, tos
+    R = R if R is not None else p.R
+    if R is None:
+        raise ValueError("the heuristic code step needs R")
+    return variant, lambda xbar, wbar, h, iters: alternating_pgd(
+        h, wbar, xbar, R, iters, priority, _diagnostics=_diagnostics)
 
 
 def ssnmf_hard(
@@ -663,15 +644,15 @@ def ssnmf_hard(
 
     The band limit is R (adaptive top-R masks) or ``mask`` (a fixed
     conjugate-closed set), each falling back to ``hyper.penalty``'s.  The
-    code step runs either the splitting solver (variant="tos", which needs
+    code step runs either the prox splitting (variant="prox", which needs
     the fixed mask - a band-limited set cannot be carried across different
     series lengths, so the caller must supply one per length) or the
     adaptive heuristic (variant="heuristic", masks recomputed per row from
-    the top-R power spectrum); variant=None picks "tos" exactly when a fixed
-    mask is given.  Dictionary steps are the exact normal equations.
+    the top-R power spectrum); variant=None picks "prox" exactly when a
+    fixed mask is given.  Dictionary steps are the exact normal equations.
 
     The objective trace records the smooth part (fit + ridge terms); the
-    indicator is tracked separately through the offmask extras.
+    indicator is tracked separately, through the heuristic's offmask extras.
     """
     band = Penalty.hard_freq(R if R is not None else hyper.penalty.R,
                              mask if mask is not None else hyper.penalty.mask)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqfact import FrequencyMask, SpatioTemporalTensor
+from freqfact import FrequencyMask, SpatioTemporalTensor, cli
 from freqfact.cli import (
     FactorizeConfig,
     ForecastConfig,
@@ -367,7 +367,7 @@ class TestForecastCli:
             "y": str(data / "Y.csv"),
             "x_true": str(data / "X.csv"),
             "penalty": {"kind": "hard_freq", "mask": {"T": Ttot, "kept": [list(r) for r in mask.kept]}},
-            "variant": "tos", "sweeps": 4, "sub_iters": 25, "seed": 0,
+            "sweeps": 4, "sub_iters": 25, "seed": 0,
         }))
         out = tmp_path / "scan"
         assert run_cli("atom-scan", "--config", cfg, "--out", out) == 0
@@ -377,8 +377,8 @@ class TestForecastCli:
         assert sorted(ln.split(",")[0] for ln in lines[3:]) == ["0", "1", "2"]
 
     def test_fixed_mask_hard_pipeline_needs_no_variant(self, tmp_path):
-        # a hard_freq penalty with a fixed mask encodes with the splitting
-        # solver by default, as factorize does
+        # a hard_freq penalty with a fixed mask encodes with the prox step by
+        # default, as factorize does
         data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5), sigma=0.1, x_sigma=0.1)
 
         def hard_mask(T):
@@ -687,16 +687,17 @@ class TestValidatedInputs:
     @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
     def test_removed_code_step_variant_exits_2(self, tmp_path, capsys, command):
         data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
-        cfg = tmp_path / "fc.json"
-        cfg.write_text(json.dumps({
-            "model": str(model), "y": str(data / "Y_full.csv"),
-            "x_true": str(data / "X_full.csv"), "variant": "pgd",
-        }))
-        out = tmp_path / "o"
-        assert run_cli(command, "--config", cfg, "--out", out) == 2
-        assert ("config field 'variant' must be one of prox | heuristic | tos or null, "
-                "got 'pgd'") in capsys.readouterr().err
-        assert not out.exists()
+        for variant in ("pgd", "tos"):
+            cfg = tmp_path / "fc.json"
+            cfg.write_text(json.dumps({
+                "model": str(model), "y": str(data / "Y_full.csv"),
+                "x_true": str(data / "X_full.csv"), "variant": variant,
+            }))
+            out = tmp_path / "o"
+            assert run_cli(command, "--config", cfg, "--out", out) == 2
+            assert ("config field 'variant' must be one of prox | heuristic or null, "
+                    f"got {variant!r}") in capsys.readouterr().err
+            assert not out.exists()
 
     def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):
         data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
@@ -734,6 +735,16 @@ class TestConfigRoundTrip:
         assert penalty_from_dict(penalty_to_dict(p)) == p
         with pytest.raises(ValueError):
             penalty_from_dict({"kind": "ridge", "lambda": 0.0, "gamma": 1.0})
+
+
+def test_config_schema_names_every_config_field():
+    # the shipped field reference documents exactly the fields each config
+    # accepts, so its text cannot drift from the dataclasses
+    schema = json.loads((Path(cli.__file__).parent / "config_schema.json").read_text())
+    for section, cls in (("factorize", FactorizeConfig), ("forecast", ForecastConfig),
+                         ("synth", SynthConfig)):
+        assert list(schema[section]) == list(cls.__dataclass_fields__), section
+    assert list(schema["penalty"]) == list(cli.PENALTY_FIELDS)
 
 
 def test_env_log_level_tolerates_unknown(tmp_path, monkeypatch):

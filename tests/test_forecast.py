@@ -83,7 +83,7 @@ class TestEncode:
             (Penalty.hard_freq(R=2), EncodeConfig(sweeps=5, seed=4)),
             (
                 Penalty.hard_freq(R=2, mask=FrequencyMask.same(2, 16, [0, 2])),
-                EncodeConfig(sweeps=5, seed=4, variant="tos"),
+                EncodeConfig(sweeps=5, seed=4),
             ),
         ]:
             h, _ = encode_new(y, wp, penalty, 0.3, cfg)
@@ -233,7 +233,7 @@ class TestAtomRemovalScan:
 
     @pytest.mark.parametrize("penalty, variant", [
         (Penalty.hard_freq(R=2), "heuristic"),
-        (Penalty.hard_freq(mask=FrequencyMask.same(3, 60, [0, 4, 7])), "tos"),
+        (Penalty.hard_freq(mask=FrequencyMask.same(3, 60, [0, 4, 7])), None),
     ])
     def test_baseline_equals_unmodified_pipeline_hard(self, penalty, variant):
         model, x_full, y_full, T = noise_atom_fixture(52)
@@ -280,13 +280,13 @@ def scan_problems(draw):
     x_full = w @ h_true + 0.1 * rng.standard_normal((d, Ttot))
     y_full = wp @ h_true + 0.1 * rng.standard_normal((d, Ttot))
     model = FactorModel(w, wp, np.abs(rng.standard_normal((r, T))), Hyper(r, 1.0, Penalty.ridge(0.0)))
-    kind = draw(st.sampled_from(["ridge", "lasso", "soft_freq", "heuristic", "tos"]))
+    kind = draw(st.sampled_from(["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"]))
     penalty, variant = {
         "ridge": (Penalty.ridge(0.1), None),
         "lasso": (Penalty.lasso(0.1), None),
         "soft_freq": (Penalty.soft_freq(0.1), None),
         "heuristic": (Penalty.hard_freq(R=2), None),
-        "tos": (Penalty.hard_freq(mask=FrequencyMask.same(r, Ttot, [0, 2])), None),
+        "fixed_mask": (Penalty.hard_freq(mask=FrequencyMask.same(r, Ttot, [0, 2])), None),
     }[kind]
     cfg = EncodeConfig(sweeps=draw(st.integers(1, 3)), sub_iters=draw(st.integers(1, 8)),
                        seed=draw(st.integers(0, 9)), variant=variant)

@@ -93,8 +93,45 @@ def test_prox_closed_forms():
 
 
 def test_hard_freq_has_no_prox():
-    with pytest.raises(ValueError, match="project onto its mask"):
-        penalty_prox(np.zeros((1, 4)), Penalty.hard_freq(R=1), 1.0)
+    # an adaptive top-R band is not convex, with or without a weight
+    for p in (Penalty.hard_freq(R=1), Penalty("hard_freq", 0.5, R=2)):
+        with pytest.raises(ValueError, match="adaptive top-R band, which is not convex and has "
+                                             "no prox"):
+            penalty_prox(np.zeros((1, 4)), p, 1.0)
+
+
+class TestFixedMaskProx:
+    """A fixed mask's band is a linear subspace: its prox is the projection."""
+
+    mask = FrequencyMask(12, ((0, 2, 10), (0, 1, 3, 9, 11), (6,)))
+
+    def test_equals_projection_idempotent_and_free_of_t(self):
+        rng = np.random.default_rng(28)
+        v = rng.standard_normal((3, 12))
+        p = Penalty.hard_freq(mask=self.mask)
+        got = penalty_prox(v, p, 0.7)
+        assert np.array_equal(got, project_frequency_mask(v, self.mask))
+        assert np.allclose(penalty_prox(got, p, 0.7), got, atol=1e-12)
+        for t in (0.0, 1e-3, 5.0, np.array([[2.0], [0.1], [9.0]])):
+            assert np.array_equal(penalty_prox(v, p, t), got)
+        assert penalty_value(got, p) == 0.0
+
+    def test_stack_is_projected_row_by_row(self):
+        rng = np.random.default_rng(29)
+        blocks = [FrequencyMask(12, self.mask.kept[:2]), FrequencyMask(12, self.mask.kept[1:])]
+        stacked = FrequencyMask(12, sum((m.kept for m in blocks), ()))
+        v = rng.standard_normal((2, 2, 12))
+        got = penalty_prox(v, Penalty.hard_freq(mask=stacked), np.array([0.3, 4.0])[:, None, None])
+        assert got.shape == v.shape
+        for b, m in enumerate(blocks):
+            assert np.array_equal(got[b], project_frequency_mask(v[b], m))
+
+    def test_mask_rows_must_cover_the_stack(self):
+        p = Penalty.hard_freq(mask=self.mask)
+        with pytest.raises(ValueError, match="mask has 3 rows, H has 6"):
+            penalty_prox(np.zeros((2, 3, 12)), p, 1.0)
+        with pytest.raises(ValueError, match="mask has 3 rows, H has 2"):
+            penalty_prox(np.zeros((2, 12)), p, 1.0)
 
 
 def test_hard_feasibility_iff_projection_fixed_point():

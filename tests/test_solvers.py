@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import freqfact.solvers as solvers
 from freqfact import (
     ConvergenceError,
+    EncodeConfig,
     FactorModel,
     FrequencyMask,
     Hyper,
@@ -16,7 +17,9 @@ from freqfact import (
     alternating_pgd,
     code_step,
     dft_rows,
+    encode_new,
     inverse_usage_ratio,
+    mask_distance,
     objective,
     penalty_value,
     project_frequency_mask,
@@ -28,6 +31,7 @@ from freqfact import (
 )
 
 from helpers import dft_definitional, minkowski_definitional, nnls_columns
+from test_acceptance import _tos_instance, _tos_reference_optimum
 
 
 def make_example_data(d=16, T=163, freqs=(14, 6), seed=42):
@@ -284,7 +288,7 @@ class TestSolveHProx:
 
     def test_validation(self):
         args = np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 4))
-        with pytest.raises(ValueError, match="hard_freq is an indicator; project onto its mask"):
+        with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
             solve_H_prox(*args, Penalty.hard_freq(R=1), 3)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
             solve_H_prox(*args, Penalty.soft_freq(0.1), 0)
@@ -293,7 +297,7 @@ class TestSolveHProx:
         # an all-zero stacked dictionary has Lipschitz constant 0 (step 1);
         # the rejections still hold for every block
         args = np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
-        with pytest.raises(ValueError, match="hard_freq is an indicator"):
+        with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
             solve_H_prox(*args, Penalty.hard_freq(R=1), 1, nonneg=False)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
             solve_H_prox(*args, Penalty.ridge(0.0), -1)
@@ -402,6 +406,39 @@ class TestThreeOperatorSplitting:
             lambda h: 2 * (gram @ h - cross), mask, rng.standard_normal((2, 8)), 200
         )
         assert np.all(hbar >= 0.0)
+
+
+class TestFixedMaskCodeStep:
+    """A fixed mask is a convex penalty: it runs on the prox step at the step
+    1/L, so a dictionary with ||G||_2 >> 1 reaches the optimum as well."""
+
+    @pytest.fixture(scope="class")
+    def scaled_instance(self):
+        # c05's instance with dictionary columns of norm 3
+        wbar, xbar, mask, y0 = _tos_instance()
+        wbar = 3.0 * wbar
+        assert np.linalg.norm(wbar.T @ wbar, 2) > 9.0
+        return wbar, xbar, mask, y0, _tos_reference_optimum(wbar, xbar, mask)
+
+    def check(self, h, objective, wbar, xbar, mask, fstar):
+        fit = float(np.sum((xbar - wbar @ h) ** 2))
+        assert abs(fit - fstar) <= 1e-6 * fstar
+        assert objective == pytest.approx(fit, rel=1e-9)
+        assert np.all(h >= 0.0)
+        assert mask_distance(h, mask) <= 1e-6 * np.linalg.norm(h)
+
+    def test_code_step_reaches_the_optimum(self, scaled_instance):
+        wbar, xbar, mask, y0, fstar = scaled_instance
+        _, step = code_step(Penalty.hard_freq(mask=mask))
+        h, sub = step(xbar, wbar, y0, 1000)
+        self.check(h, sub.objective_trace[-1], wbar, xbar, mask, fstar)
+
+    def test_encode_reaches_the_optimum(self, scaled_instance):
+        wbar, xbar, mask, _, fstar = scaled_instance
+        h, report = encode_new(xbar, wbar, Penalty.hard_freq(mask=mask), 0.0,
+                               EncodeConfig(sweeps=20, sub_iters=50, seed=5))
+        assert report.wall_iters == 1000 and len(report.objective_trace) == 1
+        self.check(h, report.objective_trace[-1], wbar, xbar, mask, fstar)
 
 
 class TestAlternatingPgd:
@@ -533,11 +570,11 @@ class TestSsnmfHard:
     def test_tos_variant_needs_mask_and_runs(self):
         x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=6)
         hyper = Hyper(2, 1.0, Penalty.hard_freq(R=2))
-        with pytest.raises(ValueError):
-            ssnmf_hard(x, y, hyper, 2, 3, variant="tos", seed=0)
+        with pytest.raises(ValueError, match="without a fixed mask"):
+            ssnmf_hard(x, y, hyper, 2, 3, variant="prox", seed=0)
         mask = FrequencyMask.same(2, 24, [0, 3, 7])
         model, report = ssnmf_hard(
-            x, y, hyper, 2, n_iters=5, variant="tos", seed=0, sub_iters=40, mask=mask
+            x, y, hyper, 2, n_iters=5, variant="prox", seed=0, sub_iters=40, mask=mask
         )
         assert np.all(model.H >= 0.0)
         assert len(report.objective_trace) == 5
@@ -545,12 +582,12 @@ class TestSsnmfHard:
     def test_overflow_raises_naming_solver_and_iteration(self):
         x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
         mask = FrequencyMask.same(2, 20, [0, 2, 5])
+        # data near the top of the float range overflows the Gram matrix of
+        # the prox step (fixed mask) and of the heuristic (top-R band)
         with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
                                                    r"at outer iteration 1$"):
-            ssnmf_hard(x, y, Hyper(2, 1e300, Penalty.hard_freq(mask=mask)), 2, n_iters=3,
-                       variant="tos", seed=0, sub_iters=5, mask=mask)
-        # data near the top of the float range overflows the heuristic's
-        # Gram matrix
+            ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=mask)), 2, n_iters=3,
+                       variant=None, seed=0, sub_iters=5, mask=mask)
         with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
                                                    r"at outer iteration 1$"):
             ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(R=2)), 2, n_iters=3,
@@ -574,13 +611,13 @@ class TestCodeStep:
         (Penalty.lasso(0.1), None, None, "prox"),
         (Penalty.soft_freq(0.1), None, None, "prox"),
         (Penalty.hard_freq(R=2), None, None, "heuristic"),
-        (Penalty.hard_freq(mask=MASK16), None, None, "tos"),
-        (Penalty.hard_freq(R=2, mask=MASK16), None, None, "tos"),
+        (Penalty.hard_freq(mask=MASK16), None, None, "prox"),
+        (Penalty.hard_freq(R=2, mask=MASK16), None, None, "prox"),
         (Penalty.hard_freq(R=2, mask=MASK16), "heuristic", None, "heuristic"),
         (Penalty.hard_freq(mask=MASK16), "heuristic", 3, "heuristic"),
         (Penalty.hard_freq(R=2), "heuristic", 3, "heuristic"),
         (Penalty.ridge(0.1), "heuristic", 2, "heuristic"),
-        (Penalty("ridge", 0.1, mask=MASK16), "tos", None, "tos"),
+        (Penalty.hard_freq(mask=MASK16), "prox", None, "prox"),
     ])
     def test_choice_and_solver(self, penalty, variant, R, want):
         rng = np.random.default_rng(48)
@@ -592,14 +629,8 @@ class TestCodeStep:
         h, sub = step(xbar, wbar, h0, 6)
         if want == "prox":
             ref, ref_sub = solve_H_prox(xbar, wbar, h0, penalty, 6)
-        elif want == "heuristic":
-            ref, ref_sub = alternating_pgd(h0, wbar, xbar, R if R is not None else penalty.R, 6)
         else:
-            gram, cross = wbar.T @ wbar, wbar.T @ xbar
-            ref, ref_sub = three_operator_splitting(lambda m: 2.0 * (gram @ m - cross), MASK16,
-                                                    h0, 6)
-            last = ref_sub.extras["last_iterate"]
-            ref_sub.objective_trace.append(float(np.sum((xbar - wbar @ last) ** 2)))
+            ref, ref_sub = alternating_pgd(h0, wbar, xbar, R if R is not None else penalty.R, 6)
         assert np.array_equal(h, ref)
         assert sub.step_trace == ref_sub.step_trace
         assert sub.objective_trace[-1] == pytest.approx(ref_sub.objective_trace[-1], rel=1e-12)
@@ -626,11 +657,11 @@ class TestCodeStep:
 
     @pytest.mark.parametrize("penalty, variant, R, match", [
         (Penalty.hard_freq(R=2), "prox", None, "cannot solve a hard-frequency penalty"),
-        (Penalty.hard_freq(mask=MASK16), "prox", None, "cannot solve a hard-frequency penalty"),
+        (Penalty("ridge", 0.1, mask=MASK16), "tos", None, "unknown code-step variant 'tos'"),
         (Penalty.ridge(0.1), "heuristic", None, "needs R"),
         (Penalty.hard_freq(mask=MASK16), "heuristic", None, "needs R"),
-        (Penalty.hard_freq(R=2), "tos", None, "needs a fixed FrequencyMask"),
-        (Penalty.soft_freq(0.1), "tos", 2, "needs a fixed FrequencyMask"),
+        (Penalty.hard_freq(R=2), "tos", None, "unknown code-step variant 'tos'"),
+        (Penalty.soft_freq(0.1), "tos", 2, "unknown code-step variant 'tos'"),
         (Penalty.ridge(0.1), "hals", None, "unknown code-step variant"),
         (Penalty.soft_freq(0.1), "pgd", None, "unknown code-step variant 'pgd', expected prox"),
     ])
@@ -647,7 +678,7 @@ class TestCodeStep:
         x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=6)
         hyper = Hyper(2, 1.0, Penalty.hard_freq(mask=MASK16))
         _, rep = ssnmf_hard(x, y, hyper, None, n_iters=2, variant=None, sub_iters=5)
-        assert rep.extras["variant"] == "tos"
+        assert rep.extras["variant"] == "prox"
         _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, variant=None,
                             sub_iters=5)
         assert rep.extras["variant"] == "heuristic"
@@ -675,7 +706,7 @@ STACKED_STEPS = [
     (Penalty.lasso(0.2), {}),
     (Penalty.soft_freq(0.5), {}),
     (Penalty.lasso(0.2), {"nonneg": False}),
-    ("tos", {}),
+    ("fixed_mask", {}),
 ]
 
 
@@ -684,12 +715,12 @@ class TestStackedCodeStep:
 
     @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
                              ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
-                                  "lasso-free", "tos"])
+                                  "lasso-free", "fixed_mask"])
     @settings(max_examples=25, deadline=None)
     @given(problem=stacked_problems(), iters=st.integers(1, 12))
     def test_stack_equals_separate_calls(self, penalty, options, problem, iters):
         xbar, wbar, h0, masks = problem
-        if penalty == "tos":
+        if penalty == "fixed_mask":
             stacked_mask = FrequencyMask(masks[0].T, sum((mk.kept for mk in masks), ()))
             _, step = code_step(Penalty.hard_freq(mask=stacked_mask))
             steps = [code_step(Penalty.hard_freq(mask=mk))[1] for mk in masks]
