@@ -29,7 +29,7 @@ from . import io as fio
 from .exceptions import ConvergenceError, SingularGramError, SpectrumSymmetryError, TensorFormatError
 from .forecast import EncodeConfig, atom_removal_scan, encode_new, nse, predict
 from .regularization import KINDS, Penalty
-from .solvers import CODE_STEPS, FactorModel, Hyper, ssnmf_bcd, ssnmf_hard
+from .solvers import FactorModel, Hyper, code_step, ssnmf_bcd, ssnmf_hard
 from .spectral import FrequencyMask, inverse_usage_ratio
 from .synthetic import SyntheticSpec, gen_cosine_mixture
 from .tensor import SpatioTemporalTensor, matricize, stack_auxiliary
@@ -118,6 +118,18 @@ def _check_field(name: str, annotation, value) -> None:
     raise ValueError(f"config field {name!r} must be {want}, got {type(value).__name__} {value!r}")
 
 
+def _check_restated(variant: str | None, want: str, R: int | None, penalty_R: int | None) -> None:
+    """Raise ValueError naming the field when a config's ``variant`` or
+    ``R``, which only restate its penalty, disagree with it: ``variant``
+    with ``want``, the one the penalty implies, and ``R`` with penalty.R.
+    A null field restates nothing."""
+    if variant is not None and variant != want:
+        raise ValueError(f"config field 'variant' must be {want!r} for this penalty, "
+                         f"got {variant!r}")
+    if R is not None and R != penalty_R:
+        raise ValueError(f"config field 'R' must equal penalty.R ({penalty_R!r}), got {R!r}")
+
+
 def _from_dict(cls, d: dict):
     fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
     unknown = set(d) - set(fields)
@@ -152,6 +164,8 @@ class FactorizeConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")
         _check_penalty_fields(self.penalty)
+        _check_restated(self.variant, "hard" if self.penalty["kind"] == "hard_freq" else "bcd",
+                        self.R, self.penalty.get("R"))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -178,9 +192,6 @@ class ForecastConfig:
 
     def __post_init__(self):
         _check_penalty_fields(self.penalty)
-        if self.variant is not None and self.variant not in CODE_STEPS:
-            raise ValueError(f"config field 'variant' must be one of {' | '.join(CODE_STEPS)} "
-                             f"or null, got {self.variant!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -207,11 +218,21 @@ class SynthConfig:
         return _from_dict(cls, d)
 
 
-def load_config(path, cls, overrides: dict | None = None):
-    data = fio.read_json(path) if path else {}
-    if overrides:
-        data = {**data, **overrides}
+def load_config(args, cls):
+    """The ``cls`` config read from ``args.config`` (all defaults without
+    one), with ``args.seed`` in place of its seed when given."""
+    data = fio.read_json(args.config) if args.config else {}
+    if args.seed is not None:
+        data = {**data, "seed": args.seed}
     return cls.from_dict(data)
+
+
+def _encode_penalty(cfg: ForecastConfig) -> Penalty:
+    """A forecast config's penalty, checked against the ``variant`` and
+    ``R`` that restate it (see :func:`_check_restated`)."""
+    penalty = penalty_from_dict(cfg.penalty)
+    _check_restated(cfg.variant, code_step(penalty)[0], cfg.R, penalty.R)
+    return penalty
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +346,7 @@ def _point_seed(master: int, index: int) -> int:
 
 
 def cmd_synth(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = load_config(args.config, SynthConfig, overrides)
+    cfg = load_config(args, SynthConfig)
     spec = SyntheticSpec(cfg.d, cfg.T, tuple(cfg.freqs), cfg.sigma, cfg.x_sigma, cfg.seed)
     x, ys = gen_cosine_mixture(spec)
     out = Path(args.out)
@@ -355,13 +373,11 @@ def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
             raise ValueError(f"train_t={cfg.train_t} outside [1, {x.shape[1]}]")
         x = x[:, : cfg.train_t]
     hyper = Hyper(cfg.r, cfg.xi, penalty_from_dict(cfg.penalty), cfg.lambda1, cfg.lambda2)
-    if cfg.variant == "bcd":
-        model, report = ssnmf_bcd(x, y, hyper, cfg.n_iters, cfg.sub_iters, cfg.seed, tol=cfg.tol)
-    elif cfg.variant == "hard":
-        model, report = ssnmf_hard(x, y, hyper, cfg.R, cfg.n_iters, variant=None, seed=cfg.seed,
+    if cfg.variant == "hard":
+        model, report = ssnmf_hard(x, y, hyper, None, cfg.n_iters, seed=cfg.seed,
                                    sub_iters=cfg.sub_iters, priority=cfg.priority, tol=cfg.tol)
     else:
-        raise ValueError(f"unknown variant {cfg.variant!r}, expected 'bcd' or 'hard'")
+        model, report = ssnmf_bcd(x, y, hyper, cfg.n_iters, cfg.sub_iters, cfg.seed, tol=cfg.tol)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_matrix(out / "W.csv", model.W)
     fio.write_matrix(out / "Wp.csv", model.Wp)
@@ -375,10 +391,7 @@ def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
 
 
 def cmd_factorize(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = load_config(args.config, FactorizeConfig, overrides)
+    cfg = load_config(args, FactorizeConfig)
     if not cfg.x:
         raise ValueError("factorize config needs an 'x' tensor path")
     if cfg.grid is not None and not cfg.grid:
@@ -443,16 +456,13 @@ def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
 
 
 def cmd_forecast(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = load_config(args.config, ForecastConfig, overrides)
+    cfg = load_config(args, ForecastConfig)
     w, wp, h_train = _load_model(cfg.model)
     load = _MatrixLoader()
     y_full = load.aux(cfg.y)
     T = h_train.shape[1]
-    penalty = penalty_from_dict(cfg.penalty)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R)
+    penalty = _encode_penalty(cfg)
+    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed)
     h_new_full, report = encode_new(y_full, wp, penalty, cfg.lam_over_xi, enc)
     h_new = h_new_full[:, T:]
     if h_new.shape[1] == 0:
@@ -524,10 +534,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_atom_scan(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = load_config(args.config, ForecastConfig, overrides)
+    cfg = load_config(args, ForecastConfig)
     if not cfg.x_true:
         raise ValueError("atom-scan config needs 'x_true' (truth tensor path)")
     w, wp, h_train = _load_model(cfg.model)
@@ -536,10 +543,10 @@ def cmd_atom_scan(args) -> int:
     load = _MatrixLoader()
     y_full = load.aux(cfg.y)
     x_true = load(cfg.x_true)
-    penalty = penalty_from_dict(cfg.penalty)
+    penalty = _encode_penalty(cfg)
     hyper = Hyper(w.shape[1], 1.0, penalty)
     model = FactorModel(w, wp, h_train, hyper)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed, cfg.variant, cfg.R)
+    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed)
     entries = atom_removal_scan(model, x_true, y_full, penalty, cfg.lam_over_xi, enc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -35,20 +35,18 @@ __all__ = [
 class EncodeConfig:
     """Encoding solver configuration.
 
-    The prox step ("prox", the default for ridge, lasso, soft_freq and a
-    fixed-mask hard_freq) runs one round of ``sweeps * sub_iters``
-    iterations, since its fixed step needs no restart.  The top-R heuristic
-    runs ``sweeps`` warm-started rounds of ``sub_iters`` iterations; each
-    round restarts its diminishing step schedule, which restores large
-    steps.  ``variant`` and ``R`` override the penalty's code solver and
-    top-R count (see :func:`~freqfact.solvers.code_step`).
+    The encode penalty picks the code step (see
+    :func:`~freqfact.solvers.code_step`).  The prox step (ridge, lasso,
+    soft_freq and a fixed-mask hard_freq) runs one round of
+    ``sweeps * sub_iters`` iterations, since its fixed step needs no
+    restart.  The top-R heuristic (an adaptive hard_freq band) runs
+    ``sweeps`` warm-started rounds of ``sub_iters`` iterations; each round
+    restarts its diminishing step schedule, which restores large steps.
     """
 
     sweeps: int = 60
     sub_iters: int = 50
     seed: int = 0
-    variant: str | None = None
-    R: int | None = None
 
     def __post_init__(self):
         # zero rounds would forecast from the random initial code
@@ -93,8 +91,7 @@ def encode_new(
     h = np.abs(rng.standard_normal((wp.shape[-1], y_full.shape[1])))
     if not flat:
         h = np.repeat(h[None], blocks, axis=0)
-    variant, step = code_step(replace(penalty, lam=lam_over_xi), config.variant, config.R,
-                              _diagnostics=False)
+    variant, step = code_step(replace(penalty, lam=lam_over_xi), _diagnostics=False)
     rounds, iters = config.sweeps, config.sub_iters
     if variant == "prox":
         rounds, iters = 1, rounds * iters

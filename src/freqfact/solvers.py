@@ -15,9 +15,9 @@ Solvers:
   fixed-mask splitting, with diminishing steps and an ergodic average; no
   code step runs it.
 
-:func:`code_step` is the one place a penalty picks its code solver (the
-top-R heuristic for a hard_freq penalty without a fixed mask, else the prox
-splitting).
+:func:`code_step` is the one place a code solver is picked, and the penalty
+alone picks it (the top-R heuristic for a hard_freq penalty without a fixed
+mask, else the prox splitting); no caller overrides the choice.
 :func:`ssnmf_bcd` and :func:`ssnmf_hard` share one block-coordinate loop
 (code step, then exact dictionary steps) and differ only in the objectives
 they record.  Encoding runs the same code step with the dictionary held
@@ -48,6 +48,7 @@ from .regularization import Penalty, penalty_prox, penalty_value
 from .spectral import (
     FrequencyMask,
     half_offmask_ratio,
+    offmask_ratio,
     project_frequency_mask,
     top_r_keep,
 )
@@ -69,8 +70,6 @@ __all__ = [
 
 # Relative eigenvalue floor below which a Gram matrix counts as singular.
 _GRAM_RTOL = 1e-13
-
-CODE_STEPS = ("prox", "heuristic")
 
 # Gram-form residuals at or below this fraction of ||Xbar||^2 are recomputed
 # exactly: the form's rounding error is a fixed fraction of ||Xbar||^2.
@@ -352,8 +351,13 @@ def ssnmf_bcd(
     for Wp on Y[:, :T].  The report's objective trace holds the full
     objective after each cycle; ``extras["phase_objectives"]`` holds
     [after_H, after_W, after_Wp] triplets.
+
+    A hard_freq penalty raises ValueError: :func:`ssnmf_hard` fits a band.
     """
-    _, step = code_step(hyper.penalty, "prox", nonneg=nonneg)
+    if hyper.penalty.kind == "hard_freq":
+        raise ValueError("ssnmf_bcd fits a convex penalty (ridge | lasso | soft_freq); "
+                         "fit a hard_freq band with ssnmf_hard")
+    _, step = code_step(hyper.penalty, nonneg=nonneg)
 
     def first(x, y_t, model, extras):
         extras["initial_objective"] = objective(x, y_t, model)
@@ -586,45 +590,31 @@ def alternating_pgd(
 
 def code_step(
     p: Penalty,
-    variant: str | None = None,
-    R: int | None = None,
     *,
     priority: str = "nonneg",
     nonneg: bool = True,
     _diagnostics: bool = True,
 ):
-    """Pick the code solver for penalty ``p``; returns ``(variant, step)``.
+    """Pick the code solver for penalty ``p``; returns ``(name, step)``.
 
     ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs ``iters``
     iterations of the chosen solver on min ||Xbar - Wbar H||_F^2 + p(H),
     warm-started at ``h0``.  Its report's last objective is that of the last
-    iterate.  ``variant`` (one of :data:`CODE_STEPS`) overrides the default,
-    which is "heuristic" (:func:`alternating_pgd`) for a hard_freq penalty
-    without a fixed mask and "prox" (:func:`solve_H_prox`) for every other,
-    convex, penalty.  ``R`` overrides ``p.R`` for the heuristic.  ``nonneg``
-    goes to the prox step, ``priority`` and ``_diagnostics`` to the
-    heuristic.
+    iterate.  The penalty alone decides: an adaptive top-R band (hard_freq
+    without a fixed mask) is not convex and runs "heuristic"
+    (:func:`alternating_pgd` with ``p.R``); every other penalty, a fixed
+    mask included, runs "prox" (:func:`solve_H_prox`).  ``nonneg`` goes to
+    the prox step, ``priority`` and ``_diagnostics`` to the heuristic.
 
     ``step`` also takes stacked ``h0`` (B, k, T) and ``wbar`` (B, m, k) and
     then returns (B, k, T) codes and a list of B reports, each equal bit for
     bit to a separate 2-D call's, solving the stack in one pass.  A fixed
     mask then holds the blocks' rows in order.
     """
-    if variant is None:
-        variant = "heuristic" if p.kind == "hard_freq" and p.mask is None else "prox"
-    if variant == "prox":
-        if p.kind == "hard_freq" and p.mask is None:
-            raise ValueError("the prox code step cannot solve a hard-frequency penalty without a "
-                             "fixed mask: an adaptive top-R band is not convex")
-        return variant, lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters, nonneg)
-    if variant != "heuristic":
-        raise ValueError(f"unknown code-step variant {variant!r}, expected "
-                         f"{' | '.join(CODE_STEPS)}")
-    R = R if R is not None else p.R
-    if R is None:
-        raise ValueError("the heuristic code step needs R")
-    return variant, lambda xbar, wbar, h, iters: alternating_pgd(
-        h, wbar, xbar, R, iters, priority, _diagnostics=_diagnostics)
+    if p.kind == "hard_freq" and p.mask is None:
+        return "heuristic", lambda xbar, wbar, h, iters: alternating_pgd(
+            h, wbar, xbar, p.R, iters, priority, _diagnostics=_diagnostics)
+    return "prox", lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters, nonneg)
 
 
 def ssnmf_hard(
@@ -633,30 +623,28 @@ def ssnmf_hard(
     hyper: Hyper,
     R: int | None,
     n_iters: int,
-    variant: str | None = "heuristic",
     seed: int = 0,
     sub_iters: int = 50,
-    mask: FrequencyMask | None = None,
     priority: str = "nonneg",
     tol: float | None = None,
 ) -> tuple[FactorModel, SolveReport]:
     """Block-coordinate descent with the hard frequency constraint on H.
 
-    The band limit is R (adaptive top-R masks) or ``mask`` (a fixed
-    conjugate-closed set), each falling back to ``hyper.penalty``'s.  The
-    code step runs either the prox splitting (variant="prox", which needs
-    the fixed mask - a band-limited set cannot be carried across different
-    series lengths, so the caller must supply one per length) or the
-    adaptive heuristic (variant="heuristic", masks recomputed per row from
-    the top-R power spectrum); variant=None picks "prox" exactly when a
-    fixed mask is given.  Dictionary steps are the exact normal equations.
+    The band is ``hyper.penalty``'s as a hard_freq penalty, with ``R``, when
+    given, in place of its R; its fixed mask, if any, wins over R.  The code
+    step follows the band (see :func:`code_step`): a fixed mask (a
+    conjugate-closed set, which the caller supplies per series length) runs
+    the prox splitting, an adaptive top-R band the heuristic, with masks
+    recomputed per row from the top-R power spectrum.  ``extras["variant"]``
+    names the step.  Dictionary steps are the exact normal equations.
 
     The objective trace records the smooth part (fit + ridge terms); the
-    indicator is tracked separately, through the heuristic's offmask extras.
+    indicator is tracked separately, through the off-mask extras: the
+    heuristic's per-iteration ``offmask_after_projection`` and, on either
+    path, ``offmask_final``, the returned H's largest per-row off-band ratio.
     """
-    band = Penalty.hard_freq(R if R is not None else hyper.penalty.R,
-                             mask if mask is not None else hyper.penalty.mask)
-    variant, step = code_step(band, variant, priority=priority)
+    band = Penalty.hard_freq(R if R is not None else hyper.penalty.R, hyper.penalty.mask)
+    variant, step = code_step(band, priority=priority)
 
     def after(x, y_t, old, model, sub, extras):
         extras["offmask_after_projection"].extend(sub.extras.get("offmask_after_projection", []))
@@ -664,6 +652,9 @@ def ssnmf_hard(
             extras["offmask_final"] = sub.extras["offmask_final"]
         return [_objective_smooth(x, y_t, model)]
 
-    return _bcd_loop("ssnmf_hard", x, y, hyper, n_iters, sub_iters, seed, tol, step,
-                     {"offmask_after_projection": [], "variant": variant},
-                     lambda *_: None, after)
+    model, report = _bcd_loop("ssnmf_hard", x, y, hyper, n_iters, sub_iters, seed, tol, step,
+                              {"offmask_after_projection": [], "variant": variant},
+                              lambda *_: None, after)
+    if band.mask is not None:
+        report.extras["offmask_final"] = float(offmask_ratio(model.H, band.mask).max())
+    return model, report

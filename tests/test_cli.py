@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -695,8 +696,8 @@ class TestValidatedInputs:
             }))
             out = tmp_path / "o"
             assert run_cli(command, "--config", cfg, "--out", out) == 2
-            assert ("config field 'variant' must be one of prox | heuristic or null, "
-                    f"got {variant!r}") in capsys.readouterr().err
+            assert (f"config field 'variant' must be 'prox' for this penalty, got {variant!r}"
+                    in capsys.readouterr().err)
             assert not out.exists()
 
     def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):
@@ -707,6 +708,105 @@ class TestValidatedInputs:
         assert run_cli("factorize", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "config field 'seed' must be an int, got float 1.5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestRestatedFields:
+    """``variant`` and ``R`` only restate what the penalty fixes: agreeing
+    they change nothing, disagreeing they exit 2 naming the field."""
+
+    HARD = {"kind": "hard_freq", "R": 2}
+
+    def world(self, tmp_path):
+        data = synth_dataset(tmp_path, d=8, T=48, freqs=(3, 7), sigma=0.2, x_sigma=0.2)
+        ys = [str(data / "Y0.csv"), str(data / "Y1.csv")]
+        fac = {"x": str(data / "X.csv"), "y": ys, "r": 3, "xi": 0.5, "penalty": self.HARD,
+               "variant": "hard", "train_t": 36, "n_iters": 3, "sub_iters": 10, "seed": 0}
+        fc = {"y": ys, "x_true": str(data / "X.csv"), "penalty": self.HARD, "sweeps": 3,
+              "sub_iters": 10, "seed": 1}
+        return fac, fc
+
+    def run(self, tmp_path, command, cfg, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        return run_cli(command, "--config", path, "--out", out), out
+
+    def test_restating_changes_no_output(self, tmp_path):
+        fac, fc = self.world(tmp_path)
+        models = []
+        for name, extra in (("plain", {}), ("restated", {"R": 2})):
+            code, model = self.run(tmp_path, "factorize", {**fac, **extra}, f"model_{name}")
+            assert code == 0
+            models.append(model)
+        for f in ("W.csv", "Wp.csv", "H.csv"):
+            assert (models[0] / f).read_bytes() == (models[1] / f).read_bytes()
+        # report.json records the config, R included, and otherwise agrees
+        reports = [read_json(m / "report.json") for m in models]
+        assert reports[0]["report"] == reports[1]["report"]
+        assert reports[0]["report"]["extras"]["variant"] == "heuristic"
+        for command in ("forecast", "atom-scan"):
+            outs = []
+            for name, extra in (("plain", {}), ("restated", {"variant": "heuristic", "R": 2})):
+                code, out = self.run(tmp_path, command, {**fc, **extra, "model": str(models[0])},
+                                     f"{command}_{name}")
+                assert code == 0
+                outs.append(out)
+            files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                                   if p.is_file())
+            assert all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+
+    @pytest.mark.parametrize("command, extra, want", [
+        ("factorize", {"variant": "bcd"}, "config field 'variant' must be 'hard' for this "
+                                          "penalty, got 'bcd'"),
+        ("factorize", {"penalty": {"kind": "soft_freq", "lambda": 1.0}},
+         "config field 'variant' must be 'bcd' for this penalty, got 'hard'"),
+        ("factorize", {"R": 3}, "config field 'R' must equal penalty.R (2), got 3"),
+        ("factorize", {"grid": [{"xi": 1.0}, {"R": 3}]},
+         "config field 'R' must equal penalty.R (2), got 3"),
+        ("forecast", {"variant": "prox"}, "config field 'variant' must be 'heuristic' for this "
+                                          "penalty, got 'prox'"),
+        ("forecast", {"penalty": {"kind": "soft_freq", "lambda": 1.0}, "variant": "heuristic",
+                      "R": 2}, "config field 'variant' must be 'prox' for this penalty, "
+                               "got 'heuristic'"),
+        ("forecast", {"R": 3}, "config field 'R' must equal penalty.R (2), got 3"),
+        ("atom-scan", {"variant": "prox"}, "config field 'variant' must be 'heuristic' for "
+                                           "this penalty, got 'prox'"),
+        ("atom-scan", {"penalty": {"kind": "ridge", "lambda": 0.0}, "R": 2},
+         "config field 'R' must equal penalty.R (None), got 2"),
+    ], ids=["factorize-variant", "factorize-soft-hard", "factorize-R", "factorize-grid-R",
+            "forecast-variant", "forecast-soft-heuristic", "forecast-R", "atom-scan-variant",
+            "atom-scan-R"])
+    def test_disagreement_exits_2_naming_the_field(self, tmp_path, capsys, command, extra, want):
+        fac, fc = self.world(tmp_path)
+        if command != "factorize":
+            code, model = self.run(tmp_path, "factorize", fac, "model")
+            assert code == 0
+            fac = {**fc, "model": str(model)}
+        code, out = self.run(tmp_path, command, {**fac, **extra}, "o")
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_benchmark_workload_configs_load_and_agree():
+    # the benchmark's configs are read here, never edited: a config format
+    # change that would break a workload fails this test first
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    names = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    assert set(workloads.WORKLOADS) == names
+    paths = {"x": "X.csv", "y": ["Y0.csv", "Y1.csv"]}
+    for w in workloads.WORKLOADS.values():
+        cfg = FactorizeConfig.from_dict({**w.factorize, **paths})
+        base = {k: v for k, v in cfg.to_dict().items() if k != "grid"}
+        for over in cfg.grid or []:
+            FactorizeConfig.from_dict({**base, **over})
+        fc = ForecastConfig.from_dict({**w.forecast, "model": "model", "y": paths["y"],
+                                       "x_true": "X.csv"})
+        cli._encode_penalty(fc)
 
 
 class TestConfigRoundTrip:

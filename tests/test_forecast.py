@@ -231,13 +231,14 @@ class TestAtomRemovalScan:
         want = nse(x_full[:, T:], (model.W @ h_new)[:, T:])
         assert entries[0].nse_after == want
 
-    @pytest.mark.parametrize("penalty, variant", [
+    @pytest.mark.parametrize("penalty, step", [
         (Penalty.hard_freq(R=2), "heuristic"),
-        (Penalty.hard_freq(mask=FrequencyMask.same(3, 60, [0, 4, 7])), None),
+        (Penalty.hard_freq(mask=FrequencyMask.same(3, 60, [0, 4, 7])), "prox"),
     ])
-    def test_baseline_equals_unmodified_pipeline_hard(self, penalty, variant):
+    def test_baseline_equals_unmodified_pipeline_hard(self, penalty, step):
+        assert solvers.code_step(penalty)[0] == step
         model, x_full, y_full, T = noise_atom_fixture(52)
-        cfg = EncodeConfig(sweeps=4, sub_iters=20, seed=3, variant=variant)
+        cfg = EncodeConfig(sweeps=4, sub_iters=20, seed=3)
         entries = atom_removal_scan(model, x_full, y_full, penalty, 0.0, cfg)
         h_new, _ = encode_new(y_full, model.Wp, penalty, 0.0, cfg)
         want = nse(x_full[:, T:], (model.W @ h_new)[:, T:])
@@ -281,15 +282,15 @@ def scan_problems(draw):
     y_full = wp @ h_true + 0.1 * rng.standard_normal((d, Ttot))
     model = FactorModel(w, wp, np.abs(rng.standard_normal((r, T))), Hyper(r, 1.0, Penalty.ridge(0.0)))
     kind = draw(st.sampled_from(["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"]))
-    penalty, variant = {
-        "ridge": (Penalty.ridge(0.1), None),
-        "lasso": (Penalty.lasso(0.1), None),
-        "soft_freq": (Penalty.soft_freq(0.1), None),
-        "heuristic": (Penalty.hard_freq(R=2), None),
-        "fixed_mask": (Penalty.hard_freq(mask=FrequencyMask.same(r, Ttot, [0, 2])), None),
+    penalty = {
+        "ridge": Penalty.ridge(0.1),
+        "lasso": Penalty.lasso(0.1),
+        "soft_freq": Penalty.soft_freq(0.1),
+        "heuristic": Penalty.hard_freq(R=2),
+        "fixed_mask": Penalty.hard_freq(mask=FrequencyMask.same(r, Ttot, [0, 2])),
     }[kind]
     cfg = EncodeConfig(sweeps=draw(st.integers(1, 3)), sub_iters=draw(st.integers(1, 8)),
-                       seed=draw(st.integers(0, 9)), variant=variant)
+                       seed=draw(st.integers(0, 9)))
     return model, x_full, y_full, penalty, cfg
 
 

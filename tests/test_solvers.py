@@ -21,6 +21,7 @@ from freqfact import (
     inverse_usage_ratio,
     mask_distance,
     objective,
+    offmask_ratio,
     penalty_value,
     project_frequency_mask,
     solve_H_prox,
@@ -328,6 +329,15 @@ class TestSsnmfBcd:
         assert all(v >= 0.0 for v in report.extras["h_min_trace"])
         assert np.all(model.H >= 0.0)
 
+    @pytest.mark.parametrize("penalty", [Penalty.hard_freq(R=2),
+                                         Penalty.hard_freq(mask=FrequencyMask.same(2, 20, [0, 2]))],
+                             ids=["top_r", "fixed_mask"])
+    def test_rejects_every_hard_band(self, penalty):
+        # its objective scores the band as an indicator, +inf off it
+        x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
+        with pytest.raises(ValueError, match="fit a hard_freq band with ssnmf_hard"):
+            ssnmf_bcd(x, y, Hyper(2, 1.0, penalty), n_iters=2, sub_iters=5)
+
     def test_deterministic_given_seed(self):
         x, y = make_example_data(d=6, seed=2)
         hyper = Hyper(2, 1.0, Penalty.soft_freq(0.3))
@@ -567,17 +577,16 @@ class TestSsnmfHard:
         for a, b in zip(rep_hard.objective_trace, rep_bcd.objective_trace):
             assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
-    def test_tos_variant_needs_mask_and_runs(self):
+    def test_fixed_mask_runs_prox_and_records_offmask_final(self):
         x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=6)
-        hyper = Hyper(2, 1.0, Penalty.hard_freq(R=2))
-        with pytest.raises(ValueError, match="without a fixed mask"):
-            ssnmf_hard(x, y, hyper, 2, 3, variant="prox", seed=0)
         mask = FrequencyMask.same(2, 24, [0, 3, 7])
-        model, report = ssnmf_hard(
-            x, y, hyper, 2, n_iters=5, variant="prox", seed=0, sub_iters=40, mask=mask
-        )
+        # the mask wins over the R the call passes
+        model, report = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=mask)), 2,
+                                   n_iters=5, seed=0, sub_iters=40)
+        assert report.extras["variant"] == "prox"
         assert np.all(model.H >= 0.0)
         assert len(report.objective_trace) == 5
+        assert report.extras["offmask_final"] == float(offmask_ratio(model.H, mask).max())
 
     def test_overflow_raises_naming_solver_and_iteration(self):
         x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
@@ -586,8 +595,8 @@ class TestSsnmfHard:
         # the prox step (fixed mask) and of the heuristic (top-R band)
         with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
                                                    r"at outer iteration 1$"):
-            ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=mask)), 2, n_iters=3,
-                       variant=None, seed=0, sub_iters=5, mask=mask)
+            ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=mask)), None, n_iters=3,
+                       seed=0, sub_iters=5)
         with pytest.raises(ConvergenceError, match=r"ssnmf_hard: non-finite H, W, Wp "
                                                    r"at outer iteration 1$"):
             ssnmf_hard(1e160 * x, y, Hyper(2, 1.0, Penalty.hard_freq(R=2)), 2, n_iters=3,
@@ -606,31 +615,26 @@ MASK16 = FrequencyMask.same(2, 16, [0, 2])
 
 
 class TestCodeStep:
-    @pytest.mark.parametrize("penalty, variant, R, want", [
-        (Penalty.ridge(0.1), None, None, "prox"),
-        (Penalty.lasso(0.1), None, None, "prox"),
-        (Penalty.soft_freq(0.1), None, None, "prox"),
-        (Penalty.hard_freq(R=2), None, None, "heuristic"),
-        (Penalty.hard_freq(mask=MASK16), None, None, "prox"),
-        (Penalty.hard_freq(R=2, mask=MASK16), None, None, "prox"),
-        (Penalty.hard_freq(R=2, mask=MASK16), "heuristic", None, "heuristic"),
-        (Penalty.hard_freq(mask=MASK16), "heuristic", 3, "heuristic"),
-        (Penalty.hard_freq(R=2), "heuristic", 3, "heuristic"),
-        (Penalty.ridge(0.1), "heuristic", 2, "heuristic"),
-        (Penalty.hard_freq(mask=MASK16), "prox", None, "prox"),
+    @pytest.mark.parametrize("penalty, want", [
+        (Penalty.ridge(0.1), "prox"),
+        (Penalty.lasso(0.1), "prox"),
+        (Penalty.soft_freq(0.1), "prox"),
+        (Penalty.hard_freq(R=2), "heuristic"),
+        (Penalty.hard_freq(mask=MASK16), "prox"),
+        (Penalty.hard_freq(R=2, mask=MASK16), "prox"),
     ])
-    def test_choice_and_solver(self, penalty, variant, R, want):
+    def test_choice_and_solver(self, penalty, want):
         rng = np.random.default_rng(48)
         wbar = rng.standard_normal((7, 2))
         xbar = np.abs(rng.standard_normal((7, 16)))
         h0 = np.abs(rng.standard_normal((2, 16)))
-        got, step = code_step(penalty, variant, R)
+        got, step = code_step(penalty)
         assert got == want
         h, sub = step(xbar, wbar, h0, 6)
         if want == "prox":
             ref, ref_sub = solve_H_prox(xbar, wbar, h0, penalty, 6)
         else:
-            ref, ref_sub = alternating_pgd(h0, wbar, xbar, R if R is not None else penalty.R, 6)
+            ref, ref_sub = alternating_pgd(h0, wbar, xbar, penalty.R, 6)
         assert np.array_equal(h, ref)
         assert sub.step_trace == ref_sub.step_trace
         assert sub.objective_trace[-1] == pytest.approx(ref_sub.objective_trace[-1], rel=1e-12)
@@ -655,19 +659,17 @@ class TestCodeStep:
         h, _ = step(xbar, wbar, h0, 5)
         assert np.array_equal(h, alternating_pgd(h0, wbar, xbar, 3, 5, "frequency")[0])
 
-    @pytest.mark.parametrize("penalty, variant, R, match", [
-        (Penalty.hard_freq(R=2), "prox", None, "cannot solve a hard-frequency penalty"),
-        (Penalty("ridge", 0.1, mask=MASK16), "tos", None, "unknown code-step variant 'tos'"),
-        (Penalty.ridge(0.1), "heuristic", None, "needs R"),
-        (Penalty.hard_freq(mask=MASK16), "heuristic", None, "needs R"),
-        (Penalty.hard_freq(R=2), "tos", None, "unknown code-step variant 'tos'"),
-        (Penalty.soft_freq(0.1), "tos", 2, "unknown code-step variant 'tos'"),
-        (Penalty.ridge(0.1), "hals", None, "unknown code-step variant"),
-        (Penalty.soft_freq(0.1), "pgd", None, "unknown code-step variant 'pgd', expected prox"),
-    ])
-    def test_errors(self, penalty, variant, R, match):
-        with pytest.raises(ValueError, match=match):
-            code_step(penalty, variant, R)
+    def test_no_step_override_remains(self):
+        # only the penalty picks the step: no argument puts a soft penalty on a top-R band
+        with pytest.raises(TypeError):
+            code_step(Penalty.soft_freq(0.1), "heuristic", 2)
+        with pytest.raises(TypeError):
+            EncodeConfig(variant="heuristic", R=2)
+        x, y = make_example_data(d=6, T=16, freqs=(2, 5), seed=6)
+        with pytest.raises(TypeError):
+            ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(R=2)), None, 2, variant="prox")
+        with pytest.raises(TypeError):
+            ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(R=2)), None, 2, mask=MASK16)
 
     def test_tos_mask_length_must_match_the_code(self):
         _, step = code_step(Penalty.hard_freq(mask=MASK16))
@@ -676,11 +678,10 @@ class TestCodeStep:
 
     def test_ssnmf_hard_without_variant_follows_the_band(self):
         x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=6)
-        hyper = Hyper(2, 1.0, Penalty.hard_freq(mask=MASK16))
-        _, rep = ssnmf_hard(x, y, hyper, None, n_iters=2, variant=None, sub_iters=5)
+        # a fixed mask needs no R: it runs the prox step
+        _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=MASK16)), None, 2)
         assert rep.extras["variant"] == "prox"
-        _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, variant=None,
-                            sub_iters=5)
+        _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, sub_iters=5)
         assert rep.extras["variant"] == "heuristic"
 
 
