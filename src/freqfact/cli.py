@@ -150,7 +150,7 @@ class FactorizeConfig:
     n_iters: int = 20
     sub_iters: int = 50
     seed: int = 0
-    variant: str = "bcd"
+    variant: str | None = None
     R: int | None = None
     priority: str = "nonneg"
     lambda1: float = 0.0
@@ -373,7 +373,7 @@ def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
             raise ValueError(f"train_t={cfg.train_t} outside [1, {x.shape[1]}]")
         x = x[:, : cfg.train_t]
     hyper = Hyper(cfg.r, cfg.xi, penalty_from_dict(cfg.penalty), cfg.lambda1, cfg.lambda2)
-    if cfg.variant == "hard":
+    if hyper.penalty.kind == "hard_freq":
         model, report = ssnmf_hard(x, y, hyper, None, cfg.n_iters, seed=cfg.seed,
                                    sub_iters=cfg.sub_iters, priority=cfg.priority, tol=cfg.tol)
     else:
@@ -392,6 +392,8 @@ def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
 
 def cmd_factorize(args) -> int:
     cfg = load_config(args, FactorizeConfig)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if not cfg.x:
         raise ValueError("factorize config needs an 'x' tensor path")
     if cfg.grid is not None and not cfg.grid:
@@ -415,20 +417,11 @@ def cmd_factorize(args) -> int:
         load(pcfg.x)
         load.aux(pcfg.y)
 
-    def run(pair):
-        i, pcfg = pair
-        return i, _run_factorize_point(pcfg, out / f"point_{i:03d}", load)
+    def run(i, pcfg):
+        return _run_factorize_point(pcfg, out / f"point_{i:03d}", load)
 
-    results = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for i, obj in pool.map(run, enumerate(points)):
-                results[i] = obj
-    else:
-        for pair in enumerate(points):
-            i, obj = run(pair)
-            results[i] = obj
-    objectives = [results[i] for i in range(len(points))]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        objectives = list(pool.map(run, range(len(points)), points))
     median = _median(objectives)
     fio.write_json(out / "index.json", {
         "format": "stf-index-v1",
@@ -583,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, binary=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("factorize", help="fit the supervised factorization (bcd or hard variant)")
+    p = sub.add_parser("factorize", help="fit the supervised factorization")
     common(p, jobs=True)
     p.set_defaults(func=cmd_factorize)
 

@@ -114,14 +114,19 @@ def read_tensor(path) -> SpatioTemporalTensor:
     raw = path.read_bytes()
     if raw and raw[: len(TENSOR_MAGIC)] != TENSOR_MAGIC.encode():
         return _read_tensor_binary(path, raw)
-    lines = _text_lines(path, raw.decode())
+    lines = _text_lines(path, raw)
     del raw  # the parse needs only the lines; free the bytes before it runs
     return _read_tensor_text(path, lines)
 
 
-def _text_lines(path: Path, text: str) -> list[str]:
-    """Split a text file into lines; a file without any raises, naming it."""
-    lines = text.splitlines()
+def _text_lines(path: Path, raw: bytes) -> list[str]:
+    """Decode a text file and split it into lines; a file that is not UTF-8
+    or has no line raises, naming it and the line."""
+    try:
+        lines = raw.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise TensorFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
     if not lines:
         raise TensorFormatError(f"{path}: line 1: empty file")
     return lines
@@ -238,7 +243,7 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
-    lines = _text_lines(path, path.read_text())
+    lines = _text_lines(path, path.read_bytes())
     rows, cols = _parse_dims(path, lines[0], MATRIX_MAGIC, 2)
     return _read_rows(path, lines, 1, rows, cols, "rows")
 

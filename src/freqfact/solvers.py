@@ -15,14 +15,14 @@ Solvers:
   fixed-mask splitting, with diminishing steps and an ergodic average; no
   code step runs it.
 
-:func:`code_step` is the one place a code solver is picked, and the penalty
-alone picks it (the top-R heuristic for a hard_freq penalty without a fixed
-mask, else the prox splitting); no caller overrides the choice.
-:func:`ssnmf_bcd` and :func:`ssnmf_hard` share one block-coordinate loop
-(code step, then exact dictionary steps) and differ only in the objectives
-they record.  Encoding runs the same code step with the dictionary held
-fixed.  All solvers are deterministic given a seed: identical seeds and
-configs yield bit-identical reports.
+The penalty alone picks the code solver, in :func:`code_step` (the top-R
+heuristic for a hard_freq penalty without a fixed mask, else the prox
+splitting), and the driver: :func:`ssnmf_bcd` fits a convex penalty,
+:func:`ssnmf_hard` a hard band.  Both run one block-coordinate loop (code
+step, then exact dictionary steps) that records the same things for every
+penalty.  Encoding runs the same code step with the dictionary held fixed.
+All solvers are deterministic given a seed: identical seeds and configs
+yield bit-identical reports.
 
 The code steps take a leading block axis: a code ``(B, k, T)`` with
 dictionaries ``(B, m, k)`` solves B independent problems against one
@@ -34,8 +34,9 @@ iteration), keeping each block's step sizes and objectives.
 
 Diagnostics: :func:`solve_H_prox` scores only the code it returns and
 records its last fixed-point residual; by default :func:`alternating_pgd`
-records every iterate's objective and off-mask ratio, which
-:func:`ssnmf_hard` keeps, while encoding asks it for the last objective only.
+records every iterate's objective and off-mask ratio, which the loop keeps,
+while encoding asks it for the last objective only.  :func:`ssnmf_hard`
+measures the returned code's off-band ratio once, in ``offmask_final``.
 """
 
 import math
@@ -207,6 +208,13 @@ def _objective_smooth(x: np.ndarray, y_t: np.ndarray, model: FactorModel) -> flo
     return val
 
 
+def _scored_penalty(h: np.ndarray, p: Penalty) -> float:
+    """The penalty term a fit scores: a convex penalty's value, and 0 for a
+    hard band, which max(z, 0) and the heuristic's iterates meet only up to
+    rounding (:func:`objective` reads the band as an indicator, +inf off it)."""
+    return 0.0 if p.kind == "hard_freq" else penalty_value(h, p)
+
+
 def solve_W(x: np.ndarray, h: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Exact minimizer of ||X - W H||_F^2 + ridge ||W||_F^2.
 
@@ -282,16 +290,17 @@ def _require_finite(solver: str, it: int, block: int | None = None, **values) ->
             f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}{where}")
 
 
-def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step, extras, first, after):
+def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
     """The block-coordinate cycle both drivers run.
 
     Each outer iteration runs ``step`` (see :func:`code_step`) on the stack
     [X; sqrt(xi) Y[:, :T]], then exact dictionary steps for W on X and for
-    Wp on Y[:, :T] (:func:`_dictionary_step`), checks every value is finite
-    and records the step size and min H.  Hooks add each caller's records:
-    ``first(x, y_t, model, extras)`` returns what the first ``tol`` test
-    compares against (None: no test) and ``after(x, y_t, old, model, sub,
-    extras)`` the iteration's objectives, the last one traced and tested.
+    Wp on Y[:, :T] (:func:`_dictionary_step`), and checks every value is
+    finite.  Every fit records the same things: ``initial_objective``,
+    ``phase_objectives`` (after the H, W and Wp steps; the last one is
+    traced and tested against ``tol``, first against the initial one), the
+    step size, ``h_min_trace`` and any ``offmask_after_projection`` the step
+    reports.  Objectives are the smooth part plus :func:`_scored_penalty`.
     Overflow is reported once, by the finite checks, not by numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,30 +314,38 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step, extras, 
         if hyper.r > min(d, T):
             raise ValueError(f"rank {hyper.r} exceeds min(d, T) = {min(d, T)}")
         y_t = y[:, :T]
+
+        def score(w, wp, h):
+            model = FactorModel(w, wp, h, hyper)
+            return _objective_smooth(x, y_t, model) + _scored_penalty(h, hyper.penalty)
+
         w, wp, h = _init_factors(x, y_t, hyper, seed)
-        report = SolveReport(extras={**extras, "h_min_trace": []})
-        model = FactorModel(w, wp, h, hyper)
-        prev = first(x, y_t, model, report.extras)
+        prev = score(w, wp, h)
+        extras = {"initial_objective": prev, "phase_objectives": [], "h_min_trace": []}
+        report = SolveReport(extras=extras)
         xbar = supervised_stack(x, y_t, hyper.xi)
         for it in range(n_iters):
-            wbar = supervised_stack(model.W, model.Wp, hyper.xi)
-            h, sub = step(xbar, wbar, model.H, sub_iters)
-            w = _dictionary_step(x, h, model.W, hyper.lambda1)
-            wp = _dictionary_step(y_t, h, model.Wp, hyper.lambda2)
-            _require_finite(solver, it, H=h, W=w, Wp=wp)
-            old, model = model, FactorModel(w, wp, h, hyper)
-            vals = after(x, y_t, old, model, sub, report.extras)
-            _require_finite(solver, it, objective=vals)
-            val = vals[-1]
+            h, sub = step(xbar, supervised_stack(w, wp, hyper.xi), h, sub_iters)
+            w_new = _dictionary_step(x, h, w, hyper.lambda1)
+            wp_new = _dictionary_step(y_t, h, wp, hyper.lambda2)
+            _require_finite(solver, it, H=h, W=w_new, Wp=wp_new)
+            phases = [score(w, wp, h), score(w_new, wp, h), score(w_new, wp_new, h)]
+            w, wp = w_new, wp_new
+            _require_finite(solver, it, objective=phases)
+            extras["phase_objectives"].append(phases)
+            val = phases[-1]
             report.objective_trace.append(val)
             report.step_trace.append(sub.step_trace[0])
-            report.extras["h_min_trace"].append(float(h.min()))
+            extras["h_min_trace"].append(float(h.min()))
+            if "offmask_after_projection" in sub.extras:
+                extras.setdefault("offmask_after_projection", []).extend(
+                    sub.extras["offmask_after_projection"])
             report.wall_iters = it + 1
-            if tol is not None and prev is not None and abs(val - prev) / max(1.0, abs(prev)) < tol:
+            if tol is not None and abs(val - prev) / max(1.0, abs(prev)) < tol:
                 report.terminated = "tol_reached"
                 break
             prev = val
-    return model, report
+    return FactorModel(w, wp, h, hyper), report
 
 
 def ssnmf_bcd(
@@ -350,7 +367,7 @@ def ssnmf_bcd(
     H >= 0 constraint), then takes exact dictionary steps for W on X and
     for Wp on Y[:, :T].  The report's objective trace holds the full
     objective after each cycle; ``extras["phase_objectives"]`` holds
-    [after_H, after_W, after_Wp] triplets.
+    [after_H, after_W, after_Wp] triplets (see :func:`_bcd_loop`).
 
     A hard_freq penalty raises ValueError: :func:`ssnmf_hard` fits a band.
     """
@@ -358,22 +375,7 @@ def ssnmf_bcd(
         raise ValueError("ssnmf_bcd fits a convex penalty (ridge | lasso | soft_freq); "
                          "fit a hard_freq band with ssnmf_hard")
     _, step = code_step(hyper.penalty, nonneg=nonneg)
-
-    def first(x, y_t, model, extras):
-        extras["initial_objective"] = objective(x, y_t, model)
-        return extras["initial_objective"]
-
-    def after(x, y_t, old, model, sub, extras):
-        phases = [
-            objective(x, y_t, FactorModel(old.W, old.Wp, model.H, hyper)),
-            objective(x, y_t, FactorModel(model.W, old.Wp, model.H, hyper)),
-            objective(x, y_t, model),
-        ]
-        extras["phase_objectives"].append(phases)
-        return phases
-
-    return _bcd_loop("ssnmf_bcd", x, y, hyper, n_iters, sub_iters, seed, tol, step,
-                     {"phase_objectives": []}, first, after)
+    return _bcd_loop("ssnmf_bcd", x, y, hyper, n_iters, sub_iters, seed, tol, step)
 
 
 def three_operator_splitting(
@@ -451,9 +453,8 @@ def solve_H_prox(
     the orthant: then H = z and the iteration is plain proximal gradient,
     z = prox_{gamma penalty}(z - gamma grad f(z)), returning z.  The report
     holds the returned code's objective (the fit in the Gram form, exact
-    near zero residual, as :func:`alternating_pgd` scores it, plus the
-    penalty, or none for a hard band, which max(z, 0) meets only up to
-    rounding), the step per iteration and, in
+    near zero residual, as :func:`alternating_pgd` scores it, plus
+    :func:`_scored_penalty`), the step per iteration and, in
     ``extras["fixed_point_residual"]``, the last ||z_{k+1} - z_k||_F.
 
     ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
@@ -489,9 +490,8 @@ def solve_H_prox(
             np.maximum(z, 0.0, out=h)
     residuals = np.sqrt(np.sum(dz * dz, axis=(1, 2)))
     x_sq = float(np.vdot(xbar, xbar))
-    hard = p.kind == "hard_freq"
     reports = [SolveReport([_gram_sq_residual(xbar, w, x_sq, cb, hb, ghb)
-                            + (0.0 if hard else penalty_value(hb, p))],
+                            + _scored_penalty(hb, p)],
                            [step] * n_iters, wall_iters=n_iters,
                            extras={"fixed_point_residual": float(res)})
                for w, cb, hb, ghb, step, res in zip(wbar, cross, h, gram @ h, steps, residuals)]
@@ -526,11 +526,10 @@ def alternating_pgd(
 
     ``extras["offmask_after_projection"]`` records, per iteration, the
     largest per-row relative out-of-mask spectral mass measured immediately
-    after the frequency projection; ``extras["offmask_final"]`` measures the
-    returned code against its own top-R mask.  With ``_diagnostics=False``
-    neither off-mask extra is recorded and the objective trace holds only
-    the last iterate's objective, which saves one ``rfft`` and one Gram-form
-    objective per iteration.
+    after the frequency projection.  With ``_diagnostics=False`` it is not
+    recorded and the objective trace holds only the last iterate's
+    objective, which saves one ``rfft`` and one Gram-form objective per
+    iteration.
 
     ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
     against the one ``xbar`` in one pass: one top-R projection over all
@@ -581,10 +580,8 @@ def alternating_pgd(
     reports = [SolveReport(trace, steps, wall_iters=n_iters)
                for trace, steps in zip(objectives, gammas.tolist())]
     if _diagnostics:
-        final = half_offmask_ratio(*top_r_keep(h.reshape(B * k, T), R), T).reshape(B, k)
-        for report, trace, last in zip(reports, np.array(offmask).T.tolist(), final.max(axis=1)):
+        for report, trace in zip(reports, np.array(offmask).T.tolist()):
             report.extras["offmask_after_projection"] = trace
-            report.extras["offmask_final"] = float(last)
     return (h[0], reports[0]) if flat else (h, reports)
 
 
@@ -630,31 +627,32 @@ def ssnmf_hard(
 ) -> tuple[FactorModel, SolveReport]:
     """Block-coordinate descent with the hard frequency constraint on H.
 
-    The band is ``hyper.penalty``'s as a hard_freq penalty, with ``R``, when
-    given, in place of its R; its fixed mask, if any, wins over R.  The code
-    step follows the band (see :func:`code_step`): a fixed mask (a
-    conjugate-closed set, which the caller supplies per series length) runs
-    the prox splitting, an adaptive top-R band the heuristic, with masks
-    recomputed per row from the top-R power spectrum.  ``extras["variant"]``
-    names the step.  Dictionary steps are the exact normal equations.
+    The band is ``hyper.penalty``'s, with ``R``, when given, in place of its
+    R; its fixed mask, if any, wins over R.  The code step follows the band
+    (see :func:`code_step`): a fixed mask (a conjugate-closed set, which the
+    caller supplies per series length) runs the prox splitting, an adaptive
+    top-R band the heuristic, with masks recomputed per row from the top-R
+    power spectrum.  ``extras["variant"]`` names the step.  Dictionary steps
+    are the exact normal equations.
 
-    The objective trace records the smooth part (fit + ridge terms); the
-    indicator is tracked separately, through the off-mask extras: the
-    heuristic's per-iteration ``offmask_after_projection`` and, on either
-    path, ``offmask_final``, the returned H's largest per-row off-band ratio.
+    The report holds what :func:`ssnmf_bcd`'s holds (see :func:`_bcd_loop`),
+    with objectives that score the smooth part (fit + ridge terms) alone.
+    The indicator is tracked through the off-mask extras: the heuristic's
+    per-iteration ``offmask_after_projection`` and ``offmask_final``, the
+    returned H's largest per-row off-band ratio.
+
+    A penalty other than hard_freq raises ValueError: :func:`ssnmf_bcd` fits
+    a convex penalty.
     """
+    if hyper.penalty.kind != "hard_freq":
+        raise ValueError("ssnmf_hard fits a hard_freq band; fit a convex penalty "
+                         "(ridge | lasso | soft_freq) with ssnmf_bcd")
     band = Penalty.hard_freq(R if R is not None else hyper.penalty.R, hyper.penalty.mask)
     variant, step = code_step(band, priority=priority)
-
-    def after(x, y_t, old, model, sub, extras):
-        extras["offmask_after_projection"].extend(sub.extras.get("offmask_after_projection", []))
-        if "offmask_final" in sub.extras:
-            extras["offmask_final"] = sub.extras["offmask_final"]
-        return [_objective_smooth(x, y_t, model)]
-
-    model, report = _bcd_loop("ssnmf_hard", x, y, hyper, n_iters, sub_iters, seed, tol, step,
-                              {"offmask_after_projection": [], "variant": variant},
-                              lambda *_: None, after)
+    model, report = _bcd_loop("ssnmf_hard", x, y, hyper, n_iters, sub_iters, seed, tol, step)
     if band.mask is not None:
-        report.extras["offmask_final"] = float(offmask_ratio(model.H, band.mask).max())
+        ratio = offmask_ratio(model.H, band.mask)
+    else:
+        ratio = half_offmask_ratio(*top_r_keep(model.H, band.R), model.H.shape[1])
+    report.extras.update(variant=variant, offmask_final=float(ratio.max()))
     return model, report

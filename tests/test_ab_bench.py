@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ def test_workload_list_runs_pairs_per_workload_and_nests_the_json(monkeypatch, c
     def fake_bench(tree, workload, seed, seconds):
         calls.append((tree.name, workload, seed))
         side = 1.0 if tree.name == "parent" else 0.5
-        return {"correct": True, "failed_ops_frac": 0.0,
+        # the change computes something else in the pair with seed 12
+        nse = 0.8 if tree.name == "change" and seed == 12 else 0.9
+        return {"correct": True, "failed_ops_frac": 0.0, "fingerprint": {"nse": nse},
                 "metrics": {"pipeline_s": side + seed / 100, "forecast_nse": 0.9}}
 
     monkeypatch.setattr(ab_bench, "export", lambda rev, dest: rev)
@@ -28,12 +31,28 @@ def test_workload_list_runs_pairs_per_workload_and_nests_the_json(monkeypatch, c
     out = capsys.readouterr().out.splitlines()
     assert sum(line.endswith(": 3 pairs") for line in out) == 2
     assert any(line.startswith("pipeline_s") and line.endswith("3/0/0") for line in out)
+    assert out.count("fingerprints equal: 2 of 3 pairs") == 2
     tail = json.loads(out[-1])
     assert tail["commits"] == {"parent": "P", "change": "C"}
     assert list(tail["workloads"]) == ["soft_forecast", "hard_scan"]
     pairs = tail["workloads"]["hard_scan"]["pairs"]
     assert [p["seed"] for p in pairs] == [11, 12, 13]
     assert pairs[0]["change"]["metrics"]["pipeline_s"] == 0.61
+    assert [(p["parent"]["fingerprint"], p["change"]["fingerprint"]) for p in pairs] == [
+        ({"nse": 0.9}, {"nse": 0.9}), ({"nse": 0.9}, {"nse": 0.8}), ({"nse": 0.9}, {"nse": 0.9})]
+
+
+def test_bench_reads_the_records_fingerprint(tmp_path, monkeypatch):
+    record = tmp_path / ".bench_work" / "hard_scan" / "record.json"
+    record.parent.mkdir(parents=True)
+    fp = {"final_objective": [1.5], "nse": 0.9, "atom_scan_ranking": [2, 0, 1]}
+    record.write_text(json.dumps({"failed_ops_frac": 0.0, "fingerprint": fp,
+                                  "metrics": {"pipeline_s": 0.7, "other": 1}}))
+    done = subprocess.CompletedProcess([], 0, stdout='{"correct": true}\n', stderr="")
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *a, **k: done)
+    got = ab_bench.bench(tmp_path, "hard_scan", 11, 1.0)
+    assert got == {"correct": True, "failed_ops_frac": 0.0, "fingerprint": fp,
+                   "metrics": {"pipeline_s": 0.7}}
 
 
 @pytest.mark.parametrize("workload", ["soft_forecast,", ",", "a,,b"])

@@ -610,7 +610,7 @@ class TestValidatedInputs:
         (FactorizeConfig, "xi", "1", "a number"),
         (FactorizeConfig, "xi", False, "a number"),
         (FactorizeConfig, "tol", "1e-6", "a number or null"),
-        (FactorizeConfig, "variant", 1, "a string"),
+        (FactorizeConfig, "variant", 1, "a string or null"),
         (FactorizeConfig, "x", None, "a string"),
         (FactorizeConfig, "train_t", 30.0, "an int or null"),
         (ForecastConfig, "sweeps", "3", "an int"),
@@ -700,6 +700,32 @@ class TestValidatedInputs:
                     in capsys.readouterr().err)
             assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_1_exits_2_naming_the_flag(self, tmp_path, capsys, jobs):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"x": str(data / "X.csv"), "y": str(data / "Y0.csv"),
+                                   "n_iters": 2, "sub_iters": 5,
+                                   "grid": [{"xi": 0.5}, {"xi": 1.0}]}))
+        out = tmp_path / "o"
+        assert run_cli("factorize", "--config", cfg, "--out", out, "--jobs", jobs) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_text_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_full.csv")}))
+        for path in (data / "Y_full.csv", model / "H.csv"):
+            good = path.read_bytes()
+            lines = good.split(b"\n")
+            path.write_bytes(b"\n".join(lines[:2] + [b"1.0\xff"] + lines[3:]))
+            out = tmp_path / "o"
+            assert run_cli("forecast", "--config", cfg, "--out", out) == 2
+            assert f"{path}: line 3: not UTF-8 text" in capsys.readouterr().err
+            assert not out.exists()
+            path.write_bytes(good)
+
     def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):
         data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
         cfg = tmp_path / "f.json"
@@ -755,6 +781,21 @@ class TestRestatedFields:
             assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
                                    if p.is_file())
             assert all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+
+    def test_hard_factorize_needs_no_variant(self, tmp_path):
+        # the penalty picks the driver: "variant": "hard" only restates it
+        fac, _ = self.world(tmp_path)
+        models = []
+        for name, extra in (("plain", {}), ("restated", {"variant": "hard"})):
+            cfg = {k: v for k, v in fac.items() if k != "variant"}
+            code, model = self.run(tmp_path, "factorize", {**cfg, **extra}, f"model_{name}")
+            assert code == 0
+            models.append(model)
+        for f in ("W.csv", "Wp.csv", "H.csv"):
+            assert (models[0] / f).read_bytes() == (models[1] / f).read_bytes()
+        reports = [read_json(m / "report.json") for m in models]
+        assert [r["config"]["variant"] for r in reports] == [None, "hard"]
+        assert reports[0]["report"] == reports[1]["report"]
 
     @pytest.mark.parametrize("command, extra, want", [
         ("factorize", {"variant": "bcd"}, "config field 'variant' must be 'hard' for this "

@@ -30,6 +30,7 @@ from freqfact import (
     ssnmf_hard,
     three_operator_splitting,
 )
+from freqfact.spectral import half_offmask_ratio, top_r_keep
 
 from helpers import dft_definitional, minkowski_definitional, nnls_columns
 from test_acceptance import _tos_instance, _tos_reference_optimum
@@ -511,8 +512,9 @@ class TestAlternatingPgd:
         wbar = rng.standard_normal((6, 2))
         xbar = rng.standard_normal((6, 16))
         h0 = np.abs(rng.standard_normal((2, 16)))
-        h, report = alternating_pgd(h0, wbar, xbar, R=3, n_iters=20, priority="frequency")
-        assert report.extras["offmask_final"] <= 1e-12
+        h, _ = alternating_pgd(h0, wbar, xbar, R=3, n_iters=20, priority="frequency")
+        # the returned code against its own top-R mask
+        assert half_offmask_ratio(*top_r_keep(h, 3), 16).max() <= 1e-12
 
     def test_mu_grows_as_r_shrinks(self):
         # fewer retained frequencies => more strongly suppressed bins; the
@@ -681,8 +683,59 @@ class TestCodeStep:
         # a fixed mask needs no R: it runs the prox step
         _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=MASK16)), None, 2)
         assert rep.extras["variant"] == "prox"
-        _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, sub_iters=5)
+        _, rep = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(R=3)), 2, n_iters=2, sub_iters=5)
         assert rep.extras["variant"] == "heuristic"
+        # R replaces a hard band's R, but turns no other penalty into a band
+        with pytest.raises(ValueError, match="fit a convex penalty .* with ssnmf_bcd"):
+            ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 2, n_iters=2, sub_iters=5)
+
+
+class TestBcdLoop:
+    """Both drivers run one loop that records the same things for every
+    penalty; only a hard band adds its step's name and off-band ratios."""
+
+    FITS = {
+        "soft": (Penalty.soft_freq(0.5), ssnmf_bcd, set()),
+        "top_r": (Penalty.hard_freq(R=2), ssnmf_hard,
+                  {"variant", "offmask_final", "offmask_after_projection"}),
+        "fixed_mask": (Penalty.hard_freq(mask=MASK16), ssnmf_hard, {"variant", "offmask_final"}),
+    }
+
+    def fit(self, name, **kwargs):
+        penalty, driver, _ = self.FITS[name]
+        x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=6)
+        hyper = Hyper(2, 1.0, penalty)
+        if driver is ssnmf_hard:
+            return driver(x, y, hyper, None, seed=1, sub_iters=20, **kwargs)
+        return driver(x, y, hyper, sub_iters=20, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("name", list(FITS))
+    def test_every_fit_records_the_same_things(self, name):
+        _, report = self.fit(name, n_iters=4)
+        common = {"initial_objective", "phase_objectives", "h_min_trace"}
+        assert set(report.extras) == common | self.FITS[name][2]
+        assert report.objective_trace == [p[-1] for p in report.extras["phase_objectives"]]
+        assert len(report.extras["h_min_trace"]) == len(report.step_trace) == 4
+        assert np.isfinite(report.extras["initial_objective"])
+        if name == "top_r":
+            assert len(report.extras["offmask_after_projection"]) == 4 * 20
+
+    @pytest.mark.parametrize("name", ["top_r", "fixed_mask"])
+    def test_exact_steps_never_increase_a_hard_objective(self, name):
+        # c03's exact-step inequality, on the smooth part a hard fit scores
+        for seed in range(5):
+            x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=seed)
+            _, report = ssnmf_hard(x, y, Hyper(2, 1.0, self.FITS[name][0]), None, 6,
+                                   seed=seed, sub_iters=20)
+            for after_h, after_w, after_wp in report.extras["phase_objectives"]:
+                assert after_w <= after_h + 1e-10
+                assert after_wp <= after_w + 1e-10
+
+    @pytest.mark.parametrize("name", list(FITS))
+    def test_tol_starts_from_the_initial_objective(self, name):
+        # a tolerance every change meets stops every fit after one iteration
+        _, report = self.fit(name, n_iters=5, tol=1e300)
+        assert report.terminated == "tol_reached" and report.wall_iters == 1
 
 
 @st.composite

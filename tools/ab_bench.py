@@ -13,9 +13,12 @@ first in odd ones, so drift of the host's speed falls on both sides alike.
 ``--workload`` takes one workload or a comma-separated list; each runs its
 pairs in turn.  Per workload the script prints, per metric, each side's
 median and quartiles and how many pairs the change read lower, higher or
-equal.  It ends with one JSON object holding every run's metrics, nested by
-workload.  It leaves the repository's files, index and refs as they are and
-removes the exports.
+equal, and in how many pairs both sides' quality fingerprints (the
+``record.json`` ``fingerprint``: final objectives, NSE and scan ranking) are
+equal, so a change that claims unchanged outputs can quote the same runs
+as its timings.  It ends with one JSON object holding every run's metrics
+and fingerprint, nested by workload.  It leaves the repository's files,
+index and refs as they are and removes the exports.
 """
 
 import argparse
@@ -51,7 +54,8 @@ def export(rev: str, dest: Path) -> str:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``tree``: its metrics and correctness."""
+    """One ``bench/run.py`` run in ``tree``: its metrics, quality
+    fingerprint and correctness."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, capture_output=True, text=True)
@@ -62,6 +66,7 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "metrics": {}, "error": proc.stderr[-2000:]}
     return {"correct": bool(result.get("correct")),
             "failed_ops_frac": record.get("failed_ops_frac"),
+            "fingerprint": record.get("fingerprint"),
             "metrics": {k: v for k, v in record["metrics"].items() if k in METRICS}}
 
 
@@ -85,6 +90,9 @@ def summary(workload: str, runs: list) -> None:
         higher = sum(c > p for p, c in pairs)
         print(f"{name:<14} {spread([p for p, _ in pairs]):<34} {spread([c for _, c in pairs]):<34} "
               f"{lower}/{higher}/{len(pairs) - lower - higher}")
+    same = sum(p.get("fingerprint") is not None and p.get("fingerprint") == c.get("fingerprint")
+               for p, c in runs)
+    print(f"fingerprints equal: {same} of {len(runs)} pairs")
     wrong = sum(not side["correct"] for pair in runs for side in pair)
     print(f"runs not reading correct: {wrong} of {2 * len(runs)}")
 
