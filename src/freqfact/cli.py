@@ -15,6 +15,7 @@ never perturbs the others.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import types
@@ -102,7 +103,8 @@ def _check_field(name: str, annotation, value) -> None:
     """Raise ValueError naming the field, and the index within a list (as
     ``'freqs[0]'``), when ``value`` does not fit ``annotation``: int, float,
     str, dict, a list of one of these, or a union of them, optionally
-    ``| None``.  bool is no number here, and an int stands for a float."""
+    ``| None``.  bool is no number here, an int stands for a float, and a
+    number must be finite: JSON's NaN and Infinity pass every range check."""
     kinds = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
     if value is None and type(None) in kinds:
         return
@@ -112,6 +114,8 @@ def _check_field(name: str, annotation, value) -> None:
                 _check_field(f"{name}[{i}]", typing.get_args(kind)[0], item)
             return
         if kind in _TYPES and isinstance(value, _TYPES[kind][0]) and not isinstance(value, bool):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config field {name!r} must be a finite number, got {value!r}")
             return
     want = " or ".join("null" if k is type(None) else "a list" if typing.get_origin(k) is list
                        else _TYPES[k][1] for k in kinds)
@@ -163,6 +167,8 @@ class FactorizeConfig:
         for name in ("n_iters", "sub_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")
+        if self.tol is not None and self.tol < 0:
+            raise ValueError(f"config field 'tol' must be >= 0, got {self.tol!r}")
         _check_penalty_fields(self.penalty)
         _check_restated(self.variant, "hard" if self.penalty["kind"] == "hard_freq" else "bcd",
                         self.R, self.penalty.get("R"))

@@ -37,11 +37,12 @@ class EncodeConfig:
 
     The encode penalty picks the code step (see
     :func:`~freqfact.solvers.code_step`).  The prox step (ridge, lasso,
-    soft_freq and a fixed-mask hard_freq) runs one round of
-    ``sweeps * sub_iters`` iterations, since its fixed step needs no
-    restart.  The top-R heuristic (an adaptive hard_freq band) runs
-    ``sweeps`` warm-started rounds of ``sub_iters`` iterations; each round
-    restarts its diminishing step schedule, which restores large steps.
+    soft_freq and a fixed-mask hard_freq) runs one round capped at
+    ``sweeps * sub_iters`` iterations, and stops sooner once its primal and
+    dual residuals are small.  The top-R heuristic (an adaptive hard_freq
+    band) runs ``sweeps`` warm-started rounds of ``sub_iters`` iterations;
+    each round restarts its diminishing step schedule, which restores large
+    steps.
     """
 
     sweeps: int = 60
@@ -68,7 +69,8 @@ def encode_new(
 
     The penalty weight is ``lam_over_xi`` regardless of the weight stored in
     ``penalty``.  Output is elementwise nonnegative.  The report holds the
-    objective of the last iterate of each round; a non-finite code or
+    objective of the code each round returns, each round's first step, and
+    in ``wall_iters`` the code-step iterations run; a non-finite code or
     objective raises :class:`~freqfact.exceptions.ConvergenceError` naming
     the round.  The code step records no per-iteration diagnostics here
     (see :func:`~freqfact.solvers.code_step`), since only each round's last
@@ -95,7 +97,7 @@ def encode_new(
     rounds, iters = config.sweeps, config.sub_iters
     if variant == "prox":
         rounds, iters = 1, rounds * iters
-    reports = [SolveReport(wall_iters=rounds * iters) for _ in range(blocks)]
+    reports = [SolveReport() for _ in range(blocks)]
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(rounds):
             h, subs = step(y_full, wp, h, iters)
@@ -104,6 +106,7 @@ def encode_new(
                 _require_finite("encode_new", it, b, H=hb, objective=sub.objective_trace[-1])
                 report.objective_trace.append(sub.objective_trace[-1])
                 report.step_trace.append(sub.step_trace[0])
+                report.wall_iters += sub.wall_iters
     return (h, reports[0]) if flat else (h, reports)
 
 

@@ -55,6 +55,31 @@ def test_bench_reads_the_records_fingerprint(tmp_path, monkeypatch):
                    "metrics": {"pipeline_s": 0.7}}
 
 
+def test_summary_quotes_the_fingerprint_drift(capsys):
+    def run(objectives, nse, ranking=None):
+        fp = {"final_objective": objectives, "nse": nse}
+        if ranking is not None:
+            fp["atom_scan_ranking"] = ranking
+        return {"correct": True, "fingerprint": fp, "metrics": {"pipeline_s": 1.0}}
+
+    runs = [(run([100.0, 200.0], 0.95, [0, 1]), run([100.1, 199.0], 0.951, [0, 1])),
+            (run([50.0, 80.0], 0.90, [1, 0]), run([50.0, 80.0], 0.89, [0, 1])),
+            (run([10.0, 20.0], 0.80, [0, 1]), run([10.0, 20.0], 0.80, [0, 1])),
+            # a failed run has no fingerprint and moves nothing
+            (run([1.0], 0.5, [0, 1]), {"correct": False, "metrics": {}})]
+    ab_bench.summary("hard_scan", runs)
+    out = capsys.readouterr().out.splitlines()
+    assert "fingerprints equal: 1 of 4 pairs" in out
+    assert "final_objective worst relative change: -5.000e-03" in out
+    assert "forecast nse change: median +0.000e+00, worst -1.000e-02" in out
+    assert "atom-scan rankings equal: 2 of 3 pairs" in out
+    # a workload without an atom scan prints no ranking line
+    ab_bench.summary("soft_forecast", [(run([1.0], 0.5), run([1.0], 0.5))])
+    out = capsys.readouterr().out.splitlines()
+    assert "fingerprints equal: 1 of 1 pairs" in out
+    assert not any(line.startswith("atom-scan") for line in out)
+
+
 @pytest.mark.parametrize("workload", ["soft_forecast,", ",", "a,,b"])
 def test_empty_workload_name_is_a_usage_error(workload):
     with pytest.raises(SystemExit) as exc:

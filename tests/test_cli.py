@@ -726,6 +726,61 @@ class TestValidatedInputs:
             assert not out.exists()
             path.write_bytes(good)
 
+    NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+    @staticmethod
+    def nonfinite_exits_2(tmp_path, capsys, command, config, field_name, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))  # NaN and Infinity, as JSON parsers accept them
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert (f"config field '{field_name}' must be a finite number, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", NONFINITE, ids=repr)
+    @pytest.mark.parametrize("field_name", ["sigma", "x_sigma"])
+    def test_nonfinite_synth_field_exits_2(self, tmp_path, capsys, field_name, value):
+        self.nonfinite_exits_2(tmp_path, capsys, "synth", {"d": 4, "T": 12, field_name: value},
+                               field_name, value)
+
+    @pytest.mark.parametrize("value", NONFINITE, ids=repr)
+    @pytest.mark.parametrize("field_name", ["xi", "tol", "lambda1", "lambda2", "penalty.lambda",
+                                            "grid-point xi"])
+    def test_nonfinite_factorize_field_exits_2(self, tmp_path, capsys, field_name, value):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
+        config = {"x": str(data / "X.csv"), "y": str(data / "Y0.csv"), "n_iters": 2}
+        if field_name == "penalty.lambda":
+            config["penalty"] = {"kind": "soft_freq", "lambda": value}
+        elif field_name == "grid-point xi":
+            config["grid"] = [{"xi": 1.0}, {"xi": value}]
+            field_name = "xi"
+        else:
+            config[field_name] = value
+        self.nonfinite_exits_2(tmp_path, capsys, "factorize", config, field_name, value)
+
+    @pytest.mark.parametrize("value", NONFINITE, ids=repr)
+    @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+    @pytest.mark.parametrize("field_name", ["lam_over_xi", "penalty.lambda"])
+    def test_nonfinite_encode_field_exits_2(self, tmp_path, capsys, command, field_name, value):
+        data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
+        config = {"model": str(model), "y": str(data / "Y_full.csv"),
+                  "x_true": str(data / "X_full.csv")}
+        if field_name == "penalty.lambda":
+            config["penalty"] = {"kind": "ridge", "lambda": value}
+        else:
+            config[field_name] = value
+        self.nonfinite_exits_2(tmp_path, capsys, command, config, field_name, value)
+
+    def test_negative_tol_exits_2(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"x": str(data / "X.csv"), "y": str(data / "Y0.csv"),
+                                   "tol": -1e-6}))
+        assert run_cli("factorize", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "config field 'tol' must be >= 0, got -1e-06" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_mistyped_seed_exits_2_naming_the_field(self, tmp_path, capsys):
         data = synth_dataset(tmp_path, d=8, T=40, freqs=(2, 5))
         cfg = tmp_path / "f.json"

@@ -102,7 +102,9 @@ class TestEncode:
         assert variant == "prox"
         _, long = encode_new(y, wp, penalty, 2.0, cfg)
         _, short = encode_new(y, wp, penalty, 2.0, replace(cfg, sweeps=1))
-        assert len(long.objective_trace) == 1 and long.wall_iters == 1000
+        # sweeps * sub_iters caps the one round; the residual stop ends it sooner
+        assert len(long.objective_trace) == 1 and long.wall_iters < 1000
+        assert short.wall_iters <= 50
         # both may have converged, to the Gram form's rounding
         assert long.objective_trace[-1] <= short.objective_trace[-1] * (1.0 + 1e-12)
 

@@ -30,6 +30,7 @@ from freqfact import (
     ssnmf_hard,
     three_operator_splitting,
 )
+from freqfact.regularization import HARD_FEASIBILITY_RTOL
 from freqfact.spectral import half_offmask_ratio, top_r_keep
 
 from helpers import dft_definitional, minkowski_definitional, nnls_columns
@@ -179,8 +180,10 @@ class TestSolveHProx:
         exact = self.fsub(xbar, wbar, h, p)
         assert len(report.objective_trace) == 1
         assert abs(report.objective_trace[0] - exact) <= 1e-9 * exact
+        # one step 1/rho per iteration run, the first at 1/L
         gamma = 1.0 / (2.0 * np.linalg.norm(wbar.T @ wbar, 2))
-        assert report.step_trace == [gamma] * 40 and report.wall_iters == 40
+        assert report.step_trace[0] == pytest.approx(gamma, rel=1e-12)
+        assert len(report.step_trace) == report.wall_iters == 40
 
     def test_no_feasible_perturbation_does_better(self):
         xbar, wbar, h0 = self.instance(52, m=6, k=2, T=16)
@@ -271,7 +274,10 @@ class TestSolveHProx:
         h0 = np.abs(rng.standard_normal((2, 5)))
         h, report = solve_H_prox(wbar @ h0, wbar, h0, Penalty.ridge(0.0), 25)
         assert np.allclose(h, h0, rtol=0.0, atol=1e-14)
-        assert report.extras["fixed_point_residual"] <= 1e-14
+        assert report.extras["primal_residual"] <= 1e-14
+        assert report.extras["dual_residual"] <= 1e-14
+        # the first residual check stops it
+        assert report.terminated == "tol_reached" and report.wall_iters == solvers._ADMM_CHECK
 
     def test_scalar_soft_instance_descends_to_zero(self):
         # 1x1 data and dictionary both zero: the fit is flat, so one prox
@@ -280,13 +286,17 @@ class TestSolveHProx:
                             Penalty.soft_freq(1.0), 20)
         assert h[0, 0] == 0.0
 
-    def test_fixed_point_residual_falls_with_iterations(self):
+    def test_residuals_fall_until_the_stop(self):
         xbar, wbar, h0 = self.instance(55)
         p = Penalty.soft_freq(0.5)
-        residuals = [solve_H_prox(xbar, wbar, h0, p, n)[1].extras["fixed_point_residual"]
-                     for n in (1, 10, 100, 1000)]
-        assert all(b < a for a, b in zip(residuals, residuals[1:]))
-        assert residuals[-1] <= 1e-6 * residuals[0]
+        reports = [solve_H_prox(xbar, wbar, h0, p, n)[1] for n in (10, 50, 5000)]
+        for key in ("primal_residual", "dual_residual"):
+            residuals = [r.extras[key] for r in reports]
+            assert all(b < a for a, b in zip(residuals, residuals[1:]))
+            assert residuals[-1] <= 1e-6 * residuals[0]
+        assert [r.terminated for r in reports] == ["max_iters"] * 2 + ["tol_reached"]
+        assert reports[-1].wall_iters < 5000
+        assert all(len(r.step_trace) == r.wall_iters for r in reports)
 
     def test_validation(self):
         args = np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 4))
@@ -303,6 +313,86 @@ class TestSolveHProx:
             solve_H_prox(*args, Penalty.hard_freq(R=1), 1, nonneg=False)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
             solve_H_prox(*args, Penalty.ridge(0.0), -1)
+
+
+def soft_forecast_encode():
+    """The soft-spectral forecast encode at the benchmark's soft_forecast
+    size: a 4-atom fit of 64 x 192 data with two 64-row auxiliaries
+    (xi = 0.5, soft_freq 1.0, 20 x 50), and its auxiliary dictionary with the
+    full 256-column auxiliary data."""
+    from freqfact import SyntheticSpec, gen_cosine_mixture
+
+    x, ys = gen_cosine_mixture(SyntheticSpec(64, 256, (14, 6), 0.5, 0.5, seed=1))
+    y = np.vstack(ys)
+    model, _ = ssnmf_bcd(x[:, :192], y, Hyper(4, 0.5, Penalty.soft_freq(1.0)), 20, 50)
+    return y, model.Wp
+
+
+class TestResidualStop:
+    """The prox step stops on its primal and dual residuals; n_iters caps it."""
+
+    def test_stop_fires_before_the_cap_on_the_forecast_encode(self):
+        y, wp = soft_forecast_encode()
+        h0 = np.abs(np.random.default_rng(0).standard_normal((4, y.shape[1])))
+        h, report = solve_H_prox(y, wp, h0, Penalty.soft_freq(0.1), 3000)
+        assert report.terminated == "tol_reached" and report.wall_iters < 1000
+        assert len(report.step_trace) == report.wall_iters
+        # the residual check before the stop did not fire
+        _, capped = solve_H_prox(y, wp, h0, Penalty.soft_freq(0.1),
+                                 report.wall_iters - solvers._ADMM_CHECK)
+        assert capped.terminated == "max_iters"
+        # encode_new's wall_iters counts the iterations used, not sweeps * sub_iters
+        _, enc = encode_new(y, wp, Penalty.soft_freq(1.0), 0.1, EncodeConfig(60, 50))
+        assert enc.wall_iters < 3000
+
+    def test_one_iteration(self):
+        xbar, wbar, h0 = TestSolveHProx.instance(60)
+        h, report = solve_H_prox(xbar, wbar, h0, Penalty.lasso(0.3), 1)
+        assert report.wall_iters == len(report.step_trace) == 1
+        assert report.terminated == "max_iters"
+        assert set(report.extras) == {"primal_residual", "dual_residual", "rho"}
+        assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
+
+    @pytest.mark.parametrize("dead", [[0], [0, 1, 2]], ids=["one_zero_column", "zero_dictionary"])
+    def test_zero_gram_eigenvalue_gives_a_finite_positive_rho(self, dead):
+        # a dead atom's dictionary column is zero, so G has a zero eigenvalue
+        xbar, wbar, h0 = TestSolveHProx.instance(61)
+        wbar[:, dead] = 0.0
+        h, report = solve_H_prox(xbar, wbar, h0, Penalty.soft_freq(0.4), 50)
+        steps = np.array(report.step_trace)
+        assert 0.0 < report.extras["rho"] < math.inf
+        assert np.all(np.isfinite(steps)) and np.all(steps > 0.0)
+        assert np.all(np.isfinite(h)) and report.wall_iters <= 50
+
+    @pytest.mark.parametrize("penalty, nonneg", [
+        (Penalty.soft_freq(0.5), True), (Penalty.lasso(0.3), True), (Penalty.ridge(0.2), False),
+        ("fixed_mask", True),
+    ], ids=["soft", "lasso", "ridge-free", "fixed_mask"])
+    def test_blocks_stop_apart_and_stay_equal_to_separate_calls(self, penalty, nonneg):
+        # three dictionaries of growing collinearity stop at different iterations
+        rng = np.random.default_rng(62)
+        T, k = 24, 3
+        xbar = np.abs(rng.standard_normal((10, T)))
+        base = rng.standard_normal((10, k))
+        wbar = np.stack([base + c * base[:, :1] for c in (0.0, 1.0, 10.0)])
+        h0 = np.abs(rng.standard_normal((3, k, T)))
+        if penalty == "fixed_mask":
+            masks = [FrequencyMask.same(k, T, bins) for bins in ([0, 2], [0, 3], [0, 1, 5])]
+            penalty = Penalty.hard_freq(mask=FrequencyMask(T, sum((m.kept for m in masks), ())))
+            separate = [Penalty.hard_freq(mask=m) for m in masks]
+        else:
+            separate = [penalty] * 3
+        h, reports = solve_H_prox(xbar, wbar, h0, penalty, 5000, nonneg)
+        iters = [r.wall_iters for r in reports]
+        assert len(set(iters)) == 3 and max(iters) < 5000
+        assert all(r.terminated == "tol_reached" for r in reports)
+        for b, (report, pen) in enumerate(zip(reports, separate)):
+            ref, ref_report = solve_H_prox(xbar, wbar[b], h0[b], pen, 5000, nonneg)
+            assert np.array_equal(h[b], ref)
+            assert report.to_dict() == ref_report.to_dict()
+            # a stopped block froze: capping it where it stopped gives its code
+            frozen, _ = solve_H_prox(xbar, wbar[b], h0[b], pen, report.wall_iters, nonneg)
+            assert np.array_equal(h[b], frozen)
 
 
 class TestSsnmfBcd:
@@ -448,7 +538,7 @@ class TestFixedMaskCodeStep:
         wbar, xbar, mask, _, fstar = scaled_instance
         h, report = encode_new(xbar, wbar, Penalty.hard_freq(mask=mask), 0.0,
                                EncodeConfig(sweeps=20, sub_iters=50, seed=5))
-        assert report.wall_iters == 1000 and len(report.objective_trace) == 1
+        assert report.wall_iters <= 1000 and len(report.objective_trace) == 1
         self.check(h, report.objective_trace[-1], wbar, xbar, mask, fstar)
 
 
@@ -590,6 +680,32 @@ class TestSsnmfHard:
         assert len(report.objective_trace) == 5
         assert report.extras["offmask_final"] == float(offmask_ratio(model.H, mask).max())
 
+    def test_fixed_mask_fit_ends_on_its_band(self):
+        # hard_scan's synthetic data with a fixed band: the orthant does not
+        # bind at the returned code, so it is Z2, on the band
+        from freqfact import SyntheticSpec, gen_cosine_mixture
+
+        x, ys = gen_cosine_mixture(SyntheticSpec(64, 256, (14, 6), 0.5, 0.5, seed=1))
+        x, y = x[:, :192], np.vstack(ys)
+        mask = FrequencyMask.same(4, 192, [0, 4, 10])
+        model, report = ssnmf_hard(x, y, Hyper(4, 0.5, Penalty.hard_freq(mask=mask)), None, 20)
+        assert report.extras["offmask_final"] <= HARD_FEASIBILITY_RTOL
+        assert math.isfinite(objective(x, y, model)) and np.all(model.H >= 0.0)
+
+    @pytest.mark.parametrize("sub_iters", [50, 1000])
+    def test_fixed_mask_fit_records_its_band_residual(self, sub_iters):
+        # where the orthant binds, a step capped at 50 iterations may end off
+        # the band, which offmask_final records; steps run to their stop meet it
+        x, y = make_example_data(d=8, T=40, freqs=(3, 7), seed=6)
+        mask = FrequencyMask.same(2, 40, [0, 3, 7])
+        model, report = ssnmf_hard(x, y, Hyper(2, 1.0, Penalty.hard_freq(mask=mask)), None, 2,
+                                   sub_iters=sub_iters)
+        off = report.extras["offmask_final"]
+        assert off == float(offmask_ratio(model.H, mask).max())
+        assert math.isfinite(objective(x, y, model)) == (off <= HARD_FEASIBILITY_RTOL)
+        if sub_iters == 1000:
+            assert max(report.extras["code_iters"]) < 1000 and off <= HARD_FEASIBILITY_RTOL
+
     def test_overflow_raises_naming_solver_and_iteration(self):
         x, y = make_example_data(d=6, T=20, freqs=(2, 5), seed=7)
         mask = FrequencyMask.same(2, 20, [0, 2, 5])
@@ -712,10 +828,14 @@ class TestBcdLoop:
     @pytest.mark.parametrize("name", list(FITS))
     def test_every_fit_records_the_same_things(self, name):
         _, report = self.fit(name, n_iters=4)
-        common = {"initial_objective", "phase_objectives", "h_min_trace"}
+        common = {"initial_objective", "phase_objectives", "h_min_trace", "code_iters"}
         assert set(report.extras) == common | self.FITS[name][2]
         assert report.objective_trace == [p[-1] for p in report.extras["phase_objectives"]]
         assert len(report.extras["h_min_trace"]) == len(report.step_trace) == 4
+        # the heuristic runs every iteration; the prox step may stop before sub_iters
+        iters = report.extras["code_iters"]
+        assert len(iters) == 4 and all(1 <= n <= 20 for n in iters)
+        assert name != "top_r" or iters == [20] * 4
         assert np.isfinite(report.extras["initial_objective"])
         if name == "top_r":
             assert len(report.extras["offmask_after_projection"]) == 4 * 20

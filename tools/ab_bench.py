@@ -16,7 +16,10 @@ median and quartiles and how many pairs the change read lower, higher or
 equal, and in how many pairs both sides' quality fingerprints (the
 ``record.json`` ``fingerprint``: final objectives, NSE and scan ranking) are
 equal, so a change that claims unchanged outputs can quote the same runs
-as its timings.  It ends with one JSON object holding every run's metrics
+as its timings.  A change that moves them can quote how far: the script
+also prints the worst relative change of a final objective, the median and
+worst change of the forecast NSE, and in how many pairs the atom-scan
+rankings agree.  It ends with one JSON object holding every run's metrics
 and fingerprint, nested by workload.  It leaves the repository's files,
 index and refs as they are and removes the exports.
 """
@@ -77,6 +80,31 @@ def spread(values: list) -> str:
     return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def drift(runs: list) -> list:
+    """How far the change's fingerprints moved from the parent's, over the
+    pairs where both sides have one: the worst relative change of any final
+    objective, the median and worst change of the forecast NSE (each signed,
+    change minus parent) and in how many pairs the atom-scan rankings agree."""
+    fps = [(p["fingerprint"], c["fingerprint"]) for p, c in runs
+           if p.get("fingerprint") and c.get("fingerprint")]
+    rel = [(b - a) / abs(a) if a else b - a for fp, fc in fps
+           for a, b in zip(fp.get("final_objective") or [], fc.get("final_objective") or [])]
+    nse = [fc["nse"] - fp["nse"] for fp, fc in fps
+           if isinstance(fp.get("nse"), float) and isinstance(fc.get("nse"), float)]
+    lines = []
+    if rel:
+        lines.append(f"final_objective worst relative change: {max(rel, key=abs):+.3e}")
+    if nse:
+        lines.append(f"forecast nse change: median {statistics.median(nse):+.3e}, "
+                     f"worst {max(nse, key=abs):+.3e}")
+    ranked = [(fp["atom_scan_ranking"], fc.get("atom_scan_ranking")) for fp, fc in fps
+              if "atom_scan_ranking" in fp]
+    if ranked:
+        lines.append(f"atom-scan rankings equal: {sum(a == b for a, b in ranked)} of "
+                     f"{len(ranked)} pairs")
+    return lines
+
+
 def summary(workload: str, runs: list) -> None:
     print(f"{workload}: {len(runs)} pairs")
     print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
@@ -93,6 +121,8 @@ def summary(workload: str, runs: list) -> None:
     same = sum(p.get("fingerprint") is not None and p.get("fingerprint") == c.get("fingerprint")
                for p, c in runs)
     print(f"fingerprints equal: {same} of {len(runs)} pairs")
+    for line in drift(runs):
+        print(line)
     wrong = sum(not side["correct"] for pair in runs for side in pair)
     print(f"runs not reading correct: {wrong} of {2 * len(runs)}")
 
