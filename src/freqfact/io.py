@@ -3,7 +3,7 @@
 Text tensor format (CSV, diffable):
 
     stf-v1,A,B,T
-    mask,1,0,1,...          <- optional validity row, length T
+    mask,1,0,1,...          <- optional validity row: T entries, each 0 or 1, a 1 among them
     <T blocks of A lines, each B comma-separated floats, block t first>
 
 Binary tensor format (fast path): three little-endian u64 (A, B, T) followed
@@ -14,12 +14,18 @@ Matrix format: ``stf-matrix-v1,rows,cols`` then one line per row.  Prediction
 slices: ``stf-slice-v1,A,B,k`` then A lines of B values.  Floats are written
 with ``repr`` so outputs are byte-stable across runs.
 
-Text files are parsed and formatted in bulk, ``_CHUNK_LINES`` data lines at a
-time, so the transient per-cell Python objects stay bounded whatever the
-file size.  A cell is accepted exactly when ``float`` accepts it and the
-value is finite.  Blank lines are skipped.  A malformed file raises
+A text file in the form the writers emit is parsed straight from its bytes:
+the header lines are read one by one, the data block with one read, its line
+and comma layout is checked with vectorised byte positions, and one
+``np.fromstring`` call converts every cell.  Any other text file (blank
+lines, CRLF, spaces, ``1_0``, a missing final newline, a malformed cell, ...)
+goes to a line-by-line parse, which accepts a cell exactly when ``float``
+accepts it and the value is finite, skips blank lines, and raises
 :class:`TensorFormatError` naming the file and the first bad line (and
-column); a binary file names the flat index of its first non-finite value.
+column).  Both paths give the same values to the bit.  A binary file is read
+straight into its array, and names the flat index of its first non-finite
+value.  A pipe is read whole first, since the readers seek back.  Text is
+formatted ``_CHUNK_LINES`` data lines at a time.
 """
 
 import json
@@ -27,6 +33,7 @@ import math
 import os
 import struct
 import tempfile
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +56,13 @@ TENSOR_MAGIC = "stf-v1"
 MATRIX_MAGIC = "stf-matrix-v1"
 SLICE_MAGIC = "stf-slice-v1"
 
-# Data lines per bulk parse or format step: bounds the joined text and the
-# cell list a step holds to a few MB.  On a 10 MB file of 524k lines, one
-# whole-file join raised the parse's peak memory from +66 MB to +110 MB.
+# Data lines per format step: bounds the per-cell strings and the joined
+# text a step holds to a few MB, whatever the file size.
 _CHUNK_LINES = 1 << 16
+
+# The bytes of a data block as the writers emit it: ``repr`` floats, commas
+# and newlines.  A block with any other byte takes the line-by-line parse.
+_CANONICAL_BYTES = b"0123456789.eE+-,\n"
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -111,66 +121,142 @@ def write_slice(path, values: np.ndarray, k: int) -> None:
 
 def read_tensor(path) -> SpatioTemporalTensor:
     path = Path(path)
-    raw = path.read_bytes()
-    if raw and raw[: len(TENSOR_MAGIC)] != TENSOR_MAGIC.encode():
-        return _read_tensor_binary(path, raw)
+    with _open_seekable(path) as fh:
+        start = fh.read(len(TENSOR_MAGIC))
+        if start and start != TENSOR_MAGIC.encode():
+            return _read_tensor_binary(path, fh)
+        fh.seek(0)
+        (A, B, T), mask, rows = _read_text(path, fh, TENSOR_MAGIC)
+    # line t*A + a holds cell row (a, :, t)
+    values = np.ascontiguousarray(rows.reshape(T, A, B).transpose(1, 2, 0))
+    return SpatioTemporalTensor(values, mask)
+
+
+def _open_seekable(path: Path):
+    """``path`` open for binary reads; a pipe is read whole into memory,
+    since the readers seek back."""
+    fh = open(path, "rb")
+    if fh.seekable():
+        return fh
+    with fh:
+        return BytesIO(fh.read())
+
+
+def _read_tensor_binary(path: Path, fh) -> SpatioTemporalTensor:
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    head = fh.read(24)
+    if len(head) < 24:
+        raise TensorFormatError(f"{path}: binary header truncated ({len(head)} bytes)")
+    A, B, T = struct.unpack("<QQQ", head)
+    expected = 24 + 8 * A * B * T
+    # sized before the array is made, so dims that do not fit allocate nothing
+    if size == expected:
+        values = np.empty((A, B, T), dtype="<f8")
+        size = 24 + fh.readinto(values)
+    if size != expected:
+        raise TensorFormatError(
+            f"{path}: expected {expected} bytes for dims {A}x{B}x{T}, got {size}"
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise TensorFormatError(
+            f"{path}: value {bad[0]} (flat (a, b, t) index): non-finite value"
+        )
+    return SpatioTemporalTensor(values)
+
+
+def _read_text(path: Path, fh, magic: str):
+    """Dims, validity mask (None unless a tensor file has a mask row) and
+    (rows, cols) data block of the text file open at the start of ``fh``."""
+    parsed = _read_canonical(path, fh, magic)
+    if parsed is None:
+        fh.seek(0)
+        parsed = _read_general(path, fh.read(), magic)
+    return parsed
+
+
+def _read_canonical(path: Path, fh, magic: str):
+    """:func:`_read_text` straight from the bytes of a file in the form the
+    writers emit, or None for any other file, every malformed one included.
+
+    The head lines must be ASCII, each ended by a lone ``\\n``, and the data
+    block canonical (see :func:`_parse_block`).  Errors are left to
+    :func:`_read_general`, so a file with several faults is named by its
+    first one whichever path saw it.
+    """
+    lines = [fh.readline()]
+    if magic == TENSOR_MAGIC:
+        body_at = fh.tell()
+        lines.append(fh.readline())
+    try:
+        lines = [ln.decode("ascii") for ln in lines]
+    except UnicodeDecodeError:
+        return None
+    if not all(ln.endswith("\n") and ln[:-1].splitlines() == [ln[:-1]] for ln in lines):
+        return None
+    try:
+        dims, mask, pos = _parse_head(path, [ln[:-1] for ln in lines], magic)
+    except TensorFormatError:
+        return None
+    if pos < len(lines):  # the second line read is the first data line
+        fh.seek(body_at)
+    rows, cols, _ = _block_shape(dims)
+    block = _parse_block(fh.read(), rows, cols)
+    return None if block is None else (dims, mask, block)
+
+
+def _is_canonical(body: bytes, rows: int, cols: int) -> bool:
+    """Whether ``body`` holds only ``_CANONICAL_BYTES`` in ``rows`` lines,
+    each of ``cols`` nonempty comma-separated cells and a final ``\\n``."""
+    if rows == 0 or cols == 0 or not body.endswith(b"\n"):
+        return False
+    if body.translate(None, _CANONICAL_BYTES):
+        return False
+    u8 = np.frombuffer(body, np.uint8)
+    newlines = np.flatnonzero(u8 == ord("\n"))
+    commas = np.flatnonzero(u8 == ord(","))
+    if newlines.size != rows or commas.size != rows * (cols - 1):
+        return False
+    # these are the separators in file order exactly when every line holds
+    # cols - 1 commas, and two or more bytes apart when no cell is empty
+    seps = np.column_stack((commas.reshape(rows, cols - 1), newlines)).ravel()
+    return bool(np.diff(seps, prepend=-1).min() >= 2)
+
+
+def _parse_block(body: bytes, rows: int, cols: int) -> np.ndarray | None:
+    """The (rows, cols) array of a canonical data block whose cells are all
+    finite floats, else None.
+
+    Canonical cells are nonempty and hold no whitespace, so ``np.fromstring``
+    reads at most one value per cell, and ``rows * cols`` values means that
+    it read every cell in full.  It converts with the correctly rounded
+    routine ``float`` uses, so the values are ``float``'s to the bit.
+    """
+    if not _is_canonical(body, rows, cols):
+        return None
+    try:
+        flat = np.fromstring(body.replace(b",", b" ") if cols > 1 else body, sep=" ")
+    # numpy 2 raises at a cell it cannot read; older numpy warns and stops
+    except (ValueError, DeprecationWarning):
+        return None
+    if flat.size != rows * cols or not np.isfinite(flat).all():
+        return None
+    return flat.reshape(rows, cols)
+
+
+def _read_general(path: Path, raw: bytes, magic: str):
+    """:func:`_read_text` for any file, line by line: a cell is accepted
+    exactly when ``float`` accepts it and the value is finite, blank lines
+    are skipped, and the first bad position raises."""
     lines = _text_lines(path, raw)
-    del raw  # the parse needs only the lines; free the bytes before it runs
-    return _read_tensor_text(path, lines)
-
-
-def _text_lines(path: Path, raw: bytes) -> list[str]:
-    """Decode a text file and split it into lines; a file that is not UTF-8
-    or has no line raises, naming it and the line."""
-    try:
-        lines = raw.decode().splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise TensorFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
-    if not lines:
-        raise TensorFormatError(f"{path}: line 1: empty file")
-    return lines
-
-
-def _parse_dims(path: Path, line: str, magic: str, n: int) -> list[int]:
-    head = line.split(",")
-    if head[0] != magic or len(head) != n + 1:
-        raise TensorFormatError(f"{path}: line 1: bad header {line!r}")
-    try:
-        dims = [int(v) for v in head[1:]]
-    except ValueError:
-        raise TensorFormatError(f"{path}: line 1: non-integer dims in {line!r}") from None
-    if min(dims) < 0:
-        raise TensorFormatError(f"{path}: line 1: negative dims in {line!r}")
-    return dims
-
-
-def _parse_cells(body: list[str], cols: int) -> np.ndarray | None:
-    """Parse data lines into a flat float array in (line, column) order, or
-    return None when a line does not have ``cols`` cells or a cell is not a
-    finite float."""
-    flat = np.empty(len(body) * cols)
-    for start in range(0, len(body), _CHUNK_LINES):
-        chunk = body[start : start + _CHUNK_LINES]
-        cells = ",".join(chunk).split(",")
-        if len(cells) != len(chunk) * cols:
-            return None
-        # equal totals can still hide one long and one short line
-        if cols > 1 and any(ln.count(",") != cols - 1 for ln in chunk):
-            return None
-        try:
-            flat[start * cols : start * cols + len(cells)] = np.fromiter(
-                map(float, cells), dtype=float, count=len(cells)
-            )
-        except ValueError:
-            return None
-    return flat if np.isfinite(flat).all() else None
-
-
-def _raise_first_bad_line(path: Path, lines: list[str], pos: int, cols: int) -> None:
-    """Line-by-line parse of ``lines[pos:]`` that raises at the first line
-    with the wrong column count, or the first cell that is not a finite
-    float.  Called only once :func:`_parse_cells` has found such a line."""
+    dims, mask, pos = _parse_head(path, lines, magic)
+    rows, cols, what = _block_shape(dims)
+    found = sum(1 for ln in lines[pos:] if ln.strip())
+    if found != rows:
+        raise TensorFormatError(f"{path}: expected {rows} {what}, got {found}")
+    out = np.empty(rows * cols)
+    k = 0
     for lineno, ln in enumerate(lines[pos:], start=pos + 1):
         if not ln.strip():
             continue
@@ -188,52 +274,64 @@ def _raise_first_bad_line(path: Path, lines: list[str], pos: int, cols: int) -> 
                 ) from None
             if not math.isfinite(value):
                 raise TensorFormatError(f"{path}: line {lineno}, column {j}: non-finite value")
+            out[k] = value
+            k += 1
+    return dims, mask, out.reshape(rows, cols)
 
 
-def _read_rows(path: Path, lines: list[str], pos: int, rows: int, cols: int, what: str) -> np.ndarray:
-    """Parse the nonblank lines after ``lines[:pos]`` into a (rows, cols)
-    array."""
-    body = [ln for ln in lines[pos:] if ln.strip()]
-    if len(body) != rows:
-        raise TensorFormatError(f"{path}: expected {rows} {what}, got {len(body)}")
-    flat = _parse_cells(body, cols)
-    if flat is None:
-        _raise_first_bad_line(path, lines, pos, cols)
-    return flat.reshape(rows, cols)
+def _text_lines(path: Path, raw: bytes) -> list[str]:
+    """Decode a text file and split it into lines; a file that is not UTF-8
+    or has no line raises, naming it and the line."""
+    try:
+        lines = raw.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise TensorFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
+    if not lines:
+        raise TensorFormatError(f"{path}: line 1: empty file")
+    return lines
 
 
-def _read_tensor_binary(path: Path, raw: bytes) -> SpatioTemporalTensor:
-    if len(raw) < 24:
-        raise TensorFormatError(f"{path}: binary header truncated ({len(raw)} bytes)")
-    A, B, T = struct.unpack("<QQQ", raw[:24])
-    expected = 24 + 8 * A * B * T
-    if len(raw) != expected:
+def _parse_head(path: Path, lines: list[str], magic: str):
+    """Dims, validity mask and number of head lines of a text file: its
+    header, and a tensor's ``mask,`` row if its second line is one."""
+    dims = _parse_dims(path, lines[0], magic, 3 if magic == TENSOR_MAGIC else 2)
+    if magic != TENSOR_MAGIC or len(lines) < 2 or not lines[1].startswith("mask,"):
+        return dims, None, 1
+    bits = lines[1].split(",")[1:]
+    if len(bits) != dims[2]:
         raise TensorFormatError(
-            f"{path}: expected {expected} bytes for dims {A}x{B}x{T}, got {len(raw)}"
+            f"{path}: line 2: mask has {len(bits)} entries, expected {dims[2]}"
         )
-    values = np.frombuffer(raw, dtype="<f8", offset=24)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise TensorFormatError(
-            f"{path}: value {bad[0]} (flat (a, b, t) index): non-finite value"
-        )
-    return SpatioTemporalTensor(values.reshape(A, B, T).copy())
+    for j, bit in enumerate(bits, start=1):
+        if bit not in ("0", "1"):
+            raise TensorFormatError(
+                f"{path}: line 2, column {j}: mask entry {bit!r} is not 0 or 1"
+            )
+    if "1" not in bits:
+        raise TensorFormatError(f"{path}: line 2: time_mask must keep at least one column")
+    return dims, np.array([bit == "1" for bit in bits]), 2
 
 
-def _read_tensor_text(path: Path, lines: list[str]) -> SpatioTemporalTensor:
-    A, B, T = _parse_dims(path, lines[0], TENSOR_MAGIC, 3)
-    pos = 1
-    mask = None
-    if pos < len(lines) and lines[pos].startswith("mask,"):
-        bits = lines[pos].split(",")[1:]
-        if len(bits) != T:
-            raise TensorFormatError(f"{path}: line {pos + 1}: mask has {len(bits)} entries, expected {T}")
-        mask = np.array([b == "1" for b in bits])
-        pos += 1
-    rows = _read_rows(path, lines, pos, A * T, B, f"data lines ({T} blocks of {A})")
-    # line t*A + a holds cell row (a, :, t)
-    values = np.ascontiguousarray(rows.reshape(T, A, B).transpose(1, 2, 0))
-    return SpatioTemporalTensor(values, mask)
+def _parse_dims(path: Path, line: str, magic: str, n: int) -> list[int]:
+    head = line.split(",")
+    if head[0] != magic or len(head) != n + 1:
+        raise TensorFormatError(f"{path}: line 1: bad header {line!r}")
+    try:
+        dims = [int(v) for v in head[1:]]
+    except ValueError:
+        raise TensorFormatError(f"{path}: line 1: non-integer dims in {line!r}") from None
+    if min(dims) < 0:
+        raise TensorFormatError(f"{path}: line 1: negative dims in {line!r}")
+    return dims
+
+
+def _block_shape(dims: list[int]) -> tuple[int, int, str]:
+    """Lines and cells per line of a data block, and its line count's name."""
+    if len(dims) == 2:
+        return dims[0], dims[1], "rows"
+    A, B, T = dims
+    return A * T, B, f"data lines ({T} blocks of {A})"
 
 
 def write_matrix(path, m: np.ndarray) -> None:
@@ -243,9 +341,8 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
-    lines = _text_lines(path, path.read_bytes())
-    rows, cols = _parse_dims(path, lines[0], MATRIX_MAGIC, 2)
-    return _read_rows(path, lines, 1, rows, cols, "rows")
+    with _open_seekable(path) as fh:
+        return _read_text(path, fh, MATRIX_MAGIC)[2]
 
 
 def write_json(path, payload: dict) -> None:
