@@ -6,22 +6,22 @@ Logging level comes from the STF_LOG environment variable
 (error|warn|info|debug).  Exit codes: 0 ok, 2 usage/input error,
 3 numerical failure.
 
-Config files are JSON; the shipped ``config_schema.json`` documents every
-field and default.  All randomness descends from one 64-bit seed; each grid
-point derives its own stream from (seed, point index), so adding a point
-never perturbs the others.
+Config files are JSON objects.  The shipped ``config_schema.json`` states
+each field's type, default, range and choices once; :func:`check_config`
+reads it and checks every config and grid point, naming the field, before
+any input is read; only cross-field checks stay in code.  All randomness
+descends from one 64-bit seed; each grid point derives its own stream from
+(seed, point index), so adding a point never perturbs the others.
 """
 
 import argparse
-import json
+import copy
 import logging
 import math
 import os
 import sys
 import types
-import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from . import io as fio
 from .exceptions import ConvergenceError, SingularGramError, SpectrumSymmetryError, TensorFormatError
 from .forecast import EncodeConfig, atom_removal_scan, encode_new, nse, predict
-from .regularization import KINDS, Penalty
+from .regularization import Penalty
 from .solvers import FactorModel, Hyper, code_step, ssnmf_bcd, ssnmf_hard
 from .spectral import FrequencyMask, inverse_usage_ratio
 from .synthetic import SyntheticSpec, gen_cosine_mixture
@@ -48,78 +48,75 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # config plumbing
 
+_SCHEMA = fio.read_json(Path(__file__).parent / "config_schema.json")
 
-def penalty_to_dict(p: Penalty) -> dict:
-    out = {"kind": p.kind, "lambda": p.lam}
-    if p.R is not None:
-        out["R"] = p.R
-    if p.mask is not None:
-        out["mask"] = {"T": p.mask.T, "kept": [list(row) for row in p.mask.kept]}
-    return out
+_SCALARS = {"int": (int, "an int"), "number": ((int, float), "a number"),
+            "string": (str, "a string"), "object": (dict, "an object")}
 
 
-PENALTY_FIELDS = ("kind", "lambda", "R", "mask")
+def _check_value(name: str, spec: dict, value) -> None:
+    """Raise ValueError naming the field, and the index within a list (as
+    ``'freqs[0]'``), when ``value`` fits none of the ``|``-joined types of
+    a schema field ``spec``, or falls below its ``min`` or outside its
+    ``enum``.  A section name checks a nested object against that section;
+    bool is no number here, an int stands for a number, and a number must
+    be finite: JSON's NaN and Infinity pass every range check."""
+    kinds = spec["type"].split("|")
+    for kind in kinds:
+        if kind == "null" and value is None:
+            return
+        if kind.startswith("[") and isinstance(value, list):
+            for i, item in enumerate(value):
+                _check_value(f"{name}[{i}]", {"type": kind[1:-1]}, item)
+            return
+        if isinstance(_SCHEMA.get(kind), dict) and isinstance(value, dict):
+            check_config(kind, value, name)
+            return
+        if kind in _SCALARS and isinstance(value, _SCALARS[kind][0]) and not isinstance(value, bool):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config field {name!r} must be a finite number, got {value!r}")
+            if "min" in spec and value < spec["min"]:
+                raise ValueError(f"config field {name!r} must be >= {spec['min']}, got {value!r}")
+            if "enum" in spec and value not in spec["enum"]:
+                raise ValueError(f"config field {name!r} must be one of {tuple(spec['enum'])}, "
+                                 f"got {value!r}")
+            return
+    want = " or ".join(_SCALARS[k][1] if k in _SCALARS else "null" if k == "null"
+                       else "a list" if k.startswith("[") else "an object" for k in kinds)
+    raise ValueError(f"config field {name!r} must be {want}, got {type(value).__name__} {value!r}")
 
 
-def _check_penalty_fields(d) -> None:
-    """Raise ValueError naming the field when a config's ``penalty`` is no
-    object, has unknown fields, an unknown ``kind``, a mistyped or negative
-    ``lambda``, a mistyped ``R`` or a mistyped ``mask``.
+def check_config(section: str, d: dict, path: str = "") -> types.SimpleNamespace:
+    """``d`` checked against ``section`` of ``config_schema.json``, with the
+    defaults filled in at its top level.
 
-    It builds no :class:`Penalty`: commands build theirs after parsing their
-    inputs, and one built at config time, before the parse, raised
-    ``factorize``'s peak RSS on a 10 MB text input by 0.13 MB."""
-    _check_field("penalty", dict, d)
-    unknown = set(d) - set(PENALTY_FIELDS)
+    Raises ValueError naming the field by its dotted path (``path`` prefixes
+    it): an unknown field, then a present field that fails its check, then
+    a missing required one.  Nested objects and lists are checked but
+    returned as given."""
+    fields = _SCHEMA[section]
+    names = {name: f"{path}.{name}" if path else name for name in fields}
+    unknown = set(d) - set(fields)
     if unknown:
-        raise ValueError(f"unknown penalty fields: {sorted(unknown)}")
-    if d.get("kind") not in KINDS:
-        raise ValueError(f"config field 'penalty.kind' must be one of {KINDS}, got {d.get('kind')!r}")
-    _check_field("penalty.lambda", float, d.get("lambda", 0.0))
-    if d.get("lambda", 0.0) < 0:
-        raise ValueError(f"config field 'penalty.lambda' must be >= 0, got {d['lambda']!r}")
-    _check_field("penalty.R", int | None, d.get("R"))
-    mask = d.get("mask")
-    _check_field("penalty.mask", dict | None, mask)
-    if mask is not None:
-        _check_field("penalty.mask.T", int, mask.get("T"))
-        _check_field("penalty.mask.kept", list[list[int]], mask.get("kept"))
+        raise ValueError(f"unknown config fields for {path or section}: {sorted(unknown)}")
+    for name, value in d.items():
+        _check_value(names[name], fields[name], value)
+    for name, spec in fields.items():
+        if name not in d and "default" not in spec:
+            raise ValueError(f"config field {names[name]!r} is required")
+    return types.SimpleNamespace(**{name: d[name] if name in d else copy.deepcopy(spec["default"])
+                                    for name, spec in fields.items()})
 
 
 def penalty_from_dict(d: dict) -> Penalty:
-    _check_penalty_fields(d)
-    mask = None
-    if d.get("mask") is not None:
-        m = d["mask"]
-        mask = FrequencyMask(m["T"], tuple(tuple(row) for row in m["kept"]))
-    return Penalty(d["kind"], float(d.get("lambda", 0.0)), d.get("R"), mask)
-
-
-_TYPES = {int: (int, "an int"), float: ((int, float), "a number"), str: (str, "a string"),
-          dict: (dict, "an object")}
-
-
-def _check_field(name: str, annotation, value) -> None:
-    """Raise ValueError naming the field, and the index within a list (as
-    ``'freqs[0]'``), when ``value`` does not fit ``annotation``: int, float,
-    str, dict, a list of one of these, or a union of them, optionally
-    ``| None``.  bool is no number here, an int stands for a float, and a
-    number must be finite: JSON's NaN and Infinity pass every range check."""
-    kinds = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
-    if value is None and type(None) in kinds:
-        return
-    for kind in kinds:
-        if typing.get_origin(kind) is list and isinstance(value, list):
-            for i, item in enumerate(value):
-                _check_field(f"{name}[{i}]", typing.get_args(kind)[0], item)
-            return
-        if kind in _TYPES and isinstance(value, _TYPES[kind][0]) and not isinstance(value, bool):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"config field {name!r} must be a finite number, got {value!r}")
-            return
-    want = " or ".join("null" if k is type(None) else "a list" if typing.get_origin(k) is list
-                       else _TYPES[k][1] for k in kinds)
-    raise ValueError(f"config field {name!r} must be {want}, got {type(value).__name__} {value!r}")
+    """The :class:`Penalty` a config's ``penalty`` object states, checked by
+    :func:`check_config`.  Commands build theirs after parsing their inputs:
+    one built at config time, before the parse, raised ``factorize``'s peak
+    RSS on a 10 MB text input by 0.13 MB."""
+    p = vars(check_config("penalty", d, "penalty"))
+    mask = None if p["mask"] is None else FrequencyMask(
+        p["mask"]["T"], tuple(tuple(row) for row in p["mask"]["kept"]))
+    return Penalty(p["kind"], float(p["lambda"]), p["R"], mask)
 
 
 def _check_restated(variant: str | None, want: str, R: int | None, penalty_R: int | None) -> None:
@@ -134,106 +131,29 @@ def _check_restated(variant: str | None, want: str, R: int | None, penalty_R: in
         raise ValueError(f"config field 'R' must equal penalty.R ({penalty_R!r}), got {R!r}")
 
 
-def _from_dict(cls, d: dict):
-    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
-    unknown = set(d) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown config fields for {cls.__name__}: {sorted(unknown)}")
-    for name, value in d.items():
-        _check_field(name, fields[name].type, value)
-    return cls(**d)
+def _factorize_config(d: dict) -> types.SimpleNamespace:
+    """A factorize config (one grid point, or the base of a grid), checked
+    against the schema and against the ``variant`` and ``R`` that restate
+    its penalty."""
+    cfg = check_config("factorize", d)
+    _check_restated(cfg.variant, "hard" if cfg.penalty["kind"] == "hard_freq" else "bcd",
+                    cfg.R, cfg.penalty.get("R"))
+    return cfg
 
 
-@dataclass(frozen=True)
-class FactorizeConfig:
-    x: str = ""
-    y: list[str] | str = ""
-    r: int = 2
-    xi: float = 1.0
-    penalty: dict = field(default_factory=lambda: {"kind": "ridge", "lambda": 0.0})
-    n_iters: int = 20
-    sub_iters: int = 50
-    seed: int = 0
-    variant: str | None = None
-    R: int | None = None
-    priority: str = "nonneg"
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    tol: float | None = None
-    train_t: int | None = None
-    grid: list[dict] | None = None
-
-    def __post_init__(self):
-        for name in ("n_iters", "sub_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")
-        if self.tol is not None and self.tol < 0:
-            raise ValueError(f"config field 'tol' must be >= 0, got {self.tol!r}")
-        _check_penalty_fields(self.penalty)
-        _check_restated(self.variant, "hard" if self.penalty["kind"] == "hard_freq" else "bcd",
-                        self.R, self.penalty.get("R"))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FactorizeConfig":
-        return _from_dict(cls, d)
-
-
-@dataclass(frozen=True)
-class ForecastConfig:
-    model: str = ""
-    y: list[str] | str = ""
-    x_true: str | None = None
-    penalty: dict = field(default_factory=lambda: {"kind": "ridge", "lambda": 0.0})
-    lam_over_xi: float = 0.0
-    sweeps: int = 60
-    sub_iters: int = 50
-    seed: int = 0
-    variant: str | None = None
-    R: int | None = None
-    a: int | None = None
-    b: int | None = None
-
-    def __post_init__(self):
-        _check_penalty_fields(self.penalty)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForecastConfig":
-        return _from_dict(cls, d)
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    d: int = 16
-    T: int = 163
-    freqs: list[int] = field(default_factory=lambda: [14, 6])
-    sigma: float = 1.0
-    x_sigma: float = 1.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return _from_dict(cls, d)
-
-
-def load_config(args, cls):
-    """The ``cls`` config read from ``args.config`` (all defaults without
-    one), with ``args.seed`` in place of its seed when given."""
+def load_config(args) -> dict:
+    """The config object read from ``args.config`` (empty without one), with
+    ``args.seed`` in place of its seed when given; unchecked."""
     data = fio.read_json(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.config}: a config must be a JSON object, "
+                         f"got {type(data).__name__}")
     if args.seed is not None:
         data = {**data, "seed": args.seed}
-    return cls.from_dict(data)
+    return data
 
 
-def _encode_penalty(cfg: ForecastConfig) -> Penalty:
+def _encode_penalty(cfg) -> Penalty:
     """A forecast config's penalty, checked against the ``variant`` and
     ``R`` that restate it (see :func:`_check_restated`)."""
     penalty = penalty_from_dict(cfg.penalty)
@@ -352,7 +272,7 @@ def _point_seed(master: int, index: int) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args, SynthConfig)
+    cfg = check_config("synth", load_config(args))
     spec = SyntheticSpec(cfg.d, cfg.T, tuple(cfg.freqs), cfg.sigma, cfg.x_sigma, cfg.seed)
     x, ys = gen_cosine_mixture(spec)
     out = Path(args.out)
@@ -364,18 +284,18 @@ def cmd_synth(args) -> int:
     fio.write_json(out / "provenance.json", {
         "format": "stf-provenance-v1",
         "command": "synth",
-        "spec": cfg.to_dict(),
+        "spec": vars(cfg),
     })
     log.info("wrote synthetic tensors to %s", out)
     return EXIT_OK
 
 
-def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
+def _run_factorize_point(cfg, out: Path, load) -> float:
     x = load(cfg.x)
     y = load.aux(cfg.y)
     if cfg.train_t is not None:
         # the main tensor may span the full period; train on its head
-        if not 1 <= cfg.train_t <= x.shape[1]:
+        if cfg.train_t > x.shape[1]:
             raise ValueError(f"train_t={cfg.train_t} outside [1, {x.shape[1]}]")
         x = x[:, : cfg.train_t]
     hyper = Hyper(cfg.r, cfg.xi, penalty_from_dict(cfg.penalty), cfg.lambda1, cfg.lambda2)
@@ -390,18 +310,16 @@ def _run_factorize_point(cfg: FactorizeConfig, out: Path, load) -> float:
     fio.write_matrix(out / "H.csv", model.H)
     fio.write_json(out / "report.json", {
         "format": "stf-report-v1",
-        "config": cfg.to_dict(),
+        "config": vars(cfg),
         "report": report.to_dict(),
     })
     return float(report.objective_trace[-1])
 
 
 def cmd_factorize(args) -> int:
-    cfg = load_config(args, FactorizeConfig)
+    cfg = _factorize_config(load_config(args))
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    if not cfg.x:
-        raise ValueError("factorize config needs an 'x' tensor path")
     if cfg.grid is not None and not cfg.grid:
         raise ValueError("grid must be a nonempty list of override objects")
     out = Path(args.out)
@@ -410,13 +328,10 @@ def cmd_factorize(args) -> int:
         _run_factorize_point(cfg, out, load)
         return EXIT_OK
 
-    base = {k: v for k, v in cfg.to_dict().items() if k != "grid"}
-    points = []
-    for i, over in enumerate(cfg.grid):
-        merged = {**base, **over}
-        if "seed" not in over:
-            merged["seed"] = _point_seed(cfg.seed, i)
-        points.append(FactorizeConfig.from_dict(merged))
+    # a point's own seed wins over the one derived from (seed, index)
+    base = {k: v for k, v in vars(cfg).items() if k != "grid"}
+    points = [_factorize_config({**base, "seed": _point_seed(cfg.seed, i), **over})
+              for i, over in enumerate(cfg.grid)]
     # parse and stack every input here, once, so grid workers never parse
     # concurrently and share one copy of each matrix
     for pcfg in points:
@@ -455,7 +370,7 @@ def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
 
 
 def cmd_forecast(args) -> int:
-    cfg = load_config(args, ForecastConfig)
+    cfg = check_config("forecast", load_config(args))
     w, wp, h_train = _load_model(cfg.model)
     load = _MatrixLoader()
     y_full = load.aux(cfg.y)
@@ -533,7 +448,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_atom_scan(args) -> int:
-    cfg = load_config(args, ForecastConfig)
+    cfg = check_config("forecast", load_config(args))
     if not cfg.x_true:
         raise ValueError("atom-scan config needs 'x_true' (truth tensor path)")
     w, wp, h_train = _load_model(cfg.model)
@@ -570,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, jobs=False, binary=False):
-        p.add_argument("--config", default=None, help="JSON config path (see config_schema.json)")
+        p.add_argument("--config", default=None, help="JSON config path; fields, types and defaults in "
+                       "config_schema.json")
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed (overrides config)")
         p.add_argument("--out", required=True, help="output directory")
         if jobs:
@@ -620,7 +536,7 @@ def main(argv=None) -> int:
         print(f"freqfact: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TensorFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            KeyError, TypeError, ValueError) as exc:
         print(f"freqfact: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -249,7 +249,9 @@ def _read_general(path: Path, raw: bytes, magic: str):
     """:func:`_read_text` for any file, line by line: a cell is accepted
     exactly when ``float`` accepts it and the value is finite, blank lines
     are skipped, and the first bad position raises."""
-    lines = _text_lines(path, raw)
+    lines = _utf8(path, raw).splitlines()
+    if not lines:
+        raise TensorFormatError(f"{path}: line 1: empty file")
     dims, mask, pos = _parse_head(path, lines, magic)
     rows, cols, what = _block_shape(dims)
     found = sum(1 for ln in lines[pos:] if ln.strip())
@@ -279,17 +281,14 @@ def _read_general(path: Path, raw: bytes, magic: str):
     return dims, mask, out.reshape(rows, cols)
 
 
-def _text_lines(path: Path, raw: bytes) -> list[str]:
-    """Decode a text file and split it into lines; a file that is not UTF-8
-    or has no line raises, naming it and the line."""
+def _utf8(path, raw: bytes) -> str:
+    """A text file's bytes decoded; bytes that are not UTF-8 raise, naming
+    the file and the line."""
     try:
-        lines = raw.decode().splitlines()
+        return raw.decode()
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise TensorFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
-    if not lines:
-        raise TensorFormatError(f"{path}: line 1: empty file")
-    return lines
 
 
 def _parse_head(path: Path, lines: list[str], magic: str):
@@ -351,5 +350,19 @@ def write_json(path, payload: dict) -> None:
     )
 
 
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+def read_json(path):
+    """The JSON value in ``path``.  A file that is not UTF-8, not JSON or
+    has a key twice in one object raises ValueError naming it and where."""
+
+    def unique(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+            out[key] = value
+        return out
+
+    try:
+        return json.loads(_utf8(path, Path(path).read_bytes()), object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None

@@ -285,18 +285,27 @@ def _init_factors(x, y_t, hyper, seed):
 
 def _dictionary_step(x, h, w, ridge):
     """Exact dictionary step that keeps the column of a dead atom, one whose
-    code row is all zero.
+    code row has squared norm at most ``_GRAM_RTOL`` times the largest.
 
     A prox code step zeroes a whole row where the penalty outweighs the
-    atom's fit.  With ridge = 0 that column does not enter the fit, so every
-    value of it minimizes and :func:`solve_W` would find the Gram singular;
-    keeping it lets a later code step revive the atom.
+    atom's fit.  With ridge = 0 that column barely enters the fit, and
+    :func:`solve_W` would find the Gram singular: its smallest eigenvalue is
+    at most that row's squared norm, its largest at least the largest one.
+    Keeping the column, and solving the others exactly against what its
+    atom leaves of X, is still a descent step and lets a later code step
+    revive the atom.
     """
-    live = np.any(h != 0.0, axis=1)
+    sq = np.einsum("ij,ij->i", h, h)
+    top = sq.max()
+    # a non-finite H fails the caller's finite check; keep its W non-finite too
+    live = sq > _GRAM_RTOL * top if np.isfinite(top) else np.any(h != 0.0, axis=1)
     if ridge or live.all():
         return solve_W(x, h, ridge)
     w = w.copy()
     if live.any():
+        dead = ~live
+        if h[dead].any():
+            x = x - w[:, dead] @ h[dead]
         w[:, live] = solve_W(x, h[live])
     return w
 

@@ -1,20 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqfact import FrequencyMask, SpatioTemporalTensor, cli
-from freqfact.cli import (
-    FactorizeConfig,
-    ForecastConfig,
-    SynthConfig,
-    main,
-    penalty_from_dict,
-    penalty_to_dict,
-)
+from freqfact.cli import check_config, main, penalty_from_dict
 from freqfact.io import read_json, read_matrix, read_tensor, write_tensor
 
 
@@ -544,6 +542,14 @@ class TestOverflowingForecast:
         assert not (out / "metrics.json").exists()
 
 
+def section_id(value):
+    # a section keeps the test id its config class gave it before the schema
+    # replaced the classes, so runs stay comparable by name
+    if value in ("factorize", "forecast"):
+        return f"{value.capitalize()}Config"
+    return None
+
+
 class TestValidatedInputs:
     """Configs and models that would otherwise run on nonsense exit 2, name
     the field or file, and write nothing."""
@@ -559,7 +565,7 @@ class TestValidatedInputs:
         }))
         out = tmp_path / "o"
         assert run_cli(command, "--config", cfg, "--out", out) == 2
-        assert f"{field_name} must be >= 1" in capsys.readouterr().err
+        assert f"config field '{field_name}' must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
@@ -600,36 +606,38 @@ class TestValidatedInputs:
         assert f"{model / 'H.csv'} has 10 columns" in err and "train_t = 30" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cls, name, value, want", [
-        (FactorizeConfig, "r", "2", "an int"),
-        (FactorizeConfig, "r", 2.0, "an int"),
-        (FactorizeConfig, "r", True, "an int"),
-        (FactorizeConfig, "R", "3", "an int or null"),
-        (FactorizeConfig, "seed", 1.5, "an int"),
-        (FactorizeConfig, "n_iters", None, "an int"),
-        (FactorizeConfig, "xi", "1", "a number"),
-        (FactorizeConfig, "xi", False, "a number"),
-        (FactorizeConfig, "tol", "1e-6", "a number or null"),
-        (FactorizeConfig, "variant", 1, "a string or null"),
-        (FactorizeConfig, "x", None, "a string"),
-        (FactorizeConfig, "train_t", 30.0, "an int or null"),
-        (ForecastConfig, "sweeps", "3", "an int"),
-        (ForecastConfig, "seed", 1.5, "an int"),
-        (ForecastConfig, "lam_over_xi", "0.1", "a number"),
-        (ForecastConfig, "variant", 2, "a string or null"),
-        (ForecastConfig, "x_true", 1, "a string or null"),
-        (ForecastConfig, "a", 2.5, "an int or null"),
-    ])
-    def test_mistyped_scalar_names_the_field(self, cls, name, value, want):
+    @pytest.mark.parametrize("section, name, value, want", [
+        ("factorize", "r", "2", "an int"),
+        ("factorize", "r", 2.0, "an int"),
+        ("factorize", "r", True, "an int"),
+        ("factorize", "R", "3", "an int or null"),
+        ("factorize", "seed", 1.5, "an int"),
+        ("factorize", "n_iters", None, "an int"),
+        ("factorize", "xi", "1", "a number"),
+        ("factorize", "xi", False, "a number"),
+        ("factorize", "tol", "1e-6", "a number or null"),
+        ("factorize", "variant", 1, "a string or null"),
+        ("factorize", "x", None, "a string"),
+        ("factorize", "train_t", 30.0, "an int or null"),
+        ("forecast", "sweeps", "3", "an int"),
+        ("forecast", "seed", 1.5, "an int"),
+        ("forecast", "lam_over_xi", "0.1", "a number"),
+        ("forecast", "variant", 2, "a string or null"),
+        ("forecast", "x_true", 1, "a string or null"),
+        ("forecast", "a", 2.5, "an int or null"),
+    ], ids=section_id)
+    def test_mistyped_scalar_names_the_field(self, section, name, value, want):
         with pytest.raises(ValueError, match=f"config field '{name}' must be {want}, got"):
-            cls.from_dict({name: value})
+            check_config(section, {name: value})
 
-    @pytest.mark.parametrize("cls, fields", [
-        (FactorizeConfig, {"xi": 1, "tol": 0, "lambda1": 2, "R": None, "train_t": None}),
-        (ForecastConfig, {"lam_over_xi": 0, "x_true": None, "variant": None, "a": 3}),
-    ])
-    def test_ints_stand_for_floats_and_null_for_optionals(self, cls, fields):
-        cfg = cls.from_dict(fields)
+    @pytest.mark.parametrize("section, fields", [
+        ("factorize", {"x": "x.csv", "y": "y.csv", "xi": 1, "tol": 0, "lambda1": 2, "R": None,
+                       "train_t": None}),
+        ("forecast", {"model": "m", "y": "y.csv", "lam_over_xi": 0, "x_true": None,
+                      "variant": None, "a": 3}),
+    ], ids=section_id)
+    def test_ints_stand_for_floats_and_null_for_optionals(self, section, fields):
+        cfg = check_config(section, fields)
         assert all(getattr(cfg, k) == v for k, v in fields.items())
 
     @pytest.mark.parametrize("overrides, want", [
@@ -896,51 +904,207 @@ def test_benchmark_workload_configs_load_and_agree():
     assert set(workloads.WORKLOADS) == names
     paths = {"x": "X.csv", "y": ["Y0.csv", "Y1.csv"]}
     for w in workloads.WORKLOADS.values():
-        cfg = FactorizeConfig.from_dict({**w.factorize, **paths})
-        base = {k: v for k, v in cfg.to_dict().items() if k != "grid"}
+        check_config("synth", w.synth)
+        cfg = cli._factorize_config({**w.factorize, **paths})
+        base = {k: v for k, v in vars(cfg).items() if k != "grid"}
         for over in cfg.grid or []:
-            FactorizeConfig.from_dict({**base, **over})
-        fc = ForecastConfig.from_dict({**w.forecast, "model": "model", "y": paths["y"],
+            cli._factorize_config({**base, **over})
+        fc = check_config("forecast", {**w.forecast, "model": "model", "y": paths["y"],
                                        "x_true": "X.csv"})
         cli._encode_penalty(fc)
 
 
 class TestConfigRoundTrip:
+    @staticmethod
+    def round_trips(section, d):
+        cfg = check_config(section, d)
+        assert check_config(section, vars(cfg)) == cfg
+        assert {k: v for k, v in vars(cfg).items() if k in d} == d
+
     def test_factorize_config(self):
-        cfg = FactorizeConfig(x="a.csv", y=["b.csv"], r=3, xi=2.0,
-                              penalty={"kind": "lasso", "lambda": 0.5},
-                              n_iters=7, sub_iters=9, seed=42, variant="bcd")
-        assert FactorizeConfig.from_dict(cfg.to_dict()) == cfg
+        self.round_trips("factorize", {"x": "a.csv", "y": ["b.csv"], "r": 3, "xi": 2.0,
+                                       "penalty": {"kind": "lasso", "lambda": 0.5},
+                                       "n_iters": 7, "sub_iters": 9, "seed": 42,
+                                       "variant": "bcd"})
 
     def test_forecast_config(self):
-        cfg = ForecastConfig(model="m", y="y.csv", x_true=None,
-                             penalty={"kind": "soft_freq", "lambda": 2.0},
-                             lam_over_xi=0.125, sweeps=10, sub_iters=20, seed=3)
-        assert ForecastConfig.from_dict(cfg.to_dict()) == cfg
+        self.round_trips("forecast", {"model": "m", "y": "y.csv", "x_true": None,
+                                      "penalty": {"kind": "soft_freq", "lambda": 2.0},
+                                      "lam_over_xi": 0.125, "sweeps": 10, "sub_iters": 20,
+                                      "seed": 3})
 
     def test_synth_config(self):
-        cfg = SynthConfig(d=4, T=20, freqs=[2, 7], sigma=0.5, x_sigma=0.0, seed=9)
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+        self.round_trips("synth", {"d": 4, "T": 20, "freqs": [2, 7], "sigma": 0.5,
+                                   "x_sigma": 0.0, "seed": 9})
 
     def test_penalty_round_trip_with_mask(self):
-        from freqfact import FrequencyMask
+        from freqfact import Penalty
 
         p = penalty_from_dict({"kind": "hard_freq", "lambda": 0.0,
                                "mask": {"T": 8, "kept": [[0, 2, 6]]}})
-        assert p.mask == FrequencyMask(8, ((0, 2, 6),))
-        assert penalty_from_dict(penalty_to_dict(p)) == p
+        assert p == Penalty.hard_freq(mask=FrequencyMask(8, ((0, 2, 6),)))
+        assert penalty_from_dict({"kind": "lasso"}) == Penalty.lasso(0.0)
         with pytest.raises(ValueError):
             penalty_from_dict({"kind": "ridge", "lambda": 0.0, "gamma": 1.0})
 
 
-def test_config_schema_names_every_config_field():
-    # the shipped field reference documents exactly the fields each config
-    # accepts, so its text cannot drift from the dataclasses
-    schema = json.loads((Path(cli.__file__).parent / "config_schema.json").read_text())
-    for section, cls in (("factorize", FactorizeConfig), ("forecast", ForecastConfig),
-                         ("synth", SynthConfig)):
-        assert list(schema[section]) == list(cls.__dataclass_fields__), section
-    assert list(schema["penalty"]) == list(cli.PENALTY_FIELDS)
+SCHEMA = json.loads((Path(cli.__file__).parent / "config_schema.json").read_text())
+SECTIONS = {k for k, v in SCHEMA.items() if isinstance(v, dict)}
+
+
+def test_config_schema_checks_itself():
+    # config_schema.json is the one statement of every config field, so it
+    # must be well formed by its own rules
+    from freqfact.regularization import KINDS
+
+    assert SCHEMA["format"] == "stf-config-schema-v2"
+    assert SECTIONS == {"penalty", "mask", "factorize", "forecast", "synth"}
+    assert tuple(SCHEMA["penalty"]["kind"]["enum"]) == KINDS
+
+    def passes(section, name, value):
+        # present fields are checked before required ones are looked for
+        try:
+            check_config(section, {name: value})
+        except ValueError as exc:
+            assert str(exc).endswith("is required"), f"{section}.{name}: {exc}"
+
+    for section in SECTIONS:
+        for name, spec in SCHEMA[section].items():
+            where = f"{section}.{name}"
+            assert set(spec) <= {"type", "default", "min", "enum", "doc"}, where
+            assert spec["type"] and spec["doc"], where
+            alts = spec["type"].split("|")
+            for kind in alts:
+                kind = kind.strip("[]")
+                assert kind in {"int", "number", "string", "object", "null"} | SECTIONS, where
+            if "default" in spec:
+                passes(section, name, spec["default"])
+            if "min" in spec:
+                assert set(alts) - {"null"} <= {"int", "number"}, where
+            for value in spec.get("enum", []):
+                passes(section, name, value)
+    assert list(vars(check_config("synth", {}))) == list(SCHEMA["synth"])
+    with pytest.raises(ValueError, match="config field 'x' is required"):
+        check_config("factorize", {})
+
+
+COMMANDS = ("synth", "factorize", "forecast", "atom-scan")
+
+
+@pytest.mark.parametrize("text, want", [
+    (b'{"seed":\n  x}', "line 2, column 3: Expecting value"),
+    (b"\xff{}", "line 1: not UTF-8 text"),
+    (b"5", "a config must be a JSON object, got int"),
+    (b"[1, 2]", "a config must be a JSON object, got list"),
+    (b'{"seed": 2, "seed": 3}', "duplicate key 'seed'"),
+], ids=["malformed", "non-utf8", "scalar", "list", "duplicate-key"])
+@pytest.mark.parametrize("seed", [None, 4], ids=["", "seed"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_broken_config_file_exits_2_naming_it(tmp_path, capsys, command, seed, text, want):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", out] + ([] if seed is None else ["--seed", seed])
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: {want}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, field_name", [
+    ("factorize", {"x": "X.csv"}, "y"),
+    ("factorize", {"y": "Y0.csv"}, "x"),
+    ("forecast", {"model": "model"}, "y"),
+    ("forecast", {"y": "Y0.csv"}, "model"),
+    ("atom-scan", {"model": "model", "x_true": "X.csv"}, "y"),
+])
+def test_missing_input_path_names_the_field(tmp_path, capsys, command, config, field_name):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert f"config field '{field_name}' is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+VALID = {
+    "synth": {"d": 4, "T": 12, "freqs": [2, 5], "sigma": 0.0, "x_sigma": 0.5, "seed": 1},
+    "factorize": {"x": "X.csv", "y": ["Y0.csv", "Y1.csv"], "r": 2, "xi": 0.5,
+                  "penalty": {"kind": "hard_freq", "lambda": 0.0, "R": 2}, "n_iters": 2,
+                  "sub_iters": 5, "seed": 0, "variant": "hard", "R": 2, "priority": "nonneg",
+                  "lambda1": 0.0, "lambda2": 0.0, "tol": 1e-6, "train_t": 10,
+                  "grid": [{"xi": 1.0}]},
+    "forecast": {"model": "model", "y": "Y.csv", "x_true": "X.csv",
+                 "penalty": {"kind": "soft_freq", "lambda": 1.0}, "lam_over_xi": 0.1,
+                 "sweeps": 2, "sub_iters": 5, "seed": 0, "variant": "prox", "R": None,
+                 "a": 2, "b": 2},
+}
+VALID["atom-scan"] = VALID["forecast"]
+BAD_VALUES = ["x", 0.5, True, [1], {"a": 1}, float("nan"), float("inf"), float("-inf"), -1,
+              "bogus"]
+
+
+def breaks(spec, value) -> bool:
+    """Whether ``value`` breaks a schema field's type, min or enum, decided
+    apart from the checker: no candidate dict fits a section."""
+    def fits(kinds, v):
+        for kind in kinds.split("|"):
+            if kind.startswith("["):
+                if type(v) is list and all(fits(kind[1:-1], item) for item in v):
+                    return True
+            elif {"int": type(v) is int, "string": type(v) is str, "null": v is None,
+                  "number": type(v) in (int, float) and math.isfinite(v),
+                  "object": type(v) is dict}.get(kind, False):
+                return True
+        return False
+
+    if not fits(spec["type"], value):
+        return True
+    return value is not None and ("min" in spec and value < spec["min"]
+                                  or "enum" in spec and value not in spec["enum"])
+
+
+@st.composite
+def broken_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    config = json.loads(json.dumps(VALID[command]))
+    section = "forecast" if command == "atom-scan" else command
+    mode = draw(st.sampled_from(["replace", "unknown", "truncate"]))
+    if mode == "unknown":
+        key = draw(st.sampled_from(["bogus", "lamda", "Seed"]))
+        config[key] = 1
+        return command, json.dumps(config).encode(), key
+    if mode == "truncate":
+        text = json.dumps(config).encode()
+        return command, text[: draw(st.integers(0, len(text) - 1))], None
+    fields = [(name, spec, config) for name, spec in SCHEMA[section].items()]
+    if "penalty" in config:
+        fields += [(f"penalty.{name}", spec, config["penalty"])
+                   for name, spec in SCHEMA["penalty"].items()]
+    path, spec, where = draw(st.sampled_from(fields))
+    value = draw(st.sampled_from([v for v in BAD_VALUES if breaks(spec, v)]))
+    where[path.rsplit(".", 1)[-1]] = value
+    return command, json.dumps(config).encode(), path
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=broken_configs())
+def test_fuzzed_config_exits_2_naming_the_field_or_file(tmp_path_factory, case):
+    # every case fails before any input is read, so no input file exists
+    command, text, field_name = case
+    d = tmp_path_factory.mktemp("fuzz")
+    cfg, out = d / "c.json", d / "o"
+    cfg.write_bytes(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if field_name is None:
+        assert f"{cfg}: line 1, column " in err
+    else:
+        assert f"'{field_name}" in err or f"for {field_name}:" in err
+    assert not out.exists()
 
 
 def test_env_log_level_tolerates_unknown(tmp_path, monkeypatch):

@@ -473,6 +473,23 @@ class TestSsnmfBcd:
             assert after_wp <= after_w + 1e-10 and after_w <= after_h + 1e-10
         assert all(b <= a for a, b in zip(report.objective_trace, report.objective_trace[1:]))
 
+    def test_near_dead_atom_keeps_its_dictionary_column(self):
+        # a code row left near zero makes the Gram singular as surely as a
+        # zero row: its column is kept and the others solved exactly against
+        # what it leaves of X, so the fit does not rise
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((8, 40))
+        h = 10.0 * np.abs(rng.standard_normal((3, 40)))
+        h[1] = 1e-6
+        w = rng.standard_normal((8, 3))
+        with pytest.raises(SingularGramError):
+            solve_W(x, h)
+        w_new = solvers._dictionary_step(x, h, w, 0.0)
+        assert np.array_equal(w_new[:, 1], w[:, 1])
+        rest = np.linalg.lstsq(h[[0, 2]].T, (x - np.outer(w[:, 1], h[1])).T, rcond=None)[0].T
+        assert np.allclose(w_new[:, [0, 2]], rest, rtol=1e-10, atol=1e-12)
+        assert np.sum((x - w_new @ h) ** 2) <= np.sum((x - w @ h) ** 2)
+
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             ssnmf_bcd(np.zeros((2, 3)), np.zeros((2, 3)), Hyper(5, 1.0, Penalty.ridge(0.0)), 1)
