@@ -51,16 +51,17 @@ EXIT_NUMERICAL = 3
 _SCHEMA = fio.read_json(Path(__file__).parent / "config_schema.json")
 
 _SCALARS = {"int": (int, "an int"), "number": ((int, float), "a number"),
-            "string": (str, "a string"), "object": (dict, "an object")}
+            "string": (str, "a string"), "path": (str, "a string"), "object": (dict, "an object")}
 
 
 def _check_value(name: str, spec: dict, value) -> None:
     """Raise ValueError naming the field, and the index within a list (as
     ``'freqs[0]'``), when ``value`` fits none of the ``|``-joined types of
-    a schema field ``spec``, or falls below its ``min`` or outside its
+    a schema field ``spec``, or falls outside its ``min``, ``max`` or
     ``enum``.  A section name checks a nested object against that section;
-    bool is no number here, an int stands for a number, and a number must
-    be finite: JSON's NaN and Infinity pass every range check."""
+    bool is no number here, an int stands for a number, a number must be
+    finite (JSON's NaN and Infinity pass every range check) and a path must
+    be nonempty (the empty path names the working directory)."""
     kinds = spec["type"].split("|")
     for kind in kinds:
         if kind == "null" and value is None:
@@ -75,8 +76,12 @@ def _check_value(name: str, spec: dict, value) -> None:
         if kind in _SCALARS and isinstance(value, _SCALARS[kind][0]) and not isinstance(value, bool):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"config field {name!r} must be a finite number, got {value!r}")
+            if kind == "path" and not value:
+                raise ValueError(f"config field {name!r} must be a nonempty path, got ''")
             if "min" in spec and value < spec["min"]:
                 raise ValueError(f"config field {name!r} must be >= {spec['min']}, got {value!r}")
+            if "max" in spec and value > spec["max"]:
+                raise ValueError(f"config field {name!r} must be <= {spec['max']}, got {value!r}")
             if "enum" in spec and value not in spec["enum"]:
                 raise ValueError(f"config field {name!r} must be one of {tuple(spec['enum'])}, "
                                  f"got {value!r}")
@@ -330,8 +335,12 @@ def cmd_factorize(args) -> int:
 
     # a point's own seed wins over the one derived from (seed, index)
     base = {k: v for k, v in vars(cfg).items() if k != "grid"}
-    points = [_factorize_config({**base, "seed": _point_seed(cfg.seed, i), **over})
-              for i, over in enumerate(cfg.grid)]
+    points = []
+    for i, over in enumerate(cfg.grid):
+        try:
+            points.append(_factorize_config({**base, "seed": _point_seed(cfg.seed, i), **over}))
+        except ValueError as exc:
+            raise ValueError(f"grid[{i}]: {exc}") from None
     # parse and stack every input here, once, so grid workers never parse
     # concurrently and share one copy of each matrix
     for pcfg in points:

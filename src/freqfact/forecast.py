@@ -7,9 +7,13 @@ prediction of the main data over the test period.  Encoding always uses the
 entire auxiliary period: a code fit only on the short test window cannot
 carry frequencies longer than that window.
 
-The atom-removal scan makes two encodes: the baseline, exactly as a
-forecast encodes, and all r single-atom removals as one stack of r
-dictionaries of r - 1 atoms each, which the code step solves in one pass.
+The atom-removal scan makes one encode of r + 1 dictionaries of unequal
+widths: the full one (the baseline, encoded exactly as a forecast encodes
+it) and the r single-atom removals of r - 1 atoms each.  The code step
+solves them in one pass: the top-R heuristic runs its FFTs and top-R
+selection over all r + r (r - 1) code rows at once, with one batched G H
+per width, and the prox step runs one pass per width.  Each block's code
+equals bit for bit that of a separate encode.
 """
 
 from dataclasses import dataclass, replace
@@ -58,11 +62,11 @@ class EncodeConfig:
 
 def encode_new(
     y_full: np.ndarray,
-    wp: np.ndarray,
+    wp,
     penalty: Penalty,
     lam_over_xi: float,
     config: EncodeConfig | None = None,
-) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
+) -> tuple[np.ndarray | list[np.ndarray], SolveReport | list[SolveReport]]:
     """Nonnegative penalized code for the full-period auxiliary data:
 
         argmin_{H >= 0}  ||Y_full - Wp H||_F^2 + (lam/xi) * psi(H)
@@ -76,38 +80,39 @@ def encode_new(
     (see :func:`~freqfact.solvers.code_step`), since only each round's last
     objective is kept.
 
-    A stacked ``wp`` (B, m, k) encodes against B dictionaries with one
-    stacked code step per round and returns the (B, k, T) codes and a list
-    of B reports, each equal bit for bit to a separate 2-D call's; every
-    block starts from the same seeded code, a fixed mask in ``penalty``
-    holds the blocks' rows in order, and a non-finite block is named.
+    ``wp`` may also be a sequence of B dictionaries (m, k_b), of equal or
+    unequal widths: they encode in one pass, one code step per round over
+    all blocks, and the call returns a list of B codes (k_b, T) and a list
+    of B reports, each equal bit for bit to a separate 2-D call's.  Every block starts from the seeded code of its width, a
+    fixed mask in ``penalty`` holds the blocks' rows in order, and a
+    non-finite block is named.
     """
     y_full = np.asarray(y_full, dtype=float)
-    wp = np.asarray(wp, dtype=float)
     if lam_over_xi < 0:
         raise ValueError("lam_over_xi must be nonnegative")
     config = config or EncodeConfig()
-    flat = wp.ndim == 2
-    blocks = 1 if flat else wp.shape[0]
-    rng = np.random.default_rng(config.seed)
-    h = np.abs(rng.standard_normal((wp.shape[-1], y_full.shape[1])))
-    if not flat:
-        h = np.repeat(h[None], blocks, axis=0)
+    flat = not isinstance(wp, (list, tuple))
+    dictionaries = [wp] if flat else list(wp)
+    widths = [np.shape(w)[1] for w in dictionaries]
+    # each width's seeded start, drawn as a separate call draws it
+    starts = {k: np.abs(np.random.default_rng(config.seed).standard_normal((k, y_full.shape[1])))
+              for k in set(widths)}
+    h = [starts[k] for k in widths]
     variant, step = code_step(replace(penalty, lam=lam_over_xi), _diagnostics=False)
     rounds, iters = config.sweeps, config.sub_iters
     if variant == "prox":
         rounds, iters = 1, rounds * iters
-    reports = [SolveReport() for _ in range(blocks)]
+    reports = [SolveReport() for _ in dictionaries]
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(rounds):
-            h, subs = step(y_full, wp, h, iters)
-            per_block = [(None, h, subs)] if flat else zip(range(blocks), h, subs)
-            for report, (b, hb, sub) in zip(reports, per_block):
-                _require_finite("encode_new", it, b, H=hb, objective=sub.objective_trace[-1])
+            h, subs = step(y_full, dictionaries, h, iters)
+            for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
+                _require_finite("encode_new", it, None if flat else b, H=hb,
+                                objective=sub.objective_trace[-1])
                 report.objective_trace.append(sub.objective_trace[-1])
                 report.step_trace.append(sub.step_trace[0])
                 report.wall_iters += sub.wall_iters
-    return (h, reports[0]) if flat else (h, reports)
+    return (h[0], reports[0]) if flat else (h, reports)
 
 
 def predict(w: np.ndarray, h_new: np.ndarray, A: int, B: int) -> SpatioTemporalTensor:
@@ -169,6 +174,11 @@ def atom_removal_scan(
     against the truth.  Returns the baseline entry first, then atoms sorted
     by descending NSE.  Needs r >= 2; with one atom there is nothing to
     remove.
+
+    The baseline and the r removals encode in one :func:`encode_new` call,
+    as one sequence of r + 1 dictionaries (one of r atoms, r of r - 1), so
+    the code step runs once per round over all of them; each entry is
+    equal bit for bit to the one a separate encode per dictionary scores.
     """
     if model.hyper.r < 2:
         raise ValueError("atom removal needs at least two atoms")
@@ -181,18 +191,18 @@ def atom_removal_scan(
     def score(w, h_new_full):
         return nse(x_full[:, T:], w @ h_new_full[:, T:])
 
-    baseline = score(model.W, encode_new(y_full, model.Wp, penalty, lam_over_xi, config)[0])
-    # every removal leaves r - 1 atoms, so all r encode as one stack
+    # the baseline and every removal (r - 1 atoms each) encode in one pass
     r = model.hyper.r
-    pen_red = penalty
+    dictionaries = [model.Wp] + [np.delete(model.Wp, s, axis=1) for s in range(r)]
+    pen = penalty
     if penalty.mask is not None:
-        rows = sum((penalty.mask.without_row(s).kept for s in range(r)), ())
-        pen_red = replace(penalty, mask=FrequencyMask(penalty.mask.T, rows))
-    wp_red = np.stack([np.delete(model.Wp, s, axis=1) for s in range(r)])
-    h_red, _ = encode_new(y_full, wp_red, pen_red, lam_over_xi, config)
+        rows = penalty.mask.kept + sum((penalty.mask.without_row(s).kept for s in range(r)), ())
+        pen = replace(penalty, mask=FrequencyMask(penalty.mask.T, rows))
+    codes, _ = encode_new(y_full, dictionaries, pen, lam_over_xi, config)
+    baseline = score(model.W, codes[0])
     entries = []
     for s in range(r):
-        val = score(np.delete(model.W, s, axis=1), h_red[s])
+        val = score(np.delete(model.W, s, axis=1), codes[s + 1])
         entries.append(ScanEntry(s, val, val - baseline))
     entries.sort(key=lambda e: -e.nse_after)
     return [ScanEntry(None, baseline, 0.0)] + entries

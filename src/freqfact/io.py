@@ -12,7 +12,8 @@ layout carries no validity mask.
 
 Matrix format: ``stf-matrix-v1,rows,cols`` then one line per row.  Prediction
 slices: ``stf-slice-v1,A,B,k`` then A lines of B values.  Floats are written
-with ``repr`` so outputs are byte-stable across runs.
+with ``repr`` so outputs are byte-stable across runs.  The readers take
+dims of at least 1: a tensor or matrix of no values is rejected.
 
 A text file in the form the writers emit is parsed straight from its bytes:
 the header lines are read one by one, the data block with one read, its line
@@ -149,6 +150,8 @@ def _read_tensor_binary(path: Path, fh) -> SpatioTemporalTensor:
     if len(head) < 24:
         raise TensorFormatError(f"{path}: binary header truncated ({len(head)} bytes)")
     A, B, T = struct.unpack("<QQQ", head)
+    if 0 in (A, B, T):
+        raise TensorFormatError(f"{path}: dims {A}x{B}x{T} hold no value")
     expected = 24 + 8 * A * B * T
     # sized before the array is made, so dims that do not fit allocate nothing
     if size == expected:
@@ -322,6 +325,8 @@ def _parse_dims(path: Path, line: str, magic: str, n: int) -> list[int]:
         raise TensorFormatError(f"{path}: line 1: non-integer dims in {line!r}") from None
     if min(dims) < 0:
         raise TensorFormatError(f"{path}: line 1: negative dims in {line!r}")
+    if min(dims) == 0:
+        raise TensorFormatError(f"{path}: line 1: dims in {line!r} hold no value")
     return dims
 
 

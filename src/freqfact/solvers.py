@@ -24,13 +24,15 @@ penalty.  Encoding runs the same code step with the dictionary held fixed.
 All solvers are deterministic given a seed: identical seeds and configs
 yield bit-identical reports.
 
-The code steps take a leading block axis: a code ``(B, k, T)`` with
-dictionaries ``(B, m, k)`` solves B independent problems against one
-``Xbar`` and returns the stacked codes with a list of B reports, each equal
-bit for bit to a separate 2-D call's.  :func:`alternating_pgd` and
-:func:`solve_H_prox` solve the stack in one pass (one batched G H and, where
-the penalty or mask needs them, one set of FFTs over all B k rows per
-iteration), keeping each block's step sizes and objectives.
+The code steps take B independent problems against one ``Xbar`` at once,
+as sequences of B codes ``(k_b, T)`` and dictionaries ``(m, k_b)`` whose
+widths k_b may differ.  They return a list of B codes and a list of B
+reports, each equal bit for bit to a separate 2-D call's.  :func:`alternating_pgd` solves all blocks
+in one pass: one set of FFTs and one top-R selection over all sum k_b rows,
+and one batched G H per run of blocks of one width, per iteration.
+:func:`solve_H_prox` solves each run of one width in one pass (one batched
+H-step and one penalty prox per iteration), keeping each block's step sizes
+and objectives.
 
 Diagnostics: :func:`solve_H_prox` scores only the code it returns and
 records the iterations it ran, its step per iteration and its last primal
@@ -42,7 +44,8 @@ and the loop records each code step's iteration count in ``code_iters``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,19 +195,63 @@ def _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) -> float:
     return val
 
 
-def _stacked(h0, wbar) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Float copy of the code ``h0`` and view of ``wbar`` with a leading
-    block axis, ``(B, k, T)`` and ``(B, m, k)``, and whether the call was
-    2-D (one block)."""
-    h = np.array(h0, dtype=float, order="C")
-    wbar = np.asarray(wbar, dtype=float)
-    flat = h.ndim == 2
-    if flat:
-        h, wbar = h[None], wbar[None]
-    if h.ndim != 3 or wbar.ndim != 3 or wbar.shape[0] != h.shape[0]:
-        raise ValueError(f"code {h.shape} and dictionary {wbar.shape} are not matching "
-                         "2-D matrices or (blocks, ., .) stacks")
-    return h, wbar, flat
+class _Run(NamedTuple):
+    """Adjacent blocks of one width: their indices, their rows of the
+    (sum k_b, T) buffer and their (n, m, k) dictionary stack."""
+
+    blocks: range
+    rows: slice
+    wbar: np.ndarray
+
+
+class _Blocks:
+    """The B code problems of one code-step call, against one ``Xbar``.
+
+    A call passes one problem (``h0`` (k, T) with ``wbar`` (m, k)) or
+    equal-length sequences of B codes (k_b, T) and dictionaries (m, k_b)
+    whose widths may differ.  ``rows`` is a float copy of every code, in
+    order, in one (sum k_b, T) buffer and ``wbar`` the list of the B
+    dictionaries.  ``runs`` splits the
+    blocks into maximal runs of one width (:class:`_Run`), so a code step
+    forms one batched G H per run; :meth:`view` gives a run's rows of a
+    buffer as an (n, k, T) view.  :meth:`unpack` returns a result buffer and
+    the B reports in the form the call passed: one code and report, or lists
+    of them.
+    """
+
+    def __init__(self, h0, wbar):
+        self.flat = not isinstance(h0, (list, tuple))
+        hs = [np.asarray(h, dtype=float) for h in ([h0] if self.flat else h0)]
+        ws = [np.asarray(w, dtype=float) for w in ([wbar] if self.flat else wbar)]
+        if not hs or len(hs) != len(ws) or any(
+                h.ndim != 2 or w.ndim != 2 or w.shape[1] != h.shape[0]
+                or h.shape[1] != hs[0].shape[1] or w.shape[0] != ws[0].shape[0]
+                for h, w in zip(hs, ws)):
+            raise ValueError(f"codes {[h.shape for h in hs]} and dictionaries "
+                             f"{[w.shape for w in ws]} are not matching 2-D matrices "
+                             "or sequences of 2-D blocks")
+        self.rows = np.concatenate(hs)
+        self.wbar = ws
+        self.widths = [h.shape[0] for h in hs]
+        self.runs = []
+        start = row = 0
+        for b, k in enumerate(self.widths + [None]):
+            if b and k != self.widths[start]:
+                stop = row + (b - start) * self.widths[start]
+                self.runs.append(_Run(range(start, b), slice(row, stop), np.stack(ws[start:b])))
+                start, row = b, stop
+
+    def view(self, buf: np.ndarray, run: _Run) -> np.ndarray:
+        """A run's rows of a C-contiguous (sum k_b, ...) buffer as an
+        (n, k, ...) view."""
+        return buf[run.rows].reshape((len(run.blocks), -1) + buf.shape[1:])
+
+    def unpack(self, buf: np.ndarray, reports: list):
+        """A result buffer's codes and the B reports in the call's form."""
+        if self.flat:
+            return buf, reports[0]
+        ends = np.cumsum(self.widths).tolist()
+        return [buf[end - k : end] for k, end in zip(self.widths, ends)], reports
 
 
 def _fit_terms(x: np.ndarray, w: np.ndarray, h: np.ndarray, ridge: float):
@@ -542,17 +589,35 @@ def solve_H_prox(
     and, in ``extras``, the last ``primal_residual``, ``dual_residual`` and
     ``rho``.
 
-    ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
-    against the one ``xbar`` in one pass: one batched H-step and one penalty
-    prox per iteration, until every block has stopped; a block that stops
-    keeps the code and report of its stopping iteration.  It returns the
-    (B, k, T) codes and a list of B reports, each equal bit for bit to a
-    separate 2-D call's.
+    Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar`` (m, k_b)
+    run B independent problems against the one ``xbar``, one pass per run of
+    blocks of one width: one batched H-step and one penalty prox per
+    iteration, until every block of the run has stopped; a block that stops
+    keeps the code and report of its stopping iteration.  A fixed mask holds
+    the blocks' rows in order.  It returns a list of B codes and a list of B
+    reports, each equal bit for bit to a separate 2-D call's.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
-    z0, wbar, flat = _stacked(h0, wbar)
+    blocks = _Blocks(h0, wbar)
+    mask, n_rows = p.mask, len(blocks.rows)
+    if mask is not None and len(blocks.runs) > 1 and mask.rows != n_rows:
+        raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
+    out, reports = np.empty_like(blocks.rows), []
+    for run in blocks.runs:
+        if mask is not None and len(blocks.runs) > 1:
+            p = replace(p, mask=FrequencyMask(mask.T, mask.kept[run.rows]))
+        code, subs = _prox_stack(xbar, run.wbar, blocks.view(blocks.rows, run), p, n_iters, nonneg)
+        blocks.view(out, run)[...] = code
+        reports += subs
+    return blocks.unpack(out, reports)
+
+
+def _prox_stack(xbar, wbar, z0, p, n_iters, nonneg):
+    """:func:`solve_H_prox` on a (B, k, T) stack ``z0``, which it
+    overwrites, with (B, m, k) dictionaries ``wbar``; returns the (B, k, T)
+    codes and the B reports."""
     # each block's G, C, rho and H-step formed as a 2-D call forms them, so
     # stacked and separate solves agree bit for bit
     gram = np.stack([w.T @ w for w in wbar])
@@ -643,7 +708,7 @@ def solve_H_prox(
     for wb, cb, hb, ghb, report in zip(wbar, cross, out, gram @ out, reports):
         report.objective_trace.append(_gram_sq_residual(xbar, wb, x_sq, cb, hb, ghb)
                                       + _scored_penalty(hb, p))
-    return (out[0], reports[0]) if flat else (out, reports)
+    return out, reports
 
 
 def alternating_pgd(
@@ -663,10 +728,13 @@ def alternating_pgd(
     f(H) = ||Xbar - Wbar H||_F^2 with gamma_j = 1/((j+1)(2 L + 1)), then
     clamp to the nonnegative orthant.  priority="frequency" swaps the two
     projections so the frequency projection lands last and the returned code
-    is exactly band-limited (possibly slightly negative).
+    is exactly band-limited (possibly slightly negative).  The gradient step
+    and the clamp run in place, in the order ``g = G H; g -= C;
+    g *= 2 gamma_j; H -= g; H = max(H, 0)``.
 
     All rows are projected at once on their ``rfft`` half-spectra, with the
-    masks chosen by :func:`~freqfact.spectral.top_r_keep`.  The objective
+    masks chosen by :func:`~freqfact.spectral.top_r_keep` (R rounds of
+    ``argmax``, which pick the bins a stable sort would).  The objective
     trace uses the Gram form ||Xbar||^2 - 2<C, H> + <H, G H> with
     G = Wbar^T Wbar and C = Wbar^T Xbar.  Its rounding error is a fixed
     fraction of ||Xbar||^2, so at or below 1e-6 ||Xbar||^2 the exact
@@ -679,58 +747,75 @@ def alternating_pgd(
     objective, which saves one ``rfft`` and one Gram-form objective per
     iteration.
 
-    ``h0`` (B, k, T) with ``wbar`` (B, m, k) runs B independent problems
-    against the one ``xbar`` in one pass: one top-R projection over all
-    B k rows and one batched G H per iteration.  It returns the (B, k, T)
-    codes and a list of B reports, each equal bit for bit to a separate 2-D
-    call's.
+    Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar``
+    (m, k_b), of equal or unequal widths, run B independent problems against
+    the one ``xbar`` in one pass: one top-R projection over all sum k_b rows
+    and one batched G H per run of blocks of one width, per iteration.  It
+    returns a list of B codes and a list of B reports, each equal bit for bit
+    to a separate 2-D call's.
     """
     if priority not in ("nonneg", "frequency"):
         raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
-    h, wbar, flat = _stacked(h0, wbar)
-    B, k, T = h.shape
+    blocks = _Blocks(h0, wbar)
+    h, T, B = blocks.rows, blocks.rows.shape[1], len(blocks.widths)
     # each block's G and C formed as a 2-D call forms them, so stacked and
     # separate solves agree bit for bit
-    gram = np.stack([w.T @ w for w in wbar])
-    cross = np.stack([w.T @ xbar for w in wbar])
+    gram = [w.T @ w for w in blocks.wbar]
+    cross = [w.T @ xbar for w in blocks.wbar]
     base = np.array([1.0 / (2.0 * float(np.linalg.norm(g, 2)) + 1.0) for g in gram])
     gammas = base[:, None] / np.arange(1, n_iters + 1)  # (B, n_iters)
-    rates = (gammas.T * 2.0)[:, :, None, None]
-    blocks = list(zip(wbar, cross))
+    # per run: its G and C stacks and its rates 2 gamma_j, (n_iters, n, 1, 1)
+    runs = [(run, np.stack([gram[b] for b in run.blocks]),
+             np.stack([cross[b] for b in run.blocks]),
+             (gammas[run.blocks].T * 2.0)[:, :, None, None])
+            for run in blocks.runs]
     x_sq = float(np.sum(xbar * xbar))
     objectives = [[] for _ in range(B)]
     offmask = []  # per iteration, each block's largest row ratio
 
     def freq_project(m):
-        spec, keep = top_r_keep(m.reshape(B * k, T), R)
-        out = np.fft.irfft(np.where(keep, spec, 0.0), n=T, axis=1)
+        spec, keep = top_r_keep(m, R)
+        spec[~keep] = 0.0
+        out = np.fft.irfft(spec, n=T, axis=1)
         if _diagnostics:
             ratio = half_offmask_ratio(np.fft.rfft(out, axis=1), keep, T)
-            offmask.append(ratio.reshape(B, k).max(axis=1))
-        return out.reshape(B, k, T)
+            offmask.append(np.concatenate([blocks.view(ratio, run).max(axis=1)
+                                           for run in blocks.runs]))
+        return out
+
+    def gradient_step(m, j):
+        # H -= 2 gamma_j (G H - C), in place, run by run
+        for run, g_gram, g_cross, rates in runs:
+            hr = blocks.view(m, run)
+            g = np.matmul(g_gram, hr)
+            g -= g_cross
+            g *= rates[j]
+            hr -= g
 
     for j in range(n_iters):
-        rate = rates[j]
         if priority == "nonneg":
             h = freq_project(h)
-            h = h - rate * (np.matmul(gram, h) - cross)
-            h = np.maximum(h, 0.0)
+            gradient_step(h, j)
+            np.maximum(h, 0.0, out=h)
         else:
-            h = np.maximum(h, 0.0)
-            h = h - rate * (np.matmul(gram, h) - cross)
+            np.maximum(h, 0.0, out=h)
+            gradient_step(h, j)
             h = freq_project(h)
         if _diagnostics or j == n_iters - 1:
-            for trace, (w, c), hb, ghb in zip(objectives, blocks, h, np.matmul(gram, h)):
-                trace.append(_gram_sq_residual(xbar, w, x_sq, c, hb, ghb))
+            for run, g_gram, *_ in runs:
+                hr = blocks.view(h, run)
+                for b, hb, ghb in zip(run.blocks, hr, np.matmul(g_gram, hr)):
+                    objectives[b].append(
+                        _gram_sq_residual(xbar, blocks.wbar[b], x_sq, cross[b], hb, ghb))
     reports = [SolveReport(trace, steps, wall_iters=n_iters)
                for trace, steps in zip(objectives, gammas.tolist())]
     if _diagnostics:
         for report, trace in zip(reports, np.array(offmask).T.tolist()):
             report.extras["offmask_after_projection"] = trace
-    return (h[0], reports[0]) if flat else (h, reports)
+    return blocks.unpack(h, reports)
 
 
 def code_step(
@@ -753,10 +838,12 @@ def code_step(
     mask included, runs "prox" (:func:`solve_H_prox`).  ``nonneg`` goes to
     the prox step, ``priority`` and ``_diagnostics`` to the heuristic.
 
-    ``step`` also takes stacked ``h0`` (B, k, T) and ``wbar`` (B, m, k) and
-    then returns (B, k, T) codes and a list of B reports, each equal bit for
-    bit to a separate 2-D call's, solving the stack in one pass.  A fixed
-    mask then holds the blocks' rows in order.
+    ``step`` also takes sequences of B codes ``h0`` (k_b, T) and
+    dictionaries ``wbar`` (m, k_b) whose widths may differ, and then returns
+    a list of B codes and a list of B reports, each equal bit for bit to a
+    separate 2-D call's.  The heuristic solves all blocks in one pass, the
+    prox step each run of one width.  A fixed mask then holds the blocks'
+    rows in order.
     """
     if p.kind == "hard_freq" and p.mask is None:
         return "heuristic", lambda xbar, wbar, h, iters: alternating_pgd(

@@ -223,19 +223,34 @@ def top_r_keep(h: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
     Amplitudes are compared after rounding to multiples of 2**-30 times the
     row's largest, so bins that are equal up to FFT rounding tie.  Keeping
     bin k of the half-spectrum keeps its mirror (T - k) % T of the full one.
+
+    The bins are picked by R rounds of ``argmax`` over the rounded ranks,
+    each dropping the picked bin below every rank: the first maximum is the
+    lowest index, the tie-break of a stable descending sort, so the keep
+    array is that sort's top R.  A row with a non-finite amplitude ranks
+    NaN, where the rounds may pick other bins than the sort would; its code
+    is non-finite either way.
     """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     T = h.shape[1]
-    half = T // 2
-    if not 1 <= R <= half + 1:
-        raise ValueError(f"R must be in [1, {half + 1}] for T={T}, got {R}")
+    n = T // 2 + 1
+    if not 1 <= R <= n:
+        raise ValueError(f"R must be in [1, {n}] for T={T}, got {R}")
     spec = np.fft.rfft(h, axis=1)
-    amps = np.abs(spec)
+    ranks = np.abs(spec)
     # an all-zero row divides by the floor and ties everywhere
-    ranks = np.rint(amps / np.maximum(amps.max(axis=1, keepdims=True) * _TIE_RTOL, 1e-300))
-    order = np.argsort(-ranks, axis=1, kind="stable")[:, :R]
+    scale = ranks.max(axis=1, keepdims=True)
+    scale *= _TIE_RTOL
+    np.divide(ranks, np.maximum(scale, 1e-300, out=scale), out=ranks)
+    np.rint(ranks, out=ranks)
     keep = np.zeros(spec.shape, dtype=bool)
-    keep[np.arange(h.shape[0])[:, None], order] = True
+    flat_keep, flat_ranks = keep.reshape(-1), ranks.reshape(-1)
+    starts = np.arange(0, ranks.size, n)
+    for _ in range(R):
+        top = ranks.argmax(axis=1)
+        top += starts
+        flat_keep[top] = True
+        flat_ranks[top] = -1.0  # ranks are >= 0
     return spec, keep
 
 

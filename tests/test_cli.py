@@ -971,16 +971,19 @@ def test_config_schema_checks_itself():
     for section in SECTIONS:
         for name, spec in SCHEMA[section].items():
             where = f"{section}.{name}"
-            assert set(spec) <= {"type", "default", "min", "enum", "doc"}, where
+            assert set(spec) <= {"type", "default", "min", "max", "enum", "doc"}, where
             assert spec["type"] and spec["doc"], where
             alts = spec["type"].split("|")
             for kind in alts:
                 kind = kind.strip("[]")
-                assert kind in {"int", "number", "string", "object", "null"} | SECTIONS, where
+                kinds = {"int", "number", "string", "path", "object", "null"} | SECTIONS
+                assert kind in kinds, where
             if "default" in spec:
                 passes(section, name, spec["default"])
-            if "min" in spec:
+            if "min" in spec or "max" in spec:
                 assert set(alts) - {"null"} <= {"int", "number"}, where
+            if "min" in spec and "max" in spec:
+                assert spec["min"] <= spec["max"], where
             for value in spec.get("enum", []):
                 passes(section, name, value)
     assert list(vars(check_config("synth", {}))) == list(SCHEMA["synth"])
@@ -1027,6 +1030,56 @@ def test_missing_input_path_names_the_field(tmp_path, capsys, command, config, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, field_name", [
+    ("factorize", {"x": "", "y": "Y0.csv"}, "x"),
+    ("factorize", {"x": "X.csv", "y": ""}, "y"),
+    ("factorize", {"x": "X.csv", "y": ["Y0.csv", ""]}, "y[1]"),
+    ("forecast", {"model": "", "y": "Y0.csv"}, "model"),
+    ("forecast", {"model": "model", "y": ["", "Y1.csv"]}, "y[0]"),
+    ("forecast", {"model": "model", "y": "Y0.csv", "x_true": ""}, "x_true"),
+    ("atom-scan", {"model": "model", "y": "Y0.csv", "x_true": ""}, "x_true"),
+])
+def test_empty_input_path_names_the_field(tmp_path, capsys, command, config, field_name):
+    # the empty path is the working directory, which read as "Is a directory"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert f"config field '{field_name}' must be a nonempty path, got ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, want", [
+    (["synth", "--seed", "-1"], {}, "config field 'seed' must be >= 0, got -1"),
+    (["synth", "--seed", "99999999999999999999999"], {},
+     "config field 'seed' must be <= 18446744073709551615, got 99999999999999999999999"),
+    (["synth"], {"seed": 2**64},
+     "config field 'seed' must be <= 18446744073709551615, got 18446744073709551616"),
+    (["factorize", "--seed", "-1"], {"x": "X.csv", "y": "Y.csv"},
+     "config field 'seed' must be >= 0, got -1"),
+    (["factorize"], {"x": "X.csv", "y": "Y.csv", "grid": [{"xi": 1.0}, {"seed": -5}]},
+     "grid[1]: config field 'seed' must be >= 0, got -5"),
+    (["forecast"], {"model": "m", "y": "Y.csv", "seed": -3},
+     "config field 'seed' must be >= 0, got -3"),
+    (["atom-scan", "--seed", str(2**64)], {"model": "m", "y": "Y.csv", "x_true": "X.csv"},
+     "config field 'seed' must be <= 18446744073709551615"),
+], ids=["synth-flag-negative", "synth-flag-huge", "synth-config-2^64", "factorize-flag-negative",
+        "grid-point-negative", "forecast-negative", "atom-scan-flag-2^64"])
+def test_seed_outside_64_bits_exits_2_naming_the_field(tmp_path, capsys, argv, config, want):
+    # no input file exists: the seed is checked before any is read
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert want in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_largest_64_bit_seed_runs(tmp_path):
+    assert run_cli("synth", "--seed", 2**64 - 1, "--out", tmp_path / "o") == 0
+
+
 VALID = {
     "synth": {"d": 4, "T": 12, "freqs": [2, 5], "sigma": 0.0, "x_sigma": 0.5, "seed": 1},
     "factorize": {"x": "X.csv", "y": ["Y0.csv", "Y1.csv"], "r": 2, "xi": 0.5,
@@ -1041,7 +1094,7 @@ VALID = {
 }
 VALID["atom-scan"] = VALID["forecast"]
 BAD_VALUES = ["x", 0.5, True, [1], {"a": 1}, float("nan"), float("inf"), float("-inf"), -1,
-              "bogus"]
+              "bogus", "", [""], 2**64]
 
 
 def breaks(spec, value) -> bool:
@@ -1053,6 +1106,7 @@ def breaks(spec, value) -> bool:
                 if type(v) is list and all(fits(kind[1:-1], item) for item in v):
                     return True
             elif {"int": type(v) is int, "string": type(v) is str, "null": v is None,
+                  "path": type(v) is str and v != "",
                   "number": type(v) in (int, float) and math.isfinite(v),
                   "object": type(v) is dict}.get(kind, False):
                 return True
@@ -1061,6 +1115,7 @@ def breaks(spec, value) -> bool:
     if not fits(spec["type"], value):
         return True
     return value is not None and ("min" in spec and value < spec["min"]
+                                  or "max" in spec and value > spec["max"]
                                   or "enum" in spec and value not in spec["enum"])
 
 

@@ -270,10 +270,14 @@ def separate_scan(model, x_full, y_full, penalty, lam, cfg):
     return score(model.W, model.Wp, penalty), removed
 
 
+SCAN_KINDS = ["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"]
+
+
 @st.composite
-def scan_problems(draw):
+def scan_problems(draw, kinds=tuple(SCAN_KINDS)):
     """A model of r in 2..4 atoms trained on T in 8..40 columns, full-period
-    data 2..8 columns longer, and an encode penalty with its config."""
+    data 2..8 columns longer, and an encode penalty of one of ``kinds``
+    with its config."""
     r, T = draw(st.integers(2, 4)), draw(st.integers(8, 40))
     Ttot = T + draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -283,7 +287,7 @@ def scan_problems(draw):
     x_full = w @ h_true + 0.1 * rng.standard_normal((d, Ttot))
     y_full = wp @ h_true + 0.1 * rng.standard_normal((d, Ttot))
     model = FactorModel(w, wp, np.abs(rng.standard_normal((r, T))), Hyper(r, 1.0, Penalty.ridge(0.0)))
-    kind = draw(st.sampled_from(["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"]))
+    kind = draw(st.sampled_from(kinds))
     penalty = {
         "ridge": Penalty.ridge(0.1),
         "lasso": Penalty.lasso(0.1),
@@ -297,22 +301,59 @@ def scan_problems(draw):
 
 
 class TestStackedScan:
-    """The scan encodes the baseline and then all r removals as one stack."""
+    """The scan encodes the baseline and all r removals in one pass."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(problem=scan_problems())
-    def test_two_encodes_and_separate_results(self, problem):
-        model, x_full, y_full, penalty, cfg = problem
+    @pytest.mark.parametrize("kind", ["heuristic", "soft_freq", "fixed_mask"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_encode_and_separate_results(self, kind, data):
+        model, x_full, y_full, penalty, cfg = data.draw(scan_problems(kinds=(kind,)))
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forecast, "encode_new",
-                       lambda *a, **kw: calls.append(np.ndim(a[1])) or encode_new(*a, **kw))
+            mp.setattr(forecast, "encode_new", lambda *a, **kw: calls.append(
+                [np.shape(w) for w in a[1]]) or encode_new(*a, **kw))
             entries = atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
-        assert calls == [2, 3]
+        d, r = model.Wp.shape
+        assert calls == [[(d, r)] + [(d, r - 1)] * r]
+        baseline, removed = separate_scan(model, x_full, y_full, penalty, 0.2, cfg)
+        assert entries[0] == forecast.ScanEntry(None, baseline, 0.0)
+        assert {e.atom: e.nse_after for e in entries[1:]} == dict(enumerate(removed))
+        assert {e.atom: e.delta for e in entries[1:]} == {
+            s: v - baseline for s, v in enumerate(removed)}
+        assert [e.nse_after for e in entries[1:]] == sorted(removed, reverse=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=scan_problems(kinds=("ridge", "lasso")))
+    def test_time_domain_scan_equals_separate_encodes(self, problem):
+        model, x_full, y_full, penalty, cfg = problem
+        entries = atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
         baseline, removed = separate_scan(model, x_full, y_full, penalty, 0.2, cfg)
         assert entries[0].nse_after == baseline
         assert {e.atom: e.nse_after for e in entries[1:]} == dict(enumerate(removed))
-        assert [e.nse_after for e in entries[1:]] == sorted(removed, reverse=True)
+
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    def test_unequal_width_encode_equals_separate_encodes(self, kind):
+        # widths 3, 1, 3, 2: three runs of one width, one of them repeated
+        rng = np.random.default_rng(41)
+        T, d = 20, 6
+        dictionaries = [rng.standard_normal((d, k)) for k in (3, 1, 3, 2)]
+        y_full = np.abs(rng.standard_normal((d, T)))
+        penalty = {
+            "ridge": Penalty.ridge(0.1), "lasso": Penalty.lasso(0.1),
+            "soft_freq": Penalty.soft_freq(0.1), "heuristic": Penalty.hard_freq(R=2),
+            "fixed_mask": None,
+        }[kind]
+        masks = [FrequencyMask.same(w.shape[1], T, [0, 3]) for w in dictionaries]
+        pens = [penalty or Penalty.hard_freq(mask=m) for m in masks]
+        rows = sum((m.kept for m in masks), ())
+        joint = penalty or Penalty.hard_freq(mask=FrequencyMask(T, rows))
+        cfg = EncodeConfig(sweeps=3, sub_iters=6, seed=4)
+        codes, reports = encode_new(y_full, dictionaries, joint, 0.2, cfg)
+        assert len(codes) == len(reports) == 4
+        for w, pen, code, report in zip(dictionaries, pens, codes, reports):
+            ref, ref_report = encode_new(y_full, w, pen, 0.2, cfg)
+            assert np.array_equal(code, ref)
+            assert report.to_dict() == ref_report.to_dict()
 
     @settings(max_examples=25, deadline=None)
     @given(problem=scan_problems())
@@ -334,5 +375,5 @@ class TestStackedScan:
         with np.errstate(over="ignore"):
             with pytest.raises(ConvergenceError, match="encode_new: non-finite .* at outer "
                                                        "iteration 1 in block 1$"):
-                encode_new(rng.standard_normal((6, 12)), wp, Penalty.ridge(0.0), 0.0,
+                encode_new(rng.standard_normal((6, 12)), list(wp), Penalty.ridge(0.0), 0.0,
                            EncodeConfig(sweeps=2, sub_iters=3))

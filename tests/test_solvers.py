@@ -308,7 +308,7 @@ class TestSolveHProx:
     def test_rejects_hard_penalty_and_bad_n_iters_on_a_stack(self):
         # an all-zero stacked dictionary has Lipschitz constant 0 (step 1);
         # the rejections still hold for every block
-        args = np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+        args = np.zeros((2, 2)), list(np.zeros((3, 2, 2))), list(np.zeros((3, 2, 2)))
         with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
             solve_H_prox(*args, Penalty.hard_freq(R=1), 1, nonneg=False)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
@@ -382,7 +382,7 @@ class TestResidualStop:
             separate = [Penalty.hard_freq(mask=m) for m in masks]
         else:
             separate = [penalty] * 3
-        h, reports = solve_H_prox(xbar, wbar, h0, penalty, 5000, nonneg)
+        h, reports = solve_H_prox(xbar, list(wbar), list(h0), penalty, 5000, nonneg)
         iters = [r.wall_iters for r in reports]
         assert len(set(iters)) == 3 and max(iters) < 5000
         assert all(r.terminated == "tol_reached" for r in reports)
@@ -877,8 +877,9 @@ class TestBcdLoop:
 
 @st.composite
 def stacked_problems(draw):
-    """B independent code problems against one Xbar: (xbar, wbar stack,
-    h0 stack, per-block masks) with B in 1..4, k in 1..3 and T in 8..40."""
+    """B independent code problems against one Xbar: (xbar, wbar (B, m, k),
+    h0 (B, k, T), per-block masks) with B in 1..4, k in 1..3 and T in 8..40;
+    the code steps take them as ``list(wbar), list(h0)``."""
     B, k, T = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(8, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = k + draw(st.integers(1, 4))
@@ -918,8 +919,8 @@ class TestStackedCodeStep:
         else:
             _, step = code_step(penalty, **options)
             steps = [step] * len(masks)
-        h, subs = step(xbar, wbar, h0, iters)
-        assert h.shape == h0.shape and len(subs) == len(h0)
+        h, subs = step(xbar, list(wbar), list(h0), iters)
+        assert len(h) == len(subs) == len(h0)
         for b, one_step in enumerate(steps):
             ref, ref_sub = one_step(xbar, wbar[b], h0[b], iters)
             assert np.array_equal(h[b], ref)
@@ -929,29 +930,75 @@ class TestStackedCodeStep:
             assert (subs[b].extras.get("fixed_point_residual")
                     == ref_sub.extras.get("fixed_point_residual"))
 
+    @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
+                             ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
+                                  "lasso-free", "fixed_mask"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), iters=st.integers(1, 12))
+    def test_unequal_widths_equal_separate_calls(self, penalty, options, data, iters):
+        # sequences of blocks whose widths differ, runs of one width repeated
+        widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+        T = data.draw(st.integers(8, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = max(widths) + data.draw(st.integers(1, 4))
+        xbar = np.abs(rng.standard_normal((m, T)))
+        wbar = [rng.standard_normal((m, k)) for k in widths]
+        h0 = [np.abs(rng.standard_normal((k, T))) for k in widths]
+        if penalty == "fixed_mask":
+            masks = [FrequencyMask.same(k, T, rng.choice(T // 2 + 1, 2)) for k in widths]
+            joint = FrequencyMask(T, sum((mk.kept for mk in masks), ()))
+            _, step = code_step(Penalty.hard_freq(mask=joint))
+            steps = [code_step(Penalty.hard_freq(mask=mk))[1] for mk in masks]
+        else:
+            _, step = code_step(penalty, **options)
+            steps = [step] * len(widths)
+        h, subs = step(xbar, wbar, h0, iters)
+        assert len(h) == len(subs) == len(widths)
+        for b, one_step in enumerate(steps):
+            ref, ref_sub = one_step(xbar, wbar[b], h0[b], iters)
+            assert np.array_equal(h[b], ref)
+            assert subs[b].to_dict() == ref_sub.to_dict()
+
     @pytest.mark.parametrize("priority", ["nonneg", "frequency"])
     @settings(max_examples=25, deadline=None)
     @given(problem=stacked_problems(), iters=st.integers(1, 12))
     def test_heuristic_without_diagnostics_keeps_code_and_last_objective(self, priority,
                                                                          problem, iters):
         xbar, wbar, h0, _ = problem
-        h, subs = alternating_pgd(h0, wbar, xbar, 2, iters, priority, _diagnostics=False)
-        ref, ref_subs = alternating_pgd(h0, wbar, xbar, 2, iters, priority)
-        assert np.array_equal(h, ref)
+        h, subs = alternating_pgd(list(h0), list(wbar), xbar, 2, iters, priority,
+                                  _diagnostics=False)
+        ref, ref_subs = alternating_pgd(list(h0), list(wbar), xbar, 2, iters, priority)
+        assert all(np.array_equal(hb, rb) for hb, rb in zip(h, ref, strict=True))
         for sub, ref_sub in zip(subs, ref_subs):
             assert sub.objective_trace == ref_sub.objective_trace[-1:]
             assert sub.step_trace == ref_sub.step_trace
             assert "offmask_after_projection" not in sub.extras
             assert len(ref_sub.extras["offmask_after_projection"]) == iters
 
+    def test_mismatched_blocks_rejected(self):
+        _, step = code_step(Penalty.hard_freq(R=1))
+        with pytest.raises(ValueError, match="not matching"):
+            step(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))], [np.ones((2, 8))], 2)
+        with pytest.raises(ValueError, match="not matching"):
+            step(np.ones((4, 8)), [np.ones((4, 2))], [np.ones((1, 8))], 2)
+        # a fixed mask needs a row for every row of every block
+        _, step = code_step(Penalty.hard_freq(mask=FrequencyMask.same(2, 8, [0])))
+        with pytest.raises(ValueError, match="mask has 2 rows, H has 3"):
+            step(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))],
+                 [np.ones((2, 8)), np.ones((1, 8))], 2)
+
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(ValueError, match="not matching"):
-            alternating_pgd(np.ones((2, 1, 8)), np.ones((3, 4, 1)), np.ones((4, 8)), 1, 2)
+            alternating_pgd(list(np.ones((2, 1, 8))), list(np.ones((3, 4, 1))),
+                            np.ones((4, 8)), 1, 2)
         with pytest.raises(ValueError, match="not matching"):
-            code_step(Penalty.ridge(0.0))[1](np.ones((4, 8)), np.ones((3, 4, 1)),
-                                             np.ones((2, 1, 8)), 2)
+            code_step(Penalty.ridge(0.0))[1](np.ones((4, 8)), list(np.ones((3, 4, 1))),
+                                             list(np.ones((2, 1, 8))), 2)
+        # a (B, k, T) array is not a sequence of blocks
+        with pytest.raises(ValueError, match="not matching"):
+            alternating_pgd(np.ones((2, 1, 8)), np.ones((2, 4, 1)), np.ones((4, 8)), 1, 2)
 
     def test_stacked_tos_mask_needs_every_block_row(self):
         _, step = code_step(Penalty.hard_freq(mask=MASK16))
         with pytest.raises(ValueError, match="mask has 2 rows, H has 4"):
-            step(np.ones((3, 16)), np.ones((2, 3, 2)), np.ones((2, 2, 16)), 3)
+            step(np.ones((3, 16)), list(np.ones((2, 3, 2))), list(np.ones((2, 2, 16))), 3)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqfact.solvers as solvers
 from freqfact.spectral import (
     half_minkowski1,
     half_offmask_ratio,
@@ -10,10 +11,13 @@ from freqfact.spectral import (
     top_r_keep,
 )
 from freqfact import (
+    ConvergenceError,
+    EncodeConfig,
     FrequencyMask,
     Penalty,
     SpectrumSymmetryError,
     dft_rows,
+    encode_new,
     idft_rows,
     inverse_usage_ratio,
     mask_distance,
@@ -502,6 +506,97 @@ class TestTopRProperties:
             assert np.flatnonzero(keep[5]).tolist() == [3, T // 2]
             _, keep = top_r_keep(_tie_cases(T), 1)
             assert np.flatnonzero(keep[5]).tolist() == [3]  # 3 ties Nyquist
+
+
+def _argsort_keep(h, R):
+    """The top-R rule by a stable descending argsort of the rounded ranks,
+    the reference the argmax rounds must reproduce."""
+    h = np.atleast_2d(h)
+    spec = np.fft.rfft(h, axis=1)
+    amps = np.abs(spec)
+    ranks = np.rint(amps / np.maximum(amps.max(axis=1, keepdims=True) * 2.0**-30, 1e-300))
+    order = np.argsort(-ranks, axis=1, kind="stable")[:, :R]
+    keep = np.zeros(spec.shape, dtype=bool)
+    keep[np.arange(h.shape[0])[:, None], order] = True
+    return spec, keep
+
+
+@st.composite
+def top_r_stacks(draw):
+    """A stack of 1..6 rows of one length T in 2..48, odd or even: random,
+    nonnegative, all-zero, constant, tied (equal-amplitude tones at drawn
+    bins, equal up to FFT rounding) and far-scaled rows."""
+    T = draw(st.integers(2, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(T)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["normal", "abs", "zero", "constant", "tones",
+                                               "scaled"]), min_size=1, max_size=6)):
+        if kind == "normal":
+            rows.append(rng.standard_normal(T))
+        elif kind == "abs":
+            rows.append(np.abs(rng.standard_normal(T)))
+        elif kind == "zero":
+            rows.append(np.zeros(T))
+        elif kind == "constant":
+            rows.append(np.full(T, draw(st.sampled_from([-3.0, 0.5, 1e-300, 7e200]))))
+        elif kind == "tones":
+            bins = draw(st.lists(st.integers(0, T // 2), min_size=1, max_size=4, unique=True))
+            phase = draw(st.sampled_from([0.0, np.pi / 3]))
+            rows.append(draw(st.sampled_from([0.1, 1.0, 3.0]))
+                        * sum(np.cos(2 * np.pi * k * t / T + phase) for k in bins))
+        else:
+            rows.append(rng.standard_normal(T) * 10.0 ** draw(st.integers(-250, 250)))
+    return np.vstack(rows)
+
+
+class TestTopRSelection:
+    """The argmax rounds pick exactly the bins of a stable argsort."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(h=top_r_stacks())
+    def test_keep_equals_stable_argsort_for_every_R(self, h):
+        T = h.shape[1]
+        for R in range(1, T // 2 + 2):
+            ref_spec, ref_keep = _argsort_keep(h, R)
+            spec, keep = top_r_keep(h, R)
+            assert np.array_equal(spec, ref_spec)
+            assert np.array_equal(keep, ref_keep), (T, R)
+            # a stacked call keeps each row's own bins
+            for s, row in enumerate(h):
+                assert np.array_equal(top_r_keep(row, R)[1][0], keep[s])
+
+    def test_nonfinite_rows_end_the_run_with_the_same_error(self):
+        # a row with a non-finite amplitude ranks NaN everywhere: the rounds
+        # pick its first bins, the sort may pick others, and its code is
+        # non-finite either way
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((4, 16))
+        h[1, 3], h[2, 5] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            spec, keep = top_r_keep(h, 3)
+            ref_spec, ref_keep = _argsort_keep(h, 3)
+        finite = [0, 3]
+        assert np.array_equal(keep[finite], ref_keep[finite])
+        assert np.array_equal(spec, ref_spec, equal_nan=True)
+        assert (keep.sum(axis=1) == 3).all()
+        # an encode whose code overflows feeds non-finite rows to the
+        # selection; either rule ends it with the same error
+        wp = rng.standard_normal((6, 3)) * 1e5
+        y = np.abs(rng.standard_normal((6, 16))) * 1e307
+        messages = []
+        for rule in (top_r_keep, _argsort_keep):
+            fed = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "top_r_keep",
+                           lambda m, R, rule=rule: fed.append(np.isfinite(m).all()) or rule(m, R))
+                with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+                    encode_new(y, wp, Penalty.hard_freq(R=2), 0.0,
+                               EncodeConfig(sweeps=2, sub_iters=4))
+            assert not all(fed)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            "encode_new: non-finite H, objective at outer iteration 1")
 
 
 class TestHalfOffmaskRatio:
