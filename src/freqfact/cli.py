@@ -381,20 +381,19 @@ def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
 def cmd_forecast(args) -> int:
     cfg = check_config("forecast", load_config(args))
     w, wp, h_train = _load_model(cfg.model)
-    load = _MatrixLoader()
-    y_full = load.aux(cfg.y)
-    T = h_train.shape[1]
-    penalty = _encode_penalty(cfg)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed)
-    h_new_full, report = encode_new(y_full, wp, penalty, cfg.lam_over_xi, enc)
-    h_new = h_new_full[:, T:]
-    if h_new.shape[1] == 0:
-        raise ValueError(f"auxiliary period ({y_full.shape[1]}) does not extend past T={T}")
-
     A = cfg.a if cfg.a is not None else w.shape[0]
     B = cfg.b if cfg.b is not None else 1
     if A * B != w.shape[0]:
         raise ValueError(f"a*b = {A * B} does not match dictionary rows {w.shape[0]}")
+    load = _MatrixLoader()
+    y_full = load.aux(cfg.y)
+    T = h_train.shape[1]
+    if y_full.shape[1] <= T:
+        raise ValueError(f"auxiliary period ({y_full.shape[1]}) does not extend past T={T}")
+    penalty = _encode_penalty(cfg)
+    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed)
+    h_new_full, report = encode_new(y_full, wp, penalty, cfg.lam_over_xi, enc)
+    h_new = h_new_full[:, T:]
 
     score = None
     if cfg.x_true:
@@ -538,6 +537,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # the empty path names the working directory
+        for flag in ("config", "out", "truth", "pred"):
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag} must be a nonempty path, got ''")
         return args.func(args)
     # LinAlgError subclasses ValueError, so the numerical branch goes first
     except (SingularGramError, SpectrumSymmetryError, ConvergenceError,

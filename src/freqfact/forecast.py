@@ -9,11 +9,11 @@ carry frequencies longer than that window.
 
 The atom-removal scan makes one encode of r + 1 dictionaries of unequal
 widths: the full one (the baseline, encoded exactly as a forecast encodes
-it) and the r single-atom removals of r - 1 atoms each.  The code step
-solves them in one pass: the top-R heuristic runs its FFTs and top-R
-selection over all r + r (r - 1) code rows at once, with one batched G H
-per width, and the prox step runs one pass per width.  Each block's code
-equals bit for bit that of a separate encode.
+it) and the r single-atom removals of r - 1 atoms each.  The top-R
+heuristic solves them in one pass, running its FFTs and top-R selection
+over all r + r (r - 1) code rows at once, with one batched G H per width;
+the prox step solves them one after another.  Each block's code equals bit
+for bit that of a separate encode.
 """
 
 from dataclasses import dataclass, replace
@@ -81,7 +81,7 @@ def encode_new(
     objective is kept.
 
     ``wp`` may also be a sequence of B dictionaries (m, k_b), of equal or
-    unequal widths: they encode in one pass, one code step per round over
+    unequal widths: they encode together, one code step per round over
     all blocks, and the call returns a list of B codes (k_b, T) and a list
     of B reports, each equal bit for bit to a separate 2-D call's.  Every block starts from the seeded code of its width, a
     fixed mask in ``penalty`` holds the blocks' rows in order, and a
@@ -191,7 +191,7 @@ def atom_removal_scan(
     def score(w, h_new_full):
         return nse(x_full[:, T:], w @ h_new_full[:, T:])
 
-    # the baseline and every removal (r - 1 atoms each) encode in one pass
+    # the baseline and every removal (r - 1 atoms each) encode in one call
     r = model.hyper.r
     dictionaries = [model.Wp] + [np.delete(model.Wp, s, axis=1) for s in range(r)]
     pen = penalty

@@ -18,6 +18,7 @@ __all__ = [
     "Penalty",
     "penalty_value",
     "penalty_prox",
+    "band_offmask_ratio",
 ]
 
 KINDS = ("ridge", "lasso", "soft_freq", "hard_freq")
@@ -77,11 +78,16 @@ def penalty_value(h: np.ndarray, p: Penalty) -> float:
         return p.lam * float(np.sum(np.abs(h)))
     if p.kind == "soft_freq":
         return p.lam * half_minkowski1(np.fft.rfft(h, axis=1), h.shape[1])
+    return 0.0 if np.all(band_offmask_ratio(h, p) <= HARD_FEASIBILITY_RTOL) else math.inf
+
+
+def band_offmask_ratio(h: np.ndarray, p: Penalty) -> np.ndarray:
+    """Per-row relative spectral mass of a float (k, T) H outside a
+    hard_freq penalty's band: its fixed mask, else each row's own top-R
+    bins."""
     if p.mask is not None:
-        ratio = offmask_ratio(h, p.mask)
-    else:
-        ratio = half_offmask_ratio(*top_r_keep(h, p.R), h.shape[1])
-    return 0.0 if np.all(ratio <= HARD_FEASIBILITY_RTOL) else math.inf
+        return offmask_ratio(h, p.mask)
+    return half_offmask_ratio(*top_r_keep(h, p.R), h.shape[1])
 
 
 def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:

@@ -27,12 +27,11 @@ yield bit-identical reports.
 The code steps take B independent problems against one ``Xbar`` at once,
 as sequences of B codes ``(k_b, T)`` and dictionaries ``(m, k_b)`` whose
 widths k_b may differ.  They return a list of B codes and a list of B
-reports, each equal bit for bit to a separate 2-D call's.  :func:`alternating_pgd` solves all blocks
-in one pass: one set of FFTs and one top-R selection over all sum k_b rows,
-and one batched G H per run of blocks of one width, per iteration.
-:func:`solve_H_prox` solves each run of one width in one pass (one batched
-H-step and one penalty prox per iteration), keeping each block's step sizes
-and objectives.
+reports, each equal bit for bit to a separate 2-D call's.
+:func:`alternating_pgd` solves all blocks in one pass: one set of FFTs and
+one top-R selection over all sum k_b rows, and one batched G H per run of
+blocks of one width, per iteration.  :func:`solve_H_prox` solves the blocks
+one after another.
 
 Diagnostics: :func:`solve_H_prox` scores only the code it returns and
 records the iterations it ran, its step per iteration and its last primal
@@ -50,14 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ConvergenceError, SingularGramError
-from .regularization import Penalty, penalty_prox, penalty_value
-from .spectral import (
-    FrequencyMask,
-    half_offmask_ratio,
-    offmask_ratio,
-    project_frequency_mask,
-    top_r_keep,
-)
+from .regularization import Penalty, band_offmask_ratio, penalty_prox, penalty_value
+from .spectral import FrequencyMask, half_offmask_ratio, project_frequency_mask, top_r_keep
 from .tensor import supervised_stack
 
 __all__ = [
@@ -196,12 +189,11 @@ def _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) -> float:
 
 
 class _Run(NamedTuple):
-    """Adjacent blocks of one width: their indices, their rows of the
-    (sum k_b, T) buffer and their (n, m, k) dictionary stack."""
+    """Adjacent blocks of one width: their indices and their rows of the
+    (sum k_b, T) buffer."""
 
     blocks: range
     rows: slice
-    wbar: np.ndarray
 
 
 class _Blocks:
@@ -211,12 +203,11 @@ class _Blocks:
     equal-length sequences of B codes (k_b, T) and dictionaries (m, k_b)
     whose widths may differ.  ``rows`` is a float copy of every code, in
     order, in one (sum k_b, T) buffer and ``wbar`` the list of the B
-    dictionaries.  ``runs`` splits the
-    blocks into maximal runs of one width (:class:`_Run`), so a code step
-    forms one batched G H per run; :meth:`view` gives a run's rows of a
-    buffer as an (n, k, T) view.  :meth:`unpack` returns a result buffer and
-    the B reports in the form the call passed: one code and report, or lists
-    of them.
+    dictionaries.  ``runs`` splits the blocks into maximal runs of one width
+    (:class:`_Run`), so :func:`alternating_pgd` forms one batched G H per
+    run; :meth:`view` gives a run's rows of a buffer as an (n, k, T) view.
+    :meth:`unpack` returns a result buffer and the B reports in the form the
+    call passed: one code and report, or lists of them.
     """
 
     def __init__(self, h0, wbar):
@@ -238,7 +229,7 @@ class _Blocks:
         for b, k in enumerate(self.widths + [None]):
             if b and k != self.widths[start]:
                 stop = row + (b - start) * self.widths[start]
-                self.runs.append(_Run(range(start, b), slice(row, stop), np.stack(ws[start:b])))
+                self.runs.append(_Run(range(start, b), slice(row, stop)))
                 start, row = b, stop
 
     def view(self, buf: np.ndarray, run: _Run) -> np.ndarray:
@@ -300,13 +291,18 @@ def solve_W(x: np.ndarray, h: np.ndarray, ridge: float = 0.0) -> np.ndarray:
         # ridge makes the system positive definite by construction
         gram = gram + ridge * np.eye(gram.shape[0])
     else:
-        evals = np.linalg.eigvalsh(gram)
-        if evals[-1] <= 0.0 or evals[0] <= _GRAM_RTOL * evals[-1]:
-            raise SingularGramError(
-                f"code Gram matrix is singular (eigenvalue range [{evals[0]:.3e}, "
-                f"{evals[-1]:.3e}]); pass ridge > 0 or re-initialize"
-            )
+        _require_nonsingular(gram, "code Gram matrix", "; pass ridge > 0 or re-initialize")
     return np.linalg.solve(gram, h @ x.T).T
+
+
+def _require_nonsingular(gram: np.ndarray, what: str, hint: str = "") -> None:
+    """Raise :class:`SingularGramError` naming ``what`` (and adding ``hint``)
+    when the symmetric ``gram``'s smallest eigenvalue is at most
+    ``_GRAM_RTOL`` times its largest, or its largest is not positive."""
+    evals = np.linalg.eigvalsh(gram)
+    if evals[-1] <= 0.0 or evals[0] <= _GRAM_RTOL * evals[-1]:
+        raise SingularGramError(f"{what} is singular (eigenvalue range [{evals[0]:.3e}, "
+                                f"{evals[-1]:.3e}]){hint}")
 
 
 def _init_factors(x, y_t, hyper, seed):
@@ -534,8 +530,8 @@ def _h_step(eig, rho: float, n_z: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each (k, T) block of a stack, each summed
-    on its own, so a block's norm does not depend on the stack around it."""
+    """Squared Frobenius norm of each (k, T) matrix of a stack, each summed
+    over its k T entries as one row."""
     flat = a.reshape(a.shape[:-2] + (-1,))
     return (flat * flat).sum(axis=-1)
 
@@ -590,47 +586,41 @@ def solve_H_prox(
     ``rho``.
 
     Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar`` (m, k_b)
-    run B independent problems against the one ``xbar``, one pass per run of
-    blocks of one width: one batched H-step and one penalty prox per
-    iteration, until every block of the run has stopped; a block that stops
-    keeps the code and report of its stopping iteration.  A fixed mask holds
-    the blocks' rows in order.  It returns a list of B codes and a list of B
-    reports, each equal bit for bit to a separate 2-D call's.
+    run B independent problems against the one ``xbar``, one after another;
+    a fixed mask then holds the blocks' rows in order.  It returns a list of
+    B codes and a list of B reports, each the one a separate 2-D call
+    returns.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
     blocks = _Blocks(h0, wbar)
     mask, n_rows = p.mask, len(blocks.rows)
-    if mask is not None and len(blocks.runs) > 1 and mask.rows != n_rows:
+    split = mask is not None and len(blocks.widths) > 1
+    if split and mask.rows != n_rows:
         raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
-    out, reports = np.empty_like(blocks.rows), []
-    for run in blocks.runs:
-        if mask is not None and len(blocks.runs) > 1:
-            p = replace(p, mask=FrequencyMask(mask.T, mask.kept[run.rows]))
-        code, subs = _prox_stack(xbar, run.wbar, blocks.view(blocks.rows, run), p, n_iters, nonneg)
-        blocks.view(out, run)[...] = code
-        reports += subs
+    out, reports, row = np.empty_like(blocks.rows), [], 0
+    for w, k in zip(blocks.wbar, blocks.widths):
+        rows = slice(row, row + k)
+        pb = replace(p, mask=FrequencyMask(mask.T, mask.kept[rows])) if split else p
+        out[rows], report = _prox_block(xbar, w, blocks.rows[rows], pb, n_iters, nonneg)
+        reports.append(report)
+        row += k
     return blocks.unpack(out, reports)
 
 
-def _prox_stack(xbar, wbar, z0, p, n_iters, nonneg):
-    """:func:`solve_H_prox` on a (B, k, T) stack ``z0``, which it
-    overwrites, with (B, m, k) dictionaries ``wbar``; returns the (B, k, T)
-    codes and the B reports."""
-    # each block's G, C, rho and H-step formed as a 2-D call forms them, so
-    # stacked and separate solves agree bit for bit
-    gram = np.stack([w.T @ w for w in wbar])
-    cross = np.stack([w.T @ xbar for w in wbar])
+def _prox_block(xbar, wbar, z0, p, n_iters, nonneg):
+    """:func:`solve_H_prox` on one (k, T) code ``z0``, which it overwrites,
+    with its (m, k) dictionary ``wbar``; returns the code and its report."""
+    gram, cross = wbar.T @ wbar, wbar.T @ xbar
     two_c = 2.0 * cross
     n_z = 2 if nonneg else 1
-    eigs = [_gram_eig(g, c) for g, c in zip(gram, two_c)]
-    lips = [float(e[0][-1]) if e[0][-1] > 0.0 else 1.0 for e in eigs]  # L, or 1 for G = 0
-    rho = list(lips)
-    mat, offset = map(np.stack, zip(*(_h_step(e, r, n_z) for e, r in zip(eigs, rho))))
+    eig = _gram_eig(gram, two_c)
+    rho = lip = float(eig[0][-1]) if eig[0][-1] > 0.0 else 1.0  # L, or 1 for G = 0
+    mat, offset = _h_step(eig, rho, n_z)
     # the scales' floors: ||2 C||, the gradient at H = 0, and ||2 C|| / L
-    grad0 = np.sqrt(_sq_norms(two_c)).tolist()
-    code0 = [g / lip for g, lip in zip(grad0, lips)]
+    grad0 = math.sqrt(_sq_norms(two_c))
+    code0 = grad0 / lip
     if nonneg:
         np.maximum(z0, 0.0, out=z0)
     # W = sum_i (Zi - Ui) drives the H-step.  With V = H + U, the orthant
@@ -639,11 +629,7 @@ def _prox_stack(xbar, wbar, z0, p, n_iters, nonneg):
     u1, u2 = u[0] if nonneg else None, u[-1]
     w = n_z * z0
     h = np.empty_like(z0)
-    t = 1.0 / np.array(rho)[:, None, None]  # the prox steps, one per block
-    out = np.empty_like(z0)
-    steps = [[] for _ in z0]
-    reports = [None] * len(z0)
-    last_check = 0
+    steps, last_check = [], 0
     for it in range(n_iters):
         check = (it + 1) % _ADMM_CHECK == 0 or it == n_iters - 1
         if check:
@@ -655,7 +641,7 @@ def _prox_stack(xbar, wbar, z0, p, n_iters, nonneg):
             np.abs(u1, out=w)
             np.minimum(u1, 0.0, out=u1)
         u2 += h
-        z2 = penalty_prox(u2, p, t)
+        z2 = penalty_prox(u2, p, 1.0 / rho)
         u2 -= z2
         if nonneg:
             w += z2
@@ -671,44 +657,30 @@ def _prox_stack(xbar, wbar, z0, p, n_iters, nonneg):
             change[n_z] += du
         if nonneg:
             change[-1] += u1
-        sq = _sq_norms(change)
-        final = it == n_iters - 1
-        for b, (*sq_du, sq_dz, sq_h, sq_u) in enumerate(sq.T.tolist()):
-            if reports[b] is not None:
-                continue  # stopped: its code and report are final
-            r = rho[b]
-            steps[b].extend([1.0 / r] * (it + 1 - last_check))
-            primal, dual = math.sqrt(sum(sq_du)), r * math.sqrt(sq_dz)
-            rel_p = primal / max(math.sqrt(n_z * sq_h), code0[b], 1e-300)
-            rel_d = dual / max(r * math.sqrt(sq_u), grad0[b], 1e-300)
-            done = rel_p <= _ADMM_RTOL and rel_d <= _ADMM_RTOL
-            if done or final:
-                out[b] = z2[b]
-                if nonneg:
-                    # Z2 where Z1 = max(H + U1, 0) is positive, else 0
-                    out[b] *= (h[b] + prev[0, b]) > 0.0
-                    np.maximum(out[b], 0.0, out=out[b])
-                reports[b] = SolveReport(
-                    step_trace=steps[b], wall_iters=it + 1,
-                    terminated="tol_reached" if done else "max_iters",
-                    extras={"primal_residual": primal, "dual_residual": dual, "rho": r})
-                continue
-            if rel_p > _ADMM_MU * rel_d or rel_d > _ADMM_MU * rel_p:
-                factor = _ADMM_TAU if rel_p > rel_d else 1.0 / _ADMM_TAU
-                # the scaled duals U = y / rho shrink as rho grows; W keeps Z1 + Z2
-                w[b] += u[:, b].sum(axis=0) * (1.0 - 1.0 / factor)
-                u[:, b] /= factor
-                rho[b] = r * factor
-                mat[b], offset[b] = _h_step(eigs[b], rho[b], n_z)
+        *sq_du, sq_dz, sq_h, sq_u = _sq_norms(change).tolist()
+        steps.extend([1.0 / rho] * (it + 1 - last_check))
         last_check = it + 1
-        if None not in reports:
+        primal, dual = math.sqrt(sum(sq_du)), rho * math.sqrt(sq_dz)
+        rel_p = primal / max(math.sqrt(n_z * sq_h), code0, 1e-300)
+        rel_d = dual / max(rho * math.sqrt(sq_u), grad0, 1e-300)
+        done = rel_p <= _ADMM_RTOL and rel_d <= _ADMM_RTOL
+        if done or it == n_iters - 1:
             break
-        t = 1.0 / np.array(rho)[:, None, None]
-    x_sq = float(np.vdot(xbar, xbar))
-    for wb, cb, hb, ghb, report in zip(wbar, cross, out, gram @ out, reports):
-        report.objective_trace.append(_gram_sq_residual(xbar, wb, x_sq, cb, hb, ghb)
-                                      + _scored_penalty(hb, p))
-    return out, reports
+        if rel_p > _ADMM_MU * rel_d or rel_d > _ADMM_MU * rel_p:
+            factor = _ADMM_TAU if rel_p > rel_d else 1.0 / _ADMM_TAU
+            # the scaled duals U = y / rho shrink as rho grows; W keeps Z1 + Z2
+            w += u.sum(axis=0) * (1.0 - 1.0 / factor)
+            u /= factor
+            rho *= factor
+            mat, offset = _h_step(eig, rho, n_z)
+    if nonneg:
+        # Z2 where Z1 = max(H + U1, 0) is positive, else 0
+        z2 *= (h + prev[0]) > 0.0
+        np.maximum(z2, 0.0, out=z2)
+    fit = _gram_sq_residual(xbar, wbar, float(np.vdot(xbar, xbar)), cross, z2, gram @ z2)
+    return z2, SolveReport(
+        [fit + _scored_penalty(z2, p)], steps, "tol_reached" if done else "max_iters", it + 1,
+        {"primal_residual": primal, "dual_residual": dual, "rho": rho})
 
 
 def alternating_pgd(
@@ -842,8 +814,8 @@ def code_step(
     dictionaries ``wbar`` (m, k_b) whose widths may differ, and then returns
     a list of B codes and a list of B reports, each equal bit for bit to a
     separate 2-D call's.  The heuristic solves all blocks in one pass, the
-    prox step each run of one width.  A fixed mask then holds the blocks'
-    rows in order.
+    prox step one after another.  A fixed mask then holds the blocks' rows
+    in order.
     """
     if p.kind == "hard_freq" and p.mask is None:
         return "heuristic", lambda xbar, wbar, h, iters: alternating_pgd(
@@ -887,9 +859,6 @@ def ssnmf_hard(
     band = Penalty.hard_freq(R if R is not None else hyper.penalty.R, hyper.penalty.mask)
     variant, step = code_step(band, priority=priority)
     model, report = _bcd_loop("ssnmf_hard", x, y, hyper, n_iters, sub_iters, seed, tol, step)
-    if band.mask is not None:
-        ratio = offmask_ratio(model.H, band.mask)
-    else:
-        ratio = half_offmask_ratio(*top_r_keep(model.H, band.R), model.H.shape[1])
-    report.extras.update(variant=variant, offmask_final=float(ratio.max()))
+    report.extras.update(variant=variant,
+                         offmask_final=float(band_offmask_ratio(model.H, band).max()))
     return model, report

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConvergenceError, SingularGramError
+from .exceptions import ConvergenceError
+from .solvers import _require_nonsingular
 from .spectral import dft_rows, idft_rows
 
 __all__ = [
@@ -122,9 +123,7 @@ def closed_form_code(
     wbar = np.vstack([w, sq * wp])
     xbar = np.vstack([x, sq * y])
     gram = wbar.T @ wbar
-    evals = np.linalg.eigvalsh(gram)
-    if evals[-1] <= 0.0 or evals[0] <= 1e-13 * evals[-1]:
-        raise SingularGramError("stacked dictionary Gram is singular")
+    _require_nonsingular(gram, "stacked dictionary Gram")
     m = np.linalg.solve(gram, wbar.T)
     code = m @ xbar
 

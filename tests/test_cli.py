@@ -300,6 +300,47 @@ class TestForecastCli:
         }))
         assert run_cli("forecast", "--config", cfg, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("command, overrides, want, before_encode", [
+        ("forecast", {"a": 3, "b": 2}, "a*b = 6 does not match dictionary rows 8", True),
+        ("forecast", {"y": "Y_train.csv"}, "auxiliary period (40) does not extend past T=40",
+         True),
+        ("forecast", {"y": []}, "config needs at least one auxiliary tensor path under 'y'", True),
+        ("forecast", {"x_true": "X_short.csv"}, "truth tensor shorter than auxiliary period",
+         False),
+        ("atom-scan", {"x_true": None}, "atom-scan config needs 'x_true' (truth tensor path)",
+         True),
+        ("evaluate", None, "prediction (52 cols at offset 5) does not fit inside truth (52 cols)",
+         True),
+    ], ids=["a-times-b", "aux-not-past-T", "empty-y", "truth-short", "scan-no-truth",
+            "evaluate-offset"])
+    def test_input_error_exits_2_without_output(self, tmp_path, capsys, monkeypatch, command,
+                                                overrides, want, before_encode):
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        y = read_tensor(data / "Y_full.csv").values
+        write_tensor(data / "Y_train.csv", SpatioTemporalTensor(y[:, :, :T]))
+        x = read_tensor(data / "X_full.csv").values
+        write_tensor(data / "X_short.csv", SpatioTemporalTensor(x[:, :, :-6]))
+        if before_encode:
+            def encode(*args, **kwargs):
+                raise AssertionError("encoded before checking the inputs")
+
+            monkeypatch.setattr(cli, "encode_new", encode)
+            monkeypatch.setattr(cli, "atom_removal_scan", encode)
+        out = tmp_path / "o"
+        if command == "evaluate":
+            argv = ["evaluate", "--truth", data / "X_full.csv", "--pred", data / "X_full.csv",
+                    "--offset", 5]
+        else:
+            cfg = {"model": str(model), "y": str(data / "Y_full.csv"),
+                   "x_true": str(data / "X_full.csv"), "sweeps": 2, "sub_iters": 10}
+            cfg.update({k: str(data / v) if isinstance(v, str) else v
+                        for k, v in overrides.items()})
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            argv = [command, "--config", tmp_path / "c.json"]
+        assert run_cli(*argv, "--out", out) == 2
+        assert f"input error: {want}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_command(self, tmp_path):
         data, model, w, h, T = self.make_pipeline(tmp_path)
         out = tmp_path / "ev"
@@ -1047,6 +1088,24 @@ def test_empty_input_path_names_the_field(tmp_path, capsys, command, config, fie
     assert run_cli(command, "--config", cfg, "--out", out) == 2
     assert f"config field '{field_name}' must be a nonempty path, got ''" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--config", "", "--out", "o"], "config"),
+    (["synth", "--out", ""], "out"),
+    (["factorize", "--config", "", "--out", "o"], "config"),
+    (["evaluate", "--truth", "", "--pred", "p.csv", "--out", "o"], "truth"),
+    (["evaluate", "--truth", "t.csv", "--pred", "", "--out", "o"], "pred"),
+    (["evaluate", "--truth", "t.csv", "--pred", "t.csv", "--out", ""], "out"),
+], ids=["synth-config", "synth-out", "factorize-config", "evaluate-truth", "evaluate-pred",
+        "evaluate-out"])
+def test_empty_path_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, flag):
+    # the empty path names the working directory: synth --out "" wrote its
+    # files there, and synth --config "" ran the default spec
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    assert f"input error: --{flag} must be a nonempty path, got ''" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, config, want", [
