@@ -171,9 +171,12 @@ def atom_removal_scan(
     full-period auxiliary data with the reduced dictionary (the dropped
     atom's explanatory burden must be redistributed, so re-encoding rather
     than just deleting a code row), predict the test period, score NSE
-    against the truth.  Returns the baseline entry first, then atoms sorted
-    by descending NSE.  Needs r >= 2; with one atom there is nothing to
-    remove.
+    against the truth over the window a forecast scores: columns T up to
+    the auxiliary period's end.  Returns the baseline entry first, then
+    atoms sorted by descending NSE.  Needs r >= 2; with one atom there is
+    nothing to remove.  An auxiliary period that does not extend two
+    columns past T, or a truth shorter than it, raises ValueError before
+    anything is encoded.
 
     The baseline and the r removals encode in one :func:`encode_new` call,
     as one sequence of r + 1 dictionaries (one of r atoms, r of r - 1), so
@@ -184,12 +187,15 @@ def atom_removal_scan(
         raise ValueError("atom removal needs at least two atoms")
     x_full = np.asarray(x_full, dtype=float)
     y_full = np.asarray(y_full, dtype=float)
-    T = model.H.shape[1]
-    if x_full.shape[1] <= T + 1:
-        raise ValueError("truth must extend at least two columns past the training period")
+    T, end = model.H.shape[1], y_full.shape[1]
+    if end <= T + 1:
+        raise ValueError(f"auxiliary period ({end}) does not extend two columns past T={T}")
+    if x_full.shape[1] < end:
+        raise ValueError(f"truth tensor shorter than auxiliary period "
+                         f"({x_full.shape[1]} < {end} columns)")
 
     def score(w, h_new_full):
-        return nse(x_full[:, T:], w @ h_new_full[:, T:])
+        return nse(x_full[:, T:end], w @ h_new_full[:, T:])
 
     # the baseline and every removal (r - 1 atoms each) encode in one call
     r = model.hyper.r

@@ -18,10 +18,12 @@ dims of at least 1: a tensor or matrix of no values is rejected.
 A text file in the form the writers emit is parsed straight from its bytes:
 the header lines are read one by one, the data block with one read, its line
 and comma layout is checked with vectorised byte positions, and one
-``np.fromstring`` call converts every cell.  Any other text file (blank
-lines, CRLF, spaces, ``1_0``, a missing final newline, a malformed cell, ...)
-goes to a line-by-line parse, which accepts a cell exactly when ``float``
-accepts it and the value is finite, skips blank lines, and raises
+``np.fromstring`` call converts every cell.  A file in that form except that
+every line ends ``\\r\\n`` takes the same parse after one replace of
+``\\r\\n`` by ``\\n``.  Any other text file (blank lines, mixed or lone
+``\\r`` line ends, spaces, ``1_0``, a missing final newline, a malformed
+cell, ...) goes to a line-by-line parse, which accepts a cell exactly when
+``float`` accepts it and the value is finite, skips blank lines, and raises
 :class:`TensorFormatError` naming the file and the first bad line (and
 column).  Both paths give the same values to the bit.  A binary file is read
 straight into its array, and names the flat index of its first non-finite
@@ -175,8 +177,22 @@ def _read_text(path: Path, fh, magic: str):
     parsed = _read_canonical(path, fh, magic)
     if parsed is None:
         fh.seek(0)
+        lf = _crlf_to_lf(fh.read())
+        if lf is not None:
+            parsed = _read_canonical(path, BytesIO(lf), magic)
+            del lf
+    if parsed is None:
+        fh.seek(0)
         parsed = _read_general(path, fh.read(), magic)
     return parsed
+
+
+def _crlf_to_lf(raw: bytes) -> bytes | None:
+    """``raw`` with each ``\\r\\n`` made ``\\n`` when every line ends
+    ``\\r\\n``, else None."""
+    lf = raw.replace(b"\r\n", b"\n")
+    crlf = len(raw) - len(lf)
+    return lf if crlf and crlf == lf.count(b"\n") and b"\r" not in lf else None
 
 
 def _read_canonical(path: Path, fh, magic: str):

@@ -8,7 +8,8 @@ Solvers:
   penalty (fit, nonnegative orthant, and the penalty's exact prox: ridge,
   lasso, soft_freq, or the projection onto a fixed frequency mask), with a
   cached k x k H-step, residual balancing of its penalty parameter and a
-  stop on its primal and dual residuals; the iteration count is a cap.
+  stop on its primal and dual residuals at a given tolerance; the iteration
+  count is a cap.
 * :func:`alternating_pgd` - heuristic alternation of adaptive top-R
   frequency projection, a gradient step, and the nonnegativity projection.
 * :func:`three_operator_splitting` - the paper's reference form of the
@@ -20,7 +21,13 @@ heuristic for a hard_freq penalty without a fixed mask, else the prox
 splitting), and the driver: :func:`ssnmf_bcd` fits a convex penalty,
 :func:`ssnmf_hard` a hard band.  Both run one block-coordinate loop (code
 step, then exact dictionary steps) that records the same things for every
-penalty.  Encoding runs the same code step with the dictionary held fixed.
+penalty.  A convex fit's code steps stop at a tolerance tied to the outer
+progress, 0.1 times the last relative code change between 1e-10 and 1e-2,
+and the loop drops a code that raises the objective: its objective trace
+never increases, and once the code changes by less than 1e-9 per outer
+iteration every step takes the exact 1e-10 stop.  Hard bands and encoding
+always take the exact stop.  Encoding runs the same code step with the
+dictionary held fixed.
 All solvers are deterministic given a seed: identical seeds and configs
 yield bit-identical reports.
 
@@ -39,7 +46,8 @@ and dual residuals and penalty parameter; by default :func:`alternating_pgd`
 records every iterate's objective and off-mask ratio, which the loop keeps,
 while encoding asks it for the last objective only.  :func:`ssnmf_hard`
 measures the returned code's off-band ratio once, in ``offmask_final``,
-and the loop records each code step's iteration count in ``code_iters``.
+and the loop records each code step's iteration count in ``code_iters`` and
+its relative change of the code in ``code_change``.
 """
 
 import math
@@ -77,11 +85,19 @@ _GRAM_FALLBACK_RTOL = 1e-6
 # The prox step's ADMM measures its residuals every _ADMM_CHECK iterations
 # and stops once both are within _ADMM_RTOL of their scales; otherwise
 # residual balancing scales rho by _ADMM_TAU when one relative residual
-# exceeds the other _ADMM_MU times.
+# exceeds the other _ADMM_MU times.  A looser stopping tolerance is checked
+# every _ADMM_STOP_CHECK iterations, while balancing keeps its cadence.
 _ADMM_CHECK = 20
+_ADMM_STOP_CHECK = 5
 _ADMM_RTOL = 1e-10
 _ADMM_MU = 5.0
 _ADMM_TAU = 2.0
+
+# A convex fit's code step k stops at the relative residual
+# clamp(_CODE_RTOL_KAPPA * code_change[k - 1], _ADMM_RTOL, _CODE_RTOL_MAX),
+# loose while the code still moves and exact once it settles.
+_CODE_RTOL_KAPPA = 0.1
+_CODE_RTOL_MAX = 1e-2
 
 
 @dataclass
@@ -374,10 +390,24 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
     ``phase_objectives`` (after the H, W and Wp steps; the last one is
     traced and tested against ``tol``, first against the initial one), the
     code step's first step size, ``h_min_trace``, ``code_iters`` (the
-    iterations the code step ran) and any ``offmask_after_projection`` the
-    step reports.  Objectives are the smooth part plus :func:`_scored_penalty`,
-    each term computed once per phase in which it changes.
-    Overflow is reported once, by the finite checks, not by numpy warnings.
+    iterations the code step ran), ``code_change`` (the successive
+    difference ||H_k - H_{k-1}||_F / ||H_k||_F, with H_{-1} the initial
+    code) and any ``offmask_after_projection`` the step reports.  Objectives
+    are the smooth part plus :func:`_scored_penalty`, each term computed
+    once per phase in which it changes.
+
+    A convex penalty's code step stops at a tolerance tied to the outer
+    progress, clamp(_CODE_RTOL_KAPPA * code_change[k - 1], _ADMM_RTOL,
+    _CODE_RTOL_MAX), with code_change[-1] = 1: loose while the code moves
+    (Huang, Sidiropoulos & Liavas, IEEE TSP 2016, run AO-ADMM's inner loop
+    so), exact once code_change falls below _ADMM_RTOL / _CODE_RTOL_KAPPA,
+    the successive difference that Xu & Yin (SIAM J. Imaging Sci. 2013)
+    drive to zero.  A code that raises the objective above the last outer
+    one is dropped for the old code, whose change is then 0, so the next
+    step is exact and the objective trace never increases; ``tol`` does not
+    stop the fit at a dropped loose step.  A hard band's steps always take
+    the exact stop.  Overflow is reported once, by the finite checks, not by
+    numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x, dtype=float)
@@ -390,28 +420,40 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
         if hyper.r > min(d, T):
             raise ValueError(f"rank {hyper.r} exceeds min(d, T) = {min(d, T)}")
         y_t = y[:, :T]
+        convex = hyper.penalty.kind != "hard_freq"
 
         def score(fx, fy, pen):
             return _smooth_sum(hyper.xi, fx, fy) + pen
 
         w, wp, h = _init_factors(x, y_t, hyper, seed)
-        prev = score(_fit_terms(x, w, h, hyper.lambda1), _fit_terms(y_t, wp, h, hyper.lambda2),
-                     _scored_penalty(h, hyper.penalty))
+        terms = (_fit_terms(x, w, h, hyper.lambda1), _fit_terms(y_t, wp, h, hyper.lambda2),
+                 _scored_penalty(h, hyper.penalty))
+        prev = score(*terms)
         extras = {"initial_objective": prev, "phase_objectives": [], "h_min_trace": [],
-                  "code_iters": []}
+                  "code_iters": [], "code_change": []}
         report = SolveReport(extras=extras)
         xbar = supervised_stack(x, y_t, hyper.xi)
+        change = 1.0
         for it in range(n_iters):
-            h, sub = step(xbar, supervised_stack(w, wp, hyper.xi), h, sub_iters)
+            rtol = min(max(_CODE_RTOL_KAPPA * change, _ADMM_RTOL), _CODE_RTOL_MAX)
+            h_new, sub = step(xbar, supervised_stack(w, wp, hyper.xi), h, sub_iters,
+                              **({"rtol": rtol} if convex else {}))
+            new_terms = (_fit_terms(x, w, h_new, hyper.lambda1),
+                         _fit_terms(y_t, wp, h_new, hyper.lambda2),
+                         _scored_penalty(h_new, hyper.penalty))
+            dropped = convex and prev < score(*new_terms) < math.inf
+            if dropped:
+                change = 0.0
+            else:
+                h, terms, change = h_new, new_terms, _relative_change(h_new, h)
             w_new = _dictionary_step(x, h, w, hyper.lambda1)
             wp_new = _dictionary_step(y_t, h, wp, hyper.lambda2)
             _require_finite(solver, it, H=h, W=w_new, Wp=wp_new)
-            pen = _scored_penalty(h, hyper.penalty)
-            fx, fy = _fit_terms(x, w, h, hyper.lambda1), _fit_terms(y_t, wp, h, hyper.lambda2)
+            fx, fy, pen = terms
             fx_new = _fit_terms(x, w_new, h, hyper.lambda1)
-            phases = [score(fx, fy, pen), score(fx_new, fy, pen),
-                      score(fx_new, _fit_terms(y_t, wp_new, h, hyper.lambda2), pen)]
-            w, wp = w_new, wp_new
+            fy_new = _fit_terms(y_t, wp_new, h, hyper.lambda2)
+            phases = [score(fx, fy, pen), score(fx_new, fy, pen), score(fx_new, fy_new, pen)]
+            w, wp, terms = w_new, wp_new, (fx_new, fy_new, pen)
             _require_finite(solver, it, objective=phases)
             extras["phase_objectives"].append(phases)
             val = phases[-1]
@@ -419,15 +461,25 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
             report.step_trace.append(sub.step_trace[0])
             extras["h_min_trace"].append(float(h.min()))
             extras["code_iters"].append(sub.wall_iters)
+            extras["code_change"].append(change)
             if "offmask_after_projection" in sub.extras:
                 extras.setdefault("offmask_after_projection", []).extend(
                     sub.extras["offmask_after_projection"])
             report.wall_iters = it + 1
-            if tol is not None and abs(val - prev) / max(1.0, abs(prev)) < tol:
+            # a dropped loose step is no sign of convergence
+            if (tol is not None and abs(val - prev) / max(1.0, abs(prev)) < tol
+                    and not (dropped and rtol > _ADMM_RTOL)):
                 report.terminated = "tol_reached"
                 break
             prev = val
     return FactorModel(w, wp, h, hyper), report
+
+
+def _relative_change(h: np.ndarray, h_old: np.ndarray) -> float:
+    """||H - H_old||_F / ||H||_F; 1 for a zero H that moved, 0 for one that
+    did not."""
+    diff, norm = float(np.linalg.norm(h - h_old)), float(np.linalg.norm(h))
+    return diff / norm if norm > 0.0 else float(diff > 0.0)
 
 
 def ssnmf_bcd(
@@ -543,6 +595,7 @@ def solve_H_prox(
     p: Penalty,
     n_iters: int,
     nonneg: bool = True,
+    rtol: float = _ADMM_RTOL,
 ) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
     """Consensus ADMM on the code subproblem of a convex penalty
 
@@ -569,10 +622,12 @@ def solve_H_prox(
     (Boyd et al., FnT ML 2011, section 3.3), each relative to its scale:
     the larger of sqrt(2) ||H||_F and ||2 C||_F / L, and the larger of
     ||rho (U1 + U2)||_F and ||2 C||_F (the floors hold where the optimum is
-    H = 0).  It stops once both are within ``_ADMM_RTOL``; otherwise, when
-    one exceeds the other ``_ADMM_MU`` times, it scales rho by ``_ADMM_TAU``
-    toward balance (residual balancing, section 3.4.1).  ``n_iters`` caps
-    the iterations.
+    H = 0).  It stops once both are within ``rtol`` (``_ADMM_RTOL`` by
+    default); otherwise, when one exceeds the other ``_ADMM_MU`` times, it
+    scales rho by ``_ADMM_TAU`` toward balance (residual balancing, section
+    3.4.1).  A looser ``rtol`` is checked every ``_ADMM_STOP_CHECK``
+    iterations, and balancing keeps its cadence, so a step at the default
+    runs as it would without one.  ``n_iters`` caps the iterations.
 
     It returns Z2 where Z1 is positive and 0 elsewhere, clipped at 0: exactly
     nonnegative, with the exact zeros of both splits (the orthant's and a
@@ -603,13 +658,13 @@ def solve_H_prox(
     for w, k in zip(blocks.wbar, blocks.widths):
         rows = slice(row, row + k)
         pb = replace(p, mask=FrequencyMask(mask.T, mask.kept[rows])) if split else p
-        out[rows], report = _prox_block(xbar, w, blocks.rows[rows], pb, n_iters, nonneg)
+        out[rows], report = _prox_block(xbar, w, blocks.rows[rows], pb, n_iters, nonneg, rtol)
         reports.append(report)
         row += k
     return blocks.unpack(out, reports)
 
 
-def _prox_block(xbar, wbar, z0, p, n_iters, nonneg):
+def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
     """:func:`solve_H_prox` on one (k, T) code ``z0``, which it overwrites,
     with its (m, k) dictionary ``wbar``; returns the code and its report."""
     gram, cross = wbar.T @ wbar, wbar.T @ xbar
@@ -630,8 +685,9 @@ def _prox_block(xbar, wbar, z0, p, n_iters, nonneg):
     w = n_z * z0
     h = np.empty_like(z0)
     steps, last_check = [], 0
+    every = _ADMM_CHECK if rtol <= _ADMM_RTOL else _ADMM_STOP_CHECK
     for it in range(n_iters):
-        check = (it + 1) % _ADMM_CHECK == 0 or it == n_iters - 1
+        check = (it + 1) % every == 0 or it == n_iters - 1
         if check:
             prev = np.concatenate((u, w[None]))
         np.matmul(mat, w, out=h)
@@ -663,10 +719,11 @@ def _prox_block(xbar, wbar, z0, p, n_iters, nonneg):
         primal, dual = math.sqrt(sum(sq_du)), rho * math.sqrt(sq_dz)
         rel_p = primal / max(math.sqrt(n_z * sq_h), code0, 1e-300)
         rel_d = dual / max(rho * math.sqrt(sq_u), grad0, 1e-300)
-        done = rel_p <= _ADMM_RTOL and rel_d <= _ADMM_RTOL
+        done = rel_p <= rtol and rel_d <= rtol
         if done or it == n_iters - 1:
             break
-        if rel_p > _ADMM_MU * rel_d or rel_d > _ADMM_MU * rel_p:
+        if (it + 1) % _ADMM_CHECK == 0 and (rel_p > _ADMM_MU * rel_d
+                                            or rel_d > _ADMM_MU * rel_p):
             factor = _ADMM_TAU if rel_p > rel_d else 1.0 / _ADMM_TAU
             # the scaled duals U = y / rho shrink as rho grows; W keeps Z1 + Z2
             w += u.sum(axis=0) * (1.0 - 1.0 / factor)
@@ -802,7 +859,8 @@ def code_step(
     ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs the chosen
     solver on min ||Xbar - Wbar H||_F^2 + p(H), warm-started at ``h0``: the
     heuristic runs ``iters`` iterations, the prox step at most ``iters``, as
-    it stops on its residuals (its report's ``wall_iters`` counts them).  The
+    it stops on its residuals (its report's ``wall_iters`` counts them); the
+    prox ``step`` also takes :func:`solve_H_prox`'s ``rtol``.  The
     report's last objective is that of the returned code.  The penalty alone
     decides: an adaptive top-R band (hard_freq
     without a fixed mask) is not convex and runs "heuristic"
@@ -820,7 +878,8 @@ def code_step(
     if p.kind == "hard_freq" and p.mask is None:
         return "heuristic", lambda xbar, wbar, h, iters: alternating_pgd(
             h, wbar, xbar, p.R, iters, priority, _diagnostics=_diagnostics)
-    return "prox", lambda xbar, wbar, h, iters: solve_H_prox(xbar, wbar, h, p, iters, nonneg)
+    return "prox", lambda xbar, wbar, h, iters, rtol=_ADMM_RTOL: solve_H_prox(
+        xbar, wbar, h, p, iters, nonneg, rtol=rtol)
 
 
 def ssnmf_hard(

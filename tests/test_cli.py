@@ -383,6 +383,46 @@ class TestForecastCli:
         assert top[0] == "2"
         assert float(top[2]) > 0.0
 
+    def test_atom_scan_checks_the_auxiliary_period_before_encoding(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        import freqfact.forecast as forecast
+
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        y = read_tensor(data / "Y_full.csv").values
+        write_tensor(data / "Y_train.csv", SpatioTemporalTensor(y[:, :, :T]))
+
+        def encode(*args, **kwargs):
+            raise AssertionError("encoded before checking the inputs")
+
+        monkeypatch.setattr(forecast, "encode_new", encode)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_train.csv"),
+                                   "x_true": str(data / "X_full.csv")}))
+        out = tmp_path / "o"
+        assert run_cli("atom-scan", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "input error: auxiliary period (40) does not extend two columns past T=40" in err
+        assert not out.exists()
+
+    def test_atom_scan_scores_the_window_forecast_scores(self, tmp_path):
+        # an auxiliary period of 46 columns against a 52-column truth: both
+        # commands score truth columns T to 46, so the scan's baseline is
+        # the forecast's NSE
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        y = read_tensor(data / "Y_full.csv").values
+        write_tensor(data / "Y_short.csv", SpatioTemporalTensor(y[:, :, :46]))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_short.csv"),
+                                   "x_true": str(data / "X_full.csv"),
+                                   "penalty": {"kind": "ridge", "lambda": 0.0},
+                                   "sweeps": 2, "sub_iters": 10}))
+        assert run_cli("forecast", "--config", cfg, "--out", tmp_path / "fc") == 0
+        assert run_cli("atom-scan", "--config", cfg, "--out", tmp_path / "scan") == 0
+        lines = (tmp_path / "scan" / "scan.csv").read_text().splitlines()
+        atom, nse_after, delta = lines[2].split(",")
+        assert atom == "baseline" and delta == "0.0"
+        assert float(nse_after) == read_json(tmp_path / "fc" / "metrics.json")["nse"]
+
     def test_atom_scan_with_fixed_mask(self, tmp_path):
         # each removal re-encodes with the removed atom's mask row dropped too
         from test_forecast import noise_atom_fixture

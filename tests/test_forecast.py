@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,32 @@ class TestAtomRemovalScan:
         h_new, _ = encode_new(y_full, model.Wp, penalty, 0.0, cfg)
         want = nse(x_full[:, T:], (model.W @ h_new)[:, T:])
         assert entries[0].nse_after == want
+
+    def test_scores_truth_columns_up_to_the_auxiliary_period(self):
+        model, x_full, y_full, T = noise_atom_fixture(53)
+        cfg = EncodeConfig(seed=3)
+        end = T + (y_full.shape[1] - T) // 2
+        want = atom_removal_scan(model, x_full[:, :end], y_full[:, :end], Penalty.ridge(0.0),
+                                 0.0, cfg)
+        assert atom_removal_scan(model, x_full, y_full[:, :end], Penalty.ridge(0.0), 0.0,
+                                 cfg) == want
+
+    @pytest.mark.parametrize("x_end, y_end, want", [
+        (None, 0, "auxiliary period (48) does not extend two columns past T=48"),
+        (None, 1, "auxiliary period (49) does not extend two columns past T=48"),
+        (-1, None, "truth tensor shorter than auxiliary period (59 < 60 columns)"),
+    ], ids=["aux-at-T", "aux-one-past-T", "truth-short"])
+    def test_short_inputs_raise_before_encoding(self, monkeypatch, x_end, y_end, want):
+        model, x_full, y_full, T = noise_atom_fixture(54)
+        assert (T, y_full.shape[1]) == (48, 60)
+
+        def encode(*args, **kwargs):
+            raise AssertionError("encoded before checking the inputs")
+
+        monkeypatch.setattr(forecast, "encode_new", encode)
+        y_end = None if y_end is None else T + y_end
+        with pytest.raises(ValueError, match=re.escape(want)):
+            atom_removal_scan(model, x_full[:, :x_end], y_full[:, :y_end], Penalty.ridge(0.0))
 
     def test_single_atom_rejected(self):
         rng = np.random.default_rng(71)

@@ -187,6 +187,51 @@ def test_reader_agrees_with_the_general_path(tmp_path_factory, case):
     assert outcome(read, p) == want
 
 
+def _crlf_case(tmp_path, tensor):
+    """A tensor (with a mask row) or matrix file as the writers emit it, and
+    its copy with every line ended ``\\r\\n``."""
+    values = np.random.default_rng(3).standard_normal((3, 2, 4))
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    if tensor:
+        fio.write_tensor(lf, SpatioTemporalTensor(values, np.array([True, False, True, True])))
+    else:
+        fio.write_matrix(lf, values.reshape(6, 4))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    return lf, crlf, fio.read_tensor if tensor else fio.read_matrix
+
+
+@pytest.mark.parametrize("tensor", [True, False], ids=["tensor", "matrix"])
+def test_crlf_file_takes_the_canonical_parse(tmp_path, monkeypatch, tensor):
+    lf, crlf, read = _crlf_case(tmp_path, tensor)
+    want = outcome(read, lf)
+
+    def general(*args):
+        raise AssertionError("took the line-by-line parse")
+
+    monkeypatch.setattr(fio, "_read_general", general)
+    assert outcome(read, crlf) == want
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b.replace(b"\r\n", b"\n", 1), None),
+    (lambda b: b[:-2] + b"\n", None),
+    (lambda b: b.replace(b"\r\n", b"\r", 2), None),
+    (lambda b: b[:-3] + b"x\r\n", "line 14, column 2: could not parse"),
+], ids=["one-lf", "last-lf", "lone-cr", "bad-cell"])
+def test_other_line_ends_take_the_general_parse(tmp_path, monkeypatch, edit, message):
+    lf, crlf, read = _crlf_case(tmp_path, True)
+    crlf.write_bytes(edit(crlf.read_bytes()))
+    calls = []
+    general = fio._read_general
+    monkeypatch.setattr(fio, "_read_general", lambda *args: calls.append(1) or general(*args))
+    got = outcome(read, crlf)
+    assert calls == [1]
+    if message is None:
+        assert got == outcome(read, lf)
+    else:
+        assert message in got
+
+
 @pytest.mark.parametrize("binary, bound", [(False, 4.0), (True, 1.5)])
 def test_read_peak_memory_is_bounded(tmp_path, binary, bound):
     # 100k lines of text: a parse that holds one str per line peaks near

@@ -11,7 +11,9 @@ _spec.loader.exec_module(same_outputs)
 
 # A stand-in for freqfact.cli: each subcommand writes one file into --out
 # from its argv and config; the "changed" tree writes another forecast, and
-# the "broken" one fails its atom-scan.
+# the "broken" one fails its atom-scan.  The "exact" and "loose" trees also
+# write a factorize report.json and forecast metrics.json whose figures
+# differ, and "exact" predates code_change.
 FAKE_CLI = """
 import json, sys
 from pathlib import Path
@@ -27,6 +29,16 @@ def main(argv):
     if cmd == "forecast" and TREE == "changed":
         text += " "
     (out / f"{cmd}.txt").write_text(text)
+    loose = TREE == "loose"
+    if cmd == "factorize" and TREE in ("exact", "loose"):
+        extras = {"code_iters": [20, 5] if loose else [50, 50]}
+        if loose:
+            extras["code_change"] = [0.5, 0.004]
+        report = {"objective_trace": [9.0, 5.5 if loose else 5.25], "extras": extras}
+        (out / "report.json").write_text(json.dumps({"report": report}))
+    if cmd == "forecast" and TREE in ("exact", "loose"):
+        metrics = {"nse": 0.875 if loose else 0.9, "final_objective": 3.0}
+        (out / "metrics.json").write_text(json.dumps(metrics))
     return 0
 """
 
@@ -60,6 +72,22 @@ def test_changed_output_is_listed_and_exits_1(monkeypatch, capsys):
         i = out.index(f"hard_scan seed {seed}: 7 and 7 files, differ")
         assert out[i + 1] == "  differs: out/pred/forecast.txt"
     assert out[-1] == "2 of 2 runs differ"
+
+
+def test_differing_reports_print_both_sides_quality(monkeypatch, capsys):
+    monkeypatch.setattr(same_outputs, "export", fake_export)
+    assert same_outputs.main(["exact", "loose", "--workload", "soft_forecast"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("soft_forecast seed 1: 8 and 8 files, differ")
+    assert out[i + 1:] == [
+        "  differs: out/model/report.json",
+        "    A: objective 5.25, code_iters 100",
+        "    B: objective 5.5, code_iters 25, code_change 0.004",
+        "  differs: out/pred/metrics.json",
+        "    A: objective 3, nse 0.9",
+        "    B: objective 3, nse 0.875",
+        "1 of 1 runs differ",
+    ]
 
 
 def test_failed_subcommand_is_named_and_exits_1(monkeypatch, capsys):

@@ -667,7 +667,7 @@ class TestSsnmfHard:
     def test_full_mask_matches_unregularized_bcd(self, monkeypatch):
         # every bin kept: the top-R projection is the identity, so the hard
         # cycle is the unregularized one with the heuristic's code iteration
-        def projected_gradient(xbar, wbar, h, p, iters, nonneg):
+        def projected_gradient(xbar, wbar, h, p, iters, nonneg, rtol=None):
             gram, cross = wbar.T @ wbar, wbar.T @ xbar
             base = 1.0 / (2.0 * np.linalg.norm(gram, 2) + 1.0)
             steps = [base / (j + 1) for j in range(iters)]
@@ -845,7 +845,8 @@ class TestBcdLoop:
     @pytest.mark.parametrize("name", list(FITS))
     def test_every_fit_records_the_same_things(self, name):
         _, report = self.fit(name, n_iters=4)
-        common = {"initial_objective", "phase_objectives", "h_min_trace", "code_iters"}
+        common = {"initial_objective", "phase_objectives", "h_min_trace", "code_iters",
+                  "code_change"}
         assert set(report.extras) == common | self.FITS[name][2]
         assert report.objective_trace == [p[-1] for p in report.extras["phase_objectives"]]
         assert len(report.extras["h_min_trace"]) == len(report.step_trace) == 4
@@ -1002,3 +1003,215 @@ class TestStackedCodeStep:
         _, step = code_step(Penalty.hard_freq(mask=MASK16))
         with pytest.raises(ValueError, match="mask has 2 rows, H has 4"):
             step(np.ones((3, 16)), list(np.ones((2, 3, 2))), list(np.ones((2, 2, 16))), 3)
+
+
+def fixed_cadence_prox(xbar, wbar, z0, p, n_iters, nonneg=True):
+    """The prox step's ADMM as it ran before it took a stopping tolerance:
+    residuals every ``_ADMM_CHECK`` iterations and at the last, a stop at
+    ``_ADMM_RTOL``, balancing at every check.  A frozen copy: the oracle for
+    a step at the default tolerance.  Returns the code and (iterations run,
+    steps, terminated, primal, dual, rho)."""
+    from freqfact.regularization import penalty_prox
+
+    z0 = np.asarray(z0, dtype=float).copy()
+    gram, cross = wbar.T @ wbar, wbar.T @ xbar
+    two_c = 2.0 * cross
+    n_z = 2 if nonneg else 1
+    eig = solvers._gram_eig(gram, two_c)
+    rho = lip = float(eig[0][-1]) if eig[0][-1] > 0.0 else 1.0
+    mat, offset = solvers._h_step(eig, rho, n_z)
+    grad0 = math.sqrt(solvers._sq_norms(two_c))
+    code0 = grad0 / lip
+    if nonneg:
+        np.maximum(z0, 0.0, out=z0)
+    u = np.zeros((n_z,) + z0.shape)
+    u1, u2 = u[0] if nonneg else None, u[-1]
+    w = n_z * z0
+    h = np.empty_like(z0)
+    steps, last_check = [], 0
+    for it in range(n_iters):
+        check = (it + 1) % solvers._ADMM_CHECK == 0 or it == n_iters - 1
+        if check:
+            prev = np.concatenate((u, w[None]))
+        np.matmul(mat, w, out=h)
+        h += offset
+        if nonneg:
+            u1 += h
+            np.abs(u1, out=w)
+            np.minimum(u1, 0.0, out=u1)
+        u2 += h
+        z2 = penalty_prox(u2, p, 1.0 / rho)
+        u2 -= z2
+        if nonneg:
+            w += z2
+            w -= u2
+        else:
+            np.subtract(z2, u2, out=w)
+        if not check:
+            continue
+        change = np.concatenate((u, w[None], h[None], u2[None]))
+        change[: n_z + 1] -= prev
+        for du in change[:n_z]:
+            change[n_z] += du
+        if nonneg:
+            change[-1] += u1
+        *sq_du, sq_dz, sq_h, sq_u = solvers._sq_norms(change).tolist()
+        steps.extend([1.0 / rho] * (it + 1 - last_check))
+        last_check = it + 1
+        primal, dual = math.sqrt(sum(sq_du)), rho * math.sqrt(sq_dz)
+        rel_p = primal / max(math.sqrt(n_z * sq_h), code0, 1e-300)
+        rel_d = dual / max(rho * math.sqrt(sq_u), grad0, 1e-300)
+        done = rel_p <= solvers._ADMM_RTOL and rel_d <= solvers._ADMM_RTOL
+        if done or it == n_iters - 1:
+            break
+        if rel_p > solvers._ADMM_MU * rel_d or rel_d > solvers._ADMM_MU * rel_p:
+            factor = solvers._ADMM_TAU if rel_p > rel_d else 1.0 / solvers._ADMM_TAU
+            w += u.sum(axis=0) * (1.0 - 1.0 / factor)
+            u /= factor
+            rho *= factor
+            mat, offset = solvers._h_step(eig, rho, n_z)
+    if nonneg:
+        z2 *= (h + prev[0]) > 0.0
+        np.maximum(z2, 0.0, out=z2)
+    return z2, (it + 1, steps, "tol_reached" if done else "max_iters", primal, dual, rho)
+
+
+class TestInexactCodeSteps:
+    """A convex fit's code steps stop at a tolerance tied to the outer
+    progress; hard bands and the default tolerance keep the exact stop."""
+
+    CONVEX = {"ridge": Penalty.ridge(1.0), "lasso": Penalty.lasso(1.0),
+              "soft_freq": Penalty.soft_freq(1.0)}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_tolerance_matches_the_fixed_cadence_step(self, seed):
+        rng = np.random.default_rng(seed)
+        k, T = int(rng.integers(1, 5)), int(rng.integers(8, 48))
+        m = k + int(rng.integers(1, 6))
+        xbar = rng.standard_normal((m, T)) + 1.0
+        wbar = rng.standard_normal((m, k))
+        h0 = np.abs(rng.standard_normal((k, T)))
+        band = FrequencyMask.same(k, T, rng.choice(T // 2 + 1, 2, replace=False))
+        for p, nonneg in [(Penalty.ridge(0.3), True), (Penalty.lasso(0.2), True),
+                          (Penalty.lasso(0.2), False), (Penalty.soft_freq(0.5), True),
+                          (Penalty.soft_freq(0.5), False), (Penalty.hard_freq(mask=band), True)]:
+            for cap in (1, 7, 20, 21, 45, 300):
+                want, (iters, steps, terminated, primal, dual, rho) = fixed_cadence_prox(
+                    xbar, wbar, h0, p, cap, nonneg)
+                for kwargs in ({}, {"rtol": solvers._ADMM_RTOL}):
+                    got, report = solve_H_prox(xbar, wbar, h0, p, cap, nonneg, **kwargs)
+                    assert got.tobytes() == want.tobytes()
+                    assert (report.wall_iters, report.step_trace, report.terminated) == (
+                        iters, steps, terminated)
+                    assert report.extras == {"primal_residual": primal, "dual_residual": dual,
+                                             "rho": rho}
+
+    def test_a_loose_step_stops_at_a_stop_check_and_balances_on_its_cadence(self):
+        y, wp = soft_forecast_encode()
+        h0 = np.abs(np.random.default_rng(0).standard_normal((4, y.shape[1])))
+        p = Penalty.soft_freq(0.1)
+        _, exact = solve_H_prox(y, wp, h0, p, 300)
+        _, loose = solve_H_prox(y, wp, h0, p, 300, rtol=1e-3)
+        assert loose.terminated == "tol_reached" and loose.wall_iters < exact.wall_iters
+        assert loose.wall_iters % solvers._ADMM_STOP_CHECK == 0
+        assert max(loose.extras["primal_residual"], loose.extras["dual_residual"]) > 0.0
+        # rho, and so the step, changes only at multiples of _ADMM_CHECK
+        steps = loose.step_trace
+        for j in range(1, len(steps)):
+            assert steps[j] == steps[j - 1] or j % solvers._ADMM_CHECK == 0
+        assert steps == exact.step_trace[: len(steps)]
+
+    @pytest.mark.parametrize("kind", list(CONVEX))
+    def test_convex_objective_traces_never_increase(self, kind):
+        x_all, ys = make_example_data(d=10, T=60, freqs=(4, 9), seed=300)
+        for seed in range(20):
+            _, report = ssnmf_bcd(x_all, ys, Hyper(2, 1.0, self.CONVEX[kind]), n_iters=10,
+                                  sub_iters=30, seed=seed)
+            trace = [report.extras["initial_objective"]] + report.objective_trace
+            for a, b in zip(trace, trace[1:]):
+                assert b <= a
+
+    def test_step_tolerance_follows_the_code_change(self, monkeypatch):
+        tolerances = []
+        prox = solvers.solve_H_prox
+
+        def recording(*args, rtol, **kwargs):
+            tolerances.append(rtol)
+            return prox(*args, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_H_prox", recording)
+        x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=5)
+        _, report = ssnmf_bcd(x, y, Hyper(2, 1.0, Penalty.soft_freq(0.5)), 12, 40, seed=2)
+        change = report.extras["code_change"]
+        assert len(change) == len(tolerances) == 12
+        want = [min(max(solvers._CODE_RTOL_KAPPA * c, solvers._ADMM_RTOL),
+                    solvers._CODE_RTOL_MAX) for c in [1.0] + change[:-1]]
+        assert tolerances == want
+        assert tolerances[0] == solvers._CODE_RTOL_MAX
+        assert sum(report.extras["code_iters"]) < 12 * 40
+
+    def test_code_change_is_the_successive_difference(self, monkeypatch):
+        codes = []
+        prox = solvers.solve_H_prox
+
+        def recording(xbar, wbar, h0, *args, **kwargs):
+            codes.append(np.array(h0))
+            return prox(xbar, wbar, h0, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_H_prox", recording)
+        x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=5)
+        model, report = ssnmf_bcd(x, y, Hyper(2, 1.0, Penalty.ridge(0.5)), 5, 40, seed=2)
+        codes.append(model.H)
+        for change, old, new in zip(report.extras["code_change"], codes, codes[1:]):
+            assert change == np.linalg.norm(new - old) / np.linalg.norm(new)
+
+    def worsened_fit(self, monkeypatch, worse, tol=None):
+        """A lasso fit whose code steps numbered in ``worse`` (from 1) return
+        a worse code; returns its report and each step's tolerance."""
+        tolerances = []
+        prox = solvers.solve_H_prox
+
+        def worsening(xbar, wbar, h0, p, n_iters, nonneg, rtol):
+            tolerances.append(rtol)
+            h, report = prox(xbar, wbar, h0, p, n_iters, nonneg, rtol=rtol)
+            return (h + 5.0 if len(tolerances) in worse else h), report
+
+        monkeypatch.setattr(solvers, "solve_H_prox", worsening)
+        x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=5)
+        _, report = ssnmf_bcd(x, y, Hyper(2, 1.0, Penalty.lasso(0.5)), 9, 40, seed=2, tol=tol)
+        return report, tolerances
+
+    def test_a_code_that_raises_the_objective_is_dropped(self, monkeypatch):
+        # the loop keeps the old code, records no change and runs the next
+        # step at the exact stop
+        report, tolerances = self.worsened_fit(monkeypatch, {3, 6, 9})
+        change, trace = report.extras["code_change"], report.objective_trace
+        for it in (2, 5, 8):
+            assert tolerances[it] > solvers._ADMM_RTOL
+            assert change[it] == 0.0 and trace[it] == trace[it - 1]
+            assert report.extras["phase_objectives"][it][0] == trace[it - 1]
+        assert tolerances[3] == tolerances[6] == solvers._ADMM_RTOL
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_tol_stops_at_a_dropped_exact_step_only(self, monkeypatch):
+        # step 3 is loose and dropped, step 4 exact and dropped
+        report, tolerances = self.worsened_fit(monkeypatch, {3, 4}, tol=1e-12)
+        assert tolerances[2] > solvers._ADMM_RTOL and tolerances[3] == solvers._ADMM_RTOL
+        assert report.terminated == "tol_reached" and report.wall_iters == 4
+
+    @pytest.mark.parametrize("penalty", [Penalty.hard_freq(R=2), Penalty.hard_freq(mask=MASK16)],
+                             ids=["top_r", "fixed_mask"])
+    def test_hard_fits_keep_the_exact_stop(self, monkeypatch, penalty):
+        x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=6)
+
+        def fit(kappa):
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers, "_CODE_RTOL_KAPPA", kappa)
+                return ssnmf_hard(x, y, Hyper(2, 1.0, penalty), None, 6, seed=1, sub_iters=40)
+
+        # kappa 0 runs every step at the default tolerance, a huge kappa at the
+        # loosest: a hard fit is the same bit for bit
+        (exact, exact_report), (loose, loose_report) = fit(0.0), fit(1e12)
+        for a, b in zip((exact.W, exact.Wp, exact.H), (loose.W, loose.Wp, loose.H)):
+            assert a.tobytes() == b.tobytes()
+        assert exact_report.to_dict() == loose_report.to_dict()

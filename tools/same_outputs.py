@@ -14,7 +14,10 @@ each subcommand in a fresh interpreter with BLAS fixed to one thread, in a
 work directory of its own with the same relative paths, so paths echoed
 into the outputs agree.  The script then compares the sha256 of every file
 either side wrote, lists each file that differs or exists on one side only,
-and names any subcommand that did not exit 0.  It exits 0 when every file of
+and names any subcommand that did not exit 0.  Under a differing
+``report.json`` or ``metrics.json`` it prints both sides' quality figures:
+the final objective, the summed ``code_iters``, the last ``code_change`` and
+the NSE, whichever the file holds.  It exits 0 when every file of
 every run is equal, 1 otherwise.  It leaves the repository's files, index
 and refs as they are and removes the exports.
 """
@@ -108,6 +111,24 @@ def compare(a: dict, b: dict) -> list:
     return lines
 
 
+def quality(path: Path) -> str:
+    """The final objective, summed ``code_iters``, last ``code_change`` and
+    NSE that a ``report.json`` or ``metrics.json`` holds, as one line."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        return f"unreadable ({exc})"
+    report = data.get("report") or {}
+    extras = report.get("extras") or {}
+    trace = report.get("objective_trace")
+    figures = {"objective": trace[-1] if trace else data.get("final_objective"),
+               "code_iters": sum(extras["code_iters"]) if "code_iters" in extras else None,
+               "code_change": extras["code_change"][-1] if extras.get("code_change") else None,
+               "nse": data.get("nse")}
+    shown = [f"{name} {value:.10g}" for name, value in figures.items() if value is not None]
+    return ", ".join(shown) or "no quality figures"
+
+
 def _names(text: str) -> list:
     return [item.strip() for item in text.split(",")]
 
@@ -143,7 +164,11 @@ def main(argv=None) -> int:
                           for side in trees}
                 lines = [f"{side}: {msg}" for side in trees for msg in failed[side]]
                 found = {side: digests(work[side]) for side in trees}
-                lines += compare(found["A"], found["B"])
+                for line in compare(found["A"], found["B"]):
+                    lines.append(line)
+                    file = line.removeprefix("differs: ")
+                    if file != line and Path(file).name in ("report.json", "metrics.json"):
+                        lines += [f"  {side}: {quality(work[side] / file)}" for side in trees]
                 bad += bool(lines)
                 verdict = "differ" if lines else "all sha256-equal"
                 print(f"{name} seed {seed}: {len(found['A'])} and {len(found['B'])} files, "
