@@ -338,6 +338,8 @@ def cmd_factorize(args) -> int:
     points = []
     for i, over in enumerate(cfg.grid):
         try:
+            if "grid" in over:
+                raise ValueError("a grid point cannot hold a nested 'grid'")
             points.append(_factorize_config({**base, "seed": _point_seed(cfg.seed, i), **over}))
         except ValueError as exc:
             raise ValueError(f"grid[{i}]: {exc}") from None
@@ -399,7 +401,8 @@ def cmd_forecast(args) -> int:
     if cfg.x_true:
         x_true = load(cfg.x_true)
         if x_true.shape[1] < y_full.shape[1]:
-            raise ValueError("truth tensor shorter than auxiliary period")
+            raise ValueError(f"{cfg.x_true}: truth tensor shorter than auxiliary period "
+                             f"({x_true.shape[1]} < {y_full.shape[1]} columns)")
         score = nse(x_true[:, T : y_full.shape[1]], w @ h_new)
     pred = predict(w, h_new, A, B)
 

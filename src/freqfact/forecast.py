@@ -14,6 +14,10 @@ heuristic solves them in one pass, running its FFTs and top-R selection
 over all r + r (r - 1) code rows at once, with one batched G H per width;
 the prox step solves them one after another.  Each block's code equals bit
 for bit that of a separate encode.
+
+Code steps return codes, not scores: an encode scores each code it returns
+once, exactly, as ||Y - Wp H||_F^2 plus the penalty a fit scores, the rule
+the block-coordinate fit keeps its codes by.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .regularization import Penalty
-from .solvers import FactorModel, SolveReport, _require_finite, code_step
+from .solvers import FactorModel, SolveReport, code_step
+from .solvers import _require_finite, _scored_penalty, _sq_residual
 from .spectral import FrequencyMask
 from .tensor import SpatioTemporalTensor, fold
 
@@ -72,20 +77,22 @@ def encode_new(
         argmin_{H >= 0}  ||Y_full - Wp H||_F^2 + (lam/xi) * psi(H)
 
     The penalty weight is ``lam_over_xi`` regardless of the weight stored in
-    ``penalty``.  Output is elementwise nonnegative.  The report holds the
-    objective of the code each round returns, each round's first step, and
-    in ``wall_iters`` the code-step iterations run; a non-finite code or
-    objective raises :class:`~freqfact.exceptions.ConvergenceError` naming
-    the round.  The code step records no per-iteration diagnostics here
-    (see :func:`~freqfact.solvers.code_step`), since only each round's last
-    objective is kept.
+    ``penalty``.  Output is elementwise nonnegative.  The report holds one
+    objective, that of the returned code, scored once after the last round
+    as ||Y_full - Wp H||_F^2 plus the penalty at ``lam_over_xi`` (0 for a
+    hard band), each round's first step, and in ``wall_iters`` the
+    code-step iterations run.  A non-finite code after any round, or a
+    non-finite objective, raises
+    :class:`~freqfact.exceptions.ConvergenceError` naming the round.  The
+    code step records no per-iteration diagnostics here (see
+    :func:`~freqfact.solvers.code_step`).
 
     ``wp`` may also be a sequence of B dictionaries (m, k_b), of equal or
-    unequal widths: they encode together, one code step per round over
-    all blocks, and the call returns a list of B codes (k_b, T) and a list
-    of B reports, each equal bit for bit to a separate 2-D call's.  Every block starts from the seeded code of its width, a
-    fixed mask in ``penalty`` holds the blocks' rows in order, and a
-    non-finite block is named.
+    unequal widths: they encode together, one code step per round over all
+    blocks, and the call returns a list of B codes (k_b, T) and a list of B
+    reports, each equal bit for bit to a separate 2-D call's.  Every block
+    starts from the seeded code of its width, a fixed mask in ``penalty``
+    holds the blocks' rows in order, and a non-finite block is named.
     """
     y_full = np.asarray(y_full, dtype=float)
     if lam_over_xi < 0:
@@ -98,7 +105,8 @@ def encode_new(
     starts = {k: np.abs(np.random.default_rng(config.seed).standard_normal((k, y_full.shape[1])))
               for k in set(widths)}
     h = [starts[k] for k in widths]
-    variant, step = code_step(replace(penalty, lam=lam_over_xi), _diagnostics=False)
+    pen = replace(penalty, lam=lam_over_xi)
+    variant, step = code_step(pen, _diagnostics=False)
     rounds, iters = config.sweeps, config.sub_iters
     if variant == "prox":
         rounds, iters = 1, rounds * iters
@@ -107,11 +115,13 @@ def encode_new(
         for it in range(rounds):
             h, subs = step(y_full, dictionaries, h, iters)
             for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
-                _require_finite("encode_new", it, None if flat else b, H=hb,
-                                objective=sub.objective_trace[-1])
-                report.objective_trace.append(sub.objective_trace[-1])
+                _require_finite("encode_new", it, None if flat else b, H=hb)
                 report.step_trace.append(sub.step_trace[0])
                 report.wall_iters += sub.wall_iters
+        for b, (report, w, hb) in enumerate(zip(reports, dictionaries, h)):
+            val = _sq_residual(y_full, w, hb) + _scored_penalty(hb, pen)
+            _require_finite("encode_new", rounds - 1, None if flat else b, objective=val)
+            report.objective_trace.append(val)
     return (h[0], reports[0]) if flat else (h, reports)
 
 

@@ -40,11 +40,13 @@ one top-R selection over all sum k_b rows, and one batched G H per run of
 blocks of one width, per iteration.  :func:`solve_H_prox` solves the blocks
 one after another.
 
-Diagnostics: :func:`solve_H_prox` scores only the code it returns and
-records the iterations it ran, its step per iteration and its last primal
-and dual residuals and penalty parameter; by default :func:`alternating_pgd`
-records every iterate's objective and off-mask ratio, which the loop keeps,
-while encoding asks it for the last objective only.  :func:`ssnmf_hard`
+Code steps return codes, not scores: the driver that keeps a code scores
+it, once and exactly, as ||X - W H||_F^2 terms plus :func:`_scored_penalty`
+(the loop here, :func:`~freqfact.forecast.encode_new` for an encode).
+Diagnostics: :func:`solve_H_prox` records the iterations it ran, its step
+per iteration and its last primal and dual residuals and penalty parameter;
+by default :func:`alternating_pgd` records every iterate's off-mask ratio,
+which the loop keeps, while encoding asks for none.  :func:`ssnmf_hard`
 measures the returned code's off-band ratio once, in ``offmask_final``,
 and the loop records each code step's iteration count in ``code_iters`` and
 its relative change of the code in ``code_change``.
@@ -78,10 +80,6 @@ __all__ = [
 # Relative eigenvalue floor below which a Gram matrix counts as singular.
 _GRAM_RTOL = 1e-13
 
-# Gram-form residuals at or below this fraction of ||Xbar||^2 are recomputed
-# exactly: the form's rounding error is a fixed fraction of ||Xbar||^2.
-_GRAM_FALLBACK_RTOL = 1e-6
-
 # The prox step's ADMM measures its residuals every _ADMM_CHECK iterations
 # and stops once both are within _ADMM_RTOL of their scales; otherwise
 # residual balancing scales rho by _ADMM_TAU when one relative residual
@@ -102,8 +100,9 @@ _CODE_RTOL_MAX = 1e-2
 
 @dataclass
 class SolveReport:
-    """Per-run record: objective per (outer) iteration, step sizes used,
-    termination cause, and solver-specific extras."""
+    """Per-run record: objective per outer iteration of a fit or per encode
+    (a code step's stays empty), step sizes used, termination cause, and
+    solver-specific extras."""
 
     objective_trace: list[float] = field(default_factory=list)
     step_trace: list[float] = field(default_factory=list)
@@ -174,9 +173,9 @@ def objective(x: np.ndarray, y: np.ndarray, model: FactorModel) -> float:
     if y.shape[1] < T:
         raise ValueError(f"Y has {y.shape[1]} columns, needs at least {T}")
     h = model.hyper
-    val = _objective_smooth(x, y[:, :T], model)
-    pen = penalty_value(model.H, h.penalty)
-    return float(val + pen)
+    val = _smooth_sum(h.xi, _fit_terms(x, model.W, model.H, h.lambda1),
+                      _fit_terms(y[:, :T], model.Wp, model.H, h.lambda2))
+    return float(val + penalty_value(model.H, h.penalty))
 
 
 def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
@@ -189,19 +188,6 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     np.subtract(x, r, out=r)
     np.square(r, out=r)
     return float(np.sum(r))
-
-
-def _gram_sq_residual(xbar, wbar, x_sq, cross, h, gh) -> float:
-    """||Xbar - Wbar H||_F^2 as ||Xbar||^2 - 2<C, H> + <H, G H>, from
-    x_sq = ||Xbar||^2, C = Wbar^T Xbar and gh = G H with G = Wbar^T Wbar.
-
-    The form's rounding error is a fixed fraction of ||Xbar||^2, so at or
-    below ``_GRAM_FALLBACK_RTOL`` of it the exact residual is returned.
-    """
-    val = x_sq - 2.0 * float(np.vdot(cross, h)) + float(np.vdot(h, gh))
-    if val <= _GRAM_FALLBACK_RTOL * x_sq:
-        val = _sq_residual(xbar, wbar, h)
-    return val
 
 
 class _Run(NamedTuple):
@@ -262,7 +248,7 @@ class _Blocks:
 
 
 def _fit_terms(x: np.ndarray, w: np.ndarray, h: np.ndarray, ridge: float):
-    """One dictionary's terms of :func:`_objective_smooth`:
+    """One dictionary's terms of the smooth objective:
     (||X - W H||_F^2, ridge ||W||_F^2, or None when ridge is 0)."""
     return _sq_residual(x, w, h), ridge * float(np.sum(w**2)) if ridge else None
 
@@ -275,13 +261,6 @@ def _smooth_sum(xi: float, fx, fy) -> float:
         if ridge is not None:
             val += ridge
     return val
-
-
-def _objective_smooth(x: np.ndarray, y_t: np.ndarray, model: FactorModel) -> float:
-    """Objective without the code penalty (finite even off the hard set)."""
-    h = model.hyper
-    return _smooth_sum(h.xi, _fit_terms(x, model.W, model.H, h.lambda1),
-                       _fit_terms(y_t, model.Wp, model.H, h.lambda2))
 
 
 def _scored_penalty(h: np.ndarray, p: Penalty) -> float:
@@ -633,12 +612,10 @@ def solve_H_prox(
     nonnegative, with the exact zeros of both splits (the orthant's and a
     lasso's or a dead atom's), and exactly in a fixed mask's band wherever
     the orthant does not bind; without the orthant, Z2.  The report
-    holds that code's objective (the fit in the Gram form, exact near zero
-    residual, as :func:`alternating_pgd` scores it, plus
-    :func:`_scored_penalty`), ``wall_iters`` (the iterations run), the step
-    1/rho of each of them, ``terminated`` ("tol_reached" or "max_iters")
-    and, in ``extras``, the last ``primal_residual``, ``dual_residual`` and
-    ``rho``.
+    holds no objective: the caller scores the code it keeps.  It holds
+    ``wall_iters`` (the iterations run), the step 1/rho of each of them,
+    ``terminated`` ("tol_reached" or "max_iters") and, in ``extras``, the
+    last ``primal_residual``, ``dual_residual`` and ``rho``.
 
     Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar`` (m, k_b)
     run B independent problems against the one ``xbar``, one after another;
@@ -667,8 +644,7 @@ def solve_H_prox(
 def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
     """:func:`solve_H_prox` on one (k, T) code ``z0``, which it overwrites,
     with its (m, k) dictionary ``wbar``; returns the code and its report."""
-    gram, cross = wbar.T @ wbar, wbar.T @ xbar
-    two_c = 2.0 * cross
+    gram, two_c = wbar.T @ wbar, 2.0 * (wbar.T @ xbar)
     n_z = 2 if nonneg else 1
     eig = _gram_eig(gram, two_c)
     rho = lip = float(eig[0][-1]) if eig[0][-1] > 0.0 else 1.0  # L, or 1 for G = 0
@@ -734,10 +710,9 @@ def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
         # Z2 where Z1 = max(H + U1, 0) is positive, else 0
         z2 *= (h + prev[0]) > 0.0
         np.maximum(z2, 0.0, out=z2)
-    fit = _gram_sq_residual(xbar, wbar, float(np.vdot(xbar, xbar)), cross, z2, gram @ z2)
     return z2, SolveReport(
-        [fit + _scored_penalty(z2, p)], steps, "tol_reached" if done else "max_iters", it + 1,
-        {"primal_residual": primal, "dual_residual": dual, "rho": rho})
+        step_trace=steps, terminated="tol_reached" if done else "max_iters", wall_iters=it + 1,
+        extras={"primal_residual": primal, "dual_residual": dual, "rho": rho})
 
 
 def alternating_pgd(
@@ -763,18 +738,13 @@ def alternating_pgd(
 
     All rows are projected at once on their ``rfft`` half-spectra, with the
     masks chosen by :func:`~freqfact.spectral.top_r_keep` (R rounds of
-    ``argmax``, which pick the bins a stable sort would).  The objective
-    trace uses the Gram form ||Xbar||^2 - 2<C, H> + <H, G H> with
-    G = Wbar^T Wbar and C = Wbar^T Xbar.  Its rounding error is a fixed
-    fraction of ||Xbar||^2, so at or below 1e-6 ||Xbar||^2 the exact
-    residual is recorded instead.
+    ``argmax``, which pick the bins a stable sort would).  The report
+    holds no objective: the caller scores the code it keeps.
 
     ``extras["offmask_after_projection"]`` records, per iteration, the
     largest per-row relative out-of-mask spectral mass measured immediately
     after the frequency projection.  With ``_diagnostics=False`` it is not
-    recorded and the objective trace holds only the last iterate's
-    objective, which saves one ``rfft`` and one Gram-form objective per
-    iteration.
+    recorded, which saves one ``rfft`` per iteration.
 
     Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar``
     (m, k_b), of equal or unequal widths, run B independent problems against
@@ -789,7 +759,7 @@ def alternating_pgd(
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
     blocks = _Blocks(h0, wbar)
-    h, T, B = blocks.rows, blocks.rows.shape[1], len(blocks.widths)
+    h, T = blocks.rows, blocks.rows.shape[1]
     # each block's G and C formed as a 2-D call forms them, so stacked and
     # separate solves agree bit for bit
     gram = [w.T @ w for w in blocks.wbar]
@@ -801,8 +771,6 @@ def alternating_pgd(
              np.stack([cross[b] for b in run.blocks]),
              (gammas[run.blocks].T * 2.0)[:, :, None, None])
             for run in blocks.runs]
-    x_sq = float(np.sum(xbar * xbar))
-    objectives = [[] for _ in range(B)]
     offmask = []  # per iteration, each block's largest row ratio
 
     def freq_project(m):
@@ -833,14 +801,7 @@ def alternating_pgd(
             np.maximum(h, 0.0, out=h)
             gradient_step(h, j)
             h = freq_project(h)
-        if _diagnostics or j == n_iters - 1:
-            for run, g_gram, *_ in runs:
-                hr = blocks.view(h, run)
-                for b, hb, ghb in zip(run.blocks, hr, np.matmul(g_gram, hr)):
-                    objectives[b].append(
-                        _gram_sq_residual(xbar, blocks.wbar[b], x_sq, cross[b], hb, ghb))
-    reports = [SolveReport(trace, steps, wall_iters=n_iters)
-               for trace, steps in zip(objectives, gammas.tolist())]
+    reports = [SolveReport(step_trace=steps, wall_iters=n_iters) for steps in gammas.tolist()]
     if _diagnostics:
         for report, trace in zip(reports, np.array(offmask).T.tolist()):
             report.extras["offmask_after_projection"] = trace
@@ -860,10 +821,10 @@ def code_step(
     solver on min ||Xbar - Wbar H||_F^2 + p(H), warm-started at ``h0``: the
     heuristic runs ``iters`` iterations, the prox step at most ``iters``, as
     it stops on its residuals (its report's ``wall_iters`` counts them); the
-    prox ``step`` also takes :func:`solve_H_prox`'s ``rtol``.  The
-    report's last objective is that of the returned code.  The penalty alone
-    decides: an adaptive top-R band (hard_freq
-    without a fixed mask) is not convex and runs "heuristic"
+    prox ``step`` also takes :func:`solve_H_prox`'s ``rtol``.  The report
+    holds no objective: the caller scores the code it keeps.  The penalty
+    alone decides: an adaptive top-R band (hard_freq without a fixed mask)
+    is not convex and runs "heuristic"
     (:func:`alternating_pgd` with ``p.R``); every other penalty, a fixed
     mask included, runs "prox" (:func:`solve_H_prox`).  ``nonneg`` goes to
     the prox step, ``priority`` and ``_diagnostics`` to the heuristic.

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqfact import FrequencyMask, SpatioTemporalTensor, cli
+import freqfact.solvers as solvers
+from freqfact import FrequencyMask, Penalty, SpatioTemporalTensor, cli
 from freqfact.cli import check_config, main, penalty_from_dict
 from freqfact.io import read_json, read_matrix, read_tensor, write_tensor
 
@@ -152,6 +153,17 @@ class TestFactorize:
                                    "grid": []}))
         assert run_cli("factorize", "--config", cfg, "--out", tmp_path / "o") == 2
 
+    def test_nested_grid_exits_2_before_any_output(self, tmp_path, capsys):
+        # no input file exists: the point is rejected before any is read
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"x": "X.csv", "y": "Y.csv",
+                                   "grid": [{"xi": 1.0}, {"xi": 0.5, "grid": [{"xi": 9}]}]}))
+        out = tmp_path / "o"
+        assert run_cli("factorize", "--config", cfg, "--out", out) == 2
+        assert ("input error: grid[1]: a grid point cannot hold a nested 'grid'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_nonfinite_matrix_input_exits_2(self, tmp_path):
         bad = tmp_path / "m"
         bad.mkdir()
@@ -251,6 +263,27 @@ class TestForecastCli:
         slices = sorted((out / "pred").glob("slice_*.csv"))
         assert len(slices) == 12
 
+    @pytest.mark.parametrize("penalty", [Penalty.soft_freq(1.0), Penalty.hard_freq(R=2)],
+                             ids=["prox", "heuristic"])
+    def test_final_objective_scores_the_written_code(self, tmp_path, penalty):
+        # metrics.json's objective is the encode's exact score of H_new_full.csv
+        data = synth_dataset(tmp_path, d=8, T=48, freqs=(3, 7), sigma=0.2, x_sigma=0.2)
+        model = factorize(tmp_path, data, train_t=36, n_iters=3, sub_iters=10)
+        ys = [str(data / "Y0.csv"), str(data / "Y1.csv")]
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({
+            "model": str(model), "y": ys, "x_true": str(data / "X.csv"),
+            "penalty": {"kind": penalty.kind, "lambda": 1.0, "R": penalty.R},
+            "lam_over_xi": 0.2, "sweeps": 3, "sub_iters": 10, "seed": 1,
+        }))
+        out = tmp_path / "fc"
+        assert run_cli("forecast", "--config", cfg, "--out", out) == 0
+        y_full = cli._MatrixLoader().aux(ys)
+        wp, h = read_matrix(model / "Wp.csv"), read_matrix(out / "H_new_full.csv")
+        scored = Penalty(penalty.kind, 0.2, penalty.R)
+        want = solvers._sq_residual(y_full, wp, h) + solvers._scored_penalty(h, scored)
+        assert read_json(out / "metrics.json")["final_objective"] == want
+
     def test_soft_forecast_reruns_are_byte_identical(self, tmp_path):
         data = synth_dataset(tmp_path, d=8, T=48, freqs=(3, 7), sigma=0.2, x_sigma=0.2)
         model = factorize(tmp_path, data, train_t=36, n_iters=3, sub_iters=10)
@@ -305,7 +338,8 @@ class TestForecastCli:
         ("forecast", {"y": "Y_train.csv"}, "auxiliary period (40) does not extend past T=40",
          True),
         ("forecast", {"y": []}, "config needs at least one auxiliary tensor path under 'y'", True),
-        ("forecast", {"x_true": "X_short.csv"}, "truth tensor shorter than auxiliary period",
+        ("forecast", {"x_true": "X_short.csv"},
+         "{data}/X_short.csv: truth tensor shorter than auxiliary period (46 < 52 columns)\n",
          False),
         ("atom-scan", {"x_true": None}, "atom-scan config needs 'x_true' (truth tensor path)",
          True),
@@ -338,7 +372,7 @@ class TestForecastCli:
             (tmp_path / "c.json").write_text(json.dumps(cfg))
             argv = [command, "--config", tmp_path / "c.json"]
         assert run_cli(*argv, "--out", out) == 2
-        assert f"input error: {want}" in capsys.readouterr().err
+        assert f"input error: {want.format(data=data)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_evaluate_command(self, tmp_path):

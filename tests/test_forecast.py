@@ -53,6 +53,30 @@ def noise_atom_fixture(seed):
 
 
 class TestEncode:
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "sequence"])
+    @pytest.mark.parametrize("kind", ["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"])
+    def test_objective_is_the_exact_score_of_the_code(self, kind, flat):
+        # one value per encode, the rule the fit keeps its codes by, bit for bit
+        rng = np.random.default_rng(67)
+        y = np.abs(rng.standard_normal((9, 24)))  # noisy: no exact fit exists
+        widths = (3,) if flat else (3, 2, 2)
+        wps = [rng.standard_normal((9, k)) for k in widths]
+        penalty = {
+            "ridge": Penalty.ridge(1.0),
+            "lasso": Penalty.lasso(1.0),
+            "soft_freq": Penalty.soft_freq(1.0),
+            "heuristic": Penalty.hard_freq(R=2),
+            "fixed_mask": Penalty.hard_freq(mask=FrequencyMask.same(sum(widths), 24, [0, 2])),
+        }[kind]
+        cfg = EncodeConfig(sweeps=3, sub_iters=10, seed=8)
+        h, reports = encode_new(y, wps[0] if flat else wps, penalty, 0.7, cfg)
+        if flat:
+            h, reports = [h], [reports]
+        scored = replace(penalty, lam=0.7)
+        for hb, report, wp in zip(h, reports, wps, strict=True):
+            want = solvers._sq_residual(y, wp, hb) + solvers._scored_penalty(hb, scored)
+            assert report.objective_trace == [want]
+
     def test_identity_dictionary_clamps(self):
         rng = np.random.default_rng(60)
         y = rng.standard_normal((3, 7))
@@ -106,7 +130,7 @@ class TestEncode:
         # sweeps * sub_iters caps the one round; the residual stop ends it sooner
         assert len(long.objective_trace) == 1 and long.wall_iters < 1000
         assert short.wall_iters <= 50
-        # both may have converged, to the Gram form's rounding
+        # both may have converged, to rounding
         assert long.objective_trace[-1] <= short.objective_trace[-1] * (1.0 + 1e-12)
 
     def test_deterministic_given_seed(self):

@@ -13,7 +13,8 @@ _spec.loader.exec_module(same_outputs)
 # from its argv and config; the "changed" tree writes another forecast, and
 # the "broken" one fails its atom-scan.  The "exact" and "loose" trees also
 # write a factorize report.json and forecast metrics.json whose figures
-# differ, and "exact" predates code_change.
+# differ, and "exact" predates code_change; "lastbit" writes exact's files
+# with a final objective one unit in the last place higher.
 FAKE_CLI = """
 import json, sys
 from pathlib import Path
@@ -30,14 +31,15 @@ def main(argv):
         text += " "
     (out / f"{cmd}.txt").write_text(text)
     loose = TREE == "loose"
-    if cmd == "factorize" and TREE in ("exact", "loose"):
+    if cmd == "factorize" and TREE in ("exact", "loose", "lastbit"):
         extras = {"code_iters": [20, 5] if loose else [50, 50]}
         if loose:
             extras["code_change"] = [0.5, 0.004]
         report = {"objective_trace": [9.0, 5.5 if loose else 5.25], "extras": extras}
         (out / "report.json").write_text(json.dumps({"report": report}))
-    if cmd == "forecast" and TREE in ("exact", "loose"):
-        metrics = {"nse": 0.875 if loose else 0.9, "final_objective": 3.0}
+    if cmd == "forecast" and TREE in ("exact", "loose", "lastbit"):
+        metrics = {"nse": 0.875 if loose else 0.9,
+                   "final_objective": 3.0000000000000004 if TREE == "lastbit" else 3.0}
         (out / "metrics.json").write_text(json.dumps(metrics))
     return 0
 """
@@ -81,11 +83,27 @@ def test_differing_reports_print_both_sides_quality(monkeypatch, capsys):
     i = out.index("soft_forecast seed 1: 8 and 8 files, differ")
     assert out[i + 1:] == [
         "  differs: out/model/report.json",
+        "    keys: report.extras.code_change, report.extras.code_iters, report.objective_trace",
         "    A: objective 5.25, code_iters 100",
         "    B: objective 5.5, code_iters 25, code_change 0.004",
         "  differs: out/pred/metrics.json",
-        "    A: objective 3, nse 0.9",
-        "    B: objective 3, nse 0.875",
+        "    keys: nse",
+        "    A: objective 3.0, nse 0.9",
+        "    B: objective 3.0, nse 0.875",
+        "1 of 1 runs differ",
+    ]
+
+
+def test_last_bit_differences_show_in_keys_and_figures(monkeypatch, capsys):
+    monkeypatch.setattr(same_outputs, "export", fake_export)
+    assert same_outputs.main(["exact", "lastbit", "--workload", "soft_forecast"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("soft_forecast seed 1: 8 and 8 files, differ")
+    assert out[i + 1:] == [
+        "  differs: out/pred/metrics.json",
+        "    keys: final_objective",
+        "    A: objective 3.0, nse 0.9",
+        "    B: objective 3.0000000000000004, nse 0.9",
         "1 of 1 runs differ",
     ]
 

@@ -596,7 +596,7 @@ class TestTopRSelection:
             assert not all(fed)
             messages.append(str(exc.value))
         assert messages[0] == messages[1] == (
-            "encode_new: non-finite H, objective at outer iteration 1")
+            "encode_new: non-finite H at outer iteration 1")
 
 
 class TestHalfOffmaskRatio:

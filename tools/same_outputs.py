@@ -14,10 +14,12 @@ each subcommand in a fresh interpreter with BLAS fixed to one thread, in a
 work directory of its own with the same relative paths, so paths echoed
 into the outputs agree.  The script then compares the sha256 of every file
 either side wrote, lists each file that differs or exists on one side only,
-and names any subcommand that did not exit 0.  Under a differing
-``report.json`` or ``metrics.json`` it prints both sides' quality figures:
-the final objective, the summed ``code_iters``, the last ``code_change`` and
-the NSE, whichever the file holds.  It exits 0 when every file of
+and names any subcommand that did not exit 0.  Under a differing JSON file
+it lists the key paths whose values differ (``keys: final_objective``), and
+under a differing ``report.json`` or ``metrics.json`` it prints both sides'
+quality figures, each as its ``repr`` so a last-bit change shows: the final
+objective, the summed ``code_iters``, the last ``code_change`` and the NSE,
+whichever the file holds.  It exits 0 when every file of
 every run is equal, 1 otherwise.  It leaves the repository's files, index
 and refs as they are and removes the exports.
 """
@@ -125,8 +127,33 @@ def quality(path: Path) -> str:
                "code_iters": sum(extras["code_iters"]) if "code_iters" in extras else None,
                "code_change": extras["code_change"][-1] if extras.get("code_change") else None,
                "nse": data.get("nse")}
-    shown = [f"{name} {value:.10g}" for name, value in figures.items() if value is not None]
+    shown = [f"{name} {value!r}" for name, value in figures.items() if value is not None]
     return ", ".join(shown) or "no quality figures"
+
+
+def differing_keys(a, b, prefix: str = "") -> list:
+    """The dotted key paths at which two parsed JSON values differ: objects
+    are compared key by key, anything else (a list, a number) as a whole."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix or "(top level)"]
+    keys = []
+    for key in sorted(set(a) | set(b)):
+        path = f"{prefix}.{key}" if prefix else key
+        if key not in a or key not in b:
+            keys.append(path)
+        else:
+            keys += differing_keys(a[key], b[key], path)
+    return keys
+
+
+def json_diff(path_a: Path, path_b: Path) -> str:
+    """The key paths whose values differ between two JSON files, as one
+    line."""
+    try:
+        a, b = (json.loads(p.read_text()) for p in (path_a, path_b))
+    except (OSError, ValueError) as exc:
+        return f"keys: unreadable ({exc})"
+    return "keys: " + (", ".join(differing_keys(a, b)) or "none (equal values)")
 
 
 def _names(text: str) -> list:
@@ -167,6 +194,8 @@ def main(argv=None) -> int:
                 for line in compare(found["A"], found["B"]):
                     lines.append(line)
                     file = line.removeprefix("differs: ")
+                    if file != line and file.endswith(".json"):
+                        lines.append(f"  {json_diff(work['A'] / file, work['B'] / file)}")
                     if file != line and Path(file).name in ("report.json", "metrics.json"):
                         lines += [f"  {side}: {quality(work[side] / file)}" for side in trees]
                 bad += bool(lines)
