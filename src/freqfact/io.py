@@ -18,12 +18,20 @@ dims of at least 1: a tensor or matrix of no values is rejected.
 A text file in the form the writers emit is parsed straight from its bytes:
 the header lines are read one by one, the data block with one read, its line
 and comma layout is checked with vectorised byte positions, and one
-``np.fromstring`` call converts every cell.  A file in that form except that
-every line ends ``\\r\\n`` takes the same parse after one replace of
-``\\r\\n`` by ``\\n``.  Any other text file (blank lines, mixed or lone
-``\\r`` line ends, spaces, ``1_0``, a missing final newline, a malformed
-cell, ...) goes to a line-by-line parse, which accepts a cell exactly when
-``float`` accepts it and the value is finite, skips blank lines, and raises
+``np.fromstring`` call converts every cell.  A data block of at least
+``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB), read while no other thread is alive,
+is instead cut at line starts into one chunk per CPU the process may run on
+(at most one per ``_PARSE_CHUNK_BYTES``), and each chunk goes through that
+same call in a forked child bound to its CPU; the values are bit-identical
+for any number of workers.  The parent reaps every child before it returns
+or raises, and kills those still running first when it is interrupted.  A
+child that fails sends the file to the line-by-line parse below, which names
+the fault.  A file in that form except that every line ends ``\\r\\n``
+takes the same parse after one replace of ``\\r\\n`` by ``\\n``.  Any
+other text file (blank lines, mixed or lone ``\\r`` line ends, spaces,
+``1_0``, a missing final newline, a malformed cell, ...) goes to a
+line-by-line parse, which accepts a cell exactly when ``float`` accepts it
+and the value is finite, skips blank lines, and raises
 :class:`TensorFormatError` naming the file and the first bad line (and
 column).  Both paths give the same values to the bit.  A binary file is read
 straight into its array, and names the flat index of its first non-finite
@@ -31,11 +39,14 @@ value.  A pipe is read whole first, since the readers seek back.  Text is
 formatted ``_CHUNK_LINES`` data lines at a time.
 """
 
+import contextlib
 import json
 import math
 import os
+import signal
 import struct
 import tempfile
+import threading
 from io import BytesIO
 from pathlib import Path
 
@@ -66,6 +77,13 @@ _CHUNK_LINES = 1 << 16
 # The bytes of a data block as the writers emit it: ``repr`` floats, commas
 # and newlines.  A block with any other byte takes the line-by-line parse.
 _CANONICAL_BYTES = b"0123456789.eE+-,\n"
+
+# Bytes of a canonical data block per forked parse worker: a block of at
+# least twice this size is parsed on up to one worker per CPU.  On a 2-vCPU
+# VM a 4 MB block split in two parsed 13-19% faster than in one call, and a
+# 2 MB block no faster: a fork and exit cost a few milliseconds.
+_PARSE_CHUNK_BYTES = 2 << 20
+_CAN_FORK_PARSE = all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "memfd_create"))
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -225,43 +243,118 @@ def _read_canonical(path: Path, fh, magic: str):
     return None if block is None else (dims, mask, block)
 
 
-def _is_canonical(body: bytes, rows: int, cols: int) -> bool:
-    """Whether ``body`` holds only ``_CANONICAL_BYTES`` in ``rows`` lines,
-    each of ``cols`` nonempty comma-separated cells and a final ``\\n``."""
+def _line_starts(body: bytes, rows: int, cols: int, lines: list[int]) -> list[int] | None:
+    """The byte offsets at which lines ``lines`` (0 to ``rows``) of ``body``
+    start, when it holds only ``_CANONICAL_BYTES`` in ``rows`` lines, each
+    of ``cols`` nonempty comma-separated cells and a final ``\\n``; else
+    None.  Line ``rows`` starts at the end."""
     if rows == 0 or cols == 0 or not body.endswith(b"\n"):
-        return False
+        return None
     if body.translate(None, _CANONICAL_BYTES):
-        return False
+        return None
     u8 = np.frombuffer(body, np.uint8)
     newlines = np.flatnonzero(u8 == ord("\n"))
     commas = np.flatnonzero(u8 == ord(","))
     if newlines.size != rows or commas.size != rows * (cols - 1):
-        return False
+        return None
     # these are the separators in file order exactly when every line holds
     # cols - 1 commas, and two or more bytes apart when no cell is empty
     seps = np.column_stack((commas.reshape(rows, cols - 1), newlines)).ravel()
-    return bool(np.diff(seps, prepend=-1).min() >= 2)
+    if np.diff(seps, prepend=-1).min() < 2:
+        return None
+    return [0 if i == 0 else int(newlines[i - 1]) + 1 for i in lines]
 
 
 def _parse_block(body: bytes, rows: int, cols: int) -> np.ndarray | None:
     """The (rows, cols) array of a canonical data block whose cells are all
     finite floats, else None.
 
+    A block of at least ``2 * _PARSE_CHUNK_BYTES`` bytes, read while no
+    other thread is alive, is split into chunks of equal line counts, one
+    per CPU this process may run on and at most one per
+    ``_PARSE_CHUNK_BYTES``, and parsed by :func:`_parse_forked`; any other
+    block by one :func:`_parse_cells` call.  Either way each cell goes
+    through the same routine, so the values agree to the bit.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if _CAN_FORK_PARSE else []
+    workers = min(len(cpus), len(body) // _PARSE_CHUNK_BYTES, rows)
+    if workers < 2 or threading.active_count() > 1:
+        workers = 1
+    lines = [rows * i // workers for i in range(workers + 1)]
+    cuts = _line_starts(body, rows, cols, lines)
+    if cuts is None:
+        return None
+    if workers == 1:
+        flat = _parse_cells(body, rows * cols, cols)
+    else:
+        try:
+            flat = _parse_forked(body, cols, lines, cuts, cpus)
+        except OSError:  # no worker could be forked or reaped
+            flat = _parse_cells(body, rows * cols, cols)
+    if flat is None or not np.isfinite(flat).all():
+        return None
+    return flat.reshape(rows, cols)
+
+
+def _parse_cells(body: bytes, count: int, cols: int) -> np.ndarray | None:
+    """The ``count`` values of canonical lines of ``cols`` cells, or None
+    when ``np.fromstring`` does not read exactly ``count`` of them.
+
     Canonical cells are nonempty and hold no whitespace, so ``np.fromstring``
-    reads at most one value per cell, and ``rows * cols`` values means that
-    it read every cell in full.  It converts with the correctly rounded
+    reads at most one value per cell, and ``count`` values means that it
+    read every cell in full.  It converts with the correctly rounded
     routine ``float`` uses, so the values are ``float``'s to the bit.
     """
-    if not _is_canonical(body, rows, cols):
-        return None
     try:
         flat = np.fromstring(body.replace(b",", b" ") if cols > 1 else body, sep=" ")
     # numpy 2 raises at a cell it cannot read; older numpy warns and stops
     except (ValueError, DeprecationWarning):
         return None
-    if flat.size != rows * cols or not np.isfinite(flat).all():
-        return None
-    return flat.reshape(rows, cols)
+    return flat if flat.size == count else None
+
+
+def _parse_forked(body: bytes, cols: int, lines: list[int], cuts: list[int],
+                  cpus: list[int]) -> np.ndarray | None:
+    """:func:`_parse_cells` of a canonical block in forked children: child
+    j parses lines ``lines[j]`` to ``lines[j + 1]``, bytes ``cuts[j]`` to
+    ``cuts[j + 1]``, bound to CPU ``cpus[j]`` (a kernel that does not
+    balance load would run every child on the parent's CPU).
+
+    Each child writes its values into one anonymous in-memory file at its
+    line's offset and exits 0, or exits 1 when its chunk does not parse to
+    its count of values or it raises.  The parent reads the file into its
+    own array, which reuses the heap the canonical check just freed where a
+    shared map would add pages, and returns it, or None when any child
+    failed.  It reaps every child before it returns or raises, and kills
+    those still running first when it was interrupted.
+    """
+    out = np.empty(lines[-1] * cols)
+    fd = os.memfd_create("freqfact-parse")
+    parent, pids = os.getpid(), []
+    try:
+        for j, cpu in enumerate(cpus[: len(lines) - 1]):
+            pid = os.fork()
+            if pid == 0:  # the child: parse, write, and exit without cleanup
+                os.sched_setaffinity(0, [cpu])
+                start, stop = lines[j] * cols, lines[j + 1] * cols
+                values = _parse_cells(body[cuts[j] : cuts[j + 1]], stop - start, cols)
+                ok = values is not None and os.pwrite(fd, values, 8 * start) == values.nbytes
+                os._exit(0 if ok else 1)
+            pids.append(pid)
+        failed = False
+        while pids:
+            failed |= os.waitpid(pids[0], 0)[1] != 0
+            del pids[0]
+        failed = failed or os.preadv(fd, [out], 0) != out.nbytes
+    finally:
+        if os.getpid() != parent:  # a child that raised
+            os._exit(1)
+        os.close(fd)
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return None if failed else out
 
 
 def _read_general(path: Path, raw: bytes, magic: str):

@@ -743,8 +743,10 @@ def alternating_pgd(
 
     ``extras["offmask_after_projection"]`` records, per iteration, the
     largest per-row relative out-of-mask spectral mass measured immediately
-    after the frequency projection.  With ``_diagnostics=False`` it is not
-    recorded, which saves one ``rfft`` per iteration.
+    after the frequency projection: every iteration's projected code and
+    keep array are kept in an (n_iters, rows, T) buffer and measured after
+    the loop, with one ``rfft``.  With ``_diagnostics=False`` it is not
+    recorded, and no buffer is kept.
 
     Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar``
     (m, k_b), of equal or unequal widths, run B independent problems against
@@ -771,16 +773,16 @@ def alternating_pgd(
              np.stack([cross[b] for b in run.blocks]),
              (gammas[run.blocks].T * 2.0)[:, :, None, None])
             for run in blocks.runs]
-    offmask = []  # per iteration, each block's largest row ratio
+    if _diagnostics:  # each iteration's projected code and keep array
+        projected = np.empty((n_iters,) + h.shape)
+        keeps = np.empty((n_iters, h.shape[0], T // 2 + 1), dtype=bool)
 
-    def freq_project(m):
+    def freq_project(m, j):
         spec, keep = top_r_keep(m, R)
         spec[~keep] = 0.0
         out = np.fft.irfft(spec, n=T, axis=1)
         if _diagnostics:
-            ratio = half_offmask_ratio(np.fft.rfft(out, axis=1), keep, T)
-            offmask.append(np.concatenate([blocks.view(ratio, run).max(axis=1)
-                                           for run in blocks.runs]))
+            projected[j], keeps[j] = out, keep
         return out
 
     def gradient_step(m, j):
@@ -794,16 +796,21 @@ def alternating_pgd(
 
     for j in range(n_iters):
         if priority == "nonneg":
-            h = freq_project(h)
+            h = freq_project(h, j)
             gradient_step(h, j)
             np.maximum(h, 0.0, out=h)
         else:
             np.maximum(h, 0.0, out=h)
             gradient_step(h, j)
-            h = freq_project(h)
+            h = freq_project(h, j)
     reports = [SolveReport(step_trace=steps, wall_iters=n_iters) for steps in gammas.tolist()]
-    if _diagnostics:
-        for report, trace in zip(reports, np.array(offmask).T.tolist()):
+    if _diagnostics:  # one rfft over every iteration's projected code
+        bins = T // 2 + 1
+        ratio = half_offmask_ratio(np.fft.rfft(projected, axis=2).reshape(-1, bins),
+                                   keeps.reshape(-1, bins), T)
+        per_row = np.ascontiguousarray(ratio.reshape(n_iters, -1).T)  # (rows, n_iters)
+        offmask = np.concatenate([blocks.view(per_row, run).max(axis=1) for run in blocks.runs])
+        for report, trace in zip(reports, offmask.tolist()):
             report.extras["offmask_after_projection"] = trace
     return blocks.unpack(h, reports)
 

@@ -1,16 +1,19 @@
 """Fuzzed input files: a truncated or corrupted tensor or model file makes
 every command that reads it exit 2 (or 3), print no traceback and write no
-output, as the fuzzed configs in ``test_cli`` do."""
+output, as the fuzzed configs in ``test_cli`` do, whether its text is
+parsed in one call or in forked workers."""
 
 import contextlib
 import io
 import json
+import os
 import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import freqfact.io as fio
 from freqfact.cli import main
 
 # bytes that make any text cell, header or line they land in unreadable
@@ -125,12 +128,19 @@ def write_case(d, files, command, name, binary, data):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=broken_inputs())
-def test_broken_input_file_exits_2_without_output(tmp_path_factory, inputs, case):
+@given(case=broken_inputs(), forked=st.booleans())
+def test_broken_input_file_exits_2_without_output(tmp_path_factory, inputs, case, forked):
     command, name, binary, data = case
     d = tmp_path_factory.mktemp("fuzz")
     argv, out = write_case(d, inputs, command, name, binary, data)
-    rc, err = run_quietly(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        if forked:  # text blocks of 64 bytes or more parsed on up to 3 forked workers
+            mp.setattr(fio, "_PARSE_CHUNK_BYTES", 32)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+            mp.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        rc, err = run_quietly(argv)
+    with pytest.raises(ChildProcessError):  # every forked worker reaped
+        os.waitpid(-1, os.WNOHANG)
     assert rc in (2, 3), err
     assert "Traceback" not in err
     assert not out.exists()

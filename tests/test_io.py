@@ -482,3 +482,115 @@ def test_forecast_loader_keeps_only_the_aux_stack(tmp_path, monkeypatch):
     # the stack alone: neither auxiliary's own matrix outlives it
     assert list(load._cache) == [y_paths]
     assert load._cache[y_paths].shape == (12, 30)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Lets small blocks take the forked parse on ``n`` faked CPUs: returns
+    ``workers(n)``, and the list of pids the parent forked."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def workers(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        # the faked CPUs need not exist
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+
+    monkeypatch.setattr(fio, "_PARSE_CHUNK_BYTES", 16)
+    monkeypatch.setattr(os, "fork", fork)
+    return workers, forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind, cols", [("tensor", 1), ("tensor", 3), ("matrix", 1),
+                                        ("matrix", 5)])
+def test_forked_parse_is_bit_equal(tmp_path, monkeypatch, forked, workers, kind, cols):
+    set_workers, forks = forked
+    values = np.random.default_rng(cols).standard_normal((7, cols, 3))
+    values[0, 0, :] = EDGE_VALUES[:3]
+    p = tmp_path / "f.csv"
+    if kind == "tensor":
+        want = SpatioTemporalTensor(values, np.array([True, False, True]))
+        fio.write_tensor(p, want)
+    else:
+        want = values.transpose(2, 0, 1).reshape(21, cols)
+        fio.write_matrix(p, want)
+    read = fio.read_tensor if kind == "tensor" else fio.read_matrix
+    set_workers(workers)
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    got = read(p)
+    if kind == "tensor":
+        assert_same_tensor(got, want)
+    else:
+        assert got.tobytes() == want.tobytes()
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cell", ["1e999", "1e", "2.5e+"])
+@pytest.mark.parametrize("line", [2, 20])
+def test_bad_cell_in_a_child_gives_the_serial_error(tmp_path, forked, cell, line):
+    set_workers, forks = forked
+    rows = ["0.5,1.25"] * 21
+    rows[line - 2] = f"0.5,{cell}"
+    p = tmp_path / "m.csv"
+    p.write_text("stf-matrix-v1,21,2\n" + "\n".join(rows) + "\n")
+    set_workers(1)
+    with pytest.raises(TensorFormatError) as serial:
+        fio.read_matrix(p)
+    set_workers(3)
+    with pytest.raises(TensorFormatError) as parallel:
+        fio.read_matrix(p)
+    assert str(parallel.value) == str(serial.value)
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_is_alive(tmp_path, forked):
+    set_workers, forks = forked
+    t = SpatioTemporalTensor(np.random.default_rng(0).standard_normal((9, 2, 2)))
+    fio.write_tensor(tmp_path / "t.csv", t)
+    set_workers(4)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        assert_same_tensor(fio.read_tensor(tmp_path / "t.csv"), t)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert forks == []
+    assert_same_tensor(fio.read_tensor(tmp_path / "t.csv"), t)
+    assert len(forks) == 4
+
+
+def test_interrupted_parse_kills_and_reaps_every_child(tmp_path, monkeypatch, forked):
+    set_workers, forks = forked
+    fio.write_matrix(tmp_path / "m.csv", np.arange(40.0).reshape(20, 2))
+    set_workers(3)
+    real_waitpid = os.waitpid
+    calls = []
+
+    def waitpid(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:  # as if Ctrl-C came while the parent waited
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        fio.read_matrix(tmp_path / "m.csv")
+    monkeypatch.setattr(os, "waitpid", real_waitpid)
+    assert len(forks) == 3 and calls[1:] == forks
+    assert_no_child_left()

@@ -896,8 +896,7 @@ class TestStackedCodeStep:
     @pytest.mark.parametrize("priority", ["nonneg", "frequency"])
     @settings(max_examples=25, deadline=None)
     @given(problem=stacked_problems(), iters=st.integers(1, 12))
-    def test_heuristic_without_diagnostics_keeps_code_and_last_objective(self, priority,
-                                                                         problem, iters):
+    def test_heuristic_without_diagnostics_keeps_code_and_steps(self, priority, problem, iters):
         xbar, wbar, h0, _ = problem
         h, subs = alternating_pgd(list(h0), list(wbar), xbar, 2, iters, priority,
                                   _diagnostics=False)
