@@ -98,10 +98,10 @@ def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
     which is ``V / (1 + 2 t lam)`` for ridge, soft-thresholding by ``t lam``
     for lasso, :func:`~freqfact.spectral.minkowski_prox` by ``t lam`` for
     soft_freq, and for hard_freq with a fixed mask, the indicator of a
-    subspace, :func:`~freqfact.spectral.project_frequency_mask` for any
-    ``t``; a stack ``(B, k, T)`` is projected as ``B k`` rows.  ``t >= 0``
-    is a scalar or an array broadcasting against V.  An adaptive top-R band
-    (hard_freq without a mask) is not convex and has no prox.
+    subspace, :func:`~freqfact.spectral.project_frequency_mask` of a
+    (k, T) V for any ``t``.  ``t >= 0`` is a scalar or an array
+    broadcasting against V.  An adaptive top-R band (hard_freq without a
+    mask) is not convex and has no prox.
     """
     v = np.asarray(v, dtype=float)
     if p.kind == "ridge":
@@ -116,4 +116,4 @@ def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
     if p.mask is None:
         raise ValueError("hard_freq without a fixed mask is an adaptive top-R band, which is not "
                          "convex and has no prox")
-    return project_frequency_mask(v.reshape(-1, v.shape[-1]), p.mask).reshape(v.shape)
+    return project_frequency_mask(v, p.mask)

@@ -52,9 +52,9 @@ and the loop records each code step's iteration count in ``code_iters`` and
 its relative change of the code in ``code_change``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -173,9 +173,9 @@ def objective(x: np.ndarray, y: np.ndarray, model: FactorModel) -> float:
     if y.shape[1] < T:
         raise ValueError(f"Y has {y.shape[1]} columns, needs at least {T}")
     h = model.hyper
-    val = _smooth_sum(h.xi, _fit_terms(x, model.W, model.H, h.lambda1),
-                      _fit_terms(y[:, :T], model.Wp, model.H, h.lambda2))
-    return float(val + penalty_value(model.H, h.penalty))
+    return float(_score(h.xi, _fit_terms(x, model.W, model.H, h.lambda1),
+                        _fit_terms(y[:, :T], model.Wp, model.H, h.lambda2),
+                        penalty_value(model.H, h.penalty)))
 
 
 def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
@@ -190,26 +190,17 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     return float(np.sum(r))
 
 
-class _Run(NamedTuple):
-    """Adjacent blocks of one width: their indices and their rows of the
-    (sum k_b, T) buffer."""
-
-    blocks: range
-    rows: slice
-
-
 class _Blocks:
     """The B code problems of one code-step call, against one ``Xbar``.
 
     A call passes one problem (``h0`` (k, T) with ``wbar`` (m, k)) or
     equal-length sequences of B codes (k_b, T) and dictionaries (m, k_b)
     whose widths may differ.  ``rows`` is a float copy of every code, in
-    order, in one (sum k_b, T) buffer and ``wbar`` the list of the B
-    dictionaries.  ``runs`` splits the blocks into maximal runs of one width
-    (:class:`_Run`), so :func:`alternating_pgd` forms one batched G H per
-    run; :meth:`view` gives a run's rows of a buffer as an (n, k, T) view.
-    :meth:`unpack` returns a result buffer and the B reports in the form the
-    call passed: one code and report, or lists of them.
+    order, in one (sum k_b, T) buffer, ``wbar`` the list of the B
+    dictionaries and ``spans`` the B row slices of that buffer, one per
+    block: the one record of where each block's rows sit.  :meth:`unpack`
+    returns the B codes and reports in the form the call passed: one code
+    and report, or lists of them.
     """
 
     def __init__(self, h0, wbar):
@@ -226,41 +217,25 @@ class _Blocks:
         self.rows = np.concatenate(hs)
         self.wbar = ws
         self.widths = [h.shape[0] for h in hs]
-        self.runs = []
-        start = row = 0
-        for b, k in enumerate(self.widths + [None]):
-            if b and k != self.widths[start]:
-                stop = row + (b - start) * self.widths[start]
-                self.runs.append(_Run(range(start, b), slice(row, stop)))
-                start, row = b, stop
-
-    def view(self, buf: np.ndarray, run: _Run) -> np.ndarray:
-        """A run's rows of a C-contiguous (sum k_b, ...) buffer as an
-        (n, k, ...) view."""
-        return buf[run.rows].reshape((len(run.blocks), -1) + buf.shape[1:])
-
-    def unpack(self, buf: np.ndarray, reports: list):
-        """A result buffer's codes and the B reports in the call's form."""
-        if self.flat:
-            return buf, reports[0]
         ends = np.cumsum(self.widths).tolist()
-        return [buf[end - k : end] for k, end in zip(self.widths, ends)], reports
+        self.spans = [slice(end - k, end) for k, end in zip(self.widths, ends)]
+
+    def unpack(self, codes: list, reports: list):
+        """The B codes and reports in the call's form."""
+        return (codes[0], reports[0]) if self.flat else (codes, reports)
 
 
 def _fit_terms(x: np.ndarray, w: np.ndarray, h: np.ndarray, ridge: float):
     """One dictionary's terms of the smooth objective:
-    (||X - W H||_F^2, ridge ||W||_F^2, or None when ridge is 0)."""
-    return _sq_residual(x, w, h), ridge * float(np.sum(w**2)) if ridge else None
+    (||X - W H||_F^2, ridge ||W||_F^2), the second 0.0 when ridge is 0."""
+    return _sq_residual(x, w, h), ridge * float(np.sum(w**2)) if ridge else 0.0
 
 
-def _smooth_sum(xi: float, fx, fy) -> float:
-    """The smooth objective from the data's and the auxiliary data's
-    :func:`_fit_terms`."""
-    val = fx[0] + xi * fy[0]
-    for ridge in (fx[1], fy[1]):
-        if ridge is not None:
-            val += ridge
-    return val
+def _score(xi: float, fx, fy, pen: float) -> float:
+    """The objective from the data's and the auxiliary data's
+    :func:`_fit_terms` and a penalty term.  A zero ridge's 0.0 leaves the
+    sum's bits as they are: the sum is >= +0, NaN or inf."""
+    return fx[0] + xi * fy[0] + fx[1] + fy[1] + pen
 
 
 def _scored_penalty(h: np.ndarray, p: Penalty) -> float:
@@ -401,13 +376,10 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
         y_t = y[:, :T]
         convex = hyper.penalty.kind != "hard_freq"
 
-        def score(fx, fy, pen):
-            return _smooth_sum(hyper.xi, fx, fy) + pen
-
         w, wp, h = _init_factors(x, y_t, hyper, seed)
         terms = (_fit_terms(x, w, h, hyper.lambda1), _fit_terms(y_t, wp, h, hyper.lambda2),
                  _scored_penalty(h, hyper.penalty))
-        prev = score(*terms)
+        prev = _score(hyper.xi, *terms)
         extras = {"initial_objective": prev, "phase_objectives": [], "h_min_trace": [],
                   "code_iters": [], "code_change": []}
         report = SolveReport(extras=extras)
@@ -420,7 +392,7 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
             new_terms = (_fit_terms(x, w, h_new, hyper.lambda1),
                          _fit_terms(y_t, wp, h_new, hyper.lambda2),
                          _scored_penalty(h_new, hyper.penalty))
-            dropped = convex and prev < score(*new_terms) < math.inf
+            dropped = convex and prev < _score(hyper.xi, *new_terms) < math.inf
             if dropped:
                 change = 0.0
             else:
@@ -431,7 +403,8 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
             fx, fy, pen = terms
             fx_new = _fit_terms(x, w_new, h, hyper.lambda1)
             fy_new = _fit_terms(y_t, wp_new, h, hyper.lambda2)
-            phases = [score(fx, fy, pen), score(fx_new, fy, pen), score(fx_new, fy_new, pen)]
+            phases = [_score(hyper.xi, fx, fy, pen), _score(hyper.xi, fx_new, fy, pen),
+                      _score(hyper.xi, fx_new, fy_new, pen)]
             w, wp, terms = w_new, wp_new, (fx_new, fy_new, pen)
             _require_finite(solver, it, objective=phases)
             extras["phase_objectives"].append(phases)
@@ -619,31 +592,31 @@ def solve_H_prox(
 
     Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar`` (m, k_b)
     run B independent problems against the one ``xbar``, one after another;
-    a fixed mask then holds the blocks' rows in order.  It returns a list of
-    B codes and a list of B reports, each the one a separate 2-D call
-    returns.
+    a fixed mask then holds the blocks' rows in order, and each block's step
+    projects onto its own rows of it.  It returns a list of B codes and a
+    list of B reports, each the one a separate 2-D call returns.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     xbar = np.asarray(xbar, dtype=float)
     blocks = _Blocks(h0, wbar)
     mask, n_rows = p.mask, len(blocks.rows)
-    split = mask is not None and len(blocks.widths) > 1
+    split = mask is not None and len(blocks.spans) > 1
     if split and mask.rows != n_rows:
         raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
-    out, reports, row = np.empty_like(blocks.rows), [], 0
-    for w, k in zip(blocks.wbar, blocks.widths):
-        rows = slice(row, row + k)
+    codes, reports = [], []
+    for w, rows in zip(blocks.wbar, blocks.spans):
         pb = replace(p, mask=FrequencyMask(mask.T, mask.kept[rows])) if split else p
-        out[rows], report = _prox_block(xbar, w, blocks.rows[rows], pb, n_iters, nonneg, rtol)
+        code, report = _prox_block(xbar, w, blocks.rows[rows], pb, n_iters, nonneg, rtol)
+        codes.append(code)
         reports.append(report)
-        row += k
-    return blocks.unpack(out, reports)
+    return blocks.unpack(codes, reports)
 
 
 def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
-    """:func:`solve_H_prox` on one (k, T) code ``z0``, which it overwrites,
-    with its (m, k) dictionary ``wbar``; returns the code and its report."""
+    """:func:`solve_H_prox` on one (k, T) code ``z0`` with its (m, k)
+    dictionary ``wbar``; returns ``z0``, overwritten with the code, and its
+    report."""
     gram, two_c = wbar.T @ wbar, 2.0 * (wbar.T @ xbar)
     n_z = 2 if nonneg else 1
     eig = _gram_eig(gram, two_c)
@@ -710,7 +683,10 @@ def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
         # Z2 where Z1 = max(H + U1, 0) is positive, else 0
         z2 *= (h + prev[0]) > 0.0
         np.maximum(z2, 0.0, out=z2)
-    return z2, SolveReport(
+    # the code goes into z0, made before the loop: returning z2, made in it,
+    # raised large_sweep's fresh-process factorize peak RSS by about 0.75 MB
+    z0[...] = z2
+    return z0, SolveReport(
         step_trace=steps, terminated="tol_reached" if done else "max_iters", wall_iters=it + 1,
         extras={"primal_residual": primal, "dual_residual": dual, "rho": rho})
 
@@ -768,11 +744,14 @@ def alternating_pgd(
     cross = [w.T @ xbar for w in blocks.wbar]
     base = np.array([1.0 / (2.0 * float(np.linalg.norm(g, 2)) + 1.0) for g in gram])
     gammas = base[:, None] / np.arange(1, n_iters + 1)  # (B, n_iters)
-    # per run: its G and C stacks and its rates 2 gamma_j, (n_iters, n, 1, 1)
-    runs = [(run, np.stack([gram[b] for b in run.blocks]),
-             np.stack([cross[b] for b in run.blocks]),
-             (gammas[run.blocks].T * 2.0)[:, :, None, None])
-            for run in blocks.runs]
+    # per run of adjacent blocks of one width: its rows, its G and C stacks
+    # and its rates 2 gamma_j, (n_iters, n, 1, 1)
+    runs = []
+    for _, run in itertools.groupby(range(len(gram)), key=blocks.widths.__getitem__):
+        run = list(run)
+        runs.append((slice(blocks.spans[run[0]].start, blocks.spans[run[-1]].stop),
+                     np.stack([gram[b] for b in run]), np.stack([cross[b] for b in run]),
+                     (gammas[run].T * 2.0)[:, :, None, None]))
     if _diagnostics:  # each iteration's projected code and keep array
         projected = np.empty((n_iters,) + h.shape)
         keeps = np.empty((n_iters, h.shape[0], T // 2 + 1), dtype=bool)
@@ -787,8 +766,8 @@ def alternating_pgd(
 
     def gradient_step(m, j):
         # H -= 2 gamma_j (G H - C), in place, run by run
-        for run, g_gram, g_cross, rates in runs:
-            hr = blocks.view(m, run)
+        for rows, g_gram, g_cross, rates in runs:
+            hr = m[rows].reshape(len(g_gram), -1, T)
             g = np.matmul(g_gram, hr)
             g -= g_cross
             g *= rates[j]
@@ -808,11 +787,10 @@ def alternating_pgd(
         bins = T // 2 + 1
         ratio = half_offmask_ratio(np.fft.rfft(projected, axis=2).reshape(-1, bins),
                                    keeps.reshape(-1, bins), T)
-        per_row = np.ascontiguousarray(ratio.reshape(n_iters, -1).T)  # (rows, n_iters)
-        offmask = np.concatenate([blocks.view(per_row, run).max(axis=1) for run in blocks.runs])
-        for report, trace in zip(reports, offmask.tolist()):
-            report.extras["offmask_after_projection"] = trace
-    return blocks.unpack(h, reports)
+        per_row = ratio.reshape(n_iters, -1).T  # (rows, n_iters)
+        for report, rows in zip(reports, blocks.spans):
+            report.extras["offmask_after_projection"] = per_row[rows].max(axis=0).tolist()
+    return blocks.unpack([h[rows] for rows in blocks.spans], reports)
 
 
 def code_step(

@@ -197,6 +197,8 @@ class FrequencyMask:
 def _masked_rows(h: np.ndarray, mask: FrequencyMask) -> np.ndarray:
     """H as a float matrix, after checking it has the mask's shape."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
+    if h.ndim != 2:
+        raise ValueError(f"a mask applies to a (rows, T) matrix, H has shape {h.shape}")
     if h.shape[1] != mask.T:
         raise ValueError(f"mask is for T={mask.T}, H has {h.shape[1]} columns")
     if h.shape[0] != mask.rows:

@@ -1299,3 +1299,8 @@ def test_env_log_level_tolerates_unknown(tmp_path, monkeypatch):
     monkeypatch.setenv("STF_LOG", "noisy")
     out = tmp_path / "o"
     assert run_cli("synth", "--out", out, "--seed", 3) == 0
+
+
+def test_mu_summary_of_an_all_zero_code_is_empty():
+    # no live row: no ratio matrix, no median and no infinite entries
+    assert cli._mu_summary(np.zeros((3, 8))) == (None, None, 0)

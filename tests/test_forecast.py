@@ -187,6 +187,12 @@ class TestPredict:
 
 
 class TestNse:
+    @pytest.mark.parametrize("rec_shape", [(2, 4), (3, 3)])
+    def test_shapes_must_agree(self, rec_shape):
+        want = re.escape(f"shape mismatch: (2, 3) vs {rec_shape}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            nse(np.zeros((2, 3)), np.zeros(rec_shape))
+
     def test_perfect_prediction_scores_exactly_one(self):
         rng = np.random.default_rng(66)
         x = rng.standard_normal((5, 8))

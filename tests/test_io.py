@@ -575,6 +575,41 @@ def test_no_fork_while_another_thread_is_alive(tmp_path, forked):
     assert len(forks) == 4
 
 
+def test_failed_fork_falls_back_to_the_serial_parse(tmp_path, monkeypatch, forked):
+    set_workers, forks = forked
+    want = np.random.default_rng(5).standard_normal((20, 3))
+    fio.write_matrix(tmp_path / "m.csv", want)
+    set_workers(3)
+    fork = os.fork
+    calls = []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("fork failed")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert fio.read_matrix(tmp_path / "m.csv").tobytes() == want.tobytes()
+    # the one child forked before the failure was killed and reaped
+    assert len(calls) == 2 and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old bytes")
+
+    def replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="^replace failed$"):
+        fio.atomic_write_bytes(path, b"new bytes")
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
 def test_interrupted_parse_kills_and_reaps_every_child(tmp_path, monkeypatch, forked):
     set_workers, forks = forked
     fio.write_matrix(tmp_path / "m.csv", np.arange(40.0).reshape(20, 2))

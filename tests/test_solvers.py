@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1147,3 +1148,51 @@ class TestInexactCodeSteps:
         for a, b in zip((exact.W, exact.Wp, exact.H), (loose.W, loose.Wp, loose.H)):
             assert a.tobytes() == b.tobytes()
         assert exact_report.to_dict() == loose_report.to_dict()
+
+
+RIDGE = Penalty.ridge(0.0)
+
+# (call, message): each input check of the solvers module that no other test
+# reaches, with the full message it raises
+INPUT_CHECKS = {
+    "hyper_rank": (lambda: Hyper(0, 1.0, RIDGE), "rank must be >= 1"),
+    "hyper_xi": (lambda: Hyper(1, -1.0, RIDGE), "xi, lambda1, lambda2 must be nonnegative"),
+    "hyper_lambda1": (lambda: Hyper(1, 1.0, RIDGE, lambda1=-1.0),
+                      "xi, lambda1, lambda2 must be nonnegative"),
+    "hyper_lambda2": (lambda: Hyper(1, 1.0, RIDGE, lambda2=-1.0),
+                      "xi, lambda1, lambda2 must be nonnegative"),
+    "model_shapes": (lambda: FactorModel(np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((3, 5)),
+                                         Hyper(2, 1.0, RIDGE)),
+                     "factor shapes disagree with hyper.r"),
+    "model_nonfinite": (lambda: FactorModel(np.full((4, 2), np.inf), np.zeros((3, 2)),
+                                            np.zeros((2, 5)), Hyper(2, 1.0, RIDGE)),
+                        "dictionaries must be finite"),
+    "objective_x_columns": (lambda: objective(np.zeros((4, 4)), np.zeros((3, 5)), FactorModel(
+        np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((2, 5)), Hyper(2, 1.0, RIDGE))),
+        "X has 4 columns, H has 5"),
+    "objective_y_columns": (lambda: objective(np.zeros((4, 5)), np.zeros((3, 4)), FactorModel(
+        np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((2, 5)), Hyper(2, 1.0, RIDGE))),
+        "Y has 4 columns, needs at least 5"),
+    "solve_W_ridge": (lambda: solve_W(np.zeros((3, 4)), np.ones((2, 4)), -1.0),
+                      "ridge must be nonnegative"),
+    "bcd_n_iters": (lambda: ssnmf_bcd(np.ones((4, 5)), np.ones((3, 5)), Hyper(2, 1.0, RIDGE), 0),
+                    "n_iters must be >= 1"),
+    "bcd_narrow_aux": (lambda: ssnmf_bcd(np.ones((4, 5)), np.ones((3, 4)),
+                                         Hyper(2, 1.0, RIDGE), 1),
+                       "auxiliary data spans 4 < T=5 columns"),
+    "splitting_n_iters": (lambda: three_operator_splitting(
+        lambda h: h, FrequencyMask.full(1, 4), np.zeros((1, 4)), 0), "n_iters must be >= 1"),
+    "splitting_gamma0": (lambda: three_operator_splitting(
+        lambda h: h, FrequencyMask.full(1, 4), np.zeros((1, 4)), 1, gamma0=0.0),
+        "gamma0 must be positive"),
+    "heuristic_n_iters": (lambda: alternating_pgd(np.ones((1, 4)), np.ones((3, 1)),
+                                                  np.ones((3, 4)), 1, 0),
+                          "n_iters must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_check_raises_its_message(name):
+    call, message = INPUT_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -322,6 +322,11 @@ def _mask_then_invert(h, full):
 
 
 class TestFrequencyMask:
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_length_must_be_positive(self, T):
+        with pytest.raises(ValueError, match=r"^T must be positive$"):
+            FrequencyMask(T, ((0,),))
+
     def test_requires_conjugate_closure(self):
         with pytest.raises(ValueError):
             FrequencyMask(6, ((1,),))
@@ -414,6 +419,12 @@ class TestMaskShapeChecks:
     def test_wrong_length_names_both(self, func):
         with pytest.raises(ValueError, match=r"^mask is for T=16, H has 8 columns$"):
             func(self.H, FrequencyMask.same(2, 16, [1]))
+
+    @pytest.mark.parametrize("func", [project_frequency_mask, offmask_ratio])
+    def test_stack_names_its_shape(self, func):
+        with pytest.raises(ValueError, match=r"^a mask applies to a \(rows, T\) matrix, "
+                                             r"H has shape \(1, 2, 8\)$"):
+            func(self.H[None], FrequencyMask.same(2, 8, [1]))
 
     def test_hard_penalty_value_checks_the_fixed_mask(self):
         with pytest.raises(ValueError, match=r"^mask has 1 rows, H has 2$"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,36 @@ class TestClosedFormCode:
             closed_form_code(np.ones((3, 1)), np.ones((4, 1)), np.ones((3, 2)), np.ones((4, 2)), 1.0)
 
 
+INPUT_CHECKS = {
+    "closed_form_xi": (lambda: closed_form_code(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 2)),
+                                                np.ones((3, 2)), -1.0),
+                       "xi must be nonnegative"),
+    "descent_threshold": (lambda: norm_descent_experiment(np.ones((1, 4)), "l1", 0.0, 10),
+                          "threshold must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_check_raises_its_message(name):
+    call, message = INPUT_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestNormDescent:
+    def test_stops_exactly_at_max_steps(self):
+        # ||H||_F halves each step: 2, 1, 0.5, then 0.25 < 0.3 after the last
+        h0 = np.ones((1, 4))
+        res = norm_descent_experiment(h0, "frobenius", 0.3, 3, rate=0.5)
+        assert res.steps_taken == 3 and len(res.trajectory) == 4
+        assert np.array_equal(res.final, 0.125 * h0)
+        with pytest.raises(ConvergenceError, match=r"still above 0\.3 after 2 steps$"):
+            norm_descent_experiment(h0, "frobenius", 0.3, 2, rate=0.5)
+
+    def test_final_spectrum_is_the_last_iterates(self):
+        res = norm_descent_experiment(np.arange(1.0, 7.0).reshape(1, 6), "l1", 1.0, 100)
+        assert np.array_equal(res.final_spectrum, dft_rows(res.trajectory[-1]))
+
     def test_zero_start_returns_immediately(self):
         res = norm_descent_experiment(np.zeros((1, 8)), "frobenius", 0.5, 100)
         assert len(res.trajectory) == 1

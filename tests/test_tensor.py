@@ -62,6 +62,12 @@ def test_tensor_validation():
         SpatioTemporalTensor(np.array([[[np.nan]]]))
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+def test_fold_needs_a_matrix(shape):
+    with pytest.raises(ValueError, match=r"^fold expects a 2-d matrix$"):
+        fold(np.zeros(shape), 1, 1)
+
+
 def test_fold_dimension_mismatch():
     with pytest.raises(ValueError):
         fold(np.zeros((3, 2)), 2, 2)
