@@ -15,7 +15,9 @@ descends from one 64-bit seed; each grid point derives its own stream from
 """
 
 import argparse
+import contextlib
 import copy
+import itertools
 import logging
 import math
 import os
@@ -280,12 +282,14 @@ def cmd_synth(args) -> int:
     cfg = check_config("synth", load_config(args))
     spec = SyntheticSpec(cfg.d, cfg.T, tuple(cfg.freqs), cfg.sigma, cfg.x_sigma, cfg.seed)
     x, ys = gen_cosine_mixture(spec)
+    # every tensor is built and checked before any file is written
+    tensors = {"X": SpatioTemporalTensor(x[:, None, :])}
+    tensors.update((f"Y{k}", SpatioTemporalTensor(y[:, None, :])) for k, y in enumerate(ys))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = "bin" if args.binary else "csv"
-    fio.write_tensor(out / f"X.{ext}", SpatioTemporalTensor(x[:, None, :]), args.binary)
-    for k, y in enumerate(ys):
-        fio.write_tensor(out / f"Y{k}.{ext}", SpatioTemporalTensor(y[:, None, :]), args.binary)
+    for name, t in tensors.items():
+        fio.write_tensor(out / f"{name}.{ext}", t, args.binary)
     fio.write_json(out / "provenance.json", {
         "format": "stf-provenance-v1",
         "command": "synth",
@@ -321,6 +325,24 @@ def _run_factorize_point(cfg, out: Path, load) -> float:
     return float(report.objective_trace[-1])
 
 
+def _bind_worker(jobs: int):
+    """A thread-pool initializer that binds each of ``jobs`` > 1 worker
+    threads to its own CPU among those the process may run on (in turn,
+    when there are more workers than CPUs); None for one worker, or where
+    threads cannot be bound.  The calling thread stays unbound: a kernel that
+    does not balance load would otherwise run every worker on one CPU."""
+    if jobs < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    turn = itertools.count()
+
+    def bind():
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, [cpus[next(turn) % len(cpus)]])
+
+    return bind
+
+
 def cmd_factorize(args) -> int:
     cfg = _factorize_config(load_config(args))
     if args.jobs < 1:
@@ -352,7 +374,7 @@ def cmd_factorize(args) -> int:
     def run(i, pcfg):
         return _run_factorize_point(pcfg, out / f"point_{i:03d}", load)
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs, initializer=_bind_worker(args.jobs)) as pool:
         objectives = list(pool.map(run, range(len(points)), points))
     median = _median(objectives)
     fio.write_json(out / "index.json", {

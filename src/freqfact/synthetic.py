@@ -58,22 +58,30 @@ def gen_cosine_mixture(spec: SyntheticSpec) -> tuple[np.ndarray, tuple[np.ndarra
     X[i, j] = u_i * sum_f cos(2 pi f j / T) + x_sigma * noise, and each
     auxiliary Y_k carries only cycle freqs[k] plus sigma-scaled noise.
     Draw order is fixed (profiles, then X noise, then each Y's noise; zero
-    noise levels draw nothing), so a seed pins the output bit-for-bit.
+    noise levels draw nothing), so a seed pins the output bit-for-bit.  A
+    noise level so large that a tensor overflows raises ValueError naming
+    the level and the tensor.
     """
     rng = np.random.default_rng(spec.seed)
     j = np.arange(spec.T)
     u = rng.random(spec.d)
     vs = [rng.random(spec.d) for _ in spec.freqs]
+
+    def noisy(clean, field, name):
+        level = getattr(spec, field)
+        if not level:
+            return clean
+        with np.errstate(over="ignore"):
+            out = clean + level * rng.standard_normal((spec.d, spec.T))
+        if not np.isfinite(out).all():
+            raise ValueError(f"{field}={level!r} overflows tensor {name} to non-finite values")
+        return out
+
     x = np.outer(u, sum(np.cos(2 * np.pi * f * j / spec.T) for f in spec.freqs))
-    if spec.x_sigma:
-        x = x + spec.x_sigma * rng.standard_normal((spec.d, spec.T))
-    ys = []
-    for v, f in zip(vs, spec.freqs):
-        yk = np.outer(v, np.cos(2 * np.pi * f * j / spec.T))
-        if spec.sigma:
-            yk = yk + spec.sigma * rng.standard_normal((spec.d, spec.T))
-        ys.append(yk)
-    return x, tuple(ys)
+    x = noisy(x, "x_sigma", "X")
+    ys = tuple(noisy(np.outer(v, np.cos(2 * np.pi * f * j / spec.T)), "sigma", f"Y{k}")
+               for k, (v, f) in enumerate(zip(vs, spec.freqs)))
+    return x, ys
 
 
 @dataclass(frozen=True)

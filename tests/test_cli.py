@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,18 @@ def factorize(tmp_path, data, name="model", **overrides):
 
 
 class TestSynth:
+    @pytest.mark.parametrize("field, tensor", [("sigma", "Y0"), ("x_sigma", "X")])
+    def test_overflow_names_field_and_tensor_and_writes_nothing(self, tmp_path, capfd,
+                                                                field, tensor):
+        spec = {"d": 16, "T": 40, "freqs": [3, 7], "sigma": 0.5, "x_sigma": 0.5, field: 1e308}
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(spec))
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capfd.readouterr().err
+        assert err == (f"freqfact: input error: {field}=1e+308 overflows tensor {tensor} "
+                       "to non-finite values\n")
+        assert not (tmp_path / "o").exists()
+
     def test_default_spec_has_full_length(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("synth", "--out", out, "--seed", 1) == 0
@@ -215,6 +228,46 @@ class TestFactorize:
             a = (out1 / f"point_{i:03d}" / "H.csv").read_bytes()
             b = (out2 / f"point_{i:03d}" / "H.csv").read_bytes()
             assert a == b
+
+
+    def test_grid_workers_bind_to_distinct_cpus(self, tmp_path, monkeypatch):
+        data = synth_dataset(tmp_path)
+        cfg = {
+            "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "r": 2, "xi": 0.5, "penalty": {"kind": "ridge", "lambda": 0.0},
+            "n_iters": 3, "sub_iters": 10, "seed": 0,
+            "grid": [{"xi": 0.1}, {"xi": 1.0}],
+        }
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(cfg))
+        out1, out2 = tmp_path / "serial", tmp_path / "par"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        bound, ran = {}, {}
+
+        def setaffinity(pid, cpus):
+            assert pid == 0 and threading.current_thread() is not threading.main_thread()
+            bound[threading.get_ident()] = list(cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        assert run_cli("factorize", "--config", p, "--out", out1) == 0
+        assert bound == {}
+        # both points run at once, so each runs on its own worker thread
+        together = threading.Barrier(2, timeout=30)
+        run_point = cli._run_factorize_point
+
+        def point(pcfg, out, load):
+            ran[out.name] = threading.get_ident()
+            together.wait()
+            return run_point(pcfg, out, load)
+
+        monkeypatch.setattr(cli, "_run_factorize_point", point)
+        assert run_cli("factorize", "--config", p, "--out", out2, "--jobs", 2) == 0
+        assert sorted(bound[ran[f"point_{i:03d}"]] for i in range(2)) == [[0], [1]]
+        for i in range(2):
+            for name in ("W.csv", "Wp.csv", "H.csv", "report.json"):
+                a = (out1 / f"point_{i:03d}" / name).read_bytes()
+                assert (out2 / f"point_{i:03d}" / name).read_bytes() == a
+        assert (out2 / "index.json").read_bytes() == (out1 / "index.json").read_bytes()
 
 
 class TestForecastCli:

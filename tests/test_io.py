@@ -5,6 +5,7 @@ factorize grid."""
 
 import json
 import os
+import stat
 import threading
 import tracemalloc
 
@@ -629,3 +630,154 @@ def test_interrupted_parse_kills_and_reaps_every_child(tmp_path, monkeypatch, fo
     monkeypatch.setattr(os, "waitpid", real_waitpid)
     assert len(forks) == 3 and calls[1:] == forks
     assert_no_child_left()
+
+
+def open_fds():
+    """The process's open file descriptors, or None where ``/proc`` is absent."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture
+def forked_write(forked, monkeypatch):
+    """The ``forked`` fakes, with blocks of 8 cells or more written by the
+    forked format, 4 lines a step; checks after the test that no child and
+    no file descriptor is left."""
+    monkeypatch.setattr(fio, "_FORMAT_CHUNK_CELLS", 4)
+    monkeypatch.setattr(fio, "_CHUNK_LINES", 4)
+    fds = open_fds()
+    yield forked
+    assert_no_child_left()
+    assert open_fds() == fds
+
+
+def write_kind(kind, path):
+    """Writes a tensor, matrix or slice file of 63 cells in 21 lines to ``path``."""
+    values = np.random.default_rng(3).standard_normal((7, 3, 3))
+    values[0, 0, :] = EDGE_VALUES[:3]
+    if kind == "tensor":
+        fio.write_tensor(path, SpatioTemporalTensor(values, np.array([True, False, True])))
+    elif kind == "matrix":
+        fio.write_matrix(path, values.reshape(21, 3))
+    else:
+        fio.write_slice(path, values.reshape(21, 3), 5)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["tensor", "matrix", "slice"])
+def test_forked_write_is_byte_equal(tmp_path, forked_write, workers, kind):
+    set_workers, forks = forked_write
+    set_workers(1)
+    write_kind(kind, tmp_path / "serial.csv")
+    set_workers(workers)
+    write_kind(kind, tmp_path / "forked.csv")
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == (workers if workers > 1 else 0)
+
+
+def test_failed_format_child_gives_the_serial_bytes(tmp_path, monkeypatch, forked_write):
+    set_workers, forks = forked_write
+    set_workers(1)
+    write_kind("matrix", tmp_path / "serial.csv")
+    set_workers(3)
+
+    def setaffinity(pid, cpus):
+        if cpus == [1]:  # the second child fails
+            raise OSError("cannot bind")
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    write_kind("matrix", tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "serial.csv"]
+
+
+def test_failed_fork_falls_back_to_the_serial_format(tmp_path, monkeypatch, forked_write):
+    set_workers, forks = forked_write
+    set_workers(1)
+    write_kind("tensor", tmp_path / "serial.csv")
+    set_workers(3)
+    fork = os.fork
+    calls = []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("fork failed")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    write_kind("tensor", tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    # the one child forked before the failure was killed and reaped
+    assert len(calls) == 2 and len(forks) == 1
+
+
+def test_no_forked_write_while_another_thread_is_alive(tmp_path, forked_write):
+    set_workers, forks = forked_write
+    set_workers(4)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        write_kind("matrix", tmp_path / "threads.csv")
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+    write_kind("matrix", tmp_path / "alone.csv")
+    assert len(forks) == 4
+    assert (tmp_path / "threads.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_only_blocks_of_32768_cells_or_more_fork(tmp_path, forked):
+    set_workers, forks = forked
+    set_workers(4)
+    fds = open_fds()
+    # the largest text block the pipeline writes is smaller still
+    fio.write_matrix(tmp_path / "small.csv", np.full((8192, 2), 0.25))
+    assert forks == []
+    fio.write_matrix(tmp_path / "large.csv", np.full((8192, 4), 0.25))
+    assert len(forks) == 2
+    assert (tmp_path / "large.csv").read_text().count("\n") == 8193
+    assert_no_child_left()
+    assert open_fds() == fds
+
+
+def test_interrupted_write_kills_and_reaps_every_child(tmp_path, monkeypatch, forked_write):
+    set_workers, forks = forked_write
+    set_workers(3)
+    real_waitpid = os.waitpid
+    calls = []
+
+    def waitpid(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:  # as if Ctrl-C came while the parent waited
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        write_kind("matrix", tmp_path / "m.csv")
+    monkeypatch.setattr(os, "waitpid", real_waitpid)
+    assert len(forks) == 3 and calls[1:] == forks
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outputs_honour_the_umask(tmp_path, forked_write, umask, mode, workers):
+    set_workers, forks = forked_write
+    set_workers(workers)
+    t = SpatioTemporalTensor(np.arange(24.0).reshape(2, 3, 4))
+    old = os.umask(umask)
+    try:
+        write_kind("tensor", tmp_path / "t.csv")
+        write_kind("matrix", tmp_path / "m.csv")
+        write_kind("slice", tmp_path / "s.csv")
+        fio.write_tensor(tmp_path / "t.bin", t, binary=True)
+        fio.write_json(tmp_path / "r.json", {"a": 1})
+    finally:
+        os.umask(old)
+    assert len(forks) == (6 if workers > 1 else 0)  # two for each text file
+    for p in tmp_path.iterdir():
+        assert (p.name, stat.S_IMODE(p.stat().st_mode)) == (p.name, mode)
