@@ -286,7 +286,6 @@ def cmd_synth(args) -> int:
     tensors = {"X": SpatioTemporalTensor(x[:, None, :])}
     tensors.update((f"Y{k}", SpatioTemporalTensor(y[:, None, :])) for k, y in enumerate(ys))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ext = "bin" if args.binary else "csv"
     for name, t in tensors.items():
         fio.write_tensor(out / f"{name}.{ext}", t, args.binary)
@@ -313,7 +312,6 @@ def _run_factorize_point(cfg, out: Path, load) -> float:
                                    sub_iters=cfg.sub_iters, priority=cfg.priority, tol=cfg.tol)
     else:
         model, report = ssnmf_bcd(x, y, hyper, cfg.n_iters, cfg.sub_iters, cfg.seed, tol=cfg.tol)
-    out.mkdir(parents=True, exist_ok=True)
     fio.write_matrix(out / "W.csv", model.W)
     fio.write_matrix(out / "Wp.csv", model.Wp)
     fio.write_matrix(out / "H.csv", model.H)
@@ -370,6 +368,9 @@ def cmd_factorize(args) -> int:
     for pcfg in points:
         load(pcfg.x)
         load.aux(pcfg.y)
+    # every point's directory before any point writes
+    for i in range(len(points)):
+        (out / f"point_{i:03d}").mkdir(parents=True, exist_ok=True)
 
     def run(i, pcfg):
         return _run_factorize_point(pcfg, out / f"point_{i:03d}", load)
@@ -402,40 +403,56 @@ def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
     return (mu if live.all() else None), med, int(np.sum(~np.isfinite(mu)))
 
 
-def cmd_forecast(args) -> int:
+def _encode_inputs(args) -> types.SimpleNamespace:
+    """The checked config, model (``w``, ``wp``, ``h_train``), stacked
+    auxiliaries ``y_full``, truth matrix ``x_true`` (None without one),
+    penalty and encode settings of a forecast or atom-scan.
+
+    The auxiliaries must have Wp's rows and the truth W's: a mismatch raises
+    ValueError naming both files and both counts, before anything is
+    encoded."""
     cfg = check_config("forecast", load_config(args))
     w, wp, h_train = _load_model(cfg.model)
+    load = _MatrixLoader()
+    y_full = load.aux(cfg.y)
+    if y_full.shape[0] != wp.shape[0]:
+        raise ValueError(f"{', '.join(_aux_paths(cfg.y))}: the auxiliary tensors stack to "
+                         f"{y_full.shape[0]} rows, but {Path(cfg.model) / 'Wp.csv'} has "
+                         f"{wp.shape[0]}")
+    x_true = load(cfg.x_true) if cfg.x_true else None
+    if x_true is not None and x_true.shape[0] != w.shape[0]:
+        raise ValueError(f"{cfg.x_true}: the truth tensor has {x_true.shape[0]} rows, but "
+                         f"{Path(cfg.model) / 'W.csv'} has {w.shape[0]}")
+    return types.SimpleNamespace(cfg=cfg, w=w, wp=wp, h_train=h_train, y_full=y_full,
+                                 x_true=x_true, penalty=_encode_penalty(cfg),
+                                 enc=EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed))
+
+
+def cmd_forecast(args) -> int:
+    inp = _encode_inputs(args)
+    cfg, w, y_full, x_true = inp.cfg, inp.w, inp.y_full, inp.x_true
     A = cfg.a if cfg.a is not None else w.shape[0]
     B = cfg.b if cfg.b is not None else 1
     if A * B != w.shape[0]:
         raise ValueError(f"a*b = {A * B} does not match dictionary rows {w.shape[0]}")
-    load = _MatrixLoader()
-    y_full = load.aux(cfg.y)
-    T = h_train.shape[1]
+    T = inp.h_train.shape[1]
     if y_full.shape[1] <= T:
         raise ValueError(f"auxiliary period ({y_full.shape[1]}) does not extend past T={T}")
-    penalty = _encode_penalty(cfg)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed)
-    h_new_full, report = encode_new(y_full, wp, penalty, cfg.lam_over_xi, enc)
+    if x_true is not None and x_true.shape[1] < y_full.shape[1]:
+        raise ValueError(f"{cfg.x_true}: truth tensor shorter than auxiliary period "
+                         f"({x_true.shape[1]} < {y_full.shape[1]} columns)")
+    h_new_full, report = encode_new(y_full, inp.wp, inp.penalty, cfg.lam_over_xi, inp.enc)
     h_new = h_new_full[:, T:]
-
-    score = None
-    if cfg.x_true:
-        x_true = load(cfg.x_true)
-        if x_true.shape[1] < y_full.shape[1]:
-            raise ValueError(f"{cfg.x_true}: truth tensor shorter than auxiliary period "
-                             f"({x_true.shape[1]} < {y_full.shape[1]} columns)")
-        score = nse(x_true[:, T : y_full.shape[1]], w @ h_new)
+    score = None if x_true is None else nse(x_true[:, T : y_full.shape[1]], w @ h_new)
     pred = predict(w, h_new, A, B)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every output directory before the first file
+    (out / "pred").mkdir(parents=True, exist_ok=True)
     fio.write_matrix(out / "H_new_full.csv", h_new_full)
     fio.write_matrix(out / "H_new.csv", h_new)
-    slice_dir = out / "pred"
-    slice_dir.mkdir(exist_ok=True)
     for k in range(pred.dims[2]):
-        fio.write_slice(slice_dir / f"slice_{k:04d}.csv", pred.values[:, :, k], k)
+        fio.write_slice(out / "pred" / f"slice_{k:04d}.csv", pred.values[:, :, k], k)
     mu, mu_median, mu_inf = _mu_summary(h_new_full)
     if mu is not None:
         fio.write_matrix(out / "mu.csv", mu)
@@ -455,6 +472,9 @@ def cmd_evaluate(args) -> int:
     truth_t = fio.read_tensor(args.truth)
     pred_t = truth_t if args.pred == args.truth else fio.read_tensor(args.pred)
     truth, pred = matricize(truth_t), matricize(pred_t)
+    if pred.shape[0] != truth.shape[0]:
+        raise ValueError(f"{args.pred}: the prediction has {pred.shape[0]} rows, but "
+                         f"{args.truth} has {truth.shape[0]}")
     offset = args.offset if args.offset is not None else truth.shape[1] - pred.shape[1]
     if offset < 0 or offset + pred.shape[1] > truth.shape[1]:
         raise ValueError(
@@ -468,9 +488,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{args.truth} and {args.pred} keep different time columns: the "
                          f"prediction's kept times do not match truth columns from {offset}")
     score = nse(truth[:, offset : offset + pred.shape[1]], pred)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fio.write_json(out / "metrics.json", {
+    fio.write_json(Path(args.out) / "metrics.json", {
         "format": "stf-metrics-v1",
         "nse": score,
         "offset": int(offset),
@@ -481,28 +499,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_atom_scan(args) -> int:
-    cfg = check_config("forecast", load_config(args))
-    if not cfg.x_true:
+    inp = _encode_inputs(args)
+    w = inp.w
+    if inp.x_true is None:
         raise ValueError("atom-scan config needs 'x_true' (truth tensor path)")
-    w, wp, h_train = _load_model(cfg.model)
     if w.shape[1] < 2:
         raise ValueError("model has a single atom; nothing to remove")
-    load = _MatrixLoader()
-    y_full = load.aux(cfg.y)
-    x_true = load(cfg.x_true)
-    penalty = _encode_penalty(cfg)
-    hyper = Hyper(w.shape[1], 1.0, penalty)
-    model = FactorModel(w, wp, h_train, hyper)
-    enc = EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed)
-    entries = atom_removal_scan(model, x_true, y_full, penalty, cfg.lam_over_xi, enc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    model = FactorModel(w, inp.wp, inp.h_train, Hyper(w.shape[1], 1.0, inp.penalty))
+    entries = atom_removal_scan(model, inp.x_true, inp.y_full, inp.penalty,
+                                inp.cfg.lam_over_xi, inp.enc)
     lines = [f"stf-scan-v1,{len(entries)}", "atom,nse_after,delta"]
     for e in entries:
         atom = "baseline" if e.atom is None else str(e.atom)
         lines.append(f"{atom},{e.nse_after!r},{e.delta!r}")
-    fio.atomic_write_bytes(out / "scan.csv", ("\n".join(lines) + "\n").encode())
-    log.info("atom scan written to %s", out / "scan.csv")
+    scan = Path(args.out) / "scan.csv"
+    fio.atomic_write_bytes(scan, ("\n".join(lines) + "\n").encode())
+    log.info("atom scan written to %s", scan)
     return EXIT_OK
 
 
@@ -572,8 +584,8 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"freqfact: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (TensorFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            KeyError, TypeError, ValueError) as exc:
+    except (TensorFormatError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, KeyError, TypeError, ValueError) as exc:
         print(f"freqfact: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,28 +23,30 @@ and comma layout is checked with vectorised byte positions, and one
 is instead cut at line starts into one chunk per CPU the process may run on
 (at most one per ``_PARSE_CHUNK_BYTES``), and each chunk goes through that
 same call in a forked child bound to its CPU; the values are bit-identical
-for any number of workers.  The parent reaps every child before it returns
-or raises, and kills those still running first when it is interrupted.  A
-child that fails sends the file to the line-by-line parse below, which names
-the fault.  A file in that form except that every line ends ``\\r\\n``
-takes the same parse after one replace of ``\\r\\n`` by ``\\n``.  Any
-other text file (blank lines, mixed or lone ``\\r`` line ends, spaces,
-``1_0``, a missing final newline, a malformed cell, ...) goes to a
-line-by-line parse, which accepts a cell exactly when ``float`` accepts it
-and the value is finite, skips blank lines, and raises
-:class:`TensorFormatError` naming the file and the first bad line (and
-column).  Both paths give the same values to the bit.  A binary file is read
-straight into its array, and names the flat index of its first non-finite
-value.  A pipe is read whole first, since the readers seek back.
+for any number of workers.  A child that fails sends the file to the
+line-by-line parse below, which names the fault.  Any other text file
+(``\\r\\n`` or lone ``\\r`` line ends, blank lines, spaces, ``1_0``, a
+missing final newline, a malformed cell, ...) goes to a line-by-line parse,
+which accepts a cell exactly when ``float`` accepts it and the value is
+finite, skips blank lines, and raises :class:`TensorFormatError` naming the
+file and the first bad line (and column).  Both paths give the same values
+to the bit.  A binary file is read straight into its array, and names the
+flat index of its first non-finite value.  A pipe is read whole first, since
+the readers seek back.
 
-Text is formatted ``_CHUNK_LINES`` data lines at a time.  A data block of
-at least ``2 * _FORMAT_CHUNK_CELLS`` cells (32,768), written while no other
-thread is alive, is cut into one chunk of equal line counts per CPU the
-process may run on (at most one per ``_FORMAT_CHUNK_CELLS``), each formatted
-by the same routine in a forked child bound to its CPU, so the bytes are
-identical for any number of workers; a failed fork or child sends the block
-to the serial format.  Every file is written to a temp file beside it, made
-with mode 0o666 less the umask, and renamed into place.
+Text is formatted ``_CHUNK_LINES`` data lines at a time, each step written
+straight to the file, so a write never holds the whole text.  A data block
+of at least ``2 * _FORMAT_CHUNK_CELLS`` cells (32,768), written while no
+other thread is alive, is cut into one chunk of equal line counts per CPU
+the process may run on (at most one per ``_FORMAT_CHUNK_CELLS``), each
+formatted by the same routine in a forked child bound to its CPU, so the
+bytes are identical for any number of workers; a failed fork or child sends
+the block to the serial format.  The forked parse and format share one
+helper, :func:`_forked`, which gives each child an in-memory file for its
+output and reaps every child before it returns or raises, killing those
+still running first when it is interrupted.  Every file is written to a
+temp file beside it, made with mode 0o666 less the umask, and renamed into
+place.
 """
 
 import contextlib
@@ -139,29 +141,35 @@ def _fork_cpus(most: int) -> list[int]:
     return cpus if len(cpus) > 1 else []
 
 
-def _run_forked(work, cpus: list[int]) -> bool:
-    """Run ``work(j)`` in forked child j, bound to CPU ``cpus[j]`` (a kernel
-    that does not balance load would run every child on the parent's CPU),
-    for each j; True when every ``work(j)`` returned true.
+@contextlib.contextmanager
+def _forked(work, cpus: list[int]):
+    """Run ``work(j, fd)`` in forked child j, bound to CPU ``cpus[j]`` (a
+    kernel that does not balance load would run every child on the parent's
+    CPU), where ``fd`` is an anonymous in-memory file made for child j; yield
+    those files in order once every child exited 0, or None when one failed.
+    Raises OSError when a file could not be made or a child could not be
+    forked or reaped.  The files are closed when the ``with`` block ends.
 
     A child exits 0 when its ``work`` returns true, else 1, also when it
     raises, and never runs the parent's cleanup.  The parent reaps every
-    child before it returns or raises, and kills those still running first
+    child before it yields or raises, and kills those still running first
     when a fork failed or it was interrupted.
     """
-    parent, pids = os.getpid(), []
+    parent, pids, fds = os.getpid(), [], []
     try:
+        for _ in cpus:
+            fds.append(os.memfd_create("freqfact"))
         for j, cpu in enumerate(cpus):
             pid = os.fork()
             if pid == 0:
                 os.sched_setaffinity(0, [cpu])
-                os._exit(0 if work(j) else 1)
+                os._exit(0 if work(j, fds[j]) else 1)
             pids.append(pid)
         failed = False
         while pids:
             failed |= os.waitpid(pids[0], 0)[1] != 0
             del pids[0]
-        return not failed
+        yield None if failed else fds
     finally:
         if os.getpid() != parent:  # a child that raised
             os._exit(1)
@@ -169,6 +177,8 @@ def _run_forked(work, cpus: list[int]) -> bool:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _format_rows(m: np.ndarray) -> str:
@@ -181,64 +191,50 @@ def _format_rows(m: np.ndarray) -> str:
     return "\n".join(map(",".join, zip(*[cells] * m.shape[1])))
 
 
+def _format_lines(fh, rows: np.ndarray, start: int, stop: int) -> None:
+    """Write lines ``start`` to ``stop`` of ``rows`` to ``fh``,
+    ``_CHUNK_LINES`` lines a step."""
+    for i in range(start, stop, _CHUNK_LINES):
+        fh.write((_format_rows(rows[i : min(i + _CHUNK_LINES, stop)]) + "\n").encode())
+
+
 def _write_text(path, head: list[str], rows: np.ndarray) -> None:
-    """Write the head lines, then one line per row of ``rows``.
+    """Write the head lines, then one line per row of ``rows`` formatted by
+    :func:`_format_lines`, through :func:`_atomic_write`.
 
     A block of at least ``2 * _FORMAT_CHUNK_CELLS`` cells, written while no
-    other thread is alive, is formatted by :func:`_write_forked`, or, when
-    that fails, like any other block: ``_CHUNK_LINES`` lines at a time in
-    this process, joined and written at once.  Both give the same bytes.
+    other thread is alive, is cut into one chunk of equal line counts per
+    CPU, each formatted in a child run by :func:`_forked`; the parent copies
+    the children's files in order into the temp file in the kernel, not
+    through its own heap.  Any other block, or one whose workers failed, is
+    formatted in this process straight into the temp file.  Both give the
+    same bytes.
     """
-    path = Path(path)
     cpus = _fork_cpus(min(rows.size // _FORMAT_CHUNK_CELLS, rows.shape[0]))
-    if cpus and _write_forked(path, head, rows, cpus):
-        return
-    parts = head + [
-        _format_rows(rows[i : i + _CHUNK_LINES]) for i in range(0, rows.shape[0], _CHUNK_LINES)
-    ]
-    atomic_write_bytes(path, ("\n".join(parts) + "\n").encode())
 
-
-def _write_forked(path: Path, head: list[str], rows: np.ndarray, cpus: list[int]) -> bool:
-    """:func:`_write_text` with the rows cut into one chunk of equal line
-    counts per CPU in ``cpus``, each formatted ``_CHUNK_LINES`` lines at a
-    time by :func:`_format_rows` in a forked child into its own anonymous
-    in-memory file.  The parent copies the head and then those files in
-    order into the temp file in the kernel, not through its own heap.
-    Returns False, having written nothing, when a file could not be made, a
-    worker could not be forked or reaped, or a child failed.
-    """
-    lines = [rows.shape[0] * i // len(cpus) for i in range(len(cpus) + 1)]
-
-    def format_chunk(j):
-        with open(fds[j], "wb", closefd=False) as fh:
-            for i in range(lines[j], lines[j + 1], _CHUNK_LINES):
-                step = rows[i : min(i + _CHUNK_LINES, lines[j + 1])]
-                fh.write((_format_rows(step) + "\n").encode())
+    def format_chunk(j, fd):
+        n = rows.shape[0]
+        with open(fd, "wb", closefd=False) as fh:
+            _format_lines(fh, rows, n * j // len(cpus), n * (j + 1) // len(cpus))
         return True
 
-    def copy(fh):
-        fh.write(("\n".join(head) + "\n").encode())
-        fh.flush()
-        for fd in fds:
-            at, size = 0, os.fstat(fd).st_size
-            while at < size:
-                at += os.sendfile(fh.fileno(), fd, at, size - at)
+    def fill(fh):
+        with contextlib.ExitStack() as stack:
+            try:
+                fds = cpus and stack.enter_context(_forked(format_chunk, cpus))
+            except OSError:  # no file made, or no worker forked or reaped
+                fds = None
+            fh.write(("\n".join(head) + "\n").encode())
+            if not fds:
+                _format_lines(fh, rows, 0, rows.shape[0])
+                return
+            fh.flush()
+            for fd in fds:
+                at, size = 0, os.fstat(fd).st_size
+                while at < size:
+                    at += os.sendfile(fh.fileno(), fd, at, size - at)
 
-    fds = []
-    try:
-        try:
-            for _ in cpus:
-                fds.append(os.memfd_create("freqfact-format"))
-            if not _run_forked(format_chunk, cpus):
-                return False
-        except OSError:  # no file made, or no worker forked or reaped
-            return False
-        _atomic_write(path, copy)
-        return True
-    finally:
-        for fd in fds:
-            os.close(fd)
+    _atomic_write(Path(path), fill)
 
 
 def write_tensor(path, t: SpatioTemporalTensor, binary: bool = False) -> None:
@@ -318,22 +314,8 @@ def _read_text(path: Path, fh, magic: str):
     parsed = _read_canonical(path, fh, magic)
     if parsed is None:
         fh.seek(0)
-        lf = _crlf_to_lf(fh.read())
-        if lf is not None:
-            parsed = _read_canonical(path, BytesIO(lf), magic)
-            del lf
-    if parsed is None:
-        fh.seek(0)
         parsed = _read_general(path, fh.read(), magic)
     return parsed
-
-
-def _crlf_to_lf(raw: bytes) -> bytes | None:
-    """``raw`` with each ``\\r\\n`` made ``\\n`` when every line ends
-    ``\\r\\n``, else None."""
-    lf = raw.replace(b"\r\n", b"\n")
-    crlf = len(raw) - len(lf)
-    return lf if crlf and crlf == lf.count(b"\n") and b"\r" not in lf else None
 
 
 def _read_canonical(path: Path, fh, magic: str):
@@ -437,26 +419,22 @@ def _parse_cells(body: bytes, count: int, cols: int) -> np.ndarray | None:
 def _parse_forked(body: bytes, cols: int, lines: list[int], cuts: list[int],
                   cpus: list[int]) -> np.ndarray | None:
     """:func:`_parse_cells` of a canonical block in children run by
-    :func:`_run_forked`: child j parses lines ``lines[j]`` to
-    ``lines[j + 1]``, bytes ``cuts[j]`` to ``cuts[j + 1]``.
-
-    Each child writes its values into one anonymous in-memory file at its
-    line's offset, and fails when its chunk does not parse to its count of
-    values.  The parent reads the file into its own array, which reuses the
-    heap the canonical check just freed where a shared map would add pages,
-    and returns it, or None when any child failed.
+    :func:`_forked`: child j parses lines ``lines[j]`` to ``lines[j + 1]``,
+    bytes ``cuts[j]`` to ``cuts[j + 1]``, and writes the values into its own
+    in-memory file; it fails when its chunk does not parse to its count of
+    values.  The parent reads each file into its slice of one array, which
+    reuses the heap the canonical check just freed where a shared map would
+    add pages, and returns it, or None when any child failed.
     """
-    def parse(j):
-        start, stop = lines[j] * cols, lines[j + 1] * cols
-        values = _parse_cells(body[cuts[j] : cuts[j + 1]], stop - start, cols)
-        return values is not None and os.pwrite(fd, values, 8 * start) == values.nbytes
+    def parse(j, fd):
+        values = _parse_cells(body[cuts[j] : cuts[j + 1]], parts[j].size, cols)
+        return values is not None and os.write(fd, values) == values.nbytes
 
     out = np.empty(lines[-1] * cols)
-    fd = os.memfd_create("freqfact-parse")
-    try:
-        ok = _run_forked(parse, cpus) and os.preadv(fd, [out], 0) == out.nbytes
-    finally:
-        os.close(fd)
+    parts = [out[lines[j] * cols : lines[j + 1] * cols] for j in range(len(cpus))]
+    with _forked(parse, cpus) as fds:
+        ok = fds is not None and all(
+            os.preadv(fd, [part], 0) == part.nbytes for fd, part in zip(fds, parts))
     return out if ok else None
 
 

@@ -1357,3 +1357,101 @@ def test_env_log_level_tolerates_unknown(tmp_path, monkeypatch):
 def test_mu_summary_of_an_all_zero_code_is_empty():
     # no live row: no ratio matrix, no median and no infinite entries
     assert cli._mu_summary(np.zeros((3, 8))) == (None, None, 0)
+
+
+class TestOutputPaths:
+    """An output path that is a regular file, and inputs whose row counts
+    disagree, exit 2 with one stderr line before any file is written."""
+
+    def pipeline(self, tmp_path):
+        """The forecast pipeline's data and model, and an argv per
+        subcommand that writes to ``--out``."""
+        data, model, w, h, T = TestForecastCli().make_pipeline(tmp_path)
+        fc = tmp_path / "fc.json"
+        fc.write_text(json.dumps({"model": str(model), "y": str(data / "Y_full.csv"),
+                                  "x_true": str(data / "X_full.csv"), "sweeps": 2,
+                                  "sub_iters": 5}))
+        fz = tmp_path / "fz.json"
+        fz.write_text(json.dumps({"x": str(data / "X_full.csv"), "y": str(data / "Y_full.csv"),
+                                  "r": 2, "xi": 0.5, "penalty": {"kind": "ridge", "lambda": 0.1},
+                                  "n_iters": 2, "sub_iters": 5}))
+        sy = tmp_path / "sy.json"
+        sy.write_text(json.dumps({"d": 4, "T": 20, "freqs": [3]}))
+        return data, model, {
+            "synth": ["synth", "--config", sy],
+            "factorize": ["factorize", "--config", fz],
+            "forecast": ["forecast", "--config", fc],
+            "evaluate": ["evaluate", "--truth", data / "X_full.csv",
+                         "--pred", data / "X_full.csv"],
+            "atom-scan": ["atom-scan", "--config", fc],
+        }
+
+    @pytest.mark.parametrize("command", ["synth", "factorize", "forecast", "evaluate",
+                                         "atom-scan"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, command):
+        data, model, argv = self.pipeline(tmp_path)
+        out = tmp_path / "o"
+        out.write_bytes(b"keep")
+        assert run_cli(*argv[command], "--out", out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("freqfact: input error: ") and str(out) in line
+        assert out.read_bytes() == b"keep"
+
+    def test_pred_that_is_a_file_exits_2(self, tmp_path, capsys):
+        data, model, argv = self.pipeline(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "pred").write_bytes(b"keep")
+        assert run_cli(*argv["forecast"], "--out", out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("freqfact: input error: ") and str(out / "pred") in line
+        assert [p.name for p in out.rglob("*")] == ["pred"]
+
+    def test_grid_point_that_is_a_file_exits_2(self, tmp_path, capsys):
+        data, model, argv = self.pipeline(tmp_path)
+        grid = tmp_path / "grid.json"
+        cfg = json.loads((tmp_path / "fz.json").read_text())
+        grid.write_text(json.dumps({**cfg, "grid": [{"xi": 0.5}, {"xi": 1.0}]}))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "point_001").write_bytes(b"keep")
+        assert run_cli("factorize", "--config", grid, "--out", out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("freqfact: input error: ") and str(out / "point_001") in line
+        assert [p.name for p in out.rglob("*") if p.is_file()] == ["point_001"]
+
+    @pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+    @pytest.mark.parametrize("field", ["y", "x_true"])
+    def test_row_mismatch_names_both_files(self, tmp_path, capsys, monkeypatch, command, field):
+        data, model, argv = self.pipeline(tmp_path)
+        source = data / ("Y_full.csv" if field == "y" else "X_full.csv")
+        short = data / "short.csv"
+        write_tensor(short, SpatioTemporalTensor(read_tensor(source).values[:4]))
+        cfg = json.loads((tmp_path / "fc.json").read_text())
+        (tmp_path / "fc.json").write_text(json.dumps({**cfg, field: str(short)}))
+
+        def encode(*args, **kwargs):
+            raise AssertionError("encoded before checking the rows")
+
+        monkeypatch.setattr(cli, "encode_new", encode)
+        monkeypatch.setattr(cli, "atom_removal_scan", encode)
+        out = tmp_path / "o"
+        assert run_cli(*argv[command], "--out", out) == 2
+        if field == "y":
+            want = (f"{short}: the auxiliary tensors stack to 4 rows, "
+                    f"but {model / 'Wp.csv'} has 8")
+        else:
+            want = f"{short}: the truth tensor has 4 rows, but {model / 'W.csv'} has 8"
+        assert capsys.readouterr().err == f"freqfact: input error: {want}\n"
+        assert not out.exists()
+
+    def test_evaluate_row_mismatch_names_both_files(self, tmp_path, capsys):
+        data, model, argv = self.pipeline(tmp_path)
+        truth = data / "X_full.csv"
+        pred = data / "pred.csv"
+        write_tensor(pred, SpatioTemporalTensor(read_tensor(truth).values[:4]))
+        out = tmp_path / "o"
+        assert run_cli("evaluate", "--truth", truth, "--pred", pred, "--out", out) == 2
+        want = f"{pred}: the prediction has 4 rows, but {truth} has 8"
+        assert capsys.readouterr().err == f"freqfact: input error: {want}\n"
+        assert not out.exists()

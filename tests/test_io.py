@@ -188,47 +188,33 @@ def test_reader_agrees_with_the_general_path(tmp_path_factory, case):
     assert outcome(read, p) == want
 
 
-def _crlf_case(tmp_path, tensor):
-    """A tensor (with a mask row) or matrix file as the writers emit it, and
-    its copy with every line ended ``\\r\\n``."""
+def _crlf_case(tmp_path):
+    """A tensor file (with a mask row) as the writers emit it, and its copy
+    with every line ended ``\\r\\n``."""
     values = np.random.default_rng(3).standard_normal((3, 2, 4))
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-    if tensor:
-        fio.write_tensor(lf, SpatioTemporalTensor(values, np.array([True, False, True, True])))
-    else:
-        fio.write_matrix(lf, values.reshape(6, 4))
+    fio.write_tensor(lf, SpatioTemporalTensor(values, np.array([True, False, True, True])))
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    return lf, crlf, fio.read_tensor if tensor else fio.read_matrix
-
-
-@pytest.mark.parametrize("tensor", [True, False], ids=["tensor", "matrix"])
-def test_crlf_file_takes_the_canonical_parse(tmp_path, monkeypatch, tensor):
-    lf, crlf, read = _crlf_case(tmp_path, tensor)
-    want = outcome(read, lf)
-
-    def general(*args):
-        raise AssertionError("took the line-by-line parse")
-
-    monkeypatch.setattr(fio, "_read_general", general)
-    assert outcome(read, crlf) == want
+    return lf, crlf
 
 
 @pytest.mark.parametrize("edit, message", [
+    (lambda b: b, None),
     (lambda b: b.replace(b"\r\n", b"\n", 1), None),
     (lambda b: b[:-2] + b"\n", None),
     (lambda b: b.replace(b"\r\n", b"\r", 2), None),
     (lambda b: b[:-3] + b"x\r\n", "line 14, column 2: could not parse"),
-], ids=["one-lf", "last-lf", "lone-cr", "bad-cell"])
+], ids=["all-crlf", "one-lf", "last-lf", "lone-cr", "bad-cell"])
 def test_other_line_ends_take_the_general_parse(tmp_path, monkeypatch, edit, message):
-    lf, crlf, read = _crlf_case(tmp_path, True)
+    lf, crlf = _crlf_case(tmp_path)
     crlf.write_bytes(edit(crlf.read_bytes()))
     calls = []
     general = fio._read_general
     monkeypatch.setattr(fio, "_read_general", lambda *args: calls.append(1) or general(*args))
-    got = outcome(read, crlf)
+    got = outcome(fio.read_tensor, crlf)
     assert calls == [1]
     if message is None:
-        assert got == outcome(read, lf)
+        assert got == outcome(fio.read_tensor, lf)
     else:
         assert message in got
 
@@ -761,6 +747,51 @@ def test_interrupted_write_kills_and_reaps_every_child(tmp_path, monkeypatch, fo
     monkeypatch.setattr(os, "waitpid", real_waitpid)
     assert len(forks) == 3 and calls[1:] == forks
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_memfd_gives_the_serial_bytes_and_values(tmp_path, monkeypatch, forked_write):
+    set_workers, forks = forked_write
+    set_workers(1)
+    write_kind("matrix", tmp_path / "serial.csv")
+    want = fio.read_matrix(tmp_path / "serial.csv")
+    set_workers(3)
+    real_memfd_create = os.memfd_create
+    calls = []
+
+    def memfd_create(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("no memfd")
+        return real_memfd_create(*args)
+
+    monkeypatch.setattr(os, "memfd_create", memfd_create)
+    write_kind("matrix", tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(calls) == 2
+    calls.clear()
+    assert fio.read_matrix(tmp_path / "m.csv").tobytes() == want.tobytes()
+    assert len(calls) == 2 and forks == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "serial.csv"]
+
+
+def test_serial_write_peak_memory_is_below_the_file_size(tmp_path, monkeypatch):
+    # a write that joins the whole text before it writes peaks near 3x the
+    # file size; one that writes each step as it is formatted, near 0.2x
+    monkeypatch.setattr(fio, "_CHUNK_LINES", 4096)
+    m = np.random.default_rng(0).standard_normal((100_000, 1))
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()  # no forked format while another thread is alive
+    tracemalloc.start()
+    try:
+        fio.write_matrix(tmp_path / "m.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert peak < (tmp_path / "m.csv").stat().st_size
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
