@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .exceptions import ConvergenceError, SingularGramError, SpectrumSymmetryError, TensorFormatError
+from .exceptions import ConvergenceError, TensorFormatError
 from .forecast import EncodeConfig, atom_removal_scan, encode_new, nse, predict
 from .regularization import Penalty
 from .solvers import FactorModel, Hyper, code_step, ssnmf_bcd, ssnmf_hard
@@ -438,6 +438,10 @@ def cmd_forecast(args) -> int:
     T = inp.h_train.shape[1]
     if y_full.shape[1] <= T:
         raise ValueError(f"auxiliary period ({y_full.shape[1]}) does not extend past T={T}")
+    # NSE scores two columns or more; without a truth one column is a forecast
+    if x_true is not None and y_full.shape[1] <= T + 1:
+        raise ValueError(f"auxiliary period ({y_full.shape[1]}) does not extend two columns "
+                         f"past T={T}")
     if x_true is not None and x_true.shape[1] < y_full.shape[1]:
         raise ValueError(f"{cfg.x_true}: truth tensor shorter than auxiliary period "
                          f"({x_true.shape[1]} < {y_full.shape[1]} columns)")
@@ -503,8 +507,6 @@ def cmd_atom_scan(args) -> int:
     w = inp.w
     if inp.x_true is None:
         raise ValueError("atom-scan config needs 'x_true' (truth tensor path)")
-    if w.shape[1] < 2:
-        raise ValueError("model has a single atom; nothing to remove")
     model = FactorModel(w, inp.wp, inp.h_train, Hyper(w.shape[1], 1.0, inp.penalty))
     entries = atom_removal_scan(model, inp.x_true, inp.y_full, inp.penalty,
                                 inp.cfg.lam_over_xi, inp.enc)
@@ -579,9 +581,8 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) == "":
                 raise ValueError(f"--{flag} must be a nonempty path, got ''")
         return args.func(args)
-    # LinAlgError subclasses ValueError, so the numerical branch goes first
-    except (SingularGramError, SpectrumSymmetryError, ConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    # LinAlgError and its subclasses are ValueErrors, so the numerical branch goes first
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"freqfact: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TensorFormatError, FileNotFoundError, FileExistsError, IsADirectoryError,

@@ -248,9 +248,10 @@ def _scored_penalty(h: np.ndarray, p: Penalty) -> float:
 def solve_W(x: np.ndarray, h: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Exact minimizer of ||X - W H||_F^2 + ridge ||W||_F^2.
 
-    W = X H^T (H H^T + ridge I)^{-1}.  A singular Gram with ridge = 0 raises
-    :class:`SingularGramError` rather than silently falling back to a
-    pseudo-inverse.
+    W = X H^T (H H^T + ridge I)^{-1}.  With ridge = 0, a Gram H H^T whose
+    smallest eigenvalue is at most ``_GRAM_RTOL`` times its largest, or whose
+    largest is not positive, raises :class:`SingularGramError` (giving the
+    eigenvalue range) rather than silently falling back to a pseudo-inverse.
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -261,18 +262,12 @@ def solve_W(x: np.ndarray, h: np.ndarray, ridge: float = 0.0) -> np.ndarray:
         # ridge makes the system positive definite by construction
         gram = gram + ridge * np.eye(gram.shape[0])
     else:
-        _require_nonsingular(gram, "code Gram matrix", "; pass ridge > 0 or re-initialize")
+        evals = np.linalg.eigvalsh(gram)
+        if evals[-1] <= 0.0 or evals[0] <= _GRAM_RTOL * evals[-1]:
+            raise SingularGramError(f"code Gram matrix is singular (eigenvalue range "
+                                    f"[{evals[0]:.3e}, {evals[-1]:.3e}]); pass ridge > 0 or "
+                                    "re-initialize")
     return np.linalg.solve(gram, h @ x.T).T
-
-
-def _require_nonsingular(gram: np.ndarray, what: str, hint: str = "") -> None:
-    """Raise :class:`SingularGramError` naming ``what`` (and adding ``hint``)
-    when the symmetric ``gram``'s smallest eigenvalue is at most
-    ``_GRAM_RTOL`` times its largest, or its largest is not positive."""
-    evals = np.linalg.eigvalsh(gram)
-    if evals[-1] <= 0.0 or evals[0] <= _GRAM_RTOL * evals[-1]:
-        raise SingularGramError(f"{what} is singular (eigenvalue range [{evals[0]:.3e}, "
-                                f"{evals[-1]:.3e}]){hint}")
 
 
 def _init_factors(x, y_t, hyper, seed):

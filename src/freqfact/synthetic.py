@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError
-from .solvers import _require_nonsingular
-from .spectral import dft_rows, idft_rows
+from .solvers import solve_W
+from .spectral import dft_rows
+from .tensor import supervised_stack
 
 __all__ = [
     "SyntheticSpec",
@@ -101,21 +102,21 @@ def closed_form_code(
     y: np.ndarray,
     xi: float,
 ) -> CodeDecomposition:
-    """Normal-equation solution of the stacked least-squares code problem.
+    """Least-squares solution of the stacked code problem, split by source.
 
-    With Wbar = [W; sqrt(xi) Wp], Xbar = [X; sqrt(xi) Y] and
-    M = (Wbar^T Wbar)^{-1} Wbar^T, the minimizer M Xbar splits into
-
-      * x_term: the main data X weighted by M's X-block plus sqrt(xi) times
-        each auxiliary block, and
-      * mismatch: the sqrt(xi)-weighted auxiliary blocks applied to the
-        inverse transform of (spectrum(Y_p) - spectrum(X)).
+    With Wbar = [W; sqrt(xi) Wp] and Xbar = [X; sqrt(xi) Y], ``code``
+    minimizes ||Xbar - Wbar H||_F, solved by :func:`~freqfact.solvers.solve_W`.
+    ``x_term`` is the same solve with every auxiliary block Y_p replaced by
+    X, so the code the main data alone would drive, and ``mismatch`` is
+    ``code - x_term``.  The solve is linear in Xbar, so ``mismatch`` is the
+    solve of [0; sqrt(xi) (Y_p - X)], each Y_p - X being the inverse
+    transform of spectrum(Y_p) - spectrum(X).
 
     A zero mismatch means the auxiliaries carry exactly the main data's
     spectral content, so supervision cannot distort the inferred code.
-    The auxiliary stack must be S * d rows for integer S.
+    The auxiliary stack must be S * d rows for integer S; a rank-deficient
+    Wbar raises :class:`~freqfact.exceptions.SingularGramError`.
     """
-    w = np.asarray(w, dtype=float)
     wp = np.asarray(wp, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -126,24 +127,10 @@ def closed_form_code(
         raise ValueError(
             f"auxiliary rows ({wp.shape[0]}, {y.shape[0]}) must equal S*{d} for integer S"
         )
-    S = wp.shape[0] // d
-    sq = np.sqrt(xi)
-    wbar = np.vstack([w, sq * wp])
-    xbar = np.vstack([x, sq * y])
-    gram = wbar.T @ wbar
-    _require_nonsingular(gram, "stacked dictionary Gram")
-    m = np.linalg.solve(gram, wbar.T)
-    code = m @ xbar
-
-    mx = m[:, :d]
-    blocks = [m[:, d + p * d : d + (p + 1) * d] for p in range(S)]
-    x_term = (mx + sq * sum(blocks)) @ x if S else mx @ x
-    spec_x = dft_rows(x)
-    mismatch = np.zeros_like(code)
-    for p, mp in enumerate(blocks):
-        yp = y[p * d : (p + 1) * d]
-        mismatch = mismatch + sq * (mp @ idft_rows(dft_rows(yp) - spec_x))
-    return CodeDecomposition(code, x_term, mismatch)
+    wbar_t = supervised_stack(w, wp, xi).T
+    code, x_term = (solve_W(supervised_stack(x, aux, xi).T, wbar_t).T
+                    for aux in (y, np.tile(x, (wp.shape[0] // d, 1))))
+    return CodeDecomposition(code, x_term, code - x_term)
 
 
 @dataclass

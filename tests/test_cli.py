@@ -390,6 +390,8 @@ class TestForecastCli:
         ("forecast", {"a": 3, "b": 2}, "a*b = 6 does not match dictionary rows 8", True),
         ("forecast", {"y": "Y_train.csv"}, "auxiliary period (40) does not extend past T=40",
          True),
+        ("forecast", {"y": "Y_one.csv"},
+         "auxiliary period (41) does not extend two columns past T=40", True),
         ("forecast", {"y": []}, "config needs at least one auxiliary tensor path under 'y'", True),
         ("forecast", {"x_true": "X_short.csv"},
          "{data}/X_short.csv: truth tensor shorter than auxiliary period (46 < 52 columns)\n",
@@ -398,13 +400,14 @@ class TestForecastCli:
          True),
         ("evaluate", None, "prediction (52 cols at offset 5) does not fit inside truth (52 cols)",
          True),
-    ], ids=["a-times-b", "aux-not-past-T", "empty-y", "truth-short", "scan-no-truth",
-            "evaluate-offset"])
+    ], ids=["a-times-b", "aux-not-past-T", "aux-one-past-T", "empty-y", "truth-short",
+            "scan-no-truth", "evaluate-offset"])
     def test_input_error_exits_2_without_output(self, tmp_path, capsys, monkeypatch, command,
                                                 overrides, want, before_encode):
         data, model, w, h, T = self.make_pipeline(tmp_path)
         y = read_tensor(data / "Y_full.csv").values
         write_tensor(data / "Y_train.csv", SpatioTemporalTensor(y[:, :, :T]))
+        write_tensor(data / "Y_one.csv", SpatioTemporalTensor(y[:, :, :T + 1]))
         x = read_tensor(data / "X_full.csv").values
         write_tensor(data / "X_short.csv", SpatioTemporalTensor(x[:, :, :-6]))
         if before_encode:
@@ -489,6 +492,33 @@ class TestForecastCli:
         assert run_cli("atom-scan", "--config", cfg, "--out", out) == 2
         err = capsys.readouterr().err
         assert "input error: auxiliary period (40) does not extend two columns past T=40" in err
+        assert not out.exists()
+
+    def test_one_column_forecast_without_truth(self, tmp_path):
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        y = read_tensor(data / "Y_full.csv").values
+        write_tensor(data / "Y_one.csv", SpatioTemporalTensor(y[:, :, :T + 1]))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_one.csv"),
+                                   "sweeps": 2, "sub_iters": 10}))
+        out = tmp_path / "o"
+        assert run_cli("forecast", "--config", cfg, "--out", out) == 0
+        metrics = read_json(out / "metrics.json")
+        assert metrics["columns_predicted"] == 1 and metrics["nse"] is None
+
+    def test_atom_scan_of_one_atom_exits_2_without_output(self, tmp_path, capsys):
+        from freqfact.io import write_matrix
+
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        for name, m in [("W", w[:, :1]), ("Wp", read_matrix(model / "Wp.csv")[:, :1]),
+                        ("H", h[:1, :T])]:
+            write_matrix(model / f"{name}.csv", m)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_full.csv"),
+                                   "x_true": str(data / "X_full.csv")}))
+        out = tmp_path / "o"
+        assert run_cli("atom-scan", "--config", cfg, "--out", out) == 2
+        assert "input error: atom removal needs at least two atoms" in capsys.readouterr().err
         assert not out.exists()
 
     def test_atom_scan_scores_the_window_forecast_scores(self, tmp_path):

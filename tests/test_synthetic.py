@@ -68,8 +68,9 @@ class TestClosedFormCode:
         w = rng.standard_normal((5, 2))
         x = rng.standard_normal((5, 8))
         out = closed_form_code(w, w, x, x, xi=2.0)
-        assert np.max(np.abs(out.mismatch)) <= 1e-10
-        assert np.allclose(out.code, out.x_term, atol=1e-10)
+        # both solves run on the same stack, so the terms agree to the bit
+        assert not out.mismatch.any()
+        assert np.array_equal(out.code, out.x_term)
 
     def test_terms_sum_to_direct_solve(self):
         rng = np.random.default_rng(51)
@@ -89,6 +90,20 @@ class TestClosedFormCode:
             assert np.allclose(out.code, direct, atol=1e-8)
             assert np.allclose(out.x_term + out.mismatch, direct, atol=1e-8)
 
+    @pytest.mark.parametrize("S", [0, 1, 2, 3])
+    def test_x_term_solves_the_stack_with_x_for_every_auxiliary(self, S):
+        rng = np.random.default_rng(53 + S)
+        d, r, T, xi = 4, 3, 9, 1.7
+        w = rng.standard_normal((d, r))
+        wp = rng.standard_normal((S * d, r))
+        x = rng.standard_normal((d, T))
+        y = rng.standard_normal((S * d, T))
+        out = closed_form_code(w, wp, x, y, xi)
+        wbar = np.vstack([w, np.sqrt(xi) * wp])
+        xbar = np.vstack([x] + [np.sqrt(xi) * x] * S)
+        want = np.linalg.solve(wbar.T @ wbar, wbar.T @ xbar)
+        assert np.max(np.abs(out.x_term - want)) <= 1e-10
+
     def test_zero_supervision_reduces_to_main_fit(self):
         rng = np.random.default_rng(52)
         w = rng.standard_normal((6, 2))
@@ -98,11 +113,11 @@ class TestClosedFormCode:
         out = closed_form_code(w, wp, x, y, xi=0.0)
         direct = np.linalg.solve(w.T @ w, w.T @ x)
         assert np.allclose(out.code, direct, atol=1e-10)
-        assert np.max(np.abs(out.mismatch)) <= 1e-12
+        assert not out.mismatch.any()
 
     def test_singular_stack_rejected(self):
         w = np.ones((3, 2))  # duplicated atoms
-        with pytest.raises(SingularGramError):
+        with pytest.raises(SingularGramError, match="^code Gram matrix is singular"):
             closed_form_code(w, w, np.ones((3, 4)), np.ones((3, 4)), 1.0)
 
     def test_block_shape_validated(self):
