@@ -2,6 +2,7 @@
 frequency-domain regularization, plus the encode/predict forecasting
 pipeline and its evaluation metrics."""
 
+from .band import band_pursuit, solve_H_band
 from .exceptions import (
     ConvergenceError,
     SingularGramError,

@@ -9,11 +9,9 @@ carry frequencies longer than that window.
 
 The atom-removal scan makes one encode of r + 1 dictionaries of unequal
 widths: the full one (the baseline, encoded exactly as a forecast encodes
-it) and the r single-atom removals of r - 1 atoms each.  The top-R
-heuristic solves them in one pass, running its FFTs and top-R selection
-over all r + r (r - 1) code rows at once, with one batched G H per width;
-the prox step solves them one after another.  Each block's code equals bit
-for bit that of a separate encode.
+it) and the r single-atom removals of r - 1 atoms each.  The code step
+solves them one after another, and each block's code equals bit for bit
+that of a separate encode.
 
 Code steps return codes, not scores: an encode scores each code it returns
 once, exactly, as ||Y - Wp H||_F^2 plus the penalty a fit scores, the rule
@@ -45,13 +43,13 @@ class EncodeConfig:
     """Encoding solver configuration.
 
     The encode penalty picks the code step (see
-    :func:`~freqfact.solvers.code_step`).  The prox step (ridge, lasso,
-    soft_freq and a fixed-mask hard_freq) runs one round capped at
-    ``sweeps * sub_iters`` iterations, and stops sooner once its primal and
-    dual residuals are small.  The top-R heuristic (an adaptive hard_freq
-    band) runs ``sweeps`` warm-started rounds of ``sub_iters`` iterations;
-    each round restarts its diminishing step schedule, which restores large
-    steps.
+    :func:`~freqfact.solvers.code_step`), which runs once with a cap of
+    ``sweeps * sub_iters``.  The prox step (ridge, lasso, soft_freq) runs at
+    most that many ADMM iterations, and stops sooner once its primal and
+    dual residuals are small.  Pursuit (an adaptive top-R hard_freq band)
+    runs at most that many rounds, and stops sooner once a round picks the
+    support the last one solved on.  A fixed mask takes one exact solve
+    and no cap.
     """
 
     sweeps: int = 60
@@ -78,18 +76,17 @@ def encode_new(
 
     The penalty weight is ``lam_over_xi`` regardless of the weight stored in
     ``penalty``.  Output is elementwise nonnegative.  The report holds one
-    objective, that of the returned code, scored once after the last round
+    objective, that of the returned code, scored once after the code step
     as ||Y_full - Wp H||_F^2 plus the penalty at ``lam_over_xi`` (0 for a
-    hard band), each round's first step, and in ``wall_iters`` the
-    code-step iterations run.  A non-finite code after any round, or a
-    non-finite objective, raises
-    :class:`~freqfact.exceptions.ConvergenceError` naming the round.  The
-    code step records no per-iteration diagnostics here (see
-    :func:`~freqfact.solvers.code_step`).
+    hard band), the code step's first step, and in ``wall_iters`` the
+    iterations, rounds or KKT solves it ran.  A non-finite code or
+    objective raises :class:`~freqfact.exceptions.ConvergenceError` (at
+    "outer iteration 1").  The code step records no per-iteration
+    diagnostics here (see :func:`~freqfact.solvers.code_step`).
 
     ``wp`` may also be a sequence of B dictionaries (m, k_b), of equal or
-    unequal widths: they encode together, one code step per round over all
-    blocks, and the call returns a list of B codes (k_b, T) and a list of B
+    unequal widths: they encode together, one code step over all blocks,
+    and the call returns a list of B codes (k_b, T) and a list of B
     reports, each equal bit for bit to a separate 2-D call's.  Every block
     starts from the seeded code of its width, a fixed mask in ``penalty``
     holds the blocks' rows in order, and a non-finite block is named.
@@ -106,21 +103,17 @@ def encode_new(
               for k in set(widths)}
     h = [starts[k] for k in widths]
     pen = replace(penalty, lam=lam_over_xi)
-    variant, step = code_step(pen, _diagnostics=False)
-    rounds, iters = config.sweeps, config.sub_iters
-    if variant == "prox":
-        rounds, iters = 1, rounds * iters
+    _, step = code_step(pen, _diagnostics=False)
     reports = [SolveReport() for _ in dictionaries]
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(rounds):
-            h, subs = step(y_full, dictionaries, h, iters)
-            for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
-                _require_finite("encode_new", it, None if flat else b, H=hb)
-                report.step_trace.append(sub.step_trace[0])
-                report.wall_iters += sub.wall_iters
+        h, subs = step(y_full, dictionaries, h, config.sweeps * config.sub_iters)
+        for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
+            _require_finite("encode_new", 0, None if flat else b, H=hb)
+            report.step_trace.append(sub.step_trace[0])
+            report.wall_iters = sub.wall_iters
         for b, (report, w, hb) in enumerate(zip(reports, dictionaries, h)):
             val = _sq_residual(y_full, w, hb) + _scored_penalty(hb, pen)
-            _require_finite("encode_new", rounds - 1, None if flat else b, objective=val)
+            _require_finite("encode_new", 0, None if flat else b, objective=val)
             report.objective_trace.append(val)
     return (h[0], reports[0]) if flat else (h, reports)
 

@@ -10,46 +10,51 @@ Solvers:
   cached k x k H-step, residual balancing of its penalty parameter and a
   stop on its primal and dual residuals at a given tolerance; the iteration
   count is a cap.
+* :func:`~freqfact.band.solve_H_band` and
+  :func:`~freqfact.band.band_pursuit` - the exact code steps of a hard
+  band, in :mod:`freqfact.band`: one dual active-set solve on a fixed mask,
+  and hard thresholding pursuit on it for an adaptive top-R band.
 * :func:`alternating_pgd` - heuristic alternation of adaptive top-R
-  frequency projection, a gradient step, and the nonnegativity projection.
+  frequency projection, a gradient step, and the nonnegativity projection;
+  no code step runs it.
 * :func:`three_operator_splitting` - the paper's reference form of the
   fixed-mask splitting, with diminishing steps and an ergodic average; no
   code step runs it.
 
-The penalty alone picks the code solver, in :func:`code_step` (the top-R
-heuristic for a hard_freq penalty without a fixed mask, else the prox
-splitting), and the driver: :func:`ssnmf_bcd` fits a convex penalty,
-:func:`ssnmf_hard` a hard band.  Both run one block-coordinate loop (code
-step, then exact dictionary steps) that records the same things for every
-penalty.  A convex fit's code steps stop at a tolerance tied to the outer
-progress, 0.1 times the last relative code change between 1e-10 and 1e-2,
-and the loop drops a code that raises the objective: its objective trace
-never increases, and once the code changes by less than 1e-9 per outer
-iteration every step takes the exact 1e-10 stop.  Hard bands and encoding
-always take the exact stop.  Encoding runs the same code step with the
-dictionary held fixed.
+The penalty alone picks the code solver, in :func:`code_step` (pursuit,
+named "heuristic", for a hard_freq penalty without a fixed mask; one exact
+band solve for a fixed mask and the prox splitting for every convex
+penalty, both named "prox"), and the driver: :func:`ssnmf_bcd` fits a
+convex penalty, :func:`ssnmf_hard` a hard band.  Both run one
+block-coordinate loop (code step, then exact dictionary steps) that records
+the same things for every penalty.  A convex fit's code steps stop at a
+tolerance tied to the outer progress, 0.1 times the last relative code
+change between 1e-10 and 1e-2, and the loop drops a code that raises the
+objective: its objective trace never increases, and once the code changes
+by less than 1e-9 per outer iteration every step takes the exact 1e-10
+stop.  Hard bands and encoding always take their exact steps.  Encoding
+runs the same code step with the dictionary held fixed.
 All solvers are deterministic given a seed: identical seeds and configs
 yield bit-identical reports.
 
 The code steps take B independent problems against one ``Xbar`` at once,
 as sequences of B codes ``(k_b, T)`` and dictionaries ``(m, k_b)`` whose
 widths k_b may differ.  They return a list of B codes and a list of B
-reports, each equal bit for bit to a separate 2-D call's.
-:func:`alternating_pgd` solves all blocks in one pass: one set of FFTs and
-one top-R selection over all sum k_b rows, and one batched G H per run of
-blocks of one width, per iteration.  :func:`solve_H_prox` solves the blocks
-one after another.
+reports, each equal bit for bit to a separate 2-D call's, and solve the
+blocks one after another.  :func:`alternating_pgd` solves all blocks in one
+pass: one set of FFTs and one top-R selection over all sum k_b rows, and
+one batched G H per run of blocks of one width, per iteration.
 
 Code steps return codes, not scores: the driver that keeps a code scores
 it, once and exactly, as ||X - W H||_F^2 terms plus :func:`_scored_penalty`
 (the loop here, :func:`~freqfact.forecast.encode_new` for an encode).
 Diagnostics: :func:`solve_H_prox` records the iterations it ran, its step
 per iteration and its last primal and dual residuals and penalty parameter;
-by default :func:`alternating_pgd` records every iterate's off-mask ratio,
-which the loop keeps, while encoding asks for none.  :func:`ssnmf_hard`
-measures the returned code's off-band ratio once, in ``offmask_final``,
-and the loop records each code step's iteration count in ``code_iters`` and
-its relative change of the code in ``code_change``.
+by default pursuit records each exact solve's off-band ratio, which the
+loop keeps, while encoding asks for none.  :func:`ssnmf_hard` measures the
+returned code's off-band ratio once, in ``offmask_final``, and the loop
+records each code step's iteration count in ``code_iters`` and its
+relative change of the code in ``code_change``.
 """
 
 import itertools
@@ -240,8 +245,8 @@ def _score(xi: float, fx, fy, pen: float) -> float:
 
 def _scored_penalty(h: np.ndarray, p: Penalty) -> float:
     """The penalty term a fit scores: a convex penalty's value, and 0 for a
-    hard band, which max(z, 0) and the heuristic's iterates meet only up to
-    rounding (:func:`objective` reads the band as an indicator, +inf off it)."""
+    hard band, whose steps return codes on it up to rounding
+    (:func:`objective` reads the band as an indicator, +inf off it)."""
     return 0.0 if p.kind == "hard_freq" else penalty_value(h, p)
 
 
@@ -354,9 +359,9 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
     drive to zero.  A code that raises the objective above the last outer
     one is dropped for the old code, whose change is then 0, so the next
     step is exact and the objective trace never increases; ``tol`` does not
-    stop the fit at a dropped loose step.  A hard band's steps always take
-    the exact stop.  Overflow is reported once, by the finite checks, not by
-    numpy warnings.
+    stop the fit at a dropped loose step.  A hard band's steps are exact
+    and take no tolerance.  Overflow is reported once, by the finite checks,
+    not by numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x, dtype=float)
@@ -798,27 +803,34 @@ def code_step(
     """Pick the code solver for penalty ``p``; returns ``(name, step)``.
 
     ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs the chosen
-    solver on min ||Xbar - Wbar H||_F^2 + p(H), warm-started at ``h0``: the
-    heuristic runs ``iters`` iterations, the prox step at most ``iters``, as
-    it stops on its residuals (its report's ``wall_iters`` counts them); the
-    prox ``step`` also takes :func:`solve_H_prox`'s ``rtol``.  The report
-    holds no objective: the caller scores the code it keeps.  The penalty
-    alone decides: an adaptive top-R band (hard_freq without a fixed mask)
-    is not convex and runs "heuristic"
-    (:func:`alternating_pgd` with ``p.R``); every other penalty, a fixed
-    mask included, runs "prox" (:func:`solve_H_prox`).  ``nonneg`` goes to
-    the prox step, ``priority`` and ``_diagnostics`` to the heuristic.
+    solver on min ||Xbar - Wbar H||_F^2 + p(H), warm-started at ``h0``.  The
+    report holds no objective: the caller scores the code it keeps.  The
+    penalty alone decides.  An adaptive top-R band (hard_freq without a
+    fixed mask) is not convex and runs "heuristic": :func:`band_pursuit`
+    with ``p.R``, at most ``iters`` rounds.  Every other penalty runs
+    "prox": a fixed mask one exact :func:`solve_H_band` (``iters`` unused),
+    ridge, lasso and soft_freq :func:`solve_H_prox`, at most ``iters``
+    iterations, as it stops on its residuals; that ``step`` also takes its
+    ``rtol``.  ``nonneg`` goes to the prox step, ``_diagnostics`` to
+    pursuit; a band's codes are always nonnegative.  ``priority`` ("nonneg"
+    or "frequency") is checked and otherwise unused: a band's codes are
+    nonnegative and in band at once, so neither projection comes last.
 
     ``step`` also takes sequences of B codes ``h0`` (k_b, T) and
     dictionaries ``wbar`` (m, k_b) whose widths may differ, and then returns
     a list of B codes and a list of B reports, each equal bit for bit to a
-    separate 2-D call's.  The heuristic solves all blocks in one pass, the
-    prox step one after another.  A fixed mask then holds the blocks' rows
-    in order.
+    separate 2-D call's; every step solves the blocks one after another.  A
+    fixed mask then holds the blocks' rows in order.
     """
+    from .band import band_pursuit, solve_H_band  # band imports this module
+
+    if priority not in ("nonneg", "frequency"):
+        raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
     if p.kind == "hard_freq" and p.mask is None:
-        return "heuristic", lambda xbar, wbar, h, iters: alternating_pgd(
-            h, wbar, xbar, p.R, iters, priority, _diagnostics=_diagnostics)
+        return "heuristic", lambda xbar, wbar, h, iters: band_pursuit(
+            xbar, wbar, h, p.R, iters, _diagnostics=_diagnostics)
+    if p.kind == "hard_freq":
+        return "prox", lambda xbar, wbar, h, iters: solve_H_band(xbar, wbar, h, p.mask)
     return "prox", lambda xbar, wbar, h, iters, rtol=_ADMM_RTOL: solve_H_prox(
         xbar, wbar, h, p, iters, nonneg, rtol=rtol)
 
@@ -839,16 +851,21 @@ def ssnmf_hard(
     The band is ``hyper.penalty``'s, with ``R``, when given, in place of its
     R; its fixed mask, if any, wins over R.  The code step follows the band
     (see :func:`code_step`): a fixed mask (a conjugate-closed set, which the
-    caller supplies per series length) runs the prox splitting, an adaptive
-    top-R band the heuristic, with masks recomputed per row from the top-R
-    power spectrum.  ``extras["variant"]`` names the step.  Dictionary steps
-    are the exact normal equations.
+    caller supplies per series length) runs one exact band solve
+    (:func:`~freqfact.band.solve_H_band`), an adaptive top-R band pursuit
+    (:func:`~freqfact.band.band_pursuit`, at most ``sub_iters`` rounds),
+    with supports recomputed per row from the top-R spectrum of a gradient
+    step.  ``extras["variant"]`` names the step ("prox" or "heuristic");
+    ``priority`` is checked and unused.  Dictionary steps are the exact
+    normal equations.
 
     The report holds what :func:`ssnmf_bcd`'s holds (see :func:`_bcd_loop`),
     with objectives that score the smooth part (fit + ridge terms) alone.
-    The indicator is tracked through the off-mask extras: the heuristic's
-    per-iteration ``offmask_after_projection`` and ``offmask_final``, the
-    returned H's largest per-row off-band ratio.
+    The indicator is tracked through the off-mask extras: pursuit's
+    ``offmask_after_projection``, one per exact solve, and
+    ``offmask_final``, the returned H's largest per-row off-band ratio.
+    Both steps return codes on their band up to rounding, so
+    :func:`objective` of the fit is finite.
 
     A penalty other than hard_freq raises ValueError: :func:`ssnmf_bcd` fits
     a convex penalty.

@@ -114,14 +114,19 @@ def closed_form_code(
 
     A zero mismatch means the auxiliaries carry exactly the main data's
     spectral content, so supervision cannot distort the inferred code.
-    The auxiliary stack must be S * d rows for integer S; a rank-deficient
-    Wbar raises :class:`~freqfact.exceptions.SingularGramError`.
+    W and Wp must have one column per atom each, and the auxiliary stack
+    S * d rows for integer S, else ValueError; a rank-deficient Wbar raises
+    :class:`~freqfact.exceptions.SingularGramError`.
     """
+    w = np.asarray(w, dtype=float)
     wp = np.asarray(wp, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if xi < 0:
         raise ValueError("xi must be nonnegative")
+    if w.shape[1] != wp.shape[1]:
+        raise ValueError(f"W has {w.shape[1]} atoms and Wp has {wp.shape[1]}; "
+                         "both dictionaries need one column per atom")
     d = x.shape[0]
     if wp.shape[0] != y.shape[0] or wp.shape[0] % d != 0:
         raise ValueError(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqfact.band as band
 import freqfact.forecast as forecast
 import freqfact.solvers as solvers
 from freqfact import (
@@ -422,6 +423,7 @@ class TestStackedScan:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "half_offmask_ratio", forbidden)
+            mp.setattr(band, "half_offmask_ratio", forbidden)
             encode_new(y_full, model.Wp, penalty, 0.2, cfg)
             atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
 

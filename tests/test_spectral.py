@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import freqfact.solvers as solvers
+import freqfact.band as band
 from freqfact.spectral import (
     half_minkowski1,
     half_offmask_ratio,
@@ -591,15 +591,16 @@ class TestTopRSelection:
         assert np.array_equal(keep[finite], ref_keep[finite])
         assert np.array_equal(spec, ref_spec, equal_nan=True)
         assert (keep.sum(axis=1) == 3).all()
-        # an encode whose code overflows feeds non-finite rows to the
-        # selection; either rule ends it with the same error
-        wp = rng.standard_normal((6, 3)) * 1e5
+        # an encode whose gradient step overflows (a finite G = Wp^T Wp near 0
+        # and a finite C = Wp^T Y near the top of the range) feeds non-finite
+        # rows to the selection; either rule ends it with the same error
+        wp = rng.standard_normal((6, 3)) * 1e-3
         y = np.abs(rng.standard_normal((6, 16))) * 1e307
         messages = []
         for rule in (top_r_keep, _argsort_keep):
             fed = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(solvers, "top_r_keep",
+                mp.setattr(band, "top_r_keep",
                            lambda m, R, rule=rule: fed.append(np.isfinite(m).all()) or rule(m, R))
                 with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
                     encode_new(y, wp, Penalty.hard_freq(R=2), 0.0,

@@ -129,6 +129,10 @@ INPUT_CHECKS = {
     "closed_form_xi": (lambda: closed_form_code(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 2)),
                                                 np.ones((3, 2)), -1.0),
                        "xi must be nonnegative"),
+    "closed_form_widths": (lambda: closed_form_code(np.ones((3, 2)), np.ones((3, 3)),
+                                                    np.ones((3, 4)), np.ones((3, 4)), 1.0),
+                           "W has 2 atoms and Wp has 3; both dictionaries need one column per "
+                           "atom"),
     "descent_threshold": (lambda: norm_descent_experiment(np.ones((1, 4)), "l1", 0.0, 10),
                           "threshold must be positive"),
 }
