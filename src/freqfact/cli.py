@@ -406,7 +406,8 @@ def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
 def _encode_inputs(args) -> types.SimpleNamespace:
     """The checked config, model (``w``, ``wp``, ``h_train``), stacked
     auxiliaries ``y_full``, truth matrix ``x_true`` (None without one),
-    penalty and encode settings of a forecast or atom-scan.
+    penalty and encode settings of a forecast or atom-scan.  A nonzero
+    ``penalty.lambda``, which encoding ignores, logs one warning.
 
     The auxiliaries must have Wp's rows and the truth W's: a mismatch raises
     ValueError naming both files and both counts, before anything is
@@ -423,8 +424,12 @@ def _encode_inputs(args) -> types.SimpleNamespace:
     if x_true is not None and x_true.shape[0] != w.shape[0]:
         raise ValueError(f"{cfg.x_true}: the truth tensor has {x_true.shape[0]} rows, but "
                          f"{Path(cfg.model) / 'W.csv'} has {w.shape[0]}")
+    penalty = _encode_penalty(cfg)
+    if penalty.lam:
+        log.warning("config field 'penalty.lambda' (%r) is ignored: encoding weighs its "
+                    "penalty by 'lam_over_xi' (%r)", penalty.lam, cfg.lam_over_xi)
     return types.SimpleNamespace(cfg=cfg, w=w, wp=wp, h_train=h_train, y_full=y_full,
-                                 x_true=x_true, penalty=_encode_penalty(cfg),
+                                 x_true=x_true, penalty=penalty,
                                  enc=EncodeConfig(cfg.sweeps, cfg.sub_iters, cfg.seed))
 
 
@@ -455,8 +460,7 @@ def cmd_forecast(args) -> int:
     (out / "pred").mkdir(parents=True, exist_ok=True)
     fio.write_matrix(out / "H_new_full.csv", h_new_full)
     fio.write_matrix(out / "H_new.csv", h_new)
-    for k in range(pred.dims[2]):
-        fio.write_slice(out / "pred" / f"slice_{k:04d}.csv", pred.values[:, :, k], k)
+    fio.write_slices(out / "pred", pred.values)
     mu, mu_median, mu_inf = _mu_summary(h_new_full)
     if mu is not None:
         fio.write_matrix(out / "mu.csv", mu)

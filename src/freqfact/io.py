@@ -16,23 +16,27 @@ with ``repr`` so outputs are byte-stable across runs.  The readers take
 dims of at least 1: a tensor or matrix of no values is rejected.
 
 A text file in the form the writers emit is parsed straight from its bytes:
-the header lines are read one by one, the data block with one read, its line
-and comma layout is checked with vectorised byte positions, and one
-``np.fromstring`` call converts every cell.  A data block of at least
-``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB), read while no other thread is alive,
-is instead cut at line starts into one chunk per CPU the process may run on
-(at most one per ``_PARSE_CHUNK_BYTES``), and each chunk goes through that
-same call in a forked child bound to its CPU; the values are bit-identical
-for any number of workers.  A child that fails sends the file to the
-line-by-line parse below, which names the fault.  Any other text file
-(``\\r\\n`` or lone ``\\r`` line ends, blank lines, spaces, ``1_0``, a
-missing final newline, a malformed cell, ...) goes to a line-by-line parse,
-which accepts a cell exactly when ``float`` accepts it and the value is
-finite, skips blank lines, and raises :class:`TensorFormatError` naming the
-file and the first bad line (and column).  Both paths give the same values
-to the bit.  A binary file is read straight into its array, and names the
-flat index of its first non-finite value.  A pipe is read whole first, since
-the readers seek back.
+the header lines are read one by one, then the data block a chunk at a time.
+Each chunk's line and comma layout is checked with vectorised byte
+positions, and one ``np.fromstring`` call converts its cells.  A data block
+of under ``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB), or one read while another
+thread is alive, is one chunk, read and parsed in this process.  A larger
+one is cut into one chunk per CPU the process may run on (at most one per
+``_PARSE_CHUNK_BYTES``), each cut moved to the next line start by reading
+the bytes there, and each chunk is read, checked and parsed by a forked
+child bound to its CPU, so the parent never holds a file's block of text;
+the values are bit-identical for any number of workers.  A child that fails
+sends the file to the line-by-line parse below, which names the fault.
+
+Any other text file (``\\r\\n`` or lone ``\\r`` line ends, blank lines,
+spaces, ``1_0``, a missing final newline, a malformed cell, ...) goes to a
+line-by-line parse, which accepts a cell exactly when ``float`` accepts it
+and the value is finite, skips blank lines, and raises
+:class:`TensorFormatError` naming the file and the first bad line (and
+column).  Both paths give the same values to the bit.  A binary file is
+read straight into its array, and names the flat index of its first
+non-finite value.  A pipe is read whole first, since the readers seek back;
+its chunks are sliced from those bytes.
 
 Text is formatted ``_CHUNK_LINES`` data lines at a time, each step written
 straight to the file, so a write never holds the whole text.  A data block
@@ -41,9 +45,14 @@ other thread is alive, is cut into one chunk of equal line counts per CPU
 the process may run on (at most one per ``_FORMAT_CHUNK_CELLS``), each
 formatted by the same routine in a forked child bound to its CPU, so the
 bytes are identical for any number of workers; a failed fork or child sends
-the block to the serial format.  The forked parse and format share one
-helper, :func:`_forked`, which gives each child an in-memory file for its
-output and reaps every child before it returns or raises, killing those
+the block to the serial format.  :func:`write_slices` writes a prediction's
+slices: a batch of at least ``2 * _FORMAT_CHUNK_CELLS`` cells, written while
+no other thread is alive, is cut into one range of whole slices per CPU,
+each written by a forked child through :func:`write_slice`; after a failed
+fork or child the parent removes the temp files the children left and
+writes every slice itself.  The forked parse, format and slice writes share
+one helper, :func:`_forked`, which gives each child an in-memory file for
+its output and reaps every child before it returns or raises, killing those
 still running first when it is interrupted.  Every file is written to a
 temp file beside it, made with mode 0o666 less the umask, and renamed into
 place.
@@ -70,6 +79,7 @@ __all__ = [
     "write_matrix",
     "read_matrix",
     "write_slice",
+    "write_slices",
     "write_json",
     "read_json",
     "atomic_write_bytes",
@@ -115,7 +125,7 @@ def _atomic_write(path: Path, fill) -> None:
     as ``open`` would make ``path``, and is removed when anything fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
-        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"  # see _remove_temps
         try:
             fd = os.open(tmp, _NEW_FILE, 0o666)
             break
@@ -259,6 +269,53 @@ def write_slice(path, values: np.ndarray, k: int) -> None:
     _write_text(path, [f"{SLICE_MAGIC},{A},{B},{k}"], values)
 
 
+def write_slices(directory, values: np.ndarray) -> None:
+    """Write time column k of the (A, B, K) ``values`` to
+    ``directory/slice_{k:04d}.csv`` with :func:`write_slice`, for each k.
+
+    A batch of at least ``2 * _FORMAT_CHUNK_CELLS`` cells, written while no
+    other thread is alive, is cut into one contiguous range of slices per
+    CPU this process may run on, at most one per ``_FORMAT_CHUNK_CELLS``
+    cells and one per slice, each written by a child run by
+    :func:`_forked`.  When a fork or a child fails, the parent removes the
+    temp files its children left and writes every slice itself, as it
+    writes any other batch; the bytes are the same.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    K = values.shape[2]
+    names = [f"slice_{k:04d}.csv" for k in range(K)]
+    cpus = _fork_cpus(min(values.size // _FORMAT_CHUNK_CELLS, K))
+
+    def write(start, stop):
+        for k in range(start, stop):
+            write_slice(directory / names[k], values[:, :, k], k)
+        return True
+
+    if cpus:
+        try:
+            with _forked(lambda j, fd: write(K * j // len(cpus), K * (j + 1) // len(cpus)),
+                         cpus) as fds:
+                if fds is not None:
+                    return
+        except OSError:  # no file made, or no worker forked or reaped
+            pass
+        finally:  # a child killed mid-write leaves its temp file
+            _remove_temps(directory, set(names))
+    write(0, K)
+
+
+def _remove_temps(directory: Path, names: set[str]) -> None:
+    """Remove the temp files :func:`_atomic_write` made in ``directory`` for
+    files ``names`` and never renamed, as a killed writer leaves them."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            head, _, tail = entry.name.rpartition(".")
+            if head[:1] == "." and head[1:] in names and len(tail) == 12:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(entry.path)
+
+
 def read_tensor(path) -> SpatioTemporalTensor:
     path = Path(path)
     with _open_seekable(path) as fh:
@@ -323,7 +380,7 @@ def _read_canonical(path: Path, fh, magic: str):
     writers emit, or None for any other file, every malformed one included.
 
     The head lines must be ASCII, each ended by a lone ``\\n``, and the data
-    block canonical (see :func:`_parse_block`).  Errors are left to
+    block canonical (see :func:`_parse_chunk`).  Errors are left to
     :func:`_read_general`, so a file with several faults is named by its
     first one whichever path saw it.
     """
@@ -341,101 +398,107 @@ def _read_canonical(path: Path, fh, magic: str):
         dims, mask, pos = _parse_head(path, [ln[:-1] for ln in lines], magic)
     except TensorFormatError:
         return None
-    if pos < len(lines):  # the second line read is the first data line
-        fh.seek(body_at)
+    at = body_at if pos < len(lines) else fh.tell()  # the second line read may be data
     rows, cols, _ = _block_shape(dims)
-    block = _parse_block(fh.read(), rows, cols)
+    block = _parse_block(fh, at, rows, cols)
     return None if block is None else (dims, mask, block)
 
 
-def _line_starts(body: bytes, rows: int, cols: int, lines: list[int]) -> list[int] | None:
-    """The byte offsets at which lines ``lines`` (0 to ``rows``) of ``body``
-    start, when it holds only ``_CANONICAL_BYTES`` in ``rows`` lines, each
-    of ``cols`` nonempty comma-separated cells and a final ``\\n``; else
-    None.  Line ``rows`` starts at the end."""
-    if rows == 0 or cols == 0 or not body.endswith(b"\n"):
+def _parse_block(fh, at: int, rows: int, cols: int) -> np.ndarray | None:
+    """The (rows, cols) array of the bytes from byte ``at`` to the end of
+    ``fh``, when they are canonical (see :func:`_parse_chunk`) and hold
+    rows * cols cells; else None.
+
+    A block of at least ``2 * _PARSE_CHUNK_BYTES`` bytes, read while no
+    other thread is alive, is cut into one chunk per CPU this process may
+    run on, at most one per ``_PARSE_CHUNK_BYTES``, each cut moved from its
+    share of the bytes to the next line start (so a chunk may be empty).
+    Child j run by :func:`_forked` reads chunk j with ``pread`` (or slices
+    it from a pipe read whole into memory), checks and parses it, and
+    writes its values into its own in-memory file, which the parent reads
+    in order into one array: that reuses freed heap where a shared map
+    would add pages.  Any other block, or one whose workers could not be
+    forked or reaped, is one chunk parsed in this process.  Each cell goes
+    through the same routine, so the values agree to the bit.
+    """
+    size = fh.seek(0, os.SEEK_END) - at
+    cpus = _fork_cpus(size // _PARSE_CHUNK_BYTES)
+    cuts = [0]
+    for j in range(1, len(cpus)):  # one past the first newline from the byte before cut j
+        fh.seek(at + size * j // len(cpus) - 1)
+        cuts.append(min(fh.tell() + len(fh.readline()) - at, size))
+    cuts.append(size)
+    data = fh.getvalue() if isinstance(fh, BytesIO) else None
+
+    def parse(j):
+        start, n = at + cuts[j], cuts[j + 1] - cuts[j]
+        chunk = _pread(fh.fileno(), n, start) if data is None else data[start : start + n]
+        return _parse_chunk(chunk, cols) if len(chunk) == n else None
+
+    def parse_into(j, fd):
+        values = parse(j)
+        return values is not None and os.write(fd, values) == values.nbytes
+
+    flat = None
+    if cpus:
+        try:
+            with _forked(parse_into, cpus) as fds:
+                if fds is None:
+                    return None
+                flat, k = np.empty(sum(os.fstat(fd).st_size for fd in fds) // 8), 0
+                for fd in fds:
+                    k += os.preadv(fd, [flat[k:]], 0) // 8
+                if k != flat.size:
+                    return None
+        except OSError:  # no file made, or no worker forked or reaped
+            flat, cuts = None, [0, size]
+    if flat is None:
+        flat = parse(0)
+    return flat.reshape(rows, cols) if flat is not None and flat.size == rows * cols else None
+
+
+def _pread(fd: int, n: int, at: int) -> bytes:
+    """``n`` bytes of ``fd`` from byte ``at``, fewer only at its end: one
+    ``pread`` moves at most about 2 GB on Linux."""
+    parts = []
+    while n > 0 and (part := os.pread(fd, n, at)):
+        parts.append(part)
+        n, at = n - len(part), at + len(part)
+    return b"".join(parts)
+
+
+def _parse_chunk(data: bytes, cols: int) -> np.ndarray | None:
+    """The values of ``data`` when it is canonical: whole lines, each of
+    ``cols`` nonempty comma-separated cells and a final ``\\n``, of
+    ``_CANONICAL_BYTES`` only, whose cells are all finite floats; else None.
+    No bytes is no lines, and no values.
+
+    Canonical cells are nonempty and hold no whitespace, so ``np.fromstring``
+    reads at most one value per cell, and one value per cell means that it
+    read every cell in full.  It converts with the correctly rounded routine
+    ``float`` uses, so the values are ``float``'s to the bit.
+    """
+    if not data:
+        return np.empty(0)
+    if not data.endswith(b"\n") or data.translate(None, _CANONICAL_BYTES):
         return None
-    if body.translate(None, _CANONICAL_BYTES):
-        return None
-    u8 = np.frombuffer(body, np.uint8)
+    u8 = np.frombuffer(data, np.uint8)
     newlines = np.flatnonzero(u8 == ord("\n"))
     commas = np.flatnonzero(u8 == ord(","))
-    if newlines.size != rows or commas.size != rows * (cols - 1):
+    rows = newlines.size
+    if commas.size != rows * (cols - 1):
         return None
     # these are the separators in file order exactly when every line holds
     # cols - 1 commas, and two or more bytes apart when no cell is empty
     seps = np.column_stack((commas.reshape(rows, cols - 1), newlines)).ravel()
     if np.diff(seps, prepend=-1).min() < 2:
         return None
-    return [0 if i == 0 else int(newlines[i - 1]) + 1 for i in lines]
-
-
-def _parse_block(body: bytes, rows: int, cols: int) -> np.ndarray | None:
-    """The (rows, cols) array of a canonical data block whose cells are all
-    finite floats, else None.
-
-    A block of at least ``2 * _PARSE_CHUNK_BYTES`` bytes, read while no
-    other thread is alive, is split into chunks of equal line counts, one
-    per CPU this process may run on and at most one per
-    ``_PARSE_CHUNK_BYTES``, and parsed by :func:`_parse_forked`; any other
-    block by one :func:`_parse_cells` call.  Either way each cell goes
-    through the same routine, so the values agree to the bit.
-    """
-    cpus = _fork_cpus(min(len(body) // _PARSE_CHUNK_BYTES, rows))
-    workers = max(len(cpus), 1)
-    lines = [rows * i // workers for i in range(workers + 1)]
-    cuts = _line_starts(body, rows, cols, lines)
-    if cuts is None:
-        return None
-    if workers == 1:
-        flat = _parse_cells(body, rows * cols, cols)
-    else:
-        try:
-            flat = _parse_forked(body, cols, lines, cuts, cpus)
-        except OSError:  # no worker could be forked or reaped
-            flat = _parse_cells(body, rows * cols, cols)
-    if flat is None or not np.isfinite(flat).all():
-        return None
-    return flat.reshape(rows, cols)
-
-
-def _parse_cells(body: bytes, count: int, cols: int) -> np.ndarray | None:
-    """The ``count`` values of canonical lines of ``cols`` cells, or None
-    when ``np.fromstring`` does not read exactly ``count`` of them.
-
-    Canonical cells are nonempty and hold no whitespace, so ``np.fromstring``
-    reads at most one value per cell, and ``count`` values means that it
-    read every cell in full.  It converts with the correctly rounded
-    routine ``float`` uses, so the values are ``float``'s to the bit.
-    """
     try:
-        flat = np.fromstring(body.replace(b",", b" ") if cols > 1 else body, sep=" ")
+        flat = np.fromstring(data.replace(b",", b" ") if cols > 1 else data, sep=" ")
     # numpy 2 raises at a cell it cannot read; older numpy warns and stops
     except (ValueError, DeprecationWarning):
         return None
-    return flat if flat.size == count else None
-
-
-def _parse_forked(body: bytes, cols: int, lines: list[int], cuts: list[int],
-                  cpus: list[int]) -> np.ndarray | None:
-    """:func:`_parse_cells` of a canonical block in children run by
-    :func:`_forked`: child j parses lines ``lines[j]`` to ``lines[j + 1]``,
-    bytes ``cuts[j]`` to ``cuts[j + 1]``, and writes the values into its own
-    in-memory file; it fails when its chunk does not parse to its count of
-    values.  The parent reads each file into its slice of one array, which
-    reuses the heap the canonical check just freed where a shared map would
-    add pages, and returns it, or None when any child failed.
-    """
-    def parse(j, fd):
-        values = _parse_cells(body[cuts[j] : cuts[j + 1]], parts[j].size, cols)
-        return values is not None and os.write(fd, values) == values.nbytes
-
-    out = np.empty(lines[-1] * cols)
-    parts = [out[lines[j] * cols : lines[j + 1] * cols] for j in range(len(cpus))]
-    with _forked(parse, cpus) as fds:
-        ok = fds is not None and all(
-            os.preadv(fd, [part], 0) == part.nbytes for fd, part in zip(fds, parts))
-    return out if ok else None
+    return flat if flat.size == rows * cols and np.isfinite(flat).all() else None
 
 
 def _read_general(path: Path, raw: bytes, magic: str):

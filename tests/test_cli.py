@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import logging
 import math
 import os
 import threading
@@ -1485,3 +1486,22 @@ class TestOutputPaths:
         want = f"{pred}: the prediction has 4 rows, but {truth} has 8"
         assert capsys.readouterr().err == f"freqfact: input error: {want}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "atom-scan"])
+def test_ignored_penalty_lambda_logs_one_warning(tmp_path, caplog, command):
+    # encoding weighs its penalty by lam_over_xi, so penalty.lambda moves no output
+    data, model, argv = TestOutputPaths().pipeline(tmp_path)
+    cfg = json.loads((tmp_path / "fc.json").read_text())
+    outputs, warnings = [], []
+    for lam in (0.0, 1.5):
+        (tmp_path / "fc.json").write_text(json.dumps(
+            {**cfg, "penalty": {"kind": "ridge", "lambda": lam}, "lam_over_xi": 0.1}))
+        out = tmp_path / f"o{lam}"
+        caplog.clear()
+        assert run_cli(*argv[command], "--out", out) == 0
+        warnings.append([r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING])
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert warnings == [[], ["config field 'penalty.lambda' (1.5) is ignored: encoding weighs "
+                             "its penalty by 'lam_over_xi' (0.1)"]]
+    assert outputs[0] == outputs[1]

@@ -3,10 +3,12 @@ boundaries, the canonical parse against the line-by-line one, error
 messages that name the position, and one parse per input file in a
 factorize grid."""
 
+import io
 import json
 import os
 import stat
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -812,3 +814,214 @@ def test_outputs_honour_the_umask(tmp_path, forked_write, umask, mode, workers):
     assert len(forks) == (6 if workers > 1 else 0)  # two for each text file
     for p in tmp_path.iterdir():
         assert (p.name, stat.S_IMODE(p.stat().st_mode)) == (p.name, mode)
+
+
+def read_both_ways(set_workers, forks, workers, read, path):
+    """``read(path)`` serially and on ``workers`` faked CPUs: both outcomes,
+    after checking that the second forked once per worker."""
+    set_workers(1)
+    serial = outcome(read, path)
+    set_workers(workers)
+    forked = outcome(read, path)
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_no_child_left()
+    return serial, forked
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_lines_longer_than_the_cut_probe_parse_bit_equal(tmp_path, monkeypatch, forked,
+                                                        workers):
+    # the parent reads a buffer at a time to move each cut to a line start
+    set_workers, forks = forked
+    want = np.random.default_rng(workers).standard_normal((3, io.DEFAULT_BUFFER_SIZE // 4))
+    p = tmp_path / "m.csv"
+    fio.write_matrix(p, want)
+    assert min(map(len, p.read_bytes().splitlines()[1:])) > 2 * io.DEFAULT_BUFFER_SIZE
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    serial, forked_read = read_both_ways(set_workers, forks, workers, fio.read_matrix, p)
+    assert serial == forked_read == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_more_workers_than_lines_parse_bit_equal(tmp_path, monkeypatch, forked, workers, rows):
+    # every cut past the first line start lands in the last line, so the
+    # chunks after it are empty
+    set_workers, forks = forked
+    want = np.random.default_rng(rows).standard_normal((rows, 9))
+    p = tmp_path / "m.csv"
+    fio.write_matrix(p, want)
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    serial, forked_read = read_both_ways(set_workers, forks, workers, fio.read_matrix, p)
+    assert serial == forked_read == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_short_preads_parse_bit_equal(tmp_path, monkeypatch, forked, workers):
+    # one pread moves at most about 2 GB on Linux; here at most 5 bytes
+    set_workers, forks = forked
+    want = np.random.default_rng(6).standard_normal((20, 3))
+    p = tmp_path / "m.csv"
+    fio.write_matrix(p, want)
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, at: real_pread(fd, min(n, 5), at))
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    serial, forked_read = read_both_ways(set_workers, forks, workers, fio.read_matrix, p)
+    assert serial == forked_read == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("cell", ["1e999", "2.5e+", "1..25"])
+@pytest.mark.parametrize("where", ["straddling", "last"])
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_bad_cell_near_a_cut_gives_the_serial_error(tmp_path, forked, cell, where, workers):
+    set_workers, forks = forked
+    rows, width = 23, len("0.5,1.250\n")
+    body = rows * width
+    cut = body // workers  # the first cut, before it moves to a line start
+    line = cut // width if where == "straddling" else rows - 1
+    assert where == "last" or cut % width  # the line holds the cut inside it
+    cells = ["0.5,1.250"] * rows
+    cells[line] = f"0.5,{cell}"
+    p = tmp_path / "m.csv"
+    p.write_text(f"stf-matrix-v1,{rows},2\n" + "\n".join(cells) + "\n")
+    assert len(p.read_bytes()) == len(f"stf-matrix-v1,{rows},2\n") + body
+    serial, forked_read = read_both_ways(set_workers, forks, workers, fio.read_matrix, p)
+    assert serial == forked_read
+    assert serial.startswith(f"{p}: line {line + 2}, column 2: ")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_forked_parse_of_a_pipe_is_bit_equal(tmp_path, monkeypatch, forked, workers):
+    # the data fits the pipe's buffer, so no writer thread runs while it is read
+    set_workers, forks = forked
+    want = SpatioTemporalTensor(np.random.default_rng(4).standard_normal((5, 3, 4)),
+                                np.array([True, False, True, True]))
+    fio.write_tensor(tmp_path / "t.csv", want)
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    got = {}
+    for n in (1, workers):
+        set_workers(n)
+        r, w = os.pipe()
+        try:
+            os.write(w, (tmp_path / "t.csv").read_bytes())
+            os.close(w)
+            got[n] = fio.read_tensor(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_no_child_left()
+    assert_same_tensor(got[workers], got[1])
+    assert_same_tensor(got[1], want)
+
+
+SLICE_VALUES = np.random.default_rng(8).standard_normal((3, 2, 5))
+
+
+def slice_files(d):
+    """Every file in ``d``, temp files included, by name: its bytes."""
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+def serial_slices(d):
+    """The slice files of ``SLICE_VALUES`` as one ``write_slice`` per slice writes them."""
+    d.mkdir()
+    for k in range(SLICE_VALUES.shape[2]):
+        fio.write_slice(d / f"slice_{k:04d}.csv", SLICE_VALUES[:, :, k], k)
+    return slice_files(d)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_write_slices_is_byte_equal_to_the_serial_loop(tmp_path, forked_write, workers):
+    set_workers, forks = forked_write
+    want = serial_slices(tmp_path / "serial")
+    assert forks == []  # each slice is 6 cells, below the forked format's 8
+    set_workers(workers)
+    fio.write_slices(tmp_path / "pred", SLICE_VALUES)
+    assert slice_files(tmp_path / "pred") == want
+    assert len(forks) == (workers if workers > 1 else 0)
+
+
+def test_failed_slice_child_gives_the_serial_bytes(tmp_path, monkeypatch, forked_write):
+    set_workers, forks = forked_write
+    want = serial_slices(tmp_path / "serial")
+    set_workers(3)
+
+    def setaffinity(pid, cpus):
+        if cpus == [1]:  # the second child fails
+            raise OSError("cannot bind")
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    fio.write_slices(tmp_path / "pred", SLICE_VALUES)
+    assert slice_files(tmp_path / "pred") == want
+    assert len(forks) == 3
+
+
+def test_interrupted_slice_writes_kill_reap_and_leave_no_temp_file(tmp_path, monkeypatch,
+                                                                  forked_write):
+    set_workers, forks = forked_write
+    set_workers(3)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / ".keep.0123456789ab").write_bytes(b"not ours")
+
+    def stuck(fh, rows, start, stop):  # each child hangs mid-write of its first slice
+        fh.write(b"partial")
+        fh.flush()
+        time.sleep(60)
+
+    def temps():
+        return [p.name for p in pred.iterdir() if p.name.startswith(".slice_")]
+
+    real_waitpid = os.waitpid
+    calls = []
+
+    def waitpid(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:  # as if Ctrl-C came once every child is mid-write
+            deadline = time.monotonic() + 10
+            while len(temps()) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(temps()) == 3
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(fio, "_format_lines", stuck)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        fio.write_slices(pred, SLICE_VALUES)
+    monkeypatch.setattr(os, "waitpid", real_waitpid)
+    assert len(forks) == 3 and calls[1:] == forks
+    assert [p.name for p in pred.iterdir()] == [".keep.0123456789ab"]
+
+
+def test_no_forked_slice_writes_while_another_thread_is_alive(tmp_path, forked_write):
+    set_workers, forks = forked_write
+    want = serial_slices(tmp_path / "serial")
+    set_workers(4)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        fio.write_slices(tmp_path / "threads", SLICE_VALUES)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+    assert slice_files(tmp_path / "threads") == want
+    fio.write_slices(tmp_path / "alone", SLICE_VALUES)
+    assert len(forks) == 4
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slices_honour_the_umask(tmp_path, forked_write, umask, mode, workers):
+    set_workers, forks = forked_write
+    set_workers(workers)
+    old = os.umask(umask)
+    try:
+        fio.write_slices(tmp_path / "pred", SLICE_VALUES)
+    finally:
+        os.umask(old)
+    assert len(forks) == (workers if workers > 1 else 0)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "pred").iterdir()}
+    assert modes == {f"slice_{k:04d}.csv": mode for k in range(SLICE_VALUES.shape[2])}
