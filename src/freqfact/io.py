@@ -16,17 +16,21 @@ with ``repr`` so outputs are byte-stable across runs.  The readers take
 dims of at least 1: a tensor or matrix of no values is rejected.
 
 A text file in the form the writers emit is parsed straight from its bytes:
-the header lines are read one by one, then the data block a chunk at a time.
-Each chunk's line and comma layout is checked with vectorised byte
-positions, and one ``np.fromstring`` call converts its cells.  A data block
-of under ``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB), or one read while another
-thread is alive, is one chunk, read and parsed in this process.  A larger
-one is cut into one chunk per CPU the process may run on (at most one per
-``_PARSE_CHUNK_BYTES``), each cut moved to the next line start by reading
-the bytes there, and each chunk is read, checked and parsed by a forked
-child bound to its CPU, so the parent never holds a file's block of text;
-the values are bit-identical for any number of workers.  A child that fails
-sends the file to the line-by-line parse below, which names the fault.
+the header lines are read one by one, then the data block a chunk at a time
+by :func:`freqfact.cellparse.parse_chunk`.  It checks each chunk's line and
+cell layout with vectorised byte positions and converts its cells exactly,
+with one integer parse and one correctly rounded scale per cell, to
+``float``'s values bit for bit; that module is compiled where a chunk is
+first parsed (in a forked child, or in this process), not by importing this
+one.  A data block of under ``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB), or one
+read while another thread is alive, is one chunk, read and parsed in this
+process.  A larger one is cut into one chunk per CPU the process may run on
+(at most one per ``_PARSE_CHUNK_BYTES``), each cut moved to the next line
+start by reading the bytes there, and each chunk is read, checked and
+parsed by a forked child bound to its CPU, so the parent never holds a
+file's block of text; the values are bit-identical for any number of
+workers.  A child that fails sends the file to the line-by-line parse
+below, which names the fault.
 
 Any other text file (``\\r\\n`` or lone ``\\r`` line ends, blank lines,
 spaces, ``1_0``, a missing final newline, a malformed cell, ...) goes to a
@@ -93,14 +97,12 @@ SLICE_MAGIC = "stf-slice-v1"
 # text a step holds to a few MB, whatever the file size.
 _CHUNK_LINES = 1 << 16
 
-# The bytes of a data block as the writers emit it: ``repr`` floats, commas
-# and newlines.  A block with any other byte takes the line-by-line parse.
-_CANONICAL_BYTES = b"0123456789.eE+-,\n"
-
 # Bytes of a canonical data block per forked parse worker: a block of at
 # least twice this size is parsed on up to one worker per CPU.  On a 2-vCPU
-# VM a 4 MB block split in two parsed 13-19% faster than in one call, and a
-# 2 MB block no faster: a fork and exit cost a few milliseconds.
+# VM a tensor read split in two took 0.78-1.02 of the in-process time with a
+# 4 MB block, 0.92-1.07 with 3 MB and 1.12-1.20 with 2 MB (medians of 41
+# alternating reads, 3-5 runs each): the exact decimal kernel parses a MB in
+# about 10 ms, and a fork and exit cost a few.
 _PARSE_CHUNK_BYTES = 2 << 20
 
 # Cells of a data block per forked format worker: a block of at least twice
@@ -380,8 +382,8 @@ def _read_canonical(path: Path, fh, magic: str):
     writers emit, or None for any other file, every malformed one included.
 
     The head lines must be ASCII, each ended by a lone ``\\n``, and the data
-    block canonical (see :func:`_parse_chunk`).  Errors are left to
-    :func:`_read_general`, so a file with several faults is named by its
+    block one :func:`freqfact.cellparse.parse_chunk` reads.  Errors are left
+    to :func:`_read_general`, so a file with several faults is named by its
     first one whichever path saw it.
     """
     lines = [fh.readline()]
@@ -406,8 +408,8 @@ def _read_canonical(path: Path, fh, magic: str):
 
 def _parse_block(fh, at: int, rows: int, cols: int) -> np.ndarray | None:
     """The (rows, cols) array of the bytes from byte ``at`` to the end of
-    ``fh``, when they are canonical (see :func:`_parse_chunk`) and hold
-    rows * cols cells; else None.
+    ``fh``, when :func:`freqfact.cellparse.parse_chunk` reads them and they
+    hold rows * cols cells; else None.
 
     A block of at least ``2 * _PARSE_CHUNK_BYTES`` bytes, read while no
     other thread is alive, is cut into one chunk per CPU this process may
@@ -431,9 +433,11 @@ def _parse_block(fh, at: int, rows: int, cols: int) -> np.ndarray | None:
     data = fh.getvalue() if isinstance(fh, BytesIO) else None
 
     def parse(j):
+        from . import cellparse  # a forked parse's parent never compiles it
+
         start, n = at + cuts[j], cuts[j + 1] - cuts[j]
         chunk = _pread(fh.fileno(), n, start) if data is None else data[start : start + n]
-        return _parse_chunk(chunk, cols) if len(chunk) == n else None
+        return cellparse.parse_chunk(chunk, cols) if len(chunk) == n else None
 
     def parse_into(j, fd):
         values = parse(j)
@@ -465,40 +469,6 @@ def _pread(fd: int, n: int, at: int) -> bytes:
         parts.append(part)
         n, at = n - len(part), at + len(part)
     return b"".join(parts)
-
-
-def _parse_chunk(data: bytes, cols: int) -> np.ndarray | None:
-    """The values of ``data`` when it is canonical: whole lines, each of
-    ``cols`` nonempty comma-separated cells and a final ``\\n``, of
-    ``_CANONICAL_BYTES`` only, whose cells are all finite floats; else None.
-    No bytes is no lines, and no values.
-
-    Canonical cells are nonempty and hold no whitespace, so ``np.fromstring``
-    reads at most one value per cell, and one value per cell means that it
-    read every cell in full.  It converts with the correctly rounded routine
-    ``float`` uses, so the values are ``float``'s to the bit.
-    """
-    if not data:
-        return np.empty(0)
-    if not data.endswith(b"\n") or data.translate(None, _CANONICAL_BYTES):
-        return None
-    u8 = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(u8 == ord("\n"))
-    commas = np.flatnonzero(u8 == ord(","))
-    rows = newlines.size
-    if commas.size != rows * (cols - 1):
-        return None
-    # these are the separators in file order exactly when every line holds
-    # cols - 1 commas, and two or more bytes apart when no cell is empty
-    seps = np.column_stack((commas.reshape(rows, cols - 1), newlines)).ravel()
-    if np.diff(seps, prepend=-1).min() < 2:
-        return None
-    try:
-        flat = np.fromstring(data.replace(b",", b" ") if cols > 1 else data, sep=" ")
-    # numpy 2 raises at a cell it cannot read; older numpy warns and stops
-    except (ValueError, DeprecationWarning):
-        return None
-    return flat if flat.size == rows * cols and np.isfinite(flat).all() else None
 
 
 def _read_general(path: Path, raw: bytes, magic: str):

@@ -1,21 +1,25 @@
 """File-format tests: exact round trips, formatting across chunk
-boundaries, the canonical parse against the line-by-line one, error
-messages that name the position, and one parse per input file in a
-factorize grid."""
+boundaries, the canonical parse against the line-by-line one, the decimal
+kernel against ``float`` bit for bit, error messages that name the
+position, and one parse per input file in a factorize grid."""
 
 import io
+import itertools
 import json
 import os
 import stat
 import threading
 import time
 import tracemalloc
+from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import freqfact.cellparse as cellparse
 import freqfact.cli as cli
 import freqfact.io as fio
 from freqfact import SpatioTemporalTensor, TensorFormatError
@@ -236,6 +240,191 @@ def test_read_peak_memory_is_bounded(tmp_path, binary, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * p.stat().st_size
+
+
+def test_small_text_read_peak_memory_is_bounded(tmp_path, monkeypatch):
+    # a soft_forecast-sized tensor (64 x 1 x 256, 320 kB) parsed in process:
+    # near 2.65x with one np.fromstring call, 2.4x with the decimal kernel's
+    # 64 kB blocks, 3.6x with 128 kB blocks and 5.9x with 256 kB blocks
+    monkeypatch.setattr(fio, "_PARSE_CHUNK_BYTES", 1 << 40)
+    t = SpatioTemporalTensor(np.random.default_rng(0).standard_normal((64, 1, 256)))
+    p = tmp_path / "t.csv"
+    fio.write_tensor(p, t)
+    fio.read_tensor(p)  # the first text read compiles the kernel's module
+    tracemalloc.start()
+    try:
+        fio.read_tensor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * p.stat().st_size
+
+
+# each kernel case runs with the ``long double`` guard as detected, then off,
+# as on hardware without the x87 format, where every block goes to np.fromstring
+X87 = pytest.mark.parametrize("x87", [True, False], ids=["x87 as detected", "x87 off"])
+
+
+def kernel_parse(data: bytes, cols: int, x87: bool):
+    with pytest.MonkeyPatch.context() as mp:
+        if not x87:
+            mp.setattr(cellparse, "_X87", False)
+        return cellparse.parse_chunk(data, cols)
+
+
+def assert_reads_as_float(cells, x87, cols=1):
+    """``parse_chunk`` of ``cells``, ``cols`` to a line, gives ``float``'s
+    values to the bit, or None when ``float`` rejects a cell or reads it as
+    non-finite (the file then goes to the line-by-line parse)."""
+    lines = [",".join(cells[i : i + cols]) for i in range(0, len(cells), cols)]
+    got = kernel_parse("".join(ln + "\n" for ln in lines).encode(), cols, x87)
+    try:
+        want = np.array([float(c) for c in cells])
+    except ValueError:
+        want = None
+    if want is None or not np.isfinite(want).all():
+        assert got is None
+    else:
+        assert got is not None and got.tobytes() == want.tobytes()
+
+
+@X87
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=60),
+       cols=st.sampled_from([1, 3]))
+# zeros, subnormals, exponent forms from 1e16 up and below 1e-4, the extremes
+@example(values=[0.0, -0.0, 5e-324, -2.5e-322, 2.2250738585072014e-308, 1e16,
+                 -1.2345678901234567e+16, 1e-05, 9.99e-05, 1.7976931348623157e+308,
+                 -2.2250738585072009e-308, 123456.789], cols=3)
+def test_kernel_reads_float_reprs_to_the_bit(x87, values, cols):
+    values += [1.0] * (-len(values) % cols)
+    assert_reads_as_float([repr(v) for v in values], x87, cols)
+
+
+@st.composite
+def decimals(draw):
+    """A decimal of 1-25 digits, the dot anywhere or missing, with an
+    optional sign and an optional exponent (itself optionally signed)."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    dot = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    cell = digits if dot is None else digits[:dot] + "." + digits[dot:]
+    cell = draw(st.sampled_from(["", "-", "+"])) + cell
+    if draw(st.booleans()):
+        exponent = draw(st.one_of(st.integers(0, 30), st.integers(0, 400)))
+        cell += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "-", "+"]))
+                 + draw(st.sampled_from(["", "0", "00"])) + str(exponent))
+    return cell
+
+
+@X87
+@settings(max_examples=80, deadline=None)
+@given(cells=st.lists(decimals(), min_size=1, max_size=40))
+@example(cells=["1" * 19, "9" * 25, "0." + "0" * 24 + "1", "1e-330", "-0e5", "+0.0"])
+# a subnormal whose long double result lies on a midpoint of the subnormals
+@example(cells=["1.548278159418393586e-308", "1e-300"])
+# just below the midpoint between 2**-1022 and the largest subnormal: a long
+# double result on or above it would be cast up to 2**-1022
+@example(cells=["2.225073858507201136e-308", "-2.225073858507201136e-308"])
+# long double results one unit from a midpoint, across it from the exact value
+@example(cells=["8.34173359610654025e-159", "3.475799551841523284e+186",
+                "8.67309131300940556e+86"])
+def test_kernel_reads_random_decimals_to_the_bit(x87, cells):
+    assert_reads_as_float(cells, x87)
+
+
+@X87
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1 << 52, (1 << 53) - 1), shift=st.integers(0, 6),
+       dot=st.integers(0, 18), pad=st.lists(st.sampled_from(["0.1", "-2.75", "3e-7"]),
+                                          max_size=3))
+@example(q=1 << 52, shift=0, dot=0, pad=[])  # 9007199254740993
+def test_kernel_reads_double_midpoints_to_the_bit(x87, q, shift, dot, pad):
+    # (2q + 1) << shift lies halfway between two doubles of 53-bit
+    # significand; written in up to 18 digits, with its neighbours one unit
+    # away in the last digit, as an integer and as a dotted decimal with an
+    # exponent that puts the dot back
+    cells = []
+    for n in np.array([-1, 0, 1]) + ((2 * q + 1) << shift):
+        s = str(n)
+        if len(s) > 18:
+            continue
+        at = min(dot, len(s))
+        cells += [s, f"{s[:at]}.{s[at:]}e{len(s) - at}", f"-{s[:at]}.{s[at:]}E+{len(s) - at}"]
+    assert_reads_as_float(cells + pad, x87)
+
+
+# every double and midpoint between two is a decimal of under 800 digits
+EXACT = Context(prec=800)
+
+
+@X87
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(min_value=1e-300, max_value=1e300), digits=st.integers(15, 18))
+def test_kernel_reads_near_midpoints_to_the_bit(x87, a, digits):
+    # the midpoint between a and the next double, cut to 16-19 significant
+    # digits: a long double result of these often lands on or next to the
+    # midpoint, where its cast to a double could round the wrong way
+    mid = EXACT.divide(EXACT.add(Decimal(a), Decimal(np.nextafter(a, np.inf))), 2)
+    cells = [format(m, f".{digits}e") for m in (mid, EXACT.next_plus(mid), EXACT.next_minus(mid))]
+    cells.append("-" + cells[0])
+    assert_reads_as_float(cells, x87)
+
+
+# cells whose canonical and general parses agreed before the decimal kernel
+ODD_KERNEL_CELLS = ["-", "+", "e5", "5e+", "1e+-5", "1.e5", ".e5", "1ee5", "-.", "4" * 400,
+                    "1e0400", "0e999999", "0." + "0" * 400 + "1"]
+
+
+@X87
+@pytest.mark.parametrize("cell", ODD_KERNEL_CELLS)
+def test_kernel_reads_odd_cells_as_float_does(x87, cell):
+    assert_reads_as_float([cell], x87)
+    assert_reads_as_float(["1.5", cell, "-0.25"], x87, cols=3)
+
+
+@X87
+def test_kernel_grammar_is_floats(x87):
+    # every cell of 1-4 bytes from digits, dot, exponent marks and signs:
+    # the rank grammar accepts exactly the cells float() reads
+    for n in range(1, 5):
+        for cell in itertools.product("05.eE+-", repeat=n):
+            assert_reads_as_float(["".join(cell)], x87)
+
+
+@pytest.mark.skipif(not cellparse._X87, reason="the table is built for the x87 long double")
+def test_kernel_powers_of_ten_are_rounded_once():
+    for k, p in enumerate(cellparse._POW10):
+        m, e = np.frexp(p)
+        significand = int(np.ldexp(m, 64))
+        exact = Fraction(10**k) / Fraction(2) ** (int(e) - 64)
+        assert abs(significand - exact) <= Fraction(1, 2)
+        assert (significand == exact) == (k <= 27)
+
+
+@pytest.mark.parametrize("cells, calls", [
+    (["5e-324", "1.5e-310", "0.25"], 1),  # 2 of 3 cells subnormal: one np.fromstring call
+    (["5e-324", "0.5", "0.25"], 0),       # 1 of 3: float() reads it
+])
+def test_kernel_leaves_mostly_unproved_blocks_to_fromstring(monkeypatch, cells, calls):
+    seen = []
+    fromstring_cells = cellparse._fromstring_cells
+    monkeypatch.setattr(cellparse, "_fromstring_cells",
+                        lambda *args: seen.append(1) or fromstring_cells(*args))
+    assert_reads_as_float(cells, True)
+    assert len(seen) == (calls if cellparse._X87 else 1)
+
+
+@X87
+@pytest.mark.parametrize("block", [1, 64, 1 << 16])
+def test_kernel_block_size_changes_nothing(x87, monkeypatch, block):
+    rng = np.random.default_rng(block)
+    values = rng.standard_normal(600) * 10.0 ** rng.integers(-30, 31, 600)
+    values[::7] = 0.0
+    values[::11] = -0.0
+    data = "".join(",".join(map(repr, row)) + "\n" for row in values.reshape(200, 3).tolist())
+    monkeypatch.setattr(cellparse, "_BLOCK_BYTES", block)
+    assert kernel_parse(data.encode(), 3, x87).tobytes() == values.tobytes()
 
 
 def test_text_matches_reference_line_format(tmp_path):
