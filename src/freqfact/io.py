@@ -93,9 +93,10 @@ TENSOR_MAGIC = "stf-v1"
 MATRIX_MAGIC = "stf-matrix-v1"
 SLICE_MAGIC = "stf-slice-v1"
 
-# Data lines per format step: bounds the per-cell strings and the joined
-# text a step holds to a few MB, whatever the file size.
-_CHUNK_LINES = 1 << 16
+# Data lines per format step: bounds the per-cell strings, the kernel's
+# temporaries (about 270 bytes a cell) and the text a step holds to a few
+# MB, whatever the file size.
+_CHUNK_LINES = 1 << 13
 
 # Bytes of a canonical data block per forked parse worker: a block of at
 # least twice this size is parsed on up to one worker per CPU.  On a 2-vCPU
@@ -106,10 +107,19 @@ _CHUNK_LINES = 1 << 16
 _PARSE_CHUNK_BYTES = 2 << 20
 
 # Cells of a data block per forked format worker: a block of at least twice
-# this many cells is formatted on up to one worker per CPU.  On a 2-vCPU VM
-# a 32k-cell block written by two workers took 0.72-0.82 of the serial time
-# and a 16k-cell block 0.94-0.95 (medians of 15): a fork costs a few ms.
-_FORMAT_CHUNK_CELLS = 1 << 14
+# this many cells is formatted on up to one worker per CPU.  On a 2-vCPU VM,
+# with the kernel below, a one-column block written by two workers took
+# 0.75-0.77 of the serial time at 131k-262k cells, 1.12 at 65k and 1.68 at
+# 32k (medians of 11 fresh processes each): a fork costs a few ms, and the
+# kernel formats 65k cells in about 10.
+_FORMAT_CHUNK_CELLS = 1 << 16
+
+# Cells of a block from which text is formatted by the exact kernel of
+# freqfact.cellformat, not one repr per cell.  Its first use in a process
+# costs 8-9 ms of compiling and tables; on a 2-vCPU VM a fresh process's
+# write of an 8-column matrix took 22.4 ms with repr and 20.0 ms with the
+# kernel at 16k cells, and 11.2 and 14.6 ms at 8k (medians of 9).
+_KERNEL_CELLS = 1 << 14
 _NEW_FILE = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
 _CAN_FORK = all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "memfd_create",
                                          "sendfile"))
@@ -193,21 +203,35 @@ def _forked(work, cpus: list[int]):
             os.close(fd)
 
 
-def _format_rows(m: np.ndarray) -> str:
-    """Lines of comma-separated ``repr`` floats, one per row of a 2-d array.
+def _formatter(cells: int):
+    """The routine that formats a block of ``cells`` cells, ``fmt(rows,
+    cols)`` to the bytes of its lines: :func:`freqfact.cellformat.format_cells`
+    from ``_KERNEL_CELLS`` cells up, imported here, before any fork, so the
+    children of a forked format share this process's import; else
+    :func:`_repr_lines`.  Both give the same bytes."""
+    if cells < _KERNEL_CELLS:
+        return _repr_lines
+    from .cellformat import format_cells
+
+    return format_cells
+
+
+def _repr_lines(m: np.ndarray, cols: int) -> bytes:
+    """Lines of comma-separated ``repr`` floats, one per row of ``cols`` of
+    ``m``, each ended by a newline.
 
     ``tolist`` yields Python floats, whose ``repr`` equals that of the
     float64 they came from.
     """
     cells = map(repr, m.ravel().tolist())
-    return "\n".join(map(",".join, zip(*[cells] * m.shape[1])))
+    return ("\n".join(map(",".join, zip(*[cells] * cols))) + "\n").encode()
 
 
-def _format_lines(fh, rows: np.ndarray, start: int, stop: int) -> None:
-    """Write lines ``start`` to ``stop`` of ``rows`` to ``fh``,
-    ``_CHUNK_LINES`` lines a step."""
+def _format_lines(fh, rows: np.ndarray, start: int, stop: int, fmt) -> None:
+    """Write lines ``start`` to ``stop`` of ``rows`` to ``fh``, formatted by
+    ``fmt`` ``_CHUNK_LINES`` lines a step."""
     for i in range(start, stop, _CHUNK_LINES):
-        fh.write((_format_rows(rows[i : min(i + _CHUNK_LINES, stop)]) + "\n").encode())
+        fh.write(fmt(rows[i : min(i + _CHUNK_LINES, stop)], rows.shape[1]))
 
 
 def _write_text(path, head: list[str], rows: np.ndarray) -> None:
@@ -222,12 +246,13 @@ def _write_text(path, head: list[str], rows: np.ndarray) -> None:
     formatted in this process straight into the temp file.  Both give the
     same bytes.
     """
+    fmt = _formatter(rows.size)
     cpus = _fork_cpus(min(rows.size // _FORMAT_CHUNK_CELLS, rows.shape[0]))
 
     def format_chunk(j, fd):
         n = rows.shape[0]
         with open(fd, "wb", closefd=False) as fh:
-            _format_lines(fh, rows, n * j // len(cpus), n * (j + 1) // len(cpus))
+            _format_lines(fh, rows, n * j // len(cpus), n * (j + 1) // len(cpus), fmt)
         return True
 
     def fill(fh):
@@ -238,7 +263,7 @@ def _write_text(path, head: list[str], rows: np.ndarray) -> None:
                 fds = None
             fh.write(("\n".join(head) + "\n").encode())
             if not fds:
-                _format_lines(fh, rows, 0, rows.shape[0])
+                _format_lines(fh, rows, 0, rows.shape[0], fmt)
                 return
             fh.flush()
             for fd in fds:
@@ -273,25 +298,36 @@ def write_slice(path, values: np.ndarray, k: int) -> None:
 
 def write_slices(directory, values: np.ndarray) -> None:
     """Write time column k of the (A, B, K) ``values`` to
-    ``directory/slice_{k:04d}.csv`` with :func:`write_slice`, for each k.
+    ``directory/slice_{k:04d}.csv``, as :func:`write_slice` writes it, for
+    each k.
 
-    A batch of at least ``2 * _FORMAT_CHUNK_CELLS`` cells, written while no
-    other thread is alive, is cut into one contiguous range of slices per
-    CPU this process may run on, at most one per ``_FORMAT_CHUNK_CELLS``
-    cells and one per slice, each written by a child run by
-    :func:`_forked`.  When a fork or a child fails, the parent removes the
-    temp files its children left and writes every slice itself, as it
-    writes any other batch; the bytes are the same.
+    A range of slices is formatted as one block of lines, slice after
+    slice, by the routine :func:`_formatter` picks for the whole batch, and
+    its bytes are cut at every A-th line into the slice files.  A batch of
+    at least ``2 * _FORMAT_CHUNK_CELLS`` cells, written while no other
+    thread is alive, is cut into one contiguous range of slices per CPU
+    this process may run on, at most one per ``_FORMAT_CHUNK_CELLS`` cells
+    and one per slice, each written by a child run by :func:`_forked`.
+    When a fork or a child fails, the parent removes the temp files its
+    children left and writes every slice itself, as it writes any other
+    batch; the bytes are the same.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    K = values.shape[2]
+    A, B, K = values.shape
     names = [f"slice_{k:04d}.csv" for k in range(K)]
+    fmt = _formatter(values.size)
     cpus = _fork_cpus(min(values.size // _FORMAT_CHUNK_CELLS, K))
 
     def write(start, stop):
-        for k in range(start, stop):
-            write_slice(directory / names[k], values[:, :, k], k)
+        rows = values[:, :, start:stop].transpose(2, 0, 1).reshape(-1, B)
+        text = BytesIO()
+        _format_lines(text, rows, 0, rows.shape[0], fmt)
+        data = text.getvalue()
+        ends = (np.flatnonzero(np.frombuffer(data, np.uint8) == 10)[A - 1 :: A] + 1).tolist()
+        for k, at, end in zip(range(start, stop), [0] + ends, ends):
+            head = f"{SLICE_MAGIC},{A},{B},{k}\n".encode()
+            _atomic_write(directory / names[k], lambda fh: fh.write(head + data[at:end]))
         return True
 
     if cpus:

@@ -906,16 +906,16 @@ def test_no_forked_write_while_another_thread_is_alive(tmp_path, forked_write):
     assert (tmp_path / "threads.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
-def test_only_blocks_of_32768_cells_or_more_fork(tmp_path, forked):
+def test_only_blocks_of_131072_cells_or_more_fork(tmp_path, forked):
     set_workers, forks = forked
     set_workers(4)
     fds = open_fds()
     # the largest text block the pipeline writes is smaller still
-    fio.write_matrix(tmp_path / "small.csv", np.full((8192, 2), 0.25))
+    fio.write_matrix(tmp_path / "small.csv", np.full((32768, 2), 0.25))
     assert forks == []
-    fio.write_matrix(tmp_path / "large.csv", np.full((8192, 4), 0.25))
+    fio.write_matrix(tmp_path / "large.csv", np.full((32768, 4), 0.25))
     assert len(forks) == 2
-    assert (tmp_path / "large.csv").read_text().count("\n") == 8193
+    assert (tmp_path / "large.csv").read_text().count("\n") == 32769
     assert_no_child_left()
     assert open_fds() == fds
 
@@ -1153,10 +1153,15 @@ def test_interrupted_slice_writes_kill_reap_and_leave_no_temp_file(tmp_path, mon
     pred.mkdir()
     (pred / ".keep.0123456789ab").write_bytes(b"not ours")
 
-    def stuck(fh, rows, start, stop):  # each child hangs mid-write of its first slice
-        fh.write(b"partial")
-        fh.flush()
-        time.sleep(60)
+    real_atomic_write = fio._atomic_write
+
+    def stuck(path, fill):  # each child hangs mid-write of its first slice
+        def hang(fh):
+            fh.write(b"partial")
+            fh.flush()
+            time.sleep(60)
+
+        real_atomic_write(path, hang)
 
     def temps():
         return [p.name for p in pred.iterdir() if p.name.startswith(".slice_")]
@@ -1174,7 +1179,7 @@ def test_interrupted_slice_writes_kill_reap_and_leave_no_temp_file(tmp_path, mon
             raise KeyboardInterrupt
         return real_waitpid(pid, options)
 
-    monkeypatch.setattr(fio, "_format_lines", stuck)
+    monkeypatch.setattr(fio, "_atomic_write", stuck)
     monkeypatch.setattr(os, "waitpid", waitpid)
     with pytest.raises(KeyboardInterrupt):
         fio.write_slices(pred, SLICE_VALUES)
