@@ -392,7 +392,8 @@ def cmd_factorize(args) -> int:
 
 def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
     """Inverse usage ratios of H's nonzero rows: the whole matrix when every
-    row is nonzero (else None), the median of its finite entries and the
+    row is nonzero and every ratio finite (else None, as a file of them
+    could not be read back), the median of its finite entries and the
     number of infinite ones."""
     live = np.abs(h).sum(axis=1) > 0
     if not live.any():
@@ -400,7 +401,8 @@ def _mu_summary(h: np.ndarray) -> tuple[np.ndarray | None, float | None, int]:
     mu = inverse_usage_ratio(h[live])
     finite = mu[np.isfinite(mu)]
     med = _median(finite.tolist()) if finite.size else None
-    return (mu if live.all() else None), med, int(np.sum(~np.isfinite(mu)))
+    whole = live.all() and finite.size == mu.size
+    return (mu if whole else None), med, mu.size - finite.size
 
 
 def _encode_inputs(args) -> types.SimpleNamespace:

@@ -317,6 +317,23 @@ class TestForecastCli:
         slices = sorted((out / "pred").glob("slice_*.csv"))
         assert len(slices) == 12
 
+    @pytest.mark.parametrize("penalty, finite", [({"kind": "ridge", "lambda": 0.0}, True),
+                                                 ({"kind": "hard_freq", "R": 2}, False)],
+                             ids=["ridge", "band"])
+    def test_mu_csv_is_written_only_when_every_ratio_is_finite(self, tmp_path, penalty, finite):
+        # a band-limited code leaves bins unused, whose ratios are infinite
+        data, model, w, h, T = self.make_pipeline(tmp_path)
+        cfg = tmp_path / "fc.json"
+        cfg.write_text(json.dumps({"model": str(model), "y": str(data / "Y_full.csv"),
+                                   "penalty": penalty, "lam_over_xi": 0.0, "seed": 2}))
+        out = tmp_path / "fc"
+        assert run_cli("forecast", "--config", cfg, "--out", out) == 0
+        metrics = read_json(out / "metrics.json")
+        assert (metrics["mu_inf_count"] == 0) == finite
+        assert (out / "mu.csv").exists() == finite
+        if finite:
+            assert read_matrix(out / "mu.csv").shape == (2, 52)
+
     @pytest.mark.parametrize("penalty", [Penalty.soft_freq(1.0), Penalty.hard_freq(R=2)],
                              ids=["prox", "heuristic"])
     def test_final_objective_scores_the_written_code(self, tmp_path, penalty):
