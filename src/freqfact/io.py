@@ -11,9 +11,10 @@ by A*B*T little-endian f64 values in (a, b, t) row-major order.  The binary
 layout carries no validity mask.
 
 Matrix format: ``stf-matrix-v1,rows,cols`` then one line per row.  Prediction
-slices: ``stf-slice-v1,A,B,k`` then A lines of B values.  Floats are written
-with ``repr`` so outputs are byte-stable across runs.  The readers take
-dims of at least 1: a tensor or matrix of no values is rejected.
+slices: ``stf-slice-v1,A,B,k`` then A lines of B values.  Each float is
+written as its ``repr``, so outputs are byte-stable across runs.  The
+readers take dims of at least 1: a tensor or matrix of no values is
+rejected.
 
 A text file in the form the writers emit is parsed straight from its bytes:
 the header lines are read one by one, then the data block a chunk at a time
@@ -43,18 +44,24 @@ non-finite value.  A pipe is read whole first, since the readers seek back;
 its chunks are sliced from those bytes.
 
 Text is formatted ``_CHUNK_LINES`` data lines at a time, each step written
-straight to the file, so a write never holds the whole text.  A data block
-of at least ``2 * _FORMAT_CHUNK_CELLS`` cells (32,768), written while no
-other thread is alive, is cut into one chunk of equal line counts per CPU
-the process may run on (at most one per ``_FORMAT_CHUNK_CELLS``), each
+straight to the file, so a write never holds the whole text.  A block of at
+least ``_KERNEL_CELLS`` cells (16,384) is formatted by
+:func:`freqfact.cellformat.format_cells`, which writes ``repr``'s bytes with
+whole-array operations and leaves to ``repr`` the few cells whose digits it
+cannot prove; a smaller one takes one ``repr`` per cell, so a command that
+writes only small text never compiles that module.  A data block of at
+least ``2 * _FORMAT_CHUNK_CELLS`` cells (131,072), written while no other
+thread is alive, is cut into one chunk of equal line counts per CPU the
+process may run on (at most one per ``_FORMAT_CHUNK_CELLS``), each
 formatted by the same routine in a forked child bound to its CPU, so the
 bytes are identical for any number of workers; a failed fork or child sends
 the block to the serial format.  :func:`write_slices` writes a prediction's
-slices: a batch of at least ``2 * _FORMAT_CHUNK_CELLS`` cells, written while
-no other thread is alive, is cut into one range of whole slices per CPU,
-each written by a forked child through :func:`write_slice`; after a failed
-fork or child the parent removes the temp files the children left and
-writes every slice itself.  The forked parse, format and slice writes share
+slices: each range of slices is formatted as one block and its bytes cut
+into the slice files, and a batch of at least ``2 * _FORMAT_CHUNK_CELLS``
+cells, written while no other thread is alive, is cut into one range of
+whole slices per CPU, each written by a forked child; after a failed fork
+or child the parent removes the temp files the children left and writes
+every slice itself.  The forked parse, format and slice writes share
 one helper, :func:`_forked`, which gives each child an in-memory file for
 its output and reaps every child before it returns or raises, killing those
 still running first when it is interrupted.  Every file is written to a

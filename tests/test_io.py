@@ -228,7 +228,7 @@ def test_other_line_ends_take_the_general_parse(tmp_path, monkeypatch, edit, mes
 @pytest.mark.parametrize("binary, bound", [(False, 4.0), (True, 1.5)])
 def test_read_peak_memory_is_bounded(tmp_path, binary, bound):
     # 100k lines of text: a parse that holds one str per line peaks near
-    # 7-9x the file size, the canonical parse near 2.6x; the binary read
+    # 7-9x the file size, the canonical parse near 1.8x; the binary read
     # holds the values once (1.26x), not the bytes and a copy (2.1x)
     t = SpatioTemporalTensor(np.random.default_rng(0).standard_normal((100, 1, 1000)))
     p = tmp_path / "t"
