@@ -17,6 +17,7 @@ from .forecast import (
     nse,
     predict,
 )
+from .io import read_tensor, read_tensors
 from .regularization import Penalty, penalty_prox, penalty_value
 from .solvers import (
     FactorModel,

@@ -15,9 +15,11 @@ under one nonnegativity constraint per code entry.
   solve on that support, until the support repeats.
 
 Both return codes clipped at 0: exactly nonnegative, and in band to
-rounding.  They take one problem, or sequences of B codes ``(k_b, T)`` and
-dictionaries ``(m, k_b)`` solved one after another, each block equal bit
-for bit to a separate 2-D call.  A singular dictionary Gram is floored at a
+rounding.  Like every code step they see the fit ||Xbar - Wbar H||_F^2 only
+through its terms G = Wbar^T Wbar and C = Wbar^T Xbar.  They take one
+problem, or sequences of B codes ``(k_b, T)``, Grams ``(k_b, k_b)`` and
+cross terms ``(k_b, T)`` solved one after another, each block equal bit for
+bit to a separate 2-D call.  A singular dictionary Gram is floored at a
 stated ridge (:func:`_floored_gram`).  :func:`~freqfact.solvers.code_step`
 dispatches to them.
 """
@@ -164,15 +166,13 @@ def _band_solve(gram: np.ndarray, cross: np.ndarray, keep: np.ndarray) -> tuple[
     return np.maximum(h, 0.0, out=h), solves
 
 
-def _band_terms(xbar, blocks: _Blocks) -> list:
+def _band_terms(blocks: _Blocks) -> list:
     """Per block of a band step: its G, floored by :func:`_floored_gram`, its
     C, and its code where none is solved for, else None: NaN for a
     non-finite G or C, which the callers' finite checks report, and 0 for a
     zero G, the smallest of the codes that all fit alike."""
-    xbar = np.asarray(xbar, dtype=float)
     terms = []
-    for w in blocks.wbar:
-        gram, cross = w.T @ w, w.T @ xbar
+    for gram, cross in zip(blocks.gram, blocks.cross):
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
             terms.append((gram, cross, np.full(cross.shape, np.nan)))
         elif not gram.any():
@@ -183,14 +183,15 @@ def _band_terms(xbar, blocks: _Blocks) -> list:
 
 
 def solve_H_band(
-    xbar: np.ndarray,
-    wbar: np.ndarray,
+    gram: np.ndarray,
+    cross: np.ndarray,
     h0: np.ndarray,
     mask: FrequencyMask,
 ) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
     """Exact code step of a fixed band: the minimizer of
     ||Xbar - Wbar H||_F^2 over H >= 0 with each row's spectrum on its row of
-    ``mask``, by one dual active-set solve (see :func:`_band_solve`).
+    ``mask``, from its terms ``gram`` G = Wbar^T Wbar and ``cross``
+    C = Wbar^T Xbar, by one dual active-set solve (see :func:`_band_solve`).
 
     ``h0`` gives the code's shape and is not a start.  The code is clipped
     at 0, exactly nonnegative and in band to rounding.  The report's
@@ -200,20 +201,20 @@ def solve_H_band(
     non-finite one a NaN code, which the callers' finite checks report,
     each after 0 solves.
 
-    Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar``
-    (m, k_b) solve B independent problems against the one ``xbar``, one
-    after another; the mask then holds the blocks' rows in order.  It
+    Sequences of B codes ``h0`` (k_b, T), Grams (k_b, k_b) and cross terms
+    (k_b, T) solve B independent problems, one after another; the mask then
+    holds the blocks' rows in order.  It
     returns a list of B codes and a list of B reports, each the one a
     separate 2-D call returns.
     """
-    blocks = _Blocks(h0, wbar)
+    blocks = _Blocks(h0, gram, cross)
     n_rows, T = blocks.rows.shape
     if mask.T != T:
         raise ValueError(f"mask is for T={mask.T}, H has {T} columns")
     if mask.rows != n_rows:
         raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
     codes, reports = [], []
-    for rows, (gram, cross, fixed) in zip(blocks.spans, _band_terms(xbar, blocks)):
+    for rows, (gram, cross, fixed) in zip(blocks.spans, _band_terms(blocks)):
         code, solves = _band_solve(gram, cross, mask.keep[rows]) if fixed is None else (fixed, 0)
         codes.append(code)
         reports.append(SolveReport(step_trace=[0.0], terminated="tol_reached",
@@ -222,8 +223,8 @@ def solve_H_band(
 
 
 def band_pursuit(
-    xbar: np.ndarray,
-    wbar: np.ndarray,
+    gram: np.ndarray,
+    cross: np.ndarray,
     h0: np.ndarray,
     R: int,
     n_rounds: int,
@@ -233,8 +234,9 @@ def band_pursuit(
     """Code step of an adaptive top-R band: hard thresholding pursuit
     (Foucart, SIAM J. Numer. Anal. 2011) on the exact band solve.
 
-    Each round takes a gradient step on f(H) = ||Xbar - Wbar H||_F^2 at the
-    rate 1/L, L = 2 ||G||_2, from the code, picks each row's R bins with
+    Each round takes a gradient step on f(H) = ||Xbar - Wbar H||_F^2, seen
+    through its terms ``gram`` G = Wbar^T Wbar and ``cross`` C = Wbar^T Xbar,
+    at the rate 1/L, L = 2 ||G||_2, from the code, picks each row's R bins with
     :func:`~freqfact.spectral.top_r_keep` of the step clipped at 0, and
     solves exactly on that support (:func:`_band_solve`).  The clip keeps
     DC in every support (no bin of a nonnegative row outweighs it), without
@@ -250,16 +252,15 @@ def band_pursuit(
     dictionary Gram is floored (:func:`_floored_gram`); a zero one gives the
     zero code and a non-finite one a NaN code, each after 0 rounds.
 
-    Sequences of B codes and dictionaries run B independent problems
-    against the one ``xbar``, one after another, each equal bit for bit to
-    a separate 2-D call's.
+    Sequences of B codes, Grams and cross terms run B independent problems,
+    one after another, each equal bit for bit to a separate 2-D call's.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    blocks = _Blocks(h0, wbar)
+    blocks = _Blocks(h0, gram, cross)
     T = blocks.rows.shape[1]
     codes, reports = [], []
-    for rows, (gram, cross, fixed) in zip(blocks.spans, _band_terms(xbar, blocks)):
+    for rows, (gram, cross, fixed) in zip(blocks.spans, _band_terms(blocks)):
         report = SolveReport(extras={"offmask_after_projection": []} if _diagnostics else {})
         if fixed is not None:
             report.step_trace.append(0.0)

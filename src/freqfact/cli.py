@@ -174,32 +174,47 @@ def _encode_penalty(cfg) -> Penalty:
 
 class _MatrixLoader:
     """Matricized tensors by path, and stacked auxiliaries by path list, each
-    built on first use and shared, read-only, by later uses.
+    built once and shared, read-only, by later uses.
 
-    ``load(path)`` returns one tensor's matrix; ``load.aux(paths)`` the
-    vertical stack of the auxiliaries at ``paths`` (one path or a list).
-    Only the stack is kept: an auxiliary's own matrix is cached only if
-    ``load(path)`` asked for it.
+    ``load.read(*requests)`` takes a command's requests in the order it uses
+    them, a path for one tensor's matrix or a list of paths for the
+    vertical stack of those auxiliaries, and reads every tensor they name
+    that no earlier request read in one :func:`freqfact.io.read_tensors`
+    call: one parse round for all of them.  ``load(path)`` returns one
+    tensor's matrix and ``load.aux(paths)`` the stack of the auxiliaries at
+    ``paths`` (one path or a list), each read by its own call when no
+    earlier ``read`` built it.  Only what a request asked for is kept: an
+    auxiliary's own matrix is freed once its stack is built, unless a path
+    request asked for it.
 
     Matrix column k is the k-th time a tensor's mask keeps, so each tensor
-    read is checked against those before it: two whose masks differ over the
-    span they share raise ValueError naming both.  Only masks are kept, so
-    unmasked inputs allocate nothing for the check between large parses.
+    read is checked against those before it, in request order: two whose
+    masks differ over the span they share raise ValueError naming both.
+    Only masks are kept, so unmasked inputs allocate nothing for the check.
     """
 
     def __init__(self):
         self._cache: dict = {}
         self._masks: dict = {}
 
-    def _memo(self, key, build) -> np.ndarray:
-        if key not in self._cache:
-            m = build()
+    def read(self, *requests) -> None:
+        keys = [tuple(map(str, r)) if isinstance(r, (list, tuple)) else str(r) for r in requests]
+        keys = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if not keys:
+            return
+        paths = list(dict.fromkeys(p for key in keys for p in ([key] if isinstance(key, str)
+                                                               else key) if p not in self._cache))
+        tensors, matrices = fio.read_tensors(paths), {}
+        for i, path in enumerate(paths):
+            # a masked tensor's matrix is a copy: the tensor goes once it is made
+            matrices[path], tensors[i] = self._matrix(path, tensors[i]), None
+        for key in keys:
+            m = matrices[key] if isinstance(key, str) else stack_auxiliary(
+                [self._cache[p] if p in self._cache else matrices[p] for p in key])
             m.flags.writeable = False
             self._cache[key] = m
-        return self._cache[key]
 
-    def _read(self, path) -> np.ndarray:
-        t = fio.read_tensor(path)
+    def _matrix(self, path: str, t: SpatioTemporalTensor) -> np.ndarray:
         T, mask = t.dims[2], t.time_mask
         for other, (other_T, other_mask) in self._masks.items():
             if mask is None and other_mask is None:
@@ -209,17 +224,17 @@ class _MatrixLoader:
             if diff.size:
                 raise ValueError(f"{other} and {path} keep different time columns: original "
                                  f"time {diff[0]} is masked in one and kept in the other")
-        self._masks[str(path)] = (T, mask)
+        self._masks[path] = (T, mask)
         return matricize(t)
 
     def __call__(self, path) -> np.ndarray:
-        return self._memo(str(path), lambda: self._read(path))
+        self.read(path)
+        return self._cache[str(path)]
 
     def aux(self, y_paths) -> np.ndarray:
-        paths = tuple(str(p) for p in _aux_paths(y_paths))
-        return self._memo(paths, lambda: stack_auxiliary([
-            self._cache[p] if p in self._cache else self._read(p) for p in paths
-        ]))
+        paths = _aux_paths(y_paths)
+        self.read(paths)
+        return self._cache[tuple(map(str, paths))]
 
 
 def _keeps(mask, span: int) -> np.ndarray:
@@ -350,6 +365,7 @@ def cmd_factorize(args) -> int:
     out = Path(args.out)
     load = _MatrixLoader()
     if cfg.grid is None:
+        load.read(cfg.x, _aux_paths(cfg.y))
         _run_factorize_point(cfg, out, load)
         return EXIT_OK
 
@@ -363,11 +379,9 @@ def cmd_factorize(args) -> int:
             points.append(_factorize_config({**base, "seed": _point_seed(cfg.seed, i), **over}))
         except ValueError as exc:
             raise ValueError(f"grid[{i}]: {exc}") from None
-    # parse and stack every input here, once, so grid workers never parse
-    # concurrently and share one copy of each matrix
-    for pcfg in points:
-        load(pcfg.x)
-        load.aux(pcfg.y)
+    # parse and stack every input here, in one round, so grid workers never
+    # parse concurrently and share one copy of each matrix
+    load.read(*[request for pcfg in points for request in (pcfg.x, _aux_paths(pcfg.y))])
     # every point's directory before any point writes
     for i in range(len(points)):
         (out / f"point_{i:03d}").mkdir(parents=True, exist_ok=True)
@@ -417,6 +431,7 @@ def _encode_inputs(args) -> types.SimpleNamespace:
     cfg = check_config("forecast", load_config(args))
     w, wp, h_train = _load_model(cfg.model)
     load = _MatrixLoader()
+    load.read(_aux_paths(cfg.y), *([cfg.x_true] if cfg.x_true else []))
     y_full = load.aux(cfg.y)
     if y_full.shape[0] != wp.shape[0]:
         raise ValueError(f"{', '.join(_aux_paths(cfg.y))}: the auxiliary tensors stack to "
@@ -479,8 +494,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    truth_t = fio.read_tensor(args.truth)
-    pred_t = truth_t if args.pred == args.truth else fio.read_tensor(args.pred)
+    tensors = fio.read_tensors(dict.fromkeys([args.truth, args.pred]))
+    truth_t, pred_t = tensors[0], tensors[-1]
     truth, pred = matricize(truth_t), matricize(pred_t)
     if pred.shape[0] != truth.shape[0]:
         raise ValueError(f"{args.pred}: the prediction has {pred.shape[0]} rows, but "

@@ -87,17 +87,19 @@ def encode_new(
     ``wp`` may also be a sequence of B dictionaries (m, k_b), of equal or
     unequal widths: they encode together, one code step over all blocks,
     and the call returns a list of B codes (k_b, T) and a list of B
-    reports, each equal bit for bit to a separate 2-D call's.  Every block
-    starts from the seeded code of its width, a fixed mask in ``penalty``
-    holds the blocks' rows in order, and a non-finite block is named.
+    reports, each equal bit for bit to a separate 2-D call's.  The code
+    step sees each block through its terms Wp_b^T Wp_b and Wp_b^T Y_full,
+    formed here.  Every block starts from the seeded code of its width, a
+    fixed mask in ``penalty`` holds the blocks' rows in order, and a
+    non-finite block is named.
     """
     y_full = np.asarray(y_full, dtype=float)
     if lam_over_xi < 0:
         raise ValueError("lam_over_xi must be nonnegative")
     config = config or EncodeConfig()
     flat = not isinstance(wp, (list, tuple))
-    dictionaries = [wp] if flat else list(wp)
-    widths = [np.shape(w)[1] for w in dictionaries]
+    dictionaries = [np.asarray(w, dtype=float) for w in ([wp] if flat else wp)]
+    widths = [w.shape[1] for w in dictionaries]
     # each width's seeded start, drawn as a separate call draws it
     starts = {k: np.abs(np.random.default_rng(config.seed).standard_normal((k, y_full.shape[1])))
               for k in set(widths)}
@@ -106,7 +108,9 @@ def encode_new(
     _, step = code_step(pen, _diagnostics=False)
     reports = [SolveReport() for _ in dictionaries]
     with np.errstate(over="ignore", invalid="ignore"):
-        h, subs = step(y_full, dictionaries, h, config.sweeps * config.sub_iters)
+        gram = [w.T @ w for w in dictionaries]
+        cross = [w.T @ y_full for w in dictionaries]
+        h, subs = step(gram, cross, h, config.sweeps * config.sub_iters)
         for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
             _require_finite("encode_new", 0, None if flat else b, H=hb)
             report.step_trace.append(sub.step_trace[0])

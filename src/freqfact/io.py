@@ -16,22 +16,31 @@ written as its ``repr``, so outputs are byte-stable across runs.  The
 readers take dims of at least 1: a tensor or matrix of no values is
 rejected.
 
-A text file in the form the writers emit is parsed straight from its bytes:
-the header lines are read one by one, then the data block a chunk at a time
-by :func:`freqfact.cellparse.parse_chunk`.  It checks each chunk's line and
-cell layout with vectorised byte positions and converts its cells exactly,
-with one integer parse and one correctly rounded scale per cell, to
-``float``'s values bit for bit; that module is compiled where a chunk is
-first parsed (in a forked child, or in this process), not by importing this
-one.  A data block of under ``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB), or one
-read while another thread is alive, is one chunk, read and parsed in this
-process.  A larger one is cut into one chunk per CPU the process may run on
-(at most one per ``_PARSE_CHUNK_BYTES``), each cut moved to the next line
-start by reading the bytes there, and each chunk is read, checked and
-parsed by a forked child bound to its CPU, so the parent never holds a
-file's block of text; the values are bit-identical for any number of
-workers.  A child that fails sends the file to the line-by-line parse
-below, which names the fault.
+:func:`read_tensors` reads every tensor a command needs in one call, and
+:func:`read_tensor` and :func:`read_matrix` are its one-file case, so every
+file takes the one path below.  A text file in the form the writers emit
+whose data block holds at least ``_KERNEL_BYTES`` bytes (32 kB) is parsed
+straight from its bytes: the header lines are read one by one, then the
+data block a chunk at a time by :func:`freqfact.cellparse.parse_chunk`.
+It checks each chunk's line and cell layout with vectorised byte positions
+and converts its cells exactly, with one integer parse and one correctly
+rounded scale per cell, to ``float``'s values bit for bit; that module is
+compiled where a chunk is first parsed (in a forked child, or in this
+process), not by importing this one, and a smaller block, which the
+line-by-line parse below reads faster than the module compiles, never
+compiles it.  The blocks of one call are parsed in one round: when they
+hold under ``2 * _PARSE_CHUNK_BYTES`` bytes (4 MB) in all, or are read
+while another thread is alive, each is one chunk, read and parsed in this
+process.  Otherwise every block is cut into one chunk per CPU the process
+may run on (at most one per ``_PARSE_CHUNK_BYTES`` of the total), each cut
+moved to the next line start by reading the bytes there, and forked child
+j, bound to its CPU, reads, checks and parses chunk j of every block, so
+a command's tensors take one forked round, whatever their number, and the
+parent never holds a file's block of text; the values are bit-identical for any
+number of workers.  A chunk a child cannot read sends its file to the
+line-by-line parse below, which names the fault; a round whose fork or
+child failed parses every block in this process.  The first failing file,
+in the call's order, raises what it raises when read alone.
 
 Any other text file (``\\r\\n`` or lone ``\\r`` line ends, blank lines,
 spaces, ``1_0``, a missing final newline, a malformed cell, ...) goes to a
@@ -43,8 +52,9 @@ read straight into its array, and names the flat index of its first
 non-finite value.  A pipe is read whole first, since the readers seek back;
 its chunks are sliced from those bytes.
 
-Text is formatted ``_CHUNK_LINES`` data lines at a time, each step written
-straight to the file, so a write never holds the whole text.  A block of at
+Text is formatted at most ``_CHUNK_CELLS`` cells (8,192), or one data line
+where a line holds more, at a time, each step written straight to the file,
+so a write never holds the whole text.  A block of at
 least ``_KERNEL_CELLS`` cells (16,384) is formatted by
 :func:`freqfact.cellformat.format_cells`, which writes ``repr``'s bytes with
 whole-array operations and leaves to ``repr`` the few cells whose digits it
@@ -70,6 +80,7 @@ place.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -87,6 +98,7 @@ from .tensor import SpatioTemporalTensor
 __all__ = [
     "write_tensor",
     "read_tensor",
+    "read_tensors",
     "write_matrix",
     "read_matrix",
     "write_slice",
@@ -100,10 +112,10 @@ TENSOR_MAGIC = "stf-v1"
 MATRIX_MAGIC = "stf-matrix-v1"
 SLICE_MAGIC = "stf-slice-v1"
 
-# Data lines per format step: bounds the per-cell strings, the kernel's
-# temporaries (about 270 bytes a cell) and the text a step holds to a few
-# MB, whatever the file size.
-_CHUNK_LINES = 1 << 13
+# Cells per format step, or one line where a line holds more: bounds the
+# per-cell strings, the kernel's temporaries (about 270 bytes a cell) and
+# the text a step holds to a few MB, whatever the file size or line width.
+_CHUNK_CELLS = 1 << 13
 
 # Bytes of a canonical data block per forked parse worker: a block of at
 # least twice this size is parsed on up to one worker per CPU.  On a 2-vCPU
@@ -112,6 +124,15 @@ _CHUNK_LINES = 1 << 13
 # alternating reads, 3-5 runs each): the exact decimal kernel parses a MB in
 # about 10 ms, and a fork and exit cost a few.
 _PARSE_CHUNK_BYTES = 2 << 20
+
+# Bytes from which a canonical data block is parsed by the exact kernel of
+# freqfact.cellparse, not line by line with one float() per cell.  Compiling
+# the module costs a process about 1.6 ms; on a 2-vCPU VM the line-by-line
+# parse took 0.27 ms for a 15 kB block against 0.17 ms with the kernel
+# compiled, 0.78 against 0.31 ms at 40 kB and 1.57 against 0.66 ms at 80 kB
+# (medians of 15), so a command whose text blocks are all small (model
+# matrices of a few thousand cells) never compiles it.
+_KERNEL_BYTES = 1 << 15
 
 # Cells of a data block per forked format worker: a block of at least twice
 # this many cells is formatted on up to one worker per CPU.  On a 2-vCPU VM,
@@ -236,9 +257,11 @@ def _repr_lines(m: np.ndarray, cols: int) -> bytes:
 
 def _format_lines(fh, rows: np.ndarray, start: int, stop: int, fmt) -> None:
     """Write lines ``start`` to ``stop`` of ``rows`` to ``fh``, formatted by
-    ``fmt`` ``_CHUNK_LINES`` lines a step."""
-    for i in range(start, stop, _CHUNK_LINES):
-        fh.write(fmt(rows[i : min(i + _CHUNK_LINES, stop)], rows.shape[1]))
+    ``fmt`` at most max(cols, ``_CHUNK_CELLS``) cells a step: the most whole
+    lines within ``_CHUNK_CELLS`` cells, or one line."""
+    step = max(1, _CHUNK_CELLS // rows.shape[1])
+    for i in range(start, stop, step):
+        fh.write(fmt(rows[i : min(i + step, stop)], rows.shape[1]))
 
 
 def _write_text(path, head: list[str], rows: np.ndarray) -> None:
@@ -362,16 +385,76 @@ def _remove_temps(directory: Path, names: set[str]) -> None:
 
 
 def read_tensor(path) -> SpatioTemporalTensor:
-    path = Path(path)
-    with _open_seekable(path) as fh:
-        start = fh.read(len(TENSOR_MAGIC))
-        if start and start != TENSOR_MAGIC.encode():
-            return _read_tensor_binary(path, fh)
-        fh.seek(0)
-        (A, B, T), mask, rows = _read_text(path, fh, TENSOR_MAGIC)
+    """The tensor at ``path``: :func:`read_tensors` of that one path."""
+    return read_tensors([path])[0]
+
+
+def read_tensors(paths) -> list[SpatioTemporalTensor]:
+    """The tensors at ``paths``, in order, each read as :func:`read_tensor`
+    reads it alone, with every canonical text block among them parsed in
+    one round (see :func:`_read_files`).  The first input in ``paths`` order
+    that fails raises its error."""
+    return _read_files(paths, TENSOR_MAGIC, _text_tensor)
+
+
+def _text_tensor(dims, mask, rows: np.ndarray) -> SpatioTemporalTensor:
+    """The tensor of a text file's dims, mask and data block."""
+    A, B, T = dims
     # line t*A + a holds cell row (a, :, t)
-    values = np.ascontiguousarray(rows.reshape(T, A, B).transpose(1, 2, 0))
-    return SpatioTemporalTensor(values, mask)
+    return SpatioTemporalTensor(np.ascontiguousarray(rows.reshape(T, A, B).transpose(1, 2, 0)),
+                                mask)
+
+
+def _read_files(paths, magic: str, finish) -> list:
+    """``finish(dims, mask, rows)`` of each text file at ``paths`` (of kind
+    ``magic``), or the tensor of a binary tensor file, in order.
+
+    The files are opened and their heads read in order, and binary files,
+    text files not in the writers' form (see :func:`_canonical_head`) and
+    canonical blocks under ``_KERNEL_BYTES`` bytes are read at once, the
+    last two line by line (:func:`_read_general`).  Every other block waits
+    for :func:`_parse_round`, which parses them all in one round; a block it
+    does not read goes to the line-by-line parse, which names the fault.
+    Each finished block's values are read from the round just before it is
+    finished, so at most one block's flat values are held beside the
+    finished ones.  When a file fails, no later one is opened; the blocks
+    before it are parsed and finished, in order, and then its error is
+    raised: the first failing input in ``paths`` order raises, with the
+    message it raises alone.
+    """
+    items, pending, blocks, error = [], {}, [], None
+    with contextlib.ExitStack() as files:
+        for path in map(Path, paths):
+            try:
+                fh = files.enter_context(_open_seekable(path))
+                start = fh.read(len(TENSOR_MAGIC))
+                if magic == TENSOR_MAGIC and start and start != TENSOR_MAGIC.encode():
+                    items.append(_read_tensor_binary(path, fh))
+                    continue
+                fh.seek(0)
+                head = _canonical_head(path, fh, magic)
+                if head is None or fh.seek(0, os.SEEK_END) - head[2] < _KERNEL_BYTES:
+                    fh.seek(0)
+                    items.append(finish(*_read_general(path, fh.read(), magic)))
+                else:
+                    dims, mask, at = head
+                    pending[len(items)] = path, fh, dims, mask
+                    blocks.append((fh, at, *_block_shape(dims)[:2]))
+                    items.append(None)
+            except Exception as exc:  # raised once the inputs before it are read
+                error = exc
+                break
+        with _parse_round(blocks) as values:
+            for b, (i, (path, fh, dims, mask)) in enumerate(pending.items()):
+                rows = values(b)
+                if rows is None:
+                    fh.seek(0)
+                    dims, mask, rows = _read_general(path, fh.read(), magic)
+                items[i] = finish(dims, mask, rows)
+                del rows  # freed before the next block's values are read
+    if error is not None:
+        raise error
+    return items
 
 
 def _open_seekable(path: Path):
@@ -410,24 +493,14 @@ def _read_tensor_binary(path: Path, fh) -> SpatioTemporalTensor:
     return SpatioTemporalTensor(values)
 
 
-def _read_text(path: Path, fh, magic: str):
-    """Dims, validity mask (None unless a tensor file has a mask row) and
-    (rows, cols) data block of the text file open at the start of ``fh``."""
-    parsed = _read_canonical(path, fh, magic)
-    if parsed is None:
-        fh.seek(0)
-        parsed = _read_general(path, fh.read(), magic)
-    return parsed
+def _canonical_head(path: Path, fh, magic: str):
+    """Dims, validity mask and the byte where the data block starts, of the
+    text file open at the start of ``fh`` when its head is in the form the
+    writers emit; else None, every malformed head included.
 
-
-def _read_canonical(path: Path, fh, magic: str):
-    """:func:`_read_text` straight from the bytes of a file in the form the
-    writers emit, or None for any other file, every malformed one included.
-
-    The head lines must be ASCII, each ended by a lone ``\\n``, and the data
-    block one :func:`freqfact.cellparse.parse_chunk` reads.  Errors are left
-    to :func:`_read_general`, so a file with several faults is named by its
-    first one whichever path saw it.
+    The head lines must be ASCII, each ended by a lone ``\\n``.  Errors are
+    left to :func:`_read_general`, so a file with several faults is named by
+    its first one whichever path saw it.
     """
     lines = [fh.readline()]
     if magic == TENSOR_MAGIC:
@@ -443,65 +516,92 @@ def _read_canonical(path: Path, fh, magic: str):
         dims, mask, pos = _parse_head(path, [ln[:-1] for ln in lines], magic)
     except TensorFormatError:
         return None
-    at = body_at if pos < len(lines) else fh.tell()  # the second line read may be data
-    rows, cols, _ = _block_shape(dims)
-    block = _parse_block(fh, at, rows, cols)
-    return None if block is None else (dims, mask, block)
+    return dims, mask, body_at if pos < len(lines) else fh.tell()  # the second line may be data
 
 
-def _parse_block(fh, at: int, rows: int, cols: int) -> np.ndarray | None:
-    """The (rows, cols) array of the bytes from byte ``at`` to the end of
-    ``fh``, when :func:`freqfact.cellparse.parse_chunk` reads them and they
-    hold rows * cols cells; else None.
+@contextlib.contextmanager
+def _parse_round(blocks: list):
+    """One parse of the canonical data ``blocks``, each ``(fh, at, rows,
+    cols)``: the bytes of ``fh`` from byte ``at`` to its end, to be read by
+    :func:`freqfact.cellparse.parse_chunk` as ``rows`` lines of ``cols``
+    cells.  Yields ``values(b)``: block b's (rows, cols) array, or None when
+    ``parse_chunk`` does not read it or it does not hold rows * cols cells.
 
-    A block of at least ``2 * _PARSE_CHUNK_BYTES`` bytes, read while no
-    other thread is alive, is cut into one chunk per CPU this process may
-    run on, at most one per ``_PARSE_CHUNK_BYTES``, each cut moved from its
-    share of the bytes to the next line start (so a chunk may be empty).
-    Child j run by :func:`_forked` reads chunk j with ``pread`` (or slices
-    it from a pipe read whole into memory), checks and parses it, and
-    writes its values into its own in-memory file, which the parent reads
-    in order into one array: that reuses freed heap where a shared map
-    would add pages.  Any other block, or one whose workers could not be
-    forked or reaped, is one chunk parsed in this process.  Each cell goes
-    through the same routine, so the values agree to the bit.
+    When the blocks hold at least ``2 * _PARSE_CHUNK_BYTES`` bytes in all
+    and no other thread is alive, every block is cut into one chunk per CPU
+    this process may run on, at most one per ``_PARSE_CHUNK_BYTES`` of the
+    total, each cut moved from its share of the block's bytes to the next
+    line start (so a chunk may be empty).  Child j run by :func:`_forked`
+    reads chunk j of every block with ``pread`` (or slices it from a pipe
+    read whole into memory), checks and parses it, and writes the values
+    block after block into its own in-memory file, then one int64 count of
+    values per block, -1 for a chunk ``parse_chunk`` does not read.
+    ``values(b)`` reads block b's values from every child's file in order
+    into one array: that reuses freed heap where a shared map would add
+    pages.  Any other round, or one whose workers could not be forked or
+    reaped or exited nonzero, parses each block as one chunk in this process
+    when ``values`` asks for it.  Each cell goes through the same routine,
+    so the values agree to the bit.
     """
-    size = fh.seek(0, os.SEEK_END) - at
-    cpus = _fork_cpus(size // _PARSE_CHUNK_BYTES)
-    cuts = [0]
-    for j in range(1, len(cpus)):  # one past the first newline from the byte before cut j
-        fh.seek(at + size * j // len(cpus) - 1)
-        cuts.append(min(fh.tell() + len(fh.readline()) - at, size))
-    cuts.append(size)
-    data = fh.getvalue() if isinstance(fh, BytesIO) else None
+    sizes = [fh.seek(0, os.SEEK_END) - at for fh, at, _, _ in blocks]
+    cpus = _fork_cpus(sum(sizes) // _PARSE_CHUNK_BYTES)
+    cuts = []
+    for (fh, at, _, _), size in zip(blocks, sizes):
+        cut = [0]
+        for j in range(1, len(cpus)):  # one past the first newline from the byte before cut j
+            fh.seek(at + size * j // len(cpus) - 1)
+            cut.append(min(fh.tell() + len(fh.readline()) - at, size))
+        cuts.append(cut + [size])
 
-    def parse(j):
+    def parse(b, lo, hi):
         from . import cellparse  # a forked parse's parent never compiles it
 
-        start, n = at + cuts[j], cuts[j + 1] - cuts[j]
-        chunk = _pread(fh.fileno(), n, start) if data is None else data[start : start + n]
-        return cellparse.parse_chunk(chunk, cols) if len(chunk) == n else None
+        fh, at, _, cols = blocks[b]
+        if isinstance(fh, BytesIO):  # a pipe's bytes, this process's own copy
+            fh.seek(at + lo)
+            chunk = fh.read(hi - lo)
+        else:  # a child must not move the file offset it shares
+            chunk = _pread(fh.fileno(), hi - lo, at + lo)
+        return cellparse.parse_chunk(chunk, cols) if len(chunk) == hi - lo else None
 
     def parse_into(j, fd):
-        values = parse(j)
-        return values is not None and os.write(fd, values) == values.nbytes
+        counts = []
+        for b, cut in enumerate(cuts):
+            values = parse(b, cut[j], cut[j + 1])
+            if values is not None and os.write(fd, values) != values.nbytes:
+                return False
+            counts.append(-1 if values is None else values.size)
+        counts = np.array(counts, dtype=np.int64)
+        return os.write(fd, counts) == counts.nbytes
 
-    flat = None
-    if cpus:
-        try:
-            with _forked(parse_into, cpus) as fds:
-                if fds is None:
-                    return None
-                flat, k = np.empty(sum(os.fstat(fd).st_size for fd in fds) // 8), 0
-                for fd in fds:
-                    k += os.preadv(fd, [flat[k:]], 0) // 8
-                if k != flat.size:
-                    return None
-        except OSError:  # no file made, or no worker forked or reaped
-            flat, cuts = None, [0, size]
-    if flat is None:
-        flat = parse(0)
-    return flat.reshape(rows, cols) if flat is not None and flat.size == rows * cols else None
+    with contextlib.ExitStack() as stack:
+        fds = None
+        if cpus:
+            try:
+                fds = stack.enter_context(_forked(parse_into, cpus))
+            except OSError:  # no file made, or no worker forked or reaped
+                pass
+        if fds:  # per child, each block's value count and the byte its values start at
+            n = 8 * len(blocks)
+            counts = [np.frombuffer(_pread(fd, n, os.fstat(fd).st_size - n), np.int64).tolist()
+                      for fd in fds]
+            starts = [list(itertools.accumulate((8 * max(c, 0) for c in cs), initial=0))
+                      for cs in counts]
+
+        def values(b):
+            _, _, rows, cols = blocks[b]
+            if not fds:
+                flat = parse(b, 0, sizes[b])
+            elif min(c[b] for c in counts) < 0:
+                flat = None
+            else:
+                flat, k = np.empty(sum(c[b] for c in counts)), 0
+                for fd, c, start in zip(fds, counts, starts):
+                    k += os.preadv(fd, [flat[k : k + c[b]]], start[b]) // 8
+                flat = flat if k == flat.size else None
+            return flat.reshape(rows, cols) if flat is not None and flat.size == rows * cols else None
+
+        yield values
 
 
 def _pread(fd: int, n: int, at: int) -> bytes:
@@ -515,7 +615,8 @@ def _pread(fd: int, n: int, at: int) -> bytes:
 
 
 def _read_general(path: Path, raw: bytes, magic: str):
-    """:func:`_read_text` for any file, line by line: a cell is accepted
+    """Dims, validity mask (None unless a tensor file has a mask row) and
+    (rows, cols) data block of any text file, line by line: a cell is accepted
     exactly when ``float`` accepts it and the value is finite, blank lines
     are skipped, and the first bad position raises."""
     lines = _utf8(path, raw).splitlines()
@@ -610,9 +711,7 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    path = Path(path)
-    with _open_seekable(path) as fh:
-        return _read_text(path, fh, MATRIX_MAGIC)[2]
+    return _read_files([path], MATRIX_MAGIC, lambda dims, mask, rows: rows)[0]
 
 
 def write_json(path, payload: dict) -> None:

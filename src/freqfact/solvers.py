@@ -37,13 +37,20 @@ runs the same code step with the dictionary held fixed.
 All solvers are deterministic given a seed: identical seeds and configs
 yield bit-identical reports.
 
-The code steps take B independent problems against one ``Xbar`` at once,
-as sequences of B codes ``(k_b, T)`` and dictionaries ``(m, k_b)`` whose
-widths k_b may differ.  They return a list of B codes and a list of B
-reports, each equal bit for bit to a separate 2-D call's, and solve the
-blocks one after another.  :func:`alternating_pgd` solves all blocks in one
-pass: one set of FFTs and one top-R selection over all sum k_b rows, and
-one batched G H per run of blocks of one width, per iteration.
+The code steps see their problem min ||Xbar - Wbar H||_F^2 + penalty(H)
+only through its normal-equation terms, the Gram G = Wbar^T Wbar (k, k) and
+the cross term C = Wbar^T Xbar (k, T), the terms AO-ADMM's inner loop works
+on (Huang, Sidiropoulos & Liavas, IEEE TSP 2016): a caller forms them once
+from data it holds, and no step sees Xbar.  The fit's loop forms
+G = W^T W + xi Wp^T Wp and C = W^T X + xi Wp^T Y[:, :T] from the inputs it
+shares, so no stacked copy [X; sqrt(xi) Y] is made.  The code steps also
+take B independent problems at once, as sequences of B codes ``(k_b, T)``,
+Grams ``(k_b, k_b)`` and cross terms ``(k_b, T)`` whose widths k_b may
+differ.  They return a list of B codes and a list of B reports, each equal
+bit for bit to a separate 2-D call's, and solve the blocks one after
+another.  :func:`alternating_pgd` solves all blocks in one pass: one set of
+FFTs and one top-R selection over all sum k_b rows, and one batched G H per
+run of blocks of one width, per iteration.
 
 Code steps return codes, not scores: the driver that keeps a code scores
 it, once and exactly, as ||X - W H||_F^2 terms plus :func:`_scored_penalty`
@@ -66,7 +73,6 @@ import numpy as np
 from .exceptions import ConvergenceError, SingularGramError
 from .regularization import Penalty, band_offmask_ratio, penalty_prox, penalty_value
 from .spectral import FrequencyMask, half_offmask_ratio, project_frequency_mask, top_r_keep
-from .tensor import supervised_stack
 
 __all__ = [
     "SolveReport",
@@ -196,31 +202,30 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
 
 
 class _Blocks:
-    """The B code problems of one code-step call, against one ``Xbar``.
+    """The B code problems of one code-step call.
 
-    A call passes one problem (``h0`` (k, T) with ``wbar`` (m, k)) or
-    equal-length sequences of B codes (k_b, T) and dictionaries (m, k_b)
-    whose widths may differ.  ``rows`` is a float copy of every code, in
-    order, in one (sum k_b, T) buffer, ``wbar`` the list of the B
-    dictionaries and ``spans`` the B row slices of that buffer, one per
-    block: the one record of where each block's rows sit.  :meth:`unpack`
-    returns the B codes and reports in the form the call passed: one code
-    and report, or lists of them.
+    A call passes one problem (``h0`` (k, T) with its Gram ``gram`` (k, k)
+    and cross term ``cross`` (k, T)) or equal-length sequences of B codes,
+    Grams and cross terms whose widths k_b may differ.  ``rows`` is a float
+    copy of every code, in order, in one (sum k_b, T) buffer, ``gram`` and
+    ``cross`` the lists of the B blocks' terms and ``spans`` the B row
+    slices of that buffer, one per block: the one record of where each
+    block's rows sit.  :meth:`unpack` returns the B codes and reports in the
+    form the call passed: one code and report, or lists of them.
     """
 
-    def __init__(self, h0, wbar):
+    def __init__(self, h0, gram, cross):
         self.flat = not isinstance(h0, (list, tuple))
-        hs = [np.asarray(h, dtype=float) for h in ([h0] if self.flat else h0)]
-        ws = [np.asarray(w, dtype=float) for w in ([wbar] if self.flat else wbar)]
-        if not hs or len(hs) != len(ws) or any(
-                h.ndim != 2 or w.ndim != 2 or w.shape[1] != h.shape[0]
-                or h.shape[1] != hs[0].shape[1] or w.shape[0] != ws[0].shape[0]
-                for h, w in zip(hs, ws)):
-            raise ValueError(f"codes {[h.shape for h in hs]} and dictionaries "
-                             f"{[w.shape for w in ws]} are not matching 2-D matrices "
-                             "or sequences of 2-D blocks")
+        hs, gs, cs = ([np.asarray(a, dtype=float) for a in ([m] if self.flat else m)]
+                      for m in (h0, gram, cross))
+        if not hs or not len(hs) == len(gs) == len(cs) or any(
+                h.ndim != 2 or g.shape != (h.shape[0],) * 2 or c.shape != h.shape
+                or h.shape[1] != hs[0].shape[1] for h, g, c in zip(hs, gs, cs)):
+            raise ValueError(f"codes {[h.shape for h in hs]}, Grams {[g.shape for g in gs]} "
+                             f"and cross terms {[c.shape for c in cs]} are not matching 2-D "
+                             "matrices or sequences of 2-D blocks")
         self.rows = np.concatenate(hs)
-        self.wbar = ws
+        self.gram, self.cross = gs, cs
         self.widths = [h.shape[0] for h in hs]
         ends = np.cumsum(self.widths).tolist()
         self.spans = [slice(end - k, end) for k, end in zip(self.widths, ends)]
@@ -337,10 +342,12 @@ def _require_finite(solver: str, it: int, block: int | None = None, **values) ->
 def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
     """The block-coordinate cycle both drivers run.
 
-    Each outer iteration runs ``step`` (see :func:`code_step`) on the stack
-    [X; sqrt(xi) Y[:, :T]], then exact dictionary steps for W on X and for
-    Wp on Y[:, :T] (:func:`_dictionary_step`), and checks every value is
-    finite.  Every fit records the same things: ``initial_objective``,
+    Each outer iteration runs ``step`` (see :func:`code_step`) on the
+    normal-equation terms G = W^T W + xi Wp^T Wp and C = W^T X +
+    xi Wp^T Y[:, :T], formed from the inputs the loop reads and never
+    copies, then exact dictionary steps for W on X and for Wp on Y[:, :T]
+    (:func:`_dictionary_step`), and checks every value is finite.  Every
+    fit records the same things: ``initial_objective``,
     ``phase_objectives`` (after the H, W and Wp steps; the last one is
     traced and tested against ``tol``, first against the initial one), the
     code step's first step size, ``h_min_trace``, ``code_iters`` (the
@@ -383,12 +390,14 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
         extras = {"initial_objective": prev, "phase_objectives": [], "h_min_trace": [],
                   "code_iters": [], "code_change": []}
         report = SolveReport(extras=extras)
-        xbar = supervised_stack(x, y_t, hyper.xi)
         change = 1.0
         for it in range(n_iters):
             rtol = min(max(_CODE_RTOL_KAPPA * change, _ADMM_RTOL), _CODE_RTOL_MAX)
-            h_new, sub = step(xbar, supervised_stack(w, wp, hyper.xi), h, sub_iters,
-                              **({"rtol": rtol} if convex else {}))
+            gram = w.T @ w
+            gram += hyper.xi * (wp.T @ wp)
+            cross = w.T @ x
+            cross += hyper.xi * (wp.T @ y_t)
+            h_new, sub = step(gram, cross, h, sub_iters, **({"rtol": rtol} if convex else {}))
             new_terms = (_fit_terms(x, w, h_new, hyper.lambda1),
                          _fit_terms(y_t, wp, h_new, hyper.lambda2),
                          _scored_penalty(h_new, hyper.penalty))
@@ -447,8 +456,9 @@ def ssnmf_bcd(
     """Block-coordinate descent for the supervised factorization with a
     convex weighted penalty (ridge / lasso / soft_freq).
 
-    Each outer iteration solves the code step on the stacked system
-    [X; sqrt(xi) Y[:, :T]] via :func:`solve_H_prox` (at most ``sub_iters``
+    Each outer iteration solves the code step of the supervised fit
+    ||X - W H||_F^2 + xi ||Y[:, :T] - Wp H||_F^2 + penalty(H) via
+    :func:`solve_H_prox` on its normal-equation terms (at most ``sub_iters``
     iterations, warm-started at the last code; ``nonneg=False`` drops the
     H >= 0 constraint), then takes exact dictionary steps for W on X and
     for Wp on Y[:, :T].  The report's objective trace holds the full
@@ -541,8 +551,8 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
 
 
 def solve_H_prox(
-    xbar: np.ndarray,
-    wbar: np.ndarray,
+    gram: np.ndarray,
+    cross: np.ndarray,
     h0: np.ndarray,
     p: Penalty,
     n_iters: int,
@@ -564,8 +574,9 @@ def solve_H_prox(
         Z1 = max(H + U1, 0);  Z2 = prox_{penalty / rho}(H + U2)
         U1 += H - Z1;  U2 += H - Z2
 
-    with G = Wbar^T Wbar and C = Wbar^T Xbar, through one eigendecomposition
-    of 2 G that gives the k x k inverse again whenever rho changes.
+    with G = Wbar^T Wbar and C = Wbar^T Xbar, the ``gram`` and ``cross`` the
+    call passes, through one eigendecomposition of 2 G that gives the k x k
+    inverse again whenever rho changes.
     ``nonneg=False`` drops Z1 (and the 2 of 2 rho I).  rho starts at
     L = 2 ||G||_2, the Lipschitz constant of grad f, so the first prox steps
     1/rho are those of a proximal gradient step.  Every ``_ADMM_CHECK``
@@ -590,34 +601,33 @@ def solve_H_prox(
     ``terminated`` ("tol_reached" or "max_iters") and, in ``extras``, the
     last ``primal_residual``, ``dual_residual`` and ``rho``.
 
-    Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar`` (m, k_b)
-    run B independent problems against the one ``xbar``, one after another;
-    a fixed mask then holds the blocks' rows in order, and each block's step
-    projects onto its own rows of it.  It returns a list of B codes and a
+    Sequences of B codes ``h0`` (k_b, T), Grams (k_b, k_b) and cross terms
+    (k_b, T) run B independent problems, one after another; a fixed mask
+    then holds the blocks' rows in order, and each block's step projects
+    onto its own rows of it.  It returns a list of B codes and a
     list of B reports, each the one a separate 2-D call returns.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    xbar = np.asarray(xbar, dtype=float)
-    blocks = _Blocks(h0, wbar)
+    blocks = _Blocks(h0, gram, cross)
     mask, n_rows = p.mask, len(blocks.rows)
     split = mask is not None and len(blocks.spans) > 1
     if split and mask.rows != n_rows:
         raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
     codes, reports = [], []
-    for w, rows in zip(blocks.wbar, blocks.spans):
+    for g, c, rows in zip(blocks.gram, blocks.cross, blocks.spans):
         pb = replace(p, mask=FrequencyMask(mask.T, mask.kept[rows])) if split else p
-        code, report = _prox_block(xbar, w, blocks.rows[rows], pb, n_iters, nonneg, rtol)
+        code, report = _prox_block(g, c, blocks.rows[rows], pb, n_iters, nonneg, rtol)
         codes.append(code)
         reports.append(report)
     return blocks.unpack(codes, reports)
 
 
-def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
-    """:func:`solve_H_prox` on one (k, T) code ``z0`` with its (m, k)
-    dictionary ``wbar``; returns ``z0``, overwritten with the code, and its
-    report."""
-    gram, two_c = wbar.T @ wbar, 2.0 * (wbar.T @ xbar)
+def _prox_block(gram, cross, z0, p, n_iters, nonneg, rtol):
+    """:func:`solve_H_prox` on one (k, T) code ``z0`` with its terms
+    ``gram`` (k, k) and ``cross`` (k, T); returns ``z0``, overwritten with
+    the code, and its report."""
+    two_c = 2.0 * cross
     n_z = 2 if nonneg else 1
     eig = _gram_eig(gram, two_c)
     rho = lip = float(eig[0][-1]) if eig[0][-1] > 0.0 else 1.0  # L, or 1 for G = 0
@@ -693,8 +703,8 @@ def _prox_block(xbar, wbar, z0, p, n_iters, nonneg, rtol):
 
 def alternating_pgd(
     h0: np.ndarray,
-    wbar: np.ndarray,
-    xbar: np.ndarray,
+    gram: np.ndarray,
+    cross: np.ndarray,
     R: int,
     n_iters: int,
     priority: str = "nonneg",
@@ -705,7 +715,8 @@ def alternating_pgd(
 
     Per iteration (priority="nonneg", the default): project each row onto its
     own current top-R frequency set, take a gradient step on
-    f(H) = ||Xbar - Wbar H||_F^2 with gamma_j = 1/((j+1)(2 L + 1)), then
+    f(H) = ||Xbar - Wbar H||_F^2, from its terms ``gram`` G = Wbar^T Wbar and
+    ``cross`` C = Wbar^T Xbar, with gamma_j = 1/((j+1)(2 L + 1)), then
     clamp to the nonnegative orthant.  priority="frequency" swaps the two
     projections so the frequency projection lands last and the returned code
     is exactly band-limited (possibly slightly negative).  The gradient step
@@ -724,9 +735,9 @@ def alternating_pgd(
     the loop, with one ``rfft``.  With ``_diagnostics=False`` it is not
     recorded, and no buffer is kept.
 
-    Sequences of B codes ``h0`` (k_b, T) and dictionaries ``wbar``
-    (m, k_b), of equal or unequal widths, run B independent problems against
-    the one ``xbar`` in one pass: one top-R projection over all sum k_b rows
+    Sequences of B codes ``h0`` (k_b, T), Grams (k_b, k_b) and cross terms
+    (k_b, T), of equal or unequal widths, run B independent problems in one
+    pass: one top-R projection over all sum k_b rows
     and one batched G H per run of blocks of one width, per iteration.  It
     returns a list of B codes and a list of B reports, each equal bit for bit
     to a separate 2-D call's.
@@ -735,13 +746,9 @@ def alternating_pgd(
         raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    xbar = np.asarray(xbar, dtype=float)
-    blocks = _Blocks(h0, wbar)
+    blocks = _Blocks(h0, gram, cross)
     h, T = blocks.rows, blocks.rows.shape[1]
-    # each block's G and C formed as a 2-D call forms them, so stacked and
-    # separate solves agree bit for bit
-    gram = [w.T @ w for w in blocks.wbar]
-    cross = [w.T @ xbar for w in blocks.wbar]
+    gram, cross = blocks.gram, blocks.cross
     base = np.array([1.0 / (2.0 * float(np.linalg.norm(g, 2)) + 1.0) for g in gram])
     gammas = base[:, None] / np.arange(1, n_iters + 1)  # (B, n_iters)
     # per run of adjacent blocks of one width: its rows, its G and C stacks
@@ -802,8 +809,9 @@ def code_step(
 ):
     """Pick the code solver for penalty ``p``; returns ``(name, step)``.
 
-    ``step(xbar, wbar, h0, iters) -> (h, SolveReport)`` runs the chosen
-    solver on min ||Xbar - Wbar H||_F^2 + p(H), warm-started at ``h0``.  The
+    ``step(gram, cross, h0, iters) -> (h, SolveReport)`` runs the chosen
+    solver on min ||Xbar - Wbar H||_F^2 + p(H), seen through its terms
+    G = Wbar^T Wbar and C = Wbar^T Xbar, warm-started at ``h0``.  The
     report holds no objective: the caller scores the code it keeps.  The
     penalty alone decides.  An adaptive top-R band (hard_freq without a
     fixed mask) is not convex and runs "heuristic": :func:`band_pursuit`
@@ -816,8 +824,8 @@ def code_step(
     or "frequency") is checked and otherwise unused: a band's codes are
     nonnegative and in band at once, so neither projection comes last.
 
-    ``step`` also takes sequences of B codes ``h0`` (k_b, T) and
-    dictionaries ``wbar`` (m, k_b) whose widths may differ, and then returns
+    ``step`` also takes sequences of B codes ``h0`` (k_b, T), Grams
+    (k_b, k_b) and cross terms (k_b, T) whose widths may differ, and then returns
     a list of B codes and a list of B reports, each equal bit for bit to a
     separate 2-D call's; every step solves the blocks one after another.  A
     fixed mask then holds the blocks' rows in order.
@@ -827,12 +835,12 @@ def code_step(
     if priority not in ("nonneg", "frequency"):
         raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
     if p.kind == "hard_freq" and p.mask is None:
-        return "heuristic", lambda xbar, wbar, h, iters: band_pursuit(
-            xbar, wbar, h, p.R, iters, _diagnostics=_diagnostics)
+        return "heuristic", lambda gram, cross, h, iters: band_pursuit(
+            gram, cross, h, p.R, iters, _diagnostics=_diagnostics)
     if p.kind == "hard_freq":
-        return "prox", lambda xbar, wbar, h, iters: solve_H_band(xbar, wbar, h, p.mask)
-    return "prox", lambda xbar, wbar, h, iters, rtol=_ADMM_RTOL: solve_H_prox(
-        xbar, wbar, h, p, iters, nonneg, rtol=rtol)
+        return "prox", lambda gram, cross, h, iters: solve_H_band(gram, cross, h, p.mask)
+    return "prox", lambda gram, cross, h, iters, rtol=_ADMM_RTOL: solve_H_prox(
+        gram, cross, h, p, iters, nonneg, rtol=rtol)
 
 
 def ssnmf_hard(

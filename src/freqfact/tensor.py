@@ -63,13 +63,13 @@ def matricize(t: SpatioTemporalTensor) -> np.ndarray:
     """Unfold along the time mode: result[a*B + b, k] = t[a, b, kept[k]].
 
     Masked time columns are dropped; ``t.kept_times()`` records the
-    column-to-original-time map.
+    column-to-original-time map.  Like :func:`fold`, it copies nothing it
+    need not: with no column masked the result is a view of ``t.values``,
+    so a tensor read only to be matricized is held once.
     """
     A, B, T = t.dims
     mat = t.values.reshape(A * B, T)
-    if t.time_mask is not None:
-        mat = mat[:, t.time_mask]
-    return mat.copy()
+    return mat if t.time_mask is None else mat[:, t.time_mask]
 
 
 def fold(m: np.ndarray, A: int, B: int) -> SpatioTemporalTensor:

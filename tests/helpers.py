@@ -71,3 +71,12 @@ def nnls_columns(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     from scipy.optimize import nnls
 
     return np.column_stack([nnls(w, y[:, t])[0] for t in range(y.shape[1])])
+
+
+def normal_terms(xbar: np.ndarray, wbar) -> tuple:
+    """(G, C) = (Wbar^T Wbar, Wbar^T Xbar), the terms a code step takes for
+    min ||Xbar - Wbar H||_F^2; for a sequence of dictionaries, the list of
+    each block's G and the list of its C."""
+    if isinstance(wbar, (list, tuple)):
+        return [w.T @ w for w in wbar], [w.T @ xbar for w in wbar]
+    return wbar.T @ wbar, wbar.T @ xbar

@@ -85,3 +85,48 @@ def test_empty_workload_name_is_a_usage_error(workload):
     with pytest.raises(SystemExit) as exc:
         ab_bench.main(["P", "C", "--workload", workload])
     assert exc.value.code == 2
+
+
+def test_a_failed_side_is_skipped_and_the_json_still_printed(monkeypatch, capsys):
+    nan = float("nan")
+
+    def fake_bench(tree, workload, seed, seconds):
+        # the change's factorize fails in the pair with seed 12: its other
+        # stages never ran, its NSE is None and its pipeline_s sums one stage
+        if tree.name == "change" and seed == 12:
+            return {"correct": False, "failed_ops_frac": 0.5, "fingerprint": {"nse": None},
+                    "metrics": {"pipeline_s": 0.024, "factorize_s": 0.024, "forecast_s": nan,
+                                "forecast_nse": None}}
+        side = 0.2 if tree.name == "change" else 0.24
+        return {"correct": True, "failed_ops_frac": 0.0, "fingerprint": {"nse": 0.9},
+                "metrics": {"pipeline_s": side, "factorize_s": side / 2, "forecast_s": side / 2,
+                            "forecast_nse": 0.9}}
+
+    monkeypatch.setattr(ab_bench, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(ab_bench, "bench", fake_bench)
+    assert ab_bench.main(["P", "C", "--workload", "hard_scan", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split() for line in out
+            if line.split() and line.split()[0] in ab_bench.METRICS}
+    # each metric compares the two pairs where both sides read correct
+    for name in ("pipeline_s", "factorize_s", "forecast_s"):
+        assert rows[name][-2:] == ["1", "2/0/0"], rows[name]
+    assert rows["forecast_nse"][-2:] == ["1", "0/0/2"]
+    assert "runs not reading correct: 1 of 6" in out
+    tail = json.loads(out[-1])
+    assert tail["workloads"]["hard_scan"]["pairs"][1]["change"]["correct"] is False
+
+
+def test_the_json_is_printed_when_a_summary_fails(monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(ab_bench, "bench", lambda tree, workload, seed, seconds: {
+        "correct": True, "metrics": {"pipeline_s": 1.0}})
+
+    def failing_summary(workload, runs):
+        raise RuntimeError("summary failed")
+
+    monkeypatch.setattr(ab_bench, "summary", failing_summary)
+    with pytest.raises(RuntimeError, match="summary failed"):
+        ab_bench.main(["P", "C", "--workload", "soft_forecast", "--pairs", "1"])
+    tail = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert len(tail["workloads"]["soft_forecast"]["pairs"]) == 1

@@ -26,6 +26,7 @@ from freqfact import (
 from freqfact.regularization import band_offmask_ratio
 from freqfact.spectral import top_r_keep
 
+from helpers import normal_terms
 from test_acceptance import _band_limited_instance
 from test_solvers import make_example_data
 
@@ -112,7 +113,7 @@ def test_exact_solve_matches_slsqp_on_random_instances():
     for i in range(150):
         wbar, xbar, mask = _random_instance(rng, degenerate=i % 3 == 0)
         k, T = len(mask.kept), mask.T
-        h, report = solve_H_band(xbar, wbar, np.zeros((k, T)), mask)
+        h, report = solve_H_band(*normal_terms(xbar, wbar), np.zeros((k, T)), mask)
         fit = float(np.sum((xbar - wbar @ h) ** 2))
         ref = _coefficient_reference(wbar, xbar, mask)
         assert abs(fit - ref) <= 1e-9 * ref, (i, fit, ref)
@@ -145,7 +146,7 @@ def test_a_singular_gram_takes_the_ridge_floor(kind):
     # many codes fit alike; the floored solve returns one of them, finite,
     # nonnegative and in band, and no worse a fit than the reference's
     wbar, xbar, mask = _singular_problem(kind)
-    h, _ = solve_H_band(xbar, wbar, np.zeros((3, mask.T)), mask)
+    h, _ = solve_H_band(*normal_terms(xbar, wbar), np.zeros((3, mask.T)), mask)
     fit = float(np.sum((xbar - wbar @ h) ** 2))
     ref = _coefficient_reference(wbar, xbar, mask)
     assert np.all(np.isfinite(h)) and h.min() >= 0.0
@@ -159,9 +160,9 @@ def test_a_singular_gram_takes_the_ridge_floor(kind):
 def test_a_zero_gram_gives_the_zero_code():
     mask = FrequencyMask.same(2, 16, [0, 3])
     xbar = np.ones((4, 16))
-    h, report = solve_H_band(xbar, np.zeros((4, 2)), np.ones((2, 16)), mask)
+    h, report = solve_H_band(*normal_terms(xbar, np.zeros((4, 2))), np.ones((2, 16)), mask)
     assert not h.any() and report.wall_iters == 0
-    h, report = band_pursuit(xbar, np.zeros((4, 2)), np.ones((2, 16)), 2, 5)
+    h, report = band_pursuit(*normal_terms(xbar, np.zeros((4, 2))), np.ones((2, 16)), 2, 5)
     assert not h.any() and report.wall_iters == 0
 
 
@@ -174,7 +175,7 @@ class TestPursuit:
 
     def test_stops_on_a_repeated_support_at_a_fixed_point(self):
         xbar, wbar, h0 = self.problem()
-        h, report = band_pursuit(xbar, wbar, h0, 3, 50)
+        h, report = band_pursuit(*normal_terms(xbar, wbar), h0, 3, 50)
         assert report.terminated == "tol_reached" and report.wall_iters < 50
         assert len(report.step_trace) == report.wall_iters
         assert len(report.extras["offmask_after_projection"]) == report.wall_iters - 1
@@ -183,12 +184,12 @@ class TestPursuit:
         # one more call from it solves on the same support
         assert band_offmask_ratio(h, Penalty.hard_freq(R=3)).max() <= 1e-12
         assert h.min() >= 0.0
-        again, _ = band_pursuit(xbar, wbar, h, 3, 50)
+        again, _ = band_pursuit(*normal_terms(xbar, wbar), h, 3, 50)
         assert np.allclose(again, h, rtol=0.0, atol=1e-12 * np.abs(h).max())
 
     def test_the_cap_ends_after_the_first_solve(self):
         xbar, wbar, h0 = self.problem()
-        h, report = band_pursuit(xbar, wbar, h0, 3, 1)
+        h, report = band_pursuit(*normal_terms(xbar, wbar), h0, 3, 1)
         assert report.terminated == "max_iters" and report.wall_iters == 1
         # the first round solves on the support of the gradient step from h0
         gram = wbar.T @ wbar
@@ -197,13 +198,13 @@ class TestPursuit:
         mask = FrequencyMask(40, tuple(
             tuple(sorted({sign * int(b) % 40 for b in np.flatnonzero(row) for sign in (1, -1)}))
             for row in keep))
-        ref, _ = solve_H_band(xbar, wbar, h0, mask)
+        ref, _ = solve_H_band(*normal_terms(xbar, wbar), h0, mask)
         assert np.array_equal(h, ref)
 
     def test_rejects_zero_rounds(self):
         xbar, wbar, h0 = self.problem()
         with pytest.raises(ValueError, match="^n_rounds must be >= 1$"):
-            band_pursuit(xbar, wbar, h0, 3, 0)
+            band_pursuit(*normal_terms(xbar, wbar), h0, 3, 0)
 
     def test_the_encode_caps_rounds_at_sweeps_times_sub_iters(self):
         xbar, wbar, _ = self.problem()
@@ -211,7 +212,7 @@ class TestPursuit:
         for sweeps, sub_iters in [(1, 1), (1, 2), (3, 50)]:
             h, report = encode_new(xbar, wbar, Penalty.hard_freq(R=3), 0.0,
                                    EncodeConfig(sweeps, sub_iters, seed=4))
-            ref, ref_report = band_pursuit(xbar, wbar, start, 3, sweeps * sub_iters,
+            ref, ref_report = band_pursuit(*normal_terms(xbar, wbar), start, 3, sweeps * sub_iters,
                                            _diagnostics=False)
             assert np.array_equal(h, ref)
             assert report.wall_iters == ref_report.wall_iters <= sweeps * sub_iters

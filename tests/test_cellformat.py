@@ -125,7 +125,7 @@ def test_writers_are_byte_equal_with_the_kernel_on_and_off(tmp_path, monkeypatch
     set_workers, forks = forked
     set_workers(workers)
     monkeypatch.setattr(fio, "_FORMAT_CHUNK_CELLS", 64)
-    monkeypatch.setattr(fio, "_CHUNK_LINES", 5)
+    monkeypatch.setattr(fio, "_CHUNK_CELLS", 15)  # 5 tensor lines of 3 cells
     with monkeypatch.context() as m:
         m.setattr(fio, "_KERNEL_CELLS", 1 << 62)
         want = write_all(tmp_path / "repr")

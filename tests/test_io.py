@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import stat
+import sys
 import threading
 import time
 import tracemalloc
@@ -98,6 +99,7 @@ def test_writer_output_takes_the_canonical_path(tmp_path_factory, t, m):
     fio.write_tensor(d / "t.csv", t)
     fio.write_matrix(d / "m.csv", m)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fio, "_KERNEL_BYTES", 0)  # small blocks take the kernel too
         mp.setattr(fio, "_read_general", general_path_called)
         assert_same_tensor(fio.read_tensor(d / "t.csv"), t)
         assert fio.read_matrix(d / "m.csv").tobytes() == m.tobytes()
@@ -189,9 +191,11 @@ def test_reader_agrees_with_the_general_path(tmp_path_factory, case):
     p.write_bytes(data)
     read = fio.read_tensor if tensor else fio.read_matrix
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fio, "_read_canonical", lambda *args: None)
+        mp.setattr(fio, "_canonical_head", lambda *args: None)
         want = outcome(read, p)
-    assert outcome(read, p) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fio, "_KERNEL_BYTES", 0)  # small blocks take the kernel too
+        assert outcome(read, p) == want
 
 
 def _crlf_case(tmp_path):
@@ -443,14 +447,14 @@ def test_chunk_size_changes_nothing(tmp_path, monkeypatch, chunk):
     # 15 data lines: chunks that divide them and chunks that leave a remainder
     t = SpatioTemporalTensor(np.random.default_rng(chunk).standard_normal((3, 2, 5)))
     fio.write_tensor(tmp_path / "ref.csv", t)
-    monkeypatch.setattr(fio, "_CHUNK_LINES", chunk)
+    monkeypatch.setattr(fio, "_CHUNK_CELLS", 2 * chunk)  # chunk lines of 2 cells
     fio.write_tensor(tmp_path / "t.csv", t)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert_same_tensor(fio.read_tensor(tmp_path / "t.csv"), t)
 
 
 def test_round_trip_across_default_chunk_boundary(tmp_path):
-    A, T = 7, (fio._CHUNK_LINES // 7) + 3  # a few lines past one chunk
+    A, T = 7, (fio._CHUNK_CELLS // 7) + 3  # a few one-cell lines past one chunk
     t = SpatioTemporalTensor(np.random.default_rng(0).standard_normal((A, 1, T)))
     fio.write_tensor(tmp_path / "t.csv", t)
     assert_same_tensor(fio.read_tensor(tmp_path / "t.csv"), t)
@@ -506,7 +510,7 @@ def test_mask_entries_must_be_0_or_1(tmp_path, text, message):
 
 
 def test_error_in_later_chunk_names_its_line(tmp_path, monkeypatch):
-    monkeypatch.setattr(fio, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(fio, "_CHUNK_CELLS", 4)  # 2 lines of 2 cells
     body = ["1.0,2.0"] * 5 + ["3.0,oops"]
     text = "stf-v1,3,2,2\n" + "\n".join(body) + "\n"
     assert read_error(tmp_path, text) == "line 7, column 2: could not parse 'oops' as float"
@@ -577,11 +581,11 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
         "grid": [{"xi": 0.5}, {"xi": 2.0}],
     }))
     events = []
-    real_read, real_point = fio.read_tensor, cli._run_factorize_point
+    real_read, real_point = fio.read_tensors, cli._run_factorize_point
 
-    def counting_read(path):
-        events.append(str(path))
-        return real_read(path)
+    def counting_read(paths):
+        events.append(sorted(map(str, paths)))
+        return real_read(paths)
 
     def point(pcfg, out, load):
         # inputs are shared between points, so no point may write to them
@@ -589,7 +593,7 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
         events.append("point")
         return real_point(pcfg, out, load)
 
-    monkeypatch.setattr(fio, "read_tensor", counting_read)
+    monkeypatch.setattr(fio, "read_tensors", counting_read)
     monkeypatch.setattr(cli, "_run_factorize_point", point)
     inputs = sorted(str(data / n) for n in ("X.csv", "Y0.csv", "Y1.csv"))
     outs = {}
@@ -598,13 +602,44 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
         outs[jobs] = tmp_path / f"jobs{jobs}"
         assert cli.main(["factorize", "--config", str(cfg), "--out", str(outs[jobs]),
                      "--jobs", str(jobs)]) == 0
-        # every input parsed once, all before the first point starts
-        assert sorted(events[:3]) == inputs
-        assert events[3:] == ["point", "point"]
+        # every input parsed once, in one read, before the first point starts
+        assert events == [inputs, "point", "point"]
     files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     assert len(files) == 1 + 2 * 4  # index.json, then W, Wp, H and report per point
     for rel in files:
         assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes()
+
+
+def test_hard_scan_sized_forecast_and_atom_scan_never_import_the_parse_kernel(tmp_path,
+                                                                             monkeypatch):
+    # hard_scan's shapes and binary inputs: the only text read is the model's
+    # three small matrices, which the line-by-line parse reads
+    data = tmp_path / "data"
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"d": 64, "T": 256, "freqs": [14, 6], "sigma": 0.5,
+                                 "x_sigma": 0.5}))
+    assert cli.main(["synth", "--config", str(synth), "--out", str(data), "--binary"]) == 0
+    inputs = {"y": [str(data / "Y0.bin"), str(data / "Y1.bin")], "x_true": str(data / "X.bin")}
+    band = {"kind": "hard_freq", "R": 3}
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"x": inputs["x_true"], "y": inputs["y"], "r": 4, "xi": 0.5,
+                               "train_t": 192, "n_iters": 2, "sub_iters": 5, "penalty": band}))
+    assert cli.main(["factorize", "--config", str(fit), "--out", str(tmp_path / "m")]) == 0
+    assert max((tmp_path / "m" / n).stat().st_size for n in ("W.csv", "Wp.csv", "H.csv")) < (
+        fio._KERNEL_BYTES)
+    fc = tmp_path / "fc.json"
+    fc.write_text(json.dumps({"model": str(tmp_path / "m"), **inputs, "penalty": band,
+                              "sweeps": 2, "sub_iters": 5}))
+    import freqfact
+
+    monkeypatch.delitem(sys.modules, "freqfact.cellparse", raising=False)
+    monkeypatch.delattr(freqfact, "cellparse", raising=False)
+    assert cli.main(["forecast", "--config", str(fc), "--out", str(tmp_path / "fc")]) == 0
+    assert cli.main(["atom-scan", "--config", str(fc), "--out", str(tmp_path / "scan")]) == 0
+    assert "freqfact.cellparse" not in sys.modules
+    fio.write_matrix(tmp_path / "large.csv", np.zeros((fio._KERNEL_BYTES, 1)))
+    fio.read_matrix(tmp_path / "large.csv")
+    assert "freqfact.cellparse" in sys.modules
 
 
 def test_grid_points_share_one_read_only_aux_stack(tmp_path, monkeypatch):
@@ -681,6 +716,7 @@ def forked(monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
 
     monkeypatch.setattr(fio, "_PARSE_CHUNK_BYTES", 16)
+    monkeypatch.setattr(fio, "_KERNEL_BYTES", 0)
     monkeypatch.setattr(os, "fork", fork)
     return workers, forks
 
@@ -817,10 +853,10 @@ def open_fds():
 @pytest.fixture
 def forked_write(forked, monkeypatch):
     """The ``forked`` fakes, with blocks of 8 cells or more written by the
-    forked format, 4 lines a step; checks after the test that no child and
-    no file descriptor is left."""
+    forked format, 4 cells (or one wider line) a step; checks after the test
+    that no child and no file descriptor is left."""
     monkeypatch.setattr(fio, "_FORMAT_CHUNK_CELLS", 4)
-    monkeypatch.setattr(fio, "_CHUNK_LINES", 4)
+    monkeypatch.setattr(fio, "_CHUNK_CELLS", 4)
     fds = open_fds()
     yield forked
     assert_no_child_left()
@@ -968,7 +1004,7 @@ def test_failed_memfd_gives_the_serial_bytes_and_values(tmp_path, monkeypatch, f
 def test_serial_write_peak_memory_is_below_the_file_size(tmp_path, monkeypatch):
     # a write that joins the whole text before it writes peaks near 3x the
     # file size; one that writes each step as it is formatted, near 0.2x
-    monkeypatch.setattr(fio, "_CHUNK_LINES", 4096)
+    monkeypatch.setattr(fio, "_CHUNK_CELLS", 4096)
     m = np.random.default_rng(0).standard_normal((100_000, 1))
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, daemon=True)
@@ -983,6 +1019,22 @@ def test_serial_write_peak_memory_is_below_the_file_size(tmp_path, monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert peak < (tmp_path / "m.csv").stat().st_size
+
+
+def test_wide_lines_are_formatted_a_line_a_step(tmp_path):
+    # 4 lines of 30,000 cells, under the forked format's size: the kernel
+    # holds about 270 bytes a cell of temporaries, so formatted as one step
+    # the block peaks near 13.7x the file size, a line a step near 3.6x
+    m = np.random.default_rng(0).standard_normal((4, 30_000))
+    fio.write_matrix(tmp_path / "warm.csv", m[:1])  # the kernel's module and tables
+    tracemalloc.start()
+    try:
+        fio.write_matrix(tmp_path / "m.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (tmp_path / "m.csv").stat().st_size
+    assert fio.read_matrix(tmp_path / "m.csv").tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
@@ -1219,3 +1271,163 @@ def test_slices_honour_the_umask(tmp_path, forked_write, umask, mode, workers):
     assert len(forks) == (workers if workers > 1 else 0)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "pred").iterdir()}
     assert modes == {f"slice_{k:04d}.csv": mode for k in range(SLICE_VALUES.shape[2])}
+
+
+def mixed_inputs(tmp_path):
+    """A binary tensor, a masked text tensor, two unmasked ones and the
+    bytes of a fourth text tensor for a pipe: (paths, pipe bytes, the
+    tensors in that order, the pipe's last)."""
+    rng = np.random.default_rng(12)
+    want = [SpatioTemporalTensor(rng.standard_normal((4, 2, 5))),
+            SpatioTemporalTensor(rng.standard_normal((6, 1, 4)), np.array([1, 0, 1, 1], bool)),
+            SpatioTemporalTensor(rng.standard_normal((3, 3, 7))),
+            SpatioTemporalTensor(rng.standard_normal((9, 1, 3))),
+            SpatioTemporalTensor(rng.standard_normal((2, 2, 6)), np.array([0, 1, 1, 0, 1, 1], bool))]
+    want[2].values[0, 0, :3] = EDGE_VALUES[:3]
+    paths = [tmp_path / name for name in ("a.bin", "b.csv", "c.csv", "d.csv", "e.csv")]
+    for path, t in zip(paths, want):
+        fio.write_tensor(path, t, binary=path.suffix == ".bin")
+    return paths[:-1], paths[-1].read_bytes(), want
+
+
+def read_with_pipe(paths, data):
+    """:func:`fio.read_tensors` of ``paths`` and a pipe holding ``data``
+    (small enough for the pipe's buffer, so no writer thread runs)."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return fio.read_tensors(list(paths) + [f"/dev/fd/{r}"])
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_one_round_reads_mixed_inputs_bit_equal(tmp_path, monkeypatch, forked, workers):
+    set_workers, forks = forked
+    paths, pipe, want = mixed_inputs(tmp_path)
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    set_workers(workers)
+    got = read_with_pipe(paths, pipe)
+    # every text block of the call in one round: one child per worker
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_no_child_left()
+    assert len(got) == len(want)
+    for g, t in zip(got, want):
+        assert_same_tensor(g, t)
+    for path, t in zip(paths, want):
+        assert_same_tensor(fio.read_tensor(path), t)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("fault", ["bad cell", "bad header", "missing", "binary size"])
+def test_the_first_failing_input_raises_what_it_raises_alone(tmp_path, forked, workers, fault):
+    set_workers, forks = forked
+    paths, _, _ = mixed_inputs(tmp_path)
+    bad = tmp_path / "bad.csv"
+    good = fio.read_tensors(paths)
+    if fault == "bad cell":
+        text = paths[2].read_text().splitlines()
+        text[5] = text[5].replace(",", ",x", 1)
+        bad.write_text("\n".join(text) + "\n")
+    elif fault == "bad header":
+        bad.write_text("stf-v1,2,x,3\n")
+    elif fault == "binary size":
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(paths[0].read_bytes()[:-8])
+    with pytest.raises((TensorFormatError, FileNotFoundError)) as alone:
+        fio.read_tensor(bad)
+    set_workers(workers)
+    # a malformed later file is named as read_tensor names it ...
+    with pytest.raises(type(alone.value)) as later:
+        fio.read_tensors(paths + [bad, paths[1]])
+    assert str(later.value) == str(alone.value)
+    # ... and an earlier failing file wins over it
+    worse = tmp_path / "worse.csv"
+    worse.write_text("stf-v1,1,1,1\nnan\n")
+    with pytest.raises(TensorFormatError) as first:
+        fio.read_tensors([paths[1], worse, bad])
+    assert str(first.value) == f"{worse}: line 2, column 1: non-finite value"
+    assert_no_child_left()
+    assert [t.values.tobytes() for t in fio.read_tensors(paths)] == [
+        t.values.tobytes() for t in good]
+
+
+def test_no_round_forks_while_another_thread_is_alive(tmp_path, forked):
+    set_workers, forks = forked
+    paths, pipe, want = mixed_inputs(tmp_path)
+    set_workers(4)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        got = read_with_pipe(paths, pipe)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert forks == []
+    for g, t in zip(got, want, strict=True):
+        assert_same_tensor(g, t)
+
+
+def test_a_failed_fork_falls_back_to_the_serial_round(tmp_path, monkeypatch, forked):
+    set_workers, forks = forked
+    paths, pipe, want = mixed_inputs(tmp_path)
+    set_workers(3)
+    fork = os.fork
+    calls = []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("fork failed")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    got = read_with_pipe(paths, pipe)
+    # the one child forked before the failure was killed and reaped
+    assert len(calls) == 2 and len(forks) == 1
+    assert_no_child_left()
+    for g, t in zip(got, want, strict=True):
+        assert_same_tensor(g, t)
+
+
+def test_a_failed_child_falls_back_to_the_serial_round(tmp_path, monkeypatch, forked):
+    set_workers, forks = forked
+    paths, pipe, want = mixed_inputs(tmp_path)
+    set_workers(3)
+    parent = os.getpid()
+
+    def setaffinity(pid, cpus):
+        if os.getpid() != parent and cpus == [1]:
+            raise OSError("cannot bind")
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    monkeypatch.setattr(fio, "_read_general", general_path_called)
+    got = read_with_pipe(paths, pipe)
+    assert len(forks) == 3
+    assert_no_child_left()
+    for g, t in zip(got, want, strict=True):
+        assert_same_tensor(g, t)
+
+
+def test_an_interrupted_round_kills_and_reaps_every_child(tmp_path, monkeypatch, forked):
+    set_workers, forks = forked
+    paths, _, _ = mixed_inputs(tmp_path)
+    set_workers(3)
+    real_waitpid = os.waitpid
+    calls = []
+
+    def waitpid(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:  # as if Ctrl-C came while the parent waited
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        fio.read_tensors(paths)
+    monkeypatch.setattr(os, "waitpid", real_waitpid)
+    assert len(forks) == 3 and calls[1:] == forks
+    assert_no_child_left()

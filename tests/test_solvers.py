@@ -36,7 +36,7 @@ from freqfact import (
 from freqfact.regularization import HARD_FEASIBILITY_RTOL
 from freqfact.spectral import half_offmask_ratio, top_r_keep
 
-from helpers import dft_definitional, minkowski_definitional, nnls_columns
+from helpers import dft_definitional, minkowski_definitional, nnls_columns, normal_terms
 from test_acceptance import _tos_instance, _tos_reference_optimum
 
 
@@ -157,7 +157,7 @@ class TestSolveHProx:
 
     def test_report_records_steps_and_no_objective(self):
         xbar, wbar, h0 = self.instance()
-        h, report = solve_H_prox(xbar, wbar, h0, Penalty.soft_freq(1.3), 40)
+        h, report = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.soft_freq(1.3), 40)
         assert np.all(h >= 0.0)
         # the caller scores the code it keeps
         assert report.objective_trace == []
@@ -169,7 +169,7 @@ class TestSolveHProx:
     def test_no_feasible_perturbation_does_better(self):
         xbar, wbar, h0 = self.instance(52, m=6, k=2, T=16)
         p = Penalty.soft_freq(0.8)
-        h, _ = solve_H_prox(xbar, wbar, h0, p, 4000)
+        h, _ = solve_H_prox(*normal_terms(xbar, wbar), h0, p, 4000)
         best = self.fsub(xbar, wbar, h, p)
         rng = np.random.default_rng(53)
         for _ in range(300):
@@ -181,7 +181,7 @@ class TestSolveHProx:
         # lam ||H||^2 is the fit of sqrt(lam) I H against zero rows
         xbar, wbar, h0 = self.instance(57)
         lam = 0.7
-        h, _ = solve_H_prox(xbar, wbar, h0, Penalty.ridge(lam), 3000)
+        h, _ = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.ridge(lam), 3000)
         k, T = h0.shape
         ref = nnls_columns(np.vstack([wbar, np.sqrt(lam) * np.eye(k)]),
                            np.vstack([xbar, np.zeros((k, T))]))
@@ -204,7 +204,7 @@ class TestSolveHProx:
                        bounds=[(0.0, None)] * h0.size,
                        options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12})
         assert res.success
-        h, _ = solve_H_prox(xbar, wbar, h0, Penalty.lasso(lam), 3000)
+        h, _ = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.lasso(lam), 3000)
         assert fun(h.ravel())[0] <= res.fun + 1e-9 * res.fun
         assert np.max(np.abs(h - res.x.reshape(h0.shape))) <= 1e-5
 
@@ -212,7 +212,7 @@ class TestSolveHProx:
         xbar, wbar, h0 = self.instance(59)
         lam = 0.7
         gram, cross = wbar.T @ wbar, wbar.T @ xbar
-        h, _ = solve_H_prox(xbar, wbar, h0, Penalty.ridge(lam), 3000, nonneg=False)
+        h, _ = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.ridge(lam), 3000, nonneg=False)
         ref = np.linalg.solve(gram + lam * np.eye(len(gram)), cross)
         assert np.min(ref) < 0.0  # the orthant would bind
         assert np.max(np.abs(h - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -224,7 +224,7 @@ class TestSolveHProx:
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         x = rng.standard_normal((8, 6))
         h0 = np.abs(rng.standard_normal((3, 6)))
-        h, _ = solve_H_prox(x, q, h0, Penalty.ridge(0.0), 200)
+        h, _ = solve_H_prox(*normal_terms(x, q), h0, Penalty.ridge(0.0), 200)
         grad = 2 * (q.T @ q @ h - q.T @ x)
         active = h > 1e-12
         assert np.max(np.abs(grad[active])) <= 1e-10
@@ -235,7 +235,7 @@ class TestSolveHProx:
         rng = np.random.default_rng(48)
         wbar = np.diag([1.0, 2.0])
         h0 = np.abs(rng.standard_normal((2, 5)))
-        h, report = solve_H_prox(wbar @ h0, wbar, h0, Penalty.ridge(0.0), 25)
+        h, report = solve_H_prox(*normal_terms(wbar @ h0, wbar), h0, Penalty.ridge(0.0), 25)
         assert np.allclose(h, h0, rtol=0.0, atol=1e-14)
         assert report.extras["primal_residual"] <= 1e-14
         assert report.extras["dual_residual"] <= 1e-14
@@ -245,14 +245,14 @@ class TestSolveHProx:
     def test_scalar_soft_instance_descends_to_zero(self):
         # 1x1 data and dictionary both zero: the fit is flat, so one prox
         # step of weight 1 takes H = 1 to 0
-        h, _ = solve_H_prox(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[1.0]]),
+        h, _ = solve_H_prox(*normal_terms(np.zeros((1, 1)), np.zeros((1, 1))), np.array([[1.0]]),
                             Penalty.soft_freq(1.0), 20)
         assert h[0, 0] == 0.0
 
     def test_residuals_fall_until_the_stop(self):
         xbar, wbar, h0 = self.instance(55)
         p = Penalty.soft_freq(0.5)
-        reports = [solve_H_prox(xbar, wbar, h0, p, n)[1] for n in (10, 50, 5000)]
+        reports = [solve_H_prox(*normal_terms(xbar, wbar), h0, p, n)[1] for n in (10, 50, 5000)]
         for key in ("primal_residual", "dual_residual"):
             residuals = [r.extras[key] for r in reports]
             assert all(b < a for a, b in zip(residuals, residuals[1:]))
@@ -262,7 +262,7 @@ class TestSolveHProx:
         assert all(len(r.step_trace) == r.wall_iters for r in reports)
 
     def test_validation(self):
-        args = np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 4))
+        args = *normal_terms(np.zeros((2, 4)), np.ones((2, 2))), np.zeros((2, 4))
         with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
             solve_H_prox(*args, Penalty.hard_freq(R=1), 3)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
@@ -271,7 +271,7 @@ class TestSolveHProx:
     def test_rejects_hard_penalty_and_bad_n_iters_on_a_stack(self):
         # an all-zero stacked dictionary has Lipschitz constant 0 (step 1);
         # the rejections still hold for every block
-        args = np.zeros((2, 2)), list(np.zeros((3, 2, 2))), list(np.zeros((3, 2, 2)))
+        args = *normal_terms(np.zeros((2, 2)), list(np.zeros((3, 2, 2)))), list(np.zeros((3, 2, 2)))
         with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
             solve_H_prox(*args, Penalty.hard_freq(R=1), 1, nonneg=False)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
@@ -297,11 +297,11 @@ class TestResidualStop:
     def test_stop_fires_before_the_cap_on_the_forecast_encode(self):
         y, wp = soft_forecast_encode()
         h0 = np.abs(np.random.default_rng(0).standard_normal((4, y.shape[1])))
-        h, report = solve_H_prox(y, wp, h0, Penalty.soft_freq(0.1), 3000)
+        h, report = solve_H_prox(*normal_terms(y, wp), h0, Penalty.soft_freq(0.1), 3000)
         assert report.terminated == "tol_reached" and report.wall_iters < 1000
         assert len(report.step_trace) == report.wall_iters
         # the residual check before the stop did not fire
-        _, capped = solve_H_prox(y, wp, h0, Penalty.soft_freq(0.1),
+        _, capped = solve_H_prox(*normal_terms(y, wp), h0, Penalty.soft_freq(0.1),
                                  report.wall_iters - solvers._ADMM_CHECK)
         assert capped.terminated == "max_iters"
         # encode_new's wall_iters counts the iterations used, not sweeps * sub_iters
@@ -310,7 +310,7 @@ class TestResidualStop:
 
     def test_one_iteration(self):
         xbar, wbar, h0 = TestSolveHProx.instance(60)
-        h, report = solve_H_prox(xbar, wbar, h0, Penalty.lasso(0.3), 1)
+        h, report = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.lasso(0.3), 1)
         assert report.wall_iters == len(report.step_trace) == 1
         assert report.terminated == "max_iters"
         assert set(report.extras) == {"primal_residual", "dual_residual", "rho"}
@@ -321,7 +321,7 @@ class TestResidualStop:
         # a dead atom's dictionary column is zero, so G has a zero eigenvalue
         xbar, wbar, h0 = TestSolveHProx.instance(61)
         wbar[:, dead] = 0.0
-        h, report = solve_H_prox(xbar, wbar, h0, Penalty.soft_freq(0.4), 50)
+        h, report = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.soft_freq(0.4), 50)
         steps = np.array(report.step_trace)
         assert 0.0 < report.extras["rho"] < math.inf
         assert np.all(np.isfinite(steps)) and np.all(steps > 0.0)
@@ -345,16 +345,16 @@ class TestResidualStop:
             separate = [Penalty.hard_freq(mask=m) for m in masks]
         else:
             separate = [penalty] * 3
-        h, reports = solve_H_prox(xbar, list(wbar), list(h0), penalty, 5000, nonneg)
+        h, reports = solve_H_prox(*normal_terms(xbar, list(wbar)), list(h0), penalty, 5000, nonneg)
         iters = [r.wall_iters for r in reports]
         assert len(set(iters)) == 3 and max(iters) < 5000
         assert all(r.terminated == "tol_reached" for r in reports)
         for b, (report, pen) in enumerate(zip(reports, separate)):
-            ref, ref_report = solve_H_prox(xbar, wbar[b], h0[b], pen, 5000, nonneg)
+            ref, ref_report = solve_H_prox(*normal_terms(xbar, wbar[b]), h0[b], pen, 5000, nonneg)
             assert np.array_equal(h[b], ref)
             assert report.to_dict() == ref_report.to_dict()
             # a stopped block froze: capping it where it stopped gives its code
-            frozen, _ = solve_H_prox(xbar, wbar[b], h0[b], pen, report.wall_iters, nonneg)
+            frozen, _ = solve_H_prox(*normal_terms(xbar, wbar[b]), h0[b], pen, report.wall_iters, nonneg)
             assert np.array_equal(h[b], frozen)
 
 
@@ -510,7 +510,7 @@ class TestFixedMaskCodeStep:
     def test_code_step_reaches_the_optimum(self, scaled_instance):
         wbar, xbar, mask, y0, fstar = scaled_instance
         _, step = code_step(Penalty.hard_freq(mask=mask))
-        h, _ = step(xbar, wbar, y0, 1000)
+        h, _ = step(*normal_terms(xbar, wbar), y0, 1000)
         self.check(h, wbar, xbar, mask, fstar)
 
     def test_encode_reaches_the_optimum(self, scaled_instance):
@@ -531,7 +531,7 @@ class TestAlternatingPgd:
         h0 = np.vstack([1.5 + np.cos(2 * np.pi * 2 * t / T), 1.2 + np.cos(2 * np.pi * 5 * t / T)])
         wbar = rng.standard_normal((7, 2))
         xbar = wbar @ h0  # exact fit: gradient vanishes at h0
-        h, _ = alternating_pgd(h0, wbar, xbar, R, n_iters=5)
+        h, _ = alternating_pgd(h0, *normal_terms(xbar, wbar), R, n_iters=5)
         assert np.max(np.abs(h - h0)) <= 1e-10
 
     def test_pure_tone_concentrates_after_projection(self):
@@ -542,7 +542,7 @@ class TestAlternatingPgd:
         xbar = np.outer(np.ones(4), target)
         rng = np.random.default_rng(45)
         h0 = np.abs(rng.standard_normal((1, T)))
-        h, report = alternating_pgd(h0, wbar, xbar, R=2, n_iters=60)
+        h, report = alternating_pgd(h0, *normal_terms(xbar, wbar), R=2, n_iters=60)
         # measured immediately after each projection, off-mask mass is dust
         assert max(report.extras["offmask_after_projection"]) <= 1e-12
         spec = np.abs(dft_rows(h))[0]
@@ -554,7 +554,7 @@ class TestAlternatingPgd:
         wbar = rng.standard_normal((6, 2))
         xbar = rng.standard_normal((6, 16))
         h0 = np.abs(rng.standard_normal((2, 16)))
-        h, _ = alternating_pgd(h0, wbar, xbar, R=3, n_iters=20, priority="frequency")
+        h, _ = alternating_pgd(h0, *normal_terms(xbar, wbar), R=3, n_iters=20, priority="frequency")
         # the returned code against its own top-R mask
         assert half_offmask_ratio(*top_r_keep(h, 3), 16).max() <= 1e-12
 
@@ -579,9 +579,9 @@ class TestAlternatingPgd:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            alternating_pgd(np.zeros((1, 8)), np.zeros((2, 1)), np.zeros((2, 8)), 1, 5, priority="x")
+            alternating_pgd(np.zeros((1, 8)), np.zeros((1, 1)), np.zeros((1, 8)), 1, 5, priority="x")
         with pytest.raises(ValueError):
-            alternating_pgd(np.zeros((1, 8)), np.zeros((2, 1)), np.zeros((2, 8)), 9, 5)
+            alternating_pgd(np.zeros((1, 8)), np.zeros((1, 1)), np.zeros((1, 8)), 9, 5)
 
 
 class TestSsnmfHard:
@@ -606,8 +606,10 @@ class TestSsnmfHard:
         # every bin kept: the band is the whole space and pursuit's exact solve
         # is nonnegative least squares, so the hard cycle is the unregularized
         # one with an exact code step
-        def exact_nnls(xbar, wbar, h, p, iters, nonneg, rtol=None):
-            return nnls_columns(wbar, xbar), solvers.SolveReport([], [1.0])
+        def exact_nnls(gram, cross, h, p, iters, nonneg, rtol=None):
+            # ||Xbar - Wbar H||^2 is ||L^-1 C - L^T H||^2 plus a constant, G = L L^T
+            chol = np.linalg.cholesky(gram)
+            return nnls_columns(chol.T, np.linalg.solve(chol, cross)), solvers.SolveReport([], [1.0])
 
         monkeypatch.setattr(solvers, "solve_H_prox", exact_nnls)
         x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=5)
@@ -699,13 +701,13 @@ class TestCodeStep:
         h0 = np.abs(rng.standard_normal((2, 16)))
         got, step = code_step(penalty)
         assert got == want
-        h, sub = step(xbar, wbar, h0, 6)
+        h, sub = step(*normal_terms(xbar, wbar), h0, 6)
         if penalty.kind != "hard_freq":
-            ref, ref_sub = solve_H_prox(xbar, wbar, h0, penalty, 6)
+            ref, ref_sub = solve_H_prox(*normal_terms(xbar, wbar), h0, penalty, 6)
         elif penalty.mask is not None:
-            ref, ref_sub = solve_H_band(xbar, wbar, h0, penalty.mask)
+            ref, ref_sub = solve_H_band(*normal_terms(xbar, wbar), h0, penalty.mask)
         else:
-            ref, ref_sub = band_pursuit(xbar, wbar, h0, penalty.R, 6)
+            ref, ref_sub = band_pursuit(*normal_terms(xbar, wbar), h0, penalty.R, 6)
         assert np.array_equal(h, ref)
         assert sub.step_trace == ref_sub.step_trace
         # code steps return codes, not scores
@@ -717,8 +719,8 @@ class TestCodeStep:
         xbar = rng.standard_normal((5, 8))
         h0 = rng.standard_normal((2, 8))
         _, step = code_step(Penalty.lasso(0.2), nonneg=False)
-        h, sub = step(xbar, wbar, h0, 4)
-        ref, ref_sub = solve_H_prox(xbar, wbar, h0, Penalty.lasso(0.2), 4, nonneg=False)
+        h, sub = step(*normal_terms(xbar, wbar), h0, 4)
+        ref, ref_sub = solve_H_prox(*normal_terms(xbar, wbar), h0, Penalty.lasso(0.2), 4, nonneg=False)
         assert np.array_equal(h, ref) and sub.step_trace == ref_sub.step_trace
         assert np.min(h) < 0.0
 
@@ -729,10 +731,11 @@ class TestCodeStep:
         wbar = rng.standard_normal((6, 2))
         xbar = rng.standard_normal((6, 16))
         h0 = np.abs(rng.standard_normal((2, 16)))
-        codes = [code_step(Penalty.hard_freq(R=3), priority=priority)[1](xbar, wbar, h0, 5)[0]
+        codes = [code_step(Penalty.hard_freq(R=3), priority=priority)[1](
+            *normal_terms(xbar, wbar), h0, 5)[0]
                  for priority in ("nonneg", "frequency")]
         assert np.array_equal(codes[0], codes[1])
-        assert np.array_equal(codes[0], band_pursuit(xbar, wbar, h0, 3, 5)[0])
+        assert np.array_equal(codes[0], band_pursuit(*normal_terms(xbar, wbar), h0, 3, 5)[0])
         with pytest.raises(ValueError, match="priority must be 'nonneg' or 'frequency'"):
             code_step(Penalty.hard_freq(R=3), priority="x")
 
@@ -751,7 +754,7 @@ class TestCodeStep:
     def test_tos_mask_length_must_match_the_code(self):
         _, step = code_step(Penalty.hard_freq(mask=MASK16))
         with pytest.raises(ValueError, match="mask is for T=16, H has 12 columns"):
-            step(np.ones((3, 12)), np.ones((3, 2)), np.ones((2, 12)), 3)
+            step(*normal_terms(np.ones((3, 12)), np.ones((3, 2))), np.ones((2, 12)), 3)
 
     def test_ssnmf_hard_without_variant_follows_the_band(self):
         x, y = make_example_data(d=8, T=16, freqs=(2, 5), seed=6)
@@ -813,6 +816,27 @@ class TestBcdLoop:
                 assert after_w <= after_h + 1e-10
                 assert after_wp <= after_w + 1e-10
 
+    def test_the_fit_holds_no_stacked_copy_of_its_inputs(self):
+        # the code steps take G = W^T W + xi Wp^T Wp and C = W^T X + xi Wp^T Y,
+        # formed from the inputs: the fit's working set is one (S d, T)
+        # product for the auxiliaries' residual and (k, T) state, under the
+        # (1 + S) d x T stack [X; sqrt(xi) Y] a code step once took (1.75x it)
+        import tracemalloc
+
+        x, y = make_example_data(d=200, T=320, freqs=(14, 6), seed=1)
+        x = x[:, :300]  # a leading-column view, as the CLI passes with train_t
+        stack_bytes = (x.shape[0] + y.shape[0]) * x.shape[1] * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ssnmf_bcd(x, y, Hyper(4, 0.5, Penalty.ridge(0.1)), 5, 20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.shape[0] == 2 * x.shape[0]  # S = 2 auxiliaries
+        assert peak < stack_bytes
+
     @pytest.mark.parametrize("name", list(FITS))
     def test_tol_starts_from_the_initial_objective(self, name):
         # a tolerance every change meets stops every fit after one iteration
@@ -864,10 +888,10 @@ class TestStackedCodeStep:
         else:
             _, step = code_step(penalty, **options)
             steps = [step] * len(masks)
-        h, subs = step(xbar, list(wbar), list(h0), iters)
+        h, subs = step(*normal_terms(xbar, list(wbar)), list(h0), iters)
         assert len(h) == len(subs) == len(h0)
         for b, one_step in enumerate(steps):
-            ref, ref_sub = one_step(xbar, wbar[b], h0[b], iters)
+            ref, ref_sub = one_step(*normal_terms(xbar, wbar[b]), h0[b], iters)
             assert np.array_equal(h[b], ref)
             assert subs[b].objective_trace == ref_sub.objective_trace
             assert subs[b].step_trace == ref_sub.step_trace
@@ -897,10 +921,10 @@ class TestStackedCodeStep:
         else:
             _, step = code_step(penalty, **options)
             steps = [step] * len(widths)
-        h, subs = step(xbar, wbar, h0, iters)
+        h, subs = step(*normal_terms(xbar, wbar), h0, iters)
         assert len(h) == len(subs) == len(widths)
         for b, one_step in enumerate(steps):
-            ref, ref_sub = one_step(xbar, wbar[b], h0[b], iters)
+            ref, ref_sub = one_step(*normal_terms(xbar, wbar[b]), h0[b], iters)
             assert np.array_equal(h[b], ref)
             assert subs[b].to_dict() == ref_sub.to_dict()
 
@@ -909,9 +933,10 @@ class TestStackedCodeStep:
     @given(problem=stacked_problems(), iters=st.integers(1, 12))
     def test_heuristic_without_diagnostics_keeps_code_and_steps(self, priority, problem, iters):
         xbar, wbar, h0, _ = problem
-        h, subs = alternating_pgd(list(h0), list(wbar), xbar, 2, iters, priority,
+        h, subs = alternating_pgd(list(h0), *normal_terms(xbar, list(wbar)), 2, iters, priority,
                                   _diagnostics=False)
-        ref, ref_subs = alternating_pgd(list(h0), list(wbar), xbar, 2, iters, priority)
+        ref, ref_subs = alternating_pgd(list(h0), *normal_terms(xbar, list(wbar)), 2, iters,
+                                        priority)
         assert all(np.array_equal(hb, rb) for hb, rb in zip(h, ref, strict=True))
         for sub, ref_sub in zip(subs, ref_subs):
             assert sub.objective_trace == ref_sub.objective_trace == []
@@ -922,30 +947,32 @@ class TestStackedCodeStep:
     def test_mismatched_blocks_rejected(self):
         _, step = code_step(Penalty.hard_freq(R=1))
         with pytest.raises(ValueError, match="not matching"):
-            step(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))], [np.ones((2, 8))], 2)
+            step(*normal_terms(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))]),
+                 [np.ones((2, 8))], 2)
         with pytest.raises(ValueError, match="not matching"):
-            step(np.ones((4, 8)), [np.ones((4, 2))], [np.ones((1, 8))], 2)
+            step(*normal_terms(np.ones((4, 8)), [np.ones((4, 2))]), [np.ones((1, 8))], 2)
         # a fixed mask needs a row for every row of every block
         _, step = code_step(Penalty.hard_freq(mask=FrequencyMask.same(2, 8, [0])))
         with pytest.raises(ValueError, match="mask has 2 rows, H has 3"):
-            step(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))],
+            step(*normal_terms(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))]),
                  [np.ones((2, 8)), np.ones((1, 8))], 2)
 
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(ValueError, match="not matching"):
-            alternating_pgd(list(np.ones((2, 1, 8))), list(np.ones((3, 4, 1))),
-                            np.ones((4, 8)), 1, 2)
+            alternating_pgd(list(np.ones((2, 1, 8))),
+                            *normal_terms(np.ones((4, 8)), list(np.ones((3, 4, 1)))), 1, 2)
         with pytest.raises(ValueError, match="not matching"):
-            code_step(Penalty.ridge(0.0))[1](np.ones((4, 8)), list(np.ones((3, 4, 1))),
+            code_step(Penalty.ridge(0.0))[1](*normal_terms(np.ones((4, 8)), list(np.ones((3, 4, 1)))),
                                              list(np.ones((2, 1, 8))), 2)
         # a (B, k, T) array is not a sequence of blocks
         with pytest.raises(ValueError, match="not matching"):
-            alternating_pgd(np.ones((2, 1, 8)), np.ones((2, 4, 1)), np.ones((4, 8)), 1, 2)
+            alternating_pgd(np.ones((2, 1, 8)), np.ones((2, 1, 1)), np.ones((2, 1, 8)), 1, 2)
 
     def test_stacked_tos_mask_needs_every_block_row(self):
         _, step = code_step(Penalty.hard_freq(mask=MASK16))
         with pytest.raises(ValueError, match="mask has 2 rows, H has 4"):
-            step(np.ones((3, 16)), list(np.ones((2, 3, 2))), list(np.ones((2, 2, 16))), 3)
+            step(*normal_terms(np.ones((3, 16)), list(np.ones((2, 3, 2)))),
+                 list(np.ones((2, 2, 16))), 3)
 
 
 def fixed_cadence_prox(xbar, wbar, z0, p, n_iters, nonneg=True):
@@ -1042,7 +1069,7 @@ class TestInexactCodeSteps:
                 want, (iters, steps, terminated, primal, dual, rho) = fixed_cadence_prox(
                     xbar, wbar, h0, p, cap, nonneg)
                 for kwargs in ({}, {"rtol": solvers._ADMM_RTOL}):
-                    got, report = solve_H_prox(xbar, wbar, h0, p, cap, nonneg, **kwargs)
+                    got, report = solve_H_prox(*normal_terms(xbar, wbar), h0, p, cap, nonneg, **kwargs)
                     assert got.tobytes() == want.tobytes()
                     assert (report.wall_iters, report.step_trace, report.terminated) == (
                         iters, steps, terminated)
@@ -1053,8 +1080,8 @@ class TestInexactCodeSteps:
         y, wp = soft_forecast_encode()
         h0 = np.abs(np.random.default_rng(0).standard_normal((4, y.shape[1])))
         p = Penalty.soft_freq(0.1)
-        _, exact = solve_H_prox(y, wp, h0, p, 300)
-        _, loose = solve_H_prox(y, wp, h0, p, 300, rtol=1e-3)
+        _, exact = solve_H_prox(*normal_terms(y, wp), h0, p, 300)
+        _, loose = solve_H_prox(*normal_terms(y, wp), h0, p, 300, rtol=1e-3)
         assert loose.terminated == "tol_reached" and loose.wall_iters < exact.wall_iters
         assert loose.wall_iters % solvers._ADMM_STOP_CHECK == 0
         assert max(loose.extras["primal_residual"], loose.extras["dual_residual"]) > 0.0
@@ -1097,9 +1124,9 @@ class TestInexactCodeSteps:
         codes = []
         prox = solvers.solve_H_prox
 
-        def recording(xbar, wbar, h0, *args, **kwargs):
+        def recording(gram, cross, h0, *args, **kwargs):
             codes.append(np.array(h0))
-            return prox(xbar, wbar, h0, *args, **kwargs)
+            return prox(gram, cross, h0, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_H_prox", recording)
         x, y = make_example_data(d=8, T=24, freqs=(3, 7), seed=5)
@@ -1114,9 +1141,9 @@ class TestInexactCodeSteps:
         tolerances = []
         prox = solvers.solve_H_prox
 
-        def worsening(xbar, wbar, h0, p, n_iters, nonneg, rtol):
+        def worsening(gram, cross, h0, p, n_iters, nonneg, rtol):
             tolerances.append(rtol)
-            h, report = prox(xbar, wbar, h0, p, n_iters, nonneg, rtol=rtol)
+            h, report = prox(gram, cross, h0, p, n_iters, nonneg, rtol=rtol)
             return (h + 5.0 if len(tolerances) in worse else h), report
 
         monkeypatch.setattr(solvers, "solve_H_prox", worsening)
@@ -1195,8 +1222,8 @@ INPUT_CHECKS = {
     "splitting_gamma0": (lambda: three_operator_splitting(
         lambda h: h, FrequencyMask.full(1, 4), np.zeros((1, 4)), 1, gamma0=0.0),
         "gamma0 must be positive"),
-    "heuristic_n_iters": (lambda: alternating_pgd(np.ones((1, 4)), np.ones((3, 1)),
-                                                  np.ones((3, 4)), 1, 0),
+    "heuristic_n_iters": (lambda: alternating_pgd(np.ones((1, 4)), np.ones((1, 1)),
+                                                  np.ones((1, 4)), 1, 0),
                           "n_iters must be >= 1"),
 }
 

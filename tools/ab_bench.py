@@ -13,20 +13,25 @@ first in odd ones, so drift of the host's speed falls on both sides alike.
 ``--workload`` takes one workload or a comma-separated list; each runs its
 pairs in turn.  Per workload the script prints, per metric, each side's
 median and quartiles and how many pairs the change read lower, higher or
-equal, and in how many pairs both sides' quality fingerprints (the
+equal, counting only the pairs where both sides read ``correct`` and hold
+a finite value (a failed side's stage times are NaN, its NSE None and its
+``pipeline_s`` the sum of the stages that ran), and how many pairs it
+skipped; and in how many pairs both sides' quality fingerprints (the
 ``record.json`` ``fingerprint``: final objectives, NSE and scan ranking) are
 equal, so a change that claims unchanged outputs can quote the same runs
 as its timings.  A change that moves them can quote how far: the script
 also prints the worst relative change of a final objective, the median and
 worst change of the forecast NSE, and in how many pairs the atom-scan
-rankings agree.  It ends with one JSON object holding every run's metrics
-and fingerprint, nested by workload.  It leaves the repository's files,
+rankings agree, over the pairs where both sides read ``correct``.  It ends
+with one JSON object holding every run's metrics and fingerprint, nested by
+workload, printed also when a run or a summary fails.  It leaves the repository's files,
 index and refs as they are and removes the exports.
 """
 
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -80,12 +85,22 @@ def spread(values: list) -> str:
     return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def both_correct(runs: list) -> list:
+    """The pairs where both sides read ``correct``."""
+    return [(p, c) for p, c in runs if p.get("correct") and c.get("correct")]
+
+
+def finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def drift(runs: list) -> list:
     """How far the change's fingerprints moved from the parent's, over the
-    pairs where both sides have one: the worst relative change of any final
-    objective, the median and worst change of the forecast NSE (each signed,
-    change minus parent) and in how many pairs the atom-scan rankings agree."""
-    fps = [(p["fingerprint"], c["fingerprint"]) for p, c in runs
+    pairs where both sides read ``correct`` and have one: the worst relative
+    change of any final objective, the median and worst change of the
+    forecast NSE (each signed, change minus parent) and in how many pairs the
+    atom-scan rankings agree."""
+    fps = [(p["fingerprint"], c["fingerprint"]) for p, c in both_correct(runs)
            if p.get("fingerprint") and c.get("fingerprint")]
     rel = [(b - a) / abs(a) if a else b - a for fp, fc in fps
            for a, b in zip(fp.get("final_objective") or [], fc.get("final_objective") or [])]
@@ -108,16 +123,17 @@ def drift(runs: list) -> list:
 def summary(workload: str, runs: list) -> None:
     print(f"{workload}: {len(runs)} pairs")
     print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
-          "change lower/higher/equal")
+          f"{'skipped':<8} change lower/higher/equal")
+    correct = both_correct(runs)
     for name in METRICS:
-        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in runs
-                 if name in p["metrics"] and name in c["metrics"]]
-        if not pairs:
+        if not any(name in side["metrics"] for pair in runs for side in pair):
             continue
+        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in correct
+                 if finite(p["metrics"].get(name)) and finite(c["metrics"].get(name))]
         lower = sum(c < p for p, c in pairs)
         higher = sum(c > p for p, c in pairs)
         print(f"{name:<14} {spread([p for p, _ in pairs]):<34} {spread([c for _, c in pairs]):<34} "
-              f"{lower}/{higher}/{len(pairs) - lower - higher}")
+              f"{len(runs) - len(pairs):<8} {lower}/{higher}/{len(pairs) - lower - higher}")
     same = sum(p.get("fingerprint") is not None and p.get("fingerprint") == c.get("fingerprint")
                for p, c in runs)
     print(f"fingerprints equal: {same} of {len(runs)} pairs")
@@ -148,22 +164,25 @@ def main(argv=None) -> int:
         commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
         print(f"parent {commits['parent']} and change {commits['change']} exported to {work}")
         runs = {}
-        for workload in workloads:
-            runs[workload] = []
-            for i in range(args.pairs):
-                seed = FIRST_SEED + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                got = {side: bench(trees[side], workload, seed, args.seconds) for side in order}
-                runs[workload].append((got["parent"], got["change"]))
-                line = ", ".join(
-                    f"{side} {got[side]['metrics'].get('pipeline_s', float('nan')):.4g} s"
-                    for side in order)
-                print(f"{workload} pair {i + 1} (seed {seed}) pipeline_s: {line}", flush=True)
-            summary(workload, runs[workload])
-        print(json.dumps({"commits": commits, "seconds": args.seconds, "workloads": {
-            workload: {"pairs": [{"seed": FIRST_SEED + i, "parent": p, "change": c}
-                                 for i, (p, c) in enumerate(pairs)]}
-            for workload, pairs in runs.items()}}))
+        try:
+            for workload in workloads:
+                runs[workload] = []
+                for i in range(args.pairs):
+                    seed = FIRST_SEED + i
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    got = {side: bench(trees[side], workload, seed, args.seconds)
+                           for side in order}
+                    runs[workload].append((got["parent"], got["change"]))
+                    line = ", ".join(
+                        f"{side} {got[side]['metrics'].get('pipeline_s', float('nan')):.4g} s"
+                        for side in order)
+                    print(f"{workload} pair {i + 1} (seed {seed}) pipeline_s: {line}", flush=True)
+                summary(workload, runs[workload])
+        finally:  # the runs so far, whatever stopped the loop
+            print(json.dumps({"commits": commits, "seconds": args.seconds, "workloads": {
+                workload: {"pairs": [{"seed": FIRST_SEED + i, "parent": p, "change": c}
+                                     for i, (p, c) in enumerate(pairs)]}
+                for workload, pairs in runs.items()}}), flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
