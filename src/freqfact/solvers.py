@@ -5,37 +5,23 @@ Solvers:
 * :func:`solve_W` - exact (optionally ridge-damped) normal-equation step for
   a dictionary given the code.
 * :func:`solve_H_prox` - consensus ADMM on the code subproblem of a convex
-  penalty (fit, nonnegative orthant, and the penalty's exact prox: ridge,
-  lasso, soft_freq, or the projection onto a fixed frequency mask), with a
-  cached k x k H-step, residual balancing of its penalty parameter and a
-  stop on its primal and dual residuals at a given tolerance; the iteration
-  count is a cap.
+  penalty (ridge, lasso, soft_freq or a fixed frequency mask), stopped on
+  its primal and dual residuals.
 * :func:`~freqfact.band.solve_H_band` and
   :func:`~freqfact.band.band_pursuit` - the exact code steps of a hard
   band, in :mod:`freqfact.band`: one dual active-set solve on a fixed mask,
   and hard thresholding pursuit on it for an adaptive top-R band.
-* :func:`alternating_pgd` - heuristic alternation of adaptive top-R
-  frequency projection, a gradient step, and the nonnegativity projection;
-  no code step runs it.
-* :func:`three_operator_splitting` - the paper's reference form of the
-  fixed-mask splitting, with diminishing steps and an ergodic average; no
-  code step runs it.
+* :func:`alternating_pgd` and :func:`three_operator_splitting` - the
+  heuristic top-R alternation and the paper's reference form of the
+  fixed-mask splitting; no code step runs them.
 
-The penalty alone picks the code solver, in :func:`code_step` (pursuit,
-named "heuristic", for a hard_freq penalty without a fixed mask; one exact
-band solve for a fixed mask and the prox splitting for every convex
-penalty, both named "prox"), and the driver: :func:`ssnmf_bcd` fits a
-convex penalty, :func:`ssnmf_hard` a hard band.  Both run one
-block-coordinate loop (code step, then exact dictionary steps) that records
-the same things for every penalty.  A convex fit's code steps stop at a
-tolerance tied to the outer progress, 0.1 times the last relative code
-change between 1e-10 and 1e-2, and the loop drops a code that raises the
-objective: its objective trace never increases, and once the code changes
-by less than 1e-9 per outer iteration every step takes the exact 1e-10
-stop.  Hard bands and encoding always take their exact steps.  Encoding
-runs the same code step with the dictionary held fixed.
-All solvers are deterministic given a seed: identical seeds and configs
-yield bit-identical reports.
+The penalty alone picks the code solver, in :func:`code_step`, and the
+driver: :func:`ssnmf_bcd` fits a convex penalty, :func:`ssnmf_hard` a hard
+band.  Both run one block-coordinate loop (code step, then exact dictionary
+steps; see :func:`_bcd_loop`) that records the same things for every
+penalty and whose objective trace never increases.  Encoding runs the same
+code step with the dictionary held fixed.  All solvers are deterministic
+given a seed: identical seeds and configs yield bit-identical reports.
 
 The code steps see their problem min ||Xbar - Wbar H||_F^2 + penalty(H)
 only through its normal-equation terms, the Gram G = Wbar^T Wbar (k, k) and
@@ -44,24 +30,12 @@ on (Huang, Sidiropoulos & Liavas, IEEE TSP 2016): a caller forms them once
 from data it holds, and no step sees Xbar.  The fit's loop forms
 G = W^T W + xi Wp^T Wp and C = W^T X + xi Wp^T Y[:, :T] from the inputs it
 shares, so no stacked copy [X; sqrt(xi) Y] is made.  The code steps also
-take B independent problems at once, as sequences of B codes ``(k_b, T)``,
-Grams ``(k_b, k_b)`` and cross terms ``(k_b, T)`` whose widths k_b may
-differ.  They return a list of B codes and a list of B reports, each equal
-bit for bit to a separate 2-D call's, and solve the blocks one after
-another.  :func:`alternating_pgd` solves all blocks in one pass: one set of
-FFTs and one top-R selection over all sum k_b rows, and one batched G H per
-run of blocks of one width, per iteration.
+take B independent problems at once, as sequences of codes, Grams and cross
+terms whose widths may differ (see :func:`code_step`).
 
 Code steps return codes, not scores: the driver that keeps a code scores
-it, once and exactly, as ||X - W H||_F^2 terms plus :func:`_scored_penalty`
-(the loop here, :func:`~freqfact.forecast.encode_new` for an encode).
-Diagnostics: :func:`solve_H_prox` records the iterations it ran, its step
-per iteration and its last primal and dual residuals and penalty parameter;
-by default pursuit records each exact solve's off-band ratio, which the
-loop keeps, while encoding asks for none.  :func:`ssnmf_hard` measures the
-returned code's off-band ratio once, in ``offmask_final``, and the loop
-records each code step's iteration count in ``code_iters`` and its
-relative change of the code in ``code_change``.
+it, the loop here from its normal-equation terms (:class:`_FitSide`) and
+:func:`~freqfact.forecast.encode_new` exactly.
 """
 
 import itertools
@@ -107,6 +81,10 @@ _ADMM_TAU = 2.0
 # loose while the code still moves and exact once it settles.
 _CODE_RTOL_KAPPA = 0.1
 _CODE_RTOL_MAX = 1e-2
+
+# The fit's loop scores a squared residual exactly, not in Gram form, at or
+# below this fraction of ||X||_F^2, where cancellation costs the form digits.
+_GRAM_EXACT_BELOW = 1e-2
 
 
 @dataclass
@@ -193,7 +171,9 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     """||X - W H||_F^2, formed in the one buffer that W H needs.
 
     Equal bit for bit to ``np.sum((x - w @ h) ** 2)`` for a row-major X, at
-    a third of its transient memory.
+    a third of its transient memory.  The exact rule: :func:`objective` and
+    the encode's one score use it, and the fit's loop where a Gram-form
+    residual would lose digits (:class:`_FitSide`).
     """
     r = w @ h
     np.subtract(x, r, out=r)
@@ -239,6 +219,34 @@ def _fit_terms(x: np.ndarray, w: np.ndarray, h: np.ndarray, ridge: float):
     """One dictionary's terms of the smooth objective:
     (||X - W H||_F^2, ridge ||W||_F^2), the second 0.0 when ridge is 0."""
     return _sq_residual(x, w, h), ridge * float(np.sum(w**2)) if ridge else 0.0
+
+
+class _FitSide:
+    """One dictionary's share of a fit: data X, dictionary W, its ridge, and
+    the terms W^T W and W^T X that the code step's G and C sum.
+
+    :meth:`terms` gives a code H's :func:`_fit_terms` with the residual in
+    Gram form, ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>, with ||X||^2 taken
+    once, as HALS and AO-ADMM track the NMF error (Gillis & Glineur, Neural
+    Comput. 2012).  The form holds for any W, a kept dead-atom column too,
+    and loses up to about 5e-15 ||X||^2 to cancellation, so a value not
+    above ``_GRAM_EXACT_BELOW`` ||X||^2 is scored by :func:`_sq_residual`.
+    """
+
+    def __init__(self, x, w, ridge):
+        self.x, self.ridge, self.xx = x, ridge, float(np.einsum("ij,ij->", x, x))
+        self.set(w)
+
+    def set(self, w):
+        self.w, self.wtw, self.wtx = w, w.T @ w, w.T @ self.x
+        self.ridge_sq = self.ridge * float(np.sum(w**2)) if self.ridge else 0.0
+
+    def terms(self, h):
+        sq = (self.xx - 2.0 * float(np.einsum("ij,ij->", self.wtx, h))
+              + float(np.einsum("ij,ij->", self.wtw, h @ h.T)))
+        if not sq > _GRAM_EXACT_BELOW * self.xx:  # also NaN
+            sq = _sq_residual(self.x, self.w, h)
+        return sq, self.ridge_sq
 
 
 def _score(xi: float, fx, fy, pen: float) -> float:
@@ -354,8 +362,9 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
     iterations the code step ran), ``code_change`` (the successive
     difference ||H_k - H_{k-1}||_F / ||H_k||_F, with H_{-1} the initial
     code) and any ``offmask_after_projection`` the step reports.  Objectives
-    are the smooth part plus :func:`_scored_penalty`, each term computed
-    once per phase in which it changes.
+    are :class:`_FitSide`'s Gram-form terms plus :func:`_scored_penalty`,
+    each computed once per phase in which it changes; a dictionary's new
+    W^T W and W^T X score it and form the next cycle's G and C.
 
     A convex penalty's code step stops at a tolerance tied to the outer
     progress, clamp(_CODE_RTOL_KAPPA * code_change[k - 1], _ADMM_RTOL,
@@ -384,8 +393,8 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
         convex = hyper.penalty.kind != "hard_freq"
 
         w, wp, h = _init_factors(x, y_t, hyper, seed)
-        terms = (_fit_terms(x, w, h, hyper.lambda1), _fit_terms(y_t, wp, h, hyper.lambda2),
-                 _scored_penalty(h, hyper.penalty))
+        fit, aux = _FitSide(x, w, hyper.lambda1), _FitSide(y_t, wp, hyper.lambda2)
+        terms = fit.terms(h), aux.terms(h), _scored_penalty(h, hyper.penalty)
         prev = _score(hyper.xi, *terms)
         extras = {"initial_objective": prev, "phase_objectives": [], "h_min_trace": [],
                   "code_iters": [], "code_change": []}
@@ -393,28 +402,22 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
         change = 1.0
         for it in range(n_iters):
             rtol = min(max(_CODE_RTOL_KAPPA * change, _ADMM_RTOL), _CODE_RTOL_MAX)
-            gram = w.T @ w
-            gram += hyper.xi * (wp.T @ wp)
-            cross = w.T @ x
-            cross += hyper.xi * (wp.T @ y_t)
+            gram = fit.wtw + hyper.xi * aux.wtw
+            cross = fit.wtx + hyper.xi * aux.wtx
             h_new, sub = step(gram, cross, h, sub_iters, **({"rtol": rtol} if convex else {}))
-            new_terms = (_fit_terms(x, w, h_new, hyper.lambda1),
-                         _fit_terms(y_t, wp, h_new, hyper.lambda2),
-                         _scored_penalty(h_new, hyper.penalty))
+            new_terms = fit.terms(h_new), aux.terms(h_new), _scored_penalty(h_new, hyper.penalty)
             dropped = convex and prev < _score(hyper.xi, *new_terms) < math.inf
             if dropped:
                 change = 0.0
             else:
                 h, terms, change = h_new, new_terms, _relative_change(h_new, h)
-            w_new = _dictionary_step(x, h, w, hyper.lambda1)
-            wp_new = _dictionary_step(y_t, h, wp, hyper.lambda2)
-            _require_finite(solver, it, H=h, W=w_new, Wp=wp_new)
+            fit.set(_dictionary_step(x, h, fit.w, hyper.lambda1))
+            aux.set(_dictionary_step(y_t, h, aux.w, hyper.lambda2))
+            _require_finite(solver, it, H=h, W=fit.w, Wp=aux.w)
             fx, fy, pen = terms
-            fx_new = _fit_terms(x, w_new, h, hyper.lambda1)
-            fy_new = _fit_terms(y_t, wp_new, h, hyper.lambda2)
-            phases = [_score(hyper.xi, fx, fy, pen), _score(hyper.xi, fx_new, fy, pen),
-                      _score(hyper.xi, fx_new, fy_new, pen)]
-            w, wp, terms = w_new, wp_new, (fx_new, fy_new, pen)
+            terms = fit.terms(h), aux.terms(h), pen
+            phases = [_score(hyper.xi, fx, fy, pen), _score(hyper.xi, terms[0], fy, pen),
+                      _score(hyper.xi, *terms)]
             _require_finite(solver, it, objective=phases)
             extras["phase_objectives"].append(phases)
             val = phases[-1]
@@ -433,7 +436,7 @@ def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
                 report.terminated = "tol_reached"
                 break
             prev = val
-    return FactorModel(w, wp, h, hyper), report
+    return FactorModel(fit.w, aux.w, h, hyper), report
 
 
 def _relative_change(h: np.ndarray, h_old: np.ndarray) -> float:
@@ -595,8 +598,7 @@ def solve_H_prox(
     It returns Z2 where Z1 is positive and 0 elsewhere, clipped at 0: exactly
     nonnegative, with the exact zeros of both splits (the orthant's and a
     lasso's or a dead atom's), and exactly in a fixed mask's band wherever
-    the orthant does not bind; without the orthant, Z2.  The report
-    holds no objective: the caller scores the code it keeps.  It holds
+    the orthant does not bind; without the orthant, Z2.  The report holds
     ``wall_iters`` (the iterations run), the step 1/rho of each of them,
     ``terminated`` ("tol_reached" or "max_iters") and, in ``extras``, the
     last ``primal_residual``, ``dual_residual`` and ``rho``.
@@ -725,8 +727,7 @@ def alternating_pgd(
 
     All rows are projected at once on their ``rfft`` half-spectra, with the
     masks chosen by :func:`~freqfact.spectral.top_r_keep` (R rounds of
-    ``argmax``, which pick the bins a stable sort would).  The report
-    holds no objective: the caller scores the code it keeps.
+    ``argmax``, which pick the bins a stable sort would).
 
     ``extras["offmask_after_projection"]`` records, per iteration, the
     largest per-row relative out-of-mask spectral mass measured immediately
@@ -812,7 +813,6 @@ def code_step(
     ``step(gram, cross, h0, iters) -> (h, SolveReport)`` runs the chosen
     solver on min ||Xbar - Wbar H||_F^2 + p(H), seen through its terms
     G = Wbar^T Wbar and C = Wbar^T Xbar, warm-started at ``h0``.  The
-    report holds no objective: the caller scores the code it keeps.  The
     penalty alone decides.  An adaptive top-R band (hard_freq without a
     fixed mask) is not convex and runs "heuristic": :func:`band_pursuit`
     with ``p.R``, at most ``iters`` rounds.  Every other penalty runs
@@ -825,10 +825,10 @@ def code_step(
     nonnegative and in band at once, so neither projection comes last.
 
     ``step`` also takes sequences of B codes ``h0`` (k_b, T), Grams
-    (k_b, k_b) and cross terms (k_b, T) whose widths may differ, and then returns
-    a list of B codes and a list of B reports, each equal bit for bit to a
-    separate 2-D call's; every step solves the blocks one after another.  A
-    fixed mask then holds the blocks' rows in order.
+    (k_b, k_b) and cross terms (k_b, T) whose widths may differ, and then
+    returns a list of B codes and a list of B reports, each equal bit for
+    bit to a separate 2-D call's; every step solves the blocks one after
+    another.  A fixed mask then holds the blocks' rows in order.
     """
     from .band import band_pursuit, solve_H_band  # band imports this module
 

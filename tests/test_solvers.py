@@ -15,11 +15,13 @@ from freqfact import (
     Hyper,
     Penalty,
     SingularGramError,
+    SyntheticSpec,
     alternating_pgd,
     band_pursuit,
     code_step,
     dft_rows,
     encode_new,
+    gen_cosine_mixture,
     inverse_usage_ratio,
     mask_distance,
     objective,
@@ -436,7 +438,7 @@ class TestSsnmfBcd:
             assert after_wp <= after_w + 1e-10 and after_w <= after_h + 1e-10
         assert all(b <= a for a, b in zip(report.objective_trace, report.objective_trace[1:]))
 
-    def test_near_dead_atom_keeps_its_dictionary_column(self):
+    def test_near_dead_atom_keeps_its_dictionary_column(self, monkeypatch):
         # a code row left near zero makes the Gram singular as surely as a
         # zero row: its column is kept and the others solved exactly against
         # what it leaves of X, so the fit does not rise
@@ -452,6 +454,15 @@ class TestSsnmfBcd:
         rest = np.linalg.lstsq(h[[0, 2]].T, (x - np.outer(w[:, 1], h[1])).T, rcond=None)[0].T
         assert np.allclose(w_new[:, [0, 2]], rest, rtol=1e-10, atol=1e-12)
         assert np.sum((x - w_new @ h) ** 2) <= np.sum((x - w @ h) ** 2)
+        # the loop's W phase scores that W in Gram form, as any other: the
+        # exact rule is not called, and the score matches it
+        exact = solvers._sq_residual(x, w_new, h)
+        side = solvers._FitSide(x, w, 0.0)
+        side.set(w_new)
+        monkeypatch.setattr(solvers, "_sq_residual", None)
+        sq, ridge_sq = side.terms(h)
+        assert ridge_sq == 0.0 and exact > solvers._GRAM_EXACT_BELOW * np.sum(x**2)
+        assert abs(sq - exact) <= 1e-12 * exact
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -818,9 +829,10 @@ class TestBcdLoop:
 
     def test_the_fit_holds_no_stacked_copy_of_its_inputs(self):
         # the code steps take G = W^T W + xi Wp^T Wp and C = W^T X + xi Wp^T Y,
-        # formed from the inputs: the fit's working set is one (S d, T)
-        # product for the auxiliaries' residual and (k, T) state, under the
-        # (1 + S) d x T stack [X; sqrt(xi) Y] a code step once took (1.75x it)
+        # formed from the inputs: the fit's working set is (k, T) state and,
+        # where this noise-free fit is scored exactly, one (S d, T) product for
+        # the auxiliaries' residual, under the (1 + S) d x T stack
+        # [X; sqrt(xi) Y] a code step once took (1.75x it)
         import tracemalloc
 
         x, y = make_example_data(d=200, T=320, freqs=(14, 6), seed=1)
@@ -837,11 +849,86 @@ class TestBcdLoop:
         assert y.shape[0] == 2 * x.shape[0]  # S = 2 auxiliaries
         assert peak < stack_bytes
 
+    def test_the_fit_holds_no_residual_block(self):
+        # phases are scored from W^T W, W^T X and H H^T, not from X - W H:
+        # an S = 2 fit of noisy data, each score in Gram form, peaks at 0.32x
+        # one (S d, T) block beyond its inputs (1.14x when each phase score
+        # formed W H and X - W H)
+        import tracemalloc
+
+        x, ys = gen_cosine_mixture(SyntheticSpec(200, 320, (14, 6), 0.5, 0.5, seed=1))
+        x, y = x[:, :300], np.vstack(ys)
+        block_bytes = y.shape[0] * x.shape[1] * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ssnmf_bcd(x, y, Hyper(4, 0.5, Penalty.ridge(0.1)), 5, 20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.shape[0] == 2 * x.shape[0]  # S = 2 auxiliaries
+        assert peak < block_bytes
+
     @pytest.mark.parametrize("name", list(FITS))
     def test_tol_starts_from_the_initial_objective(self, name):
         # a tolerance every change meets stops every fit after one iteration
         _, report = self.fit(name, n_iters=5, tol=1e300)
         assert report.terminated == "tol_reached" and report.wall_iters == 1
+
+
+class TestGramScores:
+    """The loop scores a fit term in Gram form, ||X||^2 - 2 <W^T X, H> +
+    <W^T W, H H^T>, and by the exact rule at or below _GRAM_EXACT_BELOW
+    ||X||^2, where cancellation costs the form its digits: the two agree
+    within 1e-12 relative above that fraction and bit for bit below it."""
+
+    @pytest.mark.parametrize("frac", [0.5, 1e-1, 2e-2, 5e-3, 1e-6, 1e-12, 1e-20, 0.0])
+    def test_both_sides_of_the_fraction(self, frac):
+        # a least-squares fit of rank-4 positive data plus noise scaled to
+        # leave ``frac`` of ||X||^2: the form's worst case, at the fit
+        rng = np.random.default_rng(11)
+        w0 = np.abs(rng.standard_normal((64, 4))) + 1.0
+        clean = w0 @ (np.abs(rng.standard_normal((4, 192))) + 1.0)
+        noise = rng.standard_normal(clean.shape)
+        x = clean + noise * math.sqrt(frac * np.sum(clean**2) / np.sum(noise**2))
+        h = np.linalg.lstsq(w0, x, rcond=None)[0]
+        w = solve_W(x, h)
+        exact = solvers._sq_residual(x, w, h)
+        sq, _ = solvers._FitSide(x, w, 0.0).terms(h)
+        assert sq >= 0.0
+        if exact > solvers._GRAM_EXACT_BELOW * np.sum(x**2):
+            assert abs(sq - exact) <= 1e-12 * exact
+        else:
+            assert sq == exact
+
+    def test_a_noise_free_fit_to_exact_rank_reports_the_exact_rule(self, monkeypatch):
+        # each squared residual the loop scores, beside the exact rule's
+        seen = []
+        terms = solvers._FitSide.terms
+
+        def recording(side, h):
+            out = terms(side, h)
+            seen.append((out[0], solvers._sq_residual(side.x, side.w, h), side.xx))
+            return out
+
+        monkeypatch.setattr(solvers._FitSide, "terms", recording)
+        rng = np.random.default_rng(0)
+        h0 = np.abs(rng.standard_normal((2, 40)))
+        x = np.abs(rng.standard_normal((12, 2))) @ h0
+        y = np.abs(rng.standard_normal((24, 2))) @ h0
+        model, report = ssnmf_bcd(x, y, Hyper(2, 1.0, Penalty.ridge(0.0)), 60, 50, seed=0)
+        frac = solvers._GRAM_EXACT_BELOW
+        above = [(sq, e) for sq, e, xx in seen if e > frac * xx * (1 + 1e-9)]
+        below = [(sq, e) for sq, e, xx in seen if e < frac * xx * (1 - 1e-9)]
+        assert above and below and len(above) + len(below) == len(seen)
+        assert all(abs(sq - e) <= 1e-12 * e for sq, e in above)
+        assert all(sq == e for sq, e in below)
+        # the fit ends at exact rank, where the form alone would read noise
+        assert min(e / xx for _, e, xx in seen) < 1e-18
+        phases = [v for p in report.extras["phase_objectives"] for v in p]
+        assert min(phases + [report.extras["initial_objective"]]) >= 0.0
+        assert report.objective_trace[-1] == objective(x, y, model)
 
 
 @st.composite
