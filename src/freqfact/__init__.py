@@ -56,7 +56,6 @@ from .tensor import (
     SpatioTemporalTensor,
     fold,
     matricize,
-    stack_auxiliary,
     supervised_stack,
 )
 

@@ -35,7 +35,7 @@ from .regularization import Penalty
 from .solvers import FactorModel, Hyper, code_step, ssnmf_bcd, ssnmf_hard
 from .spectral import FrequencyMask, inverse_usage_ratio
 from .synthetic import SyntheticSpec, gen_cosine_mixture
-from .tensor import SpatioTemporalTensor, matricize, stack_auxiliary
+from .tensor import SpatioTemporalTensor, matricize
 
 log = logging.getLogger("freqfact")
 
@@ -179,18 +179,22 @@ class _MatrixLoader:
     ``load.read(*requests)`` takes a command's requests in the order it uses
     them, a path for one tensor's matrix or a list of paths for the
     vertical stack of those auxiliaries, and reads every tensor they name
-    that no earlier request read in one :func:`freqfact.io.read_tensors`
-    call: one parse round for all of them.  ``load(path)`` returns one
-    tensor's matrix and ``load.aux(paths)`` the stack of the auxiliaries at
-    ``paths`` (one path or a list), each read by its own call when no
-    earlier ``read`` built it.  Only what a request asked for is kept: an
-    auxiliary's own matrix is freed once its stack is built, unless a path
-    request asked for it.
+    that no earlier request read in one :func:`freqfact.io.read_into` call:
+    one parse round for all of them.  ``load(path)`` returns one tensor's
+    matrix and ``load.aux(paths)`` the stack of the auxiliaries at ``paths``
+    (one path or a list), each read by its own call when no earlier
+    ``read`` built it.  Each input is held once: once the heads are read,
+    every requested matrix and stack is allocated and each tensor parsed
+    straight into one place, its own matrix when a path request names it,
+    else its rows of the first stack holding it; its other places, and a
+    stack's rows of a tensor read before, are copied in after the parse.
+    Stacked tensors that keep unequal numbers of times raise ValueError.
 
     Matrix column k is the k-th time a tensor's mask keeps, so each tensor
     read is checked against those before it, in request order: two whose
     masks differ over the span they share raise ValueError naming both.
     Only masks are kept, so unmasked inputs allocate nothing for the check.
+    These checks raise after the parse, so a malformed file is named first.
     """
 
     def __init__(self):
@@ -204,18 +208,39 @@ class _MatrixLoader:
             return
         paths = list(dict.fromkeys(p for key in keys for p in ([key] if isinstance(key, str)
                                                                else key) if p not in self._cache))
-        tensors, matrices = fio.read_tensors(paths), {}
-        for i, path in enumerate(paths):
-            # a masked tensor's matrix is a copy: the tensor goes once it is made
-            matrices[path], tensors[i] = self._matrix(path, tensors[i]), None
-        for key in keys:
-            m = matrices[key] if isinstance(key, str) else stack_auxiliary(
-                [self._cache[p] if p in self._cache else matrices[p] for p in key])
-            m.flags.writeable = False
-            self._cache[key] = m
+        built, copies = {}, []
 
-    def _matrix(self, path: str, t: SpatioTemporalTensor) -> np.ndarray:
-        T, mask = t.dims[2], t.time_mask
+        def make(heads):
+            shapes = {p: m.shape for p, m in self._cache.items() if isinstance(p, str)}
+            shapes.update((p, self._matrix_shape(p, *head)) for p, head in zip(paths, heads))
+            dests = {}
+            # a path's own matrix first, then the stacks, each a stack of its paths
+            for key in sorted(keys, key=lambda key: isinstance(key, tuple)):
+                members = [key] if isinstance(key, str) else key
+                cols = {shapes[p][1] for p in members}
+                if len(cols) != 1:
+                    raise ValueError(f"auxiliary matrices disagree on column count: "
+                                     f"{sorted(cols)}")
+                built[key], at = np.empty((sum(shapes[p][0] for p in members), cols.pop())), 0
+                for p in members:
+                    rows = built[key][at : at + shapes[p][0]]
+                    at += len(rows)
+                    if p in dests or p in self._cache:
+                        copies.append((rows, p))
+                    else:
+                        dests[p] = rows
+            return [dests[p] for p in paths]
+
+        matrices = dict(zip(paths, (m for _, _, m in fio.read_into(paths, make=make))))
+        for rows, p in copies:
+            rows[...] = self._cache[p] if p in self._cache else matrices[p]
+        for key in keys:
+            built[key].flags.writeable = False
+            self._cache[key] = built[key]
+
+    def _matrix_shape(self, path: str, dims, mask) -> tuple[int, int]:
+        """The shape of a tensor's matrix, checked against the masks read before."""
+        A, B, T = dims
         for other, (other_T, other_mask) in self._masks.items():
             if mask is None and other_mask is None:
                 continue
@@ -225,7 +250,7 @@ class _MatrixLoader:
                 raise ValueError(f"{other} and {path} keep different time columns: original "
                                  f"time {diff[0]} is masked in one and kept in the other")
         self._masks[path] = (T, mask)
-        return matricize(t)
+        return A * B, T if mask is None else int(np.count_nonzero(mask))
 
     def __call__(self, path) -> np.ndarray:
         self.read(path)

@@ -14,8 +14,11 @@ solves them one after another, and each block's code equals bit for bit
 that of a separate encode.
 
 Code steps return codes, not scores: an encode scores each code it returns
-once, exactly, as ||Y - Wp H||_F^2 plus the penalty a fit scores, the rule
-the block-coordinate fit keeps its codes by.
+once, as ||Y - Wp H||_F^2 plus the penalty a fit scores, by the rule the
+block-coordinate fit keeps its codes by: the squared residual in Gram form
+from the very terms Wp^T Wp and Wp^T Y the code step took, and exactly at
+or below a small fraction of ||Y||^2, so no (rows of Y, T) residual is
+formed while a fit leaves more.
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +27,7 @@ import numpy as np
 
 from .regularization import Penalty
 from .solvers import FactorModel, SolveReport, code_step
-from .solvers import _require_finite, _scored_penalty, _sq_residual
+from .solvers import _FitSide, _require_finite, _scored_penalty
 from .spectral import FrequencyMask
 from .tensor import SpatioTemporalTensor, fold
 
@@ -78,7 +81,10 @@ def encode_new(
     ``penalty``.  Output is elementwise nonnegative.  The report holds one
     objective, that of the returned code, scored once after the code step
     as ||Y_full - Wp H||_F^2 plus the penalty at ``lam_over_xi`` (0 for a
-    hard band), the code step's first step, and in ``wall_iters`` the
+    hard band), the residual by the fit's rule
+    (:class:`~freqfact.solvers._FitSide`: in Gram form, with ||Y_full||^2
+    taken once per call, and exactly at or below ``_GRAM_EXACT_BELOW``
+    ||Y_full||^2), the code step's first step, and in ``wall_iters`` the
     iterations, rounds or KKT solves it ran.  A non-finite code or
     objective raises :class:`~freqfact.exceptions.ConvergenceError` (at
     "outer iteration 1").  The code step records no per-iteration
@@ -89,9 +95,9 @@ def encode_new(
     and the call returns a list of B codes (k_b, T) and a list of B
     reports, each equal bit for bit to a separate 2-D call's.  The code
     step sees each block through its terms Wp_b^T Wp_b and Wp_b^T Y_full,
-    formed here.  Every block starts from the seeded code of its width, a
-    fixed mask in ``penalty`` holds the blocks' rows in order, and a
-    non-finite block is named.
+    formed here once, for the code step and the score alike.  Every block
+    starts from the seeded code of its width, a fixed mask in ``penalty``
+    holds the blocks' rows in order, and a non-finite block is named.
     """
     y_full = np.asarray(y_full, dtype=float)
     if lam_over_xi < 0:
@@ -108,15 +114,16 @@ def encode_new(
     _, step = code_step(pen, _diagnostics=False)
     reports = [SolveReport() for _ in dictionaries]
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = [w.T @ w for w in dictionaries]
-        cross = [w.T @ y_full for w in dictionaries]
-        h, subs = step(gram, cross, h, config.sweeps * config.sub_iters)
+        yy = float(np.einsum("ij,ij->", y_full, y_full))
+        sides = [_FitSide(y_full, w, 0.0, yy) for w in dictionaries]
+        h, subs = step([s.wtw for s in sides], [s.wtx for s in sides], h,
+                       config.sweeps * config.sub_iters)
         for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
             _require_finite("encode_new", 0, None if flat else b, H=hb)
             report.step_trace.append(sub.step_trace[0])
             report.wall_iters = sub.wall_iters
-        for b, (report, w, hb) in enumerate(zip(reports, dictionaries, h)):
-            val = _sq_residual(y_full, w, hb) + _scored_penalty(hb, pen)
+        for b, (report, side, hb) in enumerate(zip(reports, sides, h)):
+            val = side.terms(hb)[0] + _scored_penalty(hb, pen)
             _require_finite("encode_new", 0, None if flat else b, objective=val)
             report.objective_trace.append(val)
     return (h[0], reports[0]) if flat else (h, reports)

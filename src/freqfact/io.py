@@ -36,11 +36,14 @@ may run on (at most one per ``_PARSE_CHUNK_BYTES`` of the total), each cut
 moved to the next line start by reading the bytes there, and forked child
 j, bound to its CPU, reads, checks and parses chunk j of every block, so
 a command's tensors take one forked round, whatever their number, and the
-parent never holds a file's block of text; the values are bit-identical for any
-number of workers.  A chunk a child cannot read sends its file to the
-line-by-line parse below, which names the fault; a round whose fork or
-child failed parses every block in this process.  The first failing file,
-in the call's order, raises what it raises when read alone.
+parent never holds a file's block of text: it reads each block's values
+from the children's files a few whole time rows at a time, straight into
+the caller's matrix (:func:`read_into`), so no flat copy of a block is
+made; the values are bit-identical for any number of workers.  A chunk a
+child cannot read sends its file to the line-by-line parse below, which
+names the fault; a round whose fork or child failed parses every block in
+this process, and copies each into its matrix once.  The first failing
+file, in the call's order, raises what it raises when read alone.
 
 Any other text file (``\\r\\n`` or lone ``\\r`` line ends, blank lines,
 spaces, ``1_0``, a missing final newline, a malformed cell, ...) goes to a
@@ -48,7 +51,7 @@ line-by-line parse, which accepts a cell exactly when ``float`` accepts it
 and the value is finite, skips blank lines, and raises
 :class:`TensorFormatError` naming the file and the first bad line (and
 column).  Both paths give the same values to the bit.  A binary file is
-read straight into its array, and names the flat index of its first
+read straight into its matrix, and names the flat index of its first
 non-finite value.  A pipe is read whole first, since the readers seek back;
 its chunks are sliced from those bytes.
 
@@ -99,6 +102,7 @@ __all__ = [
     "write_tensor",
     "read_tensor",
     "read_tensors",
+    "read_into",
     "write_matrix",
     "read_matrix",
     "write_slice",
@@ -148,6 +152,11 @@ _FORMAT_CHUNK_CELLS = 1 << 16
 # write of an 8-column matrix took 22.4 ms with repr and 20.0 ms with the
 # kernel at 16k cells, and 11.2 and 14.6 ms at 8k (medians of 9).
 _KERNEL_CELLS = 1 << 14
+
+# Values a forked parse's parent reads from its children's files at a time,
+# in whole units (a tensor's time rows, a matrix's rows), to place in the
+# caller's matrix: bounds the one buffer it holds beside that matrix.
+_PLACE_VALUES = 1 << 15
 _NEW_FILE = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
 _CAN_FORK = all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "memfd_create",
                                          "sendfile"))
@@ -392,69 +401,84 @@ def read_tensor(path) -> SpatioTemporalTensor:
 def read_tensors(paths) -> list[SpatioTemporalTensor]:
     """The tensors at ``paths``, in order, each read as :func:`read_tensor`
     reads it alone, with every canonical text block among them parsed in
-    one round (see :func:`_read_files`).  The first input in ``paths`` order
+    one round (see :func:`read_into`).  The first input in ``paths`` order
     that fails raises its error."""
-    return _read_files(paths, TENSOR_MAGIC, _text_tensor)
+    return [SpatioTemporalTensor(m.reshape(dims), mask)
+            for dims, mask, m in read_into(paths, TENSOR_MAGIC)]
 
 
-def _text_tensor(dims, mask, rows: np.ndarray) -> SpatioTemporalTensor:
-    """The tensor of a text file's dims, mask and data block."""
-    A, B, T = dims
-    # line t*A + a holds cell row (a, :, t)
-    return SpatioTemporalTensor(np.ascontiguousarray(rows.reshape(T, A, B).transpose(1, 2, 0)),
-                                mask)
+def read_into(paths, magic: str = TENSOR_MAGIC, make=None) -> list:
+    """``(dims, mask, matrix)`` of each file at ``paths`` (of kind
+    ``magic``), in order: a tensor's (A * B, T) matricization with every
+    time kept, or a matrix file's values.  ``make(heads)``, given every
+    file's ``(dims, mask)``, returns the matrices to fill instead: a
+    tensor's may hold only the times its mask keeps, and a binary tensor's
+    must be C-contiguous.
 
-
-def _read_files(paths, magic: str, finish) -> list:
-    """``finish(dims, mask, rows)`` of each text file at ``paths`` (of kind
-    ``magic``), or the tensor of a binary tensor file, in order.
-
-    The files are opened and their heads read in order, and binary files,
-    text files not in the writers' form (see :func:`_canonical_head`) and
-    canonical blocks under ``_KERNEL_BYTES`` bytes are read at once, the
-    last two line by line (:func:`_read_general`).  Every other block waits
-    for :func:`_parse_round`, which parses them all in one round; a block it
-    does not read goes to the line-by-line parse, which names the fault.
-    Each finished block's values are read from the round just before it is
-    finished, so at most one block's flat values are held beside the
-    finished ones.  When a file fails, no later one is opened; the blocks
-    before it are parsed and finished, in order, and then its error is
-    raised: the first failing input in ``paths`` order raises, with the
-    message it raises alone.
+    The heads are read in order.  Text files not in the writers' form (see
+    :func:`_canonical_head`) and canonical blocks under ``_KERNEL_BYTES``
+    bytes are parsed then, line by line (:func:`_read_general`), and later
+    copied into their matrices; every other block is parsed by
+    :func:`_parse_round`, straight into its matrix, or sent to the
+    line-by-line parse, which names the fault, when the round does not read
+    it.  A binary tensor is read straight into its matrix.  When a file
+    fails, no later one is opened, and an error ``make`` raises counts as
+    one after the last file: the files before it are read, in order, into
+    arrays of their own, and then it is raised, so the first failing input
+    raises the message it raises alone.
     """
-    items, pending, blocks, error = [], {}, [], None
+    tensor = magic == TENSOR_MAGIC
+    heads, sources, blocks, error = [], [], [], None
     with contextlib.ExitStack() as files:
         for path in map(Path, paths):
             try:
                 fh = files.enter_context(_open_seekable(path))
                 start = fh.read(len(TENSOR_MAGIC))
-                if magic == TENSOR_MAGIC and start and start != TENSOR_MAGIC.encode():
-                    items.append(_read_tensor_binary(path, fh))
+                if tensor and start and start != TENSOR_MAGIC.encode():
+                    heads.append((_binary_dims(path, fh), None))
+                    sources.append((path, fh, None))
                     continue
                 fh.seek(0)
                 head = _canonical_head(path, fh, magic)
                 if head is None or fh.seek(0, os.SEEK_END) - head[2] < _KERNEL_BYTES:
                     fh.seek(0)
-                    items.append(finish(*_read_general(path, fh.read(), magic)))
+                    dims, mask, rows = _read_general(path, fh.read(), magic)
+                    heads.append((dims, mask))
+                    sources.append(rows)
                 else:
                     dims, mask, at = head
-                    pending[len(items)] = path, fh, dims, mask
+                    heads.append((dims, mask))
+                    sources.append((path, fh, len(blocks)))
                     blocks.append((fh, at, *_block_shape(dims)[:2]))
-                    items.append(None)
             except Exception as exc:  # raised once the inputs before it are read
                 error = exc
                 break
+        dests = None
+        if error is None and make is not None:
+            try:
+                dests = make(heads)
+            except Exception as exc:
+                error = exc
+        if dests is None:
+            dests = [np.empty((d[0] * d[1], d[2]) if tensor else d) for d, _ in heads]
         with _parse_round(blocks) as values:
-            for b, (i, (path, fh, dims, mask)) in enumerate(pending.items()):
-                rows = values(b)
-                if rows is None:
+            for (dims, mask), rows, dest in zip(heads, sources, dests):
+                # a tensor's block holds its times one after another
+                out, keep = (dest.T, None if dest.shape[1] == dims[2] else mask) if tensor else (
+                    dest, None)
+                if isinstance(rows, tuple):
+                    path, fh, b = rows
+                    if b is None:
+                        _read_binary(path, fh, dest)
+                        continue
+                    if values(b, out, keep):
+                        continue
                     fh.seek(0)
-                    dims, mask, rows = _read_general(path, fh.read(), magic)
-                items[i] = finish(dims, mask, rows)
-                del rows  # freed before the next block's values are read
+                    rows = _read_general(path, fh.read(), magic)[2]
+                _place(out, keep, 0, rows.reshape(-1, out.shape[1]))
     if error is not None:
         raise error
-    return items
+    return [(dims, mask, dest) for (dims, mask), dest in zip(heads, dests)]
 
 
 def _open_seekable(path: Path):
@@ -467,7 +491,8 @@ def _open_seekable(path: Path):
         return BytesIO(fh.read())
 
 
-def _read_tensor_binary(path: Path, fh) -> SpatioTemporalTensor:
+def _binary_dims(path: Path, fh) -> list[int]:
+    """The dims of a binary tensor file, checked against its size."""
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
     head = fh.read(24)
@@ -476,21 +501,40 @@ def _read_tensor_binary(path: Path, fh) -> SpatioTemporalTensor:
     A, B, T = struct.unpack("<QQQ", head)
     if 0 in (A, B, T):
         raise TensorFormatError(f"{path}: dims {A}x{B}x{T} hold no value")
-    expected = 24 + 8 * A * B * T
-    # sized before the array is made, so dims that do not fit allocate nothing
-    if size == expected:
-        values = np.empty((A, B, T), dtype="<f8")
-        size = 24 + fh.readinto(values)
-    if size != expected:
+    # checked before any array is made, so dims that do not fit allocate nothing
+    if size != 24 + 8 * A * B * T:
         raise TensorFormatError(
-            f"{path}: expected {expected} bytes for dims {A}x{B}x{T}, got {size}"
+            f"{path}: expected {24 + 8 * A * B * T} bytes for dims {A}x{B}x{T}, got {size}"
         )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    return [A, B, T]
+
+
+def _read_binary(path: Path, fh, dest: np.ndarray) -> None:
+    """Read a binary tensor file's values into ``dest``, its C-contiguous
+    (A * B, T) matrix, whose flat index is the file's (a, b, t) one."""
+    fh.seek(24)
+    got = fh.readinto(dest)
+    if got != dest.nbytes:  # the file shrank since its head was read
+        raise TensorFormatError(f"{path}: expected {24 + dest.nbytes} bytes, got {24 + got}")
+    if not np.little_endian:
+        dest.byteswap(inplace=True)
+    finite = np.isfinite(dest)
+    if not finite.all():
         raise TensorFormatError(
-            f"{path}: value {bad[0]} (flat (a, b, t) index): non-finite value"
+            f"{path}: value {np.argmin(finite)} (flat (a, b, t) index): non-finite value"
         )
-    return SpatioTemporalTensor(values)
+
+
+def _place(out: np.ndarray, keep, t0: int, piece: np.ndarray) -> None:
+    """Put units ``t0`` on of a block, the rows of ``piece``, into the rows
+    of ``out``: unit t into row t, or with a ``keep`` mask over the units,
+    each kept one into the row of its rank among them."""
+    if keep is None:
+        out[t0 : t0 + len(piece)] = piece
+        return
+    kept = keep[t0 : t0 + len(piece)]
+    at = int(np.count_nonzero(keep[:t0]))
+    out[at : at + int(np.count_nonzero(kept))] = piece[kept]
 
 
 def _canonical_head(path: Path, fh, magic: str):
@@ -524,8 +568,11 @@ def _parse_round(blocks: list):
     """One parse of the canonical data ``blocks``, each ``(fh, at, rows,
     cols)``: the bytes of ``fh`` from byte ``at`` to its end, to be read by
     :func:`freqfact.cellparse.parse_chunk` as ``rows`` lines of ``cols``
-    cells.  Yields ``values(b)``: block b's (rows, cols) array, or None when
-    ``parse_chunk`` does not read it or it does not hold rows * cols cells.
+    cells.  Yields ``values(b, out, keep)``, which puts block b's values,
+    read as units of equal size (a tensor's times, a matrix's rows), into
+    the rows of ``out`` as :func:`_place` does, and returns False, having
+    placed nothing, when ``parse_chunk`` does not read the block or it does
+    not hold rows * cols cells.
 
     When the blocks hold at least ``2 * _PARSE_CHUNK_BYTES`` bytes in all
     and no other thread is alive, every block is cut into one chunk per CPU
@@ -536,12 +583,13 @@ def _parse_round(blocks: list):
     read whole into memory), checks and parses it, and writes the values
     block after block into its own in-memory file, then one int64 count of
     values per block, -1 for a chunk ``parse_chunk`` does not read.
-    ``values(b)`` reads block b's values from every child's file in order
-    into one array: that reuses freed heap where a shared map would add
-    pages.  Any other round, or one whose workers could not be forked or
-    reaped or exited nonzero, parses each block as one chunk in this process
-    when ``values`` asks for it.  Each cell goes through the same routine,
-    so the values agree to the bit.
+    ``values`` reads block b's values from the children's files in order,
+    at most ``_PLACE_VALUES`` (or one unit) at a time, into one buffer, and
+    places each piece, so this process never holds a block's flat values.
+    Any other round, or one whose workers could not be forked or reaped or
+    exited nonzero, parses each block as one chunk in this process when
+    ``values`` asks for it, then places it.  Each cell goes through the same
+    routine, so the values agree to the bit.
     """
     sizes = [fh.seek(0, os.SEEK_END) - at for fh, at, _, _ in blocks]
     cpus = _fork_cpus(sum(sizes) // _PARSE_CHUNK_BYTES)
@@ -588,18 +636,31 @@ def _parse_round(blocks: list):
             starts = [list(itertools.accumulate((8 * max(c, 0) for c in cs), initial=0))
                       for cs in counts]
 
-        def values(b):
+        def values(b, out, keep) -> bool:
             _, _, rows, cols = blocks[b]
+            units = len(out) if keep is None else len(keep)
             if not fds:
                 flat = parse(b, 0, sizes[b])
-            elif min(c[b] for c in counts) < 0:
-                flat = None
-            else:
-                flat, k = np.empty(sum(c[b] for c in counts)), 0
+                if flat is None or flat.size != rows * cols:
+                    return False
+                _place(out, keep, 0, flat.reshape(units, -1))
+                return True
+            if min(c[b] for c in counts) < 0 or sum(c[b] for c in counts) != rows * cols:
+                return False
+            unit = rows * cols // units
+            step = max(1, _PLACE_VALUES // unit)
+            piece = np.empty(min(step, units) * unit)
+            for t0 in range(0, units, step):
+                part = piece[: min(step, units - t0) * unit]
+                lo, first = t0 * unit, 0  # flat index of part, and of child j's first value
                 for fd, c, start in zip(fds, counts, starts):
-                    k += os.preadv(fd, [flat[k : k + c[b]]], start[b]) // 8
-                flat = flat if k == flat.size else None
-            return flat.reshape(rows, cols) if flat is not None and flat.size == rows * cols else None
+                    a, z = max(lo, first), min(lo + part.size, first + c[b])
+                    if a < z and os.preadv(fd, [part[a - lo : z - lo]],
+                                           start[b] + 8 * (a - first)) != 8 * (z - a):
+                        return False
+                    first += c[b]
+                _place(out, keep, t0, part.reshape(-1, unit))
+            return True
 
         yield values
 
@@ -711,7 +772,7 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    return _read_files([path], MATRIX_MAGIC, lambda dims, mask, rows: rows)[0]
+    return read_into([path], MATRIX_MAGIC)[0][2]
 
 
 def write_json(path, payload: dict) -> None:

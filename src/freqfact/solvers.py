@@ -34,8 +34,8 @@ take B independent problems at once, as sequences of codes, Grams and cross
 terms whose widths may differ (see :func:`code_step`).
 
 Code steps return codes, not scores: the driver that keeps a code scores
-it, the loop here from its normal-equation terms (:class:`_FitSide`) and
-:func:`~freqfact.forecast.encode_new` exactly.
+it, the loop here and :func:`~freqfact.forecast.encode_new` alike, from its
+normal-equation terms (:class:`_FitSide`).
 """
 
 import itertools
@@ -171,9 +171,9 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     """||X - W H||_F^2, formed in the one buffer that W H needs.
 
     Equal bit for bit to ``np.sum((x - w @ h) ** 2)`` for a row-major X, at
-    a third of its transient memory.  The exact rule: :func:`objective` and
-    the encode's one score use it, and the fit's loop where a Gram-form
-    residual would lose digits (:class:`_FitSide`).
+    a third of its transient memory.  The exact rule: :func:`objective` uses
+    it, and the fit's loop and the encode where a Gram-form residual would
+    lose digits (:class:`_FitSide`).
     """
     r = w @ h
     np.subtract(x, r, out=r)
@@ -231,10 +231,12 @@ class _FitSide:
     Comput. 2012).  The form holds for any W, a kept dead-atom column too,
     and loses up to about 5e-15 ||X||^2 to cancellation, so a value not
     above ``_GRAM_EXACT_BELOW`` ||X||^2 is scored by :func:`_sq_residual`.
+    Sides of one X may share its ``xx``, ||X||^2, taken once.
     """
 
-    def __init__(self, x, w, ridge):
-        self.x, self.ridge, self.xx = x, ridge, float(np.einsum("ij,ij->", x, x))
+    def __init__(self, x, w, ridge, xx=None):
+        self.x, self.ridge = x, ridge
+        self.xx = float(np.einsum("ij,ij->", x, x)) if xx is None else xx
         self.set(w)
 
     def set(self, w):

@@ -13,7 +13,6 @@ __all__ = [
     "SpatioTemporalTensor",
     "matricize",
     "fold",
-    "stack_auxiliary",
     "supervised_stack",
 ]
 
@@ -80,16 +79,6 @@ def fold(m: np.ndarray, A: int, B: int) -> SpatioTemporalTensor:
     if m.shape[0] != A * B:
         raise ValueError(f"matrix has {m.shape[0]} rows, cannot fold into {A}x{B} cells")
     return SpatioTemporalTensor(m.reshape(A, B, m.shape[1]))
-
-
-def stack_auxiliary(ys: list[np.ndarray]) -> np.ndarray:
-    """Stack auxiliary data matrices vertically, preserving list order."""
-    if not ys:
-        raise ValueError("need at least one auxiliary matrix")
-    cols = {np.asarray(y).shape[1] for y in ys}
-    if len(cols) != 1:
-        raise ValueError(f"auxiliary matrices disagree on column count: {sorted(cols)}")
-    return np.vstack([np.asarray(y, dtype=float) for y in ys])
 
 
 def supervised_stack(x: np.ndarray, y: np.ndarray, xi: float) -> np.ndarray:

@@ -55,6 +55,42 @@ def test_bench_reads_the_records_fingerprint(tmp_path, monkeypatch):
                    "metrics": {"pipeline_s": 0.7}}
 
 
+def test_bench_reads_each_stages_peak_over_the_repeats(tmp_path, monkeypatch):
+    record = tmp_path / ".bench_work" / "hard_scan" / "record.json"
+    record.parent.mkdir(parents=True)
+
+    def info(factorize, forecast, atom_scan=None):
+        got = {"factorize": {"peak_rss_mb": factorize, "import_s": 0.1},
+               "forecast": {"peak_rss_mb": forecast}}
+        if atom_scan is not None:
+            got["atom_scan"] = {"peak_rss_mb": atom_scan}
+        return {"times": {}, "info": got}
+
+    record.write_text(json.dumps({
+        "fingerprint": None, "metrics": {"peak_rss_mb": 61.0},
+        # a repeat that stopped after factorize ran no later stage
+        "repeats": [info(55.0, 54.0, 50.0), info(56.5, 53.0, 49.0),
+                    {"times": {}, "info": {"factorize": {"peak_rss_mb": 54.0}}}]}))
+    done = subprocess.CompletedProcess([], 0, stdout='{"correct": true}\n', stderr="")
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *a, **k: done)
+    got = ab_bench.bench(tmp_path, "hard_scan", 11, 1.0)
+    assert got["metrics"] == {"peak_rss_mb": 61.0, "factorize_peak_mb": 56.5,
+                              "forecast_peak_mb": 54.0, "atom_scan_peak_mb": 50.0}
+
+
+def test_summary_compares_stage_peaks(capsys):
+    def run(factorize, forecast):
+        return {"correct": True, "fingerprint": None,
+                "metrics": {"factorize_peak_mb": factorize, "forecast_peak_mb": forecast}}
+
+    ab_bench.summary("large_sweep", [(run(60.2, 61.0), run(54.8, 61.0)),
+                                     (run(60.3, 61.1), run(54.9, 54.4))])
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("factorize_peak_mb") and line.endswith("2/0/0") for line in out)
+    assert any(line.startswith("forecast_peak_mb") and line.endswith("1/0/1") for line in out)
+    assert not any(line.startswith("atom_scan_peak_mb") for line in out)
+
+
 def test_summary_quotes_the_fingerprint_drift(capsys):
     def run(objectives, nse, ranking=None):
         fp = {"final_objective": objectives, "nse": nse}

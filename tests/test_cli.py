@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import freqfact.solvers as solvers
 from freqfact import FrequencyMask, Penalty, SpatioTemporalTensor, cli
 from freqfact.cli import check_config, main, penalty_from_dict
 from freqfact.io import read_json, read_matrix, read_tensor, write_tensor
+
+from test_forecast import assert_fit_rule_score
 
 
 def run_cli(*argv):
@@ -337,7 +338,8 @@ class TestForecastCli:
     @pytest.mark.parametrize("penalty", [Penalty.soft_freq(1.0), Penalty.hard_freq(R=2)],
                              ids=["prox", "heuristic"])
     def test_final_objective_scores_the_written_code(self, tmp_path, penalty):
-        # metrics.json's objective is the encode's exact score of H_new_full.csv
+        # metrics.json's objective is the encode's score of H_new_full.csv, by
+        # the fit's rule
         data = synth_dataset(tmp_path, d=8, T=48, freqs=(3, 7), sigma=0.2, x_sigma=0.2)
         model = factorize(tmp_path, data, train_t=36, n_iters=3, sub_iters=10)
         ys = [str(data / "Y0.csv"), str(data / "Y1.csv")]
@@ -352,8 +354,8 @@ class TestForecastCli:
         y_full = cli._MatrixLoader().aux(ys)
         wp, h = read_matrix(model / "Wp.csv"), read_matrix(out / "H_new_full.csv")
         scored = Penalty(penalty.kind, 0.2, penalty.R)
-        want = solvers._sq_residual(y_full, wp, h) + solvers._scored_penalty(h, scored)
-        assert read_json(out / "metrics.json")["final_objective"] == want
+        assert_fit_rule_score(read_json(out / "metrics.json")["final_objective"], y_full, wp, h,
+                              scored)
 
     def test_soft_forecast_reruns_are_byte_identical(self, tmp_path):
         data = synth_dataset(tmp_path, d=8, T=48, freqs=(3, 7), sigma=0.2, x_sigma=0.2)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,22 @@ from freqfact import (
 )
 
 from helpers import nnls_columns
+
+
+def assert_fit_rule_score(got, y, wp, h, penalty):
+    """``got``, an encode's score of code ``h``, against the fit's rule for
+    ||Y - Wp H||_F^2 plus the scored ``penalty``: within 1e-12 relative of
+    the exact residual above _GRAM_EXACT_BELOW ||Y||^2, where the Gram form
+    scores it, and bit for bit at or below.  Returns whether the residual
+    was above that fraction."""
+    exact = solvers._sq_residual(y, wp, h)
+    want = exact + solvers._scored_penalty(h, penalty)
+    above = exact > solvers._GRAM_EXACT_BELOW * float(np.sum(y**2))
+    if above:
+        assert abs(got - want) <= 1e-12 * want
+    else:
+        assert got == want
+    return above
 
 
 def noise_atom_fixture(seed):
@@ -57,7 +74,7 @@ class TestEncode:
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "sequence"])
     @pytest.mark.parametrize("kind", ["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"])
     def test_objective_is_the_exact_score_of_the_code(self, kind, flat):
-        # one value per encode, the rule the fit keeps its codes by, bit for bit
+        # one value per encode, by the rule the fit keeps its codes by
         rng = np.random.default_rng(67)
         y = np.abs(rng.standard_normal((9, 24)))  # noisy: no exact fit exists
         widths = (3,) if flat else (3, 2, 2)
@@ -75,8 +92,24 @@ class TestEncode:
             h, reports = [h], [reports]
         scored = replace(penalty, lam=0.7)
         for hb, report, wp in zip(h, reports, wps, strict=True):
-            want = solvers._sq_residual(y, wp, hb) + solvers._scored_penalty(hb, scored)
-            assert report.objective_trace == [want]
+            assert len(report.objective_trace) == 1
+            assert assert_fit_rule_score(report.objective_trace[0], y, wp, hb, scored)
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "sequence"])
+    def test_an_exact_rank_encode_is_scored_by_the_exact_rule(self, flat):
+        # Y in the cone of Wp: the code fits it to rounding, far below the
+        # fraction, where the Gram form would read cancellation noise
+        rng = np.random.default_rng(5)
+        wp = np.abs(rng.standard_normal((12, 3)))
+        y = wp @ np.abs(rng.standard_normal((3, 30)))
+        h, report = encode_new(y, wp if flat else [wp, wp], Penalty.ridge(0.0), 0.0,
+                               EncodeConfig(sweeps=20, sub_iters=50, seed=1))
+        if flat:
+            h, report = [h], [report]
+        for hb, rep in zip(h, report, strict=True):
+            assert not assert_fit_rule_score(rep.objective_trace[0], y, wp, hb,
+                                             Penalty.ridge(0.0))
+            assert solvers._sq_residual(y, wp, hb) < 1e-20 * np.sum(y**2)
 
     def test_identity_dictionary_clamps(self):
         rng = np.random.default_rng(60)
@@ -436,3 +469,19 @@ class TestStackedScan:
                                                        "iteration 1 in block 1$"):
                 encode_new(rng.standard_normal((6, 12)), list(wp), Penalty.ridge(0.0), 0.0,
                            EncodeConfig(sweeps=2, sub_iters=3))
+
+
+def test_encode_scores_without_a_residual_block():
+    # the Gram-form score forms no (S * d, T) residual while a fit leaves
+    # more than the fraction of ||Y||^2; the exact rule forms one
+    rng = np.random.default_rng(9)
+    y = np.abs(rng.standard_normal((2 * 2000, 200)))
+    wp = np.abs(rng.standard_normal((y.shape[0], 4)))
+    tracemalloc.start()
+    try:
+        h, report = encode_new(y, wp, Penalty.ridge(0.1), 0.1, EncodeConfig(sweeps=2, sub_iters=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solvers._sq_residual(y, wp, h) > solvers._GRAM_EXACT_BELOW * np.sum(y**2)
+    assert peak < y.nbytes

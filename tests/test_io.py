@@ -3,6 +3,7 @@ boundaries, the canonical parse against the line-by-line one, the decimal
 kernel against ``float`` bit for bit, error messages that name the
 position, and one parse per input file in a factorize grid."""
 
+import contextlib
 import io
 import itertools
 import json
@@ -581,11 +582,11 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
         "grid": [{"xi": 0.5}, {"xi": 2.0}],
     }))
     events = []
-    real_read, real_point = fio.read_tensors, cli._run_factorize_point
+    real_read, real_point = fio.read_into, cli._run_factorize_point
 
-    def counting_read(paths):
+    def counting_read(paths, *args, **kwargs):
         events.append(sorted(map(str, paths)))
-        return real_read(paths)
+        return real_read(paths, *args, **kwargs)
 
     def point(pcfg, out, load):
         # inputs are shared between points, so no point may write to them
@@ -593,7 +594,7 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
         events.append("point")
         return real_point(pcfg, out, load)
 
-    monkeypatch.setattr(fio, "read_tensors", counting_read)
+    monkeypatch.setattr(fio, "read_into", counting_read)
     monkeypatch.setattr(cli, "_run_factorize_point", point)
     inputs = sorted(str(data / n) for n in ("X.csv", "Y0.csv", "Y1.csv"))
     outs = {}
@@ -1431,3 +1432,153 @@ def test_an_interrupted_round_kills_and_reaps_every_child(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "waitpid", real_waitpid)
     assert len(forks) == 3 and calls[1:] == forks
     assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the command loader: each input parsed straight into its one place
+
+
+def write_tensors(tmp_path, tensors: dict) -> dict:
+    """Each named tensor written to ``tmp_path/name``, binary for a ``.bin``
+    name; returns the paths by name."""
+    paths = {}
+    for name, t in tensors.items():
+        paths[name] = tmp_path / name
+        fio.write_tensor(paths[name], t, binary=name.endswith(".bin"))
+    return paths
+
+
+def test_loader_stacks_auxiliaries_in_order(tmp_path):
+    y = np.arange(6.0).reshape(2, 1, 3)
+    p = write_tensors(tmp_path, {"y.csv": SpatioTemporalTensor(y),
+                                 "y10.csv": SpatioTemporalTensor(y + 10)})
+    m = y.reshape(2, 3)
+    assert np.array_equal(cli._MatrixLoader().aux(str(p["y.csv"])), m)
+    assert np.array_equal(cli._MatrixLoader().aux([p["y.csv"], p["y10.csv"]]),
+                          np.vstack([m, m + 10]))
+    three = cli._MatrixLoader().aux([p["y.csv"]] * 3)
+    assert three.shape == (6, 3) and np.array_equal(three, np.vstack([m] * 3))
+    with pytest.raises(ValueError, match="at least one auxiliary tensor path"):
+        cli._MatrixLoader().aux([])
+
+
+def test_loader_rejects_auxiliaries_of_unequal_column_count(tmp_path):
+    rng = np.random.default_rng(3)
+    p = write_tensors(tmp_path, {"a.csv": SpatioTemporalTensor(rng.standard_normal((2, 1, 3))),
+                                 "b.bin": SpatioTemporalTensor(rng.standard_normal((2, 1, 4)))})
+    with pytest.raises(ValueError, match=r"auxiliary matrices disagree on column count: \[3, 4\]"):
+        cli._MatrixLoader().aux([p["a.csv"], p["b.bin"]])
+
+
+def test_loader_rejects_auxiliaries_with_unequal_masks(tmp_path):
+    rng = np.random.default_rng(4)
+    p = write_tensors(tmp_path, {
+        "a.csv": SpatioTemporalTensor(rng.standard_normal((2, 1, 4)), np.array([1, 0, 1, 1], bool)),
+        "b.csv": SpatioTemporalTensor(rng.standard_normal((2, 1, 4)), np.array([1, 1, 0, 1], bool)),
+    })
+    with pytest.raises(ValueError, match=r"a\.csv and .*b\.csv keep different time columns: "
+                                         r"original time 1 is masked"):
+        cli._MatrixLoader().aux([p["a.csv"], p["b.csv"]])
+
+
+def test_loader_names_a_malformed_file_before_a_mask_mismatch(tmp_path):
+    rng = np.random.default_rng(5)
+    p = write_tensors(tmp_path, {
+        "a.csv": SpatioTemporalTensor(rng.standard_normal((2, 1, 4)), np.array([1, 0, 1, 1], bool)),
+        "b.csv": SpatioTemporalTensor(rng.standard_normal((2, 1, 4))),
+    })
+    lines = p["b.csv"].read_text().splitlines()
+    p["b.csv"].write_text("\n".join(lines[:-1] + ["x"]) + "\n")
+    with pytest.raises(TensorFormatError, match=r"b\.csv: line 9, column 1: could not parse"):
+        cli._MatrixLoader().aux([p["a.csv"], p["b.csv"]])
+
+
+def loader_case(tmp_path, case):
+    """The tensors of one loader case by file name, and its requests: X,
+    then the list of auxiliaries.  A pipe's name maps to the bytes it
+    carries."""
+    rng = np.random.default_rng(7)
+    mask = np.array([1, 0, 1, 1, 0, 1, 1], bool)
+    t = {name: SpatioTemporalTensor(rng.standard_normal((5, 2, 7)),
+                                    mask if case == "masked" else None)
+         for name in ("X.csv", "Y0.csv", "Y1.csv")}
+    t["X.csv"].values[0, 0, :3] = EDGE_VALUES[:3]
+    ys = ["Y0.csv", "Y1.csv"]
+    if case == "masked":  # a longer auxiliary whose extra time is masked
+        t["Y1.csv"] = SpatioTemporalTensor(rng.standard_normal((3, 1, 8)), np.append(mask, False))
+    elif case == "binary":
+        ys = ["Y0.bin", "Y1.bin"]
+        t.update((name, t.pop(name.replace(".bin", ".csv"))) for name in ys)
+    elif case == "crlf":
+        ys = ["Y0.crlf", "Y1.csv"]
+        t["Y0.crlf"] = t.pop("Y0.csv")
+    elif case == "same path twice":
+        ys = ["Y0.csv", "Y0.csv"]
+    elif case == "x in y":
+        ys = ["X.csv", "Y1.csv"]
+    paths = write_tensors(tmp_path, t)
+    if case == "crlf":
+        paths["Y0.crlf"].write_bytes(paths["Y0.crlf"].read_bytes().replace(b"\n", b"\r\n"))
+    return t, paths, ys
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", ["masked", "binary", "pipe", "crlf", "same path twice",
+                                  "x in y"])
+def test_loader_matrices_are_bit_equal_to_matricized_reads(tmp_path, monkeypatch, forked,
+                                                           workers, case):
+    set_workers, forks = forked
+    t, paths, ys = loader_case(tmp_path, case)
+    set_workers(workers)
+    monkeypatch.setattr(fio, "_PLACE_VALUES", 7)  # pieces cross the children's files
+    load = cli._MatrixLoader()
+    names = {name: str(paths[name]) for name in t}
+    with contextlib.ExitStack() as stack:
+        if case == "pipe":  # Y1 read from a pipe, as a shell's <(...) gives it
+            r, w = os.pipe()
+            stack.callback(os.close, r)
+            os.write(w, paths["Y1.csv"].read_bytes())
+            os.close(w)
+            names["Y1.csv"] = f"/dev/fd/{r}"
+        load.read(names["X.csv"], [names[y] for y in ys])
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_no_child_left()
+    want = {name: tensor_matrix(t[name]) for name in t}
+    for name in t:
+        assert tensor_matrix(fio.read_tensor(paths[name])).tobytes() == want[name].tobytes()
+    x = load(names["X.csv"])
+    stack_ = load.aux([names[y] for y in ys])
+    assert x.tobytes() == want["X.csv"].tobytes()
+    assert stack_.tobytes() == np.vstack([want[y] for y in ys]).tobytes()
+    assert not x.flags.writeable and not stack_.flags.writeable
+    assert x.flags.c_contiguous and stack_.flags.c_contiguous
+
+
+def tensor_matrix(t: SpatioTemporalTensor) -> np.ndarray:
+    A, B, T = t.dims
+    m = t.values.reshape(A * B, T)
+    return m if t.time_mask is None else m[:, t.time_mask]
+
+
+def test_loader_holds_x_and_the_stack_once(tmp_path, monkeypatch):
+    # canonical text over 2 * _PARSE_CHUNK_BYTES in all: the forked round,
+    # on two CPUs whatever this process may run on.  Each parsed block
+    # transposed into a new array, then stacked into another, peaks near
+    # twice the matrices; placed straight into them, near once.
+    rng = np.random.default_rng(8)
+    names = ("X.csv", "Y0.csv", "Y1.csv")
+    paths = write_tensors(tmp_path, {name: SpatioTemporalTensor(
+        rng.standard_normal((1500, 2, 100))) for name in names})
+    assert sum(p.stat().st_size for p in paths.values()) >= 2 * fio._PARSE_CHUNK_BYTES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    load = cli._MatrixLoader()
+    tracemalloc.start()
+    try:
+        load.read(paths["X.csv"], [paths["Y0.csv"], paths["Y1.csv"]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = load(paths["X.csv"]).nbytes + load.aux([paths["Y0.csv"], paths["Y1.csv"]]).nbytes
+    assert held == 3 * 3000 * 100 * 8
+    assert peak <= 1.1 * held

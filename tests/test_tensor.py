@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqfact import SpatioTemporalTensor, fold, matricize, stack_auxiliary, supervised_stack
+from freqfact import SpatioTemporalTensor, fold, matricize, supervised_stack
 
 
 def test_matricize_single_cell():
@@ -71,21 +71,6 @@ def test_fold_needs_a_matrix(shape):
 def test_fold_dimension_mismatch():
     with pytest.raises(ValueError):
         fold(np.zeros((3, 2)), 2, 2)
-
-
-def test_stack_auxiliary():
-    y = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(stack_auxiliary([y]), y)
-    two = stack_auxiliary([y, y + 10])
-    assert two.shape == (4, 3)
-    assert np.array_equal(two[:2], y)
-    assert np.array_equal(two[2:], y + 10)
-    three = stack_auxiliary([y, y, y])
-    assert three.shape == (6, 3)
-    with pytest.raises(ValueError):
-        stack_auxiliary([y, np.zeros((2, 4))])
-    with pytest.raises(ValueError):
-        stack_auxiliary([])
 
 
 def test_supervised_stack_examples():

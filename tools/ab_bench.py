@@ -13,7 +13,8 @@ first in odd ones, so drift of the host's speed falls on both sides alike.
 ``--workload`` takes one workload or a comma-separated list; each runs its
 pairs in turn.  Per workload the script prints, per metric, each side's
 median and quartiles and how many pairs the change read lower, higher or
-equal, counting only the pairs where both sides read ``correct`` and hold
+equal (each stage's peak RSS, ``factorize_peak_mb`` and its like, among
+them), counting only the pairs where both sides read ``correct`` and hold
 a finite value (a failed side's stage times are NaN, its NSE None and its
 ``pipeline_s`` the sum of the stages that ran), and how many pairs it
 skipped; and in how many pairs both sides' quality fingerprints (the
@@ -40,10 +41,11 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-# metrics to compare, read from the run's record.json; higher is better
-# only for forecast_nse
+# metrics to compare, read from the run's record.json, and each stage's
+# peak RSS (see stage_peaks); higher is better only for forecast_nse
+STAGES = ("factorize", "forecast", "atom_scan")
 METRICS = ("setup_s", "pipeline_s", "factorize_s", "forecast_s", "atom_scan_s",
-           "forecast_nse", "peak_rss_mb")
+           "forecast_nse", "peak_rss_mb") + tuple(f"{stage}_peak_mb" for stage in STAGES)
 FIRST_SEED = 11
 
 
@@ -75,7 +77,21 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": bool(result.get("correct")),
             "failed_ops_frac": record.get("failed_ops_frac"),
             "fingerprint": record.get("fingerprint"),
-            "metrics": {k: v for k, v in record["metrics"].items() if k in METRICS}}
+            "metrics": {**{k: v for k, v in record["metrics"].items() if k in METRICS},
+                        **stage_peaks(record)}}
+
+
+def stage_peaks(record: dict) -> dict:
+    """``<stage>_peak_mb`` for each stage a repeat of the record ran: the
+    largest ``repeats[].info[stage].peak_rss_mb`` over the repeats, so a
+    ``peak_rss_mb`` change can be traced to the stage that sets it."""
+    peaks = {}
+    for rep in record.get("repeats") or []:
+        for stage, info in (rep.get("info") or {}).items():
+            if stage in STAGES and finite(info.get("peak_rss_mb")):
+                key = f"{stage}_peak_mb"
+                peaks[key] = max(peaks.get(key, -math.inf), info["peak_rss_mb"])
+    return peaks
 
 
 def spread(values: list) -> str:
@@ -122,7 +138,7 @@ def drift(runs: list) -> list:
 
 def summary(workload: str, runs: list) -> None:
     print(f"{workload}: {len(runs)} pairs")
-    print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
+    print(f"{'metric':<18} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
           f"{'skipped':<8} change lower/higher/equal")
     correct = both_correct(runs)
     for name in METRICS:
@@ -132,7 +148,7 @@ def summary(workload: str, runs: list) -> None:
                  if finite(p["metrics"].get(name)) and finite(c["metrics"].get(name))]
         lower = sum(c < p for p, c in pairs)
         higher = sum(c > p for p, c in pairs)
-        print(f"{name:<14} {spread([p for p, _ in pairs]):<34} {spread([c for _, c in pairs]):<34} "
+        print(f"{name:<18} {spread([p for p, _ in pairs]):<34} {spread([c for _, c in pairs]):<34} "
               f"{len(runs) - len(pairs):<8} {lower}/{higher}/{len(pairs) - lower - higher}")
     same = sum(p.get("fingerprint") is not None and p.get("fingerprint") == c.get("fingerprint")
                for p, c in runs)
