@@ -23,7 +23,6 @@ from .solvers import (
     FactorModel,
     Hyper,
     SolveReport,
-    alternating_pgd,
     code_step,
     objective,
     solve_H_prox,

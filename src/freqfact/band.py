@@ -16,12 +16,11 @@ under one nonnegativity constraint per code entry.
 
 Both return codes clipped at 0: exactly nonnegative, and in band to
 rounding.  Like every code step they see the fit ||Xbar - Wbar H||_F^2 only
-through its terms G = Wbar^T Wbar and C = Wbar^T Xbar.  They take one
-problem, or sequences of B codes ``(k_b, T)``, Grams ``(k_b, k_b)`` and
-cross terms ``(k_b, T)`` solved one after another, each block equal bit for
-bit to a separate 2-D call.  A singular dictionary Gram is floored at a
-stated ridge (:func:`_floored_gram`).  :func:`~freqfact.solvers.code_step`
-dispatches to them.
+through its terms G = Wbar^T Wbar and C = Wbar^T Xbar, and take one
+problem: a (k, T) code with its (k, k) Gram and (k, T) cross term.  A
+singular dictionary Gram is floored at a stated ridge
+(:func:`_floored_gram`).  :func:`~freqfact.solvers.code_step` dispatches to
+them.
 """
 
 import math
@@ -29,7 +28,7 @@ import math
 import numpy as np
 
 from .exceptions import ConvergenceError
-from .solvers import SolveReport, _Blocks
+from .solvers import SolveReport, _one_problem
 from .spectral import FrequencyMask, half_offmask_ratio, top_r_keep
 
 __all__ = ["solve_H_band", "band_pursuit"]
@@ -166,20 +165,16 @@ def _band_solve(gram: np.ndarray, cross: np.ndarray, keep: np.ndarray) -> tuple[
     return np.maximum(h, 0.0, out=h), solves
 
 
-def _band_terms(blocks: _Blocks) -> list:
-    """Per block of a band step: its G, floored by :func:`_floored_gram`, its
-    C, and its code where none is solved for, else None: NaN for a
-    non-finite G or C, which the callers' finite checks report, and 0 for a
-    zero G, the smallest of the codes that all fit alike."""
-    terms = []
-    for gram, cross in zip(blocks.gram, blocks.cross):
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
-            terms.append((gram, cross, np.full(cross.shape, np.nan)))
-        elif not gram.any():
-            terms.append((gram, cross, np.zeros(cross.shape)))
-        else:
-            terms.append((_floored_gram(gram), cross, None))
-    return terms
+def _band_gram(gram: np.ndarray, cross: np.ndarray):
+    """A band step's G, floored by :func:`_floored_gram`, and its code where
+    none is solved for, else None: NaN for a non-finite G or C, which the
+    callers' finite checks report, and 0 for a zero G, the smallest of the
+    codes that all fit alike."""
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
+        return gram, np.full(cross.shape, np.nan)
+    if not gram.any():
+        return gram, np.zeros(cross.shape)
+    return _floored_gram(gram), None
 
 
 def solve_H_band(
@@ -187,7 +182,7 @@ def solve_H_band(
     cross: np.ndarray,
     h0: np.ndarray,
     mask: FrequencyMask,
-) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
+) -> tuple[np.ndarray, SolveReport]:
     """Exact code step of a fixed band: the minimizer of
     ||Xbar - Wbar H||_F^2 over H >= 0 with each row's spectrum on its row of
     ``mask``, from its terms ``gram`` G = Wbar^T Wbar and ``cross``
@@ -200,26 +195,16 @@ def solve_H_band(
     (:func:`_floored_gram`); a zero one gives the zero code and a
     non-finite one a NaN code, which the callers' finite checks report,
     each after 0 solves.
-
-    Sequences of B codes ``h0`` (k_b, T), Grams (k_b, k_b) and cross terms
-    (k_b, T) solve B independent problems, one after another; the mask then
-    holds the blocks' rows in order.  It
-    returns a list of B codes and a list of B reports, each the one a
-    separate 2-D call returns.
     """
-    blocks = _Blocks(h0, gram, cross)
-    n_rows, T = blocks.rows.shape
+    gram, cross, h0 = _one_problem(gram, cross, h0)
+    n_rows, T = h0.shape
     if mask.T != T:
         raise ValueError(f"mask is for T={mask.T}, H has {T} columns")
     if mask.rows != n_rows:
         raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
-    codes, reports = [], []
-    for rows, (gram, cross, fixed) in zip(blocks.spans, _band_terms(blocks)):
-        code, solves = _band_solve(gram, cross, mask.keep[rows]) if fixed is None else (fixed, 0)
-        codes.append(code)
-        reports.append(SolveReport(step_trace=[0.0], terminated="tol_reached",
-                                   wall_iters=solves))
-    return blocks.unpack(codes, reports)
+    gram, fixed = _band_gram(gram, cross)
+    code, solves = _band_solve(gram, cross, mask.keep) if fixed is None else (fixed, 0)
+    return code, SolveReport(step_trace=[0.0], terminated="tol_reached", wall_iters=solves)
 
 
 def band_pursuit(
@@ -228,9 +213,7 @@ def band_pursuit(
     h0: np.ndarray,
     R: int,
     n_rounds: int,
-    *,
-    _diagnostics: bool = True,
-) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
+) -> tuple[np.ndarray, SolveReport]:
     """Code step of an adaptive top-R band: hard thresholding pursuit
     (Foucart, SIAM J. Numer. Anal. 2011) on the exact band solve.
 
@@ -248,45 +231,34 @@ def band_pursuit(
     The report's ``wall_iters`` counts the rounds run and ``step_trace``
     holds the rate 1/L per round.  ``extras["offmask_after_projection"]``
     records each solve's largest per-row off-band ratio against its
-    support; with ``_diagnostics=False`` it is not recorded.  A singular
-    dictionary Gram is floored (:func:`_floored_gram`); a zero one gives the
-    zero code and a non-finite one a NaN code, each after 0 rounds.
-
-    Sequences of B codes, Grams and cross terms run B independent problems,
-    one after another, each equal bit for bit to a separate 2-D call's.
+    support, from one ``rfft`` a round.  A singular dictionary Gram is
+    floored (:func:`_floored_gram`); a zero one gives the zero code and a
+    non-finite one a NaN code, each after 0 rounds.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    blocks = _Blocks(h0, gram, cross)
-    T = blocks.rows.shape[1]
-    codes, reports = [], []
-    for rows, (gram, cross, fixed) in zip(blocks.spans, _band_terms(blocks)):
-        report = SolveReport(extras={"offmask_after_projection": []} if _diagnostics else {})
-        if fixed is not None:
-            report.step_trace.append(0.0)
+    gram, cross, h = _one_problem(gram, cross, h0)
+    gram, fixed = _band_gram(gram, cross)
+    report = SolveReport(extras={"offmask_after_projection": []})
+    if fixed is not None:
+        report.step_trace.append(0.0)
+        report.terminated = "tol_reached"
+        return fixed, report
+    rate, support = 1.0 / (2.0 * float(np.linalg.norm(gram, 2))), None
+    for it in range(n_rounds):
+        report.step_trace.append(rate)
+        step = gram @ h  # H - 2 rate (G H - C), clipped at 0
+        step -= cross
+        step *= -2.0 * rate
+        step += h
+        _, keep = top_r_keep(np.maximum(step, 0.0, out=step), R)
+        if support is not None and np.array_equal(keep, support):
             report.terminated = "tol_reached"
-            codes.append(fixed)
-            reports.append(report)
-            continue
-        h, rate = blocks.rows[rows], 1.0 / (2.0 * float(np.linalg.norm(gram, 2)))
-        support = None
-        for it in range(n_rounds):
-            report.step_trace.append(rate)
-            step = gram @ h  # H - 2 rate (G H - C), clipped at 0
-            step -= cross
-            step *= -2.0 * rate
-            step += h
-            _, keep = top_r_keep(np.maximum(step, 0.0, out=step), R)
-            if support is not None and np.array_equal(keep, support):
-                report.terminated = "tol_reached"
-                break
-            h, support = _band_solve(gram, cross, keep)[0], keep
-            if not np.all(np.isfinite(h)):
-                break
-            if _diagnostics:
-                report.extras["offmask_after_projection"].append(
-                    float(half_offmask_ratio(np.fft.rfft(h, axis=1), keep, T).max()))
-        report.wall_iters = it + 1
-        codes.append(h)
-        reports.append(report)
-    return blocks.unpack(codes, reports)
+            break
+        h, support = _band_solve(gram, cross, keep)[0], keep
+        if not np.all(np.isfinite(h)):
+            break
+        report.extras["offmask_after_projection"].append(
+            float(half_offmask_ratio(np.fft.rfft(h, axis=1), keep, h.shape[1]).max()))
+    report.wall_iters = it + 1
+    return h, report

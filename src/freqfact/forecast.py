@@ -7,13 +7,11 @@ prediction of the main data over the test period.  Encoding always uses the
 entire auxiliary period: a code fit only on the short test window cannot
 carry frequencies longer than that window.
 
-The atom-removal scan makes one encode of r + 1 dictionaries of unequal
-widths: the full one (the baseline, encoded exactly as a forecast encodes
-it) and the r single-atom removals of r - 1 atoms each.  The code step
-solves them one after another, and each block's code equals bit for bit
-that of a separate encode.
+The atom-removal scan makes one encode per dictionary: the full one (the
+baseline, encoded exactly as a forecast encodes it), then each of the r
+single-atom removals of r - 1 atoms.
 
-Code steps return codes, not scores: an encode scores each code it returns
+Code steps return codes, not scores: an encode scores the code it returns
 once, as ||Y - Wp H||_F^2 plus the penalty a fit scores, by the rule the
 block-coordinate fit keeps its codes by: the squared residual in Gram form
 from the very terms Wp^T Wp and Wp^T Y the code step took, and exactly at
@@ -28,7 +26,6 @@ import numpy as np
 from .regularization import Penalty
 from .solvers import FactorModel, SolveReport, code_step
 from .solvers import _FitSide, _require_finite, _scored_penalty
-from .spectral import FrequencyMask
 from .tensor import SpatioTemporalTensor, fold
 
 __all__ = [
@@ -68,65 +65,52 @@ class EncodeConfig:
 
 def encode_new(
     y_full: np.ndarray,
-    wp,
+    wp: np.ndarray,
     penalty: Penalty,
     lam_over_xi: float,
     config: EncodeConfig | None = None,
-) -> tuple[np.ndarray | list[np.ndarray], SolveReport | list[SolveReport]]:
+) -> tuple[np.ndarray, SolveReport]:
     """Nonnegative penalized code for the full-period auxiliary data:
 
         argmin_{H >= 0}  ||Y_full - Wp H||_F^2 + (lam/xi) * psi(H)
 
     The penalty weight is ``lam_over_xi`` regardless of the weight stored in
-    ``penalty``.  Output is elementwise nonnegative.  The report holds one
-    objective, that of the returned code, scored once after the code step
-    as ||Y_full - Wp H||_F^2 plus the penalty at ``lam_over_xi`` (0 for a
-    hard band), the residual by the fit's rule
-    (:class:`~freqfact.solvers._FitSide`: in Gram form, with ||Y_full||^2
-    taken once per call, and exactly at or below ``_GRAM_EXACT_BELOW``
-    ||Y_full||^2), the code step's first step, and in ``wall_iters`` the
-    iterations, rounds or KKT solves it ran.  A non-finite code or
+    ``penalty``.  Output is elementwise nonnegative.  The code step sees the
+    problem through its terms Wp^T Wp and Wp^T Y_full, formed here once, for
+    the code step and the score alike, and starts from the seeded code.
+    ``wp`` is one (m, k) dictionary of Y_full's m rows; anything else raises
+    ValueError naming the shapes.  The report holds one objective, that of
+    the returned code, scored once after the code step as
+    ||Y_full - Wp H||_F^2 plus the penalty at ``lam_over_xi`` (0 for a hard
+    band), the residual by the fit's rule
+    (:class:`~freqfact.solvers._FitSide`: in Gram form, and exactly at or
+    below ``_GRAM_EXACT_BELOW`` ||Y_full||^2), the code step's first step,
+    and in ``wall_iters`` the iterations, rounds or KKT solves it ran; it
+    keeps nothing else the code step reports.  A non-finite code or
     objective raises :class:`~freqfact.exceptions.ConvergenceError` (at
-    "outer iteration 1").  The code step records no per-iteration
-    diagnostics here (see :func:`~freqfact.solvers.code_step`).
-
-    ``wp`` may also be a sequence of B dictionaries (m, k_b), of equal or
-    unequal widths: they encode together, one code step over all blocks,
-    and the call returns a list of B codes (k_b, T) and a list of B
-    reports, each equal bit for bit to a separate 2-D call's.  The code
-    step sees each block through its terms Wp_b^T Wp_b and Wp_b^T Y_full,
-    formed here once, for the code step and the score alike.  Every block
-    starts from the seeded code of its width, a fixed mask in ``penalty``
-    holds the blocks' rows in order, and a non-finite block is named.
+    "outer iteration 1").
     """
     y_full = np.asarray(y_full, dtype=float)
     if lam_over_xi < 0:
         raise ValueError("lam_over_xi must be nonnegative")
+    sequence = isinstance(wp, (list, tuple))
+    if sequence or np.ndim(wp) != 2 or y_full.ndim != 2 or len(wp) != len(y_full):
+        got = f"a sequence of {len(wp)}" if sequence else np.shape(wp)
+        raise ValueError(f"encode takes one (m, k) dictionary of Y_full's m rows; got Wp {got} "
+                         f"and Y_full {y_full.shape}")
+    wp = np.asarray(wp, dtype=float)
     config = config or EncodeConfig()
-    flat = not isinstance(wp, (list, tuple))
-    dictionaries = [np.asarray(w, dtype=float) for w in ([wp] if flat else wp)]
-    widths = [w.shape[1] for w in dictionaries]
-    # each width's seeded start, drawn as a separate call draws it
-    starts = {k: np.abs(np.random.default_rng(config.seed).standard_normal((k, y_full.shape[1])))
-              for k in set(widths)}
-    h = [starts[k] for k in widths]
+    h0 = np.abs(np.random.default_rng(config.seed).standard_normal((wp.shape[1], y_full.shape[1])))
     pen = replace(penalty, lam=lam_over_xi)
-    _, step = code_step(pen, _diagnostics=False)
-    reports = [SolveReport() for _ in dictionaries]
+    _, step = code_step(pen)
     with np.errstate(over="ignore", invalid="ignore"):
-        yy = float(np.einsum("ij,ij->", y_full, y_full))
-        sides = [_FitSide(y_full, w, 0.0, yy) for w in dictionaries]
-        h, subs = step([s.wtw for s in sides], [s.wtx for s in sides], h,
-                       config.sweeps * config.sub_iters)
-        for b, (report, hb, sub) in enumerate(zip(reports, h, subs)):
-            _require_finite("encode_new", 0, None if flat else b, H=hb)
-            report.step_trace.append(sub.step_trace[0])
-            report.wall_iters = sub.wall_iters
-        for b, (report, side, hb) in enumerate(zip(reports, sides, h)):
-            val = side.terms(hb)[0] + _scored_penalty(hb, pen)
-            _require_finite("encode_new", 0, None if flat else b, objective=val)
-            report.objective_trace.append(val)
-    return (h[0], reports[0]) if flat else (h, reports)
+        side = _FitSide(y_full, wp, 0.0)
+        h, sub = step(side.wtw, side.wtx, h0, config.sweeps * config.sub_iters)
+        _require_finite("encode_new", 0, H=h)
+        val = side.terms(h)[0] + _scored_penalty(h, pen)
+        _require_finite("encode_new", 0, objective=val)
+    return h, SolveReport(objective_trace=[val], step_trace=[sub.step_trace[0]],
+                          wall_iters=sub.wall_iters)
 
 
 def predict(w: np.ndarray, h_new: np.ndarray, A: int, B: int) -> SpatioTemporalTensor:
@@ -192,10 +176,7 @@ def atom_removal_scan(
     columns past T, or a truth shorter than it, raises ValueError before
     anything is encoded.
 
-    The baseline and the r removals encode in one :func:`encode_new` call,
-    as one sequence of r + 1 dictionaries (one of r atoms, r of r - 1), so
-    the code step runs once per round over all of them; each entry is
-    equal bit for bit to the one a separate encode per dictionary scores.
+    The baseline and each removal make one :func:`encode_new` call.
     """
     if model.hyper.r < 2:
         raise ValueError("atom removal needs at least two atoms")
@@ -208,21 +189,16 @@ def atom_removal_scan(
         raise ValueError(f"truth tensor shorter than auxiliary period "
                          f"({x_full.shape[1]} < {end} columns)")
 
-    def score(w, h_new_full):
+    def score(w, wp, pen):
+        h_new_full, _ = encode_new(y_full, wp, pen, lam_over_xi, config)
         return nse(x_full[:, T:end], w @ h_new_full[:, T:])
 
-    # the baseline and every removal (r - 1 atoms each) encode in one call
-    r = model.hyper.r
-    dictionaries = [model.Wp] + [np.delete(model.Wp, s, axis=1) for s in range(r)]
-    pen = penalty
-    if penalty.mask is not None:
-        rows = penalty.mask.kept + sum((penalty.mask.without_row(s).kept for s in range(r)), ())
-        pen = replace(penalty, mask=FrequencyMask(penalty.mask.T, rows))
-    codes, _ = encode_new(y_full, dictionaries, pen, lam_over_xi, config)
-    baseline = score(model.W, codes[0])
+    baseline = score(model.W, model.Wp, penalty)
     entries = []
-    for s in range(r):
-        val = score(np.delete(model.W, s, axis=1), codes[s + 1])
+    for s in range(model.hyper.r):
+        pen = penalty if penalty.mask is None else replace(penalty,
+                                                           mask=penalty.mask.without_row(s))
+        val = score(np.delete(model.W, s, axis=1), np.delete(model.Wp, s, axis=1), pen)
         entries.append(ScanEntry(s, val, val - baseline))
     entries.sort(key=lambda e: -e.nse_after)
     return [ScanEntry(None, baseline, 0.0)] + entries

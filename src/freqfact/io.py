@@ -511,18 +511,21 @@ def _binary_dims(path: Path, fh) -> list[int]:
 
 def _read_binary(path: Path, fh, dest: np.ndarray) -> None:
     """Read a binary tensor file's values into ``dest``, its C-contiguous
-    (A * B, T) matrix, whose flat index is the file's (a, b, t) one."""
+    (A * B, T) matrix, whose flat index is the file's (a, b, t) one.  The
+    values are checked finite ``_PLACE_VALUES`` at a time, so no bool copy
+    of the matrix is held beside it."""
     fh.seek(24)
     got = fh.readinto(dest)
     if got != dest.nbytes:  # the file shrank since its head was read
         raise TensorFormatError(f"{path}: expected {24 + dest.nbytes} bytes, got {24 + got}")
     if not np.little_endian:
         dest.byteswap(inplace=True)
-    finite = np.isfinite(dest)
-    if not finite.all():
-        raise TensorFormatError(
-            f"{path}: value {np.argmin(finite)} (flat (a, b, t) index): non-finite value"
-        )
+    flat = dest.reshape(-1)
+    for at in range(0, flat.size, _PLACE_VALUES):
+        finite = np.isfinite(flat[at : at + _PLACE_VALUES])
+        if not finite.all():
+            raise TensorFormatError(f"{path}: value {at + int(np.argmin(finite))} "
+                                    "(flat (a, b, t) index): non-finite value")
 
 
 def _place(out: np.ndarray, keep, t0: int, piece: np.ndarray) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (FrequencyMask, half_minkowski1, half_offmask_ratio, minkowski_prox,
-                       offmask_ratio, project_frequency_mask, top_r_keep)
+                       offmask_ratio, top_r_keep)
 
 __all__ = [
     "Penalty",
@@ -96,12 +96,10 @@ def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
         argmin_P  1/2 ||P - V||_F^2 + t * penalty(P)
 
     which is ``V / (1 + 2 t lam)`` for ridge, soft-thresholding by ``t lam``
-    for lasso, :func:`~freqfact.spectral.minkowski_prox` by ``t lam`` for
-    soft_freq, and for hard_freq with a fixed mask, the indicator of a
-    subspace, :func:`~freqfact.spectral.project_frequency_mask` of a
-    (k, T) V for any ``t``.  ``t >= 0`` is a scalar or an array
-    broadcasting against V.  An adaptive top-R band (hard_freq without a
-    mask) is not convex and has no prox.
+    for lasso and :func:`~freqfact.spectral.minkowski_prox` by ``t lam`` for
+    soft_freq.  ``t >= 0`` is a scalar or an array broadcasting against V.
+    A hard_freq band raises ValueError: no code step takes its prox, as a
+    band's code steps solve it exactly (:mod:`freqfact.band`).
     """
     v = np.asarray(v, dtype=float)
     if p.kind == "ridge":
@@ -113,7 +111,5 @@ def penalty_prox(v: np.ndarray, p: Penalty, t) -> np.ndarray:
         return np.copysign(mag, v, out=mag)
     if p.kind == "soft_freq":
         return minkowski_prox(v, t * p.lam)
-    if p.mask is None:
-        raise ValueError("hard_freq without a fixed mask is an adaptive top-R band, which is not "
-                         "convex and has no prox")
-    return project_frequency_mask(v, p.mask)
+    raise ValueError("hard_freq has no prox step: a band's code step is band.solve_H_band "
+                     "(fixed mask) or band.band_pursuit (top-R)")

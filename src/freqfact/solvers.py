@@ -5,15 +5,14 @@ Solvers:
 * :func:`solve_W` - exact (optionally ridge-damped) normal-equation step for
   a dictionary given the code.
 * :func:`solve_H_prox` - consensus ADMM on the code subproblem of a convex
-  penalty (ridge, lasso, soft_freq or a fixed frequency mask), stopped on
-  its primal and dual residuals.
+  penalty (ridge, lasso or soft_freq), stopped on its primal and dual
+  residuals.
 * :func:`~freqfact.band.solve_H_band` and
   :func:`~freqfact.band.band_pursuit` - the exact code steps of a hard
   band, in :mod:`freqfact.band`: one dual active-set solve on a fixed mask,
   and hard thresholding pursuit on it for an adaptive top-R band.
-* :func:`alternating_pgd` and :func:`three_operator_splitting` - the
-  heuristic top-R alternation and the paper's reference form of the
-  fixed-mask splitting; no code step runs them.
+* :func:`three_operator_splitting` - the paper's reference form of the
+  fixed-mask splitting; no code step runs it.
 
 The penalty alone picks the code solver, in :func:`code_step`, and the
 driver: :func:`ssnmf_bcd` fits a convex penalty, :func:`ssnmf_hard` a hard
@@ -29,24 +28,23 @@ the cross term C = Wbar^T Xbar (k, T), the terms AO-ADMM's inner loop works
 on (Huang, Sidiropoulos & Liavas, IEEE TSP 2016): a caller forms them once
 from data it holds, and no step sees Xbar.  The fit's loop forms
 G = W^T W + xi Wp^T Wp and C = W^T X + xi Wp^T Y[:, :T] from the inputs it
-shares, so no stacked copy [X; sqrt(xi) Y] is made.  The code steps also
-take B independent problems at once, as sequences of codes, Grams and cross
-terms whose widths may differ (see :func:`code_step`).
+shares, so no stacked copy [X; sqrt(xi) Y] is made.  Each code step takes
+one problem: a (k, T) code with its (k, k) Gram and (k, T) cross term
+(:func:`_one_problem`).
 
 Code steps return codes, not scores: the driver that keeps a code scores
 it, the loop here and :func:`~freqfact.forecast.encode_new` alike, from its
 normal-equation terms (:class:`_FitSide`).
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConvergenceError, SingularGramError
 from .regularization import Penalty, band_offmask_ratio, penalty_prox, penalty_value
-from .spectral import FrequencyMask, half_offmask_ratio, project_frequency_mask, top_r_keep
+from .spectral import FrequencyMask, project_frequency_mask
 
 __all__ = [
     "SolveReport",
@@ -57,7 +55,6 @@ __all__ = [
     "solve_H_prox",
     "ssnmf_bcd",
     "three_operator_splitting",
-    "alternating_pgd",
     "code_step",
     "ssnmf_hard",
 ]
@@ -179,40 +176,6 @@ def _sq_residual(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     np.subtract(x, r, out=r)
     np.square(r, out=r)
     return float(np.sum(r))
-
-
-class _Blocks:
-    """The B code problems of one code-step call.
-
-    A call passes one problem (``h0`` (k, T) with its Gram ``gram`` (k, k)
-    and cross term ``cross`` (k, T)) or equal-length sequences of B codes,
-    Grams and cross terms whose widths k_b may differ.  ``rows`` is a float
-    copy of every code, in order, in one (sum k_b, T) buffer, ``gram`` and
-    ``cross`` the lists of the B blocks' terms and ``spans`` the B row
-    slices of that buffer, one per block: the one record of where each
-    block's rows sit.  :meth:`unpack` returns the B codes and reports in the
-    form the call passed: one code and report, or lists of them.
-    """
-
-    def __init__(self, h0, gram, cross):
-        self.flat = not isinstance(h0, (list, tuple))
-        hs, gs, cs = ([np.asarray(a, dtype=float) for a in ([m] if self.flat else m)]
-                      for m in (h0, gram, cross))
-        if not hs or not len(hs) == len(gs) == len(cs) or any(
-                h.ndim != 2 or g.shape != (h.shape[0],) * 2 or c.shape != h.shape
-                or h.shape[1] != hs[0].shape[1] for h, g, c in zip(hs, gs, cs)):
-            raise ValueError(f"codes {[h.shape for h in hs]}, Grams {[g.shape for g in gs]} "
-                             f"and cross terms {[c.shape for c in cs]} are not matching 2-D "
-                             "matrices or sequences of 2-D blocks")
-        self.rows = np.concatenate(hs)
-        self.gram, self.cross = gs, cs
-        self.widths = [h.shape[0] for h in hs]
-        ends = np.cumsum(self.widths).tolist()
-        self.spans = [slice(end - k, end) for k, end in zip(self.widths, ends)]
-
-    def unpack(self, codes: list, reports: list):
-        """The B codes and reports in the call's form."""
-        return (codes[0], reports[0]) if self.flat else (codes, reports)
 
 
 def _fit_terms(x: np.ndarray, w: np.ndarray, h: np.ndarray, ridge: float):
@@ -338,15 +301,13 @@ def _dictionary_step(x, h, w, ridge):
     return w
 
 
-def _require_finite(solver: str, it: int, block: int | None = None, **values) -> None:
+def _require_finite(solver: str, it: int, **values) -> None:
     """Raise :class:`ConvergenceError` naming the solver, the (1-based) outer
-    iteration, the block of a stacked solve if given, and each named value
-    that is not finite."""
+    iteration and each named value that is not finite."""
     bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
     if bad:
-        where = "" if block is None else f" in block {block}"
         raise ConvergenceError(
-            f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}{where}")
+            f"{solver}: non-finite {', '.join(bad)} at outer iteration {it + 1}")
 
 
 def _bcd_loop(solver, x, y, hyper, n_iters, sub_iters, seed, tol, step):
@@ -530,6 +491,23 @@ def three_operator_splitting(
     return h_sum / (n_iters + 1), report
 
 
+def _one_problem(gram, cross, h0):
+    """The float (G, C, H0) of one code step's problem: a (k, T) code ``h0``
+    with its (k, k) Gram ``gram`` and (k, T) cross term ``cross``.  Anything
+    else, a sequence of them included, raises ValueError naming the shapes."""
+    terms = [a if isinstance(a, (list, tuple)) else np.asarray(a, dtype=float)
+             for a in (gram, cross, h0)]
+    gram, cross, h0 = terms
+    if (any(isinstance(a, (list, tuple)) for a in terms) or h0.ndim != 2
+            or gram.shape != (len(h0),) * 2 or cross.shape != h0.shape):
+        shapes = [f"a sequence of {len(a)}" if isinstance(a, (list, tuple)) else a.shape
+                  for a in terms]
+        raise ValueError(f"a code step takes one (k, T) code with its (k, k) Gram and (k, T) "
+                         f"cross term; got Gram {shapes[0]}, cross term {shapes[1]} and code "
+                         f"{shapes[2]}")
+    return gram, cross, h0
+
+
 def _gram_eig(gram: np.ndarray, two_c: np.ndarray):
     """(lambda, Q, Q^T 2 C) with 2 G = Q diag(lambda) Q^T, lambda ascending;
     all NaN for a non-finite Gram, which the callers' finite checks report."""
@@ -563,15 +541,16 @@ def solve_H_prox(
     n_iters: int,
     nonneg: bool = True,
     rtol: float = _ADMM_RTOL,
-) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
+) -> tuple[np.ndarray, SolveReport]:
     """Consensus ADMM on the code subproblem of a convex penalty
 
         min_{H >= 0}  ||Xbar - Wbar H||_F^2 + penalty(H)
 
     as min f(H) + i(Z1) + penalty(Z2) subject to H = Z1 = Z2, with f the
     fit, i the indicator of Z1 >= 0 and the penalty's exact prox
-    (:func:`~freqfact.regularization.penalty_prox`: ridge, lasso, soft_freq,
-    or hard_freq with a fixed mask): the inner loop of AO-ADMM (Huang,
+    (:func:`~freqfact.regularization.penalty_prox`: ridge, lasso or
+    soft_freq; a hard_freq band raises ValueError, as its steps are in
+    :mod:`freqfact.band`): the inner loop of AO-ADMM (Huang,
     Sidiropoulos & Liavas, IEEE TSP 2016).  From Z1 = Z2 = max(h0, 0) and
     zero scaled duals U1, U2 it iterates
 
@@ -599,38 +578,15 @@ def solve_H_prox(
 
     It returns Z2 where Z1 is positive and 0 elsewhere, clipped at 0: exactly
     nonnegative, with the exact zeros of both splits (the orthant's and a
-    lasso's or a dead atom's), and exactly in a fixed mask's band wherever
-    the orthant does not bind; without the orthant, Z2.  The report holds
+    lasso's or a dead atom's); without the orthant, Z2.  The report holds
     ``wall_iters`` (the iterations run), the step 1/rho of each of them,
     ``terminated`` ("tol_reached" or "max_iters") and, in ``extras``, the
     last ``primal_residual``, ``dual_residual`` and ``rho``.
-
-    Sequences of B codes ``h0`` (k_b, T), Grams (k_b, k_b) and cross terms
-    (k_b, T) run B independent problems, one after another; a fixed mask
-    then holds the blocks' rows in order, and each block's step projects
-    onto its own rows of it.  It returns a list of B codes and a
-    list of B reports, each the one a separate 2-D call returns.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    blocks = _Blocks(h0, gram, cross)
-    mask, n_rows = p.mask, len(blocks.rows)
-    split = mask is not None and len(blocks.spans) > 1
-    if split and mask.rows != n_rows:
-        raise ValueError(f"mask has {mask.rows} rows, H has {n_rows}")
-    codes, reports = [], []
-    for g, c, rows in zip(blocks.gram, blocks.cross, blocks.spans):
-        pb = replace(p, mask=FrequencyMask(mask.T, mask.kept[rows])) if split else p
-        code, report = _prox_block(g, c, blocks.rows[rows], pb, n_iters, nonneg, rtol)
-        codes.append(code)
-        reports.append(report)
-    return blocks.unpack(codes, reports)
-
-
-def _prox_block(gram, cross, z0, p, n_iters, nonneg, rtol):
-    """:func:`solve_H_prox` on one (k, T) code ``z0`` with its terms
-    ``gram`` (k, k) and ``cross`` (k, T); returns ``z0``, overwritten with
-    the code, and its report."""
+    gram, cross, h0 = _one_problem(gram, cross, h0)
+    z0 = h0.copy(order="C")  # the loop's first Z, and the returned code
     two_c = 2.0 * cross
     n_z = 2 if nonneg else 1
     eig = _gram_eig(gram, two_c)
@@ -705,110 +661,11 @@ def _prox_block(gram, cross, z0, p, n_iters, nonneg, rtol):
         extras={"primal_residual": primal, "dual_residual": dual, "rho": rho})
 
 
-def alternating_pgd(
-    h0: np.ndarray,
-    gram: np.ndarray,
-    cross: np.ndarray,
-    R: int,
-    n_iters: int,
-    priority: str = "nonneg",
-    *,
-    _diagnostics: bool = True,
-) -> tuple[np.ndarray, SolveReport | list[SolveReport]]:
-    """Heuristic code solver with adaptive per-row top-R frequency masks.
-
-    Per iteration (priority="nonneg", the default): project each row onto its
-    own current top-R frequency set, take a gradient step on
-    f(H) = ||Xbar - Wbar H||_F^2, from its terms ``gram`` G = Wbar^T Wbar and
-    ``cross`` C = Wbar^T Xbar, with gamma_j = 1/((j+1)(2 L + 1)), then
-    clamp to the nonnegative orthant.  priority="frequency" swaps the two
-    projections so the frequency projection lands last and the returned code
-    is exactly band-limited (possibly slightly negative).  The gradient step
-    and the clamp run in place, in the order ``g = G H; g -= C;
-    g *= 2 gamma_j; H -= g; H = max(H, 0)``.
-
-    All rows are projected at once on their ``rfft`` half-spectra, with the
-    masks chosen by :func:`~freqfact.spectral.top_r_keep` (R rounds of
-    ``argmax``, which pick the bins a stable sort would).
-
-    ``extras["offmask_after_projection"]`` records, per iteration, the
-    largest per-row relative out-of-mask spectral mass measured immediately
-    after the frequency projection: every iteration's projected code and
-    keep array are kept in an (n_iters, rows, T) buffer and measured after
-    the loop, with one ``rfft``.  With ``_diagnostics=False`` it is not
-    recorded, and no buffer is kept.
-
-    Sequences of B codes ``h0`` (k_b, T), Grams (k_b, k_b) and cross terms
-    (k_b, T), of equal or unequal widths, run B independent problems in one
-    pass: one top-R projection over all sum k_b rows
-    and one batched G H per run of blocks of one width, per iteration.  It
-    returns a list of B codes and a list of B reports, each equal bit for bit
-    to a separate 2-D call's.
-    """
-    if priority not in ("nonneg", "frequency"):
-        raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    blocks = _Blocks(h0, gram, cross)
-    h, T = blocks.rows, blocks.rows.shape[1]
-    gram, cross = blocks.gram, blocks.cross
-    base = np.array([1.0 / (2.0 * float(np.linalg.norm(g, 2)) + 1.0) for g in gram])
-    gammas = base[:, None] / np.arange(1, n_iters + 1)  # (B, n_iters)
-    # per run of adjacent blocks of one width: its rows, its G and C stacks
-    # and its rates 2 gamma_j, (n_iters, n, 1, 1)
-    runs = []
-    for _, run in itertools.groupby(range(len(gram)), key=blocks.widths.__getitem__):
-        run = list(run)
-        runs.append((slice(blocks.spans[run[0]].start, blocks.spans[run[-1]].stop),
-                     np.stack([gram[b] for b in run]), np.stack([cross[b] for b in run]),
-                     (gammas[run].T * 2.0)[:, :, None, None]))
-    if _diagnostics:  # each iteration's projected code and keep array
-        projected = np.empty((n_iters,) + h.shape)
-        keeps = np.empty((n_iters, h.shape[0], T // 2 + 1), dtype=bool)
-
-    def freq_project(m, j):
-        spec, keep = top_r_keep(m, R)
-        spec[~keep] = 0.0
-        out = np.fft.irfft(spec, n=T, axis=1)
-        if _diagnostics:
-            projected[j], keeps[j] = out, keep
-        return out
-
-    def gradient_step(m, j):
-        # H -= 2 gamma_j (G H - C), in place, run by run
-        for rows, g_gram, g_cross, rates in runs:
-            hr = m[rows].reshape(len(g_gram), -1, T)
-            g = np.matmul(g_gram, hr)
-            g -= g_cross
-            g *= rates[j]
-            hr -= g
-
-    for j in range(n_iters):
-        if priority == "nonneg":
-            h = freq_project(h, j)
-            gradient_step(h, j)
-            np.maximum(h, 0.0, out=h)
-        else:
-            np.maximum(h, 0.0, out=h)
-            gradient_step(h, j)
-            h = freq_project(h, j)
-    reports = [SolveReport(step_trace=steps, wall_iters=n_iters) for steps in gammas.tolist()]
-    if _diagnostics:  # one rfft over every iteration's projected code
-        bins = T // 2 + 1
-        ratio = half_offmask_ratio(np.fft.rfft(projected, axis=2).reshape(-1, bins),
-                                   keeps.reshape(-1, bins), T)
-        per_row = ratio.reshape(n_iters, -1).T  # (rows, n_iters)
-        for report, rows in zip(reports, blocks.spans):
-            report.extras["offmask_after_projection"] = per_row[rows].max(axis=0).tolist()
-    return blocks.unpack([h[rows] for rows in blocks.spans], reports)
-
-
 def code_step(
     p: Penalty,
     *,
     priority: str = "nonneg",
     nonneg: bool = True,
-    _diagnostics: bool = True,
 ):
     """Pick the code solver for penalty ``p``; returns ``(name, step)``.
 
@@ -821,24 +678,18 @@ def code_step(
     "prox": a fixed mask one exact :func:`solve_H_band` (``iters`` unused),
     ridge, lasso and soft_freq :func:`solve_H_prox`, at most ``iters``
     iterations, as it stops on its residuals; that ``step`` also takes its
-    ``rtol``.  ``nonneg`` goes to the prox step, ``_diagnostics`` to
-    pursuit; a band's codes are always nonnegative.  ``priority`` ("nonneg"
-    or "frequency") is checked and otherwise unused: a band's codes are
-    nonnegative and in band at once, so neither projection comes last.
-
-    ``step`` also takes sequences of B codes ``h0`` (k_b, T), Grams
-    (k_b, k_b) and cross terms (k_b, T) whose widths may differ, and then
-    returns a list of B codes and a list of B reports, each equal bit for
-    bit to a separate 2-D call's; every step solves the blocks one after
-    another.  A fixed mask then holds the blocks' rows in order.
+    ``rtol``.  ``nonneg`` goes to the prox step; a band's codes are always
+    nonnegative.  ``priority`` ("nonneg" or "frequency") is checked and
+    otherwise unused: a band's codes are nonnegative and in band at once,
+    so neither projection comes last.  Every ``step`` takes one (k, T) code
+    with its (k, k) Gram and (k, T) cross term.
     """
     from .band import band_pursuit, solve_H_band  # band imports this module
 
     if priority not in ("nonneg", "frequency"):
         raise ValueError(f"priority must be 'nonneg' or 'frequency', got {priority!r}")
     if p.kind == "hard_freq" and p.mask is None:
-        return "heuristic", lambda gram, cross, h, iters: band_pursuit(
-            gram, cross, h, p.R, iters, _diagnostics=_diagnostics)
+        return "heuristic", lambda gram, cross, h, iters: band_pursuit(gram, cross, h, p.R, iters)
     if p.kind == "hard_freq":
         return "prox", lambda gram, cross, h, iters: solve_H_band(gram, cross, h, p.mask)
     return "prox", lambda gram, cross, h, iters, rtol=_ADMM_RTOL: solve_H_prox(

@@ -129,7 +129,8 @@ def minkowski_prox(v: np.ndarray, t) -> np.ndarray:
     cancel, so the prox soft-thresholds Re S and Im S of ``S = rfft(V)`` by
     ``t`` at every bin (in place, through S's float64 view) and inverts.
     ``t >= 0`` is a scalar or an array that broadcasts against V with a
-    trailing axis of 1, one threshold per row or per stacked block.
+    trailing axis of 1: one threshold per row, or per (k, T) matrix of a
+    stack.
     """
     v = np.asarray(v, dtype=float)
     spec = np.fft.rfft(v, axis=-1)

@@ -75,8 +75,5 @@ def nnls_columns(w: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def normal_terms(xbar: np.ndarray, wbar) -> tuple:
     """(G, C) = (Wbar^T Wbar, Wbar^T Xbar), the terms a code step takes for
-    min ||Xbar - Wbar H||_F^2; for a sequence of dictionaries, the list of
-    each block's G and the list of its C."""
-    if isinstance(wbar, (list, tuple)):
-        return [w.T @ w for w in wbar], [w.T @ xbar for w in wbar]
+    min ||Xbar - Wbar H||_F^2."""
     return wbar.T @ wbar, wbar.T @ xbar

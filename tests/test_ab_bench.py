@@ -166,3 +166,55 @@ def test_the_json_is_printed_when_a_summary_fails(monkeypatch, capsys):
         ab_bench.main(["P", "C", "--workload", "soft_forecast", "--pairs", "1"])
     tail = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert len(tail["workloads"]["soft_forecast"]["pairs"]) == 1
+
+
+SPREAD = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, interquartile range 0.055
+WIDE = [1.0] * 5 + [2.0] * 5  # median 1.5, interquartile range 1.0
+
+
+@pytest.mark.parametrize("better, parent, change, want", [
+    # the change's median is 0.3 above the parent's, beyond 0.25 of it
+    ("lower", SPREAD, [v + 0.3 for v in SPREAD], "worse"),
+    ("higher", [0.9] * 10, [0.6] * 10, "worse"),
+    # 9 wins in 10, medians 0.1 apart against a 0.055 range
+    ("lower", SPREAD, [v - 0.1 for v in SPREAD[:9]] + [SPREAD[9] + 0.001], "better"),
+    ("higher", [0.9 + 0.001 * i for i in range(10)], [0.91 + 0.001 * i for i in range(10)],
+     "better"),
+    # 8 wins: two pairs lost, or two tied, which count for neither side
+    ("lower", SPREAD, [v - 0.1 for v in SPREAD[:8]] + [v + 0.001 for v in SPREAD[8:]],
+     "unchanged"),
+    ("lower", SPREAD, [v - 0.1 for v in SPREAD[:8]] + SPREAD[8:], "unchanged"),
+    # 10 wins, but medians 0.01 apart against the 0.055 range
+    ("lower", SPREAD, [v - 0.01 for v in SPREAD], "unchanged"),
+    ("lower", SPREAD, SPREAD, "unchanged"),
+    # the parent's range 1.0 exceeds 0.25 of its median: overlapping runs
+    # stay unresolved, a change below every parent run does not
+    ("lower", WIDE, [v - 0.1 for v in WIDE], "unresolved"),
+    ("higher", WIDE, [v + 0.1 for v in WIDE], "unresolved"),
+    ("lower", WIDE, [0.99] * 10, "unchanged"),
+    ("lower", WIDE, [0.1] * 10, "better"),
+    # worse wins over unresolved
+    ("lower", WIDE, [v + 0.5 for v in WIDE], "worse"),
+])
+def test_verdict(better, parent, change, want):
+    assert ab_bench.verdict(list(zip(parent, change)), better, 0.25) == want
+
+
+def test_summary_prints_a_verdict_per_end_to_end_metric(capsys):
+    def run(pipeline_s, nse, correct=True):
+        return {"correct": correct, "fingerprint": None,
+                "metrics": {"pipeline_s": pipeline_s, "factorize_s": pipeline_s,
+                            "forecast_nse": nse}}
+
+    runs = [(run(1.0 + 0.01 * i, 0.9), run(0.5 + 0.01 * i, 0.9)) for i in range(10)]
+    # a pair with a failed side counts for no verdict
+    runs.append((run(1.0, 0.9), run(9.0, 0.1, correct=False)))
+    ab_bench.summary("soft_forecast", runs)
+    out = [line for line in capsys.readouterr().out.splitlines() if line.startswith("verdict")]
+    bounds = {m["name"]: m for m in json.loads(ab_bench.BENCHMARK.read_text())["end_to_end"]}
+    assert out == [
+        f"verdict pipeline_s: better (bound {bounds['pipeline_s']['bound']:g}, lower is better, "
+        "10 pairs)",
+        f"verdict forecast_nse: unchanged (bound {bounds['forecast_nse']['bound']:g}, higher is "
+        "better, 10 pairs)",
+    ]

@@ -212,10 +212,11 @@ class TestPursuit:
         for sweeps, sub_iters in [(1, 1), (1, 2), (3, 50)]:
             h, report = encode_new(xbar, wbar, Penalty.hard_freq(R=3), 0.0,
                                    EncodeConfig(sweeps, sub_iters, seed=4))
-            ref, ref_report = band_pursuit(*normal_terms(xbar, wbar), start, 3, sweeps * sub_iters,
-                                           _diagnostics=False)
+            ref, ref_report = band_pursuit(*normal_terms(xbar, wbar), start, 3, sweeps * sub_iters)
             assert np.array_equal(h, ref)
             assert report.wall_iters == ref_report.wall_iters <= sweeps * sub_iters
+            # the encode keeps only the step and the rounds of pursuit's report
+            assert report.step_trace == ref_report.step_trace[:1] and report.extras == {}
 
 
 class TestHardFitsEndOnTheirBand:

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import freqfact.band as band
 import freqfact.forecast as forecast
 import freqfact.solvers as solvers
 from freqfact import (
-    ConvergenceError,
     EncodeConfig,
     FactorModel,
     FrequencyMask,
@@ -71,45 +69,44 @@ def noise_atom_fixture(seed):
 
 
 class TestEncode:
-    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "sequence"])
+    @pytest.mark.parametrize("widths", [(3,), (3, 2, 2)], ids=["flat", "sequence"])
     @pytest.mark.parametrize("kind", ["ridge", "lasso", "soft_freq", "heuristic", "fixed_mask"])
-    def test_objective_is_the_exact_score_of_the_code(self, kind, flat):
-        # one value per encode, by the rule the fit keeps its codes by
+    def test_objective_is_the_exact_score_of_the_code(self, kind, widths):
+        # one value per encode, by the rule the fit keeps its codes by; a
+        # sequence of dictionaries of unequal widths encodes one call each,
+        # as the atom scan does
         rng = np.random.default_rng(67)
         y = np.abs(rng.standard_normal((9, 24)))  # noisy: no exact fit exists
-        widths = (3,) if flat else (3, 2, 2)
-        wps = [rng.standard_normal((9, k)) for k in widths]
-        penalty = {
-            "ridge": Penalty.ridge(1.0),
-            "lasso": Penalty.lasso(1.0),
-            "soft_freq": Penalty.soft_freq(1.0),
-            "heuristic": Penalty.hard_freq(R=2),
-            "fixed_mask": Penalty.hard_freq(mask=FrequencyMask.same(sum(widths), 24, [0, 2])),
-        }[kind]
         cfg = EncodeConfig(sweeps=3, sub_iters=10, seed=8)
-        h, reports = encode_new(y, wps[0] if flat else wps, penalty, 0.7, cfg)
-        if flat:
-            h, reports = [h], [reports]
-        scored = replace(penalty, lam=0.7)
-        for hb, report, wp in zip(h, reports, wps, strict=True):
+        for wp in [rng.standard_normal((9, k)) for k in widths]:
+            penalty = {
+                "ridge": Penalty.ridge(1.0),
+                "lasso": Penalty.lasso(1.0),
+                "soft_freq": Penalty.soft_freq(1.0),
+                "heuristic": Penalty.hard_freq(R=2),
+                "fixed_mask": Penalty.hard_freq(mask=FrequencyMask.same(wp.shape[1], 24, [0, 2])),
+            }[kind]
+            h, report = encode_new(y, wp, penalty, 0.7, cfg)
             assert len(report.objective_trace) == 1
-            assert assert_fit_rule_score(report.objective_trace[0], y, wp, hb, scored)
+            assert assert_fit_rule_score(report.objective_trace[0], y, wp, h,
+                                         replace(penalty, lam=0.7))
+            # the encode keeps nothing else its code step reports
+            assert report.extras == {} and len(report.step_trace) == 1
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "sequence"])
     def test_an_exact_rank_encode_is_scored_by_the_exact_rule(self, flat):
         # Y in the cone of Wp: the code fits it to rounding, far below the
-        # fraction, where the Gram form would read cancellation noise
+        # fraction, where the Gram form would read cancellation noise; a
+        # sequence also encodes against a reordered, rescaled Wp
         rng = np.random.default_rng(5)
         wp = np.abs(rng.standard_normal((12, 3)))
         y = wp @ np.abs(rng.standard_normal((3, 30)))
-        h, report = encode_new(y, wp if flat else [wp, wp], Penalty.ridge(0.0), 0.0,
-                               EncodeConfig(sweeps=20, sub_iters=50, seed=1))
-        if flat:
-            h, report = [h], [report]
-        for hb, rep in zip(h, report, strict=True):
-            assert not assert_fit_rule_score(rep.objective_trace[0], y, wp, hb,
+        for w in [wp] if flat else [wp, 2.0 * wp[:, ::-1]]:
+            h, report = encode_new(y, w, Penalty.ridge(0.0), 0.0,
+                                   EncodeConfig(sweeps=20, sub_iters=50, seed=1))
+            assert not assert_fit_rule_score(report.objective_trace[0], y, w, h,
                                              Penalty.ridge(0.0))
-            assert solvers._sq_residual(y, wp, hb) < 1e-20 * np.sum(y**2)
+            assert solvers._sq_residual(y, w, h) < 1e-20 * np.sum(y**2)
 
     def test_identity_dictionary_clamps(self):
         rng = np.random.default_rng(60)
@@ -392,20 +389,21 @@ def scan_problems(draw, kinds=tuple(SCAN_KINDS)):
 
 
 class TestStackedScan:
-    """The scan encodes the baseline and all r removals in one pass."""
+    """The scan encodes the baseline and each of the r removals, one encode
+    per dictionary."""
 
     @pytest.mark.parametrize("kind", ["heuristic", "soft_freq", "fixed_mask"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_one_encode_and_separate_results(self, kind, data):
+    def test_one_encode_per_dictionary_and_separate_results(self, kind, data):
         model, x_full, y_full, penalty, cfg = data.draw(scan_problems(kinds=(kind,)))
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecast, "encode_new", lambda *a, **kw: calls.append(
-                [np.shape(w) for w in a[1]]) or encode_new(*a, **kw))
+                np.shape(a[1])) or encode_new(*a, **kw))
             entries = atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
         d, r = model.Wp.shape
-        assert calls == [[(d, r)] + [(d, r - 1)] * r]
+        assert calls == [(d, r)] + [(d, r - 1)] * r
         baseline, removed = separate_scan(model, x_full, y_full, penalty, 0.2, cfg)
         assert entries[0] == forecast.ScanEntry(None, baseline, 0.0)
         assert {e.atom: e.nse_after for e in entries[1:]} == dict(enumerate(removed))
@@ -421,54 +419,6 @@ class TestStackedScan:
         baseline, removed = separate_scan(model, x_full, y_full, penalty, 0.2, cfg)
         assert entries[0].nse_after == baseline
         assert {e.atom: e.nse_after for e in entries[1:]} == dict(enumerate(removed))
-
-    @pytest.mark.parametrize("kind", SCAN_KINDS)
-    def test_unequal_width_encode_equals_separate_encodes(self, kind):
-        # widths 3, 1, 3, 2: three runs of one width, one of them repeated
-        rng = np.random.default_rng(41)
-        T, d = 20, 6
-        dictionaries = [rng.standard_normal((d, k)) for k in (3, 1, 3, 2)]
-        y_full = np.abs(rng.standard_normal((d, T)))
-        penalty = {
-            "ridge": Penalty.ridge(0.1), "lasso": Penalty.lasso(0.1),
-            "soft_freq": Penalty.soft_freq(0.1), "heuristic": Penalty.hard_freq(R=2),
-            "fixed_mask": None,
-        }[kind]
-        masks = [FrequencyMask.same(w.shape[1], T, [0, 3]) for w in dictionaries]
-        pens = [penalty or Penalty.hard_freq(mask=m) for m in masks]
-        rows = sum((m.kept for m in masks), ())
-        joint = penalty or Penalty.hard_freq(mask=FrequencyMask(T, rows))
-        cfg = EncodeConfig(sweeps=3, sub_iters=6, seed=4)
-        codes, reports = encode_new(y_full, dictionaries, joint, 0.2, cfg)
-        assert len(codes) == len(reports) == 4
-        for w, pen, code, report in zip(dictionaries, pens, codes, reports):
-            ref, ref_report = encode_new(y_full, w, pen, 0.2, cfg)
-            assert np.array_equal(code, ref)
-            assert report.to_dict() == ref_report.to_dict()
-
-    @settings(max_examples=25, deadline=None)
-    @given(problem=scan_problems())
-    def test_encoding_measures_no_offmask_ratio(self, problem):
-        model, x_full, y_full, penalty, cfg = problem
-
-        def forbidden(*_):
-            raise AssertionError("encode_new computed an off-mask ratio")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "half_offmask_ratio", forbidden)
-            mp.setattr(band, "half_offmask_ratio", forbidden)
-            encode_new(y_full, model.Wp, penalty, 0.2, cfg)
-            atom_removal_scan(model, x_full, y_full, penalty, 0.2, cfg)
-
-    def test_stacked_encode_names_the_failing_block(self):
-        rng = np.random.default_rng(72)
-        wp = rng.standard_normal((3, 6, 2))
-        wp[1] *= 1e160
-        with np.errstate(over="ignore"):
-            with pytest.raises(ConvergenceError, match="encode_new: non-finite .* at outer "
-                                                       "iteration 1 in block 1$"):
-                encode_new(rng.standard_normal((6, 12)), list(wp), Penalty.ridge(0.0), 0.0,
-                           EncodeConfig(sweeps=2, sub_iters=3))
 
 
 def test_encode_scores_without_a_residual_block():

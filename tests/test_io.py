@@ -525,6 +525,28 @@ def test_binary_nonfinite_names_flat_index(tmp_path):
     p.write_bytes(np.array([2, 1, 3], dtype="<u8").tobytes() + values.astype("<f8").tobytes())
     with pytest.raises(TensorFormatError, match=r"t\.bin: value 5 \(flat \(a, b, t\) index\): non-finite value"):
         fio.read_tensor(p)
+    # past the first chunk of the check, the index is still the flat one
+    values = np.zeros((1, 1, fio._PLACE_VALUES + 7))
+    values[0, 0, -3] = np.nan
+    p.write_bytes(np.array(values.shape, dtype="<u8").tobytes() + values.astype("<f8").tobytes())
+    with pytest.raises(TensorFormatError, match=rf"value {fio._PLACE_VALUES + 4} \(flat"):
+        fio.read_tensor(p)
+
+
+def test_binary_read_holds_no_bool_copy(tmp_path):
+    # the finite check takes _PLACE_VALUES values at a time: a 16 MB read
+    # peaks at the matrix it fills, not at an eighth more for np.isfinite's
+    p = tmp_path / "t.bin"
+    values = np.random.default_rng(3).standard_normal((1000, 2, 1024))
+    p.write_bytes(np.array(values.shape, dtype="<u8").tobytes() + values.astype("<f8").tobytes())
+    tracemalloc.start()
+    try:
+        (_, _, m), = fio.read_into([p])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(m, values.reshape(2000, 1024))
+    assert peak < 1.05 * values.nbytes
 
 
 @pytest.mark.parametrize("data, message", [

@@ -93,36 +93,14 @@ def test_prox_closed_forms():
 
 
 def test_hard_freq_has_no_prox():
-    # an adaptive top-R band is not convex, with or without a weight
-    for p in (Penalty.hard_freq(R=1), Penalty("hard_freq", 0.5, R=2)):
-        with pytest.raises(ValueError, match="adaptive top-R band, which is not convex and has "
-                                             "no prox"):
+    # a band's code steps solve it exactly: a top-R band, with or without a
+    # weight, and a fixed mask alike
+    for p in (Penalty.hard_freq(R=1), Penalty("hard_freq", 0.5, R=2),
+              Penalty.hard_freq(mask=FrequencyMask.same(1, 4, [0]))):
+        with pytest.raises(ValueError, match=r"^hard_freq has no prox step: a band's code step is "
+                                             r"band\.solve_H_band \(fixed mask\) or "
+                                             r"band\.band_pursuit \(top-R\)$"):
             penalty_prox(np.zeros((1, 4)), p, 1.0)
-
-
-class TestFixedMaskProx:
-    """A fixed mask's band is a linear subspace: its prox is the projection."""
-
-    mask = FrequencyMask(12, ((0, 2, 10), (0, 1, 3, 9, 11), (6,)))
-
-    def test_equals_projection_idempotent_and_free_of_t(self):
-        rng = np.random.default_rng(28)
-        v = rng.standard_normal((3, 12))
-        p = Penalty.hard_freq(mask=self.mask)
-        got = penalty_prox(v, p, 0.7)
-        assert np.array_equal(got, project_frequency_mask(v, self.mask))
-        assert np.allclose(penalty_prox(got, p, 0.7), got, atol=1e-12)
-        for t in (0.0, 1e-3, 5.0, np.array([[2.0], [0.1], [9.0]])):
-            assert np.array_equal(penalty_prox(v, p, t), got)
-        assert penalty_value(got, p) == 0.0
-
-    def test_mask_rows_must_cover_the_stack(self):
-        p = Penalty.hard_freq(mask=self.mask)
-        with pytest.raises(ValueError, match=r"^a mask applies to a \(rows, T\) matrix, "
-                                             r"H has shape \(2, 3, 12\)$"):
-            penalty_prox(np.zeros((2, 3, 12)), p, 1.0)
-        with pytest.raises(ValueError, match="mask has 3 rows, H has 2"):
-            penalty_prox(np.zeros((2, 12)), p, 1.0)
 
 
 def test_hard_feasibility_iff_projection_fixed_point():

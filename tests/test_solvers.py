@@ -3,8 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import freqfact.solvers as solvers
 from freqfact import (
@@ -16,10 +14,8 @@ from freqfact import (
     Penalty,
     SingularGramError,
     SyntheticSpec,
-    alternating_pgd,
     band_pursuit,
     code_step,
-    dft_rows,
     encode_new,
     gen_cosine_mixture,
     inverse_usage_ratio,
@@ -36,7 +32,6 @@ from freqfact import (
     three_operator_splitting,
 )
 from freqfact.regularization import HARD_FEASIBILITY_RTOL
-from freqfact.spectral import half_offmask_ratio, top_r_keep
 
 from helpers import dft_definitional, minkowski_definitional, nnls_columns, normal_terms
 from test_acceptance import _tos_instance, _tos_reference_optimum
@@ -264,20 +259,27 @@ class TestSolveHProx:
         assert all(len(r.step_trace) == r.wall_iters for r in reports)
 
     def test_validation(self):
+        # a band's code steps are in freqfact.band, a fixed mask's as well
         args = *normal_terms(np.zeros((2, 4)), np.ones((2, 2))), np.zeros((2, 4))
-        with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
-            solve_H_prox(*args, Penalty.hard_freq(R=1), 3)
+        for band in (Penalty.hard_freq(R=1), Penalty.hard_freq(mask=FrequencyMask.same(2, 4, [0]))):
+            with pytest.raises(ValueError, match="hard_freq has no prox step: a band's code step "
+                                                 "is band.solve_H_band"):
+                solve_H_prox(*args, band, 3)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
             solve_H_prox(*args, Penalty.soft_freq(0.1), 0)
 
     def test_rejects_hard_penalty_and_bad_n_iters_on_a_stack(self):
-        # an all-zero stacked dictionary has Lipschitz constant 0 (step 1);
-        # the rejections still hold for every block
-        args = *normal_terms(np.zeros((2, 2)), list(np.zeros((3, 2, 2)))), list(np.zeros((3, 2, 2)))
-        with pytest.raises(ValueError, match="adaptive top-R band, which is not convex"):
-            solve_H_prox(*args, Penalty.hard_freq(R=1), 1, nonneg=False)
+        # a stack of problems is rejected whatever the penalty, naming its
+        # shapes, and the iteration check comes first
+        gram, cross, h0 = np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+        for p in (Penalty.hard_freq(R=1), Penalty.ridge(0.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "got Gram (3, 2, 2), cross term (3, 2, 2) and code (3, 2, 2)")):
+                solve_H_prox(gram, cross, h0, p, 1, nonneg=False)
+            with pytest.raises(ValueError, match=re.escape("got Gram a sequence of 3")):
+                solve_H_prox(list(gram), list(cross), list(h0), p, 1)
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
-            solve_H_prox(*args, Penalty.ridge(0.0), -1)
+            solve_H_prox(gram, cross, h0, Penalty.ridge(0.0), -1)
 
 
 def soft_forecast_encode():
@@ -328,36 +330,6 @@ class TestResidualStop:
         assert 0.0 < report.extras["rho"] < math.inf
         assert np.all(np.isfinite(steps)) and np.all(steps > 0.0)
         assert np.all(np.isfinite(h)) and report.wall_iters <= 50
-
-    @pytest.mark.parametrize("penalty, nonneg", [
-        (Penalty.soft_freq(0.5), True), (Penalty.lasso(0.3), True), (Penalty.ridge(0.2), False),
-        ("fixed_mask", True),
-    ], ids=["soft", "lasso", "ridge-free", "fixed_mask"])
-    def test_blocks_stop_apart_and_stay_equal_to_separate_calls(self, penalty, nonneg):
-        # three dictionaries of growing collinearity stop at different iterations
-        rng = np.random.default_rng(62)
-        T, k = 24, 3
-        xbar = np.abs(rng.standard_normal((10, T)))
-        base = rng.standard_normal((10, k))
-        wbar = np.stack([base + c * base[:, :1] for c in (0.0, 1.0, 10.0)])
-        h0 = np.abs(rng.standard_normal((3, k, T)))
-        if penalty == "fixed_mask":
-            masks = [FrequencyMask.same(k, T, bins) for bins in ([0, 2], [0, 3], [0, 1, 5])]
-            penalty = Penalty.hard_freq(mask=FrequencyMask(T, sum((m.kept for m in masks), ())))
-            separate = [Penalty.hard_freq(mask=m) for m in masks]
-        else:
-            separate = [penalty] * 3
-        h, reports = solve_H_prox(*normal_terms(xbar, list(wbar)), list(h0), penalty, 5000, nonneg)
-        iters = [r.wall_iters for r in reports]
-        assert len(set(iters)) == 3 and max(iters) < 5000
-        assert all(r.terminated == "tol_reached" for r in reports)
-        for b, (report, pen) in enumerate(zip(reports, separate)):
-            ref, ref_report = solve_H_prox(*normal_terms(xbar, wbar[b]), h0[b], pen, 5000, nonneg)
-            assert np.array_equal(h[b], ref)
-            assert report.to_dict() == ref_report.to_dict()
-            # a stopped block froze: capping it where it stopped gives its code
-            frozen, _ = solve_H_prox(*normal_terms(xbar, wbar[b]), h0[b], pen, report.wall_iters, nonneg)
-            assert np.array_equal(h[b], frozen)
 
 
 class TestSsnmfBcd:
@@ -534,41 +506,7 @@ class TestFixedMaskCodeStep:
         self.check(h, wbar, xbar, mask, fstar)
 
 
-class TestAlternatingPgd:
-    def test_fixed_point_when_feasible_and_optimal(self):
-        rng = np.random.default_rng(44)
-        T, R = 16, 2
-        t = np.arange(T)
-        h0 = np.vstack([1.5 + np.cos(2 * np.pi * 2 * t / T), 1.2 + np.cos(2 * np.pi * 5 * t / T)])
-        wbar = rng.standard_normal((7, 2))
-        xbar = wbar @ h0  # exact fit: gradient vanishes at h0
-        h, _ = alternating_pgd(h0, *normal_terms(xbar, wbar), R, n_iters=5)
-        assert np.max(np.abs(h - h0)) <= 1e-10
-
-    def test_pure_tone_concentrates_after_projection(self):
-        T = 32
-        t = np.arange(T)
-        target = 2.0 + np.cos(2 * np.pi * 5 * t / T)
-        wbar = np.ones((4, 1))
-        xbar = np.outer(np.ones(4), target)
-        rng = np.random.default_rng(45)
-        h0 = np.abs(rng.standard_normal((1, T)))
-        h, report = alternating_pgd(h0, *normal_terms(xbar, wbar), R=2, n_iters=60)
-        # measured immediately after each projection, off-mask mass is dust
-        assert max(report.extras["offmask_after_projection"]) <= 1e-12
-        spec = np.abs(dft_rows(h))[0]
-        kept = np.sort(np.argsort(-spec)[:3])  # DC + the +-5 pair
-        assert np.sum(spec[kept] ** 2) >= 0.99 * np.sum(spec**2)
-
-    def test_frequency_priority_leaves_band_limited_code(self):
-        rng = np.random.default_rng(46)
-        wbar = rng.standard_normal((6, 2))
-        xbar = rng.standard_normal((6, 16))
-        h0 = np.abs(rng.standard_normal((2, 16)))
-        h, _ = alternating_pgd(h0, *normal_terms(xbar, wbar), R=3, n_iters=20, priority="frequency")
-        # the returned code against its own top-R mask
-        assert half_offmask_ratio(*top_r_keep(h, 3), 16).max() <= 1e-12
-
+class TestSsnmfHard:
     def test_mu_grows_as_r_shrinks(self):
         # fewer retained frequencies => more strongly suppressed bins; the
         # suppressed fraction is robust where the raw median would compare
@@ -588,14 +526,6 @@ class TestAlternatingPgd:
         # so the medians only compare rounding leakage: each is at that floor
         assert min(medians) >= 1e12, medians
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            alternating_pgd(np.zeros((1, 8)), np.zeros((1, 1)), np.zeros((1, 8)), 1, 5, priority="x")
-        with pytest.raises(ValueError):
-            alternating_pgd(np.zeros((1, 8)), np.zeros((1, 1)), np.zeros((1, 8)), 9, 5)
-
-
-class TestSsnmfHard:
     def test_recovers_band_limited_factorization(self):
         rng = np.random.default_rng(23)
         d, r, T = 12, 2, 32
@@ -931,135 +861,49 @@ class TestGramScores:
         assert report.objective_trace[-1] == objective(x, y, model)
 
 
-@st.composite
-def stacked_problems(draw):
-    """B independent code problems against one Xbar: (xbar, wbar (B, m, k),
-    h0 (B, k, T), per-block masks) with B in 1..4, k in 1..3 and T in 8..40;
-    the code steps take them as ``list(wbar), list(h0)``."""
-    B, k, T = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(8, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = k + draw(st.integers(1, 4))
-    xbar = np.abs(rng.standard_normal((m, T)))
-    wbar = rng.standard_normal((B, m, k))
-    h0 = np.abs(rng.standard_normal((B, k, T)))
-    masks = [FrequencyMask(T, tuple(FrequencyMask.same(1, T, rng.choice(T // 2 + 1, 2)).kept * k))
-             for _ in range(B)]
-    return xbar, wbar, h0, masks
-
-
-STACKED_STEPS = [
-    (Penalty.hard_freq(R=2), {}),
-    (Penalty.hard_freq(R=3), {"priority": "frequency"}),
-    (Penalty.ridge(0.3), {}),
-    (Penalty.lasso(0.2), {}),
-    (Penalty.soft_freq(0.5), {}),
-    (Penalty.lasso(0.2), {"nonneg": False}),
-    ("fixed_mask", {}),
-]
-
-
 class TestStackedCodeStep:
-    """A stacked call is B separate 2-D calls in one pass, bit for bit."""
+    """Every code step and the encode take one problem; a stack of them is
+    rejected, naming its shapes."""
 
-    @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
-                             ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
-                                  "lasso-free", "fixed_mask"])
-    @settings(max_examples=25, deadline=None)
-    @given(problem=stacked_problems(), iters=st.integers(1, 12))
-    def test_stack_equals_separate_calls(self, penalty, options, problem, iters):
-        xbar, wbar, h0, masks = problem
-        if penalty == "fixed_mask":
-            stacked_mask = FrequencyMask(masks[0].T, sum((mk.kept for mk in masks), ()))
-            _, step = code_step(Penalty.hard_freq(mask=stacked_mask))
-            steps = [code_step(Penalty.hard_freq(mask=mk))[1] for mk in masks]
-        else:
-            _, step = code_step(penalty, **options)
-            steps = [step] * len(masks)
-        h, subs = step(*normal_terms(xbar, list(wbar)), list(h0), iters)
-        assert len(h) == len(subs) == len(h0)
-        for b, one_step in enumerate(steps):
-            ref, ref_sub = one_step(*normal_terms(xbar, wbar[b]), h0[b], iters)
-            assert np.array_equal(h[b], ref)
-            assert subs[b].objective_trace == ref_sub.objective_trace
-            assert subs[b].step_trace == ref_sub.step_trace
-            assert subs[b].extras.keys() == ref_sub.extras.keys()
-            assert (subs[b].extras.get("fixed_point_residual")
-                    == ref_sub.extras.get("fixed_point_residual"))
+    PENALTIES = [Penalty.hard_freq(R=1), Penalty.ridge(0.0),
+                 Penalty.hard_freq(mask=FrequencyMask.same(2, 8, [0]))]
 
-    @pytest.mark.parametrize("penalty, options", STACKED_STEPS,
-                             ids=["heuristic", "heuristic-frequency", "ridge", "lasso", "soft",
-                                  "lasso-free", "fixed_mask"])
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), iters=st.integers(1, 12))
-    def test_unequal_widths_equal_separate_calls(self, penalty, options, data, iters):
-        # sequences of blocks whose widths differ, runs of one width repeated
-        widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
-        T = data.draw(st.integers(8, 40))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        m = max(widths) + data.draw(st.integers(1, 4))
-        xbar = np.abs(rng.standard_normal((m, T)))
-        wbar = [rng.standard_normal((m, k)) for k in widths]
-        h0 = [np.abs(rng.standard_normal((k, T))) for k in widths]
-        if penalty == "fixed_mask":
-            masks = [FrequencyMask.same(k, T, rng.choice(T // 2 + 1, 2)) for k in widths]
-            joint = FrequencyMask(T, sum((mk.kept for mk in masks), ()))
-            _, step = code_step(Penalty.hard_freq(mask=joint))
-            steps = [code_step(Penalty.hard_freq(mask=mk))[1] for mk in masks]
-        else:
-            _, step = code_step(penalty, **options)
-            steps = [step] * len(widths)
-        h, subs = step(*normal_terms(xbar, wbar), h0, iters)
-        assert len(h) == len(subs) == len(widths)
-        for b, one_step in enumerate(steps):
-            ref, ref_sub = one_step(*normal_terms(xbar, wbar[b]), h0[b], iters)
-            assert np.array_equal(h[b], ref)
-            assert subs[b].to_dict() == ref_sub.to_dict()
-
-    @pytest.mark.parametrize("priority", ["nonneg", "frequency"])
-    @settings(max_examples=25, deadline=None)
-    @given(problem=stacked_problems(), iters=st.integers(1, 12))
-    def test_heuristic_without_diagnostics_keeps_code_and_steps(self, priority, problem, iters):
-        xbar, wbar, h0, _ = problem
-        h, subs = alternating_pgd(list(h0), *normal_terms(xbar, list(wbar)), 2, iters, priority,
-                                  _diagnostics=False)
-        ref, ref_subs = alternating_pgd(list(h0), *normal_terms(xbar, list(wbar)), 2, iters,
-                                        priority)
-        assert all(np.array_equal(hb, rb) for hb, rb in zip(h, ref, strict=True))
-        for sub, ref_sub in zip(subs, ref_subs):
-            assert sub.objective_trace == ref_sub.objective_trace == []
-            assert sub.step_trace == ref_sub.step_trace
-            assert "offmask_after_projection" not in sub.extras
-            assert len(ref_sub.extras["offmask_after_projection"]) == iters
+    @staticmethod
+    def rejects(step, shapes, *args):
+        with pytest.raises(ValueError, match=re.escape(f"; got {shapes}")):
+            step(*args, 2)
 
     def test_mismatched_blocks_rejected(self):
-        _, step = code_step(Penalty.hard_freq(R=1))
-        with pytest.raises(ValueError, match="not matching"):
-            step(*normal_terms(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))]),
-                 [np.ones((2, 8))], 2)
-        with pytest.raises(ValueError, match="not matching"):
-            step(*normal_terms(np.ones((4, 8)), [np.ones((4, 2))]), [np.ones((1, 8))], 2)
-        # a fixed mask needs a row for every row of every block
-        _, step = code_step(Penalty.hard_freq(mask=FrequencyMask.same(2, 8, [0])))
-        with pytest.raises(ValueError, match="mask has 2 rows, H has 3"):
-            step(*normal_terms(np.ones((4, 8)), [np.ones((4, 2)), np.ones((4, 1))]),
-                 [np.ones((2, 8)), np.ones((1, 8))], 2)
+        for penalty in self.PENALTIES:
+            _, step = code_step(penalty)
+            # sequences of blocks, of equal or unequal widths
+            self.rejects(step, "Gram a sequence of 2, cross term a sequence of 2 and code a "
+                         "sequence of 1", [np.eye(2), np.eye(1)], [np.ones((2, 8)), np.ones((1, 8))],
+                         [np.ones((2, 8))])
+            self.rejects(step, "Gram a sequence of 1, cross term (2, 8) and code (2, 8)",
+                         [np.eye(2)], np.ones((2, 8)), np.ones((2, 8)))
+            # terms that do not match the code
+            self.rejects(step, "Gram (2, 2), cross term (1, 8) and code (1, 8)",
+                         np.eye(2), np.ones((1, 8)), np.ones((1, 8)))
 
     def test_mismatched_stacks_rejected(self):
-        with pytest.raises(ValueError, match="not matching"):
-            alternating_pgd(list(np.ones((2, 1, 8))),
-                            *normal_terms(np.ones((4, 8)), list(np.ones((3, 4, 1)))), 1, 2)
-        with pytest.raises(ValueError, match="not matching"):
-            code_step(Penalty.ridge(0.0))[1](*normal_terms(np.ones((4, 8)), list(np.ones((3, 4, 1)))),
-                                             list(np.ones((2, 1, 8))), 2)
-        # a (B, k, T) array is not a sequence of blocks
-        with pytest.raises(ValueError, match="not matching"):
-            alternating_pgd(np.ones((2, 1, 8)), np.ones((2, 1, 1)), np.ones((2, 1, 8)), 1, 2)
+        # a (B, k, T) array is not a sequence of blocks either
+        stack = np.ones((2, 1, 1)), np.ones((2, 1, 8)), np.ones((2, 1, 8))
+        for penalty in self.PENALTIES:
+            self.rejects(code_step(penalty)[1],
+                         "Gram (2, 1, 1), cross term (2, 1, 8) and code (2, 1, 8)", *stack)
+        rng = np.random.default_rng(72)
+        y, wp = rng.standard_normal((6, 12)), rng.standard_normal((3, 6, 2))
+        for dictionaries, got in ((wp, "(3, 6, 2)"), (list(wp), "a sequence of 3"),
+                                  ([wp[0], wp[1, :, :1]], "a sequence of 2")):
+            with pytest.raises(ValueError, match=re.escape(f"got Wp {got} and Y_full (6, 12)")):
+                encode_new(y, dictionaries, Penalty.ridge(0.0), 0.0)
 
     def test_stacked_tos_mask_needs_every_block_row(self):
+        # two 2-row blocks stacked into one 4-row code: the mask needs every row
         _, step = code_step(Penalty.hard_freq(mask=MASK16))
         with pytest.raises(ValueError, match="mask has 2 rows, H has 4"):
-            step(*normal_terms(np.ones((3, 16)), list(np.ones((2, 3, 2)))),
-                 list(np.ones((2, 2, 16))), 3)
+            step(*normal_terms(np.ones((3, 16)), np.ones((3, 4))), np.ones((4, 16)), 3)
 
 
 def fixed_cadence_prox(xbar, wbar, z0, p, n_iters, nonneg=True):
@@ -1148,10 +992,9 @@ class TestInexactCodeSteps:
         xbar = rng.standard_normal((m, T)) + 1.0
         wbar = rng.standard_normal((m, k))
         h0 = np.abs(rng.standard_normal((k, T)))
-        band = FrequencyMask.same(k, T, rng.choice(T // 2 + 1, 2, replace=False))
         for p, nonneg in [(Penalty.ridge(0.3), True), (Penalty.lasso(0.2), True),
                           (Penalty.lasso(0.2), False), (Penalty.soft_freq(0.5), True),
-                          (Penalty.soft_freq(0.5), False), (Penalty.hard_freq(mask=band), True)]:
+                          (Penalty.soft_freq(0.5), False)]:
             for cap in (1, 7, 20, 21, 45, 300):
                 want, (iters, steps, terminated, primal, dual, rho) = fixed_cadence_prox(
                     xbar, wbar, h0, p, cap, nonneg)
@@ -1309,9 +1152,9 @@ INPUT_CHECKS = {
     "splitting_gamma0": (lambda: three_operator_splitting(
         lambda h: h, FrequencyMask.full(1, 4), np.zeros((1, 4)), 1, gamma0=0.0),
         "gamma0 must be positive"),
-    "heuristic_n_iters": (lambda: alternating_pgd(np.ones((1, 4)), np.ones((1, 1)),
-                                                  np.ones((1, 4)), 1, 0),
-                          "n_iters must be >= 1"),
+    # the heuristic top-R step that code_step builds
+    "heuristic_n_iters": (lambda: code_step(Penalty.hard_freq(R=1))[1](
+        np.ones((1, 1)), np.ones((1, 4)), np.ones((1, 4)), 0), "n_rounds must be >= 1"),
 }
 
 

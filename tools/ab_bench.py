@@ -23,7 +23,9 @@ equal, so a change that claims unchanged outputs can quote the same runs
 as its timings.  A change that moves them can quote how far: the script
 also prints the worst relative change of a final objective, the median and
 worst change of the forecast NSE, and in how many pairs the atom-scan
-rankings agree, over the pairs where both sides read ``correct``.  It ends
+rankings agree, over the pairs where both sides read ``correct``.  Each
+end-to-end metric of ``BENCHMARK.json`` gets a verdict from its ``better``
+and relative ``bound`` over those pairs (see :func:`verdict`).  It ends
 with one JSON object holding every run's metrics and fingerprint, nested by
 workload, printed also when a run or a summary fails.  It leaves the repository's files,
 index and refs as they are and removes the exports.
@@ -47,6 +49,7 @@ STAGES = ("factorize", "forecast", "atom_scan")
 METRICS = ("setup_s", "pipeline_s", "factorize_s", "forecast_s", "atom_scan_s",
            "forecast_nse", "peak_rss_mb") + tuple(f"{stage}_peak_mb" for stage in STAGES)
 FIRST_SEED = 11
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def export(rev: str, dest: Path) -> str:
@@ -110,6 +113,13 @@ def finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def metric_pairs(runs: list, name: str) -> list:
+    """(parent, change) values of metric ``name`` over the pairs where both
+    sides read ``correct`` and hold a finite value."""
+    return [(p["metrics"][name], c["metrics"][name]) for p, c in both_correct(runs)
+            if finite(p["metrics"].get(name)) and finite(c["metrics"].get(name))]
+
+
 def drift(runs: list) -> list:
     """How far the change's fingerprints moved from the parent's, over the
     pairs where both sides read ``correct`` and have one: the worst relative
@@ -136,16 +146,51 @@ def drift(runs: list) -> list:
     return lines
 
 
+def verdict(pairs: list, better: str, bound: float) -> str:
+    """One end-to-end metric's verdict over (parent, change) value pairs,
+    checked in this order: "worse" when the change's median is worse than
+    the parent's by more than ``bound`` times the parent's |median|;
+    "better" when the change wins at least 9 in 10 pairs (a tie counts for
+    neither side) and the medians differ by more than the parent's
+    interquartile range; "unresolved" when that range exceeds the bound and
+    not every change run beats every parent run; else "unchanged"."""
+    if better == "higher":  # compare as lower-is-better
+        pairs = [(-p, -c) for p, c in pairs]
+    parent, change = [p for p, _ in pairs], [c for _, c in pairs]
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (p_med,) * 3
+    scale = bound * abs(p_med)
+    if c_med - p_med > scale:
+        return "worse"
+    if sum(c < p for p, c in pairs) >= 0.9 * len(pairs) and abs(c_med - p_med) > q3 - q1:
+        return "better"
+    if q3 - q1 > scale and not max(change) < min(parent):
+        return "unresolved"
+    return "unchanged"
+
+
+def verdicts(runs: list) -> list:
+    """A line per ``BENCHMARK.json`` end-to-end metric that some pair where
+    both sides read ``correct`` holds on both sides: its verdict."""
+    lines = []
+    for metric in json.loads(BENCHMARK.read_text())["end_to_end"]:
+        name = metric["name"]
+        pairs = metric_pairs(runs, name)
+        if pairs:
+            lines.append(f"verdict {name}: {verdict(pairs, metric['better'], metric['bound'])} "
+                         f"(bound {metric['bound']:g}, {metric['better']} is better, "
+                         f"{len(pairs)} pairs)")
+    return lines
+
+
 def summary(workload: str, runs: list) -> None:
     print(f"{workload}: {len(runs)} pairs")
     print(f"{'metric':<18} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
           f"{'skipped':<8} change lower/higher/equal")
-    correct = both_correct(runs)
     for name in METRICS:
         if not any(name in side["metrics"] for pair in runs for side in pair):
             continue
-        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in correct
-                 if finite(p["metrics"].get(name)) and finite(c["metrics"].get(name))]
+        pairs = metric_pairs(runs, name)
         lower = sum(c < p for p, c in pairs)
         higher = sum(c > p for p, c in pairs)
         print(f"{name:<18} {spread([p for p, _ in pairs]):<34} {spread([c for _, c in pairs]):<34} "
@@ -153,7 +198,7 @@ def summary(workload: str, runs: list) -> None:
     same = sum(p.get("fingerprint") is not None and p.get("fingerprint") == c.get("fingerprint")
                for p, c in runs)
     print(f"fingerprints equal: {same} of {len(runs)} pairs")
-    for line in drift(runs):
+    for line in drift(runs) + verdicts(runs):
         print(line)
     wrong = sum(not side["correct"] for pair in runs for side in pair)
     print(f"runs not reading correct: {wrong} of {2 * len(runs)}")
