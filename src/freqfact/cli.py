@@ -45,6 +45,11 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+# the failures main reports under each code; LinAlgError and its subclasses
+# are ValueErrors, so main tries the numerical ones first
+_NUMERICAL_ERRORS = (ConvergenceError, np.linalg.LinAlgError)
+_INPUT_ERRORS = (TensorFormatError, FileNotFoundError, FileExistsError, IsADirectoryError,
+                 NotADirectoryError, KeyError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +177,19 @@ def _encode_penalty(cfg) -> Penalty:
 # shared helpers
 
 
-class _MatrixLoader:
-    """Matricized tensors by path, and stacked auxiliaries by path list, each
-    built once and shared, read-only, by later uses.
+def _read_matrices(*requests) -> list[np.ndarray]:
+    """One read-only matrix per request of a command, read in one
+    :func:`freqfact.io.read_into` call: one parse round for every input.
 
-    ``load.read(*requests)`` takes a command's requests in the order it uses
-    them, a path for one tensor's matrix or a list of paths for the
-    vertical stack of those auxiliaries, and reads every tensor they name
-    that no earlier request read in one :func:`freqfact.io.read_into` call:
-    one parse round for all of them.  ``load(path)`` returns one tensor's
-    matrix and ``load.aux(paths)`` the stack of the auxiliaries at ``paths``
-    (one path or a list), each read by its own call when no earlier
-    ``read`` built it.  Each input is held once: once the heads are read,
-    every requested matrix and stack is allocated and each tensor parsed
-    straight into one place, its own matrix when a path request names it,
-    else its rows of the first stack holding it; its other places, and a
-    stack's rows of a tensor read before, are copied in after the parse.
-    Stacked tensors that keep unequal numbers of times raise ValueError.
+    The requests come in the order the command uses them: a path asks for
+    one tensor's matrix, and a list of paths for the vertical stack of those
+    auxiliaries (a list of one path is its matrix; an empty list raises
+    ValueError).  Equal requests return the same array.  Each input is held once: once the heads are read, every
+    requested matrix and stack is allocated and each tensor parsed straight
+    into one place, its own matrix when a path request names it, else its
+    rows of the first stack holding it; its other places are copied in
+    after the parse.  Stacked tensors that keep unequal numbers of times
+    raise ValueError.
 
     Matrix column k is the k-th time a tensor's mask keeps, so each tensor
     read is checked against those before it, in request order: two whose
@@ -196,70 +197,47 @@ class _MatrixLoader:
     Only masks are kept, so unmasked inputs allocate nothing for the check.
     These checks raise after the parse, so a malformed file is named first.
     """
+    keys = [tuple(map(str, _aux_paths(r) if isinstance(r, (list, tuple)) else [r]))
+            for r in requests]
+    paths = list(dict.fromkeys(p for key in keys for p in key))
+    built, copies = {}, []
 
-    def __init__(self):
-        self._cache: dict = {}
-        self._masks: dict = {}
+    def make(heads):
+        shapes, masks = {}, {}
+        for path, ((A, B, T), mask) in zip(paths, heads):
+            for other, (other_T, other_mask) in masks.items():
+                if mask is None and other_mask is None:
+                    continue
+                span = min(T, other_T)
+                diff = np.flatnonzero(_keeps(mask, span) != _keeps(other_mask, span))
+                if diff.size:
+                    raise ValueError(f"{other} and {path} keep different time columns: "
+                                     f"original time {diff[0]} is masked in one and kept in "
+                                     f"the other")
+            masks[path] = (T, mask)
+            shapes[path] = A * B, T if mask is None else int(np.count_nonzero(mask))
+        dests = {}
+        # a path's own matrix first, then the stacks, each a stack of its paths
+        for key in sorted(dict.fromkeys(keys), key=lambda key: len(key) > 1):
+            cols = {shapes[p][1] for p in key}
+            if len(cols) != 1:
+                raise ValueError(f"auxiliary matrices disagree on column count: {sorted(cols)}")
+            built[key], at = np.empty((sum(shapes[p][0] for p in key), cols.pop())), 0
+            for p in key:
+                rows = built[key][at : at + shapes[p][0]]
+                at += len(rows)
+                if p in dests:
+                    copies.append((rows, dests[p]))
+                else:
+                    dests[p] = rows
+        return [dests[p] for p in paths]
 
-    def read(self, *requests) -> None:
-        keys = [tuple(map(str, r)) if isinstance(r, (list, tuple)) else str(r) for r in requests]
-        keys = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        if not keys:
-            return
-        paths = list(dict.fromkeys(p for key in keys for p in ([key] if isinstance(key, str)
-                                                               else key) if p not in self._cache))
-        built, copies = {}, []
-
-        def make(heads):
-            shapes = {p: m.shape for p, m in self._cache.items() if isinstance(p, str)}
-            shapes.update((p, self._matrix_shape(p, *head)) for p, head in zip(paths, heads))
-            dests = {}
-            # a path's own matrix first, then the stacks, each a stack of its paths
-            for key in sorted(keys, key=lambda key: isinstance(key, tuple)):
-                members = [key] if isinstance(key, str) else key
-                cols = {shapes[p][1] for p in members}
-                if len(cols) != 1:
-                    raise ValueError(f"auxiliary matrices disagree on column count: "
-                                     f"{sorted(cols)}")
-                built[key], at = np.empty((sum(shapes[p][0] for p in members), cols.pop())), 0
-                for p in members:
-                    rows = built[key][at : at + shapes[p][0]]
-                    at += len(rows)
-                    if p in dests or p in self._cache:
-                        copies.append((rows, p))
-                    else:
-                        dests[p] = rows
-            return [dests[p] for p in paths]
-
-        matrices = dict(zip(paths, (m for _, _, m in fio.read_into(paths, make=make))))
-        for rows, p in copies:
-            rows[...] = self._cache[p] if p in self._cache else matrices[p]
-        for key in keys:
-            built[key].flags.writeable = False
-            self._cache[key] = built[key]
-
-    def _matrix_shape(self, path: str, dims, mask) -> tuple[int, int]:
-        """The shape of a tensor's matrix, checked against the masks read before."""
-        A, B, T = dims
-        for other, (other_T, other_mask) in self._masks.items():
-            if mask is None and other_mask is None:
-                continue
-            span = min(T, other_T)
-            diff = np.flatnonzero(_keeps(mask, span) != _keeps(other_mask, span))
-            if diff.size:
-                raise ValueError(f"{other} and {path} keep different time columns: original "
-                                 f"time {diff[0]} is masked in one and kept in the other")
-        self._masks[path] = (T, mask)
-        return A * B, T if mask is None else int(np.count_nonzero(mask))
-
-    def __call__(self, path) -> np.ndarray:
-        self.read(path)
-        return self._cache[str(path)]
-
-    def aux(self, y_paths) -> np.ndarray:
-        paths = _aux_paths(y_paths)
-        self.read(paths)
-        return self._cache[tuple(map(str, paths))]
+    fio.read_into(paths, make=make)
+    for rows, parsed in copies:
+        rows[...] = parsed
+    for matrix in built.values():
+        matrix.flags.writeable = False
+    return [built[key] for key in keys]
 
 
 def _keeps(mask, span: int) -> np.ndarray:
@@ -338,9 +316,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_factorize_point(cfg, out: Path, load) -> float:
-    x = load(cfg.x)
-    y = load.aux(cfg.y)
+def _run_factorize_point(cfg, out: Path, x: np.ndarray, y: np.ndarray) -> float:
     if cfg.train_t is not None:
         # the main tensor may span the full period; train on its head
         if cfg.train_t > x.shape[1]:
@@ -388,10 +364,8 @@ def cmd_factorize(args) -> int:
     if cfg.grid is not None and not cfg.grid:
         raise ValueError("grid must be a nonempty list of override objects")
     out = Path(args.out)
-    load = _MatrixLoader()
     if cfg.grid is None:
-        load.read(cfg.x, _aux_paths(cfg.y))
-        _run_factorize_point(cfg, out, load)
+        _run_factorize_point(cfg, out, *_read_matrices(cfg.x, _aux_paths(cfg.y)))
         return EXIT_OK
 
     # a point's own seed wins over the one derived from (seed, index)
@@ -406,16 +380,20 @@ def cmd_factorize(args) -> int:
             raise ValueError(f"grid[{i}]: {exc}") from None
     # parse and stack every input here, in one round, so grid workers never
     # parse concurrently and share one copy of each matrix
-    load.read(*[request for pcfg in points for request in (pcfg.x, _aux_paths(pcfg.y))])
+    matrices = _read_matrices(*[r for pcfg in points for r in (pcfg.x, _aux_paths(pcfg.y))])
     # every point's directory before any point writes
     for i in range(len(points)):
         (out / f"point_{i:03d}").mkdir(parents=True, exist_ok=True)
 
-    def run(i, pcfg):
-        return _run_factorize_point(pcfg, out / f"point_{i:03d}", load)
+    def run(i, pcfg, x, y):
+        try:
+            return _run_factorize_point(pcfg, out / f"point_{i:03d}", x, y)
+        except _NUMERICAL_ERRORS + _INPUT_ERRORS as exc:  # the class keeps its exit code
+            raise type(exc)(f"grid[{i}]: {exc}") from None
 
     with ThreadPoolExecutor(max_workers=args.jobs, initializer=_bind_worker(args.jobs)) as pool:
-        objectives = list(pool.map(run, range(len(points)), points))
+        objectives = list(pool.map(run, range(len(points)), points, matrices[::2],
+                                   matrices[1::2]))
     median = _median(objectives)
     fio.write_json(out / "index.json", {
         "format": "stf-index-v1",
@@ -455,14 +433,12 @@ def _encode_inputs(args) -> types.SimpleNamespace:
     encoded."""
     cfg = check_config("forecast", load_config(args))
     w, wp, h_train = _load_model(cfg.model)
-    load = _MatrixLoader()
-    load.read(_aux_paths(cfg.y), *([cfg.x_true] if cfg.x_true else []))
-    y_full = load.aux(cfg.y)
+    y_full, *x_true = _read_matrices(_aux_paths(cfg.y), *([cfg.x_true] if cfg.x_true else []))
+    x_true = x_true[0] if x_true else None
     if y_full.shape[0] != wp.shape[0]:
         raise ValueError(f"{', '.join(_aux_paths(cfg.y))}: the auxiliary tensors stack to "
                          f"{y_full.shape[0]} rows, but {Path(cfg.model) / 'Wp.csv'} has "
                          f"{wp.shape[0]}")
-    x_true = load(cfg.x_true) if cfg.x_true else None
     if x_true is not None and x_true.shape[0] != w.shape[0]:
         raise ValueError(f"{cfg.x_true}: the truth tensor has {x_true.shape[0]} rows, but "
                          f"{Path(cfg.model) / 'W.csv'} has {w.shape[0]}")
@@ -627,12 +603,10 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) == "":
                 raise ValueError(f"--{flag} must be a nonempty path, got ''")
         return args.func(args)
-    # LinAlgError and its subclasses are ValueErrors, so the numerical branch goes first
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"freqfact: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (TensorFormatError, FileNotFoundError, FileExistsError, IsADirectoryError,
-            NotADirectoryError, KeyError, TypeError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"freqfact: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -527,8 +527,8 @@ def _h_step(eig, rho: float, n_z: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each (k, T) matrix of a stack, each summed
-    over its k T entries as one row."""
+    """Squared Frobenius norm of a (k, T) matrix, or of each of a stack,
+    each summed over its k T entries as one row."""
     flat = a.reshape(a.shape[:-2] + (-1,))
     return (flat * flat).sum(axis=-1)
 
@@ -608,11 +608,13 @@ def solve_H_prox(
     for it in range(n_iters):
         check = (it + 1) % every == 0 or it == n_iters - 1
         if check:
-            prev = np.concatenate((u, w[None]))
+            du, dz = u.copy(), w.copy()
         np.matmul(mat, w, out=h)
         h += offset
         if nonneg:
             u1 += h
+            if check:  # H + U1 > 0, the returned code's support at the last one
+                kept = u1 > 0.0
             np.abs(u1, out=w)
             np.minimum(u1, 0.0, out=u1)
         u2 += h
@@ -625,14 +627,14 @@ def solve_H_prox(
             np.subtract(z2, u2, out=w)
         if not check:
             continue
-        # rows dUi (= H - Zi), dW + sum dUi (= d(Z1 + Z2)), H and sum Ui
-        change = np.concatenate((u, w[None], h[None], u2[None]))
-        change[: n_z + 1] -= prev
-        for du in change[:n_z]:
-            change[n_z] += du
-        if nonneg:
-            change[-1] += u1
-        *sq_du, sq_dz, sq_h, sq_u = _sq_norms(change).tolist()
+        # dUi (= H - Zi) and dW + sum dUi (= d(Z1 + Z2)), in the copies
+        np.subtract(u, du, out=du)
+        np.subtract(w, dz, out=dz)
+        for dui in du:
+            dz += dui
+        sq_du = _sq_norms(du).tolist()
+        sq_dz, sq_h = float(_sq_norms(dz)), float(_sq_norms(h))
+        sq_u = float(_sq_norms(np.add(u2, u1, out=du[0]) if nonneg else u2))  # sum Ui
         steps.extend([1.0 / rho] * (it + 1 - last_check))
         last_check = it + 1
         primal, dual = math.sqrt(sum(sq_du)), rho * math.sqrt(sq_dz)
@@ -651,7 +653,7 @@ def solve_H_prox(
             mat, offset = _h_step(eig, rho, n_z)
     if nonneg:
         # Z2 where Z1 = max(H + U1, 0) is positive, else 0
-        z2 *= (h + prev[0]) > 0.0
+        z2 *= kept
         np.maximum(z2, 0.0, out=z2)
     # the code goes into z0, made before the loop: returning z2, made in it,
     # raised large_sweep's fresh-process factorize peak RSS by about 0.75 MB

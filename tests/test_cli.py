@@ -232,6 +232,29 @@ class TestFactorize:
             assert a == b
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("over, code, message", [
+        ({"x": "short/data/X.csv"}, 2, "input error: grid[1]: train_t=24 outside [1, 20]"),
+        ({"r": 11}, 2, "input error: grid[1]: rank 11 exceeds min(d, T) = 10"),
+        ({"xi": 1e308}, 3, "numerical failure: grid[1]: ssnmf_bcd: non-finite"),
+    ], ids=["train_t", "rank", "overflow"])
+    def test_a_failing_point_is_named(self, tmp_path, capsys, jobs, over, code, message):
+        # a point that fails while it runs is named as a point's config error is
+        data = synth_dataset(tmp_path)
+        synth_dataset(tmp_path / "short", T=20)
+        over = {k: str(tmp_path / v) if k == "x" else v for k, v in over.items()}
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({
+            "x": str(data / "X.csv"), "y": [str(data / "Y0.csv"), str(data / "Y1.csv")],
+            "r": 2, "penalty": {"kind": "soft_freq", "lambda": 1.0}, "n_iters": 2,
+            "sub_iters": 5, "train_t": 24, "grid": [{"xi": 0.5}, over],
+        }))
+        capsys.readouterr()
+        assert run_cli("factorize", "--config", cfg, "--out", tmp_path / "o",
+                       "--jobs", jobs) == code
+        err = capsys.readouterr().err
+        assert f"freqfact: {message}" in err and "Traceback" not in err
+
     def test_grid_workers_bind_to_distinct_cpus(self, tmp_path, monkeypatch):
         data = synth_dataset(tmp_path)
         cfg = {
@@ -257,10 +280,10 @@ class TestFactorize:
         together = threading.Barrier(2, timeout=30)
         run_point = cli._run_factorize_point
 
-        def point(pcfg, out, load):
+        def point(pcfg, out, x, y):
             ran[out.name] = threading.get_ident()
             together.wait()
-            return run_point(pcfg, out, load)
+            return run_point(pcfg, out, x, y)
 
         monkeypatch.setattr(cli, "_run_factorize_point", point)
         assert run_cli("factorize", "--config", p, "--out", out2, "--jobs", 2) == 0
@@ -351,7 +374,7 @@ class TestForecastCli:
         }))
         out = tmp_path / "fc"
         assert run_cli("forecast", "--config", cfg, "--out", out) == 0
-        y_full = cli._MatrixLoader().aux(ys)
+        (y_full,) = cli._read_matrices(ys)
         wp, h = read_matrix(model / "Wp.csv"), read_matrix(out / "H_new_full.csv")
         scored = Penalty(penalty.kind, 0.2, penalty.R)
         assert_fit_rule_score(read_json(out / "metrics.json")["final_objective"], y_full, wp, h,

@@ -610,11 +610,11 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
         events.append(sorted(map(str, paths)))
         return real_read(paths, *args, **kwargs)
 
-    def point(pcfg, out, load):
+    def point(pcfg, out, x, y):
         # inputs are shared between points, so no point may write to them
-        assert not load(pcfg.x).flags.writeable
+        assert not x.flags.writeable and not y.flags.writeable
         events.append("point")
-        return real_point(pcfg, out, load)
+        return real_point(pcfg, out, x, y)
 
     monkeypatch.setattr(fio, "read_into", counting_read)
     monkeypatch.setattr(cli, "_run_factorize_point", point)
@@ -631,6 +631,42 @@ def test_grid_parses_each_input_once(tmp_path, monkeypatch):
     assert len(files) == 1 + 2 * 4  # index.json, then W, Wp, H and report per point
     for rel in files:
         assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["factorize", "forecast", "atom-scan", "evaluate",
+                                     "evaluate itself"])
+def test_each_command_reads_its_tensors_in_one_call(tmp_path, monkeypatch, command):
+    # the model's matrices are read apart, by read_matrix
+    data = tmp_path / "data"
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"d": 6, "T": 30, "freqs": [3, 5], "seed": 2}))
+    assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+    x, ys = str(data / "X.csv"), [str(data / "Y0.csv"), str(data / "Y1.csv")]
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"x": x, "y": ys, "r": 2, "n_iters": 2, "sub_iters": 5,
+                               "train_t": 24}))
+    assert cli.main(["factorize", "--config", str(fit), "--out", str(tmp_path / "m")]) == 0
+    fc = tmp_path / "fc.json"
+    fc.write_text(json.dumps({"model": str(tmp_path / "m"), "y": ys, "x_true": x,
+                              "sweeps": 2, "sub_iters": 5}))
+    pred = x if command == "evaluate itself" else ys[0]
+    argv, inputs = {
+        "factorize": (["--config", str(fit)], [x, *ys]),
+        "forecast": (["--config", str(fc)], [*ys, x]),
+        "atom-scan": (["--config", str(fc)], [*ys, x]),
+        "evaluate": (["--truth", x, "--pred", pred], [x, pred]),
+    }[command.split()[0]]
+    reads = []
+    real_read = fio.read_into
+
+    def counting_read(paths, magic=fio.TENSOR_MAGIC, make=None):
+        if magic == fio.TENSOR_MAGIC:
+            reads.append(list(map(str, paths)))
+        return real_read(paths, magic, make)
+
+    monkeypatch.setattr(fio, "read_into", counting_read)
+    assert cli.main([command.split()[0], *argv, "--out", str(tmp_path / "o")]) == 0
+    assert reads == [list(dict.fromkeys(inputs))]
 
 
 def test_hard_scan_sized_forecast_and_atom_scan_never_import_the_parse_kernel(tmp_path,
@@ -678,9 +714,9 @@ def test_grid_points_share_one_read_only_aux_stack(tmp_path, monkeypatch):
     stacks = []
     real_point = cli._run_factorize_point
 
-    def point(pcfg, out, load):
-        stacks.append(load.aux(pcfg.y))
-        return real_point(pcfg, out, load)
+    def point(pcfg, out, x, y):
+        stacks.append(y)
+        return real_point(pcfg, out, x, y)
 
     monkeypatch.setattr(cli, "_run_factorize_point", point)
     assert cli.main(["factorize", "--config", str(cfg), "--out", str(tmp_path / "m"),
@@ -701,23 +737,32 @@ def test_forecast_loader_keeps_only_the_aux_stack(tmp_path, monkeypatch):
         "r": 2, "n_iters": 2, "sub_iters": 5, "train_t": 24,
     }))
     assert cli.main(["factorize", "--config", str(fit), "--out", str(model)]) == 0
-    loaders = []
+    reads, places = [], []
+    real_read, real_matrices = fio.read_into, cli._read_matrices
 
-    class Loader(cli._MatrixLoader):
-        def __init__(self):
-            super().__init__()
-            loaders.append(self)
+    def read_into(paths, magic=fio.TENSOR_MAGIC, make=None):
+        def placed(heads):
+            dests = make(heads)
+            places.extend(dests)
+            return dests
 
-    monkeypatch.setattr(cli, "_MatrixLoader", Loader)
-    y_paths = (str(data / "Y0.csv"), str(data / "Y1.csv"))
+        return real_read(paths, magic, placed if make else None)
+
+    def read_matrices(*requests):
+        reads.append((requests, real_matrices(*requests)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(fio, "read_into", read_into)
+    monkeypatch.setattr(cli, "_read_matrices", read_matrices)
+    y_paths = [str(data / "Y0.csv"), str(data / "Y1.csv")]
     fc = tmp_path / "fc.json"
-    fc.write_text(json.dumps({"model": str(model), "y": list(y_paths), "sweeps": 2,
+    fc.write_text(json.dumps({"model": str(model), "y": y_paths, "sweeps": 2,
                               "sub_iters": 5}))
     assert cli.main(["forecast", "--config", str(fc), "--out", str(tmp_path / "fc")]) == 0
-    (load,) = loaders
-    # the stack alone: neither auxiliary's own matrix outlives it
-    assert list(load._cache) == [y_paths]
-    assert load._cache[y_paths].shape == (12, 30)
+    # the stack alone: each auxiliary is parsed into its rows, not a matrix of its own
+    ((requests, (stack,)),) = reads
+    assert requests == (y_paths,) and stack.shape == (12, 30)
+    assert len(places) == 2 and all(rows.base is stack for rows in places)
 
 
 @pytest.fixture
@@ -1475,13 +1520,15 @@ def test_loader_stacks_auxiliaries_in_order(tmp_path):
     p = write_tensors(tmp_path, {"y.csv": SpatioTemporalTensor(y),
                                  "y10.csv": SpatioTemporalTensor(y + 10)})
     m = y.reshape(2, 3)
-    assert np.array_equal(cli._MatrixLoader().aux(str(p["y.csv"])), m)
-    assert np.array_equal(cli._MatrixLoader().aux([p["y.csv"], p["y10.csv"]]),
-                          np.vstack([m, m + 10]))
-    three = cli._MatrixLoader().aux([p["y.csv"]] * 3)
+    one, alone = cli._read_matrices([str(p["y.csv"])], p["y.csv"])
+    assert one is alone and np.array_equal(one, m)  # a list of one path is its matrix
+    pair, again, three = cli._read_matrices([p["y.csv"], p["y10.csv"]],
+                                            (p["y.csv"], p["y10.csv"]), [p["y.csv"]] * 3)
+    assert np.array_equal(pair, np.vstack([m, m + 10]))
+    assert again is pair  # equal requests, one array
     assert three.shape == (6, 3) and np.array_equal(three, np.vstack([m] * 3))
     with pytest.raises(ValueError, match="at least one auxiliary tensor path"):
-        cli._MatrixLoader().aux([])
+        cli._read_matrices([])
 
 
 def test_loader_rejects_auxiliaries_of_unequal_column_count(tmp_path):
@@ -1489,7 +1536,7 @@ def test_loader_rejects_auxiliaries_of_unequal_column_count(tmp_path):
     p = write_tensors(tmp_path, {"a.csv": SpatioTemporalTensor(rng.standard_normal((2, 1, 3))),
                                  "b.bin": SpatioTemporalTensor(rng.standard_normal((2, 1, 4)))})
     with pytest.raises(ValueError, match=r"auxiliary matrices disagree on column count: \[3, 4\]"):
-        cli._MatrixLoader().aux([p["a.csv"], p["b.bin"]])
+        cli._read_matrices([p["a.csv"], p["b.bin"]])
 
 
 def test_loader_rejects_auxiliaries_with_unequal_masks(tmp_path):
@@ -1500,7 +1547,7 @@ def test_loader_rejects_auxiliaries_with_unequal_masks(tmp_path):
     })
     with pytest.raises(ValueError, match=r"a\.csv and .*b\.csv keep different time columns: "
                                          r"original time 1 is masked"):
-        cli._MatrixLoader().aux([p["a.csv"], p["b.csv"]])
+        cli._read_matrices([p["a.csv"], p["b.csv"]])
 
 
 def test_loader_names_a_malformed_file_before_a_mask_mismatch(tmp_path):
@@ -1512,7 +1559,7 @@ def test_loader_names_a_malformed_file_before_a_mask_mismatch(tmp_path):
     lines = p["b.csv"].read_text().splitlines()
     p["b.csv"].write_text("\n".join(lines[:-1] + ["x"]) + "\n")
     with pytest.raises(TensorFormatError, match=r"b\.csv: line 9, column 1: could not parse"):
-        cli._MatrixLoader().aux([p["a.csv"], p["b.csv"]])
+        cli._read_matrices([p["a.csv"], p["b.csv"]])
 
 
 def loader_case(tmp_path, case):
@@ -1553,7 +1600,6 @@ def test_loader_matrices_are_bit_equal_to_matricized_reads(tmp_path, monkeypatch
     t, paths, ys = loader_case(tmp_path, case)
     set_workers(workers)
     monkeypatch.setattr(fio, "_PLACE_VALUES", 7)  # pieces cross the children's files
-    load = cli._MatrixLoader()
     names = {name: str(paths[name]) for name in t}
     with contextlib.ExitStack() as stack:
         if case == "pipe":  # Y1 read from a pipe, as a shell's <(...) gives it
@@ -1562,14 +1608,12 @@ def test_loader_matrices_are_bit_equal_to_matricized_reads(tmp_path, monkeypatch
             os.write(w, paths["Y1.csv"].read_bytes())
             os.close(w)
             names["Y1.csv"] = f"/dev/fd/{r}"
-        load.read(names["X.csv"], [names[y] for y in ys])
+        x, stack_ = cli._read_matrices(names["X.csv"], [names[y] for y in ys])
     assert len(forks) == (workers if workers > 1 else 0)
     assert_no_child_left()
     want = {name: tensor_matrix(t[name]) for name in t}
     for name in t:
         assert tensor_matrix(fio.read_tensor(paths[name])).tobytes() == want[name].tobytes()
-    x = load(names["X.csv"])
-    stack_ = load.aux([names[y] for y in ys])
     assert x.tobytes() == want["X.csv"].tobytes()
     assert stack_.tobytes() == np.vstack([want[y] for y in ys]).tobytes()
     assert not x.flags.writeable and not stack_.flags.writeable
@@ -1594,13 +1638,12 @@ def test_loader_holds_x_and_the_stack_once(tmp_path, monkeypatch):
     assert sum(p.stat().st_size for p in paths.values()) >= 2 * fio._PARSE_CHUNK_BYTES
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-    load = cli._MatrixLoader()
     tracemalloc.start()
     try:
-        load.read(paths["X.csv"], [paths["Y0.csv"], paths["Y1.csv"]])
+        x, stack_ = cli._read_matrices(paths["X.csv"], [paths["Y0.csv"], paths["Y1.csv"]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = load(paths["X.csv"]).nbytes + load.aux([paths["Y0.csv"], paths["Y1.csv"]]).nbytes
+    held = x.nbytes + stack_.nbytes
     assert held == 3 * 3000 * 100 * 8
     assert peak <= 1.1 * held

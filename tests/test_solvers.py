@@ -258,6 +258,25 @@ class TestSolveHProx:
         assert reports[-1].wall_iters < 5000
         assert all(len(r.step_trace) == r.wall_iters for r in reports)
 
+    def test_residual_checks_hold_few_code_sized_arrays(self):
+        # each check forms dUi and d(Z1 + Z2) in copies of U and W taken at
+        # its start: about 15 (k, T) arrays at the peak, where stacking the
+        # previous and changed state at each check held about 22
+        import tracemalloc
+
+        xbar, wbar, h0 = self.instance(60, m=64, k=8, T=768)
+        terms = normal_terms(xbar, wbar)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = solve_H_prox(*terms, h0, Penalty.ridge(0.1), 400)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.wall_iters > solvers._ADMM_CHECK  # several checks ran
+        assert peak <= 17 * h0.nbytes
+
     def test_validation(self):
         # a band's code steps are in freqfact.band, a fixed mask's as well
         args = *normal_terms(np.zeros((2, 4)), np.ones((2, 2))), np.zeros((2, 4))
